@@ -6,14 +6,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bug_fixed import BugStepReport, galerkin_coefficient_update, k_step, l_step
-from .full_scheme import FullSchemeWorkspace, meso_macro_update
+from .bug_fixed import BugStepReport, _galerkin_update, _k_update, _l_update, _orth_defect
+from .full_scheme import (
+    FullSchemeWorkspace,
+    emission_gradient_parts,
+    emission_gradient_source,
+    meso_macro_update,
+)
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
-    beta_fields,
     complete_orthonormal_columns,
-    diff_interface,
     orthonormal_columns,
 )
 
@@ -28,8 +31,9 @@ __all__ = [
     "step_bug_adaptive",
 ]
 
-# Augmented coefficient columns whose norm is this small relative to the whole
-# coefficient block contribute nothing and get a padded spatial direction.
+# Kept truncation slots (the conserved column or a remainder singular value) whose
+# weight is this small relative to the whole coefficient block contribute nothing
+# and get a padded direction.
 _DEGENERATE_TOL = 1e-14
 
 
@@ -53,6 +57,8 @@ class AugmentedFactors:
 
     The first spatial column spans the diffusion-limit direction (when nonzero)
     and the first angular column is exactly the unit first-moment direction.
+    `source` is the interface emission source of the step, evaluated once
+    together with w_ap; when it is None the Galerkin step evaluates it.
     """
 
     X_hat: np.ndarray
@@ -61,6 +67,7 @@ class AugmentedFactors:
     N_hat: np.ndarray
     w_ap: np.ndarray
     S_hat: np.ndarray | None = field(default=None)
+    source: np.ndarray | None = field(default=None)
 
 
 @dataclass(frozen=True)
@@ -78,18 +85,21 @@ class TruncationDetails:
 
 def diffusion_limit_direction(macro: MacroState, ws: FullSchemeWorkspace) -> np.ndarray:
     """Interface vector (beta / sigma) * delta0(a c T) spanned by the micro limit."""
-    p = ws.params
-    _, beta_if = beta_fields(macro, p.emission)
-    grad_t = diff_interface(p.a_rad * p.c * macro.temperature, ws.grid, ws.bc)
-    return beta_if * grad_t / ws.sigma.at_interfaces
+    thermal, _ = emission_gradient_parts(macro, ws)
+    return thermal / ws.sigma.at_interfaces
 
 
 def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
                   dt: float) -> AugmentedFactors:
-    """Update both bases and prepend the limit directions before orthonormalization."""
-    k_new, _ = k_step(state, macro, ws, dt)
-    l_new, _ = l_step(state, macro, ws, dt)
-    w_ap = diffusion_limit_direction(macro, ws)
+    """Update both bases and prepend the limit directions before orthonormalization.
+
+    The K and L updates enter the stacks as they are: only the stacked bases
+    are orthonormalized, so each step does one QR per tall factor.
+    """
+    thermal, source = emission_gradient_parts(macro, ws)
+    w_ap = thermal / ws.sigma.at_interfaces
+    k_new = _k_update(state, source, ws, dt)
+    l_new = _l_update(state, source, ws, dt)
     b_vec = ws.angular.b_vec
 
     n_rows, n_mom = state.X_basis.shape[0], state.V_basis.shape[0]
@@ -106,14 +116,16 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
 
     m_hat = x_hat.T @ state.X_basis
     n_hat = v_hat.T @ state.V_basis
-    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=m_hat, N_hat=n_hat, w_ap=w_ap)
+    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=m_hat, N_hat=n_hat, w_ap=w_ap,
+                            source=source)
 
 
 def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState, macro: MacroState,
                    ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
     """Coefficient update in the augmented bases from the projected old solution."""
     s_tilde = aug.M_hat @ state_old.S_coeff @ aug.N_hat.T
-    return galerkin_coefficient_update(aug.X_hat, aug.V_hat, s_tilde, macro, ws, dt)
+    source = aug.source if aug.source is not None else emission_gradient_source(macro, ws)
+    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, source, ws, dt)
 
 
 def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
@@ -142,17 +154,15 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
     The column paired with the first angular basis vector is kept exactly, so the
     first micro moment survives truncation; the remaining directions are cut at
     the normalized singular-value tail tolerance of cfg.theta_rel.
+
+    X_hat is orthonormal, so K_hat = X_hat S_hat is factored through S_hat:
+    all three QRs and the SVD act on (2r+1)-row coefficient blocks, and only the
+    final spatial basis is lifted, X_new = X_hat C_new.
     """
     x_hat, v_hat = aug.X_hat, aug.V_hat
     n_rows, n_mom = x_hat.shape[0], v_hat.shape[0]
-    k_hat = x_hat @ s_hat
 
-    k_ap = k_hat[:, :1]
-    k_rem = k_hat[:, 1:]
-    v_ap = v_hat[:, :1]
-    v_rem = v_hat[:, 1:]
-
-    x_rem_hat, s_rem_hat = np.linalg.qr(k_rem)
+    c_rem_hat, s_rem_hat = np.linalg.qr(s_hat[:, 1:])
     u_mat, svals, wt_mat = np.linalg.svd(s_rem_hat)
     r_star = _choose_kept_rank(svals, cfg.theta_rel)
     r_star = min(r_star, cfg.max_rank - 1, n_rows - 1, n_mom - 1)
@@ -160,24 +170,26 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
 
     u_hat = u_mat[:, :r_star]
     w_hat = wt_mat[:r_star, :].T
-    x_rem = x_rem_hat @ u_hat
-    s_rem = np.diag(svals[:r_star])
-    v_new = np.column_stack([v_ap, v_rem @ w_hat])
+    c_rem = c_rem_hat @ u_hat
+    v_new = np.column_stack([v_hat[:, :1], v_hat[:, 1:] @ w_hat])
 
-    ap_norm = float(np.linalg.norm(k_ap))
-    if ap_norm <= _DEGENERATE_TOL * max(float(np.linalg.norm(k_hat)), 1e-300):
-        # Uniform-temperature states: keep a padded direction with zero weight.
-        x_ap = complete_orthonormal_columns(x_rem, 1)
-        s_ap = np.zeros((1, 1))
-    else:
-        x_ap, s_ap = np.linalg.qr(k_ap)
+    c_ap, s_ap = np.linalg.qr(s_hat[:, :1])
+    weights = np.concatenate([s_ap[0], svals[:r_star]])
+    dead = np.abs(weights) <= _DEGENERATE_TOL * max(float(np.linalg.norm(s_hat)), 1e-300)
+    weights[dead] = 0.0
+    slots = np.column_stack([c_ap, c_rem])
+    if dead.any():
+        # Slots without weight (the conserved one for uniform temperature, or a
+        # zero remainder) get directions orthogonal to the weighted ones, so the
+        # refolding QR below never has to split two parallel columns.
+        live, _ = np.linalg.qr(slots[:, ~dead])
+        slots[:, dead] = complete_orthonormal_columns(live, int(dead.sum()))
+        s_ap = weights[:1, None]
 
-    x_new, r2 = np.linalg.qr(np.column_stack([x_ap, x_rem]))
+    c_new, r2 = np.linalg.qr(slots)
+    x_new = x_hat @ c_new
     rank_new = r_star + 1
-    s_block = np.zeros((rank_new, rank_new))
-    s_block[0, 0] = s_ap[0, 0]
-    s_block[1:, 1:] = s_rem
-    s_new = r2 @ s_block
+    s_new = r2 @ np.diag(weights)
 
     state = LowRankMicroState(x_new, s_new, v_new, rank_new)
     if return_details:
@@ -205,11 +217,10 @@ def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchem
     g1_new = new_state.X_basis @ (new_state.S_coeff @ new_state.V_basis[0, :])
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
 
-    r = new_state.rank
     report = BugStepReport(
-        rank=r,
-        x_orth_defect=float(np.max(np.abs(new_state.X_basis.T @ new_state.X_basis - np.eye(r)))),
-        v_orth_defect=float(np.max(np.abs(new_state.V_basis.T @ new_state.V_basis - np.eye(r)))),
+        rank=new_state.rank,
+        x_orth_defect=_orth_defect(new_state.X_basis),
+        v_orth_defect=_orth_defect(new_state.V_basis),
         dt=dt,
     )
     return MacroState(t_new, h_new), new_state, report

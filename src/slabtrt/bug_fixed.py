@@ -40,8 +40,9 @@ def _orth_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat.T @ mat - np.eye(r))))
 
 
-def k_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
-    """Advance K = X S in the frozen angular basis; returns (K_new, X_new)."""
+def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
+              dt: float) -> np.ndarray:
+    """K = X S advanced in the frozen angular basis, before orthonormalization."""
     p = ws.params
     ang = ws.angular
     x, s, v = state.X_basis, state.S_coeff, state.V_basis
@@ -51,14 +52,13 @@ def k_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
     proj_plus = v.T @ ang.A_plus @ v
     proj_minus = v.T @ ang.A_minus @ v
     advect = diff_minus(k, ws.grid, ws.bc) @ proj_plus + diff_plus(k, ws.grid, ws.bc) @ proj_minus
-    source = np.outer(emission_gradient_source(macro, ws), v.T @ ang.b_vec)
-    rhs = shift * k - p.epsilon * advect - source
-    k_new = rhs / (shift + ws.sigma.at_interfaces)[:, None]
-    return k_new, orthonormal_columns(k_new)
+    rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ ang.b_vec)
+    return rhs / (shift + ws.sigma.at_interfaces)[:, None]
 
 
-def l_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
-    """Advance L = V S^T in the frozen spatial basis; returns (L_new, V_new).
+def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
+              dt: float) -> np.ndarray:
+    """L = V S^T advanced in the frozen spatial basis, before orthonormalization.
 
     The absorption couples through C = sum_i sigma_{i+1/2} X_i X_i^T, making the
     implicit solve an r x r symmetric positive definite system.
@@ -73,18 +73,15 @@ def l_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
     dm_x = diff_minus(x, ws.grid, ws.bc)
     dp_x = diff_plus(x, ws.grid, ws.bc)
     advect = ang.A_plus @ l_mat @ (dm_x.T @ x) + ang.A_minus @ l_mat @ (dp_x.T @ x)
-    source = np.outer(ang.b_vec, x.T @ emission_gradient_source(macro, ws))
-    rhs = shift * l_mat - p.epsilon * advect - source
+    rhs = shift * l_mat - p.epsilon * advect - np.outer(ang.b_vec, x.T @ source)
 
     absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
-    l_new = np.linalg.solve(shift * np.eye(r) + absorb, rhs.T).T
-    return l_new, orthonormal_columns(l_new)
+    return np.linalg.solve(shift * np.eye(r) + absorb, rhs.T).T
 
 
-def galerkin_coefficient_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
-                                macro: MacroState, ws: FullSchemeWorkspace,
-                                dt: float) -> np.ndarray:
-    """Coefficient update in the given bases starting from the projected S."""
+def _galerkin_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
+                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
+    """Coefficient update in the given bases from the projected S and the interface source."""
     p = ws.params
     ang = ws.angular
     shift = p.epsilon**2 / (p.c * dt)
@@ -95,18 +92,42 @@ def galerkin_coefficient_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: n
     proj_minus = v_new.T @ ang.A_minus @ v_new
     advect = flow_minus @ s_tilde @ proj_plus + flow_plus @ s_tilde @ proj_minus
 
-    source = np.outer(x_new.T @ emission_gradient_source(macro, ws), v_new.T @ ang.b_vec)
     absorb = x_new.T @ (ws.sigma.at_interfaces[:, None] * x_new)
-    rhs = shift * s_tilde - p.epsilon * advect - source
+    rhs = shift * s_tilde - p.epsilon * advect - np.outer(x_new.T @ source, v_new.T @ ang.b_vec)
     shape = absorb.shape[0]
     return np.linalg.solve(shift * np.eye(shape) + absorb, rhs)
+
+
+def _projected_coefficients(x_new: np.ndarray, v_new: np.ndarray,
+                            state_old: LowRankMicroState) -> np.ndarray:
+    return (x_new.T @ state_old.X_basis) @ state_old.S_coeff @ (state_old.V_basis.T @ v_new)
+
+
+def k_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
+    """Advance K = X S in the frozen angular basis; returns (K_new, X_new)."""
+    k_new = _k_update(state, emission_gradient_source(macro, ws), ws, dt)
+    return k_new, orthonormal_columns(k_new)
+
+
+def l_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
+    """Advance L = V S^T in the frozen spatial basis; returns (L_new, V_new)."""
+    l_new = _l_update(state, emission_gradient_source(macro, ws), ws, dt)
+    return l_new, orthonormal_columns(l_new)
+
+
+def galerkin_coefficient_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
+                                macro: MacroState, ws: FullSchemeWorkspace,
+                                dt: float) -> np.ndarray:
+    """Coefficient update in the given bases starting from the projected S."""
+    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_source(macro, ws), ws, dt)
 
 
 def s_step(x_new: np.ndarray, v_new: np.ndarray, state_old: LowRankMicroState,
            macro: MacroState, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
     """Galerkin step in the updated bases; the old solution is projected in first."""
-    s_tilde = (x_new.T @ state_old.X_basis) @ state_old.S_coeff @ (state_old.V_basis.T @ v_new)
-    return galerkin_coefficient_update(x_new, v_new, s_tilde, macro, ws, dt)
+    return galerkin_coefficient_update(x_new, v_new,
+                                       _projected_coefficients(x_new, v_new, state_old),
+                                       macro, ws, dt)
 
 
 def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
@@ -114,16 +135,19 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     """One fixed-rank step: K- and L-step from time-n data, S-step, then meso/macro.
 
     The rank is preserved; rank-deficient intermediate factors are padded with
-    canonical directions inside the orthonormalization.
+    canonical directions inside the orthonormalization. The emission source is
+    evaluated once and shared by the three substeps.
     """
     if not dt > 0.0:
         raise ValueError("dt must be strictly positive")
     ws.check_macro(macro)
     ws.check_micro_shape(state.X_basis.shape[0], state.V_basis.shape[0])
 
-    _, x_new = k_step(state, macro, ws, dt)
-    _, v_new = l_step(state, macro, ws, dt)
-    s_new = s_step(x_new, v_new, state, macro, ws, dt)
+    source = emission_gradient_source(macro, ws)
+    x_new = orthonormal_columns(_k_update(state, source, ws, dt))
+    v_new = orthonormal_columns(_l_update(state, source, ws, dt))
+    s_new = _galerkin_update(x_new, v_new, _projected_coefficients(x_new, v_new, state),
+                             source, ws, dt)
 
     g1_new = x_new @ (s_new @ v_new[0, :])
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .angular import NORM_P1, AngularOperators
 from .mesh_state import (
+    BC_PERIODIC,
     BC_ZERO_GHOST,
     AbsorptionField,
     FullMicroState,
@@ -23,6 +24,7 @@ from .mesh_state import (
 
 __all__ = [
     "FullSchemeWorkspace",
+    "emission_gradient_parts",
     "emission_gradient_source",
     "full_micro_update",
     "meso_macro_update",
@@ -43,8 +45,8 @@ class FullSchemeWorkspace:
     def __post_init__(self):
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:
             raise ValueError("absorption field does not match the grid")
-        if self.bc not in (BC_ZERO_GHOST, "periodic"):
-            raise ValueError("bc must be 'zero_ghost' or 'periodic'")
+        if self.bc not in (BC_ZERO_GHOST, BC_PERIODIC):
+            raise ValueError(f"bc must be '{BC_ZERO_GHOST}' or '{BC_PERIODIC}'")
 
     def check_macro(self, macro: MacroState):
         if macro.n_cells != self.grid.n_cells:
@@ -57,13 +59,21 @@ class FullSchemeWorkspace:
             raise ValueError("micro state moment count does not match angular operators")
 
 
-def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.ndarray:
-    """Interface source beta * delta0(a c T) + eps^2 * delta0(h) driving the first moment."""
+def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
+    """Thermal gradient beta * delta0(a c T) and the full first-moment source.
+
+    The source adds eps^2 * delta0(h) to the thermal part; the thermal part over
+    sigma is the diffusion-limit direction. Returns (thermal, source).
+    """
     p = ws.params
     _, beta_if = beta_fields(macro, p.emission)
-    grad_t = diff_interface(p.a_rad * p.c * macro.temperature, ws.grid, ws.bc)
-    grad_h = diff_interface(macro.h_meso, ws.grid, ws.bc)
-    return beta_if * grad_t + p.epsilon**2 * grad_h
+    thermal = beta_if * diff_interface(p.a_rad * p.c * macro.temperature, ws.grid, ws.bc)
+    return thermal, thermal + p.epsilon**2 * diff_interface(macro.h_meso, ws.grid, ws.bc)
+
+
+def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.ndarray:
+    """Interface source beta * delta0(a c T) + eps^2 * delta0(h) driving the first moment."""
+    return emission_gradient_parts(macro, ws)[1]
 
 
 def full_micro_update(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,

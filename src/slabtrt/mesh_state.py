@@ -360,26 +360,34 @@ def init_from_kinetic(f_sampler, T0, grid: StaggeredGrid, params: PhysicalParams
 
 
 def complete_orthonormal_columns(basis: np.ndarray, n_new: int) -> np.ndarray:
-    """Canonical unit vectors orthonormalized against `basis` (two MGS sweeps)."""
-    m = basis.shape[0]
-    cols = [basis[:, j] for j in range(basis.shape[1])]
-    added = []
-    for k in range(m):
-        if len(added) == n_new:
-            break
-        v = np.zeros(m)
-        v[k] = 1.0
-        for _ in range(2):
-            for q in cols:
-                v = v - np.dot(q, v) * q
-        nv = np.linalg.norm(v)
-        if nv > 0.1:
-            v = v / nv
-            cols.append(v)
-            added.append(v)
-    if len(added) < n_new:
-        raise ValueError("cannot complete basis: not enough independent directions")
-    return np.column_stack(added) if added else np.zeros((m, 0))
+    """Canonical unit vectors orthonormalized against `basis`, taken in index order.
+
+    Candidate e_i is kept when its residual against `basis` and the columns kept
+    before it has norm above 0.1. For orthonormal `basis` (k columns) a rejected
+    candidate lies 99% inside the final span of dimension k + n_new and a kept
+    one lies fully inside it, so at most k / 0.99 candidates are rejected and one
+    block of n_new + k / 0.99 + 1 candidates suffices. The block is projected off
+    `basis` by classical Gram-Schmidt applied twice; no m x m matrix is formed.
+    """
+    basis = np.asarray(basis, dtype=float)
+    m, k = basis.shape
+    size = min(m, n_new + int(k / 0.99) + 1)
+    cand = -basis @ basis[:size].T
+    cand[np.arange(size), np.arange(size)] += 1.0
+    cand -= basis @ (basis.T @ cand)
+    added = np.empty((m, n_new))
+    for j in range(n_new):
+        norms = np.linalg.norm(cand, axis=0)
+        hits = np.flatnonzero(norms > 0.1)
+        if hits.size == 0:
+            raise ValueError("cannot complete basis: not enough independent directions")
+        q = cand[:, hits[0]] / norms[hits[0]]
+        added[:, j] = q
+        cand = cand[:, hits[0] + 1:]
+        if j + 1 < n_new:
+            for _ in range(2):
+                cand = cand - np.outer(q, q @ cand)
+    return added
 
 
 def orthonormal_columns(mat: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Everything here is written with explicit Python loops and per-entry arithmetic,
 deliberately avoiding the vectorized code paths of the package, so agreement is
-evidence rather than tautology.
+evidence rather than tautology. The two factor references at the end (vector-
+at-a-time basis completion and the grid-space conservative truncation) are the
+straightforward formulations that the package's blocked and coefficient-space
+versions must reproduce.
 """
 
 import numpy as np
@@ -223,3 +226,67 @@ def oracle_rosseland_step(T, params, dx, dt, sigma_i):
         coef = (2.0 * a * c / (3.0 * c_nu)) / (1.0 + 2.0 * a * beta_c[i] / c_nu)
         out[i] = T[i] + dt * coef * (upper - lower) / dx**2
     return out
+
+
+def reference_complete_orthonormal_columns(basis, n_new):
+    """Canonical vectors orthonormalized one at a time by two modified Gram-Schmidt sweeps.
+
+    Returns (columns, picked canonical indices).
+    """
+    m = basis.shape[0]
+    cols = [basis[:, j] for j in range(basis.shape[1])]
+    added, picked = [], []
+    for k in range(m):
+        if len(added) == n_new:
+            break
+        v = np.zeros(m)
+        v[k] = 1.0
+        for _ in range(2):
+            for q in cols:
+                v = v - np.dot(q, v) * q
+        nv = np.linalg.norm(v)
+        if nv > 0.1:
+            v = v / nv
+            cols.append(v)
+            added.append(v)
+            picked.append(k)
+    if len(added) < n_new:
+        raise ValueError("cannot complete basis: not enough independent directions")
+    return (np.column_stack(added) if added else np.zeros((m, 0))), picked
+
+
+def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_tol=1e-14):
+    """Conservative truncation carried out on the grid-space product K = X_hat S_hat.
+
+    Returns (X_new, S_new, V_new, r_star, S_ap); the kept-rank rule is the
+    package's normalized singular-value tail test.
+    """
+    n_rows, n_mom = x_hat.shape[0], v_hat.shape[0]
+    k_hat = x_hat @ s_hat
+    k_ap, k_rem = k_hat[:, :1], k_hat[:, 1:]
+
+    x_rem_hat, s_rem_hat = np.linalg.qr(k_rem)
+    u_mat, svals, wt_mat = np.linalg.svd(s_rem_hat)
+    r_star = svals.size
+    if svals.size == 0 or svals[0] <= 0.0:
+        r_star = 1
+    else:
+        normalized = svals / svals[0]
+        for kept in range(1, svals.size + 1):
+            if np.sqrt(np.sum(normalized[kept:])) <= theta_rel:
+                r_star = kept
+                break
+    r_star = max(min(r_star, max_rank - 1, n_rows - 1, n_mom - 1), 1)
+
+    x_rem = x_rem_hat @ u_mat[:, :r_star]
+    v_new = np.column_stack([v_hat[:, :1], v_hat[:, 1:] @ wt_mat[:r_star, :].T])
+    if np.linalg.norm(k_ap) <= degenerate_tol * max(np.linalg.norm(k_hat), 1e-300):
+        x_ap, _ = reference_complete_orthonormal_columns(x_rem, 1)
+        s_ap = np.zeros((1, 1))
+    else:
+        x_ap, s_ap = np.linalg.qr(k_ap)
+    x_new, r2 = np.linalg.qr(np.column_stack([x_ap, x_rem]))
+    s_block = np.zeros((r_star + 1, r_star + 1))
+    s_block[0, 0] = s_ap[0, 0]
+    s_block[1:, 1:] = np.diag(svals[:r_star])
+    return x_new, r2 @ s_block, v_new, r_star, s_ap

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from oracles import oracle_galerkin_dense
+from oracles import oracle_galerkin_dense, reference_ap_truncate
+from slabtrt import full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
     AugmentedFactors,
@@ -12,6 +15,7 @@ from slabtrt.bug_adaptive import (
     galerkin_s_hat,
     step_bug_adaptive,
 )
+from slabtrt.bug_fixed import step_bug_fixed
 from slabtrt.full_scheme import FullSchemeWorkspace, step_full
 from slabtrt.limits_diagnostics import (
     compute_cfl_dt,
@@ -173,6 +177,141 @@ class TestApTruncate:
         aug, s_hat = self.make_factors(rng, r=3)
         state = ap_truncate(aug, s_hat, TruncationConfig(theta_rel=0.0, max_rank=4))
         assert state.rank == 4
+
+
+class TestApTruncateMatchesGridSpace:
+    """The coefficient-space truncation against the grid-space reference."""
+
+    def make_factors(self, rng, r, extra_rows, extra_moments, zero_conserved=False):
+        n_aug = 2 * r + 1
+        x_hat, _ = np.linalg.qr(rng.standard_normal((n_aug + extra_rows, n_aug)))
+        v_hat, _ = np.linalg.qr(rng.standard_normal((n_aug + extra_moments, n_aug)))
+        spectrum = np.exp(rng.uniform(np.log(1e-4), 0.0, size=n_aug))
+        left, _ = np.linalg.qr(rng.standard_normal((n_aug, n_aug)))
+        right, _ = np.linalg.qr(rng.standard_normal((n_aug, n_aug)))
+        s_hat = (left * spectrum) @ right.T
+        if zero_conserved:
+            s_hat[:, 0] = 0.0
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat,
+                               M_hat=np.zeros((n_aug, r)), N_hat=np.zeros((n_aug, r)),
+                               w_ap=np.zeros(x_hat.shape[0]))
+        return aug, s_hat
+
+    def compare(self, aug, s_hat, cfg):
+        state, det = ap_truncate(aug, s_hat, cfg, return_details=True)
+        x_ref, s_ref, v_ref, r_star_ref, s_ap_ref = reference_ap_truncate(
+            aug.X_hat, aug.V_hat, s_hat, cfg.theta_rel, cfg.max_rank)
+        assert det.r_star == r_star_ref
+        assert state.rank == r_star_ref + 1
+        recon_ref = x_ref @ s_ref @ v_ref.T
+        scale = np.linalg.norm(recon_ref)
+        assert np.linalg.norm(state.reconstruct() - recon_ref) <= 1e-12 * scale
+        np.testing.assert_array_equal(state.V_basis[:, 0], aug.V_hat[:, 0])
+        np.testing.assert_array_equal(v_ref[:, 0], aug.V_hat[:, 0])
+        assert abs(abs(det.S_ap[0, 0]) - abs(s_ap_ref[0, 0])) <= 1e-12 * scale
+        return state, det, x_ref, s_ref
+
+    def test_random_factors(self):
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            r = int(rng.integers(1, 6))
+            aug, s_hat = self.make_factors(rng, r, int(rng.integers(0, 30)),
+                                           int(rng.integers(0, 10)))
+            n_aug = s_hat.shape[0]
+            cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.01, 0.05, 0.3, 2.0])),
+                                   max_rank=int(rng.integers(2, n_aug + 2)))
+            self.compare(aug, s_hat, cfg)
+
+    def test_degenerate_conserved_column(self):
+        rng = np.random.default_rng(61)
+        for r in (1, 2, 4):
+            aug, s_hat = self.make_factors(rng, r, 5, 3, zero_conserved=True)
+            state, det, x_ref, s_ref = self.compare(
+                aug, s_hat, TruncationConfig(theta_rel=0.05, max_rank=2 * r + 1))
+            # both pad the conserved slot with a zero-weight orthonormal direction
+            assert det.S_ap[0, 0] == 0.0
+            np.testing.assert_allclose(state.S_coeff[:, 0], 0.0, atol=0.0)
+            np.testing.assert_allclose(s_ref[:, 0], 0.0, atol=0.0)
+            rank = state.rank
+            np.testing.assert_allclose(state.X_basis.T @ state.X_basis, np.eye(rank),
+                                       atol=1e-13)
+            np.testing.assert_allclose(x_ref.T @ x_ref, np.eye(rank), atol=1e-13)
+            # the padded direction now stays inside the augmented basis
+            x0 = state.X_basis[:, 0]
+            np.testing.assert_allclose(aug.X_hat @ (aug.X_hat.T @ x0), x0, atol=1e-13)
+
+    def test_zero_remainder(self):
+        # only the conserved column carries weight: the kept remainder slot is
+        # padded orthogonally to it, so the refold is well conditioned
+        rng = np.random.default_rng(62)
+        for r in (1, 3):
+            aug, s_hat = self.make_factors(rng, r, 6, 2)
+            s_hat[:, 1:] = 0.0
+            state, det, x_ref, s_ref = self.compare(
+                aug, s_hat, TruncationConfig(theta_rel=0.05, max_rank=2 * r + 1))
+            assert state.rank == 2
+            np.testing.assert_allclose(np.abs(np.diag(det.R2)), 1.0, atol=1e-12)
+            np.testing.assert_allclose(state.S_coeff[:, 1], 0.0, atol=0.0)
+            np.testing.assert_allclose(state.X_basis.T @ state.X_basis, np.eye(2), atol=1e-13)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap `module.name` at every slabtrt binding; returns the list of call args."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("slabtrt") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestStepOperationCounts:
+    """Each O(n) operation of a low-rank step runs once: no discarded QRs, one source."""
+
+    def setup_problem(self):
+        nx, n_mom = 40, 16
+        rng = np.random.default_rng(70)
+        ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5, seed=71)
+        macro = MacroState(1.0 + np.exp(-4.0 * ws.grid.centers**2), 0.1 * rng.standard_normal(nx))
+        state = random_state(rng, nx + 1, n_mom, 3)
+        return ws, macro, state
+
+    def install_counters(self, monkeypatch, tall_rows):
+        qr_rows = []
+        qr = np.linalg.qr
+
+        def counted_qr(a, *args, **kwargs):
+            qr_rows.append(np.shape(a)[0])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        beta = _count_calls(monkeypatch, mesh_state, "beta_fields")
+        source = _count_calls(monkeypatch, full_scheme, "emission_gradient_parts")
+        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(beta), len(source))
+
+    def test_adaptive_step(self, monkeypatch):
+        ws, macro, state = self.setup_problem()
+        counts = self.install_counters(monkeypatch, {41, 16})
+        cfg = TruncationConfig(theta_rel=5e-2, max_rank=16)
+        step_bug_adaptive(macro, state, ws, 0.02, cfg)
+        tall_qr, beta, source = counts()
+        assert tall_qr == 2
+        assert beta == 2
+        assert source <= 1
+
+    def test_fixed_rank_step(self, monkeypatch):
+        ws, macro, state = self.setup_problem()
+        counts = self.install_counters(monkeypatch, {41, 16})
+        step_bug_fixed(macro, state, ws, 0.02)
+        tall_qr, beta, source = counts()
+        assert tall_qr == 2
+        assert beta == 2
+        assert source <= 1
 
 
 class TestTruncationConfig:

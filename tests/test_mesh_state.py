@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from slabtrt.angular import gauss_legendre
+from oracles import reference_complete_orthonormal_columns
+from slabtrt.angular import gauss_legendre, orthonormal_legendre_table
 from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
@@ -12,6 +13,7 @@ from slabtrt.mesh_state import (
     apply_diff,
     beta_fields,
     beta_of_T,
+    complete_orthonormal_columns,
     diff_center,
     diff_interface,
     init_from_kinetic,
@@ -127,6 +129,69 @@ class TestStates:
             zero_low_rank_state(12, 5, rank=6)
         with pytest.raises(ValueError):
             zero_low_rank_state(12, 5, rank=0)
+
+
+class TestCompleteOrthonormalColumns:
+    def check_against_reference(self, basis, n_new):
+        out = complete_orthonormal_columns(basis, n_new)
+        ref, picked = reference_complete_orthonormal_columns(basis, n_new)
+        assert out.shape == ref.shape == (basis.shape[0], n_new)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+        # the column kept for e_i holds its residual norm, > 0.1, at index i
+        assert np.all(np.abs(out[picked, np.arange(n_new)]) > 0.1)
+        np.testing.assert_allclose(basis.T @ out, 0.0, atol=1e-13)
+        np.testing.assert_allclose(out.T @ out, np.eye(n_new), atol=1e-13)
+        return picked
+
+    @pytest.mark.parametrize("m,k,n_new", [(7, 3, 1), (40, 9, 1), (40, 9, 4), (101, 20, 1),
+                                           (12, 0, 5), (30, 25, 5)])
+    def test_random_bases_match_reference(self, m, k, n_new):
+        rng = np.random.default_rng(100 + m + k + n_new)
+        basis = orthonormal_columns(rng.standard_normal((m, k))) if k else np.zeros((m, 0))
+        self.check_against_reference(basis, n_new)
+
+    @pytest.mark.parametrize("n_new", [1, 3])
+    def test_canonical_span_rejects_leading_candidates(self, n_new):
+        # a rotated basis of span(e_0..e_29): the first 30 candidates are rejected
+        rng = np.random.default_rng(110)
+        m = 60
+        rotation = orthonormal_columns(rng.standard_normal((30, 30)))
+        basis = np.zeros((m, 30))
+        basis[:30] = rotation
+        picked = self.check_against_reference(basis, n_new)
+        assert picked == list(range(30, 30 + n_new))
+        np.testing.assert_allclose(np.abs(complete_orthonormal_columns(basis, n_new)),
+                                   np.eye(m)[:, 30:30 + n_new], atol=1e-13)
+
+    @pytest.mark.parametrize("n_new", [1, 2])
+    def test_smooth_angular_basis_matches_reference(self, n_new):
+        # low Legendre modes on a quadrature-like grid, with e_0 inside the span,
+        # as in the augmented angular stack of the adaptive scheme
+        nodes = np.linspace(-0.95, 0.95, 40)
+        smooth = orthonormal_legendre_table(12, nodes)[1:].T
+        basis = orthonormal_columns(np.column_stack([np.eye(40)[:, 0], smooth]))
+        picked = self.check_against_reference(basis, n_new)
+        assert picked[0] > 0
+
+    def test_orthonormal_against_nearly_orthonormal_basis(self):
+        rng = np.random.default_rng(111)
+        basis = orthonormal_columns(rng.standard_normal((50, 10)))
+        basis = basis + 1e-15 * rng.standard_normal(basis.shape)
+        self.check_against_reference(basis, 3)
+
+    def test_too_few_directions_raise(self):
+        rng = np.random.default_rng(112)
+        full = orthonormal_columns(rng.standard_normal((8, 8)))
+        with pytest.raises(ValueError):
+            complete_orthonormal_columns(full, 1)
+        with pytest.raises(ValueError):
+            complete_orthonormal_columns(full[:, :6], 3)
+        with pytest.raises(ValueError):
+            reference_complete_orthonormal_columns(full[:, :6], 3)
+
+    def test_zero_new_columns(self):
+        out = complete_orthonormal_columns(np.eye(5)[:, :2], 0)
+        assert out.shape == (5, 0)
 
 
 class TestEmission:
