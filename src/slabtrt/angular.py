@@ -180,10 +180,10 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
 
     mu = quad.nodes
     mu_abs = np.abs(mu)
-    a_mat = (t_mat * mu) @ t_mat.T
-    a_abs = (t_mat * mu_abs) @ t_mat.T
     a_plus = 0.5 * (t_mat * (mu + mu_abs)) @ t_mat.T
     a_minus = 0.5 * (t_mat * (mu - mu_abs)) @ t_mat.T
+    a_mat = a_plus + a_minus
+    a_abs = a_plus - a_minus
 
     b_vec = np.zeros(n_moments)
     b_vec[0] = NORM_P1

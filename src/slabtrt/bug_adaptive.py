@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bug_fixed import BugStepReport, _galerkin_update, _k_update, _l_update, _orth_defect
+from .bug_fixed import BugStepReport, _galerkin_update, _k_update, _l_update, _nodal
 from .full_scheme import (
     FullSchemeWorkspace,
     emission_gradient_parts,
@@ -98,8 +98,9 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     """
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    k_new = _k_update(state, source, ws, dt)
-    l_new = _l_update(state, source, ws, dt)
+    v_nodal = _nodal(state.V_basis, ws)
+    k_new = _k_update(state, source, ws, dt, v_nodal)
+    l_new = _l_update(state, source, ws, dt, v_nodal)
     b_vec = ws.angular.b_vec
 
     n_rows, n_mom = state.X_basis.shape[0], state.V_basis.shape[0]
@@ -217,10 +218,4 @@ def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchem
     g1_new = new_state.X_basis @ (new_state.S_coeff @ new_state.V_basis[0, :])
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
 
-    report = BugStepReport(
-        rank=new_state.rank,
-        x_orth_defect=_orth_defect(new_state.X_basis),
-        v_orth_defect=_orth_defect(new_state.V_basis),
-        dt=dt,
-    )
-    return MacroState(t_new, h_new), new_state, report
+    return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)

@@ -10,9 +10,8 @@ from .full_scheme import FullSchemeWorkspace, emission_gradient_source, meso_mac
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
-    diff_minus,
-    diff_plus,
     orthonormal_columns,
+    padded_difference,
 )
 
 __all__ = [
@@ -34,46 +33,79 @@ class BugStepReport:
     v_orth_defect: float
     dt: float
 
+    @classmethod
+    def of(cls, state: LowRankMicroState, dt: float) -> "BugStepReport":
+        """Report of a new state, reusing the defects computed on its construction."""
+        return cls(rank=state.rank, x_orth_defect=state.x_orth_defect,
+                   v_orth_defect=state.v_orth_defect, dt=dt)
 
-def _orth_defect(mat: np.ndarray) -> float:
-    r = mat.shape[1]
-    return float(np.max(np.abs(mat.T @ mat - np.eye(r))))
+
+# The flux matrices are nodal: A+- = T diag(mu+-) T^T with T = angular.T_mat and
+# mu+- = (mu +- |mu|) / 2 on the quadrature nodes. An angular basis V enters every
+# kernel through its nodal values T^T V alone, so no N x N matrix is multiplied.
+
+
+def _nodal(v: np.ndarray, ws: FullSchemeWorkspace) -> np.ndarray:
+    """Nodal values T^T V of an angular basis."""
+    return ws.angular.T_mat.T @ v
+
+
+def _node_speeds(ws: FullSchemeWorkspace):
+    mu = ws.angular.quad.nodes
+    mu_abs = np.abs(mu)
+    return 0.5 * (mu + mu_abs), 0.5 * (mu - mu_abs)
+
+
+def _flux_projections(v_nodal: np.ndarray, ws: FullSchemeWorkspace):
+    """V^T A+ V and V^T A- V from the nodal values T^T V."""
+    mu_plus, mu_minus = _node_speeds(ws)
+    return (v_nodal.T * mu_plus) @ v_nodal, (v_nodal.T * mu_minus) @ v_nodal
+
+
+def _flow_minus(x: np.ndarray, ws: FullSchemeWorkspace) -> np.ndarray:
+    """X^T D- X; summation by parts gives X^T D+ X = -(X^T D- X)^T for both bcs."""
+    return x.T @ padded_difference(x, ws.grid, ws.bc)[:-1]
 
 
 def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float) -> np.ndarray:
-    """K = X S advanced in the frozen angular basis, before orthonormalization."""
+              dt: float, v_nodal: np.ndarray) -> np.ndarray:
+    """K = X S advanced in the frozen angular basis, before orthonormalization.
+
+    v_nodal = T^T V is shared with the L-step of the same basis.
+    """
     p = ws.params
-    ang = ws.angular
     x, s, v = state.X_basis, state.S_coeff, state.V_basis
     shift = p.epsilon**2 / (p.c * dt)
 
     k = x @ s
-    proj_plus = v.T @ ang.A_plus @ v
-    proj_minus = v.T @ ang.A_minus @ v
-    advect = diff_minus(k, ws.grid, ws.bc) @ proj_plus + diff_plus(k, ws.grid, ws.bc) @ proj_minus
-    rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ ang.b_vec)
+    proj_plus, proj_minus = _flux_projections(v_nodal, ws)
+    diffs = padded_difference(k, ws.grid, ws.bc)
+    advect = diffs[:-1] @ proj_plus + diffs[1:] @ proj_minus
+    rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ ws.angular.b_vec)
     return rhs / (shift + ws.sigma.at_interfaces)[:, None]
 
 
 def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float) -> np.ndarray:
+              dt: float, v_nodal: np.ndarray) -> np.ndarray:
     """L = V S^T advanced in the frozen spatial basis, before orthonormalization.
 
+    A+ L F- + A- L F+ with F-+ = (D-+ X)^T X is one nodal product
+    T (mu+ o (T^T L F-) + mu- o (T^T L F+)), and T^T L = (T^T V) S^T.
     The absorption couples through C = sum_i sigma_{i+1/2} X_i X_i^T, making the
     implicit solve an r x r symmetric positive definite system.
     """
     p = ws.params
-    ang = ws.angular
     x, s, v = state.X_basis, state.S_coeff, state.V_basis
     r = state.rank
     shift = p.epsilon**2 / (p.c * dt)
 
     l_mat = v @ s.T
-    dm_x = diff_minus(x, ws.grid, ws.bc)
-    dp_x = diff_plus(x, ws.grid, ws.bc)
-    advect = ang.A_plus @ l_mat @ (dm_x.T @ x) + ang.A_minus @ l_mat @ (dp_x.T @ x)
-    rhs = shift * l_mat - p.epsilon * advect - np.outer(ang.b_vec, x.T @ source)
+    f_minus = _flow_minus(x, ws).T  # F- = (D- X)^T X, and F+ = -F-^T
+    l_nodal = v_nodal @ s.T
+    mu_plus, mu_minus = _node_speeds(ws)
+    advect = ws.angular.T_mat @ (mu_plus[:, None] * (l_nodal @ f_minus)
+                                 - mu_minus[:, None] * (l_nodal @ f_minus.T))
+    rhs = shift * l_mat - p.epsilon * advect - np.outer(ws.angular.b_vec, x.T @ source)
 
     absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
     return np.linalg.solve(shift * np.eye(r) + absorb, rhs.T).T
@@ -83,17 +115,15 @@ def _galerkin_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
                      source: np.ndarray, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
     """Coefficient update in the given bases from the projected S and the interface source."""
     p = ws.params
-    ang = ws.angular
     shift = p.epsilon**2 / (p.c * dt)
 
-    flow_minus = x_new.T @ diff_minus(x_new, ws.grid, ws.bc)
-    flow_plus = x_new.T @ diff_plus(x_new, ws.grid, ws.bc)
-    proj_plus = v_new.T @ ang.A_plus @ v_new
-    proj_minus = v_new.T @ ang.A_minus @ v_new
-    advect = flow_minus @ s_tilde @ proj_plus + flow_plus @ s_tilde @ proj_minus
+    flow_minus = _flow_minus(x_new, ws)
+    proj_plus, proj_minus = _flux_projections(_nodal(v_new, ws), ws)
+    advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
 
     absorb = x_new.T @ (ws.sigma.at_interfaces[:, None] * x_new)
-    rhs = shift * s_tilde - p.epsilon * advect - np.outer(x_new.T @ source, v_new.T @ ang.b_vec)
+    rhs = (shift * s_tilde - p.epsilon * advect
+           - np.outer(x_new.T @ source, v_new.T @ ws.angular.b_vec))
     shape = absorb.shape[0]
     return np.linalg.solve(shift * np.eye(shape) + absorb, rhs)
 
@@ -105,13 +135,15 @@ def _projected_coefficients(x_new: np.ndarray, v_new: np.ndarray,
 
 def k_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
     """Advance K = X S in the frozen angular basis; returns (K_new, X_new)."""
-    k_new = _k_update(state, emission_gradient_source(macro, ws), ws, dt)
+    k_new = _k_update(state, emission_gradient_source(macro, ws), ws, dt,
+                      _nodal(state.V_basis, ws))
     return k_new, orthonormal_columns(k_new)
 
 
 def l_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
     """Advance L = V S^T in the frozen spatial basis; returns (L_new, V_new)."""
-    l_new = _l_update(state, emission_gradient_source(macro, ws), ws, dt)
+    l_new = _l_update(state, emission_gradient_source(macro, ws), ws, dt,
+                      _nodal(state.V_basis, ws))
     return l_new, orthonormal_columns(l_new)
 
 
@@ -144,8 +176,9 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     ws.check_micro_shape(state.X_basis.shape[0], state.V_basis.shape[0])
 
     source = emission_gradient_source(macro, ws)
-    x_new = orthonormal_columns(_k_update(state, source, ws, dt))
-    v_new = orthonormal_columns(_l_update(state, source, ws, dt))
+    v_nodal = _nodal(state.V_basis, ws)
+    x_new = orthonormal_columns(_k_update(state, source, ws, dt, v_nodal))
+    v_new = orthonormal_columns(_l_update(state, source, ws, dt, v_nodal))
     s_new = _galerkin_update(x_new, v_new, _projected_coefficients(x_new, v_new, state),
                              source, ws, dt)
 
@@ -153,10 +186,4 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
 
     new_state = LowRankMicroState(x_new, s_new, v_new, state.rank)
-    report = BugStepReport(
-        rank=state.rank,
-        x_orth_defect=_orth_defect(x_new),
-        v_orth_defect=_orth_defect(v_new),
-        dt=dt,
-    )
-    return MacroState(t_new, h_new), new_state, report
+    return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)

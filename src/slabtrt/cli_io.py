@@ -207,7 +207,8 @@ def _run(config: RunConfig) -> RunResult:
     dt = config.dt if config.dt is not None else config.cfl_safety * cfl_dt
     if config.scheme == "rosseland":
         # Explicit diffusion solve: respect the parabolic bound regardless.
-        parabolic = rosseland_stable_dt(built.macro.temperature, params, grid, built.sigma)
+        parabolic = rosseland_stable_dt(built.macro.temperature, params, grid, built.sigma,
+                                        ws.bc)
         dt = min(dt, _ROSSELAND_SAFETY * parabolic)
     t_end = config.t_end if config.t_end is not None else scn.t_end
 

@@ -66,7 +66,7 @@ def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
     sigma is the diffusion-limit direction. Returns (thermal, source).
     """
     p = ws.params
-    _, beta_if = beta_fields(macro, p.emission)
+    _, beta_if = beta_fields(macro, p.emission, ws.bc)
     thermal = beta_if * diff_interface(p.a_rad * p.c * macro.temperature, ws.grid, ws.bc)
     return thermal, thermal + p.epsilon**2 * diff_interface(macro.h_meso, ws.grid, ws.bc)
 
@@ -97,7 +97,7 @@ def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorks
                       dt: float):
     """Implicit mesoscopic update followed by the explicit temperature update."""
     p = ws.params
-    beta_c, _ = beta_fields(macro, p.emission)
+    beta_c, _ = beta_fields(macro, p.emission, ws.bc)
     shift = p.epsilon**2 / (p.c * dt)
     div_g1 = diff_center(g1_new, ws.grid)
     denom = shift + ws.sigma.at_centers * (1.0 + p.a_rad * p.alpha * beta_c)

@@ -14,6 +14,7 @@ from .mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    beta_at_interfaces,
     beta_of_T,
 )
 
@@ -117,17 +118,8 @@ def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: Stagge
     p = params
 
     beta_c = beta_of_T(t, p.emission)
-    if bc == BC_PERIODIC:
-        ghost_l, ghost_r = beta_c[-1], beta_c[0]
-        t_l, t_r = t[-1], t[0]
-    elif bc == BC_ZERO_GHOST:
-        ghost_l = ghost_r = beta_of_T(0.0, p.emission)
-        t_l = t_r = 0.0
-    else:
-        raise ValueError("bc must be 'zero_ghost' or 'periodic'")
-
-    beta_pad = np.concatenate([[ghost_l], beta_c, [ghost_r]])
-    beta_if = 0.5 * (beta_pad[:-1] + beta_pad[1:])
+    beta_if = beta_at_interfaces(beta_c, p.emission, bc)
+    t_l, t_r = (t[-1], t[0]) if bc == BC_PERIODIC else (0.0, 0.0)
     t_pad = np.concatenate([[t_l], t, [t_r]])
     grad = np.diff(t_pad) / grid.dx                      # n_cells + 1 interface slopes
     flux = beta_if / sigma.at_interfaces * grad
@@ -138,12 +130,11 @@ def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: Stagge
 
 
 def rosseland_stable_dt(temperature: np.ndarray, params: PhysicalParams, grid: StaggeredGrid,
-                        sigma: AbsorptionField) -> float:
+                        sigma: AbsorptionField, bc: str = BC_ZERO_GHOST) -> float:
     """Conservative parabolic bound dx^2 / (2 D_max) for the explicit limit solver."""
     p = params
     beta_c = beta_of_T(np.asarray(temperature, dtype=float), p.emission)
-    beta_pad = np.concatenate([[beta_of_T(0.0, p.emission)], beta_c, [beta_of_T(0.0, p.emission)]])
-    beta_if = 0.5 * (beta_pad[:-1] + beta_pad[1:])
+    beta_if = beta_at_interfaces(beta_c, p.emission, bc)
     diffusivity = (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) * np.max(beta_if / sigma.at_interfaces)
     if diffusivity <= 0.0:
         return np.inf

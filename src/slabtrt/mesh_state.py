@@ -25,8 +25,10 @@ __all__ = [
     "diff_plus",
     "diff_center",
     "diff_interface",
+    "padded_difference",
     "emission_intensity",
     "beta_of_T",
+    "beta_at_interfaces",
     "beta_fields",
     "scalar_flux",
     "init_from_kinetic",
@@ -171,14 +173,26 @@ class FullMicroState:
         return self.g_matrix.shape[1]
 
 
+def _orth_defect(mat: np.ndarray) -> float:
+    """Largest entry of |M^T M - I|."""
+    r = mat.shape[1]
+    return float(np.max(np.abs(mat.T @ mat - np.eye(r))))
+
+
 @dataclass(frozen=True)
 class LowRankMicroState:
-    """Factored micro moments g = X S V^T with orthonormal X and V."""
+    """Factored micro moments g = X S V^T with orthonormal X and V.
+
+    The orthogonality defects of X and V are computed once, on construction,
+    and kept for the step reports.
+    """
 
     X_basis: np.ndarray
     S_coeff: np.ndarray
     V_basis: np.ndarray
     rank: int
+    x_orth_defect: float = field(init=False, repr=False, compare=False)
+    v_orth_defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.X_basis, dtype=float)
@@ -191,16 +205,18 @@ class LowRankMicroState:
             raise ValueError("factor shapes inconsistent with rank")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
             raise ValueError("low-rank state contains non-finite entries")
-        eye = np.eye(r)
-        if np.max(np.abs(x.T @ x - eye)) > _ORTH_TOL:
+        x_defect, v_defect = _orth_defect(x), _orth_defect(v)
+        if x_defect > _ORTH_TOL:
             raise ValueError("X_basis columns are not orthonormal")
-        if np.max(np.abs(v.T @ v - eye)) > _ORTH_TOL:
+        if v_defect > _ORTH_TOL:
             raise ValueError("V_basis columns are not orthonormal")
         for arr in (x, s, v):
             arr.setflags(write=False)
         object.__setattr__(self, "X_basis", x)
         object.__setattr__(self, "S_coeff", s)
         object.__setattr__(self, "V_basis", v)
+        object.__setattr__(self, "x_orth_defect", x_defect)
+        object.__setattr__(self, "v_orth_defect", v_defect)
 
     def reconstruct(self) -> np.ndarray:
         """Materialize the dense moment matrix X S V^T."""
@@ -249,6 +265,20 @@ def diff_plus(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
     if v.shape[0] != grid.n_cells + 1:
         raise ValueError("interface data must have n_cells + 1 rows")
     ext = np.concatenate([v, _right_ghost(v, bc)], axis=0)
+    return np.diff(ext, axis=0) / grid.dx
+
+
+def padded_difference(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
+    """Differences of interface data padded with a ghost row at both ends.
+
+    Returns n_cells + 2 rows: rows [:-1] are diff_minus and rows [1:] are
+    diff_plus of the same data, so both come from one padding.
+    """
+    _check_bc(bc)
+    v = np.asarray(values, dtype=float)
+    if v.shape[0] != grid.n_cells + 1:
+        raise ValueError("interface data must have n_cells + 1 rows")
+    ext = np.concatenate([_left_ghost(v, bc), v, _right_ghost(v, bc)], axis=0)
     return np.diff(ext, axis=0) / grid.dx
 
 
@@ -313,17 +343,26 @@ def beta_of_T(temperature, emission: str):
     return out
 
 
-def beta_fields(macro: MacroState, emission: str):
-    """Emission derivative factor at centers and (averaged) interfaces.
+def beta_at_interfaces(beta_centers: np.ndarray, emission: str,
+                       bc: str = BC_ZERO_GHOST) -> np.ndarray:
+    """Arithmetic means of the center values of beta at the n_cells + 1 interfaces.
 
-    Interface values are arithmetic means of neighbors with zero-temperature
-    ghost cells at the domain ends.
+    The ghost cells are zero-temperature cells for zero_ghost and the wrapped
+    cells (last and first) for periodic.
     """
+    _check_bc(bc)
+    if bc == BC_PERIODIC:
+        ghost_l, ghost_r = beta_centers[-1], beta_centers[0]
+    else:
+        ghost_l = ghost_r = beta_of_T(0.0, emission)
+    padded = np.concatenate([[ghost_l], beta_centers, [ghost_r]])
+    return 0.5 * (padded[:-1] + padded[1:])
+
+
+def beta_fields(macro: MacroState, emission: str, bc: str = BC_ZERO_GHOST):
+    """Emission derivative factor at centers and (averaged) interfaces."""
     centers = beta_of_T(macro.temperature, emission)
-    ghost = beta_of_T(0.0, emission)
-    padded = np.concatenate([[ghost], centers, [ghost]])
-    interfaces = 0.5 * (padded[:-1] + padded[1:])
-    return centers, interfaces
+    return centers, beta_at_interfaces(centers, emission, bc)
 
 
 def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:
@@ -407,7 +446,13 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     keep = diag > _RANK_TOL * col_scale if col_scale > 0.0 else np.zeros(r, dtype=bool)
     if np.all(keep):
         return q
-    kept = q[:, keep]
+    # Householder QR orthogonalizes each column against the ones before it. The
+    # direction it gives a dropped column is rounding noise, mostly on that
+    # column's pivot row (one of the first grid rows, at the left boundary), and
+    # the kept q columns after it mix with that noise. Orthonormalizing
+    # mat[:, keep] = q rr[:, keep] again through the small QR of rr[:, keep]
+    # gives columns that span the kept input columns alone.
+    kept = q @ np.linalg.qr(rr[:, keep])[0]
     fresh = complete_orthonormal_columns(kept, r - int(keep.sum()))
     out = np.empty((m, r))
     out[:, keep] = kept

@@ -13,12 +13,15 @@ import numpy as np
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
 
 
-def _beta_arrays(T, emission):
+def _beta_arrays(T, emission, bc="zero_ghost"):
     nx = len(T)
     if emission == "linear":
         return [1.0] * nx, [1.0] * (nx + 1)
     centers = [4.0 * t**3 for t in T]
-    padded = [0.0] + centers + [0.0]
+    if bc == "periodic":
+        padded = [centers[-1]] + centers + [centers[0]]
+    else:
+        padded = [0.0] + centers + [0.0]
     interfaces = [0.5 * (padded[j] + padded[j + 1]) for j in range(nx + 1)]
     return centers, interfaces
 
@@ -36,7 +39,7 @@ def oracle_interface_source(T, h, params, dx, bc):
     """beta * delta0(a c T) + eps^2 * delta0(h) at every interface, by loops."""
     nx = len(T)
     a, c, eps = params.a_rad, params.c, params.epsilon
-    _, beta_if = _beta_arrays(T, params.emission)
+    _, beta_if = _beta_arrays(T, params.emission, bc)
     src = []
     for j in range(nx + 1):
         grad_t = (_sample(T, j, bc) - _sample(T, j - 1, bc)) / dx

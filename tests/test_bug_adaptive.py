@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_galerkin_dense, reference_ap_truncate
-from slabtrt import full_scheme, mesh_state
+from slabtrt import bug_adaptive, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
     AugmentedFactors,
@@ -429,6 +429,34 @@ class TestStepBugAdaptive:
             assert abs(m_now - m_prev) <= 1e-11 * abs(m0)  # per-step change
             assert abs(m_now - m0) <= 1e-10 * abs(m0)      # accumulated drift
             m_prev = m_now
+
+    @pytest.mark.parametrize("nx, n_mom, steps, bound", [(101, 8, 55, 1e-10), (41, 16, 7, 1e-9)])
+    def test_mass_drift_is_not_set_by_rounding(self, monkeypatch, nx, n_mom, steps, bound):
+        # a relative 1e-15 perturbation of S_hat in every step stands for any
+        # reassociation of the kernels; the drift must stay inside the bound
+        # for every such perturbation, not only for the unperturbed arithmetic
+        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        angular = build_angular_operators(n_mom)
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
+        m0 = mass(built.macro, built.params, built.grid)
+        galerkin = bug_adaptive.galerkin_s_hat
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+
+            def perturbed(*args, rng=rng):
+                s_hat = galerkin(*args)
+                return s_hat * (1.0 + 1e-15 * rng.standard_normal(s_hat.shape))
+
+            monkeypatch.setattr(bug_adaptive, "galerkin_s_hat", perturbed)
+            macro = built.macro
+            state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+            worst = 0.0
+            for _ in range(steps):
+                macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+                worst = max(worst, abs(mass(macro, built.params, built.grid) - m0))
+            assert worst <= bound * abs(m0), f"seed {seed}: drift {worst / abs(m0):.2e}"
 
     def test_diffusive_rank_trace_regression(self):
         # frozen baseline from the validated build: the diffusive desk pulse

@@ -1,9 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import oracle_galerkin_dense, oracle_galerkin_rhs, oracle_l_step
 from slabtrt.angular import build_angular_operators
-from slabtrt.bug_fixed import k_step, l_step, s_step, step_bug_fixed
+from slabtrt.bug_adaptive import TruncationConfig, step_bug_adaptive
+from slabtrt.bug_fixed import (
+    _flux_projections,
+    _galerkin_update,
+    _k_update,
+    _l_update,
+    _nodal,
+    k_step,
+    l_step,
+    s_step,
+    step_bug_fixed,
+)
 from slabtrt.full_scheme import FullSchemeWorkspace, full_micro_update, step_full
 from slabtrt.limits_diagnostics import (
     compute_cfl_dt,
@@ -19,6 +32,9 @@ from slabtrt.mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    _orth_defect,
+    diff_minus,
+    diff_plus,
     scalar_flux,
     zero_low_rank_state,
 )
@@ -258,3 +274,112 @@ class TestStepBugFixed:
         state = zero_low_rank_state(7, 4, rank=1)
         with pytest.raises(ValueError):
             step_bug_fixed(macro, state, ws, -1.0)
+
+
+class TestNodalKernels:
+    """The BUG kernels reach A+- only through the nodal values T^T V."""
+
+    def dense_k_update(self, state, source, ws, dt):
+        p, ang = ws.params, ws.angular
+        x, s, v = state.X_basis, state.S_coeff, state.V_basis
+        shift = p.epsilon**2 / (p.c * dt)
+        k = x @ s
+        advect = (diff_minus(k, ws.grid, ws.bc) @ (v.T @ ang.A_plus @ v)
+                  + diff_plus(k, ws.grid, ws.bc) @ (v.T @ ang.A_minus @ v))
+        rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ ang.b_vec)
+        return rhs / (shift + ws.sigma.at_interfaces)[:, None]
+
+    def dense_l_update(self, state, source, ws, dt):
+        p, ang = ws.params, ws.angular
+        x, s, v = state.X_basis, state.S_coeff, state.V_basis
+        shift = p.epsilon**2 / (p.c * dt)
+        l_mat = v @ s.T
+        advect = (ang.A_plus @ l_mat @ (diff_minus(x, ws.grid, ws.bc).T @ x)
+                  + ang.A_minus @ l_mat @ (diff_plus(x, ws.grid, ws.bc).T @ x))
+        rhs = shift * l_mat - p.epsilon * advect - np.outer(ang.b_vec, x.T @ source)
+        absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
+        return np.linalg.solve(shift * np.eye(state.rank) + absorb, rhs.T).T
+
+    def dense_galerkin_update(self, x, v, s_tilde, source, ws, dt):
+        p, ang = ws.params, ws.angular
+        shift = p.epsilon**2 / (p.c * dt)
+        advect = (x.T @ diff_minus(x, ws.grid, ws.bc) @ s_tilde @ (v.T @ ang.A_plus @ v)
+                  + x.T @ diff_plus(x, ws.grid, ws.bc) @ s_tilde @ (v.T @ ang.A_minus @ v))
+        absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
+        rhs = shift * s_tilde - p.epsilon * advect - np.outer(x.T @ source, v.T @ ang.b_vec)
+        return np.linalg.solve(shift * np.eye(x.shape[1]) + absorb, rhs)
+
+    @pytest.mark.parametrize("n_moments", [1, 4, 9, 24])
+    def test_projections_match_dense_flux_matrices(self, n_moments):
+        rng = np.random.default_rng(80 + n_moments)
+        ws = make_workspace(n_moments=n_moments)
+        ang = ws.angular
+        rank = min(n_moments, 5)
+        v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
+        proj_plus, proj_minus = _flux_projections(_nodal(v, ws), ws)
+        np.testing.assert_allclose(proj_plus, v.T @ ang.A_plus @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(proj_minus, v.T @ ang.A_minus @ v, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
+    def test_updates_match_dense_flux_matrices(self, bc):
+        # the L-step's nodal product T (mu+- o (T^T L F)) is A+- L F
+        rng = np.random.default_rng(90)
+        ws = make_workspace(nx=9, n_moments=12, bc=bc, seed=91)
+        state = random_state(rng, 10, 12, 4)
+        source = rng.standard_normal(10)
+        dt = 0.03
+        v_nodal = _nodal(state.V_basis, ws)
+        for got, want in (
+            (_k_update(state, source, ws, dt, v_nodal), self.dense_k_update(state, source, ws, dt)),
+            (_l_update(state, source, ws, dt, v_nodal), self.dense_l_update(state, source, ws, dt)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        s_tilde = rng.standard_normal((4, 4))
+        got = _galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt)
+        want = self.dense_galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    def test_steps_never_touch_dense_flux_matrices(self, scheme):
+        nx, n_mom = 41, 16
+        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        angular = build_angular_operators(n_mom)
+        nan = np.full((n_mom, n_mom), np.nan)
+        poisoned = dataclasses.replace(angular, A=nan, A_plus=nan, A_minus=nan, A_abs=nan)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        cfg = TruncationConfig(theta_rel=5e-2, max_rank=n_mom)
+
+        def run(ang):
+            ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, ang)
+            macro = built.macro
+            state = zero_low_rank_state(nx + 1, n_mom, rank=1 if scheme == "bug_adaptive" else 4)
+            for _ in range(6):
+                if scheme == "bug_fixed":
+                    macro, state, _ = step_bug_fixed(macro, state, ws, dt)
+                else:
+                    macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+            return macro, state
+
+        macro_a, state_a = run(angular)
+        macro_b, state_b = run(poisoned)
+        assert state_a.rank == state_b.rank
+        np.testing.assert_allclose(state_b.reconstruct(), state_a.reconstruct(), rtol=0,
+                                   atol=1e-12 * np.abs(state_a.reconstruct()).max())
+        np.testing.assert_allclose(macro_b.temperature, macro_a.temperature, rtol=1e-12)
+        np.testing.assert_allclose(macro_b.h_meso, macro_a.h_meso, rtol=0,
+                                   atol=1e-12 * np.abs(macro_a.h_meso).max())
+
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    def test_report_defects_are_those_of_the_returned_factors(self, scheme):
+        rng = np.random.default_rng(95)
+        ws = make_workspace(nx=20, n_moments=8, seed=96)
+        macro = MacroState(1.0 + rng.uniform(0.0, 1.0, 20), rng.standard_normal(20))
+        state = random_state(rng, 21, 8, 3)
+        if scheme == "bug_fixed":
+            _, new, report = step_bug_fixed(macro, state, ws, 0.02)
+        else:
+            cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
+            _, new, report = step_bug_adaptive(macro, state, ws, 0.02, cfg)
+        assert report.rank == new.rank
+        assert report.x_orth_defect == _orth_defect(new.X_basis)
+        assert report.v_orth_defect == _orth_defect(new.V_basis)

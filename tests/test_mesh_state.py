@@ -11,13 +11,17 @@ from slabtrt.mesh_state import (
     PhysicalParams,
     StaggeredGrid,
     apply_diff,
+    beta_at_interfaces,
     beta_fields,
     beta_of_T,
     complete_orthonormal_columns,
     diff_center,
     diff_interface,
+    diff_minus,
+    diff_plus,
     init_from_kinetic,
     orthonormal_columns,
+    padded_difference,
     scalar_flux,
     zero_low_rank_state,
 )
@@ -87,6 +91,21 @@ class TestDifferences:
         rhs = -np.sum(apply_diff("d_minus", zeta, grid, "periodic") * phi)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
+    def test_padded_difference_slices_are_the_one_sided_differences(self, grid, bc):
+        rng = np.random.default_rng(7)
+        for values in (rng.standard_normal(9), rng.standard_normal((9, 4))):
+            diffs = padded_difference(values, grid, bc)
+            assert diffs.shape[0] == 10
+            assert np.array_equal(diffs[:-1], diff_minus(values, grid, bc))
+            assert np.array_equal(diffs[1:], diff_plus(values, grid, bc))
+
+    def test_padded_difference_validation(self, grid):
+        with pytest.raises(ValueError):
+            padded_difference(np.zeros(8), grid)
+        with pytest.raises(ValueError):
+            padded_difference(np.zeros(9), grid, "reflecting")
+
     def test_gradient_then_divergence_is_second_difference(self, grid):
         rng = np.random.default_rng(6)
         u = rng.standard_normal(8)
@@ -117,6 +136,15 @@ class TestStates:
         svals = np.linalg.svd(state.reconstruct(), compute_uv=False)
         assert np.sum(svals > 1e-10 * svals[0]) <= 3
 
+    def test_orthogonality_defects_kept_on_construction(self):
+        rng = np.random.default_rng(8)
+        x = orthonormal_columns(rng.standard_normal((10, 3)))
+        v = orthonormal_columns(rng.standard_normal((6, 3)))
+        state = LowRankMicroState(x, rng.standard_normal((3, 3)), v, 3)
+        assert state.x_orth_defect == np.max(np.abs(x.T @ x - np.eye(3)))
+        assert state.v_orth_defect == np.max(np.abs(v.T @ v - np.eye(3)))
+        assert 0.0 <= state.x_orth_defect <= 1e-12
+
     def test_zero_state_factors(self):
         state = zero_low_rank_state(12, 5, rank=3)
         assert state.rank == 3
@@ -129,6 +157,24 @@ class TestStates:
             zero_low_rank_state(12, 5, rank=6)
         with pytest.raises(ValueError):
             zero_low_rank_state(12, 5, rank=0)
+
+
+class TestOrthonormalColumns:
+    def test_dropped_columns_do_not_mix_into_kept_ones(self):
+        # u and w live on rows 40..60; the repeated columns are dropped and padded
+        rng = np.random.default_rng(3)
+        m = 101
+        u, w = np.zeros(m), np.zeros(m)
+        u[40:61] = rng.standard_normal(21)
+        w[40:61] = rng.standard_normal(21)
+        q = orthonormal_columns(np.column_stack([u, 3.0 * u, w, 1e-3 * u + w]))
+        np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-14)
+        outside = np.r_[0:40, 61:m]
+        assert np.abs(q[outside][:, [0, 2]]).max() <= 1e-15
+        # the padding is two canonical directions off the support
+        np.testing.assert_allclose(np.abs(q[:, [1, 3]]), np.eye(m)[:, :2], atol=1e-15)
+        np.testing.assert_allclose(q[:, [0, 2]] @ (q[:, [0, 2]].T @ np.column_stack([u, w])),
+                                   np.column_stack([u, w]), atol=1e-13)
 
 
 class TestCompleteOrthonormalColumns:
@@ -225,6 +271,26 @@ class TestEmission:
         _, interfaces = beta_fields(macro, "stefan_boltzmann")
         # ghost temperature is zero at the ends
         np.testing.assert_allclose(interfaces, [2.0, 18.0, 16.0], atol=1e-13)
+
+
+    def test_beta_interface_mean_periodic_wraps(self):
+        temperature = np.array([1.0, 2.0, 3.0])
+        macro = MacroState(temperature, np.zeros(3))
+        centers, interfaces = beta_fields(macro, "stefan_boltzmann", "periodic")
+        np.testing.assert_allclose(centers, [4.0, 32.0, 108.0])
+        # interfaces 0 and n both sit between the last and the first cell
+        assert interfaces[0] == pytest.approx(0.5 * (108.0 + 4.0))
+        assert interfaces[-1] == pytest.approx(0.5 * (108.0 + 4.0))
+        np.testing.assert_allclose(interfaces[1:-1], [18.0, 70.0])
+
+    def test_beta_helper_is_shared_by_both_bcs(self):
+        centers = np.array([2.0, 5.0])
+        np.testing.assert_array_equal(beta_at_interfaces(centers, "stefan_boltzmann"),
+                                      [1.0, 3.5, 2.5])
+        np.testing.assert_array_equal(beta_at_interfaces(centers, "linear", "periodic"),
+                                      [3.5, 3.5, 3.5])
+        with pytest.raises(ValueError):
+            beta_at_interfaces(centers, "linear", "reflecting")
 
 
 class TestInitFromKinetic:
