@@ -17,7 +17,7 @@ from .mesh_state import (
     LowRankMicroState,
     MacroState,
     complete_orthonormal_columns,
-    orthonormal_columns,
+    extend_orthonormal_columns,
 )
 
 __all__ = [
@@ -35,6 +35,14 @@ __all__ = [
 # weight is this small relative to the whole coefficient block contribute nothing
 # and get a padded direction.
 _DEGENERATE_TOL = 1e-14
+# The first angular basis vector must be b/|b| to this accuracy on entry.
+_PIN_TOL = 1e-12
+# Smallest augmented width: the conserved column plus one truncated direction.
+_RANK_FLOOR = 2
+# The old bases are kept as they are in the augmented ones, so their rounding
+# accumulates over steps; above this orthogonality defect (a tenth of what
+# LowRankMicroState accepts) they are orthonormalized again before a step.
+_REORTH_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -55,10 +63,13 @@ class TruncationConfig:
 class AugmentedFactors:
     """Augmented orthonormal bases and the projections of the old factors.
 
-    The first spatial column spans the diffusion-limit direction (when nonzero)
-    and the first angular column is exactly the unit first-moment direction.
+    The old bases are the leading columns, X_hat = [X | X1] and V_hat = [V | V1],
+    so M_hat = X_hat^T X and N_hat = V_hat^T V are [I; 0]. The first spatial
+    direction added spans the diffusion-limit direction (when it is new) and
+    the first angular column is the unit first-moment direction b/|b|.
     `source` is the interface emission source of the step, evaluated once
-    together with w_ap; when it is None the Galerkin step evaluates it.
+    together with w_ap, and `V_nodal` is T^T V_hat; when either is None the
+    Galerkin step evaluates it.
     """
 
     X_hat: np.ndarray
@@ -68,6 +79,7 @@ class AugmentedFactors:
     w_ap: np.ndarray
     S_hat: np.ndarray | None = field(default=None)
     source: np.ndarray | None = field(default=None)
+    V_nodal: np.ndarray | None = field(default=None)
 
 
 @dataclass(frozen=True)
@@ -91,42 +103,49 @@ def diffusion_limit_direction(macro: MacroState, ws: FullSchemeWorkspace) -> np.
 
 def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
                   dt: float) -> AugmentedFactors:
-    """Update both bases and prepend the limit directions before orthonormalization.
+    """Extend both bases by the directions of the step: X_hat = [X | X1], V_hat = [V | V1].
 
-    The K and L updates enter the stacks as they are: only the stacked bases
-    are orthonormalized, so each step does one QR per tall factor.
+    X1 is an orthonormal basis of the part of [w_ap, K] outside span X, and V1
+    of the part of [L, b] outside span V. The K and L updates enter as they are,
+    and each new block gets one projection and one QR of at most r + 1 columns
+    (`extend_orthonormal_columns`). Directions already spanned are dropped, so
+    the widths may differ; canonical padding only lifts a width to the rank
+    floor of 2. V[:, 0] must be b/|b|, so b is always dropped and V_hat[:, 0]
+    stays the conserved-moment direction.
     """
+    b_vec = ws.angular.b_vec
+    if np.max(np.abs(state.V_basis[:, 0] - b_vec / np.linalg.norm(b_vec))) > _PIN_TOL:
+        raise ValueError("the first angular basis vector must be b/|b|")
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
     v_nodal = _nodal(state.V_basis, ws)
     k_new = _k_update(state, source, ws, dt, v_nodal)
     l_new = _l_update(state, source, ws, dt, v_nodal)
-    b_vec = ws.angular.b_vec
 
-    n_rows, n_mom = state.X_basis.shape[0], state.V_basis.shape[0]
-    n_aug = min(2 * state.rank + 1, n_rows, n_mom)
-    x_stack = np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug]
-    v_stack = np.column_stack([b_vec, l_new, state.V_basis])[:, :n_aug]
-    x_hat = orthonormal_columns(x_stack)
-    v_hat = orthonormal_columns(v_stack)
-
-    # Pin the conserved-moment direction to +b/||b|| (QR fixes it up to sign).
-    if v_hat[:, 0] @ b_vec < 0.0:
-        v_hat = v_hat.copy()
-        v_hat[:, 0] *= -1.0
-
-    m_hat = x_hat.T @ state.X_basis
-    n_hat = v_hat.T @ state.V_basis
-    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=m_hat, N_hat=n_hat, w_ap=w_ap,
-                            source=source)
+    x_new = extend_orthonormal_columns(state.X_basis, np.column_stack([w_ap, k_new]),
+                                       _RANK_FLOOR)
+    v_new = extend_orthonormal_columns(state.V_basis, np.column_stack([l_new, b_vec]),
+                                       _RANK_FLOOR)
+    x_hat = np.column_stack([state.X_basis, x_new])
+    v_hat = np.column_stack([state.V_basis, v_new])
+    r = state.rank
+    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=np.eye(x_hat.shape[1], r),
+                            N_hat=np.eye(v_hat.shape[1], r), w_ap=w_ap, source=source,
+                            V_nodal=np.column_stack([v_nodal, _nodal(v_new, ws)]))
 
 
 def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState, macro: MacroState,
                    ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
-    """Coefficient update in the augmented bases from the projected old solution."""
-    s_tilde = aug.M_hat @ state_old.S_coeff @ aug.N_hat.T
+    """Coefficient update in the augmented bases from the projected old solution.
+
+    The old bases lead the augmented ones, so the projected old coefficients
+    M_hat S N_hat^T are S in the leading block and zero elsewhere.
+    """
+    r = state_old.rank
+    s_tilde = np.zeros((aug.X_hat.shape[1], aug.V_hat.shape[1]))
+    s_tilde[:r, :r] = state_old.S_coeff
     source = aug.source if aug.source is not None else emission_gradient_source(macro, ws)
-    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, source, ws, dt)
+    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, source, ws, dt, aug.V_nodal)
 
 
 def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
@@ -141,11 +160,9 @@ def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
     if n == 0 or svals[0] <= 0.0:
         return 1
     normalized = svals / svals[0]
-    tail = np.concatenate([np.cumsum(normalized[::-1])[::-1], [0.0]])
-    for kept in range(1, n + 1):
-        if np.sqrt(tail[kept]) <= theta_rel:
-            return kept
-    return n
+    tail = np.concatenate([np.cumsum(normalized[::-1])[::-1][1:], [0.0]])
+    passing = np.flatnonzero(np.sqrt(tail) <= theta_rel)
+    return int(passing[0]) + 1 if passing.size else n
 
 
 def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
@@ -157,16 +174,17 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
     the normalized singular-value tail tolerance of cfg.theta_rel.
 
     X_hat is orthonormal, so K_hat = X_hat S_hat is factored through S_hat:
-    all three QRs and the SVD act on (2r+1)-row coefficient blocks, and only the
-    final spatial basis is lifted, X_new = X_hat C_new.
+    all three QRs and the SVD act on coefficient blocks with |X_hat| rows, and
+    only the final spatial basis is lifted, X_new = X_hat C_new. The kept
+    rank is capped by both augmented widths.
     """
     x_hat, v_hat = aug.X_hat, aug.V_hat
-    n_rows, n_mom = x_hat.shape[0], v_hat.shape[0]
+    width_x, width_v = x_hat.shape[1], v_hat.shape[1]
 
     c_rem_hat, s_rem_hat = np.linalg.qr(s_hat[:, 1:])
     u_mat, svals, wt_mat = np.linalg.svd(s_rem_hat)
     r_star = _choose_kept_rank(svals, cfg.theta_rel)
-    r_star = min(r_star, cfg.max_rank - 1, n_rows - 1, n_mom - 1)
+    r_star = min(r_star, cfg.max_rank - 1, width_x - 1, width_v - 1)
     r_star = max(r_star, 1)
 
     u_hat = u_mat[:, :r_star]
@@ -209,6 +227,8 @@ def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchem
         raise ValueError("dt must be strictly positive")
     ws.check_macro(macro)
     ws.check_micro_shape(state.X_basis.shape[0], state.V_basis.shape[0])
+    if max(state.x_orth_defect, state.v_orth_defect) > _REORTH_TOL:
+        state = state.reorthonormalized()
 
     aug = augment_bases(state, macro, ws, dt)
     s_hat = galerkin_s_hat(aug, state, macro, ws, dt)

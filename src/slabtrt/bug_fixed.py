@@ -112,13 +112,19 @@ def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
 
 
 def _galerkin_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
-                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
-    """Coefficient update in the given bases from the projected S and the interface source."""
+                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float,
+                     v_nodal: np.ndarray | None = None) -> np.ndarray:
+    """Coefficient update in the given bases from the projected S and the interface source.
+
+    v_nodal = T^T v_new is computed here unless the caller already has it.
+    """
     p = ws.params
     shift = p.epsilon**2 / (p.c * dt)
 
     flow_minus = _flow_minus(x_new, ws)
-    proj_plus, proj_minus = _flux_projections(_nodal(v_new, ws), ws)
+    if v_nodal is None:
+        v_nodal = _nodal(v_new, ws)
+    proj_plus, proj_minus = _flux_projections(v_nodal, ws)
     advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
 
     absorb = x_new.T @ (ws.sigma.at_interfaces[:, None] * x_new)

@@ -34,6 +34,7 @@ __all__ = [
     "init_from_kinetic",
     "orthonormal_columns",
     "complete_orthonormal_columns",
+    "extend_orthonormal_columns",
     "zero_low_rank_state",
 ]
 
@@ -46,9 +47,13 @@ BC_PERIODIC = "periodic"
 _BCS = (BC_ZERO_GHOST, BC_PERIODIC)
 
 # QR diagonal entries at or below this fraction of the largest column norm mark
-# directions that carry no information; they are replaced by canonical vectors.
+# directions that carry no information: orthonormal_columns replaces them by
+# canonical vectors and extend_orthonormal_columns drops them.
 _RANK_TOL = 1e-12
 _ORTH_TOL = 1e-12
+# A second Gram-Schmidt pass that removes at most this much of a unit column
+# changes its norm and its angles with the others by less than rounding.
+_LEAK_RENORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,16 @@ def _orth_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat.T @ mat - np.eye(r))))
 
 
+def _cholesky_qr(mat: np.ndarray):
+    """mat = Q R with R^T the Cholesky factor of mat^T mat.
+
+    Accurate for nearly orthonormal mat. R is upper triangular, so the first
+    column of Q is the first column of mat divided by its norm.
+    """
+    upper = np.linalg.cholesky(mat.T @ mat).T
+    return mat @ np.linalg.inv(upper), upper
+
+
 @dataclass(frozen=True)
 class LowRankMicroState:
     """Factored micro moments g = X S V^T with orthonormal X and V.
@@ -217,6 +232,16 @@ class LowRankMicroState:
         object.__setattr__(self, "V_basis", v)
         object.__setattr__(self, "x_orth_defect", x_defect)
         object.__setattr__(self, "v_orth_defect", v_defect)
+
+    def reorthonormalized(self) -> "LowRankMicroState":
+        """The same product X S V^T with X and V orthonormalized again.
+
+        X = Qx Rx and V = Qv Rv by Cholesky QR, and S becomes Rx S Rv^T. The
+        first columns of X and V are only rescaled by their norms.
+        """
+        qx, rx = _cholesky_qr(self.X_basis)
+        qv, rv = _cholesky_qr(self.V_basis)
+        return LowRankMicroState(qx, rx @ self.S_coeff @ rv.T, qv, self.rank)
 
     def reconstruct(self) -> np.ndarray:
         """Materialize the dense moment matrix X S V^T."""
@@ -458,6 +483,51 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     out[:, keep] = kept
     out[:, ~keep] = fresh
     return out
+
+
+def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
+                               min_total: int = 0) -> np.ndarray:
+    """Orthonormal columns that extend the orthonormal `basis` to span(basis, cols).
+
+    Classical Gram-Schmidt applied twice, with one QR in between: `cols` is
+    projected off `basis` and factored by QR, and the orthonormal factor is
+    projected once more. The second pass acts on unit columns, so the rounding
+    that QR amplifies by the conditioning of the projection leaves no component
+    in span(basis). When that pass removes more than 1e-8 of a column, the
+    columns are renormalized through the Cholesky factor of their Gram matrix.
+
+    A column whose QR diagonal entry is at or below 1e-12 of the largest column
+    norm of `cols` adds no direction and is dropped, not padded. When a dropped
+    column comes before a kept one, the kept columns are orthonormalized again
+    through their small R block, so none of them mixes with the noise direction
+    QR gave the dropped column. At most rows - k columns are returned
+    (k = basis columns); canonical completions are appended only while k plus
+    the returned count is below `min_total`.
+    """
+    basis = np.asarray(basis, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    m, k = basis.shape
+    if k == m:
+        return np.empty((m, 0))
+    if cols.shape[1] > m:
+        raise ValueError("cannot orthonormalize more columns than rows")
+    q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols))
+    keep = np.abs(np.diag(rr)) > _RANK_TOL * np.max(np.linalg.norm(cols, axis=0))
+    n_keep = int(keep.sum())
+    if keep[:n_keep].all():
+        new = q[:, :n_keep]
+    else:
+        new = q @ np.linalg.qr(rr[:, keep])[0]
+    new = new[:, :m - k]
+    leak = basis.T @ new
+    new = new - basis @ leak
+    if np.max(np.abs(leak), initial=0.0) > _LEAK_RENORM_TOL:
+        new = _cholesky_qr(new)[0]
+    short = min(min_total, m) - k - new.shape[1]
+    if short > 0:
+        new = np.column_stack([new, complete_orthonormal_columns(
+            np.column_stack([basis, new]), short)])
+    return new
 
 
 def zero_low_rank_state(n_interfaces: int, n_moments: int, rank: int = 1) -> LowRankMicroState:

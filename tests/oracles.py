@@ -2,13 +2,18 @@
 
 Everything here is written with explicit Python loops and per-entry arithmetic,
 deliberately avoiding the vectorized code paths of the package, so agreement is
-evidence rather than tautology. The two factor references at the end (vector-
-at-a-time basis completion and the grid-space conservative truncation) are the
-straightforward formulations that the package's blocked and coefficient-space
-versions must reproduce.
+evidence rather than tautology. The factor references at the end (vector-at-a-
+time basis completion, the loop form of the kept-rank rule, the grid-space
+conservative truncation and the full-stack basis augmentation) are the
+straightforward formulations that the package's blocked, vectorized,
+coefficient-space and block-extension versions must reproduce.
 """
 
 import numpy as np
+
+from slabtrt.bug_fixed import _k_update, _l_update, _nodal
+from slabtrt.full_scheme import emission_gradient_parts
+from slabtrt.mesh_state import orthonormal_columns
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
 
@@ -258,13 +263,31 @@ def reference_complete_orthonormal_columns(basis, n_new):
     return (np.column_stack(added) if added else np.zeros((m, 0))), picked
 
 
+def reference_choose_kept_rank(svals, theta_rel):
+    """Loop form of the kept-rank rule: the first r* with sqrt(tail_{r*}) <= theta_rel.
+
+    tail_k sums the normalized singular values from index k on, accumulated
+    from the smallest one up.
+    """
+    n = svals.size
+    if n == 0 or svals[0] <= 0.0:
+        return 1
+    normalized = svals / svals[0]
+    tail = np.concatenate([np.cumsum(normalized[::-1])[::-1], [0.0]])
+    for kept in range(1, n + 1):
+        if np.sqrt(tail[kept]) <= theta_rel:
+            return kept
+    return n
+
+
 def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_tol=1e-14):
     """Conservative truncation carried out on the grid-space product K = X_hat S_hat.
 
     Returns (X_new, S_new, V_new, r_star, S_ap); the kept-rank rule is the
-    package's normalized singular-value tail test.
+    package's normalized singular-value tail test, and r_star is capped by the
+    widths of both augmented bases.
     """
-    n_rows, n_mom = x_hat.shape[0], v_hat.shape[0]
+    width_x, width_v = x_hat.shape[1], v_hat.shape[1]
     k_hat = x_hat @ s_hat
     k_ap, k_rem = k_hat[:, :1], k_hat[:, 1:]
 
@@ -279,7 +302,7 @@ def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_t
             if np.sqrt(np.sum(normalized[kept:])) <= theta_rel:
                 r_star = kept
                 break
-    r_star = max(min(r_star, max_rank - 1, n_rows - 1, n_mom - 1), 1)
+    r_star = max(min(r_star, max_rank - 1, width_x - 1, width_v - 1), 1)
 
     x_rem = x_rem_hat @ u_mat[:, :r_star]
     v_new = np.column_stack([v_hat[:, :1], v_hat[:, 1:] @ wt_mat[:r_star, :].T])
@@ -293,3 +316,29 @@ def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_t
     s_block[0, 0] = s_ap[0, 0]
     s_block[1:, 1:] = np.diag(svals[:r_star])
     return x_new, r2 @ s_block, v_new, r_star, s_ap
+
+
+def reference_augment_bases(state, macro, ws, dt):
+    """Full-stack orthonormalization of the augmented bases, as one QR per stack.
+
+    X_hat = orth[w_ap, K, X] and V_hat = orth[b, L, V] by Householder QR of the
+    whole stacks (`orthonormal_columns`), cut to min(2r+1, rows, N) columns, with
+    V_hat[:, 0] pinned to +b/|b|. V[:, 0] is b/|b| for a pinned state, so it is
+    left out of the angular stack: kept, QR would drop it and pad a canonical
+    direction. The K and L updates come from the package kernels, which the
+    loop oracles above check; only the orthonormalization is the reference.
+    Returns (X_hat, V_hat).
+    """
+    thermal, source = emission_gradient_parts(macro, ws)
+    w_ap = thermal / ws.sigma.at_interfaces
+    v_nodal = _nodal(state.V_basis, ws)
+    k_new = _k_update(state, source, ws, dt, v_nodal)
+    l_new = _l_update(state, source, ws, dt, v_nodal)
+    b_vec = ws.angular.b_vec
+    n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], state.V_basis.shape[0])
+    x_hat = orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])
+    v_stack = np.column_stack([b_vec, l_new, state.V_basis[:, 1:]])
+    v_hat = orthonormal_columns(v_stack[:, :min(n_aug, v_stack.shape[1])])
+    if v_hat[:, 0] @ b_vec < 0.0:
+        v_hat[:, 0] *= -1.0
+    return x_hat, v_hat

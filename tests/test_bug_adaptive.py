@@ -3,7 +3,12 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import oracle_galerkin_dense, reference_ap_truncate
+from oracles import (
+    oracle_galerkin_dense,
+    reference_ap_truncate,
+    reference_augment_bases,
+    reference_choose_kept_rank,
+)
 from slabtrt import bug_adaptive, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
@@ -49,8 +54,11 @@ def make_workspace(nx=6, n_moments=5, epsilon=0.8, sigma=0.7, bc="zero_ghost", s
 
 
 def random_state(rng, n_interfaces, n_moments, rank):
+    """Random factors whose first angular column is pinned to b/|b| = e_0."""
     x, _ = np.linalg.qr(rng.standard_normal((n_interfaces, rank)))
-    v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
+    v = np.zeros((n_moments, rank))
+    v[0, 0] = 1.0
+    v[1:, 1:], _ = np.linalg.qr(rng.standard_normal((n_moments - 1, rank - 1)))
     return LowRankMicroState(x, rng.standard_normal((rank, rank)), v, rank)
 
 
@@ -63,7 +71,9 @@ class TestAugmentBases:
         np.testing.assert_allclose(aug.w_ap, 0.0, atol=1e-15)
         b_unit = ws.angular.b_vec / np.linalg.norm(ws.angular.b_vec)
         np.testing.assert_allclose(aug.V_hat[:, 0], b_unit, atol=1e-14)
-        np.testing.assert_allclose(aug.X_hat.T @ aug.X_hat, np.eye(3), atol=1e-13)
+        # nothing new in either stack: both bases are padded to the rank floor of 2
+        np.testing.assert_allclose(aug.X_hat.T @ aug.X_hat, np.eye(2), atol=1e-13)
+        np.testing.assert_allclose(aug.V_hat.T @ aug.V_hat, np.eye(2), atol=1e-13)
 
     def test_limit_directions_lie_in_ranges(self):
         rng = np.random.default_rng(30)
@@ -80,16 +90,88 @@ class TestAugmentBases:
         res_w = w - aug.X_hat @ (aug.X_hat.T @ w)
         assert np.linalg.norm(res_w) <= 1e-12 * np.linalg.norm(w)
 
+    def test_old_bases_lead_the_augmented_ones(self):
+        rng = np.random.default_rng(130)
+        ws = make_workspace(nx=20, n_moments=12, seed=131)
+        macro = MacroState(rng.uniform(0.5, 2.0, 20), rng.standard_normal(20))
+        state = random_state(rng, 21, 12, 3)
+        aug = augment_bases(state, macro, ws, 0.02)
+        np.testing.assert_array_equal(aug.X_hat[:, :3], state.X_basis)
+        np.testing.assert_array_equal(aug.V_hat[:, :3], state.V_basis)
+        np.testing.assert_array_equal(aug.M_hat, np.eye(aug.X_hat.shape[1], 3))
+        np.testing.assert_array_equal(aug.N_hat, np.eye(aug.V_hat.shape[1], 3))
+        np.testing.assert_allclose(aug.V_nodal, ws.angular.T_mat.T @ aug.V_hat,
+                                   rtol=0, atol=1e-14)
+        for basis in (aug.X_hat, aug.V_hat):
+            np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
+                                       rtol=0, atol=1e-13)
+
+    def test_first_angular_column_must_be_pinned(self):
+        rng = np.random.default_rng(132)
+        ws = make_workspace(seed=133)
+        macro = MacroState(rng.uniform(0.5, 2.0, 6), rng.standard_normal(6))
+        cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
+        pinned = random_state(rng, 7, 5, 2)
+        x, s_coeff, v = pinned.X_basis, pinned.S_coeff, pinned.V_basis
+        v_free, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        v_near = v.copy()
+        v_near[:, 1] = v_near[:, 1] * np.sqrt(1.0 - 1e-26) + 1e-13 * v[:, 0]
+        v_near[:, 0] = v_near[:, 0] - 1e-13 * v[:, 1]
+        for bad in (v_free, v * np.array([-1.0, 1.0]), v[:, ::-1]):
+            state = LowRankMicroState(x, s_coeff, bad, 2)
+            with pytest.raises(ValueError):
+                augment_bases(state, macro, ws, 0.02)
+            with pytest.raises(ValueError):
+                step_bug_adaptive(macro, state, ws, 0.02, cfg)
+        # within 1e-12 of b/|b| is accepted
+        step_bug_adaptive(macro, LowRankMicroState(x, s_coeff, v_near, 2), ws, 0.02, cfg)
+
+    @pytest.mark.parametrize("nx, n_mom, rank", [(12, 5, 3), (12, 5, 4), (12, 5, 5),
+                                                 (30, 6, 4), (8, 4, 2)])
+    def test_old_solution_is_exactly_representable(self, nx, n_mom, rank):
+        # 2r+1 > N: the new block is capped, never the old bases
+        rng = np.random.default_rng(134 + nx + n_mom + rank)
+        ws = make_workspace(nx=nx, n_moments=n_mom, seed=135)
+        macro = MacroState(rng.uniform(0.5, 2.0, nx), rng.standard_normal(nx))
+        state = random_state(rng, nx + 1, n_mom, rank)
+        aug = augment_bases(state, macro, ws, 0.02)
+        assert aug.V_hat.shape[1] <= n_mom
+        s_tilde = aug.M_hat @ state.S_coeff @ aug.N_hat.T
+        recon = aug.X_hat @ s_tilde @ aug.V_hat.T
+        old = state.reconstruct()
+        assert np.linalg.norm(recon - old) <= 1e-12 * np.linalg.norm(old)
+
+    def test_spans_match_full_stack_reference(self):
+        # for stacks that drop nothing the block extension spans what one QR of
+        # the whole stack spans
+        rng = np.random.default_rng(136)
+        for trial in range(20):
+            nx, n_mom = int(rng.integers(12, 40)), int(rng.integers(9, 16))
+            rank = int(rng.integers(1, 5))
+            ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=float(rng.uniform(0.1, 1.0)),
+                                bc=str(rng.choice(["zero_ghost", "periodic"])), seed=137 + trial)
+            macro = MacroState(rng.uniform(0.5, 2.0, nx), rng.standard_normal(nx))
+            state = random_state(rng, nx + 1, n_mom, rank)
+            dt = float(rng.uniform(0.005, 0.05))
+            aug = augment_bases(state, macro, ws, dt)
+            x_ref, v_ref = reference_augment_bases(state, macro, ws, dt)
+            assert aug.X_hat.shape == x_ref.shape == (nx + 1, 2 * rank + 1)
+            assert aug.V_hat.shape == v_ref.shape == (n_mom, 2 * rank)
+            for got, ref in ((aug.X_hat, x_ref), (aug.V_hat, v_ref)):
+                np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(aug.V_hat[:, 0], v_ref[:, 0], rtol=0, atol=1e-14)
+
     def test_projection_factors_shapes(self):
         rng = np.random.default_rng(32)
         ws = make_workspace(seed=33)
         macro = MacroState(rng.uniform(0.5, 2.0, 6), rng.standard_normal(6))
         state = random_state(rng, 7, 5, 2)
         aug = augment_bases(state, macro, ws, 0.02)
+        # [X | w_ap, K] keeps all 2r+1 columns; [V | L, b] drops b, inside span V
         assert aug.X_hat.shape == (7, 5)
-        assert aug.V_hat.shape == (5, 5)
+        assert aug.V_hat.shape == (5, 4)
         assert aug.M_hat.shape == (5, 2)
-        assert aug.N_hat.shape == (5, 2)
+        assert aug.N_hat.shape == (4, 2)
 
 
 class TestGalerkinSHat:
@@ -179,6 +261,28 @@ class TestApTruncate:
         assert state.rank == 4
 
 
+class TestChooseKeptRank:
+    def test_matches_loop_on_random_spectra(self):
+        rng = np.random.default_rng(140)
+        spectra = [np.zeros(0), np.zeros(5), np.ones(6), np.array([2.5]), np.array([0.0]),
+                   np.array([3.0, 0.0, 0.0]), np.full(4, 1e-300)]
+        for _ in range(500):
+            n = int(rng.integers(1, 25))
+            kind = rng.integers(3)
+            if kind == 0:
+                svals = np.sort(np.exp(rng.uniform(np.log(1e-12), 0.0, n)))[::-1]
+            elif kind == 1:
+                svals = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+            else:
+                svals = np.sort(np.exp(-rng.uniform(0.0, 3.0) * np.arange(n)))[::-1]
+            spectra.append(svals * 10.0 ** rng.uniform(-8, 8))
+        thetas = [0.0, 1e-8, 1e-3, 0.01, 0.05, 0.3, 1.0, 2.0, 1e9, float("nan")]
+        for svals in spectra:
+            for theta in thetas:
+                got = bug_adaptive._choose_kept_rank(svals, theta)
+                assert got == reference_choose_kept_rank(svals, theta), (svals, theta)
+
+
 class TestApTruncateMatchesGridSpace:
     """The coefficient-space truncation against the grid-space reference."""
 
@@ -221,6 +325,22 @@ class TestApTruncateMatchesGridSpace:
             cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.01, 0.05, 0.3, 2.0])),
                                    max_rank=int(rng.integers(2, n_aug + 2)))
             self.compare(aug, s_hat, cfg)
+
+    def test_unequal_widths(self):
+        # the augmented bases may differ in width; r* is capped by both
+        rng = np.random.default_rng(63)
+        for _ in range(100):
+            width_x, width_v = (int(w) for w in rng.integers(2, 9, size=2))
+            m, n_mom = width_x + int(rng.integers(0, 20)), width_v + int(rng.integers(0, 6))
+            x_hat, _ = np.linalg.qr(rng.standard_normal((m, width_x)))
+            v_hat, _ = np.linalg.qr(rng.standard_normal((n_mom, width_v)))
+            s_hat = rng.standard_normal((width_x, width_v))
+            aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=np.zeros((width_x, 1)),
+                                   N_hat=np.zeros((width_v, 1)), w_ap=np.zeros(m))
+            cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.05, 0.3])),
+                                   max_rank=int(rng.integers(2, 10)))
+            state, _, _, _ = self.compare(aug, s_hat, cfg)
+            assert state.rank <= min(width_x, width_v, cfg.max_rank)
 
     def test_degenerate_conserved_column(self):
         rng = np.random.default_rng(61)
@@ -314,6 +434,63 @@ class TestStepOperationCounts:
         assert source <= 1
 
 
+    def test_pulse_pads_once_and_qrs_only_new_directions(self, monkeypatch):
+        # 30 steps of the 101 x 8 pulse from the rank-1 zero state: only the first
+        # step pads (the rank floor of the angular basis, then the zero remainder
+        # slot in truncation); the augmentation QRs take at most r + 1 columns and
+        # truncation QRs act on coefficient blocks of at most 2r + 1 rows
+        nx, n_mom = 101, 8
+        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        angular = build_angular_operators(n_mom)
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        cfg = TruncationConfig(theta_rel=5e-2, max_rank=n_mom)
+        step = {"index": 0, "rank": 1, "augmenting": False}
+        qr_log, completions = [], []
+        qr = np.linalg.qr
+
+        def counted_qr(a, *args, **kwargs):
+            qr_log.append((step["index"], step["rank"], step["augmenting"], np.shape(a)))
+            return qr(a, *args, **kwargs)
+
+        complete = mesh_state.complete_orthonormal_columns
+
+        def counted_complete(basis, n_new):
+            completions.append((step["index"], basis.shape[0]))
+            return complete(basis, n_new)
+
+        augment = bug_adaptive.augment_bases
+
+        def marked_augment(*args):
+            step["augmenting"] = True
+            try:
+                return augment(*args)
+            finally:
+                step["augmenting"] = False
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        for module in (mesh_state, bug_adaptive):
+            monkeypatch.setattr(module, "complete_orthonormal_columns", counted_complete)
+        monkeypatch.setattr(bug_adaptive, "augment_bases", marked_augment)
+
+        macro = built.macro
+        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        for index in range(1, 31):
+            step.update(index=index, rank=state.rank)
+            macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+        assert max(r for _, r, _, _ in qr_log) >= 5
+        tall = [(i, shape) for i, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom)]
+        assert len([c for c in completions if c[1] in (nx + 1, n_mom)]) <= 1
+        assert all(i == 1 for i, _ in completions)
+        for _, rank, augmenting, (rows, cols) in qr_log:
+            if augmenting:
+                assert cols <= rank + 1
+            else:
+                assert rows <= 2 * rank + 1
+        assert len([1 for _, _, augmenting, _ in qr_log if augmenting]) >= 2 * 30
+        assert len(tall) >= 2 * 30
+
+
 class TestTruncationConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -334,6 +511,24 @@ class TestStepBugAdaptive:
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
         np.testing.assert_allclose(s1.reconstruct(), 0.0, atol=1e-13)
         assert report.rank == 2
+
+    def test_drifted_bases_are_orthonormalized_again(self):
+        # the old bases are carried into the augmented ones as they are; once
+        # their defect passes 1e-13 the step starts from orthonormalized copies
+        rng = np.random.default_rng(44)
+        ws = make_workspace(nx=20, n_moments=8, seed=45)
+        macro = MacroState(rng.uniform(0.5, 2.0, 20), 0.1 * rng.standard_normal(20))
+        clean = random_state(rng, 21, 8, 3)
+        x = clean.X_basis + 1e-13 * rng.standard_normal((21, 3))
+        v = clean.V_basis.copy()
+        v[1:] += 1e-13 * rng.standard_normal((7, 3))
+        drifted = LowRankMicroState(x, clean.S_coeff, v, 3)
+        assert drifted.x_orth_defect > 1e-13
+        cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
+        _, new, report = step_bug_adaptive(macro, drifted, ws, 0.02, cfg)
+        assert max(report.x_orth_defect, report.v_orth_defect) <= 1e-14
+        _, want, _ = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, cfg)
+        np.testing.assert_array_equal(new.reconstruct(), want.reconstruct())
 
     def test_small_epsilon_limit_after_one_step(self):
         nx, n_mom = 40, 8

@@ -53,9 +53,16 @@ def make_workspace(nx=6, n_moments=4, epsilon=0.8, sigma=0.7, bc="zero_ghost", s
     return FullSchemeWorkspace(grid, params, field, angular, bc=bc)
 
 
-def random_state(rng, n_interfaces, n_moments, rank):
+def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
+    """Random factors; `pinned` fixes the first angular column to b/|b| = e_0,
+    as the adaptive step requires."""
     x, _ = np.linalg.qr(rng.standard_normal((n_interfaces, rank)))
-    v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
+    if pinned:
+        v = np.zeros((n_moments, rank))
+        v[0, 0] = 1.0
+        v[1:, 1:], _ = np.linalg.qr(rng.standard_normal((n_moments - 1, rank - 1)))
+    else:
+        v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
     s = rng.standard_normal((rank, rank))
     return LowRankMicroState(x, s, v, rank)
 
@@ -374,7 +381,7 @@ class TestNodalKernels:
         rng = np.random.default_rng(95)
         ws = make_workspace(nx=20, n_moments=8, seed=96)
         macro = MacroState(1.0 + rng.uniform(0.0, 1.0, 20), rng.standard_normal(20))
-        state = random_state(rng, 21, 8, 3)
+        state = random_state(rng, 21, 8, 3, pinned=scheme == "bug_adaptive")
         if scheme == "bug_fixed":
             _, new, report = step_bug_fixed(macro, state, ws, 0.02)
         else:

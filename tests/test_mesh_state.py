@@ -19,6 +19,7 @@ from slabtrt.mesh_state import (
     diff_interface,
     diff_minus,
     diff_plus,
+    extend_orthonormal_columns,
     init_from_kinetic,
     orthonormal_columns,
     padded_difference,
@@ -145,6 +146,24 @@ class TestStates:
         assert state.v_orth_defect == np.max(np.abs(v.T @ v - np.eye(3)))
         assert 0.0 <= state.x_orth_defect <= 1e-12
 
+    def test_reorthonormalized_keeps_product_and_first_columns(self):
+        rng = np.random.default_rng(9)
+        x = orthonormal_columns(rng.standard_normal((30, 4)))
+        v = np.zeros((8, 4))
+        v[0, 0] = 1.0
+        v[1:, 1:] = orthonormal_columns(rng.standard_normal((7, 3)))
+        x = x + 1e-13 * rng.standard_normal(x.shape)
+        v[1:] += 1e-13 * rng.standard_normal((7, 4))
+        state = LowRankMicroState(x, rng.standard_normal((4, 4)), v, 4)
+        assert min(state.x_orth_defect, state.v_orth_defect) > 1e-13
+        fresh = state.reorthonormalized()
+        assert max(fresh.x_orth_defect, fresh.v_orth_defect) <= 1e-15
+        np.testing.assert_allclose(fresh.reconstruct(), state.reconstruct(), rtol=0,
+                                   atol=1e-14 * np.abs(state.reconstruct()).max())
+        np.testing.assert_array_equal(fresh.V_basis[:, 0], v[:, 0])
+        np.testing.assert_allclose(fresh.X_basis[:, 0],
+                                   x[:, 0] / np.linalg.norm(x[:, 0]), rtol=0, atol=1e-15)
+
     def test_zero_state_factors(self):
         state = zero_low_rank_state(12, 5, rank=3)
         assert state.rank == 3
@@ -175,6 +194,108 @@ class TestOrthonormalColumns:
         np.testing.assert_allclose(np.abs(q[:, [1, 3]]), np.eye(m)[:, :2], atol=1e-15)
         np.testing.assert_allclose(q[:, [0, 2]] @ (q[:, [0, 2]].T @ np.column_stack([u, w])),
                                    np.column_stack([u, w]), atol=1e-13)
+
+
+def assert_extends_orthonormally(basis, new, atol=1e-13):
+    both = np.column_stack([basis, new])
+    np.testing.assert_allclose(both.T @ both, np.eye(both.shape[1]), rtol=0, atol=atol)
+
+
+class TestExtendOrthonormalColumns:
+    def random_basis(self, rng, m, k):
+        return orthonormal_columns(rng.standard_normal((m, k)))
+
+    def test_spans_basis_and_columns(self):
+        rng = np.random.default_rng(120)
+        basis = self.random_basis(rng, 60, 5)
+        cols = rng.standard_normal((60, 4))
+        new = extend_orthonormal_columns(basis, cols)
+        assert new.shape == (60, 4)
+        assert_extends_orthonormally(basis, new)
+        both = np.column_stack([basis, new])
+        np.testing.assert_allclose(both @ (both.T @ cols), cols, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [60, 2001])
+    def test_near_dependent_columns_come_out_orthonormal(self, m):
+        # unit columns with residual 1e-11 against the basis, or against the
+        # basis and another new column
+        rng = np.random.default_rng(121)
+        basis = self.random_basis(rng, m, 6)
+
+        def unit(vec):
+            return vec / np.linalg.norm(vec)
+
+        def off_span(vec, span):
+            return unit(vec - span @ np.linalg.lstsq(span, vec, rcond=None)[0])
+
+        inside = unit(basis @ rng.standard_normal(6))
+        near_basis = inside + 1e-11 * off_span(rng.standard_normal(m), basis)
+        fresh = unit(rng.standard_normal(m))
+        near_fresh = fresh + 1e-11 * off_span(rng.standard_normal(m),
+                                              np.column_stack([basis, fresh]))
+        for cols in (np.column_stack([near_basis, fresh]),
+                     np.column_stack([fresh, near_fresh]),
+                     np.column_stack([fresh, near_basis, near_fresh])):
+            new = extend_orthonormal_columns(basis, cols)
+            assert new.shape[1] == cols.shape[1]
+            assert_extends_orthonormally(basis, new)
+
+    def test_columns_inside_the_span_are_dropped_not_padded(self):
+        rng = np.random.default_rng(122)
+        basis = self.random_basis(rng, 40, 5)
+        inside = basis @ rng.standard_normal((5, 3))
+        assert extend_orthonormal_columns(basis, inside).shape == (40, 0)
+        fresh = rng.standard_normal(40)
+        new = extend_orthonormal_columns(basis, np.column_stack([fresh, inside, 2.0 * fresh]))
+        assert new.shape == (40, 1)
+        residual = fresh - basis @ (basis.T @ fresh)
+        np.testing.assert_allclose(np.abs(new[:, 0]), np.abs(residual) / np.linalg.norm(residual),
+                                   rtol=0, atol=1e-14)
+        assert extend_orthonormal_columns(basis, np.zeros((40, 2))).shape == (40, 0)
+
+    def test_dropped_column_ahead_of_kept_one_does_not_mix_into_it(self):
+        # u spans the basis and w is new, both on rows 40..60: the dropped 3u
+        # ahead of w must leave no weight outside the support
+        rng = np.random.default_rng(3)
+        m = 101
+        u, w = np.zeros(m), np.zeros(m)
+        u[40:61] = rng.standard_normal(21)
+        w[40:61] = rng.standard_normal(21)
+        basis = (u / np.linalg.norm(u))[:, None]
+        new = extend_orthonormal_columns(basis, np.column_stack([3.0 * u, w, 1e-3 * u + w]))
+        assert new.shape == (m, 1)
+        assert_extends_orthonormally(basis, new, atol=1e-14)
+        outside = np.r_[0:40, 61:m]
+        assert np.abs(new[outside]).max() <= 1e-15
+        both = np.column_stack([basis, new])
+        np.testing.assert_allclose(both @ (both.T @ w), w, rtol=0, atol=1e-13)
+
+    def test_rank_floor_padding(self):
+        rng = np.random.default_rng(123)
+        m = 9
+        basis = np.full((m, 1), 1.0 / np.sqrt(m))
+        new = extend_orthonormal_columns(basis, np.zeros((m, 2)), min_total=2)
+        assert new.shape == (m, 1)
+        assert_extends_orthonormally(basis, new)
+        np.testing.assert_allclose(new, complete_orthonormal_columns(basis, 1), rtol=0, atol=0)
+        # a new direction that already reaches the floor is not padded
+        fresh = rng.standard_normal((m, 1))
+        assert extend_orthonormal_columns(basis, fresh, min_total=2).shape == (m, 1)
+        # the floor never asks for more columns than there are rows
+        full = orthonormal_columns(rng.standard_normal((3, 2)))
+        assert extend_orthonormal_columns(full, np.zeros((3, 1)), min_total=5).shape == (3, 1)
+
+    def test_new_block_is_capped_at_the_free_rows(self):
+        rng = np.random.default_rng(124)
+        basis = self.random_basis(rng, 8, 6)
+        new = extend_orthonormal_columns(basis, rng.standard_normal((8, 5)))
+        assert new.shape == (8, 2)
+        assert_extends_orthonormally(basis, new)
+        with pytest.raises(ValueError):
+            extend_orthonormal_columns(basis, rng.standard_normal((8, 9)))
+        # a basis of the whole space takes nothing more
+        full = self.random_basis(rng, 8, 8)
+        assert extend_orthonormal_columns(full, rng.standard_normal((8, 9)), 2).shape == (8, 0)
 
 
 class TestCompleteOrthonormalColumns:
