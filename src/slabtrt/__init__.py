@@ -23,11 +23,10 @@ from .bug_adaptive import (
     galerkin_s_hat,
     step_bug_adaptive,
 )
-from .bug_fixed import BugStepReport, k_step, l_step, s_step, step_bug_fixed
-from .cli_io import RunConfig, parse_config, run_simulation
+from .bug_fixed import BugStepReport, step_bug_fixed
+from .cli_io import RunConfig, parse_config, run_simulation, simulate
 from .full_scheme import FullSchemeWorkspace, step_full
 from .limits_diagnostics import (
-    DiagnosticsRecord,
     compute_cfl_dt,
     energy,
     l2_relative_difference,
@@ -42,7 +41,6 @@ from .mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    apply_diff,
     beta_fields,
     beta_of_T,
     init_from_kinetic,

@@ -6,13 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bug_fixed import BugStepReport, _galerkin_update, _k_update, _l_update, _nodal
-from .full_scheme import (
-    FullSchemeWorkspace,
-    emission_gradient_parts,
-    emission_gradient_source,
-    meso_macro_update,
-)
+from .bug_fixed import _finish_step, _galerkin_update, _k_update, _l_update, _nodal
+from .full_scheme import FullSchemeWorkspace, emission_gradient_parts, emission_gradient_source
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
@@ -77,7 +72,6 @@ class AugmentedFactors:
     M_hat: np.ndarray
     N_hat: np.ndarray
     w_ap: np.ndarray
-    S_hat: np.ndarray | None = field(default=None)
     source: np.ndarray | None = field(default=None)
     V_nodal: np.ndarray | None = field(default=None)
 
@@ -223,19 +217,10 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
                       dt: float, cfg: TruncationConfig):
     """One rank-adaptive step: augment, Galerkin update, truncate, then meso/macro."""
-    if not dt > 0.0:
-        raise ValueError("dt must be strictly positive")
-    ws.check_macro(macro)
-    ws.check_micro_shape(state.X_basis.shape[0], state.V_basis.shape[0])
+    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
     if max(state.x_orth_defect, state.v_orth_defect) > _REORTH_TOL:
         state = state.reorthonormalized()
 
     aug = augment_bases(state, macro, ws, dt)
     s_hat = galerkin_s_hat(aug, state, macro, ws, dt)
-    aug.S_hat = s_hat
-    new_state = ap_truncate(aug, s_hat, cfg)
-
-    g1_new = new_state.X_basis @ (new_state.S_coeff @ new_state.V_basis[0, :])
-    h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
-
-    return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)
+    return _finish_step(ap_truncate(aug, s_hat, cfg), macro, ws, dt)

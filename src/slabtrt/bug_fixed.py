@@ -6,20 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .full_scheme import FullSchemeWorkspace, emission_gradient_source, meso_macro_update
+from .full_scheme import (
+    FullSchemeWorkspace,
+    emission_gradient_source,
+    meso_macro_update,
+    micro_update,
+)
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
-    orthonormal_columns,
+    extend_orthonormal_columns,
     padded_difference,
 )
 
 __all__ = [
     "BugStepReport",
-    "k_step",
-    "l_step",
-    "galerkin_coefficient_update",
-    "s_step",
     "step_bug_fixed",
 ]
 
@@ -71,18 +72,12 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
               dt: float, v_nodal: np.ndarray) -> np.ndarray:
     """K = X S advanced in the frozen angular basis, before orthonormalization.
 
-    v_nodal = T^T V is shared with the L-step of the same basis.
+    This is the dense micro update in the basis V; v_nodal = T^T V is shared
+    with the L-step of the same basis.
     """
-    p = ws.params
-    x, s, v = state.X_basis, state.S_coeff, state.V_basis
-    shift = p.epsilon**2 / (p.c * dt)
-
-    k = x @ s
     proj_plus, proj_minus = _flux_projections(v_nodal, ws)
-    diffs = padded_difference(k, ws.grid, ws.bc)
-    advect = diffs[:-1] @ proj_plus + diffs[1:] @ proj_minus
-    rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ ws.angular.b_vec)
-    return rhs / (shift + ws.sigma.at_interfaces)[:, None]
+    return micro_update(state.X_basis @ state.S_coeff, proj_plus, proj_minus,
+                        state.V_basis.T @ ws.angular.b_vec, source, ws, dt)
 
 
 def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
@@ -134,62 +129,31 @@ def _galerkin_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
     return np.linalg.solve(shift * np.eye(shape) + absorb, rhs)
 
 
-def _projected_coefficients(x_new: np.ndarray, v_new: np.ndarray,
-                            state_old: LowRankMicroState) -> np.ndarray:
-    return (x_new.T @ state_old.X_basis) @ state_old.S_coeff @ (state_old.V_basis.T @ v_new)
-
-
-def k_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
-    """Advance K = X S in the frozen angular basis; returns (K_new, X_new)."""
-    k_new = _k_update(state, emission_gradient_source(macro, ws), ws, dt,
-                      _nodal(state.V_basis, ws))
-    return k_new, orthonormal_columns(k_new)
-
-
-def l_step(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace, dt: float):
-    """Advance L = V S^T in the frozen spatial basis; returns (L_new, V_new)."""
-    l_new = _l_update(state, emission_gradient_source(macro, ws), ws, dt,
-                      _nodal(state.V_basis, ws))
-    return l_new, orthonormal_columns(l_new)
-
-
-def galerkin_coefficient_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
-                                macro: MacroState, ws: FullSchemeWorkspace,
-                                dt: float) -> np.ndarray:
-    """Coefficient update in the given bases starting from the projected S."""
-    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_source(macro, ws), ws, dt)
-
-
-def s_step(x_new: np.ndarray, v_new: np.ndarray, state_old: LowRankMicroState,
-           macro: MacroState, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
-    """Galerkin step in the updated bases; the old solution is projected in first."""
-    return galerkin_coefficient_update(x_new, v_new,
-                                       _projected_coefficients(x_new, v_new, state_old),
-                                       macro, ws, dt)
+def _finish_step(new_state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
+                 dt: float):
+    """Meso/macro update from the new first moment; the step's (macro, micro, report)."""
+    g1_new = new_state.X_basis @ (new_state.S_coeff @ new_state.V_basis[0, :])
+    h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
+    return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)
 
 
 def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
                    dt: float):
     """One fixed-rank step: K- and L-step from time-n data, S-step, then meso/macro.
 
-    The rank is preserved; rank-deficient intermediate factors are padded with
-    canonical directions inside the orthonormalization. The emission source is
-    evaluated once and shared by the three substeps.
+    The rank is preserved: directions missing from a rank-deficient K or L are
+    padded with canonical ones by the orthonormalization. The emission source
+    is evaluated once and shared by the three substeps.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be strictly positive")
-    ws.check_macro(macro)
-    ws.check_micro_shape(state.X_basis.shape[0], state.V_basis.shape[0])
+    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
 
+    r = state.rank
     source = emission_gradient_source(macro, ws)
     v_nodal = _nodal(state.V_basis, ws)
-    x_new = orthonormal_columns(_k_update(state, source, ws, dt, v_nodal))
-    v_new = orthonormal_columns(_l_update(state, source, ws, dt, v_nodal))
-    s_new = _galerkin_update(x_new, v_new, _projected_coefficients(x_new, v_new, state),
-                             source, ws, dt)
-
-    g1_new = x_new @ (s_new @ v_new[0, :])
-    h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
-
-    new_state = LowRankMicroState(x_new, s_new, v_new, state.rank)
-    return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)
+    x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
+                                       _k_update(state, source, ws, dt, v_nodal), r)
+    v_new = extend_orthonormal_columns(np.empty((state.V_basis.shape[0], 0)),
+                                       _l_update(state, source, ws, dt, v_nodal), r)
+    s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ v_new)
+    s_new = _galerkin_update(x_new, v_new, s_tilde, source, ws, dt)
+    return _finish_step(LowRankMicroState(x_new, s_new, v_new, r), macro, ws, dt)

@@ -14,7 +14,6 @@ from .bug_adaptive import TruncationConfig, step_bug_adaptive
 from .bug_fixed import step_bug_fixed
 from .full_scheme import FullSchemeWorkspace, step_full
 from .limits_diagnostics import (
-    DiagnosticsRecord,
     cfl_report,
     energy,
     l2_relative_difference,
@@ -28,7 +27,9 @@ from .mesh_state import (
     BC_ZERO_GHOST,
     EMISSION_LINEAR,
     EMISSION_STEFAN_BOLTZMANN,
+    FullMicroState,
     MacroState,
+    StaggeredGrid,
     scalar_flux,
     zero_low_rank_state,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "run_simulation",
+    "simulate",
     "main",
     "HISTORY_HEADER",
     "PROFILES_HEADER",
@@ -121,21 +123,22 @@ def parse_config(text: str) -> RunConfig:
             key_lines[key] = lineno
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {rhs!r}") from exc
+        if _PARSERS[key] is float and not np.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: key '{key}': must be finite, got {rhs!r}")
 
     def fail(key: str, msg: str):
         where = f"line {key_lines[key]}: " if key in key_lines else ""
         raise ConfigError(f"{where}key '{key}': {msg}")
 
-    if "scenario" not in values:
-        fail("scenario", "is required")
-    if "scheme" not in values:
-        fail("scheme", "is required")
-    if values["scenario"] not in SCENARIO_NAMES:
-        fail("scenario", f"must be one of {SCENARIO_NAMES}")
-    if values["scheme"] not in SCHEMES:
-        fail("scheme", f"must be one of {SCHEMES}")
-
+    for key in ("scenario", "scheme"):
+        if key not in values:
+            fail(key, "is required")
     config = RunConfig(**values)
+    for key, allowed in (("scenario", SCENARIO_NAMES), ("scheme", SCHEMES),
+                         ("emission", (EMISSION_LINEAR, EMISSION_STEFAN_BOLTZMANN)),
+                         ("bc", (BC_ZERO_GHOST, BC_PERIODIC))):
+        if getattr(config, key) not in allowed:
+            fail(key, f"must be one of {allowed}")
     if config.nx is not None and config.nx < 1:
         fail("nx", "must be a positive integer")
     if config.n_moments is not None and config.n_moments < 1:
@@ -152,17 +155,15 @@ def parse_config(text: str) -> RunConfig:
         fail("dt", "must be strictly positive")
     if not config.cfl_safety > 0.0:
         fail("cfl_safety", "must be strictly positive")
-    if config.emission not in (EMISSION_LINEAR, EMISSION_STEFAN_BOLTZMANN):
-        fail("emission", f"must be '{EMISSION_LINEAR}' or '{EMISSION_STEFAN_BOLTZMANN}'")
-    if config.bc not in (BC_ZERO_GHOST, BC_PERIODIC):
-        fail("bc", f"must be '{BC_ZERO_GHOST}' or '{BC_PERIODIC}'")
     if config.history_stride < 1:
         fail("history_stride", "must be a positive integer")
     return config
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain digits for integers."""
+    """Shortest round-trip decimal for floats, plain digits for integers, text as is."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -178,10 +179,9 @@ def _write_csv(path: Path, header: str, rows):
 class RunResult:
     """Final profiles plus per-step history of one simulation."""
 
-    x: np.ndarray
-    temperature: np.ndarray
+    grid: StaggeredGrid
+    macro: MacroState
     phi: np.ndarray
-    h_meso: np.ndarray
     history: list
     cfl_dt: float
     dt_used: float
@@ -200,6 +200,64 @@ def _prepare(config: RunConfig):
     return scn, built, ws
 
 
+def _stop_time(t_end: float) -> float:
+    """Time from which a run counts as finished; absorbs the rounding of summed steps."""
+    return t_end - 1e-14 * max(t_end, 1.0)
+
+
+def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
+             dt: float, t_end: float, rank: int = 1, theta_rel: float = 0.0):
+    """Run one scheme to t_end, yielding (t, dt_step, macro, micro) for every state.
+
+    The first item is the initial state (t = 0, dt_step = 0), then one follows
+    each step of size min(dt, t_end - t). `micro` is the dense initial state:
+    `full` starts from it, the low-rank schemes from the zero state of `rank`
+    (`bug_adaptive` truncates at theta_rel), and `rosseland` carries no micro
+    moments, i.e. a state with zero columns. A step that raises ValueError or
+    yields a non-finite temperature aborts the run with a RuntimeError naming
+    the step.
+    """
+    n_rows, n_mom = micro.g_matrix.shape
+    if scheme == "full":
+        def advance(macro, micro, dt_step):
+            return step_full(macro, micro, ws, dt_step)
+    elif scheme == "bug_fixed":
+        micro = zero_low_rank_state(n_rows, n_mom, rank)
+
+        def advance(macro, micro, dt_step):
+            return step_bug_fixed(macro, micro, ws, dt_step)[:2]
+    elif scheme == "bug_adaptive":
+        micro = zero_low_rank_state(n_rows, n_mom, rank)
+        cfg = TruncationConfig(theta_rel=theta_rel, max_rank=min(n_rows, n_mom))
+
+        def advance(macro, micro, dt_step):
+            return step_bug_adaptive(macro, micro, ws, dt_step, cfg)[:2]
+    elif scheme == "rosseland":
+        micro = FullMicroState(np.zeros((n_rows, 0)))
+
+        def advance(macro, micro, dt_step):
+            t_new = rosseland_step(macro.temperature, ws.params, ws.grid, ws.sigma, dt_step,
+                                   bc=ws.bc)
+            return MacroState(t_new, np.zeros(ws.grid.n_cells)), micro
+    else:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
+
+    t = 0.0
+    step = 0
+    yield t, 0.0, macro, micro
+    while t < _stop_time(t_end):
+        dt_step = min(dt, t_end - t)
+        step += 1
+        try:
+            macro, micro = advance(macro, micro, dt_step)
+        except ValueError as exc:
+            raise RuntimeError(f"simulation aborted at step {step}: {exc}") from exc
+        if not np.all(np.isfinite(macro.temperature)):
+            raise RuntimeError(f"simulation aborted at step {step}: non-finite temperature")
+        t += dt_step
+        yield t, dt_step, macro, micro
+
+
 def _run(config: RunConfig) -> RunResult:
     scn, built, ws = _prepare(config)
     grid, params = built.grid, built.params
@@ -211,106 +269,56 @@ def _run(config: RunConfig) -> RunResult:
                                         ws.bc)
         dt = min(dt, _ROSSELAND_SAFETY * parabolic)
     t_end = config.t_end if config.t_end is not None else scn.t_end
+    rank = config.rank
+    if rank is None:
+        rank = scn.fixed_rank if config.scheme == "bug_fixed" else scn.adaptive_rank
+    theta = config.theta_rel if config.theta_rel is not None else scn.theta_rel
 
-    macro = built.macro
-    dense = built.micro
-    low_rank = None
-    trunc_cfg = None
-    n_mom = built.micro.n_moments
-    if config.scheme == "bug_fixed":
-        rank = config.rank if config.rank is not None else scn.fixed_rank
-        low_rank = zero_low_rank_state(grid.n_cells + 1, n_mom, rank)
-    elif config.scheme == "bug_adaptive":
-        rank = config.rank if config.rank is not None else scn.adaptive_rank
-        theta = config.theta_rel if config.theta_rel is not None else scn.theta_rel
-        low_rank = zero_low_rank_state(grid.n_cells + 1, n_mom, rank)
-        trunc_cfg = TruncationConfig(theta_rel=theta, max_rank=min(grid.n_cells + 1, n_mom))
-
-    def micro_norm_sq() -> float:
-        if config.scheme == "full":
-            return float(np.sum(dense.g_matrix**2) * grid.dx)
-        if low_rank is not None:
-            return low_rank.micro_norm_sq(grid.dx)
-        return 0.0
-
-    def current_rank() -> int:
-        return low_rank.rank if low_rank is not None else 0
-
-    m0 = mass(macro, params, grid)
+    m0 = mass(built.macro, params, grid)
     history = []
-    t = 0.0
-    step = 0
-    while t < t_end - 1e-14 * max(t_end, 1.0):
-        dt_step = min(dt, t_end - t)
-        step += 1
-        try:
-            if config.scheme == "full":
-                macro, dense = step_full(macro, dense, ws, dt_step)
-            elif config.scheme == "bug_fixed":
-                macro, low_rank, _ = step_bug_fixed(macro, low_rank, ws, dt_step)
-            elif config.scheme == "bug_adaptive":
-                macro, low_rank, _ = step_bug_adaptive(macro, low_rank, ws, dt_step, trunc_cfg)
-            else:
-                t_new = rosseland_step(macro.temperature, params, grid, built.sigma,
-                                       dt_step, bc=config.bc)
-                macro = MacroState(t_new, np.zeros(grid.n_cells))
-        except ValueError as exc:
-            raise RuntimeError(f"simulation aborted at step {step}: {exc}") from exc
-        if not np.all(np.isfinite(macro.temperature)):
-            raise RuntimeError(f"simulation aborted at step {step}: non-finite temperature")
-        t += dt_step
-        if step % config.history_stride == 0 or t >= t_end - 1e-14 * max(t_end, 1.0):
+    run = simulate(config.scheme, built.macro, built.micro, ws, dt, t_end, rank, theta)
+    for step, (t, dt_step, macro, micro) in enumerate(run):
+        if step and (step % config.history_stride == 0 or t >= _stop_time(t_end)):
             m_n = mass(macro, params, grid)
-            record = DiagnosticsRecord(
-                time=t,
-                energy=energy(macro, micro_norm_sq(), params, grid),
-                mass=m_n,
-                rel_mass_error=relative_mass_error(m_n, m0),
-                rank=current_rank(),
-                dt=dt_step,
-            )
             history.append((
-                record.time,
-                record.energy,
-                record.mass,
-                record.rel_mass_error,
-                record.rank,
-                record.dt,
+                t,
+                energy(macro, micro.micro_norm_sq(grid.dx), params, grid),
+                m_n,
+                relative_mass_error(m_n, m0),
+                getattr(micro, "rank", 0),  # the dense and the diffusion scheme report 0
+                dt_step,
                 int(dt_step > cfl_dt * _CFL_FLAG_SLACK),
             ))
 
     return RunResult(
-        x=grid.centers,
-        temperature=macro.temperature,
+        grid=grid,
+        macro=macro,
         phi=scalar_flux(macro, params),
-        h_meso=macro.h_meso,
         history=history,
         cfl_dt=cfl_dt,
         dt_used=dt,
     )
 
 
+def _write_result(result: RunResult, out_dir: Path):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "history.csv", HISTORY_HEADER, result.history)
+    macro = result.macro
+    profile_rows = zip(result.grid.centers, macro.temperature, result.phi, macro.h_meso)
+    _write_csv(out_dir / "profiles.csv", PROFILES_HEADER, profile_rows)
+
+
 def run_simulation(config: RunConfig, out=None) -> int:
     """Run one scheme and write history.csv and profiles.csv to output_dir."""
     out = out if out is not None else sys.stdout
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = _run(config)
     print(f"cfl_dt = {_fmt(result.cfl_dt)}", file=out)
     print(f"dt = {_fmt(result.dt_used)}", file=out)
-    _write_csv(out_dir / "history.csv", HISTORY_HEADER, result.history)
-    profile_rows = zip(result.x, result.temperature, result.phi, result.h_meso)
-    _write_csv(out_dir / "profiles.csv", PROFILES_HEADER, profile_rows)
+    _write_result(result, Path(config.output_dir))
     return 0
 
 
-def _cmd_run(args, out) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    return run_simulation(config, out=out)
-
-
-def _cmd_cfl(args, out) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+def _cmd_cfl(config: RunConfig, out) -> int:
     _, built, ws = _prepare(config)
     dt, node = cfl_report(built.params, built.grid, ws.angular, built.sigma)
     print(f"cfl_dt = {_fmt(dt)}", file=out)
@@ -318,9 +326,8 @@ def _cmd_cfl(args, out) -> int:
     return 0
 
 
-def _cmd_sweep(args, out) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+def _cmd_sweep(config: RunConfig, schemes: str, out) -> int:
+    schemes = [s.strip() for s in schemes.split(",") if s.strip()]
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"key 'scheme': must be one of {SCHEMES}")
@@ -329,16 +336,11 @@ def _cmd_sweep(args, out) -> int:
 
     results = {}
     for scheme in schemes:
-        sub = replace(config, scheme=scheme, output_dir=str(out_dir / scheme))
-        Path(sub.output_dir).mkdir(parents=True, exist_ok=True)
-        result = _run(sub)
-        _write_csv(Path(sub.output_dir) / "history.csv", HISTORY_HEADER, result.history)
-        profile_rows = zip(result.x, result.temperature, result.phi, result.h_meso)
-        _write_csv(Path(sub.output_dir) / "profiles.csv", PROFILES_HEADER, profile_rows)
+        result = _run(replace(config, scheme=scheme))
+        _write_result(result, out_dir / scheme)
         results[scheme] = result
         print(f"{scheme}: cfl_dt = {_fmt(result.cfl_dt)}, dt = {_fmt(result.dt_used)}", file=out)
 
-    _, built, _ = _prepare(config)
     rows = []
     for i, name_a in enumerate(schemes):
         for name_b in schemes[i + 1:]:
@@ -346,14 +348,11 @@ def _cmd_sweep(args, out) -> int:
             rows.append((
                 name_a,
                 name_b,
-                l2_relative_difference(ra.temperature, rb.temperature, built.grid),
-                l2_relative_difference(ra.phi, rb.phi, built.grid),
+                l2_relative_difference(ra.macro.temperature, rb.macro.temperature, ra.grid),
+                l2_relative_difference(ra.phi, rb.phi, ra.grid),
             ))
-    lines = [COMPARISON_HEADER]
-    lines.extend(f"{a},{b},{_fmt(x)},{_fmt(y)}" for a, b, x, y in rows)
-    (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "comparison.csv", COMPARISON_HEADER, rows)
     return 0
-
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
@@ -379,11 +378,12 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
 
     try:
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.command == "run":
-            return _cmd_run(args, out)
+            return run_simulation(config, out=out)
         if args.command == "cfl":
-            return _cmd_cfl(args, out)
-        return _cmd_sweep(args, out)
+            return _cmd_cfl(config, out)
+        return _cmd_sweep(config, args.schemes, out)
     except (ConfigError, FileNotFoundError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,16 +18,15 @@ from .mesh_state import (
     beta_fields,
     diff_center,
     diff_interface,
-    diff_minus,
-    diff_plus,
+    padded_difference,
 )
 
 __all__ = [
     "FullSchemeWorkspace",
     "emission_gradient_parts",
     "emission_gradient_source",
-    "full_micro_update",
     "meso_macro_update",
+    "micro_update",
     "step_full",
 ]
 
@@ -48,11 +47,12 @@ class FullSchemeWorkspace:
         if self.bc not in (BC_ZERO_GHOST, BC_PERIODIC):
             raise ValueError(f"bc must be '{BC_ZERO_GHOST}' or '{BC_PERIODIC}'")
 
-    def check_macro(self, macro: MacroState):
+    def check_step(self, macro: MacroState, n_rows: int, n_moments: int, dt: float):
+        """Reject a step size, or a macro state and micro shape that do not fit."""
+        if not dt > 0.0:
+            raise ValueError("dt must be strictly positive")
         if macro.n_cells != self.grid.n_cells:
             raise ValueError("macro state does not match the grid")
-
-    def check_micro_shape(self, n_rows: int, n_moments: int):
         if n_rows != self.grid.n_cells + 1:
             raise ValueError("micro state must live on the n_cells + 1 interfaces")
         if n_moments != self.angular.n_moments:
@@ -76,20 +76,21 @@ def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.n
     return emission_gradient_parts(macro, ws)[1]
 
 
-def full_micro_update(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
-                      dt: float) -> np.ndarray:
-    """One implicit-absorption step of the dense micro moments.
+def micro_update(k: np.ndarray, flux_plus: np.ndarray, flux_minus: np.ndarray,
+                 b_proj: np.ndarray, source: np.ndarray, ws: FullSchemeWorkspace,
+                 dt: float) -> np.ndarray:
+    """One implicit-absorption step of micro moments K held in an angular basis V.
 
-    Advection is explicit and upwind-split; the emission gradient enters through
-    the first-moment source column; absorption is a pointwise scalar division.
+    flux_plus/minus are V^T A+- V and b_proj is V^T b; with V = I this is the
+    dense update, and with the K-step's basis it is the K-step. Advection is
+    explicit and upwind-split, the interface source enters along the
+    first-moment direction, and absorption is a pointwise scalar division.
     """
     p = ws.params
-    ang = ws.angular
-    g = micro.g_matrix
     shift = p.epsilon**2 / (p.c * dt)
-    advect = diff_minus(g, ws.grid, ws.bc) @ ang.A_plus + diff_plus(g, ws.grid, ws.bc) @ ang.A_minus
-    source = np.outer(emission_gradient_source(macro, ws), ang.b_vec)
-    rhs = shift * g - p.epsilon * advect - source
+    diffs = padded_difference(k, ws.grid, ws.bc)
+    advect = diffs[:-1] @ flux_plus + diffs[1:] @ flux_minus
+    rhs = shift * k - p.epsilon * advect - np.outer(source, b_proj)
     return rhs / (shift + ws.sigma.at_interfaces)[:, None]
 
 
@@ -113,11 +114,10 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     Order is forced by the implicit couplings: micro moments first, then the
     mesoscopic variable (which sees the new first moment), then temperature.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be strictly positive")
-    ws.check_macro(macro)
-    ws.check_micro_shape(*micro.g_matrix.shape)
+    ws.check_step(macro, *micro.g_matrix.shape, dt)
 
-    g_new = full_micro_update(macro, micro, ws, dt)
+    ang = ws.angular
+    g_new = micro_update(micro.g_matrix, ang.A_plus, ang.A_minus, ang.b_vec,
+                         emission_gradient_source(macro, ws), ws, dt)
     h_new, t_new = meso_macro_update(g_new[:, 0], macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)

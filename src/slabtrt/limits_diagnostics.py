@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .angular import NORM_P0, AngularOperators
 from .mesh_state import (
-    BC_PERIODIC,
     BC_ZERO_GHOST,
     AbsorptionField,
     MacroState,
@@ -16,10 +13,10 @@ from .mesh_state import (
     StaggeredGrid,
     beta_at_interfaces,
     beta_of_T,
+    diff_interface,
 )
 
 __all__ = [
-    "DiagnosticsRecord",
     "compute_cfl_dt",
     "cfl_report",
     "energy",
@@ -29,24 +26,6 @@ __all__ = [
     "rosseland_stable_dt",
     "l2_relative_difference",
 ]
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One history row of a simulation run."""
-
-    time: float
-    energy: float
-    mass: float
-    rel_mass_error: float
-    rank: int
-    dt: float
-
-    def __post_init__(self):
-        if self.energy < 0.0 or self.rel_mass_error < 0.0:
-            raise ValueError("energy and rel_mass_error must be nonnegative")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be strictly positive")
 
 
 def compute_cfl_dt(params: PhysicalParams, grid: StaggeredGrid, angular: AngularOperators,
@@ -119,10 +98,7 @@ def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: Stagge
 
     beta_c = beta_of_T(t, p.emission)
     beta_if = beta_at_interfaces(beta_c, p.emission, bc)
-    t_l, t_r = (t[-1], t[0]) if bc == BC_PERIODIC else (0.0, 0.0)
-    t_pad = np.concatenate([[t_l], t, [t_r]])
-    grad = np.diff(t_pad) / grid.dx                      # n_cells + 1 interface slopes
-    flux = beta_if / sigma.at_interfaces * grad
+    flux = beta_if / sigma.at_interfaces * diff_interface(t, grid, bc)
     divergence = np.diff(flux) / grid.dx
 
     coef = dt * (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) / (1.0 + 2.0 * p.a_rad * beta_c / p.c_nu)

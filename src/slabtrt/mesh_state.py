@@ -20,9 +20,6 @@ __all__ = [
     "FullMicroState",
     "LowRankMicroState",
     "absorption_from_function",
-    "apply_diff",
-    "diff_minus",
-    "diff_plus",
     "diff_center",
     "diff_interface",
     "padded_difference",
@@ -32,7 +29,6 @@ __all__ = [
     "beta_fields",
     "scalar_flux",
     "init_from_kinetic",
-    "orthonormal_columns",
     "complete_orthonormal_columns",
     "extend_orthonormal_columns",
     "zero_low_rank_state",
@@ -47,8 +43,8 @@ BC_PERIODIC = "periodic"
 _BCS = (BC_ZERO_GHOST, BC_PERIODIC)
 
 # QR diagonal entries at or below this fraction of the largest column norm mark
-# directions that carry no information: orthonormal_columns replaces them by
-# canonical vectors and extend_orthonormal_columns drops them.
+# directions that carry no information: extend_orthonormal_columns drops them,
+# and pads canonical vectors only to reach the width its caller asks for.
 _RANK_TOL = 1e-12
 _ORTH_TOL = 1e-12
 # A second Gram-Schmidt pass that removes at most this much of a unit column
@@ -177,6 +173,12 @@ class FullMicroState:
     def n_moments(self) -> int:
         return self.g_matrix.shape[1]
 
+    def micro_norm_sq(self, dx: float) -> float:
+        """Squared discrete L2 norm of the micro moments, dx * ||g||_F^2."""
+        if not self.g_matrix.size:  # the diffusion scheme: numpy's empty sum costs ~7 us
+            return 0.0
+        return float(np.sum(self.g_matrix**2) * dx)
+
 
 def _orth_defect(mat: np.ndarray) -> float:
     """Largest entry of |M^T M - I|."""
@@ -261,50 +263,30 @@ def _check_bc(bc: str):
         raise ValueError(f"bc must be one of {_BCS}")
 
 
-def _left_ghost(values: np.ndarray, bc: str) -> np.ndarray:
-    if bc == BC_PERIODIC:
-        return values[-1:]
-    return np.zeros_like(values[:1])
+def _ghost_difference(values, n_rows: int, kind: str, grid: StaggeredGrid, bc: str):
+    """Differences of consecutive rows after padding a ghost row at both ends.
 
-
-def _right_ghost(values: np.ndarray, bc: str) -> np.ndarray:
-    if bc == BC_PERIODIC:
-        return values[:1]
-    return np.zeros_like(values[:1])
-
-
-def diff_minus(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
-    """Backward difference on interface data: (u_j - u_{j-1}) / dx."""
+    The ghosts are zero for zero_ghost and the wrapped end rows for periodic.
+    """
     _check_bc(bc)
     v = np.asarray(values, dtype=float)
-    if v.shape[0] != grid.n_cells + 1:
-        raise ValueError("interface data must have n_cells + 1 rows")
-    ext = np.concatenate([_left_ghost(v, bc), v], axis=0)
-    return np.diff(ext, axis=0) / grid.dx
-
-
-def diff_plus(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
-    """Forward difference on interface data: (u_{j+1} - u_j) / dx."""
-    _check_bc(bc)
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] != grid.n_cells + 1:
-        raise ValueError("interface data must have n_cells + 1 rows")
-    ext = np.concatenate([v, _right_ghost(v, bc)], axis=0)
-    return np.diff(ext, axis=0) / grid.dx
+    if v.shape[0] != n_rows:
+        raise ValueError(f"{kind} data must have {n_rows} rows")
+    if bc == BC_PERIODIC:
+        left, right = v[-1:], v[:1]
+    else:
+        left = right = np.zeros_like(v[:1])
+    return np.diff(np.concatenate([left, v, right], axis=0), axis=0) / grid.dx
 
 
 def padded_difference(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
     """Differences of interface data padded with a ghost row at both ends.
 
-    Returns n_cells + 2 rows: rows [:-1] are diff_minus and rows [1:] are
-    diff_plus of the same data, so both come from one padding.
+    Returns n_cells + 2 rows: rows [:-1] are the backward differences
+    (u_j - u_{j-1}) / dx and rows [1:] the forward differences
+    (u_{j+1} - u_j) / dx of the same data, so both come from one padding.
     """
-    _check_bc(bc)
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] != grid.n_cells + 1:
-        raise ValueError("interface data must have n_cells + 1 rows")
-    ext = np.concatenate([_left_ghost(v, bc), v, _right_ghost(v, bc)], axis=0)
-    return np.diff(ext, axis=0) / grid.dx
+    return _ghost_difference(values, grid.n_cells + 1, "interface", grid, bc)
 
 
 def diff_center(values, grid: StaggeredGrid):
@@ -317,29 +299,7 @@ def diff_center(values, grid: StaggeredGrid):
 
 def diff_interface(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
     """Center-to-interface gradient: (u_{i+1} - u_i) / dx with ghost cells per bc."""
-    _check_bc(bc)
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] != grid.n_cells:
-        raise ValueError("center data must have n_cells rows")
-    ext = np.concatenate([_left_ghost(v, bc), v, _right_ghost(v, bc)], axis=0)
-    return np.diff(ext, axis=0) / grid.dx
-
-
-_DIFF_KINDS = {
-    "d_plus": diff_plus,
-    "d_minus": diff_minus,
-    "d_zero_centers": None,  # handled below, takes no bc
-    "delta_zero_interfaces": diff_interface,
-}
-
-
-def apply_diff(kind: str, values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
-    """Apply one of the staggered difference stencils by name."""
-    if kind not in _DIFF_KINDS:
-        raise ValueError(f"kind must be one of {sorted(_DIFF_KINDS)}")
-    if kind == "d_zero_centers":
-        return diff_center(values, grid)
-    return _DIFF_KINDS[kind](values, grid, bc)
+    return _ghost_difference(values, grid.n_cells, "center", grid, bc)
 
 
 # ---------------------------------------------------------------------------
@@ -454,37 +414,6 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int) -> np.ndarray:
     return added
 
 
-def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis with the same column count as `mat`.
-
-    Columns whose QR diagonal entry falls below 1e-12 of the largest column norm
-    carry no reliable direction and are replaced by canonical completions, so the
-    result always has full column rank.
-    """
-    mat = np.asarray(mat, dtype=float)
-    m, r = mat.shape
-    if r > m:
-        raise ValueError("cannot orthonormalize more columns than rows")
-    q, rr = np.linalg.qr(mat)
-    col_scale = np.max(np.linalg.norm(mat, axis=0)) if r else 0.0
-    diag = np.abs(np.diag(rr))
-    keep = diag > _RANK_TOL * col_scale if col_scale > 0.0 else np.zeros(r, dtype=bool)
-    if np.all(keep):
-        return q
-    # Householder QR orthogonalizes each column against the ones before it. The
-    # direction it gives a dropped column is rounding noise, mostly on that
-    # column's pivot row (one of the first grid rows, at the left boundary), and
-    # the kept q columns after it mix with that noise. Orthonormalizing
-    # mat[:, keep] = q rr[:, keep] again through the small QR of rr[:, keep]
-    # gives columns that span the kept input columns alone.
-    kept = q @ np.linalg.qr(rr[:, keep])[0]
-    fresh = complete_orthonormal_columns(kept, r - int(keep.sum()))
-    out = np.empty((m, r))
-    out[:, keep] = kept
-    out[:, ~keep] = fresh
-    return out
-
-
 def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
                                min_total: int = 0) -> np.ndarray:
     """Orthonormal columns that extend the orthonormal `basis` to span(basis, cols).
@@ -502,7 +431,10 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
     through their small R block, so none of them mixes with the noise direction
     QR gave the dropped column. At most rows - k columns are returned
     (k = basis columns); canonical completions are appended only while k plus
-    the returned count is below `min_total`.
+    the returned count is below `min_total`. With an empty basis this is a
+    Householder QR of `cols` whose dropped columns are replaced by padding at
+    the end; the projections and the second pass are skipped, as they do
+    nothing there.
     """
     basis = np.asarray(basis, dtype=float)
     cols = np.asarray(cols, dtype=float)
@@ -511,7 +443,7 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
         return np.empty((m, 0))
     if cols.shape[1] > m:
         raise ValueError("cannot orthonormalize more columns than rows")
-    q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols))
+    q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
     keep = np.abs(np.diag(rr)) > _RANK_TOL * np.max(np.linalg.norm(cols, axis=0))
     n_keep = int(keep.sum())
     if keep[:n_keep].all():
@@ -519,10 +451,11 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
     else:
         new = q @ np.linalg.qr(rr[:, keep])[0]
     new = new[:, :m - k]
-    leak = basis.T @ new
-    new = new - basis @ leak
-    if np.max(np.abs(leak), initial=0.0) > _LEAK_RENORM_TOL:
-        new = _cholesky_qr(new)[0]
+    if k:
+        leak = basis.T @ new
+        new = new - basis @ leak
+        if np.max(np.abs(leak), initial=0.0) > _LEAK_RENORM_TOL:
+            new = _cholesky_qr(new)[0]
     short = min(min_total, m) - k - new.shape[1]
     if short > 0:
         new = np.column_stack([new, complete_orthonormal_columns(

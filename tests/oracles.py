@@ -3,17 +3,18 @@
 Everything here is written with explicit Python loops and per-entry arithmetic,
 deliberately avoiding the vectorized code paths of the package, so agreement is
 evidence rather than tautology. The factor references at the end (vector-at-a-
-time basis completion, the loop form of the kept-rank rule, the grid-space
-conservative truncation and the full-stack basis augmentation) are the
-straightforward formulations that the package's blocked, vectorized,
-coefficient-space and block-extension versions must reproduce.
+time basis completion, Householder QR with padding, the loop form of the
+kept-rank rule, the grid-space conservative truncation and the full-stack
+basis augmentation) are the straightforward formulations that the package's
+blocked, vectorized, coefficient-space and block-extension versions must
+reproduce.
 """
 
 import numpy as np
 
 from slabtrt.bug_fixed import _k_update, _l_update, _nodal
 from slabtrt.full_scheme import emission_gradient_parts
-from slabtrt.mesh_state import orthonormal_columns
+from slabtrt.mesh_state import complete_orthonormal_columns
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
 
@@ -263,6 +264,33 @@ def reference_complete_orthonormal_columns(basis, n_new):
     return (np.column_stack(added) if added else np.zeros((m, 0))), picked
 
 
+def reference_orthonormal_columns(mat):
+    """Orthonormal basis with the same column count as `mat`, by one Householder QR.
+
+    Columns whose QR diagonal entry falls below 1e-12 of the largest column norm
+    carry no reliable direction and are replaced, in place, by canonical
+    completions. When a column is dropped, the kept ones are orthonormalized
+    again through the QR of their R block: Householder QR gives a dropped
+    column a rounding-noise direction, mostly on one of the first grid rows,
+    and the kept q columns after it mix with that noise.
+    """
+    mat = np.asarray(mat, dtype=float)
+    m, r = mat.shape
+    if r > m:
+        raise ValueError("cannot orthonormalize more columns than rows")
+    q, rr = np.linalg.qr(mat)
+    col_scale = np.max(np.linalg.norm(mat, axis=0)) if r else 0.0
+    diag = np.abs(np.diag(rr))
+    keep = diag > 1e-12 * col_scale if col_scale > 0.0 else np.zeros(r, dtype=bool)
+    if np.all(keep):
+        return q
+    kept = q @ np.linalg.qr(rr[:, keep])[0]
+    out = np.empty((m, r))
+    out[:, keep] = kept
+    out[:, ~keep] = complete_orthonormal_columns(kept, r - int(keep.sum()))
+    return out
+
+
 def reference_choose_kept_rank(svals, theta_rel):
     """Loop form of the kept-rank rule: the first r* with sqrt(tail_{r*}) <= theta_rel.
 
@@ -322,7 +350,7 @@ def reference_augment_bases(state, macro, ws, dt):
     """Full-stack orthonormalization of the augmented bases, as one QR per stack.
 
     X_hat = orth[w_ap, K, X] and V_hat = orth[b, L, V] by Householder QR of the
-    whole stacks (`orthonormal_columns`), cut to min(2r+1, rows, N) columns, with
+    whole stacks (`reference_orthonormal_columns`), cut to min(2r+1, rows, N) columns, with
     V_hat[:, 0] pinned to +b/|b|. V[:, 0] is b/|b| for a pinned state, so it is
     left out of the angular stack: kept, QR would drop it and pad a canonical
     direction. The K and L updates come from the package kernels, which the
@@ -336,9 +364,9 @@ def reference_augment_bases(state, macro, ws, dt):
     l_new = _l_update(state, source, ws, dt, v_nodal)
     b_vec = ws.angular.b_vec
     n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], state.V_basis.shape[0])
-    x_hat = orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])
+    x_hat = reference_orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])
     v_stack = np.column_stack([b_vec, l_new, state.V_basis[:, 1:]])
-    v_hat = orthonormal_columns(v_stack[:, :min(n_aug, v_stack.shape[1])])
+    v_hat = reference_orthonormal_columns(v_stack[:, :min(n_aug, v_stack.shape[1])])
     if v_hat[:, 0] @ b_vec < 0.0:
         v_hat[:, 0] *= -1.0
     return x_hat, v_hat

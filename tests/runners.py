@@ -5,44 +5,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from slabtrt.angular import build_angular_operators
-from slabtrt.bug_adaptive import TruncationConfig, step_bug_adaptive
-from slabtrt.bug_fixed import step_bug_fixed
-from slabtrt.full_scheme import FullSchemeWorkspace, step_full
-from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass, rosseland_step
-from slabtrt.mesh_state import MacroState, scalar_flux, zero_low_rank_state
+from slabtrt.cli_io import simulate
+from slabtrt.full_scheme import FullSchemeWorkspace
+from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass
+from slabtrt.mesh_state import LowRankMicroState
 from slabtrt.scenarios import build_scenario
 
 
 @dataclass
 class Trace:
-    """Per-step diagnostics of one run."""
+    """Diagnostics of one run: the initial state, then one entry per step."""
 
     times: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     masses: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
     support_margins: list = field(default_factory=list)
-
-
-@dataclass
-class DeskRun:
-    grid: object
-    params: object
-    sigma: object
-    ws: object
-    dt: float
-    macro: object
-    micro_dense: object
-    micro_low_rank: object
-    trace: Trace
-
-    @property
-    def temperature(self):
-        return self.macro.temperature
-
-    @property
-    def phi(self):
-        return scalar_flux(self.macro, self.params)
 
 
 def _support_margin(temperature, h_meso, row_norms, scale):
@@ -61,63 +39,33 @@ def _support_margin(temperature, h_meso, row_norms, scale):
     return int(min(idx[0], len(temperature) - 1 - idx[-1]))
 
 
-def run_desk(scheme, scenario="rectangular_pulse", nx=101, n_moments=30, epsilon=1.0,
-             rank=5, theta_rel=5e-2, t_end=1.5, emission="linear", dt=None,
-             max_steps=None):
-    """Drive one scheme on a desk-scale scenario, recording per-step diagnostics."""
-    built = build_scenario(scenario, {"nx": nx, "n_moments": n_moments,
-                                      "epsilon": epsilon, "emission": emission})
+def _moment_row_norms(micro):
+    """Norm of the micro moments at each interface; V is orthonormal, so |X S| rows do."""
+    if isinstance(micro, LowRankMicroState):
+        return np.linalg.norm(micro.X_basis @ micro.S_coeff, axis=1)
+    return np.linalg.norm(micro.g_matrix, axis=1)
+
+
+def run_desk(scheme, nx=101, n_moments=30, epsilon=1.0, rank=5, t_end=1.5):
+    """Drive one transport scheme on the rectangular pulse at the CFL step.
+
+    The trace starts with the initial state, so every step is checked.
+    """
+    built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_moments,
+                                                 "epsilon": epsilon})
     grid, params, sigma = built.grid, built.params, built.sigma
     angular = build_angular_operators(n_moments)
     ws = FullSchemeWorkspace(grid, params, sigma, angular)
-    if dt is None:
-        dt = compute_cfl_dt(params, grid, angular, sigma)
+    dt = compute_cfl_dt(params, grid, angular, sigma)
 
-    macro = built.macro
-    dense = built.micro if scheme == "full" else None
-    low_rank = None
-    cfg = None
-    if scheme == "bug_fixed":
-        low_rank = zero_low_rank_state(nx + 1, n_moments, rank)
-    elif scheme == "bug_adaptive":
-        low_rank = zero_low_rank_state(nx + 1, n_moments, rank)
-        cfg = TruncationConfig(theta_rel=theta_rel, max_rank=min(nx + 1, n_moments))
-
-    scale = float(np.max(np.abs(macro.temperature)))
+    scale = float(np.max(np.abs(built.macro.temperature)))
     trace = Trace()
-    t = 0.0
-    step = 0
-    while t < t_end - 1e-14:
-        dt_step = min(dt, t_end - t)
-        step += 1
-        if scheme == "full":
-            macro, dense = step_full(macro, dense, ws, dt_step)
-            row_norms = np.linalg.norm(dense.g_matrix, axis=1)
-            mns = float(np.sum(dense.g_matrix**2) * grid.dx)
-            rank_now = 0
-        elif scheme in ("bug_fixed", "bug_adaptive"):
-            if scheme == "bug_fixed":
-                macro, low_rank, rep = step_bug_fixed(macro, low_rank, ws, dt_step)
-            else:
-                macro, low_rank, rep = step_bug_adaptive(macro, low_rank, ws, dt_step, cfg)
-            row_norms = np.linalg.norm(low_rank.X_basis @ low_rank.S_coeff, axis=1)
-            mns = low_rank.micro_norm_sq(grid.dx)
-            rank_now = rep.rank
-        else:
-            t_new = rosseland_step(macro.temperature, params, grid, sigma, dt_step)
-            macro = MacroState(t_new, np.zeros(nx))
-            row_norms = np.zeros(nx + 1)
-            mns = 0.0
-            rank_now = 0
-        t += dt_step
+    for t, _, macro, micro in simulate(scheme, built.macro, built.micro, ws, dt, t_end,
+                                       rank=rank, theta_rel=5e-2):
         trace.times.append(t)
-        trace.energies.append(energy(macro, mns, params, grid))
+        trace.energies.append(energy(macro, micro.micro_norm_sq(grid.dx), params, grid))
         trace.masses.append(mass(macro, params, grid))
-        trace.ranks.append(rank_now)
-        trace.support_margins.append(
-            _support_margin(macro.temperature, macro.h_meso, row_norms, scale))
-        if max_steps is not None and step >= max_steps:
-            break
-
-    return DeskRun(grid=grid, params=params, sigma=sigma, ws=ws, dt=dt, macro=macro,
-                   micro_dense=dense, micro_low_rank=low_rank, trace=trace)
+        trace.ranks.append(getattr(micro, "rank", 0))
+        trace.support_margins.append(_support_margin(
+            macro.temperature, macro.h_meso, _moment_row_norms(micro), scale))
+    return trace

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from slabtrt.angular import build_angular_operators
 from slabtrt.cli_io import (
     COMPARISON_HEADER,
     HISTORY_HEADER,
     PROFILES_HEADER,
+    SCHEMES,
     ConfigError,
     RunConfig,
     main,
     parse_config,
     run_simulation,
+    simulate,
 )
+from slabtrt.full_scheme import FullSchemeWorkspace
+from slabtrt.limits_diagnostics import energy, mass, relative_mass_error
+from slabtrt.scenarios import build_scenario
 
 DESK = """
 scenario = rectangular_pulse
@@ -68,6 +74,13 @@ class TestParseConfig:
     def test_missing_scheme(self):
         with pytest.raises(ConfigError, match="scheme"):
             parse_config("scenario = absorber")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["epsilon", "theta_rel", "t_end", "dt", "cfl_safety"])
+    def test_non_finite_float_names_key_and_line(self, key, value):
+        # t_end = inf would run zero steps, theta_rel = nan would never truncate
+        with pytest.raises(ConfigError, match=f"line 3: key '{key}': must be finite"):
+            parse_config(f"scenario = absorber\nscheme = full\n{key} = {value}\n")
 
 
 class TestRunSimulation:
@@ -155,6 +168,39 @@ class TestRunSimulation:
         _, rows_dense = read_rows(tmp_path / "d" / "history.csv")
         assert len(rows) < len(rows_dense)
         assert float(rows[-1][0]) == pytest.approx(0.2, abs=1e-14)
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_run_subcommand(self, tmp_path, scheme):
+        # the run subcommand writes one history row per step of simulate(),
+        # and the final profiles are its last state, bit for bit
+        path = tmp_path / "case.cfg"
+        path.write_text(
+            f"scenario = absorber\nscheme = {scheme}\nnx = 41\nn_moments = 8\n"
+            f"epsilon = 1.0\nrank = 3\ntheta_rel = 0.05\nt_end = 0.3\ndt = 0.01\n"
+            f"output_dir = {tmp_path}\n")
+        assert main(["run", str(path)]) == 0
+        _, history = read_rows(tmp_path / "history.csv")
+        _, profiles = read_rows(tmp_path / "profiles.csv")
+
+        built = build_scenario("absorber", {"nx": 41, "n_moments": 8, "epsilon": 1.0})
+        grid, params = built.grid, built.params
+        ws = FullSchemeWorkspace(grid, params, built.sigma, build_angular_operators(8))
+        states = list(simulate(scheme, built.macro, built.micro, ws, 0.01, 0.3,
+                               rank=3, theta_rel=0.05))
+        assert states[0][:3] == (0.0, 0.0, built.macro)
+        assert len(history) == len(states) - 1 == 30
+        m0 = mass(built.macro, params, grid)
+        for row, (t, dt_step, macro, micro) in zip(history, states[1:]):
+            m_n = mass(macro, params, grid)
+            assert [float(v) for v in row[:6]] == [
+                t, energy(macro, micro.micro_norm_sq(grid.dx), params, grid), m_n,
+                relative_mass_error(m_n, m0), getattr(micro, "rank", 0), dt_step]
+        final = states[-1][2]
+        columns = np.array(profiles, dtype=float).T
+        np.testing.assert_array_equal(columns[1], final.temperature)
+        np.testing.assert_array_equal(columns[3], final.h_meso)
 
 
 class TestCliEntrypoints:

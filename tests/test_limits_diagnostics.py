@@ -123,16 +123,6 @@ class TestEnergyMass:
         with pytest.raises(ValueError):
             relative_mass_error(1.0, 0.0)
 
-    def test_record_validation(self):
-        from slabtrt.limits_diagnostics import DiagnosticsRecord
-
-        with pytest.raises(ValueError):
-            DiagnosticsRecord(time=0.0, energy=-1.0, mass=0.0, rel_mass_error=0.0,
-                              rank=0, dt=0.1)
-        with pytest.raises(ValueError):
-            DiagnosticsRecord(time=0.0, energy=1.0, mass=0.0, rel_mass_error=0.0,
-                              rank=0, dt=0.0)
-
 
 class TestRosseland:
     def test_uniform_interior_unchanged(self):

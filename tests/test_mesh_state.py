@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import reference_complete_orthonormal_columns
+from oracles import reference_complete_orthonormal_columns, reference_orthonormal_columns
 from slabtrt.angular import gauss_legendre, orthonormal_legendre_table
 from slabtrt.mesh_state import (
     AbsorptionField,
@@ -10,18 +10,14 @@ from slabtrt.mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    apply_diff,
     beta_at_interfaces,
     beta_fields,
     beta_of_T,
     complete_orthonormal_columns,
     diff_center,
     diff_interface,
-    diff_minus,
-    diff_plus,
     extend_orthonormal_columns,
     init_from_kinetic,
-    orthonormal_columns,
     padded_difference,
     scalar_flux,
     zero_low_rank_state,
@@ -31,6 +27,20 @@ from slabtrt.mesh_state import (
 @pytest.fixture
 def grid():
     return StaggeredGrid(-1.0, 1.0, 8)
+
+
+def orthonormal(rng, m, k):
+    return np.linalg.qr(rng.standard_normal((m, k)))[0]
+
+
+# The staggered stencils: backward and forward differences of interface data
+# are the two row slices of one padded difference.
+STENCILS = {
+    "d_plus": lambda values, grid, bc: padded_difference(values, grid, bc)[1:],
+    "d_minus": lambda values, grid, bc: padded_difference(values, grid, bc)[:-1],
+    "d_zero_centers": lambda values, grid, bc: diff_center(values, grid),
+    "delta_zero_interfaces": diff_interface,
+}
 
 
 class TestGrid:
@@ -64,42 +74,43 @@ class TestAbsorption:
 
 
 class TestDifferences:
-    @pytest.mark.parametrize("kind", ["d_plus", "d_minus", "d_zero_centers",
-                                      "delta_zero_interfaces"])
+    @pytest.mark.parametrize("kind", sorted(STENCILS))
     def test_constant_periodic_is_zero(self, grid, kind):
         n = 8 if kind == "delta_zero_interfaces" else 9
-        out = apply_diff(kind, np.full(n, 3.7), grid, "periodic")
+        out = STENCILS[kind](np.full(n, 3.7), grid, "periodic")
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_forward_stencil_zero_ghost(self):
         grid = StaggeredGrid(0.0, 3.0, 3)
-        out = apply_diff("d_plus", np.array([0.0, 1.0, 2.0, 3.0]), grid, "zero_ghost")
+        out = padded_difference(np.array([0.0, 1.0, 2.0, 3.0]), grid, "zero_ghost")[1:]
         np.testing.assert_allclose(out, [1.0, 1.0, 1.0, -3.0], atol=1e-15)
 
     def test_shape_mismatch(self, grid):
         with pytest.raises(ValueError):
-            apply_diff("d_plus", np.zeros(5), grid)
+            padded_difference(np.zeros(5), grid)
         with pytest.raises(ValueError):
-            apply_diff("delta_zero_interfaces", np.zeros(9), grid)
-        with pytest.raises(ValueError):
-            apply_diff("unknown", np.zeros(9), grid)
+            diff_interface(np.zeros(9), grid)
 
     def test_summation_by_parts_periodic(self, grid):
         rng = np.random.default_rng(5)
         zeta = rng.standard_normal((9, 3))
         phi = rng.standard_normal((9, 3))
-        lhs = np.sum(zeta * apply_diff("d_plus", phi, grid, "periodic"))
-        rhs = -np.sum(apply_diff("d_minus", zeta, grid, "periodic") * phi)
+        lhs = np.sum(zeta * padded_difference(phi, grid, "periodic")[1:])
+        rhs = -np.sum(padded_difference(zeta, grid, "periodic")[:-1] * phi)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
     def test_padded_difference_slices_are_the_one_sided_differences(self, grid, bc):
+        # neighbours across the ends are zero ghosts or the wrapped rows
         rng = np.random.default_rng(7)
         for values in (rng.standard_normal(9), rng.standard_normal((9, 4))):
+            prev, nxt = np.roll(values, 1, axis=0), np.roll(values, -1, axis=0)
+            if bc == "zero_ghost":
+                prev[0] = nxt[-1] = 0.0
             diffs = padded_difference(values, grid, bc)
             assert diffs.shape[0] == 10
-            assert np.array_equal(diffs[:-1], diff_minus(values, grid, bc))
-            assert np.array_equal(diffs[1:], diff_plus(values, grid, bc))
+            assert np.array_equal(diffs[:-1], (values - prev) / grid.dx)
+            assert np.array_equal(diffs[1:], (nxt - values) / grid.dx)
 
     def test_padded_difference_validation(self, grid):
         with pytest.raises(ValueError):
@@ -130,8 +141,8 @@ class TestStates:
 
     def test_low_rank_reconstruction_rank(self):
         rng = np.random.default_rng(7)
-        x = orthonormal_columns(rng.standard_normal((10, 3)))
-        v = orthonormal_columns(rng.standard_normal((6, 3)))
+        x = orthonormal(rng, 10, 3)
+        v = orthonormal(rng, 6, 3)
         s = rng.standard_normal((3, 3))
         state = LowRankMicroState(x, s, v, 3)
         svals = np.linalg.svd(state.reconstruct(), compute_uv=False)
@@ -139,8 +150,8 @@ class TestStates:
 
     def test_orthogonality_defects_kept_on_construction(self):
         rng = np.random.default_rng(8)
-        x = orthonormal_columns(rng.standard_normal((10, 3)))
-        v = orthonormal_columns(rng.standard_normal((6, 3)))
+        x = orthonormal(rng, 10, 3)
+        v = orthonormal(rng, 6, 3)
         state = LowRankMicroState(x, rng.standard_normal((3, 3)), v, 3)
         assert state.x_orth_defect == np.max(np.abs(x.T @ x - np.eye(3)))
         assert state.v_orth_defect == np.max(np.abs(v.T @ v - np.eye(3)))
@@ -148,10 +159,10 @@ class TestStates:
 
     def test_reorthonormalized_keeps_product_and_first_columns(self):
         rng = np.random.default_rng(9)
-        x = orthonormal_columns(rng.standard_normal((30, 4)))
+        x = orthonormal(rng, 30, 4)
         v = np.zeros((8, 4))
         v[0, 0] = 1.0
-        v[1:, 1:] = orthonormal_columns(rng.standard_normal((7, 3)))
+        v[1:, 1:] = orthonormal(rng, 7, 3)
         x = x + 1e-13 * rng.standard_normal(x.shape)
         v[1:] += 1e-13 * rng.standard_normal((7, 4))
         state = LowRankMicroState(x, rng.standard_normal((4, 4)), v, 4)
@@ -178,24 +189,6 @@ class TestStates:
             zero_low_rank_state(12, 5, rank=0)
 
 
-class TestOrthonormalColumns:
-    def test_dropped_columns_do_not_mix_into_kept_ones(self):
-        # u and w live on rows 40..60; the repeated columns are dropped and padded
-        rng = np.random.default_rng(3)
-        m = 101
-        u, w = np.zeros(m), np.zeros(m)
-        u[40:61] = rng.standard_normal(21)
-        w[40:61] = rng.standard_normal(21)
-        q = orthonormal_columns(np.column_stack([u, 3.0 * u, w, 1e-3 * u + w]))
-        np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-14)
-        outside = np.r_[0:40, 61:m]
-        assert np.abs(q[outside][:, [0, 2]]).max() <= 1e-15
-        # the padding is two canonical directions off the support
-        np.testing.assert_allclose(np.abs(q[:, [1, 3]]), np.eye(m)[:, :2], atol=1e-15)
-        np.testing.assert_allclose(q[:, [0, 2]] @ (q[:, [0, 2]].T @ np.column_stack([u, w])),
-                                   np.column_stack([u, w]), atol=1e-13)
-
-
 def assert_extends_orthonormally(basis, new, atol=1e-13):
     both = np.column_stack([basis, new])
     np.testing.assert_allclose(both.T @ both, np.eye(both.shape[1]), rtol=0, atol=atol)
@@ -203,7 +196,42 @@ def assert_extends_orthonormally(basis, new, atol=1e-13):
 
 class TestExtendOrthonormalColumns:
     def random_basis(self, rng, m, k):
-        return orthonormal_columns(rng.standard_normal((m, k)))
+        return orthonormal(rng, m, k)
+
+    @pytest.mark.parametrize("basis_rows", [None, slice(70, 91)], ids=["empty", "off_support"])
+    def test_dropped_columns_do_not_mix_into_kept_ones(self, basis_rows):
+        # u and w live on rows 40..60 (the basis, if any, on rows 70..90); the
+        # repeated columns are dropped and the width is padded at the end
+        rng = np.random.default_rng(3)
+        m = 101
+        u, w = np.zeros(m), np.zeros(m)
+        u[40:61] = rng.standard_normal(21)
+        w[40:61] = rng.standard_normal(21)
+        basis = np.empty((m, 0))
+        if basis_rows is not None:
+            basis = np.zeros((m, 1))
+            basis[basis_rows, 0] = rng.standard_normal(21)
+            basis /= np.linalg.norm(basis)
+        k = basis.shape[1]
+        new = extend_orthonormal_columns(basis, np.column_stack([u, 3.0 * u, w, 1e-3 * u + w]),
+                                         min_total=k + 4)
+        assert new.shape == (m, 4)
+        assert_extends_orthonormally(basis, new, atol=1e-14)
+        outside = np.r_[0:40, 61:m]
+        assert np.abs(new[outside][:, :2]).max() <= 1e-15
+        # the padding is two canonical directions off the supports
+        np.testing.assert_allclose(np.abs(new[:, 2:]), np.eye(m)[:, :2], atol=1e-15)
+        np.testing.assert_allclose(new[:, :2] @ (new[:, :2].T @ np.column_stack([u, w])),
+                                   np.column_stack([u, w]), atol=1e-13)
+
+    @pytest.mark.parametrize("m,r", [(502, 15), (41, 8), (8, 8), (100, 1)])
+    def test_empty_basis_is_householder_qr(self, m, r):
+        # with nothing dropped, extending the empty basis is the plain QR of the
+        # reference, bit for bit; the fixed-rank step relies on it
+        rng = np.random.default_rng(125 + m + r)
+        cols = rng.standard_normal((m, r)) * np.logspace(0, -8, r)
+        new = extend_orthonormal_columns(np.empty((m, 0)), cols, min_total=r)
+        np.testing.assert_array_equal(new, reference_orthonormal_columns(cols))
 
     def test_spans_basis_and_columns(self):
         rng = np.random.default_rng(120)
@@ -282,7 +310,7 @@ class TestExtendOrthonormalColumns:
         fresh = rng.standard_normal((m, 1))
         assert extend_orthonormal_columns(basis, fresh, min_total=2).shape == (m, 1)
         # the floor never asks for more columns than there are rows
-        full = orthonormal_columns(rng.standard_normal((3, 2)))
+        full = orthonormal(rng, 3, 2)
         assert extend_orthonormal_columns(full, np.zeros((3, 1)), min_total=5).shape == (3, 1)
 
     def test_new_block_is_capped_at_the_free_rows(self):
@@ -314,7 +342,7 @@ class TestCompleteOrthonormalColumns:
                                            (12, 0, 5), (30, 25, 5)])
     def test_random_bases_match_reference(self, m, k, n_new):
         rng = np.random.default_rng(100 + m + k + n_new)
-        basis = orthonormal_columns(rng.standard_normal((m, k))) if k else np.zeros((m, 0))
+        basis = orthonormal(rng, m, k) if k else np.zeros((m, 0))
         self.check_against_reference(basis, n_new)
 
     @pytest.mark.parametrize("n_new", [1, 3])
@@ -322,7 +350,7 @@ class TestCompleteOrthonormalColumns:
         # a rotated basis of span(e_0..e_29): the first 30 candidates are rejected
         rng = np.random.default_rng(110)
         m = 60
-        rotation = orthonormal_columns(rng.standard_normal((30, 30)))
+        rotation = orthonormal(rng, 30, 30)
         basis = np.zeros((m, 30))
         basis[:30] = rotation
         picked = self.check_against_reference(basis, n_new)
@@ -336,19 +364,19 @@ class TestCompleteOrthonormalColumns:
         # as in the augmented angular stack of the adaptive scheme
         nodes = np.linspace(-0.95, 0.95, 40)
         smooth = orthonormal_legendre_table(12, nodes)[1:].T
-        basis = orthonormal_columns(np.column_stack([np.eye(40)[:, 0], smooth]))
+        basis = np.linalg.qr(np.column_stack([np.eye(40)[:, 0], smooth]))[0]
         picked = self.check_against_reference(basis, n_new)
         assert picked[0] > 0
 
     def test_orthonormal_against_nearly_orthonormal_basis(self):
         rng = np.random.default_rng(111)
-        basis = orthonormal_columns(rng.standard_normal((50, 10)))
+        basis = orthonormal(rng, 50, 10)
         basis = basis + 1e-15 * rng.standard_normal(basis.shape)
         self.check_against_reference(basis, 3)
 
     def test_too_few_directions_raise(self):
         rng = np.random.default_rng(112)
-        full = orthonormal_columns(rng.standard_normal((8, 8)))
+        full = orthonormal(rng, 8, 8)
         with pytest.raises(ValueError):
             complete_orthonormal_columns(full, 1)
         with pytest.raises(ValueError):
