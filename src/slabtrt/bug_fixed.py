@@ -76,7 +76,7 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     with the L-step of the same basis.
     """
     proj_plus, proj_minus = _flux_projections(v_nodal, ws)
-    return micro_update(state.X_basis @ state.S_coeff, proj_plus, proj_minus,
+    return micro_update(state.X_basis @ state.S_coeff, (proj_plus, proj_minus),
                         state.V_basis.T @ ws.angular.b_vec, source, ws, dt)
 
 

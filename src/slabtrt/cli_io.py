@@ -145,8 +145,10 @@ def parse_config(text: str) -> RunConfig:
         fail("n_moments", "must be a positive integer")
     if config.epsilon is not None and not config.epsilon > 0.0:
         fail("epsilon", "must be strictly positive")
-    if config.rank is not None and config.rank < 1:
-        fail("rank", "must be at least 1")
+    scn = scenario_defaults(config.scenario, config.epsilon)
+    most = min((config.nx or scn.nx) + 1, config.n_moments or scn.n_moments)
+    if config.rank is not None and not 1 <= config.rank <= most:
+        fail("rank", f"must be between 1 and min(nx + 1, n_moments) = {most}")
     if config.theta_rel is not None and config.theta_rel < 0.0:
         fail("theta_rel", "must be nonnegative")
     if config.t_end is not None and not config.t_end > 0.0:

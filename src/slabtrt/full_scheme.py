@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .angular import NORM_P1, AngularOperators
+from .angular import NORM_P1, AngularOperators, recurrence_coeff
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
@@ -20,6 +21,8 @@ from .mesh_state import (
     diff_interface,
     padded_difference,
 )
+
+_PARITIES = (slice(0, None, 2), slice(1, None, 2))  # columns 0, 2, 4, ... and 1, 3, 5, ...
 
 __all__ = [
     "FullSchemeWorkspace",
@@ -46,6 +49,17 @@ class FullSchemeWorkspace:
             raise ValueError("absorption field does not match the grid")
         if self.bc not in (BC_ZERO_GHOST, BC_PERIODIC):
             raise ValueError(f"bc must be '{BC_ZERO_GHOST}' or '{BC_PERIODIC}'")
+
+    @cached_property
+    def _split_advection(self):
+        """A's super-diagonal A[i, i+1] = a_{i+1} at even and odd i, the parity blocks of
+        the nodal |A|, both times eps / (2 dx), and per parity the stencil buffers."""
+        scale = self.params.epsilon / (2.0 * self.grid.dx)
+        upper = scale * recurrence_coeff(np.arange(1.0, self.angular.n_moments))
+        t_mat, mu_abs = self.angular.T_mat, np.abs(self.angular.quad.nodes)
+        blocks = [scale * (t_mat[par] * mu_abs) @ t_mat[par].T for par in _PARITIES]
+        buffers = [[np.empty((self.grid.n_cells + i, len(b))) for i in (2, 1, 1)] for b in blocks]
+        return (upper[0::2], upper[1::2]), blocks, buffers
 
     def check_step(self, macro: MacroState, n_rows: int, n_moments: int, dt: float):
         """Reject a step size, or a macro state and micro shape that do not fit."""
@@ -76,22 +90,56 @@ def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.n
     return emission_gradient_parts(macro, ws)[1]
 
 
-def micro_update(k: np.ndarray, flux_plus: np.ndarray, flux_minus: np.ndarray,
-                 b_proj: np.ndarray, source: np.ndarray, ws: FullSchemeWorkspace,
-                 dt: float) -> np.ndarray:
+def _split_rhs(g: np.ndarray, shift: float, ws: FullSchemeWorkspace) -> np.ndarray:
+    """shift g - eps (D- g A+ + D+ g A-), with D- A+ + D+ A- = (C A + J |A|) / (2 dx).
+
+    The stencils C g = g_{j+1} - g_{j-1}, J g = 2 g_j - g_{j-1} - g_{j+1} go into the
+    buffers of each parity. A (zero diagonal) maps each parity to the other through
+    its super-diagonal; |A| keeps parity and is one GEMM per parity.
+    """
+    (upper_even, upper_odd), blocks, buffers = ws._split_advection
+    rhs = np.multiply(g, shift)
+    for par, block, (diff, central, jump) in zip(_PARITIES, blocks, buffers):
+        half = g[:, par]
+        ghost_l, ghost_r = (half[-1], half[0]) if ws.bc == BC_PERIODIC else (0.0, 0.0)
+        np.subtract(half[0], ghost_l, out=diff[0])
+        np.subtract(half[1:], half[:-1], out=diff[1:-1])
+        np.subtract(ghost_r, half[-1], out=diff[-1])
+        np.add(diff[:-1], diff[1:], out=central)
+        np.subtract(diff[:-1], diff[1:], out=jump)
+        np.matmul(jump, block, out=diff[:-1])  # from here on jump is scratch
+    (res_e, cen_e, jump_e), (res_o, cen_o, jump_o) = [(d[:-1], c, j) for d, c, j in buffers]
+    n_odd, n_up = len(upper_even), len(upper_odd)
+    # column 2m couples to columns 2m -+ 1 through upper[2m - 1] and upper[2m]
+    res_e[:, :n_odd] += np.multiply(cen_o, upper_even, out=jump_o)
+    res_e[:, 1:] += np.multiply(cen_o[:, :n_up], upper_odd, out=jump_e[:, :n_up])
+    res_o += np.multiply(cen_e[:, :n_odd], upper_even, out=jump_o)
+    res_o[:, :n_up] += np.multiply(cen_e[:, 1:], upper_odd, out=jump_o[:, :n_up])
+    for par, res in zip(_PARITIES, (res_e, res_o)):
+        np.subtract(rhs[:, par], res, out=rhs[:, par])
+    return rhs
+
+
+def micro_update(k: np.ndarray, flux, b_proj: np.ndarray, source: np.ndarray,
+                 ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
     """One implicit-absorption step of micro moments K held in an angular basis V.
 
-    flux_plus/minus are V^T A+- V and b_proj is V^T b; with V = I this is the
-    dense update, and with the K-step's basis it is the K-step. Advection is
-    explicit and upwind-split, the interface source enters along the
-    first-moment direction, and absorption is a pointwise scalar division.
+    flux = (V^T A+ V, V^T A- V) and b_proj = V^T b is the K-step; flux None is the
+    dense update (V = I, b = |P_1| e_1) in split form. Advection is explicit and
+    upwind-split, the interface source enters along the first-moment direction,
+    and absorption is a pointwise scalar division.
     """
     p = ws.params
     shift = p.epsilon**2 / (p.c * dt)
-    diffs = padded_difference(k, ws.grid, ws.bc)
-    advect = diffs[:-1] @ flux_plus + diffs[1:] @ flux_minus
-    rhs = shift * k - p.epsilon * advect - np.outer(source, b_proj)
-    return rhs / (shift + ws.sigma.at_interfaces)[:, None]
+    if flux is None:
+        rhs = _split_rhs(k, shift, ws)
+        rhs[:, 0] -= source * b_proj[0]
+    else:
+        diffs = padded_difference(k, ws.grid, ws.bc)
+        advect = diffs[:-1] @ flux[0] + diffs[1:] @ flux[1]
+        rhs = shift * k - p.epsilon * advect - np.outer(source, b_proj)
+    rhs /= (shift + ws.sigma.at_interfaces)[:, None]
+    return rhs
 
 
 def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorkspace,
@@ -116,8 +164,7 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     """
     ws.check_step(macro, *micro.g_matrix.shape, dt)
 
-    ang = ws.angular
-    g_new = micro_update(micro.g_matrix, ang.A_plus, ang.A_minus, ang.b_vec,
+    g_new = micro_update(micro.g_matrix, None, ws.angular.b_vec,
                          emission_gradient_source(macro, ws), ws, dt)
     h_new, t_new = meso_macro_update(g_new[:, 0], macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)

@@ -177,7 +177,8 @@ class FullMicroState:
         """Squared discrete L2 norm of the micro moments, dx * ||g||_F^2."""
         if not self.g_matrix.size:  # the diffusion scheme: numpy's empty sum costs ~7 us
             return 0.0
-        return float(np.sum(self.g_matrix**2) * dx)
+        # no temporary; BLAS ddot allocates none either but runs 8x slower threaded
+        return float(np.einsum("ij,ij->", self.g_matrix, self.g_matrix) * dx)
 
 
 def _orth_defect(mat: np.ndarray) -> float:

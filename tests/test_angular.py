@@ -133,13 +133,22 @@ class TestAngularOperators:
         assert np.max(np.abs(ops.A_plus + ops.A_minus - ops.A)) <= 1e-14
         assert np.max(np.abs(ops.A_plus - ops.A_minus - ops.A_abs)) <= 1e-14
 
-    @pytest.mark.parametrize("n", [3, 50])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 101, 400])
     def test_tridiagonal_structure(self, n):
         ops = build_angular_operators(n)
         expected = np.zeros((n, n))
         for k in range(1, n):
             expected[k - 1, k] = expected[k, k - 1] = recurrence_coeff(k)
         assert np.max(np.abs(ops.A - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 101, 400])
+    def test_stabilization_matrix_couples_equal_parity_only(self, n):
+        # the dense step applies the nodal |A| as one block per parity of moments
+        ops = build_angular_operators(n)
+        odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+        nodal_abs = (ops.T_mat * np.abs(ops.quad.nodes)) @ ops.T_mat.T
+        assert np.max(np.abs(nodal_abs[odd]), initial=0.0) <= 1e-15
+        assert np.max(np.abs(ops.A_abs[odd]), initial=0.0) <= 1e-15
 
     def test_factorization_consistency(self):
         ops = build_angular_operators(7)

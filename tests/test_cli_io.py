@@ -82,6 +82,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 3: key '{key}': must be finite"):
             parse_config(f"scenario = absorber\nscheme = full\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    @pytest.mark.parametrize("grid, most", [
+        ("nx = 41\nn_moments = 8", 8),    # min(nx + 1, n_moments) = 8
+        ("epsilon = 1e-5\nnx = 5", 6),    # 100 moments by default
+        ("epsilon = 1e-5\nn_moments = 300", 202),  # 201 diffusive cells by default
+    ])
+    def test_rank_beyond_the_grid_names_key_and_line(self, scheme, grid, most):
+        text = f"scenario = absorber\nscheme = {scheme}\n{grid}\nrank = {{}}\n"
+        with pytest.raises(ConfigError, match="line 5: key 'rank'"):
+            parse_config(text.format(most + 1))
+        assert parse_config(text.format(most)).rank == most
+
 
 class TestRunSimulation:
     def test_writes_history_and_profiles(self, tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import oracle_step_full
 from slabtrt.angular import NORM_P1, build_angular_operators
-from slabtrt.full_scheme import FullSchemeWorkspace, step_full
+from slabtrt.full_scheme import FullSchemeWorkspace, _split_rhs, step_full
 from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass, rosseland_step
 from slabtrt.mesh_state import (
     AbsorptionField,
@@ -11,6 +13,7 @@ from slabtrt.mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    padded_difference,
 )
 
 
@@ -108,6 +111,42 @@ class TestStepFull:
             step_full(macro, micro, ws, 0.0)
         with pytest.raises(ValueError):
             step_full(macro, FullMicroState(np.zeros((4, 5))), ws, 0.1)
+
+
+class TestSplitAdvection:
+    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
+    @pytest.mark.parametrize("n_mom", [1, 2, 3, 8, 101, 400])
+    def test_matches_upwind_products(self, n_mom, bc):
+        # N = 1 leaves the odd block empty; odd N gives blocks of unequal width
+        ws = make_workspace(nx=9, n_moments=n_mom, epsilon=0.7, x_max=2.0, bc=bc)
+        g = np.random.default_rng(n_mom).standard_normal((10, n_mom))
+        got = -_split_rhs(g, 0.0, ws)
+        diffs = padded_difference(g, ws.grid, bc)
+        want = 0.7 * (diffs[:-1] @ ws.angular.A_plus + diffs[1:] @ ws.angular.A_minus)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_step_never_touches_dense_flux_matrices(self):
+        ws = make_workspace(nx=12, n_moments=7, epsilon=0.5, bc="periodic")
+        nan = np.full((7, 7), np.nan)
+        poisoned = dataclasses.replace(
+            ws, angular=dataclasses.replace(ws.angular, A=nan, A_plus=nan, A_minus=nan, A_abs=nan))
+        rng = np.random.default_rng(3)
+        macro = MacroState(rng.uniform(0.5, 1.5, 12), rng.standard_normal(12))
+        micro = FullMicroState(rng.standard_normal((13, 7)))
+        for a, b in zip(step_full(macro, micro, ws, 0.01), step_full(macro, micro, poisoned, 0.01)):
+            for name, value in vars(a).items():
+                np.testing.assert_array_equal(getattr(b, name), value)
+
+    def test_returned_state_is_not_a_workspace_buffer(self):
+        ws = make_workspace(nx=10, n_moments=5)
+        rng = np.random.default_rng(4)
+        macro = MacroState(rng.uniform(0.5, 1.5, 10), np.zeros(10))
+        macro, first = step_full(macro, FullMicroState(rng.standard_normal((11, 5))), ws, 0.05)
+        kept = first.g_matrix.copy()
+        micro = first
+        for _ in range(2):
+            macro, micro = step_full(macro, micro, ws, 0.05)
+        np.testing.assert_array_equal(first.g_matrix, kept)
 
 
 class TestEnergyAndMass:
