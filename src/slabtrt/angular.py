@@ -1,8 +1,9 @@
-"""Legendre polynomials, Gauss-Legendre quadrature, and the angular flux matrices."""
+"""Legendre polynomials, Gauss-Legendre quadrature, and the angular operators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,18 +141,16 @@ def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AngularOperators:
-    """Flux matrix, upwind split, and stabilization matrix of the moment system.
+    """Nodal transformation and source vectors of the moment system.
 
-    The transformation T_mat holds sqrt(w_k) P_i(mu_k) for moments i = 1..N so that
-    A = T M T^T with M = diag(mu_k); the split parts use (M +- |M|)/2.
+    The transformation T_mat holds sqrt(w_k) P_i(mu_k) for moments i = 1..N; its
+    rows are orthonormal. The flux matrix A = T M T^T with M = diag(mu_k), its
+    upwind parts with (M +- |M|)/2 and the stabilization matrix with |M| are
+    computed on first access: no step reads them, they are test references.
     """
 
     n_moments: int
     quad: QuadratureRule
-    A: np.ndarray
-    A_plus: np.ndarray
-    A_minus: np.ndarray
-    A_abs: np.ndarray
     T_mat: np.ndarray
     b_vec: np.ndarray
     a_vec: np.ndarray
@@ -161,29 +160,30 @@ class AngularOperators:
         n = self.n_moments
         if n < 1:
             raise ValueError("n_moments must be a positive integer")
-        for name in ("A", "A_plus", "A_minus", "A_abs"):
-            if getattr(self, name).shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}")
         if self.T_mat.shape != (n, n + 1):
             raise ValueError("T_mat must be n_moments x (n_moments + 1)")
-        for name in ("A", "A_plus", "A_minus", "A_abs", "T_mat", "b_vec", "a_vec"):
+        for name in ("T_mat", "b_vec", "a_vec"):
             getattr(self, name).setflags(write=False)
+
+    def _read_only(self, mat: np.ndarray) -> np.ndarray:
+        mat.setflags(write=False)
+        return mat
+
+    A_plus = cached_property(lambda self: self._read_only(0.5 * (
+        self.T_mat * (self.quad.nodes + np.abs(self.quad.nodes))) @ self.T_mat.T))
+    A_minus = cached_property(lambda self: self._read_only(0.5 * (
+        self.T_mat * (self.quad.nodes - np.abs(self.quad.nodes))) @ self.T_mat.T))
+    A = cached_property(lambda self: self._read_only(self.A_plus + self.A_minus))
+    A_abs = cached_property(lambda self: self._read_only(self.A_plus - self.A_minus))
 
 
 def build_angular_operators(n_moments: int) -> AngularOperators:
-    """Assemble the angular matrices for a moment system with moments 1..n_moments."""
+    """Assemble the angular operators for a moment system with moments 1..n_moments."""
     if n_moments < 1:
         raise ValueError("n_moments must be a positive integer")
     quad = gauss_legendre(n_moments + 1)
     table = orthonormal_legendre_table(n_moments, quad.nodes)
     t_mat = np.sqrt(quad.weights)[None, :] * table[1:, :]
-
-    mu = quad.nodes
-    mu_abs = np.abs(mu)
-    a_plus = 0.5 * (t_mat * (mu + mu_abs)) @ t_mat.T
-    a_minus = 0.5 * (t_mat * (mu - mu_abs)) @ t_mat.T
-    a_mat = a_plus + a_minus
-    a_abs = a_plus - a_minus
 
     b_vec = np.zeros(n_moments)
     b_vec[0] = NORM_P1
@@ -192,10 +192,6 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
     return AngularOperators(
         n_moments=n_moments,
         quad=quad,
-        A=a_mat,
-        A_plus=a_plus,
-        A_minus=a_minus,
-        A_abs=a_abs,
         T_mat=t_mat,
         b_vec=b_vec,
         a_vec=a_vec,

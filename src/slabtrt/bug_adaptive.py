@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bug_fixed import _finish_step, _galerkin_update, _k_update, _l_update, _nodal
+from .bug_fixed import _finish_step, _galerkin_update, _k_update, _l_update
 from .full_scheme import FullSchemeWorkspace, emission_gradient_parts, emission_gradient_source
 from .mesh_state import (
     LowRankMicroState,
@@ -30,7 +30,7 @@ __all__ = [
 # weight is this small relative to the whole coefficient block contribute nothing
 # and get a padded direction.
 _DEGENERATE_TOL = 1e-14
-# The first angular basis vector must be b/|b| to this accuracy on entry.
+# The first angular basis vector must be b/|b| (nodal: row 0 of T) to this accuracy.
 _PIN_TOL = 1e-12
 # Smallest augmented width: the conserved column plus one truncated direction.
 _RANK_FLOOR = 2
@@ -59,12 +59,12 @@ class AugmentedFactors:
     """Augmented orthonormal bases and the projections of the old factors.
 
     The old bases are the leading columns, X_hat = [X | X1] and V_hat = [V | V1],
-    so M_hat = X_hat^T X and N_hat = V_hat^T V are [I; 0]. The first spatial
-    direction added spans the diffusion-limit direction (when it is new) and
-    the first angular column is the unit first-moment direction b/|b|.
-    `source` is the interface emission source of the step, evaluated once
-    together with w_ap, and `V_nodal` is T^T V_hat; when either is None the
-    Galerkin step evaluates it.
+    so M_hat = X_hat^T X and N_hat = V_hat^T V are [I; 0]. V_hat is nodal, like
+    the angular factor of the state. The first spatial direction added spans
+    the diffusion-limit direction (when it is new) and the first angular column
+    is the unit first-moment direction b/|b|. `source` is the interface
+    emission source of the step, evaluated once together with w_ap; when it is
+    None the Galerkin step evaluates it.
     """
 
     X_hat: np.ndarray
@@ -73,12 +73,16 @@ class AugmentedFactors:
     N_hat: np.ndarray
     w_ap: np.ndarray
     source: np.ndarray | None = field(default=None)
-    V_nodal: np.ndarray | None = field(default=None)
 
 
 @dataclass(frozen=True)
 class TruncationDetails:
-    """Intermediate truncation factors, exposed for verification."""
+    """Intermediate truncation factors, exposed for verification.
+
+    S_hat[:, 1:] = C S_rem_hat with orthonormal C, and U_hat holds the kept
+    left singular vectors of S_rem_hat. C is taken from the thin SVD of
+    S_hat[:, 1:], so S_rem_hat = diag(sigma) W^T and U_hat is the identity.
+    """
 
     S_ap: np.ndarray
     S_rem_hat: np.ndarray
@@ -100,32 +104,34 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     """Extend both bases by the directions of the step: X_hat = [X | X1], V_hat = [V | V1].
 
     X1 is an orthonormal basis of the part of [w_ap, K] outside span X, and V1
-    of the part of [L, b] outside span V. The K and L updates enter as they are,
-    and each new block gets one projection and one QR of at most r + 1 columns
-    (`extend_orthonormal_columns`). Directions already spanned are dropped, so
-    the widths may differ; canonical padding only lifts a width to the rank
-    floor of 2. V[:, 0] must be b/|b|, so b is always dropped and V_hat[:, 0]
-    stays the conserved-moment direction.
+    of the part of [L, b] outside span [t0 | V], in nodal coordinates. The K and
+    L updates enter as they are, and each new block gets one projection and one
+    QR of at most r + 1 columns (`extend_orthonormal_columns`). Directions
+    already spanned are dropped, so the widths may differ; padding (canonical
+    in space, rows of T in angle) only lifts a width to the rank floor of 2.
+    V[:, 0] must be b/|b|, so b is always dropped and V_hat[:, 0] stays the
+    conserved-moment direction.
     """
-    b_vec = ws.angular.b_vec
-    if np.max(np.abs(state.V_basis[:, 0] - b_vec / np.linalg.norm(b_vec))) > _PIN_TOL:
+    nod = ws.nodal
+    if np.max(np.abs(state.V_basis[:, 0] - nod.pin)) > _PIN_TOL:
         raise ValueError("the first angular basis vector must be b/|b|")
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    v_nodal = _nodal(state.V_basis, ws)
-    k_new = _k_update(state, source, ws, dt, v_nodal)
-    l_new = _l_update(state, source, ws, dt, v_nodal)
+    k_new = _k_update(state, source, ws, dt)
+    l_new = _l_update(state, source, ws, dt)
 
     x_new = extend_orthonormal_columns(state.X_basis, np.column_stack([w_ap, k_new]),
                                        _RANK_FLOOR)
-    v_new = extend_orthonormal_columns(state.V_basis, np.column_stack([l_new, b_vec]),
-                                       _RANK_FLOOR)
+    # t0 is outside range(T^T): without it in the basis, rounding that QR
+    # amplifies would leak into that direction
+    v_new = extend_orthonormal_columns(np.column_stack([nod.t0, state.V_basis]),
+                                       np.column_stack([l_new, nod.b]), _RANK_FLOOR + 1,
+                                       nod.rows)
     x_hat = np.column_stack([state.X_basis, x_new])
     v_hat = np.column_stack([state.V_basis, v_new])
     r = state.rank
     return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=np.eye(x_hat.shape[1], r),
-                            N_hat=np.eye(v_hat.shape[1], r), w_ap=w_ap, source=source,
-                            V_nodal=np.column_stack([v_nodal, _nodal(v_new, ws)]))
+                            N_hat=np.eye(v_hat.shape[1], r), w_ap=w_ap, source=source)
 
 
 def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState, macro: MacroState,
@@ -139,7 +145,7 @@ def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState, macro: M
     s_tilde = np.zeros((aug.X_hat.shape[1], aug.V_hat.shape[1]))
     s_tilde[:r, :r] = state_old.S_coeff
     source = aug.source if aug.source is not None else emission_gradient_source(macro, ws)
-    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, source, ws, dt, aug.V_nodal)
+    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, source, ws, dt)
 
 
 def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
@@ -168,25 +174,25 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
     the normalized singular-value tail tolerance of cfg.theta_rel.
 
     X_hat is orthonormal, so K_hat = X_hat S_hat is factored through S_hat:
-    all three QRs and the SVD act on coefficient blocks with |X_hat| rows, and
-    only the final spatial basis is lifted, X_new = X_hat C_new. The kept
-    rank is capped by both augmented widths.
+    the thin SVD of the remainder, the normalization of the conserved column
+    and the refolding QR act on coefficient blocks with |X_hat| rows, and only
+    the final spatial basis is lifted, X_new = X_hat C_new. The kept rank is
+    capped by both augmented widths.
     """
     x_hat, v_hat = aug.X_hat, aug.V_hat
     width_x, width_v = x_hat.shape[1], v_hat.shape[1]
 
-    c_rem_hat, s_rem_hat = np.linalg.qr(s_hat[:, 1:])
-    u_mat, svals, wt_mat = np.linalg.svd(s_rem_hat)
+    c_rem_hat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
     r_star = _choose_kept_rank(svals, cfg.theta_rel)
     r_star = min(r_star, cfg.max_rank - 1, width_x - 1, width_v - 1)
     r_star = max(r_star, 1)
 
-    u_hat = u_mat[:, :r_star]
     w_hat = wt_mat[:r_star, :].T
-    c_rem = c_rem_hat @ u_hat
+    c_rem = c_rem_hat[:, :r_star]
     v_new = np.column_stack([v_hat[:, :1], v_hat[:, 1:] @ w_hat])
 
-    c_ap, s_ap = np.linalg.qr(s_hat[:, :1])
+    s_ap = np.linalg.norm(s_hat[:, :1], keepdims=True)
+    c_ap = s_hat[:, :1] / (s_ap[0, 0] or 1.0)  # a zero column is a dead slot below
     weights = np.concatenate([s_ap[0], svals[:r_star]])
     dead = np.abs(weights) <= _DEGENERATE_TOL * max(float(np.linalg.norm(s_hat)), 1e-300)
     weights[dead] = 0.0
@@ -202,13 +208,13 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
     c_new, r2 = np.linalg.qr(slots)
     x_new = x_hat @ c_new
     rank_new = r_star + 1
-    s_new = r2 @ np.diag(weights)
+    s_new = r2 * weights
 
     state = LowRankMicroState(x_new, s_new, v_new, rank_new)
     if return_details:
         details = TruncationDetails(
-            S_ap=s_ap, S_rem_hat=s_rem_hat, U_hat=u_hat, W_hat=w_hat,
-            R2=r2, S_hat=s_hat, r_star=r_star,
+            S_ap=s_ap, S_rem_hat=svals[:, None] * wt_mat, U_hat=np.eye(svals.size, r_star),
+            W_hat=w_hat, R2=r2, S_hat=s_hat, r_star=r_star,
         )
         return state, details
     return state
@@ -217,7 +223,7 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
                       dt: float, cfg: TruncationConfig):
     """One rank-adaptive step: augment, Galerkin update, truncate, then meso/macro."""
-    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
+    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0] - 1, dt)
     if max(state.x_orth_defect, state.v_orth_defect) > _REORTH_TOL:
         state = state.reorthonormalized()
 

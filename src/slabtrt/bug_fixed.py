@@ -41,26 +41,16 @@ class BugStepReport:
                    v_orth_defect=state.v_orth_defect, dt=dt)
 
 
-# The flux matrices are nodal: A+- = T diag(mu+-) T^T with T = angular.T_mat and
-# mu+- = (mu +- |mu|) / 2 on the quadrature nodes. An angular basis V enters every
-# kernel through its nodal values T^T V alone, so no N x N matrix is multiplied.
+# The angular factor is held in nodal coordinates, W = T^T V with T = angular.T_mat.
+# The flux matrices are nodal too, A+- = T diag(mu+-) T^T with mu+- = (mu +- |mu|) / 2,
+# so V^T A+- V = W^T diag(mu+-) W and T^T A+- = (I - t0 t0^T) diag(mu+-) T^T: no
+# step multiplies by T. The constants live in `ws.nodal`.
 
 
-def _nodal(v: np.ndarray, ws: FullSchemeWorkspace) -> np.ndarray:
-    """Nodal values T^T V of an angular basis."""
-    return ws.angular.T_mat.T @ v
-
-
-def _node_speeds(ws: FullSchemeWorkspace):
-    mu = ws.angular.quad.nodes
-    mu_abs = np.abs(mu)
-    return 0.5 * (mu + mu_abs), 0.5 * (mu - mu_abs)
-
-
-def _flux_projections(v_nodal: np.ndarray, ws: FullSchemeWorkspace):
-    """V^T A+ V and V^T A- V from the nodal values T^T V."""
-    mu_plus, mu_minus = _node_speeds(ws)
-    return (v_nodal.T * mu_plus) @ v_nodal, (v_nodal.T * mu_minus) @ v_nodal
+def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
+    """V^T A+ V and V^T A- V from the nodal factor W = T^T V."""
+    nod = ws.nodal
+    return (w.T * nod.mu_plus) @ w, (w.T * nod.mu_minus) @ w
 
 
 def _flow_minus(x: np.ndarray, ws: FullSchemeWorkspace) -> np.ndarray:
@@ -68,71 +58,66 @@ def _flow_minus(x: np.ndarray, ws: FullSchemeWorkspace) -> np.ndarray:
     return x.T @ padded_difference(x, ws.grid, ws.bc)[:-1]
 
 
+def _absorb_inverse(x: np.ndarray, shift: float, ws: FullSchemeWorkspace) -> np.ndarray:
+    """(shift I + X^T sigma X)^-1, with C = X^T sigma X = sum_i sigma_{i+1/2} X_i X_i^T.
+
+    The matrix is small and symmetric positive definite; one inverse and a
+    product cost far less than a solve with many right-hand sides.
+    """
+    absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
+    return np.linalg.inv(shift * np.eye(x.shape[1]) + absorb)
+
+
 def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float, v_nodal: np.ndarray) -> np.ndarray:
+              dt: float) -> np.ndarray:
     """K = X S advanced in the frozen angular basis, before orthonormalization.
 
-    This is the dense micro update in the basis V; v_nodal = T^T V is shared
-    with the L-step of the same basis.
+    This is the dense micro update in the basis V, with V^T b = W^T T^T b.
     """
-    proj_plus, proj_minus = _flux_projections(v_nodal, ws)
-    return micro_update(state.X_basis @ state.S_coeff, (proj_plus, proj_minus),
-                        state.V_basis.T @ ws.angular.b_vec, source, ws, dt)
+    w = state.V_basis
+    return micro_update(state.X_basis @ state.S_coeff, _flux_projections(w, ws),
+                        w.T @ ws.nodal.b, source, ws, dt)
 
 
 def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float, v_nodal: np.ndarray) -> np.ndarray:
-    """L = V S^T advanced in the frozen spatial basis, before orthonormalization.
+              dt: float) -> np.ndarray:
+    """T^T L for L = V S^T advanced in the frozen spatial basis, before orthonormalization.
 
-    A+ L F- + A- L F+ with F-+ = (D-+ X)^T X is one nodal product
-    T (mu+ o (T^T L F-) + mu- o (T^T L F+)), and T^T L = (T^T V) S^T.
-    The absorption couples through C = sum_i sigma_{i+1/2} X_i X_i^T, making the
-    implicit solve an r x r symmetric positive definite system.
+    A+ L F- + A- L F+ with F-+ = (D-+ X)^T X and F+ = -F-^T is, in nodal
+    coordinates, P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
+    The absorption makes the implicit solve an r x r SPD system.
     """
-    p = ws.params
-    x, s, v = state.X_basis, state.S_coeff, state.V_basis
-    r = state.rank
+    p, nod = ws.params, ws.nodal
+    x = state.X_basis
     shift = p.epsilon**2 / (p.c * dt)
 
-    l_mat = v @ s.T
-    f_minus = _flow_minus(x, ws).T  # F- = (D- X)^T X, and F+ = -F-^T
-    l_nodal = v_nodal @ s.T
-    mu_plus, mu_minus = _node_speeds(ws)
-    advect = ws.angular.T_mat @ (mu_plus[:, None] * (l_nodal @ f_minus)
-                                 - mu_minus[:, None] * (l_nodal @ f_minus.T))
-    rhs = shift * l_mat - p.epsilon * advect - np.outer(ws.angular.b_vec, x.T @ source)
-
-    absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
-    return np.linalg.solve(shift * np.eye(r) + absorb, rhs.T).T
+    f_minus = _flow_minus(x, ws).T
+    l_nodal = state.V_basis @ state.S_coeff.T
+    advect = (nod.mu_plus[:, None] * (l_nodal @ f_minus)
+              - nod.mu_minus[:, None] * (l_nodal @ f_minus.T))
+    advect -= np.outer(nod.t0, nod.t0 @ advect)
+    rhs = shift * l_nodal - p.epsilon * advect - np.outer(nod.b, x.T @ source)
+    return rhs @ _absorb_inverse(x, shift, ws)
 
 
-def _galerkin_update(x_new: np.ndarray, v_new: np.ndarray, s_tilde: np.ndarray,
-                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float,
-                     v_nodal: np.ndarray | None = None) -> np.ndarray:
-    """Coefficient update in the given bases from the projected S and the interface source.
-
-    v_nodal = T^T v_new is computed here unless the caller already has it.
-    """
+def _galerkin_update(x_new: np.ndarray, w_new: np.ndarray, s_tilde: np.ndarray,
+                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
+    """Coefficient update in the bases X_new, W_new from the projected S and the source."""
     p = ws.params
     shift = p.epsilon**2 / (p.c * dt)
 
     flow_minus = _flow_minus(x_new, ws)
-    if v_nodal is None:
-        v_nodal = _nodal(v_new, ws)
-    proj_plus, proj_minus = _flux_projections(v_nodal, ws)
+    proj_plus, proj_minus = _flux_projections(w_new, ws)
     advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
-
-    absorb = x_new.T @ (ws.sigma.at_interfaces[:, None] * x_new)
     rhs = (shift * s_tilde - p.epsilon * advect
-           - np.outer(x_new.T @ source, v_new.T @ ws.angular.b_vec))
-    shape = absorb.shape[0]
-    return np.linalg.solve(shift * np.eye(shape) + absorb, rhs)
+           - np.outer(x_new.T @ source, w_new.T @ ws.nodal.b))
+    return _absorb_inverse(x_new, shift, ws) @ rhs
 
 
 def _finish_step(new_state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
                  dt: float):
     """Meso/macro update from the new first moment; the step's (macro, micro, report)."""
-    g1_new = new_state.X_basis @ (new_state.S_coeff @ new_state.V_basis[0, :])
+    g1_new = new_state.X_basis @ (new_state.S_coeff @ (ws.nodal.pin @ new_state.V_basis))
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
     return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)
 
@@ -142,18 +127,19 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     """One fixed-rank step: K- and L-step from time-n data, S-step, then meso/macro.
 
     The rank is preserved: directions missing from a rank-deficient K or L are
-    padded with canonical ones by the orthonormalization. The emission source
-    is evaluated once and shared by the three substeps.
+    padded by the orthonormalization, the angular ones with rows of T. The new
+    angular basis is orthogonalized against t0, which lies outside range(T^T).
+    The emission source is evaluated once and shared by the three substeps.
     """
-    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
+    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0] - 1, dt)
 
     r = state.rank
+    nod = ws.nodal
     source = emission_gradient_source(macro, ws)
-    v_nodal = _nodal(state.V_basis, ws)
     x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
-                                       _k_update(state, source, ws, dt, v_nodal), r)
-    v_new = extend_orthonormal_columns(np.empty((state.V_basis.shape[0], 0)),
-                                       _l_update(state, source, ws, dt, v_nodal), r)
-    s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ v_new)
-    s_new = _galerkin_update(x_new, v_new, s_tilde, source, ws, dt)
-    return _finish_step(LowRankMicroState(x_new, s_new, v_new, r), macro, ws, dt)
+                                       _k_update(state, source, ws, dt), r)
+    w_new = extend_orthonormal_columns(nod.t0[:, None], _l_update(state, source, ws, dt),
+                                       r + 1, nod.rows)
+    s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ w_new)
+    s_new = _galerkin_update(x_new, w_new, s_tilde, source, ws, dt)
+    return _finish_step(LowRankMicroState(x_new, s_new, w_new, r), macro, ws, dt)

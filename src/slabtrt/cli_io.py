@@ -215,21 +215,22 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
     each step of size min(dt, t_end - t). `micro` is the dense initial state:
     `full` starts from it, the low-rank schemes from the zero state of `rank`
     (`bug_adaptive` truncates at theta_rel), and `rosseland` carries no micro
-    moments, i.e. a state with zero columns. A step that raises ValueError or
-    yields a non-finite temperature aborts the run with a RuntimeError naming
-    the step.
+    moments, i.e. a state with zero columns. The low-rank states hold their
+    angular factor in nodal coordinates (`LowRankMicroState.modal`). A step
+    that raises ValueError, among them every step that would yield a
+    non-finite state, aborts the run with a RuntimeError naming the step.
     """
     n_rows, n_mom = micro.g_matrix.shape
     if scheme == "full":
         def advance(macro, micro, dt_step):
             return step_full(macro, micro, ws, dt_step)
     elif scheme == "bug_fixed":
-        micro = zero_low_rank_state(n_rows, n_mom, rank)
+        micro = zero_low_rank_state(n_rows, ws.angular.T_mat, rank)
 
         def advance(macro, micro, dt_step):
             return step_bug_fixed(macro, micro, ws, dt_step)[:2]
     elif scheme == "bug_adaptive":
-        micro = zero_low_rank_state(n_rows, n_mom, rank)
+        micro = zero_low_rank_state(n_rows, ws.angular.T_mat, rank)
         cfg = TruncationConfig(theta_rel=theta_rel, max_rank=min(n_rows, n_mom))
 
         def advance(macro, micro, dt_step):
@@ -252,10 +253,8 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
         step += 1
         try:
             macro, micro = advance(macro, micro, dt_step)
-        except ValueError as exc:
+        except ValueError as exc:  # MacroState rejects a non-finite temperature too
             raise RuntimeError(f"simulation aborted at step {step}: {exc}") from exc
-        if not np.all(np.isfinite(macro.temperature)):
-            raise RuntimeError(f"simulation aborted at step {step}: non-finite temperature")
         t += dt_step
         yield t, dt_step, macro, micro
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .angular import NORM_P1, AngularOperators, recurrence_coeff
+from .angular import NORM_P0, NORM_P1, AngularOperators, recurrence_coeff
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
@@ -25,6 +26,7 @@ from .mesh_state import (
 _PARITIES = (slice(0, None, 2), slice(1, None, 2))  # columns 0, 2, 4, ... and 1, 3, 5, ...
 
 __all__ = [
+    "NodalConstants",
     "FullSchemeWorkspace",
     "emission_gradient_parts",
     "emission_gradient_source",
@@ -32,6 +34,21 @@ __all__ = [
     "micro_update",
     "step_full",
 ]
+
+
+class NodalConstants(NamedTuple):
+    """Angular constants of the low-rank steps, which hold V as W = T^T V.
+
+    T^T T = I - t0 t0^T, so range(T^T) is the complement of t0 and W has the
+    inner products of V; V^T A+- V = W^T diag(mu+-) W needs no T.
+    """
+
+    t0: np.ndarray  # sqrt(w) P_0(mu), the nodal constant moment
+    pin: np.ndarray  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
+    b: np.ndarray  # T^T b_vec = |P_1| pin
+    mu_plus: np.ndarray
+    mu_minus: np.ndarray
+    rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
 
 
 @dataclass
@@ -60,6 +77,15 @@ class FullSchemeWorkspace:
         blocks = [scale * (t_mat[par] * mu_abs) @ t_mat[par].T for par in _PARITIES]
         buffers = [[np.empty((self.grid.n_cells + i, len(b))) for i in (2, 1, 1)] for b in blocks]
         return (upper[0::2], upper[1::2]), blocks, buffers
+
+    @cached_property
+    def nodal(self) -> NodalConstants:
+        """The nodal constants of the low-rank steps, computed on first use."""
+        quad, t_mat = self.angular.quad, self.angular.T_mat
+        mu, mu_abs = quad.nodes, np.abs(quad.nodes)
+        pin = t_mat[0].copy()
+        return NodalConstants(np.sqrt(quad.weights) / NORM_P0, pin, NORM_P1 * pin,
+                              0.5 * (mu + mu_abs), 0.5 * (mu - mu_abs), t_mat.T.copy())
 
     def check_step(self, macro: MacroState, n_rows: int, n_moments: int, dt: float):
         """Reject a step size, or a macro state and micro shape that do not fit."""

@@ -159,15 +159,20 @@ class FullMicroState:
     """Dense micro moments: row i holds moments 1..N at interface i."""
 
     g_matrix: np.ndarray
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g_matrix, dtype=float)
         if g.ndim != 2:
             raise ValueError("g_matrix must be a (n_interfaces x n_moments) matrix")
-        if not np.all(np.isfinite(g)):
+        # one read of g: a finite sum of squares means finite entries; einsum
+        # allocates no temporary, and numpy's empty sum costs ~7 us
+        norm_sq = np.einsum("ij,ij->", g, g) if g.size else 0.0
+        if not np.isfinite(norm_sq) and not np.all(np.isfinite(g)):
             raise ValueError("micro state contains non-finite entries")
         g.setflags(write=False)
         object.__setattr__(self, "g_matrix", g)
+        object.__setattr__(self, "norm_sq", norm_sq)
 
     @property
     def n_moments(self) -> int:
@@ -175,10 +180,7 @@ class FullMicroState:
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||g||_F^2."""
-        if not self.g_matrix.size:  # the diffusion scheme: numpy's empty sum costs ~7 us
-            return 0.0
-        # no temporary; BLAS ddot allocates none either but runs 8x slower threaded
-        return float(np.einsum("ij,ij->", self.g_matrix, self.g_matrix) * dx)
+        return float(self.norm_sq * dx)
 
 
 def _orth_defect(mat: np.ndarray) -> float:
@@ -201,8 +203,10 @@ def _cholesky_qr(mat: np.ndarray):
 class LowRankMicroState:
     """Factored micro moments g = X S V^T with orthonormal X and V.
 
-    The orthogonality defects of X and V are computed once, on construction,
-    and kept for the step reports.
+    The low-rank schemes hold V in nodal coordinates, V_basis = T^T V with
+    N + 1 rows (T = angular.T_mat); `modal` maps it back. The orthogonality
+    defects of X and V are computed once, on construction, and kept for the
+    step reports.
     """
 
     X_basis: np.ndarray
@@ -221,12 +225,13 @@ class LowRankMicroState:
             raise ValueError("rank must satisfy 1 <= rank <= min(n_interfaces, n_moments)")
         if x.shape[1] != r or v.shape[1] != r or s.shape != (r, r):
             raise ValueError("factor shapes inconsistent with rank")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+        x_defect, v_defect = _orth_defect(x), _orth_defect(v)  # non-finite if an entry is
+        if not np.isfinite(x_defect + v_defect + s.sum()) and not all(
+                np.isfinite(a).all() for a in (x, s, v)):
             raise ValueError("low-rank state contains non-finite entries")
-        x_defect, v_defect = _orth_defect(x), _orth_defect(v)
-        if x_defect > _ORTH_TOL:
+        if not x_defect <= _ORTH_TOL:
             raise ValueError("X_basis columns are not orthonormal")
-        if v_defect > _ORTH_TOL:
+        if not v_defect <= _ORTH_TOL:
             raise ValueError("V_basis columns are not orthonormal")
         for arr in (x, s, v):
             arr.setflags(write=False)
@@ -245,6 +250,10 @@ class LowRankMicroState:
         qx, rx = _cholesky_qr(self.X_basis)
         qv, rv = _cholesky_qr(self.V_basis)
         return LowRankMicroState(qx, rx @ self.S_coeff @ rv.T, qv, self.rank)
+
+    def modal(self, t_mat: np.ndarray) -> "LowRankMicroState":
+        """The state with its nodal angular factor W mapped back to moments, V = T W."""
+        return LowRankMicroState(self.X_basis, self.S_coeff, t_mat @ self.V_basis, self.rank)
 
     def reconstruct(self) -> np.ndarray:
         """Materialize the dense moment matrix X S V^T."""
@@ -384,22 +393,25 @@ def init_from_kinetic(f_sampler, T0, grid: StaggeredGrid, params: PhysicalParams
 # orthonormal factor helpers
 
 
-def complete_orthonormal_columns(basis: np.ndarray, n_new: int) -> np.ndarray:
-    """Canonical unit vectors orthonormalized against `basis`, taken in index order.
+def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
+                                 candidates: np.ndarray | None = None) -> np.ndarray:
+    """Candidate vectors orthonormalized against `basis`, taken in order.
 
-    Candidate e_i is kept when its residual against `basis` and the columns kept
-    before it has norm above 0.1. For orthonormal `basis` (k columns) a rejected
-    candidate lies 99% inside the final span of dimension k + n_new and a kept
-    one lies fully inside it, so at most k / 0.99 candidates are rejected and one
-    block of n_new + k / 0.99 + 1 candidates suffices. The block is projected off
-    `basis` by classical Gram-Schmidt applied twice; no m x m matrix is formed.
+    The candidates are the orthonormal columns of `candidates`, by default the
+    canonical unit vectors e_i. A candidate is kept when its residual against
+    `basis` and the columns kept before it has norm above 0.1. For orthonormal
+    `basis` (k columns) a rejected candidate lies 99% inside the final span of
+    dimension k + n_new and a kept one lies fully inside it, so at most k / 0.99
+    candidates are rejected and one block of n_new + k / 0.99 + 1 candidates
+    suffices. The block is projected off `basis` by classical Gram-Schmidt
+    applied twice; no m x m matrix is formed.
     """
     basis = np.asarray(basis, dtype=float)
     m, k = basis.shape
     size = min(m, n_new + int(k / 0.99) + 1)
-    cand = -basis @ basis[:size].T
-    cand[np.arange(size), np.arange(size)] += 1.0
-    cand -= basis @ (basis.T @ cand)
+    cand = np.eye(m, size) if candidates is None else candidates[:, :size]
+    for _ in range(2):
+        cand = cand - basis @ (basis.T @ cand)
     added = np.empty((m, n_new))
     for j in range(n_new):
         norms = np.linalg.norm(cand, axis=0)
@@ -415,8 +427,8 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int) -> np.ndarray:
     return added
 
 
-def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
-                               min_total: int = 0) -> np.ndarray:
+def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: int = 0,
+                               candidates: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal columns that extend the orthonormal `basis` to span(basis, cols).
 
     Classical Gram-Schmidt applied twice, with one QR in between: `cols` is
@@ -431,11 +443,11 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
     column comes before a kept one, the kept columns are orthonormalized again
     through their small R block, so none of them mixes with the noise direction
     QR gave the dropped column. At most rows - k columns are returned
-    (k = basis columns); canonical completions are appended only while k plus
-    the returned count is below `min_total`. With an empty basis this is a
-    Householder QR of `cols` whose dropped columns are replaced by padding at
-    the end; the projections and the second pass are skipped, as they do
-    nothing there.
+    (k = basis columns); completions from `candidates` (default: canonical
+    vectors) are appended only while k plus the returned count is below
+    `min_total`. With an empty basis this is a Householder QR of `cols` whose
+    dropped columns are replaced by padding at the end; the projections and
+    the second pass are skipped, as they do nothing there.
     """
     basis = np.asarray(basis, dtype=float)
     cols = np.asarray(cols, dtype=float)
@@ -460,18 +472,22 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray,
     short = min(min_total, m) - k - new.shape[1]
     if short > 0:
         new = np.column_stack([new, complete_orthonormal_columns(
-            np.column_stack([basis, new]), short)])
+            np.column_stack([basis, new]), short, candidates)])
     return new
 
 
-def zero_low_rank_state(n_interfaces: int, n_moments: int, rank: int = 1) -> LowRankMicroState:
-    """Valid orthonormal factorization of the zero moment matrix at a given rank."""
-    if not (1 <= rank <= min(n_interfaces, n_moments)):
+def zero_low_rank_state(n_interfaces: int, t_mat: np.ndarray, rank: int = 1) -> LowRankMicroState:
+    """The zero moment matrix at a given rank, with the nodal angular factor T[:rank]^T.
+
+    Its angular columns are the nodal values of the first `rank` moments, so
+    the first one is b/|b| as the adaptive step requires.
+    """
+    if not (1 <= rank <= min(n_interfaces, t_mat.shape[0])):
         raise ValueError("rank out of range for requested dimensions")
     x = np.zeros((n_interfaces, rank))
     x[:, 0] = 1.0 / np.sqrt(n_interfaces)
     if rank > 1:
         x[:, 1:] = complete_orthonormal_columns(x[:, :1], rank - 1)
-    v = np.eye(n_moments)[:, :rank].copy()
+    v = t_mat[:rank].T.copy()
     s = np.zeros((rank, rank))
     return LowRankMicroState(x, s, v, rank)

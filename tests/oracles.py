@@ -12,11 +12,19 @@ reproduce.
 
 import numpy as np
 
-from slabtrt.bug_fixed import _k_update, _l_update, _nodal
+from slabtrt.angular import build_angular_operators
+from slabtrt.bug_fixed import _k_update, _l_update
 from slabtrt.full_scheme import emission_gradient_parts
-from slabtrt.mesh_state import complete_orthonormal_columns
+from slabtrt.mesh_state import LowRankMicroState, complete_orthonormal_columns
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
+
+
+def nodal_state(x, s, v):
+    """The low-rank state of the modal factors X, S, V (V with N rows), held as the
+    steps hold it: with the nodal angular factor T^T V."""
+    t_mat = build_angular_operators(v.shape[0]).T_mat
+    return LowRankMicroState(x, s, t_mat.T @ v, s.shape[0])
 
 
 def _beta_arrays(T, emission, bc="zero_ghost"):
@@ -353,20 +361,21 @@ def reference_augment_bases(state, macro, ws, dt):
     whole stacks (`reference_orthonormal_columns`), cut to min(2r+1, rows, N) columns, with
     V_hat[:, 0] pinned to +b/|b|. V[:, 0] is b/|b| for a pinned state, so it is
     left out of the angular stack: kept, QR would drop it and pad a canonical
-    direction. The K and L updates come from the package kernels, which the
-    loop oracles above check; only the orthonormalization is the reference.
-    Returns (X_hat, V_hat).
+    direction. The angular stack is orthonormalized in modal coordinates and
+    V_hat returned in the nodal ones of the state. The K and L updates come
+    from the package kernels, which the loop oracles above check; only the
+    orthonormalization is the reference. Returns (X_hat, V_hat).
     """
+    t_mat = ws.angular.T_mat
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    v_nodal = _nodal(state.V_basis, ws)
-    k_new = _k_update(state, source, ws, dt, v_nodal)
-    l_new = _l_update(state, source, ws, dt, v_nodal)
+    k_new = _k_update(state, source, ws, dt)
+    l_new = t_mat @ _l_update(state, source, ws, dt)
     b_vec = ws.angular.b_vec
-    n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], state.V_basis.shape[0])
+    n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], ws.angular.n_moments)
     x_hat = reference_orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])
-    v_stack = np.column_stack([b_vec, l_new, state.V_basis[:, 1:]])
+    v_stack = np.column_stack([b_vec, l_new, t_mat @ state.V_basis[:, 1:]])
     v_hat = reference_orthonormal_columns(v_stack[:, :min(n_aug, v_stack.shape[1])])
     if v_hat[:, 0] @ b_vec < 0.0:
         v_hat[:, 0] *= -1.0
-    return x_hat, v_hat
+    return x_hat, t_mat.T @ v_hat

@@ -232,10 +232,11 @@ def gauge_invariance_suite(n_instances=200, seed=23):
         x = _random_orthonormal(rng, nx + 1, r)
         v = _random_orthonormal(rng, n_mom, r)
         s = rng.standard_normal((r, r))
-        state = LowRankMicroState(x, s, v, r)
+        w = ang.T_mat.T @ v  # the steps hold V in nodal coordinates
+        state = LowRankMicroState(x, s, w, r)
         q1 = _random_orthonormal(rng, r, r)
         q2 = _random_orthonormal(rng, r, r)
-        rotated = LowRankMicroState(x @ q1, q1.T @ s @ q2, v @ q2, r)
+        rotated = LowRankMicroState(x @ q1, q1.T @ s @ q2, w @ q2, r)
         dt = float(rng.uniform(0.005, 0.05))
 
         _, out_a, _ = step_bug_fixed(macro, state, ws, dt)

@@ -18,7 +18,7 @@ from oracles import (
 from runners import run_desk
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import TruncationConfig, diffusion_limit_direction, step_bug_adaptive
-from slabtrt.bug_fixed import _galerkin_update, _l_update, _nodal, step_bug_fixed
+from slabtrt.bug_fixed import _galerkin_update, _l_update, step_bug_fixed
 from slabtrt.cli_io import main, parse_config
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_source, step_full
 from slabtrt.limits_diagnostics import (
@@ -130,15 +130,15 @@ def test_criterion_5_one_step_limit():
     worst = max(worst, np.max(np.linalg.norm(dense.g_matrix - target, axis=1)[1:-1]) / scale)
 
     _, fixed_state, _ = step_bug_fixed(
-        built.macro, zero_low_rank_state(nx + 1, n_mom, 1), ws, dt)
-    worst = max(worst, np.max(
-        np.linalg.norm(fixed_state.reconstruct() - target, axis=1)[1:-1]) / scale)
+        built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt)
+    worst = max(worst, np.max(np.linalg.norm(
+        fixed_state.modal(angular.T_mat).reconstruct() - target, axis=1)[1:-1]) / scale)
 
     cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
     _, adaptive_state, _ = step_bug_adaptive(
-        built.macro, zero_low_rank_state(nx + 1, n_mom, 1), ws, dt, cfg)
-    worst = max(worst, np.max(
-        np.linalg.norm(adaptive_state.reconstruct() - target, axis=1)[1:-1]) / scale)
+        built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt, cfg)
+    worst = max(worst, np.max(np.linalg.norm(
+        adaptive_state.modal(angular.T_mat).reconstruct() - target, axis=1)[1:-1]) / scale)
 
     report(5, worst <= 1e-6, f"one-step micro limit, worst interior defect {worst:.3e}")
 
@@ -152,9 +152,9 @@ def test_criterion_6_low_rank_fidelity():
 
     macro_d, micro_d = built.macro, built.micro
     macro_f = built.macro
-    state_f = zero_low_rank_state(nx + 1, n_mom, 15)
+    state_f = zero_low_rank_state(nx + 1, angular.T_mat, 15)
     macro_a = built.macro
-    state_a = zero_low_rank_state(nx + 1, n_mom, 1)
+    state_a = zero_low_rank_state(nx + 1, angular.T_mat, 1)
     cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
 
     t = 0.0
@@ -230,10 +230,10 @@ def test_criterion_9_oracle_equivalence():
                               build_angular_operators(3))
     x, _ = np.linalg.qr(rng.standard_normal((3, 1)))
     v, _ = np.linalg.qr(rng.standard_normal((3, 1)))
-    state = LowRankMicroState(x, rng.standard_normal((1, 1)), v, 1)
+    t_mat2 = ws2.angular.T_mat
+    state = LowRankMicroState(x, rng.standard_normal((1, 1)), t_mat2.T @ v, 1)
     macro2 = MacroState(rng.uniform(0, 2, 2), rng.standard_normal(2))
-    l_new = _l_update(state, emission_gradient_source(macro2, ws2), ws2, 0.05,
-                      _nodal(v, ws2))
+    l_new = t_mat2 @ _l_update(state, emission_gradient_source(macro2, ws2), ws2, 0.05)
     l_oracle = oracle_l_step(x, state.S_coeff, v, macro2.temperature, macro2.h_meso,
                              params2, grid2.dx, 0.05, sig_i,
                              ws2.angular.A_plus, ws2.angular.A_minus)
@@ -253,8 +253,8 @@ def test_criterion_9_oracle_equivalence():
     x_new, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     v_new, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     s_tilde = (x_new.T @ x_old) @ state3.S_coeff @ (v_old.T @ v_new)
-    s_new = _galerkin_update(x_new, v_new, s_tilde, emission_gradient_source(macro3, ws3),
-                             ws3, 0.04)
+    s_new = _galerkin_update(x_new, ws3.angular.T_mat.T @ v_new, s_tilde,
+                             emission_gradient_source(macro3, ws3), ws3, 0.04)
     s_oracle = oracle_galerkin_dense(x_new, v_new, s_tilde, macro3.temperature,
                                      macro3.h_meso, params3, grid3.dx, 0.04, sig_i,
                                      ws3.angular.A_plus, ws3.angular.A_minus)

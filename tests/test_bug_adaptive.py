@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    nodal_state,
     oracle_galerkin_dense,
     reference_ap_truncate,
     reference_augment_bases,
@@ -54,26 +55,28 @@ def make_workspace(nx=6, n_moments=5, epsilon=0.8, sigma=0.7, bc="zero_ghost", s
 
 
 def random_state(rng, n_interfaces, n_moments, rank):
-    """Random factors whose first angular column is pinned to b/|b| = e_0."""
+    """Random factors whose first modal angular column is pinned to b/|b| = e_0,
+    with the angular factor in nodal coordinates."""
     x, _ = np.linalg.qr(rng.standard_normal((n_interfaces, rank)))
     v = np.zeros((n_moments, rank))
     v[0, 0] = 1.0
     v[1:, 1:], _ = np.linalg.qr(rng.standard_normal((n_moments - 1, rank - 1)))
-    return LowRankMicroState(x, rng.standard_normal((rank, rank)), v, rank)
+    return nodal_state(x, rng.standard_normal((rank, rank)), v)
 
 
 class TestAugmentBases:
     def test_uniform_state_pins_moment_direction(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 2.0), np.zeros(6))
-        state = zero_low_rank_state(7, 5, rank=1)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=1)
         aug = augment_bases(state, macro, ws, 0.01)
         np.testing.assert_allclose(aug.w_ap, 0.0, atol=1e-15)
         b_unit = ws.angular.b_vec / np.linalg.norm(ws.angular.b_vec)
-        np.testing.assert_allclose(aug.V_hat[:, 0], b_unit, atol=1e-14)
-        # nothing new in either stack: both bases are padded to the rank floor of 2
+        np.testing.assert_allclose(ws.angular.T_mat @ aug.V_hat[:, 0], b_unit, atol=1e-14)
+        # nothing new in either stack: both bases are padded to the rank floor of 2,
+        # the angular one with the next row of T
         np.testing.assert_allclose(aug.X_hat.T @ aug.X_hat, np.eye(2), atol=1e-13)
-        np.testing.assert_allclose(aug.V_hat.T @ aug.V_hat, np.eye(2), atol=1e-13)
+        np.testing.assert_allclose(aug.V_hat, ws.angular.T_mat[:2].T, rtol=0, atol=1e-15)
 
     def test_limit_directions_lie_in_ranges(self):
         rng = np.random.default_rng(30)
@@ -82,7 +85,7 @@ class TestAugmentBases:
         state = random_state(rng, 7, 5, 2)
         aug = augment_bases(state, macro, ws, 0.02)
 
-        b = ws.angular.b_vec
+        b = ws.nodal.b
         res_b = b - aug.V_hat @ (aug.V_hat.T @ b)
         assert np.linalg.norm(res_b) <= 1e-12
 
@@ -100,8 +103,7 @@ class TestAugmentBases:
         np.testing.assert_array_equal(aug.V_hat[:, :3], state.V_basis)
         np.testing.assert_array_equal(aug.M_hat, np.eye(aug.X_hat.shape[1], 3))
         np.testing.assert_array_equal(aug.N_hat, np.eye(aug.V_hat.shape[1], 3))
-        np.testing.assert_allclose(aug.V_nodal, ws.angular.T_mat.T @ aug.V_hat,
-                                   rtol=0, atol=1e-14)
+        assert np.max(np.abs(ws.nodal.t0 @ aug.V_hat)) <= 1e-15
         for basis in (aug.X_hat, aug.V_hat):
             np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
                                        rtol=0, atol=1e-13)
@@ -113,7 +115,7 @@ class TestAugmentBases:
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
         pinned = random_state(rng, 7, 5, 2)
         x, s_coeff, v = pinned.X_basis, pinned.S_coeff, pinned.V_basis
-        v_free, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        v_free = ws.angular.T_mat.T @ np.linalg.qr(rng.standard_normal((5, 2)))[0]
         v_near = v.copy()
         v_near[:, 1] = v_near[:, 1] * np.sqrt(1.0 - 1e-26) + 1e-13 * v[:, 0]
         v_near[:, 0] = v_near[:, 0] - 1e-13 * v[:, 1]
@@ -156,7 +158,7 @@ class TestAugmentBases:
             aug = augment_bases(state, macro, ws, dt)
             x_ref, v_ref = reference_augment_bases(state, macro, ws, dt)
             assert aug.X_hat.shape == x_ref.shape == (nx + 1, 2 * rank + 1)
-            assert aug.V_hat.shape == v_ref.shape == (n_mom, 2 * rank)
+            assert aug.V_hat.shape == v_ref.shape == (n_mom + 1, 2 * rank)
             for got, ref in ((aug.X_hat, x_ref), (aug.V_hat, v_ref)):
                 np.testing.assert_allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-12)
             np.testing.assert_allclose(aug.V_hat[:, 0], v_ref[:, 0], rtol=0, atol=1e-14)
@@ -169,7 +171,7 @@ class TestAugmentBases:
         aug = augment_bases(state, macro, ws, 0.02)
         # [X | w_ap, K] keeps all 2r+1 columns; [V | L, b] drops b, inside span V
         assert aug.X_hat.shape == (7, 5)
-        assert aug.V_hat.shape == (5, 4)
+        assert aug.V_hat.shape == (6, 4)
         assert aug.M_hat.shape == (5, 2)
         assert aug.N_hat.shape == (4, 2)
 
@@ -189,7 +191,7 @@ class TestGalerkinSHat:
     def test_zero_dynamics_keeps_zero_coefficients(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 1.0), np.zeros(6))
-        state = zero_low_rank_state(7, 5, rank=2)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         aug = augment_bases(state, macro, ws, 0.01)
         s_hat = galerkin_s_hat(aug, state, macro, ws, 0.01)
         np.testing.assert_allclose(s_hat, 0.0, atol=1e-15)
@@ -209,7 +211,7 @@ class TestGalerkinSHat:
         aug = augment_bases(state, macro, ws, dt)
         s_hat = galerkin_s_hat(aug, state, macro, ws, dt)
         s_tilde = aug.M_hat @ state.S_coeff @ aug.N_hat.T
-        oracle = oracle_galerkin_dense(aug.X_hat, aug.V_hat, s_tilde,
+        oracle = oracle_galerkin_dense(aug.X_hat, ws.angular.T_mat @ aug.V_hat, s_tilde,
                                        macro.temperature, macro.h_meso, params,
                                        grid.dx, dt, ws.sigma.at_interfaces,
                                        ws.angular.A_plus, ws.angular.A_minus)
@@ -416,7 +418,7 @@ class TestStepOperationCounts:
 
     def test_adaptive_step(self, monkeypatch):
         ws, macro, state = self.setup_problem()
-        counts = self.install_counters(monkeypatch, {41, 16})
+        counts = self.install_counters(monkeypatch, {41, 17})
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=16)
         step_bug_adaptive(macro, state, ws, 0.02, cfg)
         tall_qr, beta, source = counts()
@@ -426,7 +428,7 @@ class TestStepOperationCounts:
 
     def test_fixed_rank_step(self, monkeypatch):
         ws, macro, state = self.setup_problem()
-        counts = self.install_counters(monkeypatch, {41, 16})
+        counts = self.install_counters(monkeypatch, {41, 17})
         step_bug_fixed(macro, state, ws, 0.02)
         tall_qr, beta, source = counts()
         assert tall_qr == 2
@@ -455,9 +457,9 @@ class TestStepOperationCounts:
 
         complete = mesh_state.complete_orthonormal_columns
 
-        def counted_complete(basis, n_new):
+        def counted_complete(basis, n_new, *args):
             completions.append((step["index"], basis.shape[0]))
-            return complete(basis, n_new)
+            return complete(basis, n_new, *args)
 
         augment = bug_adaptive.augment_bases
 
@@ -474,13 +476,13 @@ class TestStepOperationCounts:
         monkeypatch.setattr(bug_adaptive, "augment_bases", marked_augment)
 
         macro = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         for index in range(1, 31):
             step.update(index=index, rank=state.rank)
             macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
         assert max(r for _, r, _, _ in qr_log) >= 5
-        tall = [(i, shape) for i, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom)]
-        assert len([c for c in completions if c[1] in (nx + 1, n_mom)]) <= 1
+        tall = [(i, shape) for i, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom + 1)]
+        assert len([c for c in completions if c[1] in (nx + 1, n_mom + 1)]) <= 1
         assert all(i == 1 for i, _ in completions)
         for _, rank, augmenting, (rows, cols) in qr_log:
             if augmenting:
@@ -505,7 +507,7 @@ class TestStepBugAdaptive:
     def test_equilibrium_collapses_to_minimum_rank(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 3.0), np.zeros(6))
-        state = zero_low_rank_state(7, 5, rank=2)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
         m1, s1, report = step_bug_adaptive(macro, state, ws, 0.02, cfg)
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
@@ -520,9 +522,9 @@ class TestStepBugAdaptive:
         macro = MacroState(rng.uniform(0.5, 2.0, 20), 0.1 * rng.standard_normal(20))
         clean = random_state(rng, 21, 8, 3)
         x = clean.X_basis + 1e-13 * rng.standard_normal((21, 3))
-        v = clean.V_basis.copy()
+        v = ws.angular.T_mat @ clean.V_basis  # modal
         v[1:] += 1e-13 * rng.standard_normal((7, 3))
-        drifted = LowRankMicroState(x, clean.S_coeff, v, 3)
+        drifted = LowRankMicroState(x, clean.S_coeff, ws.angular.T_mat.T @ v, 3)
         assert drifted.x_orth_defect > 1e-13
         cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
         _, new, report = step_bug_adaptive(macro, drifted, ws, 0.02, cfg)
@@ -539,14 +541,14 @@ class TestStepBugAdaptive:
         ws = FullSchemeWorkspace(grid, params, sigma, angular)
         dt = compute_cfl_dt(params, grid, angular, sigma)
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
 
         w_before = diffusion_limit_direction(macro, ws)
         _, s1, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
         target = -np.outer(w_before, ws.angular.b_vec)
         scale = np.max(np.linalg.norm(target, axis=1))
-        defects = np.linalg.norm(s1.reconstruct() - target, axis=1)
+        defects = np.linalg.norm(s1.modal(angular.T_mat).reconstruct() - target, axis=1)
         assert np.max(defects[1:-1]) <= 1e-6 * scale
 
     def test_diffusive_rank_stays_small(self):
@@ -557,7 +559,7 @@ class TestStepBugAdaptive:
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         macro = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
         for _ in range(200):
             macro, state, report = step_bug_adaptive(macro, state, ws, dt, cfg)
@@ -571,7 +573,7 @@ class TestStepBugAdaptive:
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         macro_d, micro_d = built.macro, built.micro
         macro_a = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
         t = 0.0
         while t < 1.5 - 1e-12:
@@ -589,9 +591,9 @@ class TestStepBugAdaptive:
         rng = np.random.default_rng(42)
         ws = make_workspace(seed=43)
         macro = MacroState(rng.uniform(0.5, 2.0, 6), 0.1 * rng.standard_normal(6))
-        state = zero_low_rank_state(7, 5, rank=1)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=0.1, max_rank=5)
-        b = ws.angular.b_vec
+        b = ws.nodal.b
         for _ in range(20):
             aug = augment_bases(state, macro, ws, 0.02)
             w = aug.w_ap
@@ -609,7 +611,7 @@ class TestStepBugAdaptive:
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         macro = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
         e_prev = energy(macro, 0.0, built.params, built.grid)
         e0 = e_prev
@@ -646,7 +648,7 @@ class TestStepBugAdaptive:
 
             monkeypatch.setattr(bug_adaptive, "galerkin_s_hat", perturbed)
             macro = built.macro
-            state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+            state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
             worst = 0.0
             for _ in range(steps):
                 macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
@@ -663,7 +665,7 @@ class TestStepBugAdaptive:
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         macro = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
         ranks = []
         for _ in range(25):
@@ -680,7 +682,7 @@ class TestStepBugAdaptive:
         ws = FullSchemeWorkspace(grid, params, sigma, angular)
         dt = compute_cfl_dt(params, grid, angular, sigma)
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=10)
         t_ref = macro.temperature.copy()
         for _ in range(10):

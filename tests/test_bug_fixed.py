@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import oracle_galerkin_dense, oracle_galerkin_rhs, oracle_l_step, oracle_step_full
+from oracles import (
+    nodal_state,
+    oracle_galerkin_dense,
+    oracle_galerkin_rhs,
+    oracle_l_step,
+    oracle_step_full,
+)
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import TruncationConfig, step_bug_adaptive
 from slabtrt.bug_fixed import (
@@ -11,9 +17,9 @@ from slabtrt.bug_fixed import (
     _galerkin_update,
     _k_update,
     _l_update,
-    _nodal,
     step_bug_fixed,
 )
+from slabtrt.cli_io import simulate
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_source, step_full
 from slabtrt.limits_diagnostics import (
     compute_cfl_dt,
@@ -51,8 +57,8 @@ def make_workspace(nx=6, n_moments=4, epsilon=0.8, sigma=0.7, bc="zero_ghost", s
 
 
 def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
-    """Random factors; `pinned` fixes the first angular column to b/|b| = e_0,
-    as the adaptive step requires."""
+    """Random factors with a nodal angular factor; `pinned` fixes the first modal
+    angular column to b/|b| = e_0, as the adaptive step requires."""
     x, _ = np.linalg.qr(rng.standard_normal((n_interfaces, rank)))
     if pinned:
         v = np.zeros((n_moments, rank))
@@ -61,17 +67,16 @@ def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
     else:
         v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
     s = rng.standard_normal((rank, rank))
-    return LowRankMicroState(x, s, v, rank)
+    return nodal_state(x, s, v)
 
 
 def k_update(state, macro, ws, dt):
-    return _k_update(state, emission_gradient_source(macro, ws), ws, dt,
-                     _nodal(state.V_basis, ws))
+    return _k_update(state, emission_gradient_source(macro, ws), ws, dt)
 
 
 def l_update(state, macro, ws, dt):
-    return _l_update(state, emission_gradient_source(macro, ws), ws, dt,
-                     _nodal(state.V_basis, ws))
+    """T^T L of the L-step."""
+    return _l_update(state, emission_gradient_source(macro, ws), ws, dt)
 
 
 def galerkin_update(x_new, v_new, state_old, macro, ws, dt):
@@ -89,7 +94,7 @@ class TestKStep:
     def test_zero_coefficients_uniform_periodic(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 2.0), np.zeros(6))
-        state = zero_low_rank_state(7, 4, rank=2)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         k_new = k_update(state, macro, ws, 0.01)
         x_new = orthonormalized(k_new, 2)
         np.testing.assert_allclose(k_new, 0.0, atol=1e-15)
@@ -102,14 +107,12 @@ class TestKStep:
         ws = make_workspace(n_moments=4, seed=12)
         macro = MacroState(rng.standard_normal(6), rng.standard_normal(6))
         g = rng.standard_normal((7, 4))
-        state = LowRankMicroState(
-            np.linalg.qr(rng.standard_normal((7, 4)))[0], np.zeros((4, 4)), np.eye(4), 4)
         # encode g into the factors: X arbitrary orthonormal, S = X^T g (works
         # only when g lies in the span, so build g from X)
-        x = state.X_basis
+        x = np.linalg.qr(rng.standard_normal((7, 4)))[0]
         s = x.T @ g
         g_in_span = x @ s
-        state = LowRankMicroState(x, s, np.eye(4), 4)
+        state = nodal_state(x, s, np.eye(4))
         k_new = k_update(state, macro, ws, 0.02)
         _, _, oracle = oracle_step_full(macro.temperature, macro.h_meso, g_in_span, ws.params,
                                         ws.grid.dx, 0.02, ws.sigma.at_centers,
@@ -140,7 +143,7 @@ class TestLStep:
     def test_zero_coefficients_uniform_periodic(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 2.0), np.zeros(6))
-        state = zero_low_rank_state(7, 4, rank=2)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         l_new = l_update(state, macro, ws, 0.01)
         v_new = orthonormalized(l_new, 2)
         np.testing.assert_allclose(l_new, 0.0, atol=1e-15)
@@ -167,8 +170,9 @@ class TestLStep:
         h = rng.standard_normal(nx)
         macro = MacroState(T, h)
         dt = 0.05
-        l_new = l_update(state, macro, ws, dt)
-        oracle = oracle_l_step(state.X_basis, state.S_coeff, state.V_basis, T, h,
+        l_new = ws.angular.T_mat @ l_update(state, macro, ws, dt)
+        v_modal = ws.angular.T_mat @ state.V_basis
+        oracle = oracle_l_step(state.X_basis, state.S_coeff, v_modal, T, h,
                                params, grid.dx, dt, sig_i,
                                ws.angular.A_plus, ws.angular.A_minus)
         np.testing.assert_allclose(l_new, oracle, atol=1e-12)
@@ -180,8 +184,9 @@ class TestLStep:
         T = rng.uniform(0.0, 2.0, 5)
         h = rng.standard_normal(5)
         macro = MacroState(T, h)
-        l_new = l_update(state, macro, ws, 0.04)
-        oracle = oracle_l_step(state.X_basis, state.S_coeff, state.V_basis, T, h,
+        l_new = ws.angular.T_mat @ l_update(state, macro, ws, 0.04)
+        v_modal = ws.angular.T_mat @ state.V_basis
+        oracle = oracle_l_step(state.X_basis, state.S_coeff, v_modal, T, h,
                                ws.params, ws.grid.dx, 0.04, ws.sigma.at_interfaces,
                                ws.angular.A_plus, ws.angular.A_minus)
         np.testing.assert_allclose(l_new, oracle, atol=1e-12)
@@ -191,7 +196,7 @@ class TestSStep:
     def test_zero_data_stays_zero(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 1.0), np.zeros(6))
-        state = zero_low_rank_state(7, 4, rank=2)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         s_new = galerkin_update(state.X_basis, state.V_basis, state, macro, ws, 0.01)
         np.testing.assert_allclose(s_new, 0.0, atol=1e-15)
 
@@ -207,7 +212,7 @@ class TestSStep:
 
         p = ws.params
         shift = p.epsilon**2 / (p.c * dt)
-        rhs = oracle_galerkin_rhs(state.X_basis, state.V_basis, state.S_coeff,
+        rhs = oracle_galerkin_rhs(state.X_basis, ws.angular.T_mat @ state.V_basis, state.S_coeff,
                                   macro.temperature, macro.h_meso, p, ws.grid.dx, dt,
                                   ws.sigma.at_interfaces, ws.angular.A_plus,
                                   ws.angular.A_minus, bc="periodic")
@@ -224,7 +229,7 @@ class TestSStep:
         x_new, v_new = random_state(rng, 6, 4, 2).X_basis, random_state(rng, 6, 4, 2).V_basis
         s_new = galerkin_update(x_new, v_new, state, macro, ws, dt)
         s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ v_new)
-        oracle = oracle_galerkin_dense(x_new, v_new, s_tilde, T, h, ws.params,
+        oracle = oracle_galerkin_dense(x_new, ws.angular.T_mat @ v_new, s_tilde, T, h, ws.params,
                                        ws.grid.dx, dt, ws.sigma.at_interfaces,
                                        ws.angular.A_plus, ws.angular.A_minus)
         np.testing.assert_allclose(s_new, oracle, atol=1e-12)
@@ -234,7 +239,7 @@ class TestStepBugFixed:
     def test_equilibrium_uniform_periodic_fixed_point(self):
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 3.0), np.zeros(6))
-        state = zero_low_rank_state(7, 4, rank=2)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         m1, s1, report = step_bug_fixed(macro, state, ws, 0.02)
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
         np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-14)
@@ -252,7 +257,7 @@ class TestStepBugFixed:
         ws = FullSchemeWorkspace(grid, params, sigma, angular)
         dt = compute_cfl_dt(params, grid, angular, sigma)
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
-        state = zero_low_rank_state(nx + 1, n_mom, rank=1)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         t_ref = macro.temperature.copy()
         for _ in range(10):
             macro, state, _ = step_bug_fixed(macro, state, ws, dt)
@@ -270,7 +275,7 @@ class TestStepBugFixed:
 
         macro_d, micro_d = built.macro, built.micro
         macro_l = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank)
         t = 0.0
         while t < 1.5 - 1e-12:
             dt_step = min(dt, 1.5 - t)
@@ -290,7 +295,7 @@ class TestStepBugFixed:
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         macro = built.macro
-        state = zero_low_rank_state(nx + 1, n_mom, rank)
+        state = zero_low_rank_state(nx + 1, angular.T_mat, rank)
         e_prev = energy(macro, 0.0, built.params, built.grid)
         e0 = e_prev
         m0 = mass(macro, built.params, built.grid)
@@ -304,13 +309,13 @@ class TestStepBugFixed:
     def test_dt_validation(self):
         ws = make_workspace()
         macro = MacroState(np.zeros(6), np.zeros(6))
-        state = zero_low_rank_state(7, 4, rank=1)
+        state = zero_low_rank_state(7, ws.angular.T_mat, rank=1)
         with pytest.raises(ValueError):
             step_bug_fixed(macro, state, ws, -1.0)
 
 
 class TestNodalKernels:
-    """The BUG kernels reach A+- only through the nodal values T^T V."""
+    """The BUG kernels hold V as W = T^T V and reach A+- only through it."""
 
     def one_sided(self, mat, ws):
         diffs = padded_difference(mat, ws.grid, ws.bc)
@@ -318,7 +323,7 @@ class TestNodalKernels:
 
     def dense_k_update(self, state, source, ws, dt):
         p, ang = ws.params, ws.angular
-        x, s, v = state.X_basis, state.S_coeff, state.V_basis
+        x, s, v = state.X_basis, state.S_coeff, ang.T_mat @ state.V_basis
         shift = p.epsilon**2 / (p.c * dt)
         k = x @ s
         k_minus, k_plus = self.one_sided(k, ws)
@@ -328,7 +333,7 @@ class TestNodalKernels:
 
     def dense_l_update(self, state, source, ws, dt):
         p, ang = ws.params, ws.angular
-        x, s, v = state.X_basis, state.S_coeff, state.V_basis
+        x, s, v = state.X_basis, state.S_coeff, ang.T_mat @ state.V_basis
         shift = p.epsilon**2 / (p.c * dt)
         l_mat = v @ s.T
         x_minus, x_plus = self.one_sided(x, ws)
@@ -354,43 +359,66 @@ class TestNodalKernels:
         ang = ws.angular
         rank = min(n_moments, 5)
         v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
-        proj_plus, proj_minus = _flux_projections(_nodal(v, ws), ws)
+        proj_plus, proj_minus = _flux_projections(ang.T_mat.T @ v, ws)
         np.testing.assert_allclose(proj_plus, v.T @ ang.A_plus @ v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(proj_minus, v.T @ ang.A_minus @ v, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
     def test_updates_match_dense_flux_matrices(self, bc):
-        # the L-step's nodal product T (mu+- o (T^T L F)) is A+- L F
+        # the L-step's nodal T^T (A+ L F- + A- L F+) is (I - t0 t0^T)(mu+- o (W S^T F))
         rng = np.random.default_rng(90)
         ws = make_workspace(nx=9, n_moments=12, bc=bc, seed=91)
         state = random_state(rng, 10, 12, 4)
         source = rng.standard_normal(10)
         dt = 0.03
-        v_nodal = _nodal(state.V_basis, ws)
+        t_mat = ws.angular.T_mat
         for got, want in (
-            (_k_update(state, source, ws, dt, v_nodal), self.dense_k_update(state, source, ws, dt)),
-            (_l_update(state, source, ws, dt, v_nodal), self.dense_l_update(state, source, ws, dt)),
+            (_k_update(state, source, ws, dt), self.dense_k_update(state, source, ws, dt)),
+            (_l_update(state, source, ws, dt),
+             t_mat.T @ self.dense_l_update(state, source, ws, dt)),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
         s_tilde = rng.standard_normal((4, 4))
         got = _galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt)
-        want = self.dense_galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt)
+        want = self.dense_galerkin_update(state.X_basis, t_mat @ state.V_basis, s_tilde,
+                                          source, ws, dt)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     def test_steps_never_touch_dense_flux_matrices(self, scheme):
+        # A, A+-, |A| are computed on first access, and a run never asks for them
+        built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 16})
+        angular = build_angular_operators(16)
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        ranks = set()
+        for _, _, _, state in simulate(scheme, built.macro, built.micro, ws, dt, 6 * dt,
+                                       rank=4, theta_rel=5e-2):
+            ranks.add(state.rank)
+        assert len(ranks) > 1 or scheme == "bug_fixed"
+        assert not {"A", "A_plus", "A_minus", "A_abs"} & set(vars(angular))
+        np.testing.assert_array_equal(angular.A, angular.A_plus + angular.A_minus)
+
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    def test_steps_read_no_transformation_matrix(self, scheme):
+        # once the workspace holds its nodal constants, a step multiplies by T
+        # nowhere: with T_mat set to NaN it returns the same state, bit for bit
         nx, n_mom = 41, 16
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
-        nan = np.full((n_mom, n_mom), np.nan)
-        poisoned = dataclasses.replace(angular, A=nan, A_plus=nan, A_minus=nan, A_abs=nan)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=n_mom)
 
-        def run(ang):
-            ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, ang)
+        def run(poisoned):
+            ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+            assert ws.nodal.rows.shape == (n_mom + 1, n_mom)
+            if poisoned:
+                ws.angular = dataclasses.replace(angular, T_mat=np.full((n_mom, n_mom + 1),
+                                                                        np.nan))
             macro = built.macro
-            state = zero_low_rank_state(nx + 1, n_mom, rank=1 if scheme == "bug_adaptive" else 4)
+            # from the zero state both schemes pad angular directions in the first step
+            state = zero_low_rank_state(nx + 1, angular.T_mat,
+                                        rank=1 if scheme == "bug_adaptive" else 4)
             for _ in range(6):
                 if scheme == "bug_fixed":
                     macro, state, _ = step_bug_fixed(macro, state, ws, dt)
@@ -398,14 +426,51 @@ class TestNodalKernels:
                     macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
             return macro, state
 
-        macro_a, state_a = run(angular)
-        macro_b, state_b = run(poisoned)
+        (macro_a, state_a), (macro_b, state_b) = run(False), run(True)
         assert state_a.rank == state_b.rank
-        np.testing.assert_allclose(state_b.reconstruct(), state_a.reconstruct(), rtol=0,
-                                   atol=1e-12 * np.abs(state_a.reconstruct()).max())
-        np.testing.assert_allclose(macro_b.temperature, macro_a.temperature, rtol=1e-12)
-        np.testing.assert_allclose(macro_b.h_meso, macro_a.h_meso, rtol=0,
-                                   atol=1e-12 * np.abs(macro_a.h_meso).max())
+        for got, want in ((state_b.X_basis, state_a.X_basis), (state_b.S_coeff, state_a.S_coeff),
+                          (state_b.V_basis, state_a.V_basis),
+                          (macro_b.temperature, macro_a.temperature),
+                          (macro_b.h_meso, macro_a.h_meso)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    def test_angular_factor_stays_orthogonal_to_t0(self, scheme):
+        # t0 = sqrt(w) P_0(mu) is outside range(T^T); every angular extension
+        # projects against it, else rounding amplified by QR leaks into it
+        # (to 4e-4 in the adaptive and 9e-13 in the fixed-rank scheme here)
+        nx, n_mom = 41, 16
+        built = build_scenario("absorber", {"nx": nx, "n_moments": n_mom, "epsilon": 1e-5})
+        angular = build_angular_operators(n_mom)
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        worst = max(np.max(np.abs(ws.nodal.t0 @ state.V_basis)) for _, _, _, state in simulate(
+            scheme, built.macro, built.micro, ws, dt, 1000 * dt, rank=3, theta_rel=5e-2))
+        assert worst <= 1e-14
+
+    def test_padded_directions_are_rows_of_t(self):
+        # at equilibrium L = 0, so every angular direction of the fixed-rank step
+        # is padded: the nodal images of the first moments, the rows of T
+        ws = make_workspace(nx=10, n_moments=9, bc="periodic")
+        macro = MacroState(np.full(10, 2.0), np.zeros(10))
+        state = zero_low_rank_state(11, ws.angular.T_mat, rank=4)
+        _, new, _ = step_bug_fixed(macro, state, ws, 0.02)
+        np.testing.assert_allclose(new.V_basis, ws.angular.T_mat[:4].T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    def test_modal_view_of_every_state_is_orthonormal_and_pinned(self, scheme):
+        nx, n_mom = 61, 12
+        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        angular = build_angular_operators(n_mom)
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        for step, (_, _, _, state) in enumerate(simulate(scheme, built.macro, built.micro, ws,
+                                                         dt, 40 * dt, rank=5, theta_rel=5e-2)):
+            modal = state.modal(angular.T_mat)  # validates orthonormality to 1e-12
+            assert modal.v_orth_defect <= 1e-12
+            if scheme == "bug_adaptive":
+                np.testing.assert_allclose(modal.V_basis[:, 0], np.eye(n_mom)[0], rtol=0,
+                                           atol=1e-12, err_msg=f"step {step}")
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     def test_report_defects_are_those_of_the_returned_factors(self, scheme):

@@ -15,7 +15,7 @@ from slabtrt.cli_io import (
     simulate,
 )
 from slabtrt.full_scheme import FullSchemeWorkspace
-from slabtrt.limits_diagnostics import energy, mass, relative_mass_error
+from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass, relative_mass_error
 from slabtrt.scenarios import build_scenario
 
 DESK = """
@@ -213,6 +213,21 @@ class TestSimulate:
         columns = np.array(profiles, dtype=float).T
         np.testing.assert_array_equal(columns[1], final.temperature)
         np.testing.assert_array_equal(columns[3], final.h_meso)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_finite_state_aborts_naming_the_step(self, scheme):
+        # Stefan-Boltzmann emission at the linear step bound blows up; the state
+        # containers reject the non-finite result, and simulate names the step
+        built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 8,
+                                                     "emission": "stefan_boltzmann"})
+        angular = build_angular_operators(8)
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        with pytest.raises(RuntimeError, match=r"simulation aborted at step \d+: "):
+            for _ in simulate(scheme, built.macro, built.micro, ws, dt, 1.5, rank=3,
+                              theta_rel=5e-2):
+                pass
 
 
 class TestCliEntrypoints:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -126,16 +124,14 @@ class TestSplitAdvection:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_step_never_touches_dense_flux_matrices(self):
+        # A, A+-, |A| are computed on first access, and the dense step never asks
         ws = make_workspace(nx=12, n_moments=7, epsilon=0.5, bc="periodic")
-        nan = np.full((7, 7), np.nan)
-        poisoned = dataclasses.replace(
-            ws, angular=dataclasses.replace(ws.angular, A=nan, A_plus=nan, A_minus=nan, A_abs=nan))
         rng = np.random.default_rng(3)
         macro = MacroState(rng.uniform(0.5, 1.5, 12), rng.standard_normal(12))
         micro = FullMicroState(rng.standard_normal((13, 7)))
-        for a, b in zip(step_full(macro, micro, ws, 0.01), step_full(macro, micro, poisoned, 0.01)):
-            for name, value in vars(a).items():
-                np.testing.assert_array_equal(getattr(b, name), value)
+        for _ in range(3):
+            macro, micro = step_full(macro, micro, ws, 0.01)
+        assert not {"A", "A_plus", "A_minus", "A_abs"} & set(vars(ws.angular))
 
     def test_returned_state_is_not_a_workspace_buffer(self):
         ws = make_workspace(nx=10, n_moments=5)

@@ -19,7 +19,6 @@ from slabtrt.mesh_state import (
     PhysicalParams,
     StaggeredGrid,
     beta_fields,
-    zero_low_rank_state,
 )
 
 
@@ -101,7 +100,6 @@ class TestEnergyMass:
     def test_dense_and_factored_micro_norms_agree(self):
         rng = np.random.default_rng(3)
         grid = StaggeredGrid(0.0, 1.0, 12)
-        state = zero_low_rank_state(13, 6, rank=3)
         q1, _ = np.linalg.qr(rng.standard_normal((13, 3)))
         q2, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         s = rng.standard_normal((3, 3))

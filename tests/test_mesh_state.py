@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_complete_orthonormal_columns, reference_orthonormal_columns
-from slabtrt.angular import gauss_legendre, orthonormal_legendre_table
+from slabtrt.angular import build_angular_operators, gauss_legendre, orthonormal_legendre_table
 from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
@@ -134,10 +134,38 @@ class TestStates:
         with pytest.raises(ValueError):
             MacroState(np.zeros(3), np.zeros(2))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_low_rank_orthonormality_enforced(self):
         x = np.ones((6, 2))
         with pytest.raises(ValueError):
             LowRankMicroState(x, np.zeros((2, 2)), np.eye(4)[:, :2], 2)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            LowRankMicroState(np.eye(6)[:, :2] * 1e200, np.zeros((2, 2)), np.eye(4)[:, :2], 2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("factor", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_low_rank_non_finite_entries_are_named(self, factor, bad):
+        # the orthogonality defect of X or V is non-finite when an entry is
+        factors = [np.eye(6)[:, :2], np.ones((2, 2)), np.eye(4)[:, :2]]
+        factors[factor] = factors[factor].copy()
+        factors[factor][1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            LowRankMicroState(*factors, 2)
+
+    def test_dense_norm_is_read_once_on_construction(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((9, 4))
+        state = FullMicroState(g)
+        assert state.micro_norm_sq(0.25) == float(np.einsum("ij,ij->", g, g) * 0.25)
+        assert FullMicroState(np.zeros((9, 0))).micro_norm_sq(0.25) == 0.0
+        for bad in (np.nan, np.inf):
+            g_bad = g.copy()
+            g_bad[3, 2] = bad
+            with pytest.raises(ValueError, match="non-finite entries"):
+                FullMicroState(g_bad)
+        # finite entries whose sum of squares overflows are still a valid state
+        assert FullMicroState(np.full((3, 2), 1e200)).micro_norm_sq(1.0) == np.inf
 
     def test_low_rank_reconstruction_rank(self):
         rng = np.random.default_rng(7)
@@ -176,17 +204,22 @@ class TestStates:
                                    x[:, 0] / np.linalg.norm(x[:, 0]), rtol=0, atol=1e-15)
 
     def test_zero_state_factors(self):
-        state = zero_low_rank_state(12, 5, rank=3)
+        t_mat = build_angular_operators(5).T_mat
+        state = zero_low_rank_state(12, t_mat, rank=3)
         assert state.rank == 3
         np.testing.assert_allclose(state.reconstruct(), 0.0, atol=1e-15)
         np.testing.assert_allclose(state.X_basis[:, 0], 1 / np.sqrt(12), atol=1e-15)
         np.testing.assert_allclose(state.V_basis.T @ state.V_basis, np.eye(3), atol=1e-14)
+        # nodal images of the first three moments: the modal factor is [e_1 e_2 e_3]
+        np.testing.assert_array_equal(state.V_basis, t_mat[:3].T)
+        np.testing.assert_allclose(state.modal(t_mat).V_basis, np.eye(5)[:, :3], atol=1e-14)
 
     def test_zero_state_rank_range(self):
+        t_mat = build_angular_operators(5).T_mat
         with pytest.raises(ValueError):
-            zero_low_rank_state(12, 5, rank=6)
+            zero_low_rank_state(12, t_mat, rank=6)
         with pytest.raises(ValueError):
-            zero_low_rank_state(12, 5, rank=0)
+            zero_low_rank_state(12, t_mat, rank=0)
 
 
 def assert_extends_orthonormally(basis, new, atol=1e-13):
@@ -367,6 +400,15 @@ class TestCompleteOrthonormalColumns:
         basis = np.linalg.qr(np.column_stack([np.eye(40)[:, 0], smooth]))[0]
         picked = self.check_against_reference(basis, n_new)
         assert picked[0] > 0
+
+    def test_candidates_replace_canonical_vectors(self):
+        # the rows of T as candidates: against t0 and the nodal images of the
+        # first moments, the next rows are kept as they are
+        ang = build_angular_operators(9)
+        t0 = np.sqrt(ang.quad.weights / 2.0)
+        basis = np.column_stack([t0, ang.T_mat[:3].T])
+        out = complete_orthonormal_columns(basis, 4, ang.T_mat.T)
+        np.testing.assert_allclose(out, ang.T_mat[3:7].T, rtol=0, atol=1e-14)
 
     def test_orthonormal_against_nearly_orthonormal_basis(self):
         rng = np.random.default_rng(111)
