@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bug_fixed import _finish_step, _galerkin_update, _k_update, _l_update
-from .full_scheme import FullSchemeWorkspace, emission_gradient_parts, emission_gradient_source
+from .full_scheme import FullSchemeWorkspace, emission_gradient_parts
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
@@ -56,23 +56,20 @@ class TruncationConfig:
 
 @dataclass
 class AugmentedFactors:
-    """Augmented orthonormal bases and the projections of the old factors.
+    """Augmented orthonormal bases of one step.
 
     The old bases are the leading columns, X_hat = [X | X1] and V_hat = [V | V1],
-    so M_hat = X_hat^T X and N_hat = V_hat^T V are [I; 0]. V_hat is nodal, like
-    the angular factor of the state. The first spatial direction added spans
-    the diffusion-limit direction (when it is new) and the first angular column
-    is the unit first-moment direction b/|b|. `source` is the interface
-    emission source of the step, evaluated once together with w_ap; when it is
-    None the Galerkin step evaluates it.
+    so the old factors project onto them as [I; 0]. V_hat is nodal, like the
+    angular factor of the state. The first spatial direction added spans the
+    diffusion-limit direction (when it is new) and the first angular column is
+    the unit first-moment direction b/|b|. `source` is the interface emission
+    source of the step, evaluated once together with w_ap.
     """
 
     X_hat: np.ndarray
     V_hat: np.ndarray
-    M_hat: np.ndarray
-    N_hat: np.ndarray
     w_ap: np.ndarray
-    source: np.ndarray | None = field(default=None)
+    source: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,23 +126,20 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
                                        nod.rows)
     x_hat = np.column_stack([state.X_basis, x_new])
     v_hat = np.column_stack([state.V_basis, v_new])
-    r = state.rank
-    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=np.eye(x_hat.shape[1], r),
-                            N_hat=np.eye(v_hat.shape[1], r), w_ap=w_ap, source=source)
+    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=w_ap, source=source)
 
 
-def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState, macro: MacroState,
+def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState,
                    ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
     """Coefficient update in the augmented bases from the projected old solution.
 
     The old bases lead the augmented ones, so the projected old coefficients
-    M_hat S N_hat^T are S in the leading block and zero elsewhere.
+    are S in the leading block and zero elsewhere.
     """
     r = state_old.rank
     s_tilde = np.zeros((aug.X_hat.shape[1], aug.V_hat.shape[1]))
     s_tilde[:r, :r] = state_old.S_coeff
-    source = aug.source if aug.source is not None else emission_gradient_source(macro, ws)
-    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, source, ws, dt)
+    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, aug.source, ws, dt)
 
 
 def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
@@ -181,6 +175,8 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
     """
     x_hat, v_hat = aug.X_hat, aug.V_hat
     width_x, width_v = x_hat.shape[1], v_hat.shape[1]
+    if not np.isfinite(s_hat).all():  # the SVD would only report non-convergence
+        raise ValueError("low-rank state contains non-finite entries")
 
     c_rem_hat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
     r_star = _choose_kept_rank(svals, cfg.theta_rel)
@@ -223,10 +219,10 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
                       dt: float, cfg: TruncationConfig):
     """One rank-adaptive step: augment, Galerkin update, truncate, then meso/macro."""
-    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0] - 1, dt)
+    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
     if max(state.x_orth_defect, state.v_orth_defect) > _REORTH_TOL:
         state = state.reorthonormalized()
 
     aug = augment_bases(state, macro, ws, dt)
-    s_hat = galerkin_s_hat(aug, state, macro, ws, dt)
+    s_hat = galerkin_s_hat(aug, state, ws, dt)
     return _finish_step(ap_truncate(aug, s_hat, cfg), macro, ws, dt)

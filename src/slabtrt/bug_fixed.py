@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .full_scheme import (
-    FullSchemeWorkspace,
-    emission_gradient_source,
-    meso_macro_update,
-    micro_update,
-)
+from .full_scheme import FullSchemeWorkspace, emission_gradient_source, meso_macro_update
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
@@ -72,11 +67,18 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
               dt: float) -> np.ndarray:
     """K = X S advanced in the frozen angular basis, before orthonormalization.
 
-    This is the dense micro update in the basis V, with V^T b = W^T T^T b.
+    This is the modal dense update in the basis V, with V^T A+- V in place of A+-
+    and V^T b = W^T T^T b in place of b; absorption is a pointwise division.
     """
-    w = state.V_basis
-    return micro_update(state.X_basis @ state.S_coeff, _flux_projections(w, ws),
-                        w.T @ ws.nodal.b, source, ws, dt)
+    p, w = ws.params, state.V_basis
+    shift = p.epsilon**2 / (p.c * dt)
+    k = state.X_basis @ state.S_coeff
+    flux_plus, flux_minus = _flux_projections(w, ws)
+    diffs = padded_difference(k, ws.grid, ws.bc)
+    advect = diffs[:-1] @ flux_plus + diffs[1:] @ flux_minus
+    rhs = shift * k - p.epsilon * advect - np.outer(source, w.T @ ws.nodal.b)
+    rhs /= (shift + ws.sigma.at_interfaces)[:, None]
+    return rhs
 
 
 def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
@@ -131,7 +133,7 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     angular basis is orthogonalized against t0, which lies outside range(T^T).
     The emission source is evaluated once and shared by the three substeps.
     """
-    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0] - 1, dt)
+    ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
 
     r = state.rank
     nod = ws.nodal

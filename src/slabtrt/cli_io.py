@@ -197,7 +197,7 @@ def _prepare(config: RunConfig):
         if value is not None:
             overrides[key] = value
     built = build_scenario(config.scenario, overrides)
-    angular = build_angular_operators(built.micro.n_moments)
+    angular = build_angular_operators(built.micro.g_matrix.shape[1])
     ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular, bc=config.bc)
     return scn, built, ws
 
@@ -215,13 +215,15 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
     each step of size min(dt, t_end - t). `micro` is the dense initial state:
     `full` starts from it, the low-rank schemes from the zero state of `rank`
     (`bug_adaptive` truncates at theta_rel), and `rosseland` carries no micro
-    moments, i.e. a state with zero columns. The low-rank states hold their
-    angular factor in nodal coordinates (`LowRankMicroState.modal`). A step
-    that raises ValueError, among them every step that would yield a
-    non-finite state, aborts the run with a RuntimeError naming the step.
+    moments, i.e. a state with zero columns. The transport states are nodal
+    (see `modal` of both state types), the first one included. A step that
+    raises ValueError, among them every step that would yield a non-finite
+    state, aborts the run with a RuntimeError naming the step.
     """
     n_rows, n_mom = micro.g_matrix.shape
     if scheme == "full":
+        micro = FullMicroState(micro.g_matrix @ ws.angular.T_mat)
+
         def advance(macro, micro, dt_step):
             return step_full(macro, micro, ws, dt_step)
     elif scheme == "bug_fixed":

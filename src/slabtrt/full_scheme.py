@@ -1,4 +1,4 @@
-"""Modal macro-micro finite-volume scheme with the dense micro state."""
+"""Macro-micro finite-volume scheme with the dense micro state in nodal coordinates."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import NORM_P0, NORM_P1, AngularOperators, recurrence_coeff
+from .angular import NORM_P0, NORM_P1, AngularOperators
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
@@ -20,10 +20,7 @@ from .mesh_state import (
     beta_fields,
     diff_center,
     diff_interface,
-    padded_difference,
 )
-
-_PARITIES = (slice(0, None, 2), slice(1, None, 2))  # columns 0, 2, 4, ... and 1, 3, 5, ...
 
 __all__ = [
     "NodalConstants",
@@ -31,13 +28,13 @@ __all__ = [
     "emission_gradient_parts",
     "emission_gradient_source",
     "meso_macro_update",
-    "micro_update",
     "step_full",
 ]
 
 
 class NodalConstants(NamedTuple):
-    """Angular constants of the low-rank steps, which hold V as W = T^T V.
+    """Angular constants of the steps, which hold the micro moments as g T (dense)
+    and the angular factor as W = T^T V (low rank): in nodal coordinates.
 
     T^T T = I - t0 t0^T, so range(T^T) is the complement of t0 and W has the
     inner products of V; V^T A+- V = W^T diag(mu+-) W needs no T.
@@ -68,35 +65,29 @@ class FullSchemeWorkspace:
             raise ValueError(f"bc must be '{BC_ZERO_GHOST}' or '{BC_PERIODIC}'")
 
     @cached_property
-    def _split_advection(self):
-        """A's super-diagonal A[i, i+1] = a_{i+1} at even and odd i, the parity blocks of
-        the nodal |A|, both times eps / (2 dx), and per parity the stencil buffers."""
-        scale = self.params.epsilon / (2.0 * self.grid.dx)
-        upper = scale * recurrence_coeff(np.arange(1.0, self.angular.n_moments))
-        t_mat, mu_abs = self.angular.T_mat, np.abs(self.angular.quad.nodes)
-        blocks = [scale * (t_mat[par] * mu_abs) @ t_mat[par].T for par in _PARITIES]
-        buffers = [[np.empty((self.grid.n_cells + i, len(b))) for i in (2, 1, 1)] for b in blocks]
-        return (upper[0::2], upper[1::2]), blocks, buffers
+    def _flux_buffer(self) -> np.ndarray:
+        """Work rows of the dense step, one per interface plus one, reused by every step."""
+        return np.empty((self.grid.n_cells + 2, self.angular.n_moments + 1))
 
     @cached_property
     def nodal(self) -> NodalConstants:
-        """The nodal constants of the low-rank steps, computed on first use."""
+        """The nodal constants of the steps, computed on first use."""
         quad, t_mat = self.angular.quad, self.angular.T_mat
         mu, mu_abs = quad.nodes, np.abs(quad.nodes)
         pin = t_mat[0].copy()
         return NodalConstants(np.sqrt(quad.weights) / NORM_P0, pin, NORM_P1 * pin,
                               0.5 * (mu + mu_abs), 0.5 * (mu - mu_abs), t_mat.T.copy())
 
-    def check_step(self, macro: MacroState, n_rows: int, n_moments: int, dt: float):
-        """Reject a step size, or a macro state and micro shape that do not fit."""
+    def check_step(self, macro: MacroState, n_rows: int, n_nodes: int, dt: float):
+        """Reject a step size, or a macro state and nodal micro shape that do not fit."""
         if not dt > 0.0:
             raise ValueError("dt must be strictly positive")
         if macro.n_cells != self.grid.n_cells:
             raise ValueError("macro state does not match the grid")
         if n_rows != self.grid.n_cells + 1:
             raise ValueError("micro state must live on the n_cells + 1 interfaces")
-        if n_moments != self.angular.n_moments:
-            raise ValueError("micro state moment count does not match angular operators")
+        if n_nodes != self.angular.n_moments + 1:
+            raise ValueError("nodal micro state must have n_moments + 1 columns")
 
 
 def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
@@ -116,58 +107,6 @@ def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.n
     return emission_gradient_parts(macro, ws)[1]
 
 
-def _split_rhs(g: np.ndarray, shift: float, ws: FullSchemeWorkspace) -> np.ndarray:
-    """shift g - eps (D- g A+ + D+ g A-), with D- A+ + D+ A- = (C A + J |A|) / (2 dx).
-
-    The stencils C g = g_{j+1} - g_{j-1}, J g = 2 g_j - g_{j-1} - g_{j+1} go into the
-    buffers of each parity. A (zero diagonal) maps each parity to the other through
-    its super-diagonal; |A| keeps parity and is one GEMM per parity.
-    """
-    (upper_even, upper_odd), blocks, buffers = ws._split_advection
-    rhs = np.multiply(g, shift)
-    for par, block, (diff, central, jump) in zip(_PARITIES, blocks, buffers):
-        half = g[:, par]
-        ghost_l, ghost_r = (half[-1], half[0]) if ws.bc == BC_PERIODIC else (0.0, 0.0)
-        np.subtract(half[0], ghost_l, out=diff[0])
-        np.subtract(half[1:], half[:-1], out=diff[1:-1])
-        np.subtract(ghost_r, half[-1], out=diff[-1])
-        np.add(diff[:-1], diff[1:], out=central)
-        np.subtract(diff[:-1], diff[1:], out=jump)
-        np.matmul(jump, block, out=diff[:-1])  # from here on jump is scratch
-    (res_e, cen_e, jump_e), (res_o, cen_o, jump_o) = [(d[:-1], c, j) for d, c, j in buffers]
-    n_odd, n_up = len(upper_even), len(upper_odd)
-    # column 2m couples to columns 2m -+ 1 through upper[2m - 1] and upper[2m]
-    res_e[:, :n_odd] += np.multiply(cen_o, upper_even, out=jump_o)
-    res_e[:, 1:] += np.multiply(cen_o[:, :n_up], upper_odd, out=jump_e[:, :n_up])
-    res_o += np.multiply(cen_e[:, :n_odd], upper_even, out=jump_o)
-    res_o[:, :n_up] += np.multiply(cen_e[:, 1:], upper_odd, out=jump_o[:, :n_up])
-    for par, res in zip(_PARITIES, (res_e, res_o)):
-        np.subtract(rhs[:, par], res, out=rhs[:, par])
-    return rhs
-
-
-def micro_update(k: np.ndarray, flux, b_proj: np.ndarray, source: np.ndarray,
-                 ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
-    """One implicit-absorption step of micro moments K held in an angular basis V.
-
-    flux = (V^T A+ V, V^T A- V) and b_proj = V^T b is the K-step; flux None is the
-    dense update (V = I, b = |P_1| e_1) in split form. Advection is explicit and
-    upwind-split, the interface source enters along the first-moment direction,
-    and absorption is a pointwise scalar division.
-    """
-    p = ws.params
-    shift = p.epsilon**2 / (p.c * dt)
-    if flux is None:
-        rhs = _split_rhs(k, shift, ws)
-        rhs[:, 0] -= source * b_proj[0]
-    else:
-        diffs = padded_difference(k, ws.grid, ws.bc)
-        advect = diffs[:-1] @ flux[0] + diffs[1:] @ flux[1]
-        rhs = shift * k - p.epsilon * advect - np.outer(source, b_proj)
-    rhs /= (shift + ws.sigma.at_interfaces)[:, None]
-    return rhs
-
-
 def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorkspace,
                       dt: float):
     """Implicit mesoscopic update followed by the explicit temperature update."""
@@ -185,12 +124,38 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
               dt: float):
     """Advance the dense macro-micro system by one forward-backward Euler step.
 
-    Order is forced by the implicit couplings: micro moments first, then the
-    mesoscopic variable (which sees the new first moment), then temperature.
+    The micro state is nodal, g T (`FullMicroState.modal` maps it back). With
+    A+- = T diag(mu+-) T^T the flux of g T is (D- g T diag(mu+) + D+ g T diag(mu-)) P
+    with P = T^T T = I - t0 t0^T: per node an upwind difference times mu, forward
+    where mu < 0 and backward where mu >= 0, projected off t0. The source enters
+    along T^T b and absorption is a pointwise scalar division. The differences and
+    then the two rank-one terms go into the workspace buffer, so the new micro
+    state is the only new n x (N+1) array. Order is forced by the implicit
+    couplings: micro moments first, then the mesoscopic variable (which sees the
+    new first moment g T pin), then temperature.
     """
-    ws.check_step(macro, *micro.g_matrix.shape, dt)
+    g = micro.g_matrix
+    ws.check_step(macro, *g.shape, dt)
+    p, nod = ws.params, ws.nodal
+    shift = p.epsilon**2 / (p.c * dt)
+    mu = (p.epsilon / ws.grid.dx) * ws.angular.quad.nodes
+    neg = int(np.searchsorted(mu, 0.0))  # the Gauss nodes ascend
+    diff = ws._flux_buffer
+    ghost_l, ghost_r = (g[-1], g[0]) if ws.bc == BC_PERIODIC else (0.0, 0.0)
+    np.subtract(g[0], ghost_l, out=diff[0])
+    np.subtract(g[1:], g[:-1], out=diff[1:-1])
+    np.subtract(ghost_r, g[-1], out=diff[-1])
+    forward, backward = diff[1:, :neg], diff[:-1, neg:]
+    forward *= mu[:neg]
+    backward *= mu[neg:]
+    along_t0 = forward @ nod.t0[:neg] + backward @ nod.t0[neg:]
+    g_new = np.multiply(g, shift)
+    g_new[:, :neg] -= forward
+    g_new[:, neg:] -= backward
+    source = emission_gradient_source(macro, ws)
+    g_new += np.matmul(np.column_stack([along_t0, -source]), np.stack([nod.t0, nod.b]),
+                       out=diff[:-1])
+    g_new /= (shift + ws.sigma.at_interfaces)[:, None]
 
-    g_new = micro_update(micro.g_matrix, None, ws.angular.b_vec,
-                         emission_gradient_source(macro, ws), ws, dt)
-    h_new, t_new = meso_macro_update(g_new[:, 0], macro, ws, dt)
+    h_new, t_new = meso_macro_update(g_new @ nod.pin, macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)

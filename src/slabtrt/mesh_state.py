@@ -156,7 +156,12 @@ class MacroState:
 
 @dataclass(frozen=True)
 class FullMicroState:
-    """Dense micro moments: row i holds moments 1..N at interface i."""
+    """Dense micro moments g: row i holds moments 1..N at interface i.
+
+    The dense step holds them in nodal coordinates, g T with N + 1 columns
+    (T = angular.T_mat); `modal` maps them back. T has orthonormal rows, so
+    both forms have the same norm.
+    """
 
     g_matrix: np.ndarray
     norm_sq: float = field(init=False, repr=False, compare=False)
@@ -174,9 +179,9 @@ class FullMicroState:
         object.__setattr__(self, "g_matrix", g)
         object.__setattr__(self, "norm_sq", norm_sq)
 
-    @property
-    def n_moments(self) -> int:
-        return self.g_matrix.shape[1]
+    def modal(self, t_mat: np.ndarray) -> "FullMicroState":
+        """The moments of the nodal state g T: (g T) T^T = g."""
+        return FullMicroState(self.g_matrix @ t_mat.T)
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||g||_F^2."""

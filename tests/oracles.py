@@ -15,7 +15,7 @@ import numpy as np
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_fixed import _k_update, _l_update
 from slabtrt.full_scheme import emission_gradient_parts
-from slabtrt.mesh_state import LowRankMicroState, complete_orthonormal_columns
+from slabtrt.mesh_state import FullMicroState, LowRankMicroState, complete_orthonormal_columns
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
 
@@ -25,6 +25,11 @@ def nodal_state(x, s, v):
     steps hold it: with the nodal angular factor T^T V."""
     t_mat = build_angular_operators(v.shape[0]).T_mat
     return LowRankMicroState(x, s, t_mat.T @ v, s.shape[0])
+
+
+def nodal_dense(g, angular):
+    """The dense state of the moments g (N columns) as the dense step holds it, g T."""
+    return FullMicroState(np.asarray(g, dtype=float) @ angular.T_mat)
 
 
 def _beta_arrays(T, emission, bc="zero_ghost"):
@@ -73,7 +78,8 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus,
     beta_c, _ = _beta_arrays(T, params.emission)
     src = oracle_interface_source(T, h, params, dx, bc)
 
-    rows = [list(G[j]) for j in range(ni)]
+    rows = np.asarray(G, dtype=float).tolist()
+    A_plus, A_minus = np.asarray(A_plus).tolist(), np.asarray(A_minus).tolist()
 
     def g_at(j, k):
         if 0 <= j < ni:

@@ -184,9 +184,7 @@ def truncation_factor_identity_suite(n_instances=200, seed=19, cond_limit=1e6):
         spectrum = np.exp(rng.uniform(np.log(1e-3), 0.0, size=n_aug))
         s_hat = (_random_orthonormal(rng, n_aug, n_aug) * spectrum) @ _random_orthonormal(
             rng, n_aug, n_aug).T
-        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat,
-                               M_hat=np.zeros((n_aug, r)), N_hat=np.zeros((n_aug, r)),
-                               w_ap=np.zeros(m))
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m), source=np.zeros(m))
         cfg = TruncationConfig(theta_rel=float(rng.uniform(0.0, 0.5)), max_rank=n_aug)
         state, det = ap_truncate(aug, s_hat, cfg, return_details=True)
         conds = [abs(det.S_ap[0, 0]),

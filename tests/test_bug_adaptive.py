@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    nodal_dense,
     nodal_state,
     oracle_galerkin_dense,
     reference_ap_truncate,
@@ -54,6 +55,15 @@ def make_workspace(nx=6, n_moments=5, epsilon=0.8, sigma=0.7, bc="zero_ghost", s
     return FullSchemeWorkspace(grid, params, field, angular, bc=bc)
 
 
+def old_coefficients(aug, state):
+    """The old coefficients in the augmented bases, whose leading columns are the old bases."""
+    np.testing.assert_array_equal(aug.X_hat[:, :state.rank], state.X_basis)
+    np.testing.assert_array_equal(aug.V_hat[:, :state.rank], state.V_basis)
+    s_tilde = np.zeros((aug.X_hat.shape[1], aug.V_hat.shape[1]))
+    s_tilde[:state.rank, :state.rank] = state.S_coeff
+    return s_tilde
+
+
 def random_state(rng, n_interfaces, n_moments, rank):
     """Random factors whose first modal angular column is pinned to b/|b| = e_0,
     with the angular factor in nodal coordinates."""
@@ -101,8 +111,6 @@ class TestAugmentBases:
         aug = augment_bases(state, macro, ws, 0.02)
         np.testing.assert_array_equal(aug.X_hat[:, :3], state.X_basis)
         np.testing.assert_array_equal(aug.V_hat[:, :3], state.V_basis)
-        np.testing.assert_array_equal(aug.M_hat, np.eye(aug.X_hat.shape[1], 3))
-        np.testing.assert_array_equal(aug.N_hat, np.eye(aug.V_hat.shape[1], 3))
         assert np.max(np.abs(ws.nodal.t0 @ aug.V_hat)) <= 1e-15
         for basis in (aug.X_hat, aug.V_hat):
             np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
@@ -138,7 +146,7 @@ class TestAugmentBases:
         state = random_state(rng, nx + 1, n_mom, rank)
         aug = augment_bases(state, macro, ws, 0.02)
         assert aug.V_hat.shape[1] <= n_mom
-        s_tilde = aug.M_hat @ state.S_coeff @ aug.N_hat.T
+        s_tilde = old_coefficients(aug, state)
         recon = aug.X_hat @ s_tilde @ aug.V_hat.T
         old = state.reconstruct()
         assert np.linalg.norm(recon - old) <= 1e-12 * np.linalg.norm(old)
@@ -172,8 +180,6 @@ class TestAugmentBases:
         # [X | w_ap, K] keeps all 2r+1 columns; [V | L, b] drops b, inside span V
         assert aug.X_hat.shape == (7, 5)
         assert aug.V_hat.shape == (6, 4)
-        assert aug.M_hat.shape == (5, 2)
-        assert aug.N_hat.shape == (4, 2)
 
 
 class TestGalerkinSHat:
@@ -184,7 +190,7 @@ class TestGalerkinSHat:
         macro = MacroState(rng.uniform(0.5, 2.0, 6), rng.standard_normal(6))
         state = random_state(rng, 7, 5, 2)
         aug = augment_bases(state, macro, ws, 0.02)
-        s_tilde = aug.M_hat @ state.S_coeff @ aug.N_hat.T
+        s_tilde = old_coefficients(aug, state)
         recon = aug.X_hat @ s_tilde @ aug.V_hat.T
         np.testing.assert_allclose(recon, state.reconstruct(), atol=1e-12)
 
@@ -193,7 +199,7 @@ class TestGalerkinSHat:
         macro = MacroState(np.full(6, 1.0), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         aug = augment_bases(state, macro, ws, 0.01)
-        s_hat = galerkin_s_hat(aug, state, macro, ws, 0.01)
+        s_hat = galerkin_s_hat(aug, state, ws, 0.01)
         np.testing.assert_allclose(s_hat, 0.0, atol=1e-15)
 
     def test_dense_projection_oracle(self):
@@ -209,8 +215,8 @@ class TestGalerkinSHat:
         state = random_state(rng, nx + 1, n_mom, 1)
         dt = 0.05
         aug = augment_bases(state, macro, ws, dt)
-        s_hat = galerkin_s_hat(aug, state, macro, ws, dt)
-        s_tilde = aug.M_hat @ state.S_coeff @ aug.N_hat.T
+        s_hat = galerkin_s_hat(aug, state, ws, dt)
+        s_tilde = old_coefficients(aug, state)
         oracle = oracle_galerkin_dense(aug.X_hat, ws.angular.T_mat @ aug.V_hat, s_tilde,
                                        macro.temperature, macro.h_meso, params,
                                        grid.dx, dt, ws.sigma.at_interfaces,
@@ -224,9 +230,7 @@ class TestApTruncate:
         x_hat, _ = np.linalg.qr(rng.standard_normal((m, n_aug)))
         v_hat, _ = np.linalg.qr(rng.standard_normal((n_mom, n_aug)))
         s_hat = rng.standard_normal((n_aug, n_aug))
-        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat,
-                               M_hat=np.zeros((n_aug, r)), N_hat=np.zeros((n_aug, r)),
-                               w_ap=np.zeros(m))
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m), source=np.zeros(m))
         return aug, s_hat
 
     def test_zero_tolerance_keeps_everything(self):
@@ -298,9 +302,8 @@ class TestApTruncateMatchesGridSpace:
         s_hat = (left * spectrum) @ right.T
         if zero_conserved:
             s_hat[:, 0] = 0.0
-        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat,
-                               M_hat=np.zeros((n_aug, r)), N_hat=np.zeros((n_aug, r)),
-                               w_ap=np.zeros(x_hat.shape[0]))
+        m = x_hat.shape[0]
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m), source=np.zeros(m))
         return aug, s_hat
 
     def compare(self, aug, s_hat, cfg):
@@ -337,8 +340,8 @@ class TestApTruncateMatchesGridSpace:
             x_hat, _ = np.linalg.qr(rng.standard_normal((m, width_x)))
             v_hat, _ = np.linalg.qr(rng.standard_normal((n_mom, width_v)))
             s_hat = rng.standard_normal((width_x, width_v))
-            aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, M_hat=np.zeros((width_x, 1)),
-                                   N_hat=np.zeros((width_v, 1)), w_ap=np.zeros(m))
+            aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m),
+                                   source=np.zeros(m))
             cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.05, 0.3])),
                                    max_rank=int(rng.integers(2, 10)))
             state, _, _, _ = self.compare(aug, s_hat, cfg)
@@ -571,7 +574,7 @@ class TestStepBugAdaptive:
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
-        macro_d, micro_d = built.macro, built.micro
+        macro_d, micro_d = built.macro, nodal_dense(built.micro.g_matrix, angular)
         macro_a = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))

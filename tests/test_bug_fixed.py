@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    nodal_dense,
     nodal_state,
     oracle_galerkin_dense,
     oracle_galerkin_rhs,
@@ -30,7 +31,6 @@ from slabtrt.limits_diagnostics import (
 )
 from slabtrt.mesh_state import (
     AbsorptionField,
-    FullMicroState,
     LowRankMicroState,
     MacroState,
     PhysicalParams,
@@ -119,8 +119,8 @@ class TestKStep:
                                         ws.sigma.at_interfaces, ws.angular.A_plus,
                                         ws.angular.A_minus)
         np.testing.assert_allclose(k_new, oracle, atol=1e-12)
-        _, dense = step_full(macro, FullMicroState(g_in_span), ws, 0.02)
-        np.testing.assert_allclose(k_new, dense.g_matrix, atol=1e-12)
+        _, dense = step_full(macro, nodal_dense(g_in_span, ws.angular), ws, 0.02)
+        np.testing.assert_allclose(k_new, dense.modal(ws.angular.T_mat).g_matrix, atol=1e-12)
 
     def test_gauge_sanity_of_reconstruction(self):
         rng = np.random.default_rng(13)
@@ -273,7 +273,7 @@ class TestStepBugFixed:
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
 
-        macro_d, micro_d = built.macro, built.micro
+        macro_d, micro_d = built.macro, nodal_dense(built.micro.g_matrix, angular)
         macro_l = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank)
         t = 0.0

@@ -217,14 +217,16 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_non_finite_state_aborts_naming_the_step(self, scheme):
-        # Stefan-Boltzmann emission at the linear step bound blows up; the state
-        # containers reject the non-finite result, and simulate names the step
+        # Stefan-Boltzmann emission at the linear step bound blows up at step 4; the
+        # state containers (and ap_truncate, before its SVD) reject the non-finite
+        # result, and simulate names the step and the cause
         built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 8,
                                                      "emission": "stefan_boltzmann"})
         angular = build_angular_operators(8)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
-        with pytest.raises(RuntimeError, match=r"simulation aborted at step \d+: "):
+        with pytest.raises(RuntimeError,
+                           match=r"simulation aborted at step \d+: .*non-finite entries"):
             for _ in simulate(scheme, built.macro, built.micro, ws, dt, 1.5, rank=3,
                               theta_rel=5e-2):
                 pass
