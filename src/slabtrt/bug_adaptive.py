@@ -13,6 +13,7 @@ from .mesh_state import (
     MacroState,
     complete_orthonormal_columns,
     extend_orthonormal_columns,
+    padded_difference,
 )
 
 __all__ = [
@@ -63,27 +64,28 @@ class AugmentedFactors:
     angular factor of the state. The first spatial direction added spans the
     diffusion-limit direction (when it is new) and the first angular column is
     the unit first-moment direction b/|b|. `source` is the interface emission
-    source of the step, evaluated once together with w_ap.
+    source of the step, evaluated once together with w_ap. `x_stencil` is the
+    stencil of X_hat for the Galerkin step (not needed by `ap_truncate`).
     """
 
     X_hat: np.ndarray
     V_hat: np.ndarray
     w_ap: np.ndarray
     source: np.ndarray
+    x_stencil: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class TruncationDetails:
     """Intermediate truncation factors, exposed for verification.
 
-    S_hat[:, 1:] = C S_rem_hat with orthonormal C, and U_hat holds the kept
-    left singular vectors of S_rem_hat. C is taken from the thin SVD of
-    S_hat[:, 1:], so S_rem_hat = diag(sigma) W^T and U_hat is the identity.
+    S_hat[:, 1:] = C S_rem_hat with orthonormal C. C is taken from the thin
+    SVD of S_hat[:, 1:], so S_rem_hat = diag(sigma) W^T and its kept left
+    singular vectors are the first r_star unit vectors.
     """
 
     S_ap: np.ndarray
     S_rem_hat: np.ndarray
-    U_hat: np.ndarray
     W_hat: np.ndarray
     R2: np.ndarray
     S_hat: np.ndarray
@@ -114,19 +116,21 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
         raise ValueError("the first angular basis vector must be b/|b|")
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    k_new = _k_update(state, source, ws, dt)
-    l_new = _l_update(state, source, ws, dt)
+    diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
+    k_new = _k_update(state, source, ws, dt, diffs)
+    l_new = _l_update(state, source, ws, dt, diffs)
 
-    x_new = extend_orthonormal_columns(state.X_basis, np.column_stack([w_ap, k_new]),
-                                       _RANK_FLOOR)
+    x_new = extend_orthonormal_columns(
+        state.X_basis, np.concatenate([w_ap[:, None], k_new], axis=1), _RANK_FLOOR)
     # t0 is outside range(T^T): without it in the basis, rounding that QR
     # amplifies would leak into that direction
-    v_new = extend_orthonormal_columns(np.column_stack([nod.t0, state.V_basis]),
-                                       np.column_stack([l_new, nod.b]), _RANK_FLOOR + 1,
-                                       nod.rows)
-    x_hat = np.column_stack([state.X_basis, x_new])
-    v_hat = np.column_stack([state.V_basis, v_new])
-    return AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=w_ap, source=source)
+    v_new = extend_orthonormal_columns(np.concatenate([nod.t0[:, None], state.V_basis], axis=1),
+                                       np.concatenate([l_new, nod.b[:, None]], axis=1),
+                                       _RANK_FLOOR + 1, nod.rows)
+    return AugmentedFactors(
+        X_hat=np.concatenate([state.X_basis, x_new], axis=1),
+        V_hat=np.concatenate([state.V_basis, v_new], axis=1), w_ap=w_ap, source=source,
+        x_stencil=np.concatenate([diffs, padded_difference(x_new, ws.grid, ws.bc)], axis=1))
 
 
 def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState,
@@ -139,7 +143,7 @@ def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState,
     r = state_old.rank
     s_tilde = np.zeros((aug.X_hat.shape[1], aug.V_hat.shape[1]))
     s_tilde[:r, :r] = state_old.S_coeff
-    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, aug.source, ws, dt)
+    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, aug.source, ws, dt, aug.x_stencil)
 
 
 def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
@@ -150,13 +154,12 @@ def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
     retains weak freshly injected directions long enough for the rank to track
     the kinetic regime, while clean spectra still collapse.
     """
-    n = svals.size
-    if n == 0 or svals[0] <= 0.0:
+    if svals.size == 0 or svals[0] <= 0.0:
         return 1
     normalized = svals / svals[0]
-    tail = np.concatenate([np.cumsum(normalized[::-1])[::-1][1:], [0.0]])
-    passing = np.flatnonzero(np.sqrt(tail) <= theta_rel)
-    return int(passing[0]) + 1 if passing.size else n
+    # tail[j] = sum_{i>j} for j < n - 1 does not increase: passing j follow failing j
+    tail = np.cumsum(normalized[:0:-1])[::-1]
+    return tail.size - int(np.count_nonzero(np.sqrt(tail) <= theta_rel)) + 1
 
 
 def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
@@ -185,14 +188,16 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
 
     w_hat = wt_mat[:r_star, :].T
     c_rem = c_rem_hat[:, :r_star]
-    v_new = np.column_stack([v_hat[:, :1], v_hat[:, 1:] @ w_hat])
+    v_new = np.concatenate([v_hat[:, :1], v_hat[:, 1:] @ w_hat], axis=1)
 
-    s_ap = np.linalg.norm(s_hat[:, :1], keepdims=True)
-    c_ap = s_hat[:, :1] / (s_ap[0, 0] or 1.0)  # a zero column is a dead slot below
+    c_ap = s_hat[:, :1]
+    s_ap = np.sqrt(c_ap.T @ c_ap)
+    c_ap = c_ap / (s_ap[0, 0] or 1.0)  # a zero column is a dead slot below
     weights = np.concatenate([s_ap[0], svals[:r_star]])
-    dead = np.abs(weights) <= _DEGENERATE_TOL * max(float(np.linalg.norm(s_hat)), 1e-300)
+    norm_s_hat = np.sqrt(s_ap[0, 0]**2 + svals @ svals)  # ||S_hat||_F
+    dead = weights <= _DEGENERATE_TOL * max(norm_s_hat, 1e-300)
     weights[dead] = 0.0
-    slots = np.column_stack([c_ap, c_rem])
+    slots = np.concatenate([c_ap, c_rem], axis=1)
     if dead.any():
         # Slots without weight (the conserved one for uniform temperature, or a
         # zero remainder) get directions orthogonal to the weighted ones, so the
@@ -208,11 +213,8 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
 
     state = LowRankMicroState(x_new, s_new, v_new, rank_new)
     if return_details:
-        details = TruncationDetails(
-            S_ap=s_ap, S_rem_hat=svals[:, None] * wt_mat, U_hat=np.eye(svals.size, r_star),
-            W_hat=w_hat, R2=r2, S_hat=s_hat, r_star=r_star,
-        )
-        return state, details
+        return state, TruncationDetails(S_ap=s_ap, S_rem_hat=svals[:, None] * wt_mat,
+                                        W_hat=w_hat, R2=r2, S_hat=s_hat, r_star=r_star)
     return state
 
 

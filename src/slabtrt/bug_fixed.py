@@ -39,7 +39,9 @@ class BugStepReport:
 # The angular factor is held in nodal coordinates, W = T^T V with T = angular.T_mat.
 # The flux matrices are nodal too, A+- = T diag(mu+-) T^T with mu+- = (mu +- |mu|) / 2,
 # so V^T A+- V = W^T diag(mu+-) W and T^T A+- = (I - t0 t0^T) diag(mu+-) T^T: no
-# step multiplies by T. The constants live in `ws.nodal`.
+# step multiplies by T. The constants live in `ws.nodal`. Each substep takes the
+# stencil of its spatial basis, diffs = padded_difference(X) (rows [:-1] are D- X,
+# rows [1:] D+ X); X^T D+ X = -(X^T D- X)^T by summation by parts for both bcs.
 
 
 def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
@@ -48,71 +50,66 @@ def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
     return (w.T * nod.mu_plus) @ w, (w.T * nod.mu_minus) @ w
 
 
-def _flow_minus(x: np.ndarray, ws: FullSchemeWorkspace) -> np.ndarray:
-    """X^T D- X; summation by parts gives X^T D+ X = -(X^T D- X)^T for both bcs."""
-    return x.T @ padded_difference(x, ws.grid, ws.bc)[:-1]
-
-
 def _absorb_inverse(x: np.ndarray, shift: float, ws: FullSchemeWorkspace) -> np.ndarray:
     """(shift I + X^T sigma X)^-1, with C = X^T sigma X = sum_i sigma_{i+1/2} X_i X_i^T.
 
     The matrix is small and symmetric positive definite; one inverse and a
     product cost far less than a solve with many right-hand sides.
     """
-    absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
-    return np.linalg.inv(shift * np.eye(x.shape[1]) + absorb)
+    mat = x.T @ (ws.sigma.at_interfaces[:, None] * x)
+    mat.flat[::mat.shape[0] + 1] += shift
+    return np.linalg.inv(mat)
 
 
 def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float) -> np.ndarray:
+              dt: float, diffs: np.ndarray) -> np.ndarray:
     """K = X S advanced in the frozen angular basis, before orthonormalization.
 
     This is the modal dense update in the basis V, with V^T A+- V in place of A+-
-    and V^T b = W^T T^T b in place of b; absorption is a pointwise division.
+    and V^T b = W^T T^T b in place of b; absorption is a pointwise division. The
+    stencil of K is that of X times S: D+-K = (D+-X) S.
     """
-    p, w = ws.params, state.V_basis
+    p, w, s = ws.params, state.V_basis, state.S_coeff
     shift = p.epsilon**2 / (p.c * dt)
-    k = state.X_basis @ state.S_coeff
     flux_plus, flux_minus = _flux_projections(w, ws)
-    diffs = padded_difference(k, ws.grid, ws.bc)
-    advect = diffs[:-1] @ flux_plus + diffs[1:] @ flux_minus
-    rhs = shift * k - p.epsilon * advect - np.outer(source, w.T @ ws.nodal.b)
+    advect = diffs[:-1] @ (s @ flux_plus) + diffs[1:] @ (s @ flux_minus)
+    rhs = (shift * (state.X_basis @ s) - p.epsilon * advect
+           - source[:, None] * (w.T @ ws.nodal.b))
     rhs /= (shift + ws.sigma.at_interfaces)[:, None]
     return rhs
 
 
 def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float) -> np.ndarray:
+              dt: float, diffs: np.ndarray) -> np.ndarray:
     """T^T L for L = V S^T advanced in the frozen spatial basis, before orthonormalization.
 
     A+ L F- + A- L F+ with F-+ = (D-+ X)^T X and F+ = -F-^T is, in nodal
     coordinates, P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
     The absorption makes the implicit solve an r x r SPD system.
     """
-    p, nod = ws.params, ws.nodal
-    x = state.X_basis
+    p, nod, x = ws.params, ws.nodal, state.X_basis
     shift = p.epsilon**2 / (p.c * dt)
-
-    f_minus = _flow_minus(x, ws).T
+    f_minus = (x.T @ diffs[:-1]).T
     l_nodal = state.V_basis @ state.S_coeff.T
     advect = (nod.mu_plus[:, None] * (l_nodal @ f_minus)
               - nod.mu_minus[:, None] * (l_nodal @ f_minus.T))
-    advect -= np.outer(nod.t0, nod.t0 @ advect)
-    rhs = shift * l_nodal - p.epsilon * advect - np.outer(nod.b, x.T @ source)
+    advect -= nod.t0[:, None] * (nod.t0 @ advect)
+    rhs = shift * l_nodal - p.epsilon * advect - nod.b[:, None] * (x.T @ source)
     return rhs @ _absorb_inverse(x, shift, ws)
 
 
 def _galerkin_update(x_new: np.ndarray, w_new: np.ndarray, s_tilde: np.ndarray,
-                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
+                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float,
+                     diffs: np.ndarray) -> np.ndarray:
     """Coefficient update in the bases X_new, W_new from the projected S and the source."""
     p = ws.params
     shift = p.epsilon**2 / (p.c * dt)
 
-    flow_minus = _flow_minus(x_new, ws)
+    flow_minus = x_new.T @ diffs[:-1]
     proj_plus, proj_minus = _flux_projections(w_new, ws)
     advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
     rhs = (shift * s_tilde - p.epsilon * advect
-           - np.outer(x_new.T @ source, w_new.T @ ws.nodal.b))
+           - (x_new.T @ source)[:, None] * (w_new.T @ ws.nodal.b))
     return _absorb_inverse(x_new, shift, ws) @ rhs
 
 
@@ -131,17 +128,20 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     The rank is preserved: directions missing from a rank-deficient K or L are
     padded by the orthonormalization, the angular ones with rows of T. The new
     angular basis is orthogonalized against t0, which lies outside range(T^T).
-    The emission source is evaluated once and shared by the three substeps.
+    The emission source is evaluated once and shared by the three substeps, and
+    the stencil of X by the K- and L-step.
     """
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
 
     r = state.rank
     nod = ws.nodal
     source = emission_gradient_source(macro, ws)
+    diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
     x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
-                                       _k_update(state, source, ws, dt), r)
-    w_new = extend_orthonormal_columns(nod.t0[:, None], _l_update(state, source, ws, dt),
+                                       _k_update(state, source, ws, dt, diffs), r)
+    w_new = extend_orthonormal_columns(nod.t0[:, None], _l_update(state, source, ws, dt, diffs),
                                        r + 1, nod.rows)
     s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ w_new)
-    s_new = _galerkin_update(x_new, w_new, s_tilde, source, ws, dt)
+    s_new = _galerkin_update(x_new, w_new, s_tilde, source, ws, dt,
+                             padded_difference(x_new, ws.grid, ws.bc))
     return _finish_step(LowRankMicroState(x_new, s_new, w_new, r), macro, ws, dt)

@@ -387,7 +387,7 @@ def main(argv=None, out=None) -> int:
         if args.command == "cfl":
             return _cmd_cfl(config, out)
         return _cmd_sweep(config, args.schemes, out)
-    except (ConfigError, FileNotFoundError, RuntimeError, ValueError) as exc:
+    except (ConfigError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from .angular import NORM_P0, NORM_P1, AngularOperators
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
+    EMISSION_LINEAR,
     AbsorptionField,
     FullMicroState,
     MacroState,
@@ -94,12 +95,17 @@ def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
     """Thermal gradient beta * delta0(a c T) and the full first-moment source.
 
     The source adds eps^2 * delta0(h) to the thermal part; the thermal part over
-    sigma is the diffusion-limit direction. Returns (thermal, source).
+    sigma is the diffusion-limit direction. Returns (thermal, source). Both
+    gradients come from one difference of the columns [a c T | h]; beta = 1 for
+    linear emission and is evaluated only for Stefan-Boltzmann.
     """
     p = ws.params
-    _, beta_if = beta_fields(macro, p.emission, ws.bc)
-    thermal = beta_if * diff_interface(p.a_rad * p.c * macro.temperature, ws.grid, ws.bc)
-    return thermal, thermal + p.epsilon**2 * diff_interface(macro.h_meso, ws.grid, ws.bc)
+    grads = diff_interface(np.array([p.a_rad * p.c * macro.temperature, macro.h_meso]).T,
+                           ws.grid, ws.bc)
+    thermal = grads[:, 0]
+    if p.emission != EMISSION_LINEAR:
+        thermal = beta_fields(macro, p.emission, ws.bc)[1] * thermal
+    return thermal, thermal + p.epsilon**2 * grads[:, 1]
 
 
 def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.ndarray:
@@ -111,7 +117,7 @@ def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorks
                       dt: float):
     """Implicit mesoscopic update followed by the explicit temperature update."""
     p = ws.params
-    beta_c, _ = beta_fields(macro, p.emission, ws.bc)
+    beta_c = 1.0 if p.emission == EMISSION_LINEAR else beta_fields(macro, p.emission, ws.bc)[0]
     shift = p.epsilon**2 / (p.c * dt)
     div_g1 = diff_center(g1_new, ws.grid)
     denom = shift + ws.sigma.at_centers * (1.0 + p.a_rad * p.alpha * beta_c)

@@ -57,20 +57,19 @@ def energy(macro: MacroState, micro_norm_sq: float, params: PhysicalParams,
     """
     if micro_norm_sq < 0.0:
         raise ValueError("micro_norm_sq must be nonnegative")
-    p = params
-    core = p.a_rad * macro.temperature + (p.epsilon**2 / p.c) * macro.h_meso
-    e = float(np.sum(core**2) * grid.dx)
+    p, t = params, macro.temperature
+    core = p.a_rad * t + (p.epsilon**2 / p.c) * macro.h_meso
+    e = float(core @ core * grid.dx)
     e += (p.epsilon / (NORM_P0 * p.c)) ** 2 * micro_norm_sq
-    e += 0.5 * p.a_rad * p.c_nu * float(np.sum(macro.temperature**2)) * grid.dx
+    e += 0.5 * p.a_rad * p.c_nu * float(t @ t) * grid.dx
     return e
 
 
 def mass(macro: MacroState, params: PhysicalParams, grid: StaggeredGrid) -> float:
     """Conserved total: scalar flux over c plus material heat content."""
     p = params
-    density = (p.a_rad * macro.temperature + (p.epsilon**2 / p.c) * macro.h_meso
-               + 0.5 * p.c_nu * macro.temperature)
-    return float(np.sum(density) * grid.dx)
+    return float(((p.a_rad + 0.5 * p.c_nu) * macro.temperature.sum()
+                  + (p.epsilon**2 / p.c) * macro.h_meso.sum()) * grid.dx)
 
 
 def relative_mass_error(m_n: float, m_0: float) -> float:

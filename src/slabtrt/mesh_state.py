@@ -142,7 +142,7 @@ class MacroState:
         h = np.asarray(self.h_meso, dtype=float)
         if t.shape != h.shape or t.ndim != 1:
             raise ValueError("temperature and h_meso must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(h))):
+        if not (np.isfinite(t).all() and np.isfinite(h).all()):
             raise ValueError("macro state contains non-finite entries")
         t.setflags(write=False)
         h.setflags(write=False)
@@ -190,8 +190,9 @@ class FullMicroState:
 
 def _orth_defect(mat: np.ndarray) -> float:
     """Largest entry of |M^T M - I|."""
-    r = mat.shape[1]
-    return float(np.max(np.abs(mat.T @ mat - np.eye(r))))
+    gram = mat.T @ mat
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def _cholesky_qr(mat: np.ndarray):
@@ -266,7 +267,7 @@ class LowRankMicroState:
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||S||_F^2."""
-        return float(np.sum(self.S_coeff**2) * dx)
+        return float((self.S_coeff * self.S_coeff).sum() * dx)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +288,14 @@ def _ghost_difference(values, n_rows: int, kind: str, grid: StaggeredGrid, bc: s
     v = np.asarray(values, dtype=float)
     if v.shape[0] != n_rows:
         raise ValueError(f"{kind} data must have {n_rows} rows")
+    out = np.empty((n_rows + 1,) + v.shape[1:])
+    np.subtract(v[1:], v[:-1], out=out[1:-1])
     if bc == BC_PERIODIC:
-        left, right = v[-1:], v[:1]
+        out[0] = out[-1] = v[0] - v[-1]
     else:
-        left = right = np.zeros_like(v[:1])
-    return np.diff(np.concatenate([left, v, right], axis=0), axis=0) / grid.dx
+        out[0], out[-1] = v[0], 0.0 - v[-1]
+    out /= grid.dx
+    return out
 
 
 def padded_difference(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
@@ -309,7 +313,7 @@ def diff_center(values, grid: StaggeredGrid):
     v = np.asarray(values, dtype=float)
     if v.shape[0] != grid.n_cells + 1:
         raise ValueError("interface data must have n_cells + 1 rows")
-    return np.diff(v, axis=0) / grid.dx
+    return (v[1:] - v[:-1]) / grid.dx
 
 
 def diff_interface(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
@@ -428,7 +432,7 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
         cand = cand[:, hits[0] + 1:]
         if j + 1 < n_new:
             for _ in range(2):
-                cand = cand - np.outer(q, q @ cand)
+                cand = cand - q[:, None] * (q @ cand)
     return added
 
 
@@ -462,7 +466,7 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
     if cols.shape[1] > m:
         raise ValueError("cannot orthonormalize more columns than rows")
     q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
-    keep = np.abs(np.diag(rr)) > _RANK_TOL * np.max(np.linalg.norm(cols, axis=0))
+    keep = np.abs(rr.diagonal()) > _RANK_TOL * np.sqrt((cols * cols).sum(axis=0).max())
     n_keep = int(keep.sum())
     if keep[:n_keep].all():
         new = q[:, :n_keep]
@@ -472,12 +476,12 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
     if k:
         leak = basis.T @ new
         new = new - basis @ leak
-        if np.max(np.abs(leak), initial=0.0) > _LEAK_RENORM_TOL:
+        if np.abs(leak).max(initial=0.0) > _LEAK_RENORM_TOL:
             new = _cholesky_qr(new)[0]
     short = min(min_total, m) - k - new.shape[1]
     if short > 0:
-        new = np.column_stack([new, complete_orthonormal_columns(
-            np.column_stack([basis, new]), short, candidates)])
+        new = np.concatenate([new, complete_orthonormal_columns(
+            np.concatenate([basis, new], axis=1), short, candidates)], axis=1)
     return new
 
 

@@ -15,7 +15,12 @@ import numpy as np
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_fixed import _k_update, _l_update
 from slabtrt.full_scheme import emission_gradient_parts
-from slabtrt.mesh_state import FullMicroState, LowRankMicroState, complete_orthonormal_columns
+from slabtrt.mesh_state import (
+    FullMicroState,
+    LowRankMicroState,
+    complete_orthonormal_columns,
+    padded_difference,
+)
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
 
@@ -375,8 +380,9 @@ def reference_augment_bases(state, macro, ws, dt):
     t_mat = ws.angular.T_mat
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    k_new = _k_update(state, source, ws, dt)
-    l_new = t_mat @ _l_update(state, source, ws, dt)
+    diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
+    k_new = _k_update(state, source, ws, dt, diffs)
+    l_new = t_mat @ _l_update(state, source, ws, dt, diffs)
     b_vec = ws.angular.b_vec
     n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], ws.angular.n_moments)
     x_hat = reference_orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])

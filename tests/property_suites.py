@@ -197,7 +197,8 @@ def truncation_factor_identity_suite(n_instances=200, seed=19, cond_limit=1e6):
         r_star = det.r_star
         left_block = np.zeros((r_star + 1, n_aug))
         left_block[0, 0] = 1.0 / det.S_ap[0, 0]
-        left_block[1:, 1:] = det.U_hat.T @ np.linalg.inv(det.S_rem_hat).T
+        # the kept left singular vectors of S_rem_hat are the first r* unit vectors
+        left_block[1:, 1:] = np.linalg.inv(det.S_rem_hat).T[:r_star]
         right_block = np.zeros((n_aug, r_star + 1))
         right_block[0, 0] = 1.0
         right_block[1:, 1:] = det.W_hat

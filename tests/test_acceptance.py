@@ -33,6 +33,7 @@ from slabtrt.mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    padded_difference,
     scalar_flux,
     zero_low_rank_state,
 )
@@ -233,7 +234,8 @@ def test_criterion_9_oracle_equivalence():
     t_mat2 = ws2.angular.T_mat
     state = LowRankMicroState(x, rng.standard_normal((1, 1)), t_mat2.T @ v, 1)
     macro2 = MacroState(rng.uniform(0, 2, 2), rng.standard_normal(2))
-    l_new = t_mat2 @ _l_update(state, emission_gradient_source(macro2, ws2), ws2, 0.05)
+    l_new = t_mat2 @ _l_update(state, emission_gradient_source(macro2, ws2), ws2, 0.05,
+                               padded_difference(x, grid2))
     l_oracle = oracle_l_step(x, state.S_coeff, v, macro2.temperature, macro2.h_meso,
                              params2, grid2.dx, 0.05, sig_i,
                              ws2.angular.A_plus, ws2.angular.A_minus)
@@ -254,7 +256,8 @@ def test_criterion_9_oracle_equivalence():
     v_new, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     s_tilde = (x_new.T @ x_old) @ state3.S_coeff @ (v_old.T @ v_new)
     s_new = _galerkin_update(x_new, ws3.angular.T_mat.T @ v_new, s_tilde,
-                             emission_gradient_source(macro3, ws3), ws3, 0.04)
+                             emission_gradient_source(macro3, ws3), ws3, 0.04,
+                             padded_difference(x_new, grid3))
     s_oracle = oracle_galerkin_dense(x_new, v_new, s_tilde, macro3.temperature,
                                      macro3.h_meso, params3, grid3.dx, 0.04, sig_i,
                                      ws3.angular.A_plus, ws3.angular.A_minus)

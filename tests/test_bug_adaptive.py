@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -33,10 +34,12 @@ from slabtrt.limits_diagnostics import (
 )
 from slabtrt.mesh_state import (
     AbsorptionField,
+    FullMicroState,
     LowRankMicroState,
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    padded_difference,
     scalar_flux,
     zero_low_rank_state,
 )
@@ -193,6 +196,18 @@ class TestGalerkinSHat:
         s_tilde = old_coefficients(aug, state)
         recon = aug.X_hat @ s_tilde @ aug.V_hat.T
         np.testing.assert_allclose(recon, state.reconstruct(), atol=1e-12)
+
+    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
+    def test_assembled_stencil_is_the_stencil_of_x_hat(self, bc):
+        # [stencil of X | stencil of X1] is padded_difference([X | X1])
+        rng = np.random.default_rng(38)
+        ws = make_workspace(nx=30, n_moments=12, bc=bc, seed=39)
+        macro = MacroState(1.0 + rng.uniform(0.0, 1.0, 30), rng.standard_normal(30))
+        state = random_state(rng, 31, 12, 4)
+        aug = augment_bases(state, macro, ws, 0.02)
+        want = padded_difference(aug.X_hat, ws.grid, bc)
+        np.testing.assert_allclose(aug.x_stencil, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
 
     def test_zero_dynamics_keeps_zero_coefficients(self):
         ws = make_workspace(bc="periodic")
@@ -396,12 +411,15 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestStepOperationCounts:
-    """Each O(n) operation of a low-rank step runs once: no discarded QRs, one source."""
+    """Each O(n) operation of a low-rank step runs once: no discarded QRs, one source,
+    one stencil of X shared by the K- and L-step plus one of the new spatial
+    directions, and no beta under linear emission (beta = 1)."""
 
-    def setup_problem(self):
+    def setup_problem(self, emission="linear"):
         nx, n_mom = 40, 16
         rng = np.random.default_rng(70)
         ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5, seed=71)
+        ws = dataclasses.replace(ws, params=PhysicalParams(epsilon=0.5, emission=emission))
         macro = MacroState(1.0 + np.exp(-4.0 * ws.grid.centers**2), 0.1 * rng.standard_normal(nx))
         state = random_state(rng, nx + 1, n_mom, 3)
         return ws, macro, state
@@ -417,26 +435,46 @@ class TestStepOperationCounts:
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         beta = _count_calls(monkeypatch, mesh_state, "beta_fields")
         source = _count_calls(monkeypatch, full_scheme, "emission_gradient_parts")
-        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(beta), len(source))
+        stencils = _count_calls(monkeypatch, mesh_state, "padded_difference")
+        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(beta), len(source),
+                        len(stencils))
+
+    @staticmethod
+    def step(scheme, ws, macro, state):
+        if scheme == "bug_adaptive":
+            return step_bug_adaptive(macro, state, ws, 0.02,
+                                     TruncationConfig(theta_rel=5e-2, max_rank=16))
+        return step_bug_fixed(macro, state, ws, 0.02)
+
+    def check_linear_step(self, monkeypatch, scheme):
+        ws, macro, state = self.setup_problem()
+        counts = self.install_counters(monkeypatch, {41, 17})
+        self.step(scheme, ws, macro, state)
+        tall_qr, beta, source, stencils = counts()
+        assert tall_qr == 2
+        assert beta == 0
+        assert source <= 1
+        assert stencils == 2
 
     def test_adaptive_step(self, monkeypatch):
-        ws, macro, state = self.setup_problem()
-        counts = self.install_counters(monkeypatch, {41, 17})
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=16)
-        step_bug_adaptive(macro, state, ws, 0.02, cfg)
-        tall_qr, beta, source = counts()
-        assert tall_qr == 2
-        assert beta == 2
-        assert source <= 1
+        self.check_linear_step(monkeypatch, "bug_adaptive")
 
     def test_fixed_rank_step(self, monkeypatch):
-        ws, macro, state = self.setup_problem()
+        self.check_linear_step(monkeypatch, "bug_fixed")
+
+    @pytest.mark.parametrize("scheme", ["bug_adaptive", "bug_fixed"])
+    def test_stefan_boltzmann_step_evaluates_beta(self, monkeypatch, scheme):
+        # once for the emission source, once for the mesoscopic update
+        ws, macro, state = self.setup_problem("stefan_boltzmann")
         counts = self.install_counters(monkeypatch, {41, 17})
-        step_bug_fixed(macro, state, ws, 0.02)
-        tall_qr, beta, source = counts()
-        assert tall_qr == 2
-        assert beta == 2
-        assert source <= 1
+        self.step(scheme, ws, macro, state)
+        assert counts()[1] == 2
+
+    def test_full_step_under_linear_emission_skips_beta(self, monkeypatch):
+        ws, macro, _ = self.setup_problem()
+        beta = _count_calls(monkeypatch, mesh_state, "beta_fields")
+        step_full(macro, FullMicroState(np.zeros((41, 17))), ws, 0.02)
+        assert len(beta) == 0
 
 
     def test_pulse_pads_once_and_qrs_only_new_directions(self, monkeypatch):

@@ -70,19 +70,26 @@ def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
     return nodal_state(x, s, v)
 
 
+def stencil(x, ws):
+    return padded_difference(x, ws.grid, ws.bc)
+
+
 def k_update(state, macro, ws, dt):
-    return _k_update(state, emission_gradient_source(macro, ws), ws, dt)
+    return _k_update(state, emission_gradient_source(macro, ws), ws, dt,
+                     stencil(state.X_basis, ws))
 
 
 def l_update(state, macro, ws, dt):
     """T^T L of the L-step."""
-    return _l_update(state, emission_gradient_source(macro, ws), ws, dt)
+    return _l_update(state, emission_gradient_source(macro, ws), ws, dt,
+                     stencil(state.X_basis, ws))
 
 
 def galerkin_update(x_new, v_new, state_old, macro, ws, dt):
     """Coefficient update in new bases, starting from the projected old solution."""
     s_tilde = (x_new.T @ state_old.X_basis) @ state_old.S_coeff @ (state_old.V_basis.T @ v_new)
-    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_source(macro, ws), ws, dt)
+    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_source(macro, ws), ws, dt,
+                            stencil(x_new, ws))
 
 
 def orthonormalized(mat, rank):
@@ -372,16 +379,37 @@ class TestNodalKernels:
         source = rng.standard_normal(10)
         dt = 0.03
         t_mat = ws.angular.T_mat
+        diffs = stencil(state.X_basis, ws)
         for got, want in (
-            (_k_update(state, source, ws, dt), self.dense_k_update(state, source, ws, dt)),
-            (_l_update(state, source, ws, dt),
+            (_k_update(state, source, ws, dt, diffs),
+             self.dense_k_update(state, source, ws, dt)),
+            (_l_update(state, source, ws, dt, diffs),
              t_mat.T @ self.dense_l_update(state, source, ws, dt)),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
         s_tilde = rng.standard_normal((4, 4))
-        got = _galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt)
+        got = _galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt, diffs)
         want = self.dense_galerkin_update(state.X_basis, t_mat @ state.V_basis, s_tilde,
                                           source, ws, dt)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
+    def test_shared_stencil_k_step_matches_stencil_of_k(self, bc):
+        # D+-(X S) = (D+- X) S: the K-step from the stencil of X against the
+        # same update from the stencil of K = X S
+        rng = np.random.default_rng(92)
+        ws = make_workspace(nx=30, n_moments=12, bc=bc, seed=93)
+        state = random_state(rng, 31, 12, 4)
+        source = rng.standard_normal(31)
+        p, w, dt = ws.params, state.V_basis, 0.03
+        shift = p.epsilon**2 / (p.c * dt)
+        k = state.X_basis @ state.S_coeff
+        k_minus, k_plus = self.one_sided(k, ws)
+        flux_plus, flux_minus = _flux_projections(w, ws)
+        rhs = (shift * k - p.epsilon * (k_minus @ flux_plus + k_plus @ flux_minus)
+               - np.outer(source, w.T @ ws.nodal.b))
+        want = rhs / (shift + ws.sigma.at_interfaces)[:, None]
+        got = _k_update(state, source, ws, dt, stencil(state.X_basis, ws))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])

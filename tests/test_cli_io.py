@@ -280,6 +280,11 @@ class TestCliEntrypoints:
         assert main(["run", "/nonexistent/path.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_path_reports_error(self, tmp_path, capsys):
+        # reading a directory raises IsADirectoryError, an OSError
+        assert main(["run", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, "scenario = nowhere\nscheme = full\n")
         assert main(["run", path]) == 1
