@@ -23,7 +23,7 @@ from .bug_adaptive import (
     galerkin_s_hat,
     step_bug_adaptive,
 )
-from .bug_fixed import BugStepReport, step_bug_fixed
+from .bug_fixed import step_bug_fixed
 from .cli_io import RunConfig, parse_config, run_simulation, simulate
 from .full_scheme import FullSchemeWorkspace, step_full
 from .limits_diagnostics import (
@@ -41,8 +41,6 @@ from .mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    beta_fields,
-    beta_of_T,
     init_from_kinetic,
     scalar_flux,
     zero_low_rank_state,

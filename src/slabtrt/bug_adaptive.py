@@ -20,7 +20,6 @@ __all__ = [
     "TruncationConfig",
     "AugmentedFactors",
     "TruncationDetails",
-    "diffusion_limit_direction",
     "augment_bases",
     "galerkin_s_hat",
     "ap_truncate",
@@ -90,12 +89,6 @@ class TruncationDetails:
     R2: np.ndarray
     S_hat: np.ndarray
     r_star: int
-
-
-def diffusion_limit_direction(macro: MacroState, ws: FullSchemeWorkspace) -> np.ndarray:
-    """Interface vector (beta / sigma) * delta0(a c T) spanned by the micro limit."""
-    thermal, _ = emission_gradient_parts(macro, ws)
-    return thermal / ws.sigma.at_interfaces
 
 
 def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,

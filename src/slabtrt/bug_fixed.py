@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .full_scheme import FullSchemeWorkspace, emission_gradient_source, meso_macro_update
+from .full_scheme import FullSchemeWorkspace, emission_gradient_parts, meso_macro_update
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
@@ -14,27 +12,7 @@ from .mesh_state import (
     padded_difference,
 )
 
-__all__ = [
-    "BugStepReport",
-    "step_bug_fixed",
-]
-
-
-@dataclass(frozen=True)
-class BugStepReport:
-    """Per-step diagnostics of a low-rank update."""
-
-    rank: int
-    x_orth_defect: float
-    v_orth_defect: float
-    dt: float
-
-    @classmethod
-    def of(cls, state: LowRankMicroState, dt: float) -> "BugStepReport":
-        """Report of a new state, reusing the defects computed on its construction."""
-        return cls(rank=state.rank, x_orth_defect=state.x_orth_defect,
-                   v_orth_defect=state.v_orth_defect, dt=dt)
-
+__all__ = ["step_bug_fixed"]
 
 # The angular factor is held in nodal coordinates, W = T^T V with T = angular.T_mat.
 # The flux matrices are nodal too, A+- = T diag(mu+-) T^T with mu+- = (mu +- |mu|) / 2,
@@ -115,10 +93,10 @@ def _galerkin_update(x_new: np.ndarray, w_new: np.ndarray, s_tilde: np.ndarray,
 
 def _finish_step(new_state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
                  dt: float):
-    """Meso/macro update from the new first moment; the step's (macro, micro, report)."""
+    """Meso/macro update from the new first moment; the step's (macro, micro)."""
     g1_new = new_state.X_basis @ (new_state.S_coeff @ (ws.nodal.pin @ new_state.V_basis))
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
-    return MacroState(t_new, h_new), new_state, BugStepReport.of(new_state, dt)
+    return MacroState(t_new, h_new), new_state
 
 
 def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
@@ -135,7 +113,7 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
 
     r = state.rank
     nod = ws.nodal
-    source = emission_gradient_source(macro, ws)
+    source = emission_gradient_parts(macro, ws)[1]
     diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
     x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
                                        _k_update(state, source, ws, dt, diffs), r)

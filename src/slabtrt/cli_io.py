@@ -25,8 +25,6 @@ from .limits_diagnostics import (
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
-    EMISSION_LINEAR,
-    EMISSION_STEFAN_BOLTZMANN,
     FullMicroState,
     MacroState,
     StaggeredGrid,
@@ -77,7 +75,6 @@ class RunConfig:
     t_end: float | None = None
     dt: float | None = None
     cfl_safety: float = 1.0
-    emission: str = EMISSION_LINEAR
     bc: str = BC_ZERO_GHOST
     output_dir: str = "."
     history_stride: int = 1
@@ -94,7 +91,6 @@ _PARSERS = {
     "t_end": float,
     "dt": float,
     "cfl_safety": float,
-    "emission": str,
     "bc": str,
     "output_dir": str,
     "history_stride": int,
@@ -135,7 +131,6 @@ def parse_config(text: str) -> RunConfig:
             fail(key, "is required")
     config = RunConfig(**values)
     for key, allowed in (("scenario", SCENARIO_NAMES), ("scheme", SCHEMES),
-                         ("emission", (EMISSION_LINEAR, EMISSION_STEFAN_BOLTZMANN)),
                          ("bc", (BC_ZERO_GHOST, BC_PERIODIC))):
         if getattr(config, key) not in allowed:
             fail(key, f"must be one of {allowed}")
@@ -191,7 +186,7 @@ class RunResult:
 
 def _prepare(config: RunConfig):
     scn = scenario_defaults(config.scenario, config.epsilon)
-    overrides = {"emission": config.emission}
+    overrides = {}
     for key in ("nx", "n_moments", "epsilon"):
         value = getattr(config, key)
         if value is not None:
@@ -230,13 +225,13 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
         micro = zero_low_rank_state(n_rows, ws.angular.T_mat, rank)
 
         def advance(macro, micro, dt_step):
-            return step_bug_fixed(macro, micro, ws, dt_step)[:2]
+            return step_bug_fixed(macro, micro, ws, dt_step)
     elif scheme == "bug_adaptive":
         micro = zero_low_rank_state(n_rows, ws.angular.T_mat, rank)
         cfg = TruncationConfig(theta_rel=theta_rel, max_rank=min(n_rows, n_mom))
 
         def advance(macro, micro, dt_step):
-            return step_bug_adaptive(macro, micro, ws, dt_step, cfg)[:2]
+            return step_bug_adaptive(macro, micro, ws, dt_step, cfg)
     elif scheme == "rosseland":
         micro = FullMicroState(np.zeros((n_rows, 0)))
 
@@ -268,8 +263,7 @@ def _run(config: RunConfig) -> RunResult:
     dt = config.dt if config.dt is not None else config.cfl_safety * cfl_dt
     if config.scheme == "rosseland":
         # Explicit diffusion solve: respect the parabolic bound regardless.
-        parabolic = rosseland_stable_dt(built.macro.temperature, params, grid, built.sigma,
-                                        ws.bc)
+        parabolic = rosseland_stable_dt(params, grid, built.sigma)
         dt = min(dt, _ROSSELAND_SAFETY * parabolic)
     t_end = config.t_end if config.t_end is not None else scn.t_end
     rank = config.rank

@@ -12,13 +12,11 @@ from .angular import NORM_P0, NORM_P1, AngularOperators
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
-    EMISSION_LINEAR,
     AbsorptionField,
     FullMicroState,
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    beta_fields,
     diff_center,
     diff_interface,
 )
@@ -27,7 +25,6 @@ __all__ = [
     "NodalConstants",
     "FullSchemeWorkspace",
     "emission_gradient_parts",
-    "emission_gradient_source",
     "meso_macro_update",
     "step_full",
 ]
@@ -44,6 +41,7 @@ class NodalConstants(NamedTuple):
     t0: np.ndarray  # sqrt(w) P_0(mu), the nodal constant moment
     pin: np.ndarray  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
     b: np.ndarray  # T^T b_vec = |P_1| pin
+    t0_b: np.ndarray  # the rows t0 and b: the two rank-one directions of the dense step
     mu_plus: np.ndarray
     mu_minus: np.ndarray
     rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
@@ -75,9 +73,10 @@ class FullSchemeWorkspace:
         """The nodal constants of the steps, computed on first use."""
         quad, t_mat = self.angular.quad, self.angular.T_mat
         mu, mu_abs = quad.nodes, np.abs(quad.nodes)
-        pin = t_mat[0].copy()
-        return NodalConstants(np.sqrt(quad.weights) / NORM_P0, pin, NORM_P1 * pin,
-                              0.5 * (mu + mu_abs), 0.5 * (mu - mu_abs), t_mat.T.copy())
+        t0, pin = np.sqrt(quad.weights) / NORM_P0, t_mat[0].copy()
+        b = NORM_P1 * pin
+        return NodalConstants(t0, pin, b, np.stack([t0, b]), 0.5 * (mu + mu_abs),
+                              0.5 * (mu - mu_abs), t_mat.T.copy())
 
     def check_step(self, macro: MacroState, n_rows: int, n_nodes: int, dt: float):
         """Reject a step size, or a macro state and nodal micro shape that do not fit."""
@@ -92,35 +91,26 @@ class FullSchemeWorkspace:
 
 
 def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
-    """Thermal gradient beta * delta0(a c T) and the full first-moment source.
+    """Thermal gradient delta0(a c T) and the full first-moment source.
 
     The source adds eps^2 * delta0(h) to the thermal part; the thermal part over
     sigma is the diffusion-limit direction. Returns (thermal, source). Both
-    gradients come from one difference of the columns [a c T | h]; beta = 1 for
-    linear emission and is evaluated only for Stefan-Boltzmann.
+    gradients come from one difference of the columns [a c T | h].
     """
     p = ws.params
     grads = diff_interface(np.array([p.a_rad * p.c * macro.temperature, macro.h_meso]).T,
                            ws.grid, ws.bc)
     thermal = grads[:, 0]
-    if p.emission != EMISSION_LINEAR:
-        thermal = beta_fields(macro, p.emission, ws.bc)[1] * thermal
     return thermal, thermal + p.epsilon**2 * grads[:, 1]
-
-
-def emission_gradient_source(macro: MacroState, ws: FullSchemeWorkspace) -> np.ndarray:
-    """Interface source beta * delta0(a c T) + eps^2 * delta0(h) driving the first moment."""
-    return emission_gradient_parts(macro, ws)[1]
 
 
 def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorkspace,
                       dt: float):
     """Implicit mesoscopic update followed by the explicit temperature update."""
     p = ws.params
-    beta_c = 1.0 if p.emission == EMISSION_LINEAR else beta_fields(macro, p.emission, ws.bc)[0]
     shift = p.epsilon**2 / (p.c * dt)
     div_g1 = diff_center(g1_new, ws.grid)
-    denom = shift + ws.sigma.at_centers * (1.0 + p.a_rad * p.alpha * beta_c)
+    denom = shift + ws.sigma.at_centers * (1.0 + p.a_rad * p.alpha)
     h_new = (shift * macro.h_meso - 0.5 * NORM_P1 * div_g1) / denom
     t_new = macro.temperature + dt * p.alpha * ws.sigma.at_centers * h_new
     return h_new, t_new
@@ -158,9 +148,8 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     g_new = np.multiply(g, shift)
     g_new[:, :neg] -= forward
     g_new[:, neg:] -= backward
-    source = emission_gradient_source(macro, ws)
-    g_new += np.matmul(np.column_stack([along_t0, -source]), np.stack([nod.t0, nod.b]),
-                       out=diff[:-1])
+    source = emission_gradient_parts(macro, ws)[1]
+    g_new += np.matmul(np.column_stack([along_t0, -source]), nod.t0_b, out=diff[:-1])
     g_new /= (shift + ws.sigma.at_interfaces)[:, None]
 
     h_new, t_new = meso_macro_update(g_new @ nod.pin, macro, ws, dt)

@@ -11,8 +11,6 @@ from .mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    beta_at_interfaces,
-    beta_of_T,
     diff_interface,
 )
 
@@ -83,7 +81,7 @@ def relative_mass_error(m_n: float, m_0: float) -> float:
 
 def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: StaggeredGrid,
                    sigma: AbsorptionField, dt: float, bc: str = BC_ZERO_GHOST) -> np.ndarray:
-    """Explicit Euler step of the limiting nonlinear diffusion equation.
+    """Explicit Euler step of the limiting diffusion equation.
 
     Serves as the small-epsilon oracle for the transport schemes; its parabolic
     stability limit is the caller's responsibility.
@@ -95,22 +93,19 @@ def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: Stagge
         raise ValueError("temperature must have n_cells entries")
     p = params
 
-    beta_c = beta_of_T(t, p.emission)
-    beta_if = beta_at_interfaces(beta_c, p.emission, bc)
-    flux = beta_if / sigma.at_interfaces * diff_interface(t, grid, bc)
+    # (1/sigma) * delta, not delta / sigma, which can change the last bit of the output
+    flux = 1.0 / sigma.at_interfaces * diff_interface(t, grid, bc)
     divergence = np.diff(flux) / grid.dx
 
-    coef = dt * (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) / (1.0 + 2.0 * p.a_rad * beta_c / p.c_nu)
+    coef = dt * (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) / (1.0 + 2.0 * p.a_rad / p.c_nu)
     return t + coef * divergence
 
 
-def rosseland_stable_dt(temperature: np.ndarray, params: PhysicalParams, grid: StaggeredGrid,
-                        sigma: AbsorptionField, bc: str = BC_ZERO_GHOST) -> float:
+def rosseland_stable_dt(params: PhysicalParams, grid: StaggeredGrid,
+                        sigma: AbsorptionField) -> float:
     """Conservative parabolic bound dx^2 / (2 D_max) for the explicit limit solver."""
     p = params
-    beta_c = beta_of_T(np.asarray(temperature, dtype=float), p.emission)
-    beta_if = beta_at_interfaces(beta_c, p.emission, bc)
-    diffusivity = (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) * np.max(beta_if / sigma.at_interfaces)
+    diffusivity = (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) * np.max(1.0 / sigma.at_interfaces)
     if diffusivity <= 0.0:
         return np.inf
     return grid.dx**2 / (2.0 * diffusivity)

@@ -9,8 +9,6 @@ import numpy as np
 from .angular import QuadratureRule, orthonormal_legendre_table
 
 __all__ = [
-    "EMISSION_LINEAR",
-    "EMISSION_STEFAN_BOLTZMANN",
     "BC_ZERO_GHOST",
     "BC_PERIODIC",
     "PhysicalParams",
@@ -24,19 +22,12 @@ __all__ = [
     "diff_interface",
     "padded_difference",
     "emission_intensity",
-    "beta_of_T",
-    "beta_at_interfaces",
-    "beta_fields",
     "scalar_flux",
     "init_from_kinetic",
     "complete_orthonormal_columns",
     "extend_orthonormal_columns",
     "zero_low_rank_state",
 ]
-
-EMISSION_LINEAR = "linear"
-EMISSION_STEFAN_BOLTZMANN = "stefan_boltzmann"
-_EMISSIONS = (EMISSION_LINEAR, EMISSION_STEFAN_BOLTZMANN)
 
 BC_ZERO_GHOST = "zero_ghost"
 BC_PERIODIC = "periodic"
@@ -60,14 +51,11 @@ class PhysicalParams:
     c: float = 1.0
     a_rad: float = 1.0
     c_nu: float = 1.0
-    emission: str = EMISSION_LINEAR
 
     def __post_init__(self):
         for name in ("epsilon", "c", "a_rad", "c_nu"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.emission not in _EMISSIONS:
-            raise ValueError(f"emission must be one of {_EMISSIONS}")
 
     @property
     def alpha(self) -> float:
@@ -326,47 +314,8 @@ def diff_interface(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
 
 
 def emission_intensity(temperature, params: PhysicalParams):
-    """Blackbody emission a c T (linear closure) or a c T^4."""
-    t = np.asarray(temperature, dtype=float)
-    if params.emission == EMISSION_LINEAR:
-        return params.a_rad * params.c * t
-    return params.a_rad * params.c * t**4
-
-
-def beta_of_T(temperature, emission: str):
-    """Temperature derivative factor of the emission law: 1 or 4 T^3."""
-    if emission not in _EMISSIONS:
-        raise ValueError(f"emission must be one of {_EMISSIONS}")
-    t = np.asarray(temperature, dtype=float)
-    if emission == EMISSION_LINEAR:
-        out = np.ones_like(t)
-    else:
-        out = 4.0 * t**3
-    if np.isscalar(temperature):
-        return float(out)
-    return out
-
-
-def beta_at_interfaces(beta_centers: np.ndarray, emission: str,
-                       bc: str = BC_ZERO_GHOST) -> np.ndarray:
-    """Arithmetic means of the center values of beta at the n_cells + 1 interfaces.
-
-    The ghost cells are zero-temperature cells for zero_ghost and the wrapped
-    cells (last and first) for periodic.
-    """
-    _check_bc(bc)
-    if bc == BC_PERIODIC:
-        ghost_l, ghost_r = beta_centers[-1], beta_centers[0]
-    else:
-        ghost_l = ghost_r = beta_of_T(0.0, emission)
-    padded = np.concatenate([[ghost_l], beta_centers, [ghost_r]])
-    return 0.5 * (padded[:-1] + padded[1:])
-
-
-def beta_fields(macro: MacroState, emission: str, bc: str = BC_ZERO_GHOST):
-    """Emission derivative factor at centers and (averaged) interfaces."""
-    centers = beta_of_T(macro.temperature, emission)
-    return centers, beta_at_interfaces(centers, emission, bc)
+    """Blackbody emission B = a c T of the linear closure."""
+    return params.a_rad * params.c * np.asarray(temperature, dtype=float)
 
 
 def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mesh_state import (
-    EMISSION_LINEAR,
     AbsorptionField,
     FullMicroState,
     MacroState,
@@ -94,7 +93,7 @@ _BASE = {
     "absorber": Scenario(name="absorber", sigma_insert=(5.0, -0.25, 0.25)),
 }
 
-_OVERRIDE_KEYS = ("nx", "n_moments", "epsilon", "emission")
+_OVERRIDE_KEYS = ("nx", "n_moments", "epsilon")
 
 
 def scenario_defaults(name: str, epsilon: float | None = None) -> Scenario:
@@ -123,13 +122,11 @@ def build_scenario(name: str, overrides: dict | None = None) -> BuiltScenario:
     scn = scenario_defaults(name, overrides.get("epsilon"))
     nx = int(overrides.get("nx", scn.nx))
     n_moments = int(overrides.get("n_moments", scn.n_moments))
-    emission = overrides.get("emission", EMISSION_LINEAR)
     if nx < 1 or n_moments < 1:
         raise ValueError("nx and n_moments must be positive")
 
     grid = StaggeredGrid(scn.x_min, scn.x_max, nx)
-    params = PhysicalParams(epsilon=scn.epsilon, c=1.0, a_rad=1.0, c_nu=1.0,
-                            emission=emission)
+    params = PhysicalParams(epsilon=scn.epsilon, c=1.0, a_rad=1.0, c_nu=1.0)
     sigma = absorption_from_function(scn.sigma_fn(), grid)
     t0 = scn.initial_temperature_fn()(grid.centers)
     macro = MacroState(t0, np.zeros(nx))

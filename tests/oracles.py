@@ -37,19 +37,6 @@ def nodal_dense(g, angular):
     return FullMicroState(np.asarray(g, dtype=float) @ angular.T_mat)
 
 
-def _beta_arrays(T, emission, bc="zero_ghost"):
-    nx = len(T)
-    if emission == "linear":
-        return [1.0] * nx, [1.0] * (nx + 1)
-    centers = [4.0 * t**3 for t in T]
-    if bc == "periodic":
-        padded = [centers[-1]] + centers + [centers[0]]
-    else:
-        padded = [0.0] + centers + [0.0]
-    interfaces = [0.5 * (padded[j] + padded[j + 1]) for j in range(nx + 1)]
-    return centers, interfaces
-
-
 def _sample(seq, idx, bc):
     n = len(seq)
     if 0 <= idx < n:
@@ -60,15 +47,14 @@ def _sample(seq, idx, bc):
 
 
 def oracle_interface_source(T, h, params, dx, bc):
-    """beta * delta0(a c T) + eps^2 * delta0(h) at every interface, by loops."""
+    """delta0(a c T) + eps^2 * delta0(h) at every interface, by loops."""
     nx = len(T)
     a, c, eps = params.a_rad, params.c, params.epsilon
-    _, beta_if = _beta_arrays(T, params.emission, bc)
     src = []
     for j in range(nx + 1):
         grad_t = (_sample(T, j, bc) - _sample(T, j - 1, bc)) / dx
         grad_h = (_sample(h, j, bc) - _sample(h, j - 1, bc)) / dx
-        src.append(beta_if[j] * a * c * grad_t + eps**2 * grad_h)
+        src.append(a * c * grad_t + eps**2 * grad_h)
     return src
 
 
@@ -80,7 +66,6 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus,
     a, c, eps = params.a_rad, params.c, params.epsilon
     alpha = 2.0 / params.c_nu
     shift = eps**2 / (c * dt)
-    beta_c, _ = _beta_arrays(T, params.emission)
     src = oracle_interface_source(T, h, params, dx, bc)
 
     rows = np.asarray(G, dtype=float).tolist()
@@ -109,7 +94,7 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus,
     t_new = np.zeros(nx)
     for i in range(nx):
         div = (g_new[i + 1, 0] - g_new[i, 0]) / dx
-        denom = shift + sigma_c[i] * (1.0 + a * alpha * beta_c[i])
+        denom = shift + sigma_c[i] * (1.0 + a * alpha)
         h_new[i] = (shift * h[i] - 0.5 * SQ23 * div) / denom
         t_new[i] = T[i] + dt * alpha * sigma_c[i] * h_new[i]
     return t_new, h_new, g_new
@@ -241,17 +226,15 @@ def oracle_rosseland_step(T, params, dx, dt, sigma_i):
     """Loop transcription of the explicit diffusion-limit step (zero ghosts)."""
     nx = len(T)
     a, c, c_nu = params.a_rad, params.c, params.c_nu
-    _, beta_if = _beta_arrays(T, params.emission)
-    beta_c, _ = _beta_arrays(T, params.emission)
 
     def t_at(i):
         return T[i] if 0 <= i < nx else 0.0
 
     out = np.zeros(nx)
     for i in range(nx):
-        upper = (beta_if[i + 1] / sigma_i[i + 1]) * (t_at(i + 1) - t_at(i))
-        lower = (beta_if[i] / sigma_i[i]) * (t_at(i) - t_at(i - 1))
-        coef = (2.0 * a * c / (3.0 * c_nu)) / (1.0 + 2.0 * a * beta_c[i] / c_nu)
+        upper = (t_at(i + 1) - t_at(i)) / sigma_i[i + 1]
+        lower = (t_at(i) - t_at(i - 1)) / sigma_i[i]
+        coef = (2.0 * a * c / (3.0 * c_nu)) / (1.0 + 2.0 * a / c_nu)
         out[i] = T[i] + dt * coef * (upper - lower) / dx**2
     return out
 

@@ -238,8 +238,8 @@ def gauge_invariance_suite(n_instances=200, seed=23):
         rotated = LowRankMicroState(x @ q1, q1.T @ s @ q2, w @ q2, r)
         dt = float(rng.uniform(0.005, 0.05))
 
-        _, out_a, _ = step_bug_fixed(macro, state, ws, dt)
-        _, out_b, _ = step_bug_fixed(macro, rotated, ws, dt)
+        _, out_a = step_bug_fixed(macro, state, ws, dt)
+        _, out_b = step_bug_fixed(macro, rotated, ws, dt)
         ga = out_a.reconstruct()
         gb = out_b.reconstruct()
         worst = max(worst, np.linalg.norm(ga - gb) / max(np.linalg.norm(ga), 1e-300))

@@ -18,10 +18,10 @@ from oracles import (
 )
 from runners import run_desk
 from slabtrt.angular import build_angular_operators
-from slabtrt.bug_adaptive import TruncationConfig, diffusion_limit_direction, step_bug_adaptive
+from slabtrt.bug_adaptive import TruncationConfig, step_bug_adaptive
 from slabtrt.bug_fixed import _galerkin_update, _l_update, step_bug_fixed
 from slabtrt.cli_io import main, parse_config
-from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_source, step_full
+from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
     compute_cfl_dt,
     l2_relative_difference,
@@ -124,7 +124,8 @@ def test_criterion_5_one_step_limit():
     angular = build_angular_operators(n_mom)
     ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
     dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
-    target = -np.outer(diffusion_limit_direction(built.macro, ws), angular.b_vec)
+    w_ap = emission_gradient_parts(built.macro, ws)[0] / ws.sigma.at_interfaces
+    target = -np.outer(w_ap, angular.b_vec)
     scale = float(np.max(np.linalg.norm(target, axis=1)))
 
     worst = 0.0
@@ -132,13 +133,13 @@ def test_criterion_5_one_step_limit():
     worst = max(worst, np.max(np.linalg.norm(
         dense.modal(angular.T_mat).g_matrix - target, axis=1)[1:-1]) / scale)
 
-    _, fixed_state, _ = step_bug_fixed(
+    _, fixed_state = step_bug_fixed(
         built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt)
     worst = max(worst, np.max(np.linalg.norm(
         fixed_state.modal(angular.T_mat).reconstruct() - target, axis=1)[1:-1]) / scale)
 
     cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
-    _, adaptive_state, _ = step_bug_adaptive(
+    _, adaptive_state = step_bug_adaptive(
         built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt, cfg)
     worst = max(worst, np.max(np.linalg.norm(
         adaptive_state.modal(angular.T_mat).reconstruct() - target, axis=1)[1:-1]) / scale)
@@ -164,8 +165,8 @@ def test_criterion_6_low_rank_fidelity():
     while t < 1.5 - 1e-12:
         step_dt = min(dt, 1.5 - t)
         macro_d, micro_d = step_full(macro_d, micro_d, ws, step_dt)
-        macro_f, state_f, _ = step_bug_fixed(macro_f, state_f, ws, step_dt)
-        macro_a, state_a, _ = step_bug_adaptive(macro_a, state_a, ws, step_dt, cfg)
+        macro_f, state_f = step_bug_fixed(macro_f, state_f, ws, step_dt)
+        macro_a, state_a = step_bug_adaptive(macro_a, state_a, ws, step_dt, cfg)
         t += step_dt
 
     worst = 0.0
@@ -234,7 +235,7 @@ def test_criterion_9_oracle_equivalence():
     t_mat2 = ws2.angular.T_mat
     state = LowRankMicroState(x, rng.standard_normal((1, 1)), t_mat2.T @ v, 1)
     macro2 = MacroState(rng.uniform(0, 2, 2), rng.standard_normal(2))
-    l_new = t_mat2 @ _l_update(state, emission_gradient_source(macro2, ws2), ws2, 0.05,
+    l_new = t_mat2 @ _l_update(state, emission_gradient_parts(macro2, ws2)[1], ws2, 0.05,
                                padded_difference(x, grid2))
     l_oracle = oracle_l_step(x, state.S_coeff, v, macro2.temperature, macro2.h_meso,
                              params2, grid2.dx, 0.05, sig_i,
@@ -256,7 +257,7 @@ def test_criterion_9_oracle_equivalence():
     v_new, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     s_tilde = (x_new.T @ x_old) @ state3.S_coeff @ (v_old.T @ v_new)
     s_new = _galerkin_update(x_new, ws3.angular.T_mat.T @ v_new, s_tilde,
-                             emission_gradient_source(macro3, ws3), ws3, 0.04,
+                             emission_gradient_parts(macro3, ws3)[1], ws3, 0.04,
                              padded_difference(x_new, grid3))
     s_oracle = oracle_galerkin_dense(x_new, v_new, s_tilde, macro3.temperature,
                                      macro3.h_meso, params3, grid3.dx, 0.04, sig_i,

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import numpy as np
@@ -19,12 +18,11 @@ from slabtrt.bug_adaptive import (
     TruncationConfig,
     ap_truncate,
     augment_bases,
-    diffusion_limit_direction,
     galerkin_s_hat,
     step_bug_adaptive,
 )
 from slabtrt.bug_fixed import step_bug_fixed
-from slabtrt.full_scheme import FullSchemeWorkspace, step_full
+from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
     compute_cfl_dt,
     energy,
@@ -34,7 +32,6 @@ from slabtrt.limits_diagnostics import (
 )
 from slabtrt.mesh_state import (
     AbsorptionField,
-    FullMicroState,
     LowRankMicroState,
     MacroState,
     PhysicalParams,
@@ -412,14 +409,13 @@ def _count_calls(monkeypatch, module, name):
 
 class TestStepOperationCounts:
     """Each O(n) operation of a low-rank step runs once: no discarded QRs, one source,
-    one stencil of X shared by the K- and L-step plus one of the new spatial
-    directions, and no beta under linear emission (beta = 1)."""
+    and one stencil of X shared by the K- and L-step plus one of the new spatial
+    directions."""
 
-    def setup_problem(self, emission="linear"):
+    def setup_problem(self):
         nx, n_mom = 40, 16
         rng = np.random.default_rng(70)
         ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5, seed=71)
-        ws = dataclasses.replace(ws, params=PhysicalParams(epsilon=0.5, emission=emission))
         macro = MacroState(1.0 + np.exp(-4.0 * ws.grid.centers**2), 0.1 * rng.standard_normal(nx))
         state = random_state(rng, nx + 1, n_mom, 3)
         return ws, macro, state
@@ -433,11 +429,9 @@ class TestStepOperationCounts:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        beta = _count_calls(monkeypatch, mesh_state, "beta_fields")
         source = _count_calls(monkeypatch, full_scheme, "emission_gradient_parts")
         stencils = _count_calls(monkeypatch, mesh_state, "padded_difference")
-        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(beta), len(source),
-                        len(stencils))
+        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(source), len(stencils))
 
     @staticmethod
     def step(scheme, ws, macro, state):
@@ -450,10 +444,9 @@ class TestStepOperationCounts:
         ws, macro, state = self.setup_problem()
         counts = self.install_counters(monkeypatch, {41, 17})
         self.step(scheme, ws, macro, state)
-        tall_qr, beta, source, stencils = counts()
+        tall_qr, source, stencils = counts()
         assert tall_qr == 2
-        assert beta == 0
-        assert source <= 1
+        assert source == 1
         assert stencils == 2
 
     def test_adaptive_step(self, monkeypatch):
@@ -461,21 +454,6 @@ class TestStepOperationCounts:
 
     def test_fixed_rank_step(self, monkeypatch):
         self.check_linear_step(monkeypatch, "bug_fixed")
-
-    @pytest.mark.parametrize("scheme", ["bug_adaptive", "bug_fixed"])
-    def test_stefan_boltzmann_step_evaluates_beta(self, monkeypatch, scheme):
-        # once for the emission source, once for the mesoscopic update
-        ws, macro, state = self.setup_problem("stefan_boltzmann")
-        counts = self.install_counters(monkeypatch, {41, 17})
-        self.step(scheme, ws, macro, state)
-        assert counts()[1] == 2
-
-    def test_full_step_under_linear_emission_skips_beta(self, monkeypatch):
-        ws, macro, _ = self.setup_problem()
-        beta = _count_calls(monkeypatch, mesh_state, "beta_fields")
-        step_full(macro, FullMicroState(np.zeros((41, 17))), ws, 0.02)
-        assert len(beta) == 0
-
 
     def test_pulse_pads_once_and_qrs_only_new_directions(self, monkeypatch):
         # 30 steps of the 101 x 8 pulse from the rank-1 zero state: only the first
@@ -520,7 +498,7 @@ class TestStepOperationCounts:
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         for index in range(1, 31):
             step.update(index=index, rank=state.rank)
-            macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
         assert max(r for _, r, _, _ in qr_log) >= 5
         tall = [(i, shape) for i, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom + 1)]
         assert len([c for c in completions if c[1] in (nx + 1, n_mom + 1)]) <= 1
@@ -550,10 +528,10 @@ class TestStepBugAdaptive:
         macro = MacroState(np.full(6, 3.0), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
-        m1, s1, report = step_bug_adaptive(macro, state, ws, 0.02, cfg)
+        m1, s1 = step_bug_adaptive(macro, state, ws, 0.02, cfg)
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
         np.testing.assert_allclose(s1.reconstruct(), 0.0, atol=1e-13)
-        assert report.rank == 2
+        assert s1.rank == 2
 
     def test_drifted_bases_are_orthonormalized_again(self):
         # the old bases are carried into the augmented ones as they are; once
@@ -568,9 +546,9 @@ class TestStepBugAdaptive:
         drifted = LowRankMicroState(x, clean.S_coeff, ws.angular.T_mat.T @ v, 3)
         assert drifted.x_orth_defect > 1e-13
         cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
-        _, new, report = step_bug_adaptive(macro, drifted, ws, 0.02, cfg)
-        assert max(report.x_orth_defect, report.v_orth_defect) <= 1e-14
-        _, want, _ = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, cfg)
+        _, new = step_bug_adaptive(macro, drifted, ws, 0.02, cfg)
+        assert max(new.x_orth_defect, new.v_orth_defect) <= 1e-14
+        _, want = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, cfg)
         np.testing.assert_array_equal(new.reconstruct(), want.reconstruct())
 
     def test_small_epsilon_limit_after_one_step(self):
@@ -585,8 +563,8 @@ class TestStepBugAdaptive:
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
 
-        w_before = diffusion_limit_direction(macro, ws)
-        _, s1, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+        w_before = emission_gradient_parts(macro, ws)[0] / ws.sigma.at_interfaces
+        _, s1 = step_bug_adaptive(macro, state, ws, dt, cfg)
         target = -np.outer(w_before, ws.angular.b_vec)
         scale = np.max(np.linalg.norm(target, axis=1))
         defects = np.linalg.norm(s1.modal(angular.T_mat).reconstruct() - target, axis=1)
@@ -603,8 +581,8 @@ class TestStepBugAdaptive:
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
         for _ in range(200):
-            macro, state, report = step_bug_adaptive(macro, state, ws, dt, cfg)
-            assert report.rank <= 3
+            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+            assert state.rank <= 3
 
     def test_kinetic_pulse_matches_dense_scheme(self):
         nx, n_mom = 101, 30
@@ -620,7 +598,7 @@ class TestStepBugAdaptive:
         while t < 1.5 - 1e-12:
             dt_step = min(dt, 1.5 - t)
             macro_d, micro_d = step_full(macro_d, micro_d, ws, dt_step)
-            macro_a, state, _ = step_bug_adaptive(macro_a, state, ws, dt_step, cfg)
+            macro_a, state = step_bug_adaptive(macro_a, state, ws, dt_step, cfg)
             t += dt_step
         err_t = l2_relative_difference(macro_a.temperature, macro_d.temperature, built.grid)
         err_phi = l2_relative_difference(scalar_flux(macro_a, built.params),
@@ -640,7 +618,7 @@ class TestStepBugAdaptive:
             w = aug.w_ap
             res_w = w - aug.X_hat @ (aug.X_hat.T @ w)
             assert np.linalg.norm(res_w) <= 1e-12 * max(np.linalg.norm(w), 1e-300)
-            macro, state, _ = step_bug_adaptive(macro, state, ws, 0.02, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, 0.02, cfg)
             res_b = b - state.V_basis @ (state.V_basis.T @ b)
             assert np.linalg.norm(res_b) <= 1e-12
 
@@ -659,7 +637,7 @@ class TestStepBugAdaptive:
         m0 = mass(macro, built.params, built.grid)
         m_prev = m0
         for _ in range(55):
-            macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
             e = energy(macro, state.micro_norm_sq(built.grid.dx), built.params, built.grid)
             assert e <= e_prev + 1e-12 * e0
             e_prev = e
@@ -692,7 +670,7 @@ class TestStepBugAdaptive:
             state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
             worst = 0.0
             for _ in range(steps):
-                macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+                macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
                 worst = max(worst, abs(mass(macro, built.params, built.grid) - m0))
             assert worst <= bound * abs(m0), f"seed {seed}: drift {worst / abs(m0):.2e}"
 
@@ -710,8 +688,8 @@ class TestStepBugAdaptive:
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
         ranks = []
         for _ in range(25):
-            macro, state, report = step_bug_adaptive(macro, state, ws, dt, cfg)
-            ranks.append(report.rank)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+            ranks.append(state.rank)
         assert ranks == [2] + [3] * 24
 
     def test_diffusive_temperature_tracks_reference(self):
@@ -727,7 +705,7 @@ class TestStepBugAdaptive:
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=10)
         t_ref = macro.temperature.copy()
         for _ in range(10):
-            macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
             t_ref = rosseland_step(t_ref, params, grid, sigma, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4

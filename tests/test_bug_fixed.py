@@ -21,7 +21,7 @@ from slabtrt.bug_fixed import (
     step_bug_fixed,
 )
 from slabtrt.cli_io import simulate
-from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_source, step_full
+from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
     compute_cfl_dt,
     energy,
@@ -75,20 +75,20 @@ def stencil(x, ws):
 
 
 def k_update(state, macro, ws, dt):
-    return _k_update(state, emission_gradient_source(macro, ws), ws, dt,
+    return _k_update(state, emission_gradient_parts(macro, ws)[1], ws, dt,
                      stencil(state.X_basis, ws))
 
 
 def l_update(state, macro, ws, dt):
     """T^T L of the L-step."""
-    return _l_update(state, emission_gradient_source(macro, ws), ws, dt,
+    return _l_update(state, emission_gradient_parts(macro, ws)[1], ws, dt,
                      stencil(state.X_basis, ws))
 
 
 def galerkin_update(x_new, v_new, state_old, macro, ws, dt):
     """Coefficient update in new bases, starting from the projected old solution."""
     s_tilde = (x_new.T @ state_old.X_basis) @ state_old.S_coeff @ (state_old.V_basis.T @ v_new)
-    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_source(macro, ws), ws, dt,
+    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_parts(macro, ws)[1], ws, dt,
                             stencil(x_new, ws))
 
 
@@ -247,13 +247,13 @@ class TestStepBugFixed:
         ws = make_workspace(bc="periodic")
         macro = MacroState(np.full(6, 3.0), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
-        m1, s1, report = step_bug_fixed(macro, state, ws, 0.02)
+        m1, s1 = step_bug_fixed(macro, state, ws, 0.02)
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
         np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-14)
         np.testing.assert_allclose(s1.reconstruct(), 0.0, atol=1e-14)
-        assert report.rank == 2
-        assert report.x_orth_defect <= 1e-12
-        assert report.v_orth_defect <= 1e-12
+        assert s1.rank == 2
+        assert s1.x_orth_defect <= 1e-12
+        assert s1.v_orth_defect <= 1e-12
 
     def test_diffusive_temperature_tracks_reference(self):
         nx, n_mom = 50, 10
@@ -267,7 +267,7 @@ class TestStepBugFixed:
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         t_ref = macro.temperature.copy()
         for _ in range(10):
-            macro, state, _ = step_bug_fixed(macro, state, ws, dt)
+            macro, state = step_bug_fixed(macro, state, ws, dt)
             t_ref = rosseland_step(t_ref, params, grid, sigma, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4
@@ -287,7 +287,7 @@ class TestStepBugFixed:
         while t < 1.5 - 1e-12:
             dt_step = min(dt, 1.5 - t)
             macro_d, micro_d = step_full(macro_d, micro_d, ws, dt_step)
-            macro_l, state, _ = step_bug_fixed(macro_l, state, ws, dt_step)
+            macro_l, state = step_bug_fixed(macro_l, state, ws, dt_step)
             t += dt_step
         err_t = l2_relative_difference(macro_l.temperature, macro_d.temperature, built.grid)
         err_phi = l2_relative_difference(scalar_flux(macro_l, built.params),
@@ -307,7 +307,7 @@ class TestStepBugFixed:
         e0 = e_prev
         m0 = mass(macro, built.params, built.grid)
         for _ in range(60):
-            macro, state, _ = step_bug_fixed(macro, state, ws, dt)
+            macro, state = step_bug_fixed(macro, state, ws, dt)
             e = energy(macro, state.micro_norm_sq(built.grid.dx), built.params, built.grid)
             assert e <= e_prev + 1e-12 * e0
             e_prev = e
@@ -449,9 +449,9 @@ class TestNodalKernels:
                                         rank=1 if scheme == "bug_adaptive" else 4)
             for _ in range(6):
                 if scheme == "bug_fixed":
-                    macro, state, _ = step_bug_fixed(macro, state, ws, dt)
+                    macro, state = step_bug_fixed(macro, state, ws, dt)
                 else:
-                    macro, state, _ = step_bug_adaptive(macro, state, ws, dt, cfg)
+                    macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
             return macro, state
 
         (macro_a, state_a), (macro_b, state_b) = run(False), run(True)
@@ -482,7 +482,7 @@ class TestNodalKernels:
         ws = make_workspace(nx=10, n_moments=9, bc="periodic")
         macro = MacroState(np.full(10, 2.0), np.zeros(10))
         state = zero_low_rank_state(11, ws.angular.T_mat, rank=4)
-        _, new, _ = step_bug_fixed(macro, state, ws, 0.02)
+        _, new = step_bug_fixed(macro, state, ws, 0.02)
         np.testing.assert_allclose(new.V_basis, ws.angular.T_mat[:4].T, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
@@ -507,10 +507,9 @@ class TestNodalKernels:
         macro = MacroState(1.0 + rng.uniform(0.0, 1.0, 20), rng.standard_normal(20))
         state = random_state(rng, 21, 8, 3, pinned=scheme == "bug_adaptive")
         if scheme == "bug_fixed":
-            _, new, report = step_bug_fixed(macro, state, ws, 0.02)
+            _, new = step_bug_fixed(macro, state, ws, 0.02)
         else:
             cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
-            _, new, report = step_bug_adaptive(macro, state, ws, 0.02, cfg)
-        assert report.rank == new.rank
-        assert report.x_orth_defect == _orth_defect(new.X_basis)
-        assert report.v_orth_defect == _orth_defect(new.V_basis)
+            _, new = step_bug_adaptive(macro, state, ws, 0.02, cfg)
+        assert new.x_orth_defect == _orth_defect(new.X_basis)
+        assert new.v_orth_defect == _orth_defect(new.V_basis)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from slabtrt.cli_io import (
 )
 from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass, relative_mass_error
+from slabtrt.mesh_state import MacroState
 from slabtrt.scenarios import build_scenario
 
 DESK = """
@@ -43,7 +46,6 @@ class TestParseConfig:
         assert cfg.cfl_safety == 1.0
         assert cfg.history_stride == 1
         assert cfg.bc == "zero_ghost"
-        assert cfg.emission == "linear"
         assert cfg.nx is None and cfg.rank is None and cfg.dt is None
 
     def test_negative_epsilon_names_key_and_line(self):
@@ -55,8 +57,14 @@ class TestParseConfig:
         assert cfg.rank == 15
 
     def test_unknown_key_names_line(self):
-        with pytest.raises(ConfigError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2: unknown key 'wavelength'"):
             parse_config("scheme = full\nwavelength = 3\nscenario = absorber")
+
+    # the schemes implement the linear closure B = a c T only: no key selects an emission law
+    @pytest.mark.parametrize("value", ["linear", "stefan_boltzmann"])
+    def test_emission_key_names_line(self, value):
+        with pytest.raises(ConfigError, match="line 2: unknown key 'emission'"):
+            parse_config(f"scheme = full\nemission = {value}\nscenario = absorber")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -217,17 +225,17 @@ class TestSimulate:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_non_finite_state_aborts_naming_the_step(self, scheme):
-        # Stefan-Boltzmann emission at the linear step bound blows up at step 4; the
-        # state containers (and ap_truncate, before its SVD) reject the non-finite
-        # result, and simulate names the step and the cause
-        built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 8,
-                                                     "emission": "stefan_boltzmann"})
+        # a pulse of 1.6e308, just below the largest double: the first temperature
+        # gradient overflows, the state containers (and ap_truncate, before its SVD)
+        # reject the non-finite result, and simulate names the step and the cause
+        built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 8})
+        macro = MacroState(8e305 * built.macro.temperature, built.macro.h_meso)
         angular = build_angular_operators(8)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
         with pytest.raises(RuntimeError,
-                           match=r"simulation aborted at step \d+: .*non-finite entries"):
-            for _ in simulate(scheme, built.macro, built.micro, ws, dt, 1.5, rank=3,
+                           match=r"simulation aborted at step 1: .*non-finite entries"):
+            for _ in simulate(scheme, macro, built.micro, ws, dt, 1.5, rank=3,
                               theta_rel=5e-2):
                 pass
 
@@ -289,3 +297,25 @@ class TestCliEntrypoints:
         path = self.write_config(tmp_path, "scenario = nowhere\nscheme = full\n")
         assert main(["run", path]) == 1
         assert "scenario" in capsys.readouterr().err
+
+    def test_emission_config_reports_line_and_key(self, tmp_path, capsys):
+        path = self.write_config(
+            tmp_path, "scenario = absorber\nscheme = rosseland\nemission = stefan_boltzmann\n")
+        assert main(["run", path]) == 1
+        assert "line 3: unknown key 'emission'" in capsys.readouterr().err
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+class TestShippedConfigs:
+    def test_the_configs_are_found(self):
+        # an empty glob would leave the parametrized test below with no cases
+        assert [p.stem for p in SHIPPED_CONFIGS] == [
+            "absorber_diffusive", "absorber_kinetic", "pulse_diffusive", "pulse_kinetic"]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_parses_and_reports_its_step_bound(self, path, capsys):
+        # the shipped configs fit the schema of the linear closure: no emission key
+        assert main(["cfl", str(path)]) == 0
+        assert float(capsys.readouterr().out.split("cfl_dt = ")[1].splitlines()[0]) > 0.0

@@ -15,10 +15,9 @@ from slabtrt.mesh_state import (
 from slabtrt.scenarios import build_scenario
 
 
-def make_workspace(nx=3, n_moments=2, epsilon=1.0, sigma=1.0, bc="zero_ghost",
-                   emission="linear"):
+def make_workspace(nx=3, n_moments=2, epsilon=1.0, sigma=1.0, bc="zero_ghost"):
     grid = StaggeredGrid(0.0, float(nx), nx)
-    params = PhysicalParams(epsilon=epsilon, emission=emission)
+    params = PhysicalParams(epsilon=epsilon)
     field = AbsorptionField(np.full(nx, sigma), np.full(nx + 1, sigma))
     angular = build_angular_operators(n_moments)
     return FullSchemeWorkspace(grid, params, field, angular, bc=bc)
@@ -48,9 +47,8 @@ class TestStepFull:
         np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-16)
         np.testing.assert_allclose(g1.g_matrix, 0.0, atol=1e-16)
 
-    @pytest.mark.parametrize("emission", ["linear", "stefan_boltzmann"])
-    def test_uniform_periodic_is_fixed_point(self, emission):
-        ws = make_workspace(nx=6, n_moments=3, bc="periodic", emission=emission)
+    def test_uniform_periodic_is_fixed_point(self):
+        ws = make_workspace(nx=6, n_moments=3, bc="periodic")
         macro = MacroState(np.full(6, 1.7), np.zeros(6))
         micro = FullMicroState(np.zeros((7, 4)))
         m1, g1 = step_full(macro, micro, ws, 0.05)
@@ -86,10 +84,10 @@ class TestStepFull:
     def test_random_instances_against_oracle(self):
         rng = np.random.default_rng(8)
         for bc in ("zero_ghost", "periodic"):
-            for emission in ("linear", "stefan_boltzmann"):
+            for _ in range(2):
                 nx, n_mom = 5, 3
                 grid = StaggeredGrid(-1.0, 1.0, nx)
-                params = PhysicalParams(epsilon=0.7, emission=emission)
+                params = PhysicalParams(epsilon=0.7)
                 sig_c = rng.uniform(0.5, 2.0, nx)
                 sig_i = rng.uniform(0.5, 2.0, nx + 1)
                 field = AbsorptionField(sig_c, sig_i)
@@ -151,6 +149,21 @@ class TestSplitAdvection:
         for _ in range(3):
             macro, micro = step_full(macro, micro, ws, 0.01)
         assert not {"A", "A_plus", "A_minus", "A_abs"} & set(vars(ws.angular))
+
+    def test_rank_one_rows_are_built_once(self):
+        # the (2, N + 1) block [t0; b] of the rank-one update is a nodal constant,
+        # built with the workspace's nodal constants and left untouched by the steps
+        ws = make_workspace(nx=8, n_moments=6, bc="periodic")
+        nod = ws.nodal
+        np.testing.assert_array_equal(nod.t0_b, np.stack([nod.t0, nod.b]))
+        kept = nod.t0_b.copy()
+        rng = np.random.default_rng(6)
+        macro = MacroState(rng.uniform(0.5, 1.5, 8), rng.standard_normal(8))
+        micro = nodal_dense(rng.standard_normal((9, 6)), ws.angular)
+        for _ in range(3):
+            macro, micro = step_full(macro, micro, ws, 0.02)
+        assert ws.nodal is nod
+        np.testing.assert_array_equal(nod.t0_b, kept)
 
     def test_returned_state_is_not_a_workspace_buffer(self):
         ws = make_workspace(nx=10, n_moments=5)

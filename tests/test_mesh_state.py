@@ -10,9 +10,6 @@ from slabtrt.mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    beta_at_interfaces,
-    beta_fields,
-    beta_of_T,
     complete_orthonormal_columns,
     diff_center,
     diff_interface,
@@ -434,13 +431,8 @@ class TestCompleteOrthonormalColumns:
 class TestEmission:
     def test_scalar_flux_linear(self):
         params = PhysicalParams(epsilon=1.0)
-        macro = MacroState(np.ones(4), np.zeros(4))
-        np.testing.assert_allclose(scalar_flux(macro, params), 1.0, atol=1e-15)
-
-    def test_scalar_flux_fourth_power(self):
-        params = PhysicalParams(epsilon=1.0, emission="stefan_boltzmann")
         macro = MacroState(np.full(4, 2.0), np.zeros(4))
-        np.testing.assert_allclose(scalar_flux(macro, params), 16.0, atol=1e-13)
+        np.testing.assert_allclose(scalar_flux(macro, params), 2.0, atol=1e-15)
 
     def test_scalar_flux_with_meso(self):
         params = PhysicalParams(epsilon=0.1)
@@ -448,40 +440,19 @@ class TestEmission:
         np.testing.assert_allclose(scalar_flux(macro, params), 1.03, atol=1e-15)
 
     def test_beta_linear_is_one(self):
-        assert beta_of_T(123.4, "linear") == 1.0
-        macro = MacroState(np.linspace(0, 5, 6), np.zeros(6))
-        centers, interfaces = beta_fields(macro, "linear")
-        np.testing.assert_allclose(centers, 1.0)
-        np.testing.assert_allclose(interfaces, 1.0)
+        # beta = dB/dT / (a c) is one under the linear closure B = a c T: raising T by
+        # a step raises the scalar flux by exactly that step
+        params = PhysicalParams(epsilon=0.5)
+        macro = MacroState(np.linspace(0.0, 5.0, 6), np.zeros(6))
+        raised = MacroState(macro.temperature + 0.25, macro.h_meso)
+        np.testing.assert_array_equal(scalar_flux(raised, params) - scalar_flux(macro, params),
+                                      0.25)
 
-    def test_beta_cubic(self):
-        assert beta_of_T(2.0, "stefan_boltzmann") == pytest.approx(32.0)
-
-    def test_beta_interface_mean(self):
-        macro = MacroState(np.array([1.0, 2.0]), np.zeros(2))
-        _, interfaces = beta_fields(macro, "stefan_boltzmann")
-        # ghost temperature is zero at the ends
-        np.testing.assert_allclose(interfaces, [2.0, 18.0, 16.0], atol=1e-13)
-
-
-    def test_beta_interface_mean_periodic_wraps(self):
-        temperature = np.array([1.0, 2.0, 3.0])
-        macro = MacroState(temperature, np.zeros(3))
-        centers, interfaces = beta_fields(macro, "stefan_boltzmann", "periodic")
-        np.testing.assert_allclose(centers, [4.0, 32.0, 108.0])
-        # interfaces 0 and n both sit between the last and the first cell
-        assert interfaces[0] == pytest.approx(0.5 * (108.0 + 4.0))
-        assert interfaces[-1] == pytest.approx(0.5 * (108.0 + 4.0))
-        np.testing.assert_allclose(interfaces[1:-1], [18.0, 70.0])
-
-    def test_beta_helper_is_shared_by_both_bcs(self):
-        centers = np.array([2.0, 5.0])
-        np.testing.assert_array_equal(beta_at_interfaces(centers, "stefan_boltzmann"),
-                                      [1.0, 3.5, 2.5])
-        np.testing.assert_array_equal(beta_at_interfaces(centers, "linear", "periodic"),
-                                      [3.5, 3.5, 3.5])
-        with pytest.raises(ValueError):
-            beta_at_interfaces(centers, "linear", "reflecting")
+    def test_params_take_no_emission_law(self):
+        # the schemes implement the linear closure B = a c T only
+        with pytest.raises(TypeError):
+            PhysicalParams(epsilon=1.0, emission="stefan_boltzmann")
+        assert not hasattr(PhysicalParams(epsilon=1.0), "emission")
 
 
 class TestInitFromKinetic:

@@ -91,8 +91,13 @@ class TestAbsorber:
 
 class TestValidation:
     def test_unknown_override(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scenario overrides: \\['cells'\\]"):
             build_scenario("rectangular_pulse", {"cells": 10})
+
+    @pytest.mark.parametrize("value", ["linear", "stefan_boltzmann"])
+    def test_emission_override_refused(self, value):
+        with pytest.raises(ValueError, match="unknown scenario overrides: \\['emission'\\]"):
+            build_scenario("rectangular_pulse", {"nx": 10, "emission": value})
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
