@@ -13,7 +13,6 @@ from .angular import (
     QuadratureRule,
     build_angular_operators,
     gauss_legendre,
-    orthonormal_legendre,
 )
 from .bug_adaptive import (
     AugmentedFactors,
@@ -27,7 +26,7 @@ from .bug_fixed import step_bug_fixed
 from .cli_io import RunConfig, parse_config, run_simulation, simulate
 from .full_scheme import FullSchemeWorkspace, step_full
 from .limits_diagnostics import (
-    compute_cfl_dt,
+    cfl_report,
     energy,
     l2_relative_difference,
     mass,
@@ -41,7 +40,6 @@ from .mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
-    init_from_kinetic,
     scalar_flux,
     zero_low_rank_state,
 )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -14,7 +13,6 @@ __all__ = [
     "AngularOperators",
     "recurrence_coeff",
     "gauss_legendre",
-    "orthonormal_legendre",
     "orthonormal_legendre_table",
     "build_angular_operators",
 ]
@@ -41,25 +39,18 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    count: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if self.count < 1:
-            raise ValueError("quadrature count must be a positive integer")
-        if nodes.shape != (self.count,) or weights.shape != (self.count,):
-            raise ValueError("nodes/weights length must equal count")
+        if nodes.ndim != 1 or nodes.size < 1 or weights.shape != nodes.shape:
+            raise ValueError("nodes and weights must be nonempty 1-d arrays of equal length")
         if not np.all(weights > 0.0):
             raise ValueError("quadrature weights must be positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate samples taken at the nodes over [-1, 1]."""
-        return float(np.dot(self.weights, values))
 
 
 def _legendre_with_derivative(n: int, x: np.ndarray):
@@ -81,7 +72,7 @@ def gauss_legendre(count: int) -> QuadratureRule:
     if count < 1:
         raise ValueError("count must be a positive integer")
     if count == 1:
-        return QuadratureRule(np.array([0.0]), np.array([2.0]), 1)
+        return QuadratureRule(np.array([0.0]), np.array([2.0]))
 
     n_half = count // 2
     i = np.arange(1, n_half + 1, dtype=float)
@@ -104,27 +95,7 @@ def gauss_legendre(count: int) -> QuadratureRule:
     else:
         nodes = np.concatenate([-x, x[::-1]])
         weights = np.concatenate([w_half, w_half[::-1]])
-    return QuadratureRule(nodes, weights, count)
-
-
-def orthonormal_legendre(k: int, x):
-    """Evaluate the k-th orthonormal Legendre polynomial on [-1, 1].
-
-    Uses the orthonormal three-term recurrence; P_0 = 1/sqrt(2).
-    """
-    if k < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError("orthonormal_legendre requires |x| <= 1")
-    p_prev = np.zeros_like(arr)
-    p = np.full_like(arr, 1.0 / NORM_P0)
-    for j in range(k):
-        a_prev = recurrence_coeff(j - 1) if j > 0 else 0.0
-        p, p_prev = (arr * p - a_prev * p_prev) / recurrence_coeff(j), p
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(p)
-    return p
+    return QuadratureRule(nodes, weights)
 
 
 def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
@@ -141,20 +112,27 @@ def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AngularOperators:
-    """Nodal transformation and source vectors of the moment system.
+    """Nodal transformation of the moment system and the angular constants of the steps.
 
     The transformation T_mat holds sqrt(w_k) P_i(mu_k) for moments i = 1..N; its
-    rows are orthonormal. The flux matrix A = T M T^T with M = diag(mu_k), its
-    upwind parts with (M +- |M|)/2 and the stabilization matrix with |M| are
-    computed on first access: no step reads them, they are test references.
+    rows are orthonormal. The steps hold the micro moments as g T (dense) and
+    the angular factor as W = T^T V (low rank): in nodal coordinates. T^T T =
+    I - t0 t0^T, so range(T^T) is the complement of t0 and W has the inner
+    products of V; the flux projections V^T A+- V = W^T diag(mu+-) W of
+    A+- = T diag(mu+-) T^T need no T. Every array is read-only.
     """
 
     n_moments: int
     quad: QuadratureRule
     T_mat: np.ndarray
-    b_vec: np.ndarray
-    a_vec: np.ndarray
     beta_N: float
+    t0: np.ndarray  # sqrt(w) P_0(mu), the nodal constant moment
+    pin: np.ndarray  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
+    b: np.ndarray  # T^T b = |P_1| pin, the nodal source direction
+    t0_b: np.ndarray  # the rows t0 and b: the two rank-one directions of the dense step
+    mu_plus: np.ndarray  # (mu + |mu|) / 2
+    mu_minus: np.ndarray  # (mu - |mu|) / 2
+    rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
 
     def __post_init__(self):
         n = self.n_moments
@@ -162,19 +140,8 @@ class AngularOperators:
             raise ValueError("n_moments must be a positive integer")
         if self.T_mat.shape != (n, n + 1):
             raise ValueError("T_mat must be n_moments x (n_moments + 1)")
-        for name in ("T_mat", "b_vec", "a_vec"):
+        for name in ("T_mat", "t0", "pin", "b", "t0_b", "mu_plus", "mu_minus", "rows"):
             getattr(self, name).setflags(write=False)
-
-    def _read_only(self, mat: np.ndarray) -> np.ndarray:
-        mat.setflags(write=False)
-        return mat
-
-    A_plus = cached_property(lambda self: self._read_only(0.5 * (
-        self.T_mat * (self.quad.nodes + np.abs(self.quad.nodes))) @ self.T_mat.T))
-    A_minus = cached_property(lambda self: self._read_only(0.5 * (
-        self.T_mat * (self.quad.nodes - np.abs(self.quad.nodes))) @ self.T_mat.T))
-    A = cached_property(lambda self: self._read_only(self.A_plus + self.A_minus))
-    A_abs = cached_property(lambda self: self._read_only(self.A_plus - self.A_minus))
 
 
 def build_angular_operators(n_moments: int) -> AngularOperators:
@@ -185,15 +152,19 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
     table = orthonormal_legendre_table(n_moments, quad.nodes)
     t_mat = np.sqrt(quad.weights)[None, :] * table[1:, :]
 
-    b_vec = np.zeros(n_moments)
-    b_vec[0] = NORM_P1
-    a_vec = b_vec / NORM_P0
-    beta_n = float(np.max(quad.weights) * (n_moments + 1))
+    mu, mu_abs = quad.nodes, np.abs(quad.nodes)
+    t0, pin = np.sqrt(quad.weights) / NORM_P0, t_mat[0].copy()
+    b = NORM_P1 * pin
     return AngularOperators(
         n_moments=n_moments,
         quad=quad,
         T_mat=t_mat,
-        b_vec=b_vec,
-        a_vec=a_vec,
-        beta_N=beta_n,
+        beta_N=float(np.max(quad.weights) * (n_moments + 1)),
+        t0=t0,
+        pin=pin,
+        b=b,
+        t0_b=np.stack([t0, b]),
+        mu_plus=0.5 * (mu + mu_abs),
+        mu_minus=0.5 * (mu - mu_abs),
+        rows=t_mat.T.copy(),
     )

@@ -19,7 +19,6 @@ from .mesh_state import (
 __all__ = [
     "TruncationConfig",
     "AugmentedFactors",
-    "TruncationDetails",
     "augment_bases",
     "galerkin_s_hat",
     "ap_truncate",
@@ -69,26 +68,8 @@ class AugmentedFactors:
 
     X_hat: np.ndarray
     V_hat: np.ndarray
-    w_ap: np.ndarray
     source: np.ndarray
     x_stencil: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class TruncationDetails:
-    """Intermediate truncation factors, exposed for verification.
-
-    S_hat[:, 1:] = C S_rem_hat with orthonormal C. C is taken from the thin
-    SVD of S_hat[:, 1:], so S_rem_hat = diag(sigma) W^T and its kept left
-    singular vectors are the first r_star unit vectors.
-    """
-
-    S_ap: np.ndarray
-    S_rem_hat: np.ndarray
-    W_hat: np.ndarray
-    R2: np.ndarray
-    S_hat: np.ndarray
-    r_star: int
 
 
 def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
@@ -104,8 +85,8 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     V[:, 0] must be b/|b|, so b is always dropped and V_hat[:, 0] stays the
     conserved-moment direction.
     """
-    nod = ws.nodal
-    if np.max(np.abs(state.V_basis[:, 0] - nod.pin)) > _PIN_TOL:
+    ang = ws.angular
+    if np.max(np.abs(state.V_basis[:, 0] - ang.pin)) > _PIN_TOL:
         raise ValueError("the first angular basis vector must be b/|b|")
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
@@ -117,12 +98,12 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
         state.X_basis, np.concatenate([w_ap[:, None], k_new], axis=1), _RANK_FLOOR)
     # t0 is outside range(T^T): without it in the basis, rounding that QR
     # amplifies would leak into that direction
-    v_new = extend_orthonormal_columns(np.concatenate([nod.t0[:, None], state.V_basis], axis=1),
-                                       np.concatenate([l_new, nod.b[:, None]], axis=1),
-                                       _RANK_FLOOR + 1, nod.rows)
+    v_new = extend_orthonormal_columns(np.concatenate([ang.t0[:, None], state.V_basis], axis=1),
+                                       np.concatenate([l_new, ang.b[:, None]], axis=1),
+                                       _RANK_FLOOR + 1, ang.rows)
     return AugmentedFactors(
         X_hat=np.concatenate([state.X_basis, x_new], axis=1),
-        V_hat=np.concatenate([state.V_basis, v_new], axis=1), w_ap=w_ap, source=source,
+        V_hat=np.concatenate([state.V_basis, v_new], axis=1), source=source,
         x_stencil=np.concatenate([diffs, padded_difference(x_new, ws.grid, ws.bc)], axis=1))
 
 
@@ -155,8 +136,7 @@ def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
     return tail.size - int(np.count_nonzero(np.sqrt(tail) <= theta_rel)) + 1
 
 
-def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
-                return_details: bool = False):
+def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig):
     """Split off the conserved column, truncate the remainder by SVD, and refold.
 
     The column paired with the first angular basis vector is kept exactly, so the
@@ -197,18 +177,9 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig,
         # refolding QR below never has to split two parallel columns.
         live, _ = np.linalg.qr(slots[:, ~dead])
         slots[:, dead] = complete_orthonormal_columns(live, int(dead.sum()))
-        s_ap = weights[:1, None]
 
     c_new, r2 = np.linalg.qr(slots)
-    x_new = x_hat @ c_new
-    rank_new = r_star + 1
-    s_new = r2 * weights
-
-    state = LowRankMicroState(x_new, s_new, v_new, rank_new)
-    if return_details:
-        return state, TruncationDetails(S_ap=s_ap, S_rem_hat=svals[:, None] * wt_mat,
-                                        W_hat=w_hat, R2=r2, S_hat=s_hat, r_star=r_star)
-    return state
+    return LowRankMicroState(x_hat @ c_new, r2 * weights, v_new)
 
 
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,

@@ -17,15 +17,15 @@ __all__ = ["step_bug_fixed"]
 # The angular factor is held in nodal coordinates, W = T^T V with T = angular.T_mat.
 # The flux matrices are nodal too, A+- = T diag(mu+-) T^T with mu+- = (mu +- |mu|) / 2,
 # so V^T A+- V = W^T diag(mu+-) W and T^T A+- = (I - t0 t0^T) diag(mu+-) T^T: no
-# step multiplies by T. The constants live in `ws.nodal`. Each substep takes the
+# step multiplies by T. The constants live in `ws.angular`. Each substep takes the
 # stencil of its spatial basis, diffs = padded_difference(X) (rows [:-1] are D- X,
 # rows [1:] D+ X); X^T D+ X = -(X^T D- X)^T by summation by parts for both bcs.
 
 
 def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
     """V^T A+ V and V^T A- V from the nodal factor W = T^T V."""
-    nod = ws.nodal
-    return (w.T * nod.mu_plus) @ w, (w.T * nod.mu_minus) @ w
+    ang = ws.angular
+    return (w.T * ang.mu_plus) @ w, (w.T * ang.mu_minus) @ w
 
 
 def _absorb_inverse(x: np.ndarray, shift: float, ws: FullSchemeWorkspace) -> np.ndarray:
@@ -52,7 +52,7 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     flux_plus, flux_minus = _flux_projections(w, ws)
     advect = diffs[:-1] @ (s @ flux_plus) + diffs[1:] @ (s @ flux_minus)
     rhs = (shift * (state.X_basis @ s) - p.epsilon * advect
-           - source[:, None] * (w.T @ ws.nodal.b))
+           - source[:, None] * (w.T @ ws.angular.b))
     rhs /= (shift + ws.sigma.at_interfaces)[:, None]
     return rhs
 
@@ -65,14 +65,14 @@ def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     coordinates, P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
     The absorption makes the implicit solve an r x r SPD system.
     """
-    p, nod, x = ws.params, ws.nodal, state.X_basis
+    p, ang, x = ws.params, ws.angular, state.X_basis
     shift = p.epsilon**2 / (p.c * dt)
     f_minus = (x.T @ diffs[:-1]).T
     l_nodal = state.V_basis @ state.S_coeff.T
-    advect = (nod.mu_plus[:, None] * (l_nodal @ f_minus)
-              - nod.mu_minus[:, None] * (l_nodal @ f_minus.T))
-    advect -= nod.t0[:, None] * (nod.t0 @ advect)
-    rhs = shift * l_nodal - p.epsilon * advect - nod.b[:, None] * (x.T @ source)
+    advect = (ang.mu_plus[:, None] * (l_nodal @ f_minus)
+              - ang.mu_minus[:, None] * (l_nodal @ f_minus.T))
+    advect -= ang.t0[:, None] * (ang.t0 @ advect)
+    rhs = shift * l_nodal - p.epsilon * advect - ang.b[:, None] * (x.T @ source)
     return rhs @ _absorb_inverse(x, shift, ws)
 
 
@@ -87,14 +87,14 @@ def _galerkin_update(x_new: np.ndarray, w_new: np.ndarray, s_tilde: np.ndarray,
     proj_plus, proj_minus = _flux_projections(w_new, ws)
     advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
     rhs = (shift * s_tilde - p.epsilon * advect
-           - (x_new.T @ source)[:, None] * (w_new.T @ ws.nodal.b))
+           - (x_new.T @ source)[:, None] * (w_new.T @ ws.angular.b))
     return _absorb_inverse(x_new, shift, ws) @ rhs
 
 
 def _finish_step(new_state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
                  dt: float):
     """Meso/macro update from the new first moment; the step's (macro, micro)."""
-    g1_new = new_state.X_basis @ (new_state.S_coeff @ (ws.nodal.pin @ new_state.V_basis))
+    g1_new = new_state.X_basis @ (new_state.S_coeff @ (ws.angular.pin @ new_state.V_basis))
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
     return MacroState(t_new, h_new), new_state
 
@@ -111,15 +111,14 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     """
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
 
-    r = state.rank
-    nod = ws.nodal
+    r, ang = state.rank, ws.angular
     source = emission_gradient_parts(macro, ws)[1]
     diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
     x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
                                        _k_update(state, source, ws, dt, diffs), r)
-    w_new = extend_orthonormal_columns(nod.t0[:, None], _l_update(state, source, ws, dt, diffs),
-                                       r + 1, nod.rows)
+    w_new = extend_orthonormal_columns(ang.t0[:, None], _l_update(state, source, ws, dt, diffs),
+                                       r + 1, ang.rows)
     s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ w_new)
     s_new = _galerkin_update(x_new, w_new, s_tilde, source, ws, dt,
                              padded_difference(x_new, ws.grid, ws.bc))
-    return _finish_step(LowRankMicroState(x_new, s_new, w_new, r), macro, ws, dt)
+    return _finish_step(LowRankMicroState(x_new, s_new, w_new), macro, ws, dt)

@@ -31,7 +31,7 @@ from .mesh_state import (
     scalar_flux,
     zero_low_rank_state,
 )
-from .scenarios import SCENARIO_NAMES, build_scenario, scenario_defaults
+from .scenarios import SCENARIO_NAMES, Scenario, build_scenario, scenario_defaults
 
 __all__ = [
     "SCHEMES",
@@ -140,10 +140,9 @@ def parse_config(text: str) -> RunConfig:
         fail("n_moments", "must be a positive integer")
     if config.epsilon is not None and not config.epsilon > 0.0:
         fail("epsilon", "must be strictly positive")
-    scn = scenario_defaults(config.scenario, config.epsilon)
-    most = min((config.nx or scn.nx) + 1, config.n_moments or scn.n_moments)
-    if config.rank is not None and not 1 <= config.rank <= most:
-        fail("rank", f"must be between 1 and min(nx + 1, n_moments) = {most}")
+    problem = _start_problem(config)
+    if problem:
+        fail(*problem)
     if config.theta_rel is not None and config.theta_rel < 0.0:
         fail("theta_rel", "must be nonnegative")
     if config.t_end is not None and not config.t_end > 0.0:
@@ -155,6 +154,28 @@ def parse_config(text: str) -> RunConfig:
     if config.history_stride < 1:
         fail("history_stride", "must be a positive integer")
     return config
+
+
+def _start_rank(config: RunConfig, scn: Scenario) -> int:
+    """The rank a low-rank run starts from: the configured one, else the scenario default."""
+    if config.rank is not None:
+        return config.rank
+    return scn.fixed_rank if config.scheme == "bug_fixed" else scn.adaptive_rank
+
+
+def _start_problem(config: RunConfig):
+    """(key, message) when the scheme cannot start from the resolved sizes, else None."""
+    scn = scenario_defaults(config.scenario, config.epsilon)
+    n_moments = config.n_moments or scn.n_moments
+    if config.scheme == "bug_adaptive" and n_moments < 2:
+        return "n_moments", "bug_adaptive needs at least 2 (the conserved column plus one)"
+    most = min((config.nx or scn.nx) + 1, n_moments)
+    if config.rank is not None or config.scheme in ("bug_fixed", "bug_adaptive"):
+        rank = _start_rank(config, scn)
+        if not 1 <= rank <= most:
+            hint = "" if config.rank is not None else f" (scenario default {rank}; set it)"
+            return "rank", f"must be between 1 and min(nx + 1, n_moments) = {most}{hint}"
+    return None
 
 
 def _fmt(value) -> str:
@@ -210,10 +231,11 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
     each step of size min(dt, t_end - t). `micro` is the dense initial state:
     `full` starts from it, the low-rank schemes from the zero state of `rank`
     (`bug_adaptive` truncates at theta_rel), and `rosseland` carries no micro
-    moments, i.e. a state with zero columns. The transport states are nodal
-    (see `modal` of both state types), the first one included. A step that
-    raises ValueError, among them every step that would yield a non-finite
-    state, aborts the run with a RuntimeError naming the step.
+    moments, i.e. a state with zero columns. The transport states are nodal,
+    the first one included: their moments are (g T) T^T and X S (T V_basis)^T
+    with T = ws.angular.T_mat. A step that raises ValueError, among them every
+    step that would yield a non-finite state, aborts the run with a
+    RuntimeError naming the step.
     """
     n_rows, n_mom = micro.g_matrix.shape
     if scheme == "full":
@@ -266,9 +288,7 @@ def _run(config: RunConfig) -> RunResult:
         parabolic = rosseland_stable_dt(params, grid, built.sigma)
         dt = min(dt, _ROSSELAND_SAFETY * parabolic)
     t_end = config.t_end if config.t_end is not None else scn.t_end
-    rank = config.rank
-    if rank is None:
-        rank = scn.fixed_rank if config.scheme == "bug_fixed" else scn.adaptive_rank
+    rank = _start_rank(config, scn)
     theta = config.theta_rel if config.theta_rel is not None else scn.theta_rel
 
     m0 = mass(built.macro, params, grid)
@@ -325,9 +345,12 @@ def _cmd_cfl(config: RunConfig, out) -> int:
 
 def _cmd_sweep(config: RunConfig, schemes: str, out) -> int:
     schemes = [s.strip() for s in schemes.split(",") if s.strip()]
-    for scheme in schemes:
+    for scheme in schemes:  # refuse before any scheme runs or writes
         if scheme not in SCHEMES:
             raise ConfigError(f"key 'scheme': must be one of {SCHEMES}")
+        problem = _start_problem(replace(config, scheme=scheme))
+        if problem:
+            raise ConfigError(f"scheme {scheme}: key '{problem[0]}': {problem[1]}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

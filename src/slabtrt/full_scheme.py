@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .angular import NORM_P0, NORM_P1, AngularOperators
+from .angular import NORM_P1, AngularOperators
 from .mesh_state import (
     BC_PERIODIC,
     BC_ZERO_GHOST,
@@ -22,29 +21,11 @@ from .mesh_state import (
 )
 
 __all__ = [
-    "NodalConstants",
     "FullSchemeWorkspace",
     "emission_gradient_parts",
     "meso_macro_update",
     "step_full",
 ]
-
-
-class NodalConstants(NamedTuple):
-    """Angular constants of the steps, which hold the micro moments as g T (dense)
-    and the angular factor as W = T^T V (low rank): in nodal coordinates.
-
-    T^T T = I - t0 t0^T, so range(T^T) is the complement of t0 and W has the
-    inner products of V; V^T A+- V = W^T diag(mu+-) W needs no T.
-    """
-
-    t0: np.ndarray  # sqrt(w) P_0(mu), the nodal constant moment
-    pin: np.ndarray  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
-    b: np.ndarray  # T^T b_vec = |P_1| pin
-    t0_b: np.ndarray  # the rows t0 and b: the two rank-one directions of the dense step
-    mu_plus: np.ndarray
-    mu_minus: np.ndarray
-    rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
 
 
 @dataclass
@@ -67,16 +48,6 @@ class FullSchemeWorkspace:
     def _flux_buffer(self) -> np.ndarray:
         """Work rows of the dense step, one per interface plus one, reused by every step."""
         return np.empty((self.grid.n_cells + 2, self.angular.n_moments + 1))
-
-    @cached_property
-    def nodal(self) -> NodalConstants:
-        """The nodal constants of the steps, computed on first use."""
-        quad, t_mat = self.angular.quad, self.angular.T_mat
-        mu, mu_abs = quad.nodes, np.abs(quad.nodes)
-        t0, pin = np.sqrt(quad.weights) / NORM_P0, t_mat[0].copy()
-        b = NORM_P1 * pin
-        return NodalConstants(t0, pin, b, np.stack([t0, b]), 0.5 * (mu + mu_abs),
-                              0.5 * (mu - mu_abs), t_mat.T.copy())
 
     def check_step(self, macro: MacroState, n_rows: int, n_nodes: int, dt: float):
         """Reject a step size, or a macro state and nodal micro shape that do not fit."""
@@ -120,7 +91,7 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
               dt: float):
     """Advance the dense macro-micro system by one forward-backward Euler step.
 
-    The micro state is nodal, g T (`FullMicroState.modal` maps it back). With
+    The micro state is nodal, g T (T = angular.T_mat; (g T) T^T = g). With
     A+- = T diag(mu+-) T^T the flux of g T is (D- g T diag(mu+) + D+ g T diag(mu-)) P
     with P = T^T T = I - t0 t0^T: per node an upwind difference times mu, forward
     where mu < 0 and backward where mu >= 0, projected off t0. The source enters
@@ -132,9 +103,9 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     """
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
-    p, nod = ws.params, ws.nodal
+    p, ang = ws.params, ws.angular
     shift = p.epsilon**2 / (p.c * dt)
-    mu = (p.epsilon / ws.grid.dx) * ws.angular.quad.nodes
+    mu = (p.epsilon / ws.grid.dx) * ang.quad.nodes
     neg = int(np.searchsorted(mu, 0.0))  # the Gauss nodes ascend
     diff = ws._flux_buffer
     ghost_l, ghost_r = (g[-1], g[0]) if ws.bc == BC_PERIODIC else (0.0, 0.0)
@@ -144,13 +115,13 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     forward, backward = diff[1:, :neg], diff[:-1, neg:]
     forward *= mu[:neg]
     backward *= mu[neg:]
-    along_t0 = forward @ nod.t0[:neg] + backward @ nod.t0[neg:]
+    along_t0 = forward @ ang.t0[:neg] + backward @ ang.t0[neg:]
     g_new = np.multiply(g, shift)
     g_new[:, :neg] -= forward
     g_new[:, neg:] -= backward
     source = emission_gradient_parts(macro, ws)[1]
-    g_new += np.matmul(np.column_stack([along_t0, -source]), nod.t0_b, out=diff[:-1])
+    g_new += np.matmul(np.column_stack([along_t0, -source]), ang.t0_b, out=diff[:-1])
     g_new /= (shift + ws.sigma.at_interfaces)[:, None]
 
-    h_new, t_new = meso_macro_update(g_new @ nod.pin, macro, ws, dt)
+    h_new, t_new = meso_macro_update(g_new @ ang.pin, macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)

@@ -15,7 +15,6 @@ from .mesh_state import (
 )
 
 __all__ = [
-    "compute_cfl_dt",
     "cfl_report",
     "energy",
     "mass",
@@ -26,19 +25,12 @@ __all__ = [
 ]
 
 
-def compute_cfl_dt(params: PhysicalParams, grid: StaggeredGrid, angular: AngularOperators,
-                   sigma: AbsorptionField) -> float:
-    """Largest energy-stable step size, blending hyperbolic and parabolic scalings."""
-    return cfl_report(params, grid, angular, sigma)[0]
-
-
 def cfl_report(params: PhysicalParams, grid: StaggeredGrid, angular: AngularOperators,
                sigma: AbsorptionField):
-    """Step-size bound together with the quadrature node that attains it."""
+    """Largest energy-stable step size, blending hyperbolic and parabolic scalings, and the
+    node that attains it; N + 1 >= 2 symmetric Gauss nodes include two nonzero ones."""
     nodes = angular.quad.nodes
     nonzero = nodes[nodes != 0.0]
-    if nonzero.size == 0:
-        raise RuntimeError("no nonzero quadrature nodes available for the CFL bound")
     dx = grid.dx
     bounds = (2.0 * params.epsilon * dx / np.abs(nonzero)
               + sigma.sigma_min * dx**2 / nonzero**2) / (5.0 * params.c * angular.beta_N)

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import QuadratureRule, orthonormal_legendre_table
-
 __all__ = [
     "BC_ZERO_GHOST",
     "BC_PERIODIC",
@@ -23,7 +21,6 @@ __all__ = [
     "padded_difference",
     "emission_intensity",
     "scalar_flux",
-    "init_from_kinetic",
     "complete_orthonormal_columns",
     "extend_orthonormal_columns",
     "zero_low_rank_state",
@@ -147,8 +144,7 @@ class FullMicroState:
     """Dense micro moments g: row i holds moments 1..N at interface i.
 
     The dense step holds them in nodal coordinates, g T with N + 1 columns
-    (T = angular.T_mat); `modal` maps them back. T has orthonormal rows, so
-    both forms have the same norm.
+    (T = angular.T_mat). T has orthonormal rows, so both forms have the same norm.
     """
 
     g_matrix: np.ndarray
@@ -166,10 +162,6 @@ class FullMicroState:
         g.setflags(write=False)
         object.__setattr__(self, "g_matrix", g)
         object.__setattr__(self, "norm_sq", norm_sq)
-
-    def modal(self, t_mat: np.ndarray) -> "FullMicroState":
-        """The moments of the nodal state g T: (g T) T^T = g."""
-        return FullMicroState(self.g_matrix @ t_mat.T)
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||g||_F^2."""
@@ -198,15 +190,14 @@ class LowRankMicroState:
     """Factored micro moments g = X S V^T with orthonormal X and V.
 
     The low-rank schemes hold V in nodal coordinates, V_basis = T^T V with
-    N + 1 rows (T = angular.T_mat); `modal` maps it back. The orthogonality
-    defects of X and V are computed once, on construction, and kept for the
-    step reports.
+    N + 1 rows (T = angular.T_mat), so the moments are X S (T V_basis)^T. The
+    rank is the column count of the factors. The orthogonality defects of X
+    and V are computed once, on construction, and kept for the step reports.
     """
 
     X_basis: np.ndarray
     S_coeff: np.ndarray
     V_basis: np.ndarray
-    rank: int
     x_orth_defect: float = field(init=False, repr=False, compare=False)
     v_orth_defect: float = field(init=False, repr=False, compare=False)
 
@@ -214,10 +205,10 @@ class LowRankMicroState:
         x = np.asarray(self.X_basis, dtype=float)
         s = np.asarray(self.S_coeff, dtype=float)
         v = np.asarray(self.V_basis, dtype=float)
-        r = self.rank
+        r = x.shape[1]
         if not (1 <= r <= min(x.shape[0], v.shape[0])):
             raise ValueError("rank must satisfy 1 <= rank <= min(n_interfaces, n_moments)")
-        if x.shape[1] != r or v.shape[1] != r or s.shape != (r, r):
+        if v.shape[1] != r or s.shape != (r, r):
             raise ValueError("factor shapes inconsistent with rank")
         x_defect, v_defect = _orth_defect(x), _orth_defect(v)  # non-finite if an entry is
         if not np.isfinite(x_defect + v_defect + s.sum()) and not all(
@@ -235,6 +226,10 @@ class LowRankMicroState:
         object.__setattr__(self, "x_orth_defect", x_defect)
         object.__setattr__(self, "v_orth_defect", v_defect)
 
+    @property
+    def rank(self) -> int:
+        return self.X_basis.shape[1]
+
     def reorthonormalized(self) -> "LowRankMicroState":
         """The same product X S V^T with X and V orthonormalized again.
 
@@ -243,15 +238,7 @@ class LowRankMicroState:
         """
         qx, rx = _cholesky_qr(self.X_basis)
         qv, rv = _cholesky_qr(self.V_basis)
-        return LowRankMicroState(qx, rx @ self.S_coeff @ rv.T, qv, self.rank)
-
-    def modal(self, t_mat: np.ndarray) -> "LowRankMicroState":
-        """The state with its nodal angular factor W mapped back to moments, V = T W."""
-        return LowRankMicroState(self.X_basis, self.S_coeff, t_mat @ self.V_basis, self.rank)
-
-    def reconstruct(self) -> np.ndarray:
-        """Materialize the dense moment matrix X S V^T."""
-        return self.X_basis @ self.S_coeff @ self.V_basis.T
+        return LowRankMicroState(qx, rx @ self.S_coeff @ rv.T, qv)
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||S||_F^2."""
@@ -310,7 +297,7 @@ def diff_interface(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
 
 
 # ---------------------------------------------------------------------------
-# emission and reconstruction
+# emission
 
 
 def emission_intensity(temperature, params: PhysicalParams):
@@ -321,30 +308,6 @@ def emission_intensity(temperature, params: PhysicalParams):
 def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:
     """Scalar flux B(T) + eps^2 h at cell centers."""
     return emission_intensity(macro.temperature, params) + params.epsilon**2 * macro.h_meso
-
-
-def init_from_kinetic(f_sampler, T0, grid: StaggeredGrid, params: PhysicalParams,
-                      quad: QuadratureRule):
-    """Macro-micro initial data from a kinetic density f(x, mu) and temperature T0(x).
-
-    f_sampler and T0 must accept numpy arrays and broadcast; the micro moments are
-    g_k = <(f - <f>/2) P_k> / eps at interfaces for k = 1..quad.count-1, and
-    h = (<f>/2 - B(T0)) / eps^2 at centers.
-    """
-    n_moments = quad.count - 1
-    if n_moments < 1:
-        raise ValueError("quadrature must have at least two nodes")
-    table = orthonormal_legendre_table(n_moments, quad.nodes)
-
-    f_if = np.asarray(f_sampler(grid.interfaces[:, None], quad.nodes[None, :]), dtype=float)
-    mean_if = 0.5 * (f_if @ quad.weights)
-    fluct = f_if - mean_if[:, None]
-    g = ((fluct * quad.weights[None, :]) @ table[1:].T) / params.epsilon
-
-    f_c = np.asarray(f_sampler(grid.centers[:, None], quad.nodes[None, :]), dtype=float)
-    t0 = np.asarray(T0(grid.centers), dtype=float)
-    h = (0.5 * (f_c @ quad.weights) - emission_intensity(t0, params)) / params.epsilon**2
-    return MacroState(t0, h), FullMicroState(g)
 
 
 # ---------------------------------------------------------------------------
@@ -448,4 +411,4 @@ def zero_low_rank_state(n_interfaces: int, t_mat: np.ndarray, rank: int = 1) -> 
         x[:, 1:] = complete_orthonormal_columns(x[:, :1], rank - 1)
     v = t_mat[:rank].T.copy()
     s = np.zeros((rank, rank))
-    return LowRankMicroState(x, s, v, rank)
+    return LowRankMicroState(x, s, v)

@@ -8,33 +8,112 @@ kept-rank rule, the grid-space conservative truncation and the full-stack
 basis augmentation) are the straightforward formulations that the package's
 blocked, vectorized, coefficient-space and block-extension versions must
 reproduce.
+
+The modal references come first: the flux matrices A, A+-, |A|, the modal
+views of the nodal states and the kinetic initialization. No step of the
+package forms them; they are what its nodal forms are checked against.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from slabtrt.angular import build_angular_operators
+from slabtrt.angular import build_angular_operators, orthonormal_legendre_table
 from slabtrt.bug_fixed import _k_update, _l_update
 from slabtrt.full_scheme import emission_gradient_parts
 from slabtrt.mesh_state import (
     FullMicroState,
     LowRankMicroState,
+    MacroState,
     complete_orthonormal_columns,
+    emission_intensity,
     padded_difference,
 )
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
 
 
+class FluxMatrices(NamedTuple):
+    A: np.ndarray
+    A_plus: np.ndarray
+    A_minus: np.ndarray
+    A_abs: np.ndarray
+
+
+def _read_only(mat):
+    mat.setflags(write=False)
+    return mat
+
+
+def flux_matrices(angular):
+    """The modal flux matrix A = T M T^T with M = diag(mu), its upwind parts with
+    (M +- |M|)/2 and the stabilization matrix with |M|, as read-only arrays."""
+    t_mat, mu = angular.T_mat, angular.quad.nodes
+    a_plus = _read_only(0.5 * (t_mat * (mu + np.abs(mu))) @ t_mat.T)
+    a_minus = _read_only(0.5 * (t_mat * (mu - np.abs(mu))) @ t_mat.T)
+    return FluxMatrices(_read_only(a_plus + a_minus), a_plus, a_minus,
+                        _read_only(a_plus - a_minus))
+
+
+def upwind(angular):
+    """(A+, A-) of `flux_matrices`, in the order the loop oracles take them."""
+    fm = flux_matrices(angular)
+    return fm.A_plus, fm.A_minus
+
+
+def modal_b(angular):
+    """b = |P_1| e_1, the modal direction of the interface source; angular.b is T^T b."""
+    b = np.zeros(angular.n_moments)
+    b[0] = SQ23
+    return b
+
+
+def modal(micro, t_mat):
+    """A nodal state mapped back to moments: g = (g T) T^T for a dense state, and
+    V = T W for the nodal angular factor W of a low-rank one."""
+    if isinstance(micro, FullMicroState):
+        return FullMicroState(micro.g_matrix @ t_mat.T)
+    return LowRankMicroState(micro.X_basis, micro.S_coeff, t_mat @ micro.V_basis)
+
+
+def reconstruct(state):
+    """The dense matrix X S V^T of a low-rank state."""
+    return state.X_basis @ state.S_coeff @ state.V_basis.T
+
+
 def nodal_state(x, s, v):
     """The low-rank state of the modal factors X, S, V (V with N rows), held as the
     steps hold it: with the nodal angular factor T^T V."""
     t_mat = build_angular_operators(v.shape[0]).T_mat
-    return LowRankMicroState(x, s, t_mat.T @ v, s.shape[0])
+    return LowRankMicroState(x, s, t_mat.T @ v)
 
 
 def nodal_dense(g, angular):
     """The dense state of the moments g (N columns) as the dense step holds it, g T."""
     return FullMicroState(np.asarray(g, dtype=float) @ angular.T_mat)
+
+
+def init_from_kinetic(f_sampler, T0, grid, params, quad):
+    """Macro-micro initial data from a kinetic density f(x, mu) and temperature T0(x).
+
+    f_sampler and T0 must accept numpy arrays and broadcast; the micro moments are
+    g_k = <(f - <f>/2) P_k> / eps at interfaces for k = 1..quad.nodes.size-1, and
+    h = (<f>/2 - B(T0)) / eps^2 at centers.
+    """
+    n_moments = quad.nodes.size - 1
+    if n_moments < 1:
+        raise ValueError("quadrature must have at least two nodes")
+    table = orthonormal_legendre_table(n_moments, quad.nodes)
+
+    f_if = np.asarray(f_sampler(grid.interfaces[:, None], quad.nodes[None, :]), dtype=float)
+    mean_if = 0.5 * (f_if @ quad.weights)
+    fluct = f_if - mean_if[:, None]
+    g = ((fluct * quad.weights[None, :]) @ table[1:].T) / params.epsilon
+
+    f_c = np.asarray(f_sampler(grid.centers[:, None], quad.nodes[None, :]), dtype=float)
+    t0 = np.asarray(T0(grid.centers), dtype=float)
+    h = (0.5 * (f_c @ quad.weights) - emission_intensity(t0, params)) / params.epsilon**2
+    return MacroState(t0, h), FullMicroState(g)
 
 
 def _sample(seq, idx, bc):
@@ -310,12 +389,23 @@ def reference_choose_kept_rank(svals, theta_rel):
     return n
 
 
+class TruncationReference(NamedTuple):
+    X_new: np.ndarray
+    S_new: np.ndarray
+    V_new: np.ndarray
+    r_star: int
+    S_ap: np.ndarray  # R of the conserved column K_ap (zero when it is degenerate)
+    svals: np.ndarray  # singular values of the remainder K_rem
+    R2: np.ndarray  # R of the refolding QR of [x_ap | x_rem]
+
+
 def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_tol=1e-14):
     """Conservative truncation carried out on the grid-space product K = X_hat S_hat.
 
-    Returns (X_new, S_new, V_new, r_star, S_ap); the kept-rank rule is the
-    package's normalized singular-value tail test, and r_star is capped by the
-    widths of both augmented bases.
+    Returns the truncated factors with the intermediates of the truncation
+    (`TruncationReference`); the kept-rank rule is the package's normalized
+    singular-value tail test, and r_star is capped by the widths of both
+    augmented bases.
     """
     width_x, width_v = x_hat.shape[1], v_hat.shape[1]
     k_hat = x_hat @ s_hat
@@ -345,7 +435,7 @@ def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_t
     s_block = np.zeros((r_star + 1, r_star + 1))
     s_block[0, 0] = s_ap[0, 0]
     s_block[1:, 1:] = np.diag(svals[:r_star])
-    return x_new, r2 @ s_block, v_new, r_star, s_ap
+    return TruncationReference(x_new, r2 @ s_block, v_new, r_star, s_ap, svals, r2)
 
 
 def reference_augment_bases(state, macro, ws, dt):
@@ -366,7 +456,7 @@ def reference_augment_bases(state, macro, ws, dt):
     diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
     k_new = _k_update(state, source, ws, dt, diffs)
     l_new = t_mat @ _l_update(state, source, ws, dt, diffs)
-    b_vec = ws.angular.b_vec
+    b_vec = modal_b(ws.angular)
     n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], ws.angular.n_moments)
     x_hat = reference_orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])
     v_stack = np.column_stack([b_vec, l_new, t_mat @ state.V_basis[:, 1:]])

@@ -6,6 +6,7 @@ stated tolerance and report the margin.
 
 import numpy as np
 
+from oracles import flux_matrices, reconstruct, reference_ap_truncate
 from slabtrt.angular import build_angular_operators, orthonormal_legendre_table
 from slabtrt.bug_adaptive import AugmentedFactors, TruncationConfig, ap_truncate
 from slabtrt.bug_fixed import step_bug_fixed
@@ -82,7 +83,7 @@ def moment_transfer_suite(n_instances=200, seed=11):
     for _ in range(n_instances):
         n_mom = int(rng.integers(1, 31))
         ang = build_angular_operators(n_mom)
-        quad = ang.quad
+        fm, quad = flux_matrices(ang), ang.quad
         table = orthonormal_legendre_table(n_mom, quad.nodes)
         t_hat = np.sqrt(quad.weights)[None, :] * table
         g = rng.standard_normal(n_mom)
@@ -90,17 +91,17 @@ def moment_transfer_suite(n_instances=200, seed=11):
         v_hat = t_hat.T @ v
         gnorm2 = float(g @ g)
 
-        lhs1 = g @ ang.A @ ang.A @ g + a0**2 * g[0] ** 2
+        lhs1 = g @ fm.A @ fm.A @ g + a0**2 * g[0] ** 2
         rhs1 = float(v_hat @ (quad.nodes**2 * v_hat))
         worst = max(worst, abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-12 * gnorm2))
 
-        lhs2 = g @ ang.A_abs @ g
+        lhs2 = g @ fm.A_abs @ g
         rhs2 = float(v_hat @ (np.abs(quad.nodes) * v_hat))
         worst = max(worst, abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-12 * gnorm2))
 
         a_hat = np.zeros(n_mom + 1)
         a_hat[1] = a0
-        lhs3 = float((ang.a_vec @ g) ** 2)
+        lhs3 = float((a0 * g[0]) ** 2)  # the source vector b / |P_0| is a0 e_1
         back = t_hat @ v_hat
         rhs3 = float((a_hat @ back) ** 2)
         worst = max(worst, abs(lhs3 - rhs3) / max(abs(lhs3), abs(rhs3), 1e-12 * gnorm2))
@@ -122,15 +123,15 @@ def advection_positivity_suite(n_instances=200, seed=13):
         nx = int(rng.integers(4, 24))
         n_mom = int(rng.integers(1, 12))
         grid = StaggeredGrid(0.0, float(rng.uniform(0.5, 2.0)), nx)
-        ang = build_angular_operators(n_mom)
+        fm = flux_matrices(build_angular_operators(n_mom))
         g = rng.standard_normal((nx + 1, n_mom))
         bc = "periodic" if trial % 2 == 0 else "zero_ghost"
         if bc == "zero_ghost":
             g[0] = 0.0
             g[-1] = 0.0
         dm, dp = _one_sided(g, grid, bc)
-        lhs = float(np.sum(g * (dm @ ang.A_plus + dp @ ang.A_minus)))
-        rhs = 0.5 * grid.dx * float(np.sum((dp @ ang.A_abs) * dp))
+        lhs = float(np.sum(g * (dm @ fm.A_plus + dp @ fm.A_minus)))
+        rhs = 0.5 * grid.dx * float(np.sum((dp @ fm.A_abs) * dp))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         most_negative = min(most_negative, rhs)
     return worst, most_negative
@@ -156,7 +157,8 @@ def advection_boundedness_suite(n_instances=200, seed=17):
             g[0] = 0.0
             g[-1] = 0.0
         dm, dp = _one_sided(g, grid, bc)
-        lhs = float(np.sum((dp @ ang.A_plus + dm @ ang.A_minus) ** 2))
+        fm = flux_matrices(ang)
+        lhs = float(np.sum((dp @ fm.A_plus + dm @ fm.A_minus) ** 2))
         transfer = (ang.T_mat * ang.quad.nodes) @ (ang.T_mat * ang.quad.nodes).T
         rhs = 2.0 * ang.beta_N * float(np.sum((dp @ transfer) * dp))
         worst = max(worst, (lhs - rhs) / max(1.0, rhs))
@@ -166,10 +168,14 @@ def advection_boundedness_suite(n_instances=200, seed=17):
 def truncation_factor_identity_suite(n_instances=200, seed=19, cond_limit=1e6):
     """Refolding identity of the conservative truncation.
 
-    R2^{-T} blkdiag(S_ap^{-T}, U^T S_rem^{-T}) S_hat^T S_hat blkdiag(I, W)
-    reproduces the truncated coefficient matrix. Instances are conditioned so
-    every inverted factor has condition number below cond_limit. Returns the
-    worst relative Frobenius defect.
+    With the refolding basis C = X_hat^T X_new and the kept angular directions
+    blkdiag(1, W) = V_hat^T V_new of the returned state, the truncated
+    coefficients are the projection S_new = C^T S_hat blkdiag(1, W), and the
+    first refolding column is c_ap / |c_ap|, so |S_new[0, 0]| = |S_hat[:, 0]|.
+    Instances are conditioned so that the conserved column, the remainder and
+    the refolding R of the grid-space reference (`reference_ap_truncate`) have
+    condition number below cond_limit. Returns the worst relative Frobenius
+    defect.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -184,27 +190,23 @@ def truncation_factor_identity_suite(n_instances=200, seed=19, cond_limit=1e6):
         spectrum = np.exp(rng.uniform(np.log(1e-3), 0.0, size=n_aug))
         s_hat = (_random_orthonormal(rng, n_aug, n_aug) * spectrum) @ _random_orthonormal(
             rng, n_aug, n_aug).T
-        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m), source=np.zeros(m))
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, source=np.zeros(m))
         cfg = TruncationConfig(theta_rel=float(rng.uniform(0.0, 0.5)), max_rank=n_aug)
-        state, det = ap_truncate(aug, s_hat, cfg, return_details=True)
-        conds = [abs(det.S_ap[0, 0]),
-                 1.0 / np.linalg.cond(det.S_rem_hat),
-                 1.0 / np.linalg.cond(det.R2)]
+        state = ap_truncate(aug, s_hat, cfg)
+        ref = reference_ap_truncate(x_hat, v_hat, s_hat, cfg.theta_rel, cfg.max_rank)
+        conds = [abs(ref.S_ap[0, 0]), ref.svals[-1] / ref.svals[0], 1.0 / np.linalg.cond(ref.R2)]
         if min(conds) <= 1.0 / cond_limit:
             continue
         accepted += 1
 
-        r_star = det.r_star
-        left_block = np.zeros((r_star + 1, n_aug))
-        left_block[0, 0] = 1.0 / det.S_ap[0, 0]
-        # the kept left singular vectors of S_rem_hat are the first r* unit vectors
-        left_block[1:, 1:] = np.linalg.inv(det.S_rem_hat).T[:r_star]
-        right_block = np.zeros((n_aug, r_star + 1))
-        right_block[0, 0] = 1.0
-        right_block[1:, 1:] = det.W_hat
-        lhs = np.linalg.inv(det.R2).T @ left_block @ det.S_hat.T @ det.S_hat @ right_block
-        defect = np.linalg.norm(lhs - state.S_coeff) / max(np.linalg.norm(state.S_coeff), 1e-300)
-        worst = max(worst, defect)
+        assert state.rank == ref.r_star + 1
+        refold = x_hat.T @ state.X_basis
+        kept = v_hat.T @ state.V_basis
+        scale = max(np.linalg.norm(state.S_coeff), 1e-300)
+        defects = [np.linalg.norm(refold.T @ s_hat @ kept - state.S_coeff) / scale,
+                   abs(abs(state.S_coeff[0, 0]) - np.linalg.norm(s_hat[:, 0])) / scale,
+                   np.abs(kept[:, 0] - np.eye(n_aug)[0]).max()]
+        worst = max(worst, *defects)
     return worst
 
 
@@ -232,15 +234,15 @@ def gauge_invariance_suite(n_instances=200, seed=23):
         v = _random_orthonormal(rng, n_mom, r)
         s = rng.standard_normal((r, r))
         w = ang.T_mat.T @ v  # the steps hold V in nodal coordinates
-        state = LowRankMicroState(x, s, w, r)
+        state = LowRankMicroState(x, s, w)
         q1 = _random_orthonormal(rng, r, r)
         q2 = _random_orthonormal(rng, r, r)
-        rotated = LowRankMicroState(x @ q1, q1.T @ s @ q2, w @ q2, r)
+        rotated = LowRankMicroState(x @ q1, q1.T @ s @ q2, w @ q2)
         dt = float(rng.uniform(0.005, 0.05))
 
         _, out_a = step_bug_fixed(macro, state, ws, dt)
         _, out_b = step_bug_fixed(macro, rotated, ws, dt)
-        ga = out_a.reconstruct()
-        gb = out_b.reconstruct()
+        ga = reconstruct(out_a)
+        gb = reconstruct(out_b)
         worst = max(worst, np.linalg.norm(ga - gb) / max(np.linalg.norm(ga), 1e-300))
     return worst

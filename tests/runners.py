@@ -7,7 +7,7 @@ import numpy as np
 from slabtrt.angular import build_angular_operators
 from slabtrt.cli_io import simulate
 from slabtrt.full_scheme import FullSchemeWorkspace
-from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass
+from slabtrt.limits_diagnostics import cfl_report, energy, mass
 from slabtrt.mesh_state import LowRankMicroState
 from slabtrt.scenarios import build_scenario
 
@@ -56,7 +56,7 @@ def run_desk(scheme, nx=101, n_moments=30, epsilon=1.0, rank=5, t_end=1.5):
     grid, params, sigma = built.grid, built.params, built.sigma
     angular = build_angular_operators(n_moments)
     ws = FullSchemeWorkspace(grid, params, sigma, angular)
-    dt = compute_cfl_dt(params, grid, angular, sigma)
+    dt = cfl_report(params, grid, angular, sigma)[0]
 
     scale = float(np.max(np.abs(built.macro.temperature)))
     trace = Trace()

@@ -10,11 +10,15 @@ import pytest
 
 import property_suites as suites
 from oracles import (
-    oracle_galerkin_dense,
+    modal,
+    modal_b,
     nodal_dense,
+    oracle_galerkin_dense,
     oracle_l_step,
     oracle_rosseland_step,
     oracle_step_full,
+    reconstruct,
+    upwind,
 )
 from runners import run_desk
 from slabtrt.angular import build_angular_operators
@@ -23,7 +27,7 @@ from slabtrt.bug_fixed import _galerkin_update, _l_update, step_bug_fixed
 from slabtrt.cli_io import main, parse_config
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
-    compute_cfl_dt,
+    cfl_report,
     l2_relative_difference,
     rosseland_step,
 )
@@ -123,26 +127,26 @@ def test_criterion_5_one_step_limit():
                            {"nx": nx, "n_moments": n_mom, "epsilon": 1e-6})
     angular = build_angular_operators(n_mom)
     ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-    dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+    dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
     w_ap = emission_gradient_parts(built.macro, ws)[0] / ws.sigma.at_interfaces
-    target = -np.outer(w_ap, angular.b_vec)
+    target = -np.outer(w_ap, modal_b(angular))
     scale = float(np.max(np.linalg.norm(target, axis=1)))
 
     worst = 0.0
     _, dense = step_full(built.macro, nodal_dense(built.micro.g_matrix, angular), ws, dt)
     worst = max(worst, np.max(np.linalg.norm(
-        dense.modal(angular.T_mat).g_matrix - target, axis=1)[1:-1]) / scale)
+        modal(dense, angular.T_mat).g_matrix - target, axis=1)[1:-1]) / scale)
 
     _, fixed_state = step_bug_fixed(
         built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt)
     worst = max(worst, np.max(np.linalg.norm(
-        fixed_state.modal(angular.T_mat).reconstruct() - target, axis=1)[1:-1]) / scale)
+        reconstruct(modal(fixed_state, angular.T_mat)) - target, axis=1)[1:-1]) / scale)
 
     cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
     _, adaptive_state = step_bug_adaptive(
         built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt, cfg)
     worst = max(worst, np.max(np.linalg.norm(
-        adaptive_state.modal(angular.T_mat).reconstruct() - target, axis=1)[1:-1]) / scale)
+        reconstruct(modal(adaptive_state, angular.T_mat)) - target, axis=1)[1:-1]) / scale)
 
     report(5, worst <= 1e-6, f"one-step micro limit, worst interior defect {worst:.3e}")
 
@@ -152,7 +156,7 @@ def test_criterion_6_low_rank_fidelity():
     built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
     angular = build_angular_operators(n_mom)
     ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-    dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+    dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
 
     macro_d, micro_d = built.macro, nodal_dense(built.micro.g_matrix, angular)
     macro_f = built.macro
@@ -219,8 +223,8 @@ def test_criterion_9_oracle_equivalence():
     m1, g1 = step_full(macro, nodal_dense(np.zeros((4, 2)), ws.angular), ws, 0.1)
     t_o, h_o, g_o = oracle_step_full(T, np.zeros(3), np.zeros((4, 2)), params, 1.0, 0.1,
                                      np.ones(3), np.ones(4),
-                                     ws.angular.A_plus, ws.angular.A_minus)
-    worst = max(worst, np.max(np.abs(g1.modal(ws.angular.T_mat).g_matrix - g_o)),
+                                     *upwind(ws.angular))
+    worst = max(worst, np.max(np.abs(modal(g1, ws.angular.T_mat).g_matrix - g_o)),
                 np.max(np.abs(m1.h_meso - h_o)), np.max(np.abs(m1.temperature - t_o)))
 
     # angular-basis update on a 3-interface rank-1 instance
@@ -233,13 +237,13 @@ def test_criterion_9_oracle_equivalence():
     x, _ = np.linalg.qr(rng.standard_normal((3, 1)))
     v, _ = np.linalg.qr(rng.standard_normal((3, 1)))
     t_mat2 = ws2.angular.T_mat
-    state = LowRankMicroState(x, rng.standard_normal((1, 1)), t_mat2.T @ v, 1)
+    state = LowRankMicroState(x, rng.standard_normal((1, 1)), t_mat2.T @ v)
     macro2 = MacroState(rng.uniform(0, 2, 2), rng.standard_normal(2))
     l_new = t_mat2 @ _l_update(state, emission_gradient_parts(macro2, ws2)[1], ws2, 0.05,
                                padded_difference(x, grid2))
     l_oracle = oracle_l_step(x, state.S_coeff, v, macro2.temperature, macro2.h_meso,
                              params2, grid2.dx, 0.05, sig_i,
-                             ws2.angular.A_plus, ws2.angular.A_minus)
+                             *upwind(ws2.angular))
     worst = max(worst, np.max(np.abs(l_new - l_oracle)))
 
     # Galerkin coefficient update against the dense projection oracle
@@ -251,7 +255,7 @@ def test_criterion_9_oracle_equivalence():
                               build_angular_operators(4))
     x_old, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     v_old, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    state3 = LowRankMicroState(x_old, rng.standard_normal((2, 2)), v_old, 2)
+    state3 = LowRankMicroState(x_old, rng.standard_normal((2, 2)), v_old)
     macro3 = MacroState(rng.uniform(0, 2, 5), rng.standard_normal(5))
     x_new, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     v_new, _ = np.linalg.qr(rng.standard_normal((4, 2)))
@@ -261,7 +265,7 @@ def test_criterion_9_oracle_equivalence():
                              padded_difference(x_new, grid3))
     s_oracle = oracle_galerkin_dense(x_new, v_new, s_tilde, macro3.temperature,
                                      macro3.h_meso, params3, grid3.dx, 0.04, sig_i,
-                                     ws3.angular.A_plus, ws3.angular.A_minus)
+                                     *upwind(ws3.angular))
     worst = max(worst, np.max(np.abs(s_new - s_oracle)))
 
     # diffusion-limit reference step, 3-cell hand instance

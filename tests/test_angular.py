@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import flux_matrices, modal_b
 from slabtrt.angular import (
-    NORM_P0,
     NORM_P1,
+    QuadratureRule,
     build_angular_operators,
     gauss_legendre,
-    orthonormal_legendre,
+    orthonormal_legendre_table,
     recurrence_coeff,
 )
 
@@ -19,6 +20,11 @@ def reference_orthonormal_legendre(k, x):
     for j in range(2, k + 1):
         p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
     return p / np.sqrt(2.0 / (2 * k + 1))
+
+
+def legendre(k, x):
+    """Row k of the package's table at the single point x."""
+    return float(orthonormal_legendre_table(k, np.array([x]))[k, 0])
 
 
 class TestGaussLegendre:
@@ -50,7 +56,7 @@ class TestGaussLegendre:
         q = gauss_legendre(count)
         for p in range(2 * count):
             exact = 0.0 if p % 2 == 1 else 2.0 / (p + 1)
-            approx = q.integrate(q.nodes**p)
+            approx = float(q.weights @ q.nodes**p)
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_deterministic(self):
@@ -62,42 +68,55 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(0)
 
+    def test_rule_shapes_checked(self):
+        # the node count is the length of the arrays; nothing else states it
+        assert QuadratureRule(np.array([-0.5, 0.5]), np.ones(2)).nodes.size == 2
+        for nodes, weights in ((np.zeros(2), np.ones(3)), (np.zeros(0), np.zeros(0)),
+                               (np.zeros((2, 1)), np.ones((2, 1)))):
+            with pytest.raises(ValueError, match="nonempty 1-d arrays"):
+                QuadratureRule(nodes, weights)
+
 
 class TestOrthonormalLegendre:
     def test_constant(self):
-        assert orthonormal_legendre(0, 0.37) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert legendre(0, 0.37) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     def test_linear_at_one(self):
         # reference recurrence gives P~_1(1)/||P~_1|| = 1/sqrt(2/3)
         assert reference_orthonormal_legendre(1, 1.0) == pytest.approx(np.sqrt(1.5), abs=1e-15)
-        assert orthonormal_legendre(1, 1.0) == pytest.approx(np.sqrt(1.5), abs=1e-15)
+        assert legendre(1, 1.0) == pytest.approx(np.sqrt(1.5), abs=1e-15)
 
     def test_quadratic_at_zero(self):
         expected = reference_orthonormal_legendre(2, 0.0)
         assert expected == pytest.approx(-np.sqrt(5.0 / 8.0), abs=1e-15)
-        assert orthonormal_legendre(2, 0.0) == pytest.approx(expected, abs=1e-15)
+        assert legendre(2, 0.0) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_reference_recurrence(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             k = int(rng.integers(0, 25))
             x = float(rng.uniform(-1, 1))
-            assert orthonormal_legendre(k, x) == pytest.approx(
+            assert legendre(k, x) == pytest.approx(
                 reference_orthonormal_legendre(k, x), abs=1e-12, rel=1e-12)
 
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            orthonormal_legendre(3, 1.0001)
+    def test_table_rows_at_many_points(self):
+        x = np.linspace(-1.0, 1.0, 41)
+        table = orthonormal_legendre_table(12, x)
+        assert table.shape == (13, 41)
+        for k in range(13):
+            want = [reference_orthonormal_legendre(k, xi) for xi in x]
+            np.testing.assert_allclose(table[k], want, rtol=1e-12, atol=1e-12)
 
     def test_recurrence_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             k = int(rng.integers(0, 31))
             x = float(rng.uniform(-1, 1))
-            lhs = x * orthonormal_legendre(k, x)
-            rhs = recurrence_coeff(k) * orthonormal_legendre(k + 1, x)
+            row = orthonormal_legendre_table(k + 1, np.array([x]))[:, 0]
+            lhs = x * row[k]
+            rhs = recurrence_coeff(k) * row[k + 1]
             if k > 0:
-                rhs += recurrence_coeff(k - 1) * orthonormal_legendre(k - 1, x)
+                rhs += recurrence_coeff(k - 1) * row[k - 1]
             assert abs(lhs - rhs) <= 1e-12
 
     def test_a0_value(self):
@@ -106,9 +125,9 @@ class TestOrthonormalLegendre:
 
 class TestAngularOperators:
     def test_flux_matrix_n2(self):
-        ops = build_angular_operators(2)
+        fm = flux_matrices(build_angular_operators(2))
         a1 = 2 / np.sqrt(15)
-        np.testing.assert_allclose(ops.A, [[0.0, a1], [a1, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(fm.A, [[0.0, a1], [a1, 0.0]], atol=1e-14)
 
     def test_stabilization_matrix_n2_against_direct_summation(self):
         # direct summation over the 3-point rule with independently evaluated
@@ -121,55 +140,72 @@ class TestAngularOperators:
                     w * abs(mu) * reference_orthonormal_legendre(i + 1, mu)
                     * reference_orthonormal_legendre(j + 1, mu)
                     for w, mu in zip(q.weights, q.nodes))
-        ops = build_angular_operators(2)
-        np.testing.assert_allclose(ops.A_abs, direct, atol=1e-14)
+        a_abs = flux_matrices(build_angular_operators(2)).A_abs
+        np.testing.assert_allclose(a_abs, direct, atol=1e-14)
         np.testing.assert_allclose(
-            np.diag(ops.A_abs), [0.7745966692414834, 0.34426518632954817], atol=1e-13)
-        assert abs(ops.A_abs[0, 1]) <= 1e-15
+            np.diag(a_abs), [0.7745966692414834, 0.34426518632954817], atol=1e-13)
+        assert abs(a_abs[0, 1]) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_split_consistency(self, n):
-        ops = build_angular_operators(n)
-        assert np.max(np.abs(ops.A_plus + ops.A_minus - ops.A)) <= 1e-14
-        assert np.max(np.abs(ops.A_plus - ops.A_minus - ops.A_abs)) <= 1e-14
+        fm = flux_matrices(build_angular_operators(n))
+        assert np.max(np.abs(fm.A_plus + fm.A_minus - fm.A)) <= 1e-14
+        assert np.max(np.abs(fm.A_plus - fm.A_minus - fm.A_abs)) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 101, 400])
     def test_tridiagonal_structure(self, n):
-        ops = build_angular_operators(n)
+        a_mat = flux_matrices(build_angular_operators(n)).A
         expected = np.zeros((n, n))
         for k in range(1, n):
             expected[k - 1, k] = expected[k, k - 1] = recurrence_coeff(k)
-        assert np.max(np.abs(ops.A - expected)) <= 1e-13
+        assert np.max(np.abs(a_mat - expected)) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 101, 400])
     def test_stabilization_matrix_couples_equal_parity_only(self, n):
-        # the dense step applies the nodal |A| as one block per parity of moments
         ops = build_angular_operators(n)
         odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
         nodal_abs = (ops.T_mat * np.abs(ops.quad.nodes)) @ ops.T_mat.T
         assert np.max(np.abs(nodal_abs[odd]), initial=0.0) <= 1e-15
-        assert np.max(np.abs(ops.A_abs[odd]), initial=0.0) <= 1e-15
+        assert np.max(np.abs(flux_matrices(ops).A_abs[odd]), initial=0.0) <= 1e-15
 
     def test_factorization_consistency(self):
         ops = build_angular_operators(7)
-        mu = ops.quad.nodes
-        np.testing.assert_allclose(ops.A, (ops.T_mat * mu) @ ops.T_mat.T, atol=1e-13)
-        np.testing.assert_allclose(ops.A_abs, (ops.T_mat * np.abs(mu)) @ ops.T_mat.T, atol=1e-13)
+        fm, mu = flux_matrices(ops), ops.quad.nodes
+        np.testing.assert_allclose(fm.A, (ops.T_mat * mu) @ ops.T_mat.T, atol=1e-13)
+        np.testing.assert_allclose(fm.A_abs, (ops.T_mat * np.abs(mu)) @ ops.T_mat.T, atol=1e-13)
         np.testing.assert_allclose(
-            ops.A_plus, 0.5 * (ops.T_mat * (mu + np.abs(mu))) @ ops.T_mat.T, atol=1e-13)
+            fm.A_plus, 0.5 * (ops.T_mat * (mu + np.abs(mu))) @ ops.T_mat.T, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 6, 15])
     def test_split_definiteness(self, n):
-        ops = build_angular_operators(n)
-        assert np.linalg.eigvalsh(ops.A_plus).min() >= -1e-12
-        assert np.linalg.eigvalsh(ops.A_minus).max() <= 1e-12
+        fm = flux_matrices(build_angular_operators(n))
+        assert np.linalg.eigvalsh(fm.A_plus).min() >= -1e-12
+        assert np.linalg.eigvalsh(fm.A_minus).max() <= 1e-12
 
     def test_source_vectors(self):
+        # b~ = T^T b with b = |P_1| e_1, and T b~ gives b back (T has orthonormal rows)
         ops = build_angular_operators(4)
-        assert ops.b_vec[0] == pytest.approx(NORM_P1, abs=1e-16)
-        assert np.all(ops.b_vec[1:] == 0.0)
-        np.testing.assert_allclose(ops.a_vec, ops.b_vec / NORM_P0, atol=1e-16)
-        assert ops.a_vec[0] == pytest.approx(1 / np.sqrt(3), abs=1e-15)
+        b = modal_b(ops)
+        assert b[0] == pytest.approx(NORM_P1, abs=1e-16)
+        assert np.all(b[1:] == 0.0)
+        np.testing.assert_array_equal(ops.b, NORM_P1 * ops.T_mat[0])
+        np.testing.assert_array_equal(ops.pin, ops.T_mat[0])
+        np.testing.assert_allclose(ops.T_mat @ ops.b, b, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_nodal_constants(self, n):
+        ops = build_angular_operators(n)
+        mu, t_mat = ops.quad.nodes, ops.T_mat
+        np.testing.assert_array_equal(ops.t0, np.sqrt(ops.quad.weights) / np.sqrt(2.0))
+        # T^T T = I - t0 t0^T: range(T^T) is the complement of t0
+        np.testing.assert_allclose(t_mat.T @ t_mat, np.eye(n + 1) - np.outer(ops.t0, ops.t0),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(ops.t0_b, np.stack([ops.t0, ops.b]))
+        np.testing.assert_array_equal(ops.mu_plus + ops.mu_minus, mu)
+        assert np.all(ops.mu_plus >= 0.0) and np.all(ops.mu_minus <= 0.0)
+        np.testing.assert_array_equal(ops.rows, t_mat.T)
+        for name in ("T_mat", "t0", "pin", "b", "t0_b", "mu_plus", "mu_minus", "rows"):
+            assert not getattr(ops, name).flags.writeable, name
 
     def test_beta_constant(self):
         ops = build_angular_operators(4)

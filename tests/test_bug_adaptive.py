@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import (
+    modal,
+    modal_b,
     nodal_dense,
     nodal_state,
     oracle_galerkin_dense,
+    reconstruct,
     reference_ap_truncate,
     reference_augment_bases,
     reference_choose_kept_rank,
+    reference_complete_orthonormal_columns,
+    upwind,
 )
 from slabtrt import bug_adaptive, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
@@ -24,7 +29,7 @@ from slabtrt.bug_adaptive import (
 from slabtrt.bug_fixed import step_bug_fixed
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
-    compute_cfl_dt,
+    cfl_report,
     energy,
     l2_relative_difference,
     mass,
@@ -64,6 +69,11 @@ def old_coefficients(aug, state):
     return s_tilde
 
 
+def diffusion_direction(macro, ws):
+    """w_ap = delta0(a c T) / sigma at the interfaces, the first direction augment_bases adds."""
+    return emission_gradient_parts(macro, ws)[0] / ws.sigma.at_interfaces
+
+
 def random_state(rng, n_interfaces, n_moments, rank):
     """Random factors whose first modal angular column is pinned to b/|b| = e_0,
     with the angular factor in nodal coordinates."""
@@ -80,9 +90,10 @@ class TestAugmentBases:
         macro = MacroState(np.full(6, 2.0), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=1)
         aug = augment_bases(state, macro, ws, 0.01)
-        np.testing.assert_allclose(aug.w_ap, 0.0, atol=1e-15)
-        b_unit = ws.angular.b_vec / np.linalg.norm(ws.angular.b_vec)
-        np.testing.assert_allclose(ws.angular.T_mat @ aug.V_hat[:, 0], b_unit, atol=1e-14)
+        np.testing.assert_allclose(diffusion_direction(macro, ws), 0.0, atol=1e-15)
+        b = modal_b(ws.angular)
+        np.testing.assert_allclose(ws.angular.T_mat @ aug.V_hat[:, 0], b / np.linalg.norm(b),
+                                   atol=1e-14)
         # nothing new in either stack: both bases are padded to the rank floor of 2,
         # the angular one with the next row of T
         np.testing.assert_allclose(aug.X_hat.T @ aug.X_hat, np.eye(2), atol=1e-13)
@@ -95,11 +106,11 @@ class TestAugmentBases:
         state = random_state(rng, 7, 5, 2)
         aug = augment_bases(state, macro, ws, 0.02)
 
-        b = ws.nodal.b
+        b = ws.angular.b
         res_b = b - aug.V_hat @ (aug.V_hat.T @ b)
         assert np.linalg.norm(res_b) <= 1e-12
 
-        w = aug.w_ap
+        w = diffusion_direction(macro, ws)
         res_w = w - aug.X_hat @ (aug.X_hat.T @ w)
         assert np.linalg.norm(res_w) <= 1e-12 * np.linalg.norm(w)
 
@@ -111,7 +122,7 @@ class TestAugmentBases:
         aug = augment_bases(state, macro, ws, 0.02)
         np.testing.assert_array_equal(aug.X_hat[:, :3], state.X_basis)
         np.testing.assert_array_equal(aug.V_hat[:, :3], state.V_basis)
-        assert np.max(np.abs(ws.nodal.t0 @ aug.V_hat)) <= 1e-15
+        assert np.max(np.abs(ws.angular.t0 @ aug.V_hat)) <= 1e-15
         for basis in (aug.X_hat, aug.V_hat):
             np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
                                        rtol=0, atol=1e-13)
@@ -128,13 +139,13 @@ class TestAugmentBases:
         v_near[:, 1] = v_near[:, 1] * np.sqrt(1.0 - 1e-26) + 1e-13 * v[:, 0]
         v_near[:, 0] = v_near[:, 0] - 1e-13 * v[:, 1]
         for bad in (v_free, v * np.array([-1.0, 1.0]), v[:, ::-1]):
-            state = LowRankMicroState(x, s_coeff, bad, 2)
+            state = LowRankMicroState(x, s_coeff, bad)
             with pytest.raises(ValueError):
                 augment_bases(state, macro, ws, 0.02)
             with pytest.raises(ValueError):
                 step_bug_adaptive(macro, state, ws, 0.02, cfg)
         # within 1e-12 of b/|b| is accepted
-        step_bug_adaptive(macro, LowRankMicroState(x, s_coeff, v_near, 2), ws, 0.02, cfg)
+        step_bug_adaptive(macro, LowRankMicroState(x, s_coeff, v_near), ws, 0.02, cfg)
 
     @pytest.mark.parametrize("nx, n_mom, rank", [(12, 5, 3), (12, 5, 4), (12, 5, 5),
                                                  (30, 6, 4), (8, 4, 2)])
@@ -148,7 +159,7 @@ class TestAugmentBases:
         assert aug.V_hat.shape[1] <= n_mom
         s_tilde = old_coefficients(aug, state)
         recon = aug.X_hat @ s_tilde @ aug.V_hat.T
-        old = state.reconstruct()
+        old = reconstruct(state)
         assert np.linalg.norm(recon - old) <= 1e-12 * np.linalg.norm(old)
 
     def test_spans_match_full_stack_reference(self):
@@ -192,7 +203,7 @@ class TestGalerkinSHat:
         aug = augment_bases(state, macro, ws, 0.02)
         s_tilde = old_coefficients(aug, state)
         recon = aug.X_hat @ s_tilde @ aug.V_hat.T
-        np.testing.assert_allclose(recon, state.reconstruct(), atol=1e-12)
+        np.testing.assert_allclose(recon, reconstruct(state), atol=1e-12)
 
     @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
     def test_assembled_stencil_is_the_stencil_of_x_hat(self, bc):
@@ -232,7 +243,7 @@ class TestGalerkinSHat:
         oracle = oracle_galerkin_dense(aug.X_hat, ws.angular.T_mat @ aug.V_hat, s_tilde,
                                        macro.temperature, macro.h_meso, params,
                                        grid.dx, dt, ws.sigma.at_interfaces,
-                                       ws.angular.A_plus, ws.angular.A_minus)
+                                       *upwind(ws.angular))
         np.testing.assert_allclose(s_hat, oracle, atol=1e-12)
 
 
@@ -242,7 +253,7 @@ class TestApTruncate:
         x_hat, _ = np.linalg.qr(rng.standard_normal((m, n_aug)))
         v_hat, _ = np.linalg.qr(rng.standard_normal((n_mom, n_aug)))
         s_hat = rng.standard_normal((n_aug, n_aug))
-        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m), source=np.zeros(m))
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, source=np.zeros(m))
         return aug, s_hat
 
     def test_zero_tolerance_keeps_everything(self):
@@ -262,7 +273,7 @@ class TestApTruncate:
         aug, s_hat = self.make_factors(rng)
         state = ap_truncate(aug, s_hat, TruncationConfig(theta_rel=0.3, max_rank=5))
         k_ap = (aug.X_hat @ s_hat)[:, 0]
-        recon_dir = state.reconstruct() @ aug.V_hat[:, 0]
+        recon_dir = reconstruct(state) @ aug.V_hat[:, 0]
         np.testing.assert_allclose(recon_dir, k_ap, atol=1e-12 * max(1.0, np.abs(k_ap).max()))
 
     def test_truncation_does_not_increase_norm(self):
@@ -315,22 +326,21 @@ class TestApTruncateMatchesGridSpace:
         if zero_conserved:
             s_hat[:, 0] = 0.0
         m = x_hat.shape[0]
-        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m), source=np.zeros(m))
+        aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, source=np.zeros(m))
         return aug, s_hat
 
     def compare(self, aug, s_hat, cfg):
-        state, det = ap_truncate(aug, s_hat, cfg, return_details=True)
-        x_ref, s_ref, v_ref, r_star_ref, s_ap_ref = reference_ap_truncate(
-            aug.X_hat, aug.V_hat, s_hat, cfg.theta_rel, cfg.max_rank)
-        assert det.r_star == r_star_ref
-        assert state.rank == r_star_ref + 1
-        recon_ref = x_ref @ s_ref @ v_ref.T
+        state = ap_truncate(aug, s_hat, cfg)
+        ref = reference_ap_truncate(aug.X_hat, aug.V_hat, s_hat, cfg.theta_rel, cfg.max_rank)
+        assert state.rank == ref.r_star + 1
+        recon_ref = ref.X_new @ ref.S_new @ ref.V_new.T
         scale = np.linalg.norm(recon_ref)
-        assert np.linalg.norm(state.reconstruct() - recon_ref) <= 1e-12 * scale
+        assert np.linalg.norm(reconstruct(state) - recon_ref) <= 1e-12 * scale
         np.testing.assert_array_equal(state.V_basis[:, 0], aug.V_hat[:, 0])
-        np.testing.assert_array_equal(v_ref[:, 0], aug.V_hat[:, 0])
-        assert abs(abs(det.S_ap[0, 0]) - abs(s_ap_ref[0, 0])) <= 1e-12 * scale
-        return state, det, x_ref, s_ref
+        np.testing.assert_array_equal(ref.V_new[:, 0], aug.V_hat[:, 0])
+        # the first refolding column is c_ap / |c_ap|, so S_new[0, 0] is +-|S_ap|
+        assert abs(abs(state.S_coeff[0, 0]) - abs(ref.S_ap[0, 0])) <= 1e-12 * scale
+        return state, ref.X_new, ref.S_new
 
     def test_random_factors(self):
         rng = np.random.default_rng(60)
@@ -352,21 +362,19 @@ class TestApTruncateMatchesGridSpace:
             x_hat, _ = np.linalg.qr(rng.standard_normal((m, width_x)))
             v_hat, _ = np.linalg.qr(rng.standard_normal((n_mom, width_v)))
             s_hat = rng.standard_normal((width_x, width_v))
-            aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, w_ap=np.zeros(m),
-                                   source=np.zeros(m))
+            aug = AugmentedFactors(X_hat=x_hat, V_hat=v_hat, source=np.zeros(m))
             cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.05, 0.3])),
                                    max_rank=int(rng.integers(2, 10)))
-            state, _, _, _ = self.compare(aug, s_hat, cfg)
+            state, _, _ = self.compare(aug, s_hat, cfg)
             assert state.rank <= min(width_x, width_v, cfg.max_rank)
 
     def test_degenerate_conserved_column(self):
         rng = np.random.default_rng(61)
         for r in (1, 2, 4):
             aug, s_hat = self.make_factors(rng, r, 5, 3, zero_conserved=True)
-            state, det, x_ref, s_ref = self.compare(
+            state, x_ref, s_ref = self.compare(
                 aug, s_hat, TruncationConfig(theta_rel=0.05, max_rank=2 * r + 1))
             # both pad the conserved slot with a zero-weight orthonormal direction
-            assert det.S_ap[0, 0] == 0.0
             np.testing.assert_allclose(state.S_coeff[:, 0], 0.0, atol=0.0)
             np.testing.assert_allclose(s_ref[:, 0], 0.0, atol=0.0)
             rank = state.rank
@@ -384,10 +392,16 @@ class TestApTruncateMatchesGridSpace:
         for r in (1, 3):
             aug, s_hat = self.make_factors(rng, r, 6, 2)
             s_hat[:, 1:] = 0.0
-            state, det, x_ref, s_ref = self.compare(
+            state, _, _ = self.compare(
                 aug, s_hat, TruncationConfig(theta_rel=0.05, max_rank=2 * r + 1))
             assert state.rank == 2
-            np.testing.assert_allclose(np.abs(np.diag(det.R2)), 1.0, atol=1e-12)
+            # the slots [c_ap | pad] are orthonormal, so the refolding QR's R is
+            # diagonal up to sign and its Q is the slots themselves
+            c_ap = s_hat[:, :1] / np.linalg.norm(s_hat[:, 0])
+            pad, _ = reference_complete_orthonormal_columns(c_ap, 1)
+            refold = aug.X_hat.T @ state.X_basis
+            np.testing.assert_allclose(np.abs(refold.T @ np.column_stack([c_ap, pad])), np.eye(2),
+                                       rtol=0, atol=1e-12)
             np.testing.assert_allclose(state.S_coeff[:, 1], 0.0, atol=0.0)
             np.testing.assert_allclose(state.X_basis.T @ state.X_basis, np.eye(2), atol=1e-13)
 
@@ -464,7 +478,7 @@ class TestStepOperationCounts:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=n_mom)
         step = {"index": 0, "rank": 1, "augmenting": False}
         qr_log, completions = [], []
@@ -530,7 +544,7 @@ class TestStepBugAdaptive:
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
         m1, s1 = step_bug_adaptive(macro, state, ws, 0.02, cfg)
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
-        np.testing.assert_allclose(s1.reconstruct(), 0.0, atol=1e-13)
+        np.testing.assert_allclose(reconstruct(s1), 0.0, atol=1e-13)
         assert s1.rank == 2
 
     def test_drifted_bases_are_orthonormalized_again(self):
@@ -543,13 +557,13 @@ class TestStepBugAdaptive:
         x = clean.X_basis + 1e-13 * rng.standard_normal((21, 3))
         v = ws.angular.T_mat @ clean.V_basis  # modal
         v[1:] += 1e-13 * rng.standard_normal((7, 3))
-        drifted = LowRankMicroState(x, clean.S_coeff, ws.angular.T_mat.T @ v, 3)
+        drifted = LowRankMicroState(x, clean.S_coeff, ws.angular.T_mat.T @ v)
         assert drifted.x_orth_defect > 1e-13
         cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
         _, new = step_bug_adaptive(macro, drifted, ws, 0.02, cfg)
         assert max(new.x_orth_defect, new.v_orth_defect) <= 1e-14
         _, want = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, cfg)
-        np.testing.assert_array_equal(new.reconstruct(), want.reconstruct())
+        np.testing.assert_array_equal(reconstruct(new), reconstruct(want))
 
     def test_small_epsilon_limit_after_one_step(self):
         nx, n_mom = 40, 8
@@ -558,16 +572,16 @@ class TestStepBugAdaptive:
         sigma = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(grid, params, sigma, angular)
-        dt = compute_cfl_dt(params, grid, angular, sigma)
+        dt = cfl_report(params, grid, angular, sigma)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
 
         w_before = emission_gradient_parts(macro, ws)[0] / ws.sigma.at_interfaces
         _, s1 = step_bug_adaptive(macro, state, ws, dt, cfg)
-        target = -np.outer(w_before, ws.angular.b_vec)
+        target = -np.outer(w_before, modal_b(ws.angular))
         scale = np.max(np.linalg.norm(target, axis=1))
-        defects = np.linalg.norm(s1.modal(angular.T_mat).reconstruct() - target, axis=1)
+        defects = np.linalg.norm(reconstruct(modal(s1, angular.T_mat)) - target, axis=1)
         assert np.max(defects[1:-1]) <= 1e-6 * scale
 
     def test_diffusive_rank_stays_small(self):
@@ -576,7 +590,7 @@ class TestStepBugAdaptive:
                                {"nx": nx, "n_moments": n_mom, "epsilon": 1e-5})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
@@ -589,7 +603,7 @@ class TestStepBugAdaptive:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro_d, micro_d = built.macro, nodal_dense(built.micro.g_matrix, angular)
         macro_a = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
@@ -612,10 +626,10 @@ class TestStepBugAdaptive:
         macro = MacroState(rng.uniform(0.5, 2.0, 6), 0.1 * rng.standard_normal(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=0.1, max_rank=5)
-        b = ws.nodal.b
+        b = ws.angular.b
         for _ in range(20):
             aug = augment_bases(state, macro, ws, 0.02)
-            w = aug.w_ap
+            w = diffusion_direction(macro, ws)
             res_w = w - aug.X_hat @ (aug.X_hat.T @ w)
             assert np.linalg.norm(res_w) <= 1e-12 * max(np.linalg.norm(w), 1e-300)
             macro, state = step_bug_adaptive(macro, state, ws, 0.02, cfg)
@@ -628,7 +642,7 @@ class TestStepBugAdaptive:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
@@ -654,7 +668,7 @@ class TestStepBugAdaptive:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
         m0 = mass(built.macro, built.params, built.grid)
         galerkin = bug_adaptive.galerkin_s_hat
@@ -682,7 +696,7 @@ class TestStepBugAdaptive:
                                {"nx": nx, "n_moments": n_mom, "epsilon": 1e-5})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
@@ -699,7 +713,7 @@ class TestStepBugAdaptive:
         sigma = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(grid, params, sigma, angular)
-        dt = compute_cfl_dt(params, grid, angular, sigma)
+        dt = cfl_report(params, grid, angular, sigma)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=10)

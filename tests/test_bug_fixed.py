@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import (
+    modal,
+    modal_b,
     nodal_dense,
     nodal_state,
     oracle_galerkin_dense,
     oracle_galerkin_rhs,
     oracle_l_step,
     oracle_step_full,
+    reconstruct,
+    upwind,
 )
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import TruncationConfig, step_bug_adaptive
@@ -23,7 +27,7 @@ from slabtrt.bug_fixed import (
 from slabtrt.cli_io import simulate
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
-    compute_cfl_dt,
+    cfl_report,
     energy,
     l2_relative_difference,
     mass,
@@ -123,11 +127,10 @@ class TestKStep:
         k_new = k_update(state, macro, ws, 0.02)
         _, _, oracle = oracle_step_full(macro.temperature, macro.h_meso, g_in_span, ws.params,
                                         ws.grid.dx, 0.02, ws.sigma.at_centers,
-                                        ws.sigma.at_interfaces, ws.angular.A_plus,
-                                        ws.angular.A_minus)
+                                        ws.sigma.at_interfaces, *upwind(ws.angular))
         np.testing.assert_allclose(k_new, oracle, atol=1e-12)
         _, dense = step_full(macro, nodal_dense(g_in_span, ws.angular), ws, 0.02)
-        np.testing.assert_allclose(k_new, dense.modal(ws.angular.T_mat).g_matrix, atol=1e-12)
+        np.testing.assert_allclose(k_new, modal(dense, ws.angular.T_mat).g_matrix, atol=1e-12)
 
     def test_gauge_sanity_of_reconstruction(self):
         rng = np.random.default_rng(13)
@@ -137,7 +140,7 @@ class TestKStep:
         q1, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         q2, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         rotated = LowRankMicroState(state.X_basis @ q1, q1.T @ state.S_coeff @ q2,
-                                    state.V_basis @ q2, 2)
+                                    state.V_basis @ q2)
         k_a = k_update(state, macro, ws, 0.02)
         k_b = k_update(rotated, macro, ws, 0.02)
         recon_a = k_a @ state.V_basis.T
@@ -181,7 +184,7 @@ class TestLStep:
         v_modal = ws.angular.T_mat @ state.V_basis
         oracle = oracle_l_step(state.X_basis, state.S_coeff, v_modal, T, h,
                                params, grid.dx, dt, sig_i,
-                               ws.angular.A_plus, ws.angular.A_minus)
+                               *upwind(ws.angular))
         np.testing.assert_allclose(l_new, oracle, atol=1e-12)
 
     def test_random_rank_two_oracle(self):
@@ -195,7 +198,7 @@ class TestLStep:
         v_modal = ws.angular.T_mat @ state.V_basis
         oracle = oracle_l_step(state.X_basis, state.S_coeff, v_modal, T, h,
                                ws.params, ws.grid.dx, 0.04, ws.sigma.at_interfaces,
-                               ws.angular.A_plus, ws.angular.A_minus)
+                               *upwind(ws.angular))
         np.testing.assert_allclose(l_new, oracle, atol=1e-12)
 
 
@@ -221,8 +224,7 @@ class TestSStep:
         shift = p.epsilon**2 / (p.c * dt)
         rhs = oracle_galerkin_rhs(state.X_basis, ws.angular.T_mat @ state.V_basis, state.S_coeff,
                                   macro.temperature, macro.h_meso, p, ws.grid.dx, dt,
-                                  ws.sigma.at_interfaces, ws.angular.A_plus,
-                                  ws.angular.A_minus, bc="periodic")
+                                  ws.sigma.at_interfaces, *upwind(ws.angular), bc="periodic")
         np.testing.assert_allclose(s_new, rhs / (shift + 0.9), atol=1e-12)
 
     def test_dense_projection_oracle(self):
@@ -238,7 +240,7 @@ class TestSStep:
         s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ v_new)
         oracle = oracle_galerkin_dense(x_new, ws.angular.T_mat @ v_new, s_tilde, T, h, ws.params,
                                        ws.grid.dx, dt, ws.sigma.at_interfaces,
-                                       ws.angular.A_plus, ws.angular.A_minus)
+                                       *upwind(ws.angular))
         np.testing.assert_allclose(s_new, oracle, atol=1e-12)
 
 
@@ -250,7 +252,7 @@ class TestStepBugFixed:
         m1, s1 = step_bug_fixed(macro, state, ws, 0.02)
         np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
         np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-14)
-        np.testing.assert_allclose(s1.reconstruct(), 0.0, atol=1e-14)
+        np.testing.assert_allclose(reconstruct(s1), 0.0, atol=1e-14)
         assert s1.rank == 2
         assert s1.x_orth_defect <= 1e-12
         assert s1.v_orth_defect <= 1e-12
@@ -262,7 +264,7 @@ class TestStepBugFixed:
         sigma = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(grid, params, sigma, angular)
-        dt = compute_cfl_dt(params, grid, angular, sigma)
+        dt = cfl_report(params, grid, angular, sigma)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         t_ref = macro.temperature.copy()
@@ -278,7 +280,7 @@ class TestStepBugFixed:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
 
         macro_d, micro_d = built.macro, nodal_dense(built.micro.g_matrix, angular)
         macro_l = built.macro
@@ -300,7 +302,7 @@ class TestStepBugFixed:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank)
         e_prev = energy(macro, 0.0, built.params, built.grid)
@@ -334,8 +336,9 @@ class TestNodalKernels:
         shift = p.epsilon**2 / (p.c * dt)
         k = x @ s
         k_minus, k_plus = self.one_sided(k, ws)
-        advect = k_minus @ (v.T @ ang.A_plus @ v) + k_plus @ (v.T @ ang.A_minus @ v)
-        rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ ang.b_vec)
+        a_plus, a_minus = upwind(ang)
+        advect = k_minus @ (v.T @ a_plus @ v) + k_plus @ (v.T @ a_minus @ v)
+        rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ modal_b(ang))
         return rhs / (shift + ws.sigma.at_interfaces)[:, None]
 
     def dense_l_update(self, state, source, ws, dt):
@@ -344,8 +347,9 @@ class TestNodalKernels:
         shift = p.epsilon**2 / (p.c * dt)
         l_mat = v @ s.T
         x_minus, x_plus = self.one_sided(x, ws)
-        advect = ang.A_plus @ l_mat @ (x_minus.T @ x) + ang.A_minus @ l_mat @ (x_plus.T @ x)
-        rhs = shift * l_mat - p.epsilon * advect - np.outer(ang.b_vec, x.T @ source)
+        a_plus, a_minus = upwind(ang)
+        advect = a_plus @ l_mat @ (x_minus.T @ x) + a_minus @ l_mat @ (x_plus.T @ x)
+        rhs = shift * l_mat - p.epsilon * advect - np.outer(modal_b(ang), x.T @ source)
         absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
         return np.linalg.solve(shift * np.eye(state.rank) + absorb, rhs.T).T
 
@@ -353,10 +357,11 @@ class TestNodalKernels:
         p, ang = ws.params, ws.angular
         shift = p.epsilon**2 / (p.c * dt)
         x_minus, x_plus = self.one_sided(x, ws)
-        advect = (x.T @ x_minus @ s_tilde @ (v.T @ ang.A_plus @ v)
-                  + x.T @ x_plus @ s_tilde @ (v.T @ ang.A_minus @ v))
+        a_plus, a_minus = upwind(ang)
+        advect = (x.T @ x_minus @ s_tilde @ (v.T @ a_plus @ v)
+                  + x.T @ x_plus @ s_tilde @ (v.T @ a_minus @ v))
         absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
-        rhs = shift * s_tilde - p.epsilon * advect - np.outer(x.T @ source, v.T @ ang.b_vec)
+        rhs = shift * s_tilde - p.epsilon * advect - np.outer(x.T @ source, v.T @ modal_b(ang))
         return np.linalg.solve(shift * np.eye(x.shape[1]) + absorb, rhs)
 
     @pytest.mark.parametrize("n_moments", [1, 4, 9, 24])
@@ -367,8 +372,9 @@ class TestNodalKernels:
         rank = min(n_moments, 5)
         v, _ = np.linalg.qr(rng.standard_normal((n_moments, rank)))
         proj_plus, proj_minus = _flux_projections(ang.T_mat.T @ v, ws)
-        np.testing.assert_allclose(proj_plus, v.T @ ang.A_plus @ v, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(proj_minus, v.T @ ang.A_minus @ v, rtol=0, atol=1e-13)
+        a_plus, a_minus = upwind(ang)
+        np.testing.assert_allclose(proj_plus, v.T @ a_plus @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(proj_minus, v.T @ a_minus @ v, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
     def test_updates_match_dense_flux_matrices(self, bc):
@@ -407,39 +413,24 @@ class TestNodalKernels:
         k_minus, k_plus = self.one_sided(k, ws)
         flux_plus, flux_minus = _flux_projections(w, ws)
         rhs = (shift * k - p.epsilon * (k_minus @ flux_plus + k_plus @ flux_minus)
-               - np.outer(source, w.T @ ws.nodal.b))
+               - np.outer(source, w.T @ ws.angular.b))
         want = rhs / (shift + ws.sigma.at_interfaces)[:, None]
         got = _k_update(state, source, ws, dt, stencil(state.X_basis, ws))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
-    def test_steps_never_touch_dense_flux_matrices(self, scheme):
-        # A, A+-, |A| are computed on first access, and a run never asks for them
-        built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 16})
-        angular = build_angular_operators(16)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
-        ranks = set()
-        for _, _, _, state in simulate(scheme, built.macro, built.micro, ws, dt, 6 * dt,
-                                       rank=4, theta_rel=5e-2):
-            ranks.add(state.rank)
-        assert len(ranks) > 1 or scheme == "bug_fixed"
-        assert not {"A", "A_plus", "A_minus", "A_abs"} & set(vars(angular))
-        np.testing.assert_array_equal(angular.A, angular.A_plus + angular.A_minus)
-
-    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     def test_steps_read_no_transformation_matrix(self, scheme):
-        # once the workspace holds its nodal constants, a step multiplies by T
-        # nowhere: with T_mat set to NaN it returns the same state, bit for bit
+        # a step reads the nodal constants of ws.angular and multiplies by T
+        # nowhere, nor by A = T diag(mu) T^T: with T_mat set to NaN it returns
+        # the same state, bit for bit
         nx, n_mom = 41, 16
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         cfg = TruncationConfig(theta_rel=5e-2, max_rank=n_mom)
 
         def run(poisoned):
             ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-            assert ws.nodal.rows.shape == (n_mom + 1, n_mom)
             if poisoned:
                 ws.angular = dataclasses.replace(angular, T_mat=np.full((n_mom, n_mom + 1),
                                                                         np.nan))
@@ -447,11 +438,15 @@ class TestNodalKernels:
             # from the zero state both schemes pad angular directions in the first step
             state = zero_low_rank_state(nx + 1, angular.T_mat,
                                         rank=1 if scheme == "bug_adaptive" else 4)
+            ranks = set()
             for _ in range(6):
                 if scheme == "bug_fixed":
                     macro, state = step_bug_fixed(macro, state, ws, dt)
                 else:
                     macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+                ranks.add(state.rank)
+            # the adaptive run changes rank, so steps of several widths are covered
+            assert len(ranks) > 1 or scheme == "bug_fixed"
             return macro, state
 
         (macro_a, state_a), (macro_b, state_b) = run(False), run(True)
@@ -471,8 +466,8 @@ class TestNodalKernels:
         built = build_scenario("absorber", {"nx": nx, "n_moments": n_mom, "epsilon": 1e-5})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
-        worst = max(np.max(np.abs(ws.nodal.t0 @ state.V_basis)) for _, _, _, state in simulate(
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        worst = max(np.max(np.abs(ws.angular.t0 @ state.V_basis)) for _, _, _, state in simulate(
             scheme, built.macro, built.micro, ws, dt, 1000 * dt, rank=3, theta_rel=5e-2))
         assert worst <= 1e-14
 
@@ -491,13 +486,13 @@ class TestNodalKernels:
         built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         for step, (_, _, _, state) in enumerate(simulate(scheme, built.macro, built.micro, ws,
                                                          dt, 40 * dt, rank=5, theta_rel=5e-2)):
-            modal = state.modal(angular.T_mat)  # validates orthonormality to 1e-12
-            assert modal.v_orth_defect <= 1e-12
+            moments = modal(state, angular.T_mat)  # validates orthonormality to 1e-12
+            assert moments.v_orth_defect <= 1e-12
             if scheme == "bug_adaptive":
-                np.testing.assert_allclose(modal.V_basis[:, 0], np.eye(n_mom)[0], rtol=0,
+                np.testing.assert_allclose(moments.V_basis[:, 0], np.eye(n_mom)[0], rtol=0,
                                            atol=1e-12, err_msg=f"step {step}")
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])

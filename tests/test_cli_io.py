@@ -17,7 +17,7 @@ from slabtrt.cli_io import (
     simulate,
 )
 from slabtrt.full_scheme import FullSchemeWorkspace
-from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass, relative_mass_error
+from slabtrt.limits_diagnostics import cfl_report, energy, mass, relative_mass_error
 from slabtrt.mesh_state import MacroState
 from slabtrt.scenarios import build_scenario
 
@@ -101,6 +101,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 5: key 'rank'"):
             parse_config(text.format(most + 1))
         assert parse_config(text.format(most)).rank == most
+
+    # both were accepted here once and then failed when the run started, naming no key
+    def test_default_rank_beyond_the_moments_names_the_key(self):
+        text = "scenario = absorber\nscheme = bug_fixed\nnx = 20\nn_moments = 8\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == ("key 'rank': must be between 1 and min(nx + 1, n_moments) = 8"
+                                  " (scenario default 15; set it)")
+        assert parse_config(text + "rank = 8\n").rank == 8
+        assert parse_config(text.replace("bug_fixed", "full")).rank is None
+
+    def test_adaptive_scheme_needs_two_moments(self):
+        text = "scenario = absorber\nscheme = {}\nnx = 20\nn_moments = 1\n"
+        with pytest.raises(ConfigError, match="^line 4: key 'n_moments': bug_adaptive needs"):
+            parse_config(text.format("bug_adaptive"))
+        assert parse_config(text.format("full")).n_moments == 1
 
 
 class TestRunSimulation:
@@ -232,7 +248,7 @@ class TestSimulate:
         macro = MacroState(8e305 * built.macro.temperature, built.macro.h_meso)
         angular = build_angular_operators(8)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = compute_cfl_dt(built.params, built.grid, angular, built.sigma)
+        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         with pytest.raises(RuntimeError,
                            match=r"simulation aborted at step 1: .*non-finite entries"):
             for _ in simulate(scheme, macro, built.micro, ws, dt, 1.5, rank=3,
@@ -280,6 +296,37 @@ class TestCliEntrypoints:
         against_reference = {(r[0], r[1]): float(r[2]) for r in rows}
         for scheme in ("full", "bug_fixed", "bug_adaptive"):
             assert against_reference[(scheme, "rosseland")] <= 1e-3
+
+    @pytest.mark.parametrize("scheme, n_moments, message", [
+        ("bug_fixed", 8, "error: key 'rank': must be between 1 and min(nx + 1, n_moments) = 8"
+                         " (scenario default 15; set it)"),
+        ("bug_adaptive", 1, "error: line 4: key 'n_moments': bug_adaptive needs at least 2"),
+    ], ids=["bug_fixed", "bug_adaptive"])
+    def test_run_refuses_a_config_it_cannot_start(self, tmp_path, capsys, scheme, n_moments,
+                                                  message):
+        out_dir = tmp_path / "out"
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = {scheme}\nnx = 20\n"
+                      f"n_moments = {n_moments}\noutput_dir = {out_dir}\n")
+        assert main(["run", path]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("schemes, n_moments, message", [
+        ("full,bug_fixed", 8, "error: scheme bug_fixed: key 'rank': must be between 1 and"),
+        ("full,bug_adaptive,rosseland", 1,
+         "error: scheme bug_adaptive: key 'n_moments': bug_adaptive needs at least 2"),
+    ], ids=["bug_fixed", "bug_adaptive"])
+    def test_sweep_refuses_before_any_scheme_runs(self, tmp_path, capsys, schemes, n_moments,
+                                                  message):
+        # `full` comes first and can start: it must not run or write either
+        out_dir = tmp_path / "sweep"
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = full\nnx = 20\n"
+                      f"n_moments = {n_moments}\noutput_dir = {out_dir}\n")
+        assert main(["sweep", path, "--schemes", schemes]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_usage_error_nonzero_exit(self):
         assert main(["frobnicate"]) != 0

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import nodal_dense, oracle_step_full
+from oracles import modal, nodal_dense, oracle_step_full, upwind
 from slabtrt.angular import NORM_P1, build_angular_operators
 from slabtrt.full_scheme import FullSchemeWorkspace, step_full
-from slabtrt.limits_diagnostics import compute_cfl_dt, energy, mass, rosseland_step
+from slabtrt.limits_diagnostics import cfl_report, energy, mass, rosseland_step
 from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
@@ -24,7 +26,7 @@ def make_workspace(nx=3, n_moments=2, epsilon=1.0, sigma=1.0, bc="zero_ghost"):
 
 
 def moments(micro, ws):
-    return micro.modal(ws.angular.T_mat).g_matrix
+    return modal(micro, ws.angular.T_mat).g_matrix
 
 
 def smooth_profile(x, x_min, x_max, seed, modes=4):
@@ -68,7 +70,7 @@ class TestStepFull:
 
         t_o, h_o, g_o = oracle_step_full(
             T, np.zeros(3), np.zeros((4, 2)), ws.params, 1.0, dt,
-            np.ones(3), np.ones(4), ws.angular.A_plus, ws.angular.A_minus)
+            np.ones(3), np.ones(4), *upwind(ws.angular))
         np.testing.assert_allclose(g1, g_o, atol=1e-13)
         np.testing.assert_allclose(m1.h_meso, h_o, atol=1e-13)
         np.testing.assert_allclose(m1.temperature, t_o, atol=1e-13)
@@ -99,7 +101,7 @@ class TestStepFull:
                 m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, dt)
                 t_o, h_o, g_o = oracle_step_full(
                     T, h, G, params, grid.dx, dt, sig_c, sig_i,
-                    ws.angular.A_plus, ws.angular.A_minus, bc=bc)
+                    *upwind(ws.angular), bc=bc)
                 np.testing.assert_allclose(moments(g1, ws), g_o, atol=1e-13)
                 np.testing.assert_allclose(m1.h_meso, h_o, atol=1e-13)
                 np.testing.assert_allclose(m1.temperature, t_o, atol=1e-13)
@@ -135,35 +137,49 @@ class TestSplitAdvection:
             G = rng.standard_normal((nx + 1, n_mom))
             m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, 0.02)
             t_o, h_o, g_o = oracle_step_full(T, h, G, ws.params, ws.grid.dx, 0.02, sig_c, sig_i,
-                                             ws.angular.A_plus, ws.angular.A_minus, bc=bc)
+                                             *upwind(ws.angular), bc=bc)
             for got, want in ((moments(g1, ws), g_o), (m1.h_meso, h_o), (m1.temperature, t_o)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            assert np.max(np.abs(g1.g_matrix @ ws.nodal.t0)) <= 1e-14 * np.max(np.abs(g_o))
+            assert np.max(np.abs(g1.g_matrix @ ws.angular.t0)) <= 1e-14 * np.max(np.abs(g_o))
 
-    def test_step_never_touches_dense_flux_matrices(self):
-        # A, A+-, |A| are computed on first access, and the dense step never asks
-        ws = make_workspace(nx=12, n_moments=7, epsilon=0.5, bc="periodic")
+    def test_step_reads_no_transformation_matrix(self):
+        # the step reads the nodal constants of ws.angular and multiplies by T
+        # nowhere, nor by A = T diag(mu) T^T: with T_mat set to NaN it returns
+        # the same state, bit for bit
         rng = np.random.default_rng(3)
-        macro = MacroState(rng.uniform(0.5, 1.5, 12), rng.standard_normal(12))
-        micro = nodal_dense(rng.standard_normal((13, 7)), ws.angular)
-        for _ in range(3):
-            macro, micro = step_full(macro, micro, ws, 0.01)
-        assert not {"A", "A_plus", "A_minus", "A_abs"} & set(vars(ws.angular))
+        first_macro = MacroState(rng.uniform(0.5, 1.5, 12), rng.standard_normal(12))
+        first_micro = nodal_dense(rng.standard_normal((13, 7)), build_angular_operators(7))
+
+        def run(poisoned):
+            ws = make_workspace(nx=12, n_moments=7, epsilon=0.5, bc="periodic")
+            if poisoned:
+                ws.angular = dataclasses.replace(ws.angular, T_mat=np.full((7, 8), np.nan))
+            macro, micro = first_macro, first_micro
+            for _ in range(3):
+                macro, micro = step_full(macro, micro, ws, 0.01)
+            return macro, micro
+
+        (macro_a, micro_a), (macro_b, micro_b) = run(False), run(True)
+        for got, want in ((micro_b.g_matrix, micro_a.g_matrix),
+                          (macro_b.temperature, macro_a.temperature),
+                          (macro_b.h_meso, macro_a.h_meso)):
+            np.testing.assert_array_equal(got, want)
 
     def test_rank_one_rows_are_built_once(self):
-        # the (2, N + 1) block [t0; b] of the rank-one update is a nodal constant,
-        # built with the workspace's nodal constants and left untouched by the steps
+        # the (2, N + 1) block [t0; b] of the rank-one update is an angular constant,
+        # built with the operators, read-only and left untouched by the steps
         ws = make_workspace(nx=8, n_moments=6, bc="periodic")
-        nod = ws.nodal
-        np.testing.assert_array_equal(nod.t0_b, np.stack([nod.t0, nod.b]))
-        kept = nod.t0_b.copy()
+        ang = ws.angular
+        np.testing.assert_array_equal(ang.t0_b, np.stack([ang.t0, ang.b]))
+        assert not ang.t0_b.flags.writeable
+        kept = ang.t0_b.copy()
         rng = np.random.default_rng(6)
         macro = MacroState(rng.uniform(0.5, 1.5, 8), rng.standard_normal(8))
         micro = nodal_dense(rng.standard_normal((9, 6)), ws.angular)
         for _ in range(3):
             macro, micro = step_full(macro, micro, ws, 0.02)
-        assert ws.nodal is nod
-        np.testing.assert_array_equal(nod.t0_b, kept)
+        assert ws.angular is ang
+        np.testing.assert_array_equal(ang.t0_b, kept)
 
     def test_returned_state_is_not_a_workspace_buffer(self):
         ws = make_workspace(nx=10, n_moments=5)
@@ -186,7 +202,7 @@ class TestEnergyAndMass:
         field = AbsorptionField(np.full(nx, 0.6), np.full(nx + 1, 0.6))
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(grid, params, field, angular)
-        dt = compute_cfl_dt(params, grid, angular, field)
+        dt = cfl_report(params, grid, angular, field)[0]
 
         T = smooth_profile(grid.centers, -2.0, 2.0, seed=10)
         h = 0.3 * smooth_profile(grid.centers, -2.0, 2.0, seed=11)
@@ -211,7 +227,7 @@ class TestEnergyAndMass:
         field = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(grid, params, field, angular)
-        dt = compute_cfl_dt(params, grid, angular, field)
+        dt = cfl_report(params, grid, angular, field)[0]
 
         T = np.where(np.abs(grid.centers) <= 0.5, 1.0, 0.0)
         macro, micro = MacroState(T, np.zeros(nx)), FullMicroState(np.zeros((nx + 1, n_mom + 1)))
@@ -235,7 +251,7 @@ class TestDiffusionLimit:
     def test_first_moment_limit_after_one_step(self):
         ws, macro, micro = self.make_diffusive()
         params, grid = ws.params, ws.grid
-        dt = compute_cfl_dt(params, grid, ws.angular, ws.sigma)
+        dt = cfl_report(params, grid, ws.angular, ws.sigma)[0]
         m1, g1 = step_full(macro, micro, ws, dt)
         g1 = moments(g1, ws)
 
@@ -248,7 +264,7 @@ class TestDiffusionLimit:
     def test_temperature_tracks_diffusion_reference(self):
         ws, macro, micro = self.make_diffusive()
         params, grid = ws.params, ws.grid
-        dt = compute_cfl_dt(params, grid, ws.angular, ws.sigma)
+        dt = cfl_report(params, grid, ws.angular, ws.sigma)[0]
         t_ref = macro.temperature.copy()
         for _ in range(10):
             macro, micro = step_full(macro, micro, ws, dt)
@@ -267,7 +283,7 @@ def step_map_energy_norm(scenario, epsilon, bc, nx=41, n_mom=8):
     built = build_scenario(scenario, {"nx": nx, "n_moments": n_mom, "epsilon": epsilon})
     grid, p = built.grid, built.params
     ws = FullSchemeWorkspace(grid, p, built.sigma, build_angular_operators(n_mom), bc=bc)
-    dt = compute_cfl_dt(p, grid, ws.angular, built.sigma)
+    dt = cfl_report(p, grid, ws.angular, built.sigma)[0]
     w_core, w_heat = np.sqrt(grid.dx), np.sqrt(0.5 * p.a_rad * p.c_nu * grid.dx)
     w_micro = np.sqrt(grid.dx) * p.epsilon / (np.sqrt(2.0) * p.c)
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_rosseland_step
+from oracles import oracle_rosseland_step, reconstruct
 from slabtrt.angular import build_angular_operators
 from slabtrt.limits_diagnostics import (
     cfl_report,
-    compute_cfl_dt,
     energy,
     l2_relative_difference,
     mass,
@@ -42,7 +41,7 @@ class TestCfl:
         sigma = uniform_absorption(20, 0.7)
         angular = build_angular_operators(6)
         params_small = PhysicalParams(epsilon=1e-300)
-        dt = compute_cfl_dt(params_small, grid, angular, sigma)
+        dt = cfl_report(params_small, grid, angular, sigma)[0]
         nodes = angular.quad.nodes[angular.quad.nodes != 0.0]
         expected = np.min(0.7 * grid.dx**2 / nodes**2) / (5.0 * angular.beta_N)
         assert dt == pytest.approx(expected, rel=1e-12)
@@ -54,7 +53,7 @@ class TestCfl:
         sigma = uniform_absorption(10, 0.4)
         angular = build_angular_operators(1)
         assert angular.beta_N == pytest.approx(2.0, abs=1e-14)
-        dt = compute_cfl_dt(params, grid, angular, sigma)
+        dt = cfl_report(params, grid, angular, sigma)[0]
         expected = (2.0 * np.sqrt(3.0) * params.epsilon * grid.dx
                     + 3.0 * 0.4 * grid.dx**2) / (10.0 * params.c)
         assert dt == pytest.approx(expected, rel=1e-13)
@@ -68,18 +67,18 @@ class TestCfl:
             for s in sigma_values:
                 for e in eps_values:
                     p = PhysicalParams(epsilon=e)
-                    dt_a = compute_cfl_dt(p, grid_a, angular, uniform_absorption(grid_a.n_cells, s))
-                    dt_b = compute_cfl_dt(p, grid_b, angular, uniform_absorption(grid_b.n_cells, s))
+                    dt_a = cfl_report(p, grid_a, angular, uniform_absorption(grid_a.n_cells, s))[0]
+                    dt_b = cfl_report(p, grid_b, angular, uniform_absorption(grid_b.n_cells, s))[0]
                     assert dt_a <= dt_b  # finer grid, smaller step
         grid = grid_points[0]
         for s_a, s_b in zip(sigma_values, sigma_values[1:]):
             p = PhysicalParams(epsilon=0.1)
-            assert compute_cfl_dt(p, grid, angular, uniform_absorption(40, s_a)) <= \
-                compute_cfl_dt(p, grid, angular, uniform_absorption(40, s_b))
+            assert cfl_report(p, grid, angular, uniform_absorption(40, s_a))[0] <= \
+                cfl_report(p, grid, angular, uniform_absorption(40, s_b))[0]
         for e_a, e_b in zip(eps_values, eps_values[1:]):
             sig = uniform_absorption(40, 0.5)
-            assert compute_cfl_dt(PhysicalParams(epsilon=e_a), grid, angular, sig) <= \
-                compute_cfl_dt(PhysicalParams(epsilon=e_b), grid, angular, sig)
+            assert cfl_report(PhysicalParams(epsilon=e_a), grid, angular, sig)[0] <= \
+                cfl_report(PhysicalParams(epsilon=e_b), grid, angular, sig)[0]
 
 
 class TestEnergyMass:
@@ -104,8 +103,8 @@ class TestEnergyMass:
         s = rng.standard_normal((3, 3))
         from slabtrt.mesh_state import LowRankMicroState
 
-        state = LowRankMicroState(q1, s, q2, 3)
-        dense = float(np.sum(state.reconstruct() ** 2) * grid.dx)
+        state = LowRankMicroState(q1, s, q2)
+        dense = float(np.sum(reconstruct(state) ** 2) * grid.dx)
         assert abs(dense - state.micro_norm_sq(grid.dx)) <= 1e-12 * max(dense, 1.0)
 
     def test_meso_contribution_scales_with_epsilon(self):

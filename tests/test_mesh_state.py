@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import reference_complete_orthonormal_columns, reference_orthonormal_columns
+from oracles import (
+    init_from_kinetic,
+    modal,
+    reconstruct,
+    reference_complete_orthonormal_columns,
+    reference_orthonormal_columns,
+)
 from slabtrt.angular import build_angular_operators, gauss_legendre, orthonormal_legendre_table
 from slabtrt.mesh_state import (
     AbsorptionField,
@@ -14,7 +20,6 @@ from slabtrt.mesh_state import (
     diff_center,
     diff_interface,
     extend_orthonormal_columns,
-    init_from_kinetic,
     padded_difference,
     scalar_flux,
     zero_low_rank_state,
@@ -135,9 +140,9 @@ class TestStates:
     def test_low_rank_orthonormality_enforced(self):
         x = np.ones((6, 2))
         with pytest.raises(ValueError):
-            LowRankMicroState(x, np.zeros((2, 2)), np.eye(4)[:, :2], 2)
+            LowRankMicroState(x, np.zeros((2, 2)), np.eye(4)[:, :2])
         with pytest.raises(ValueError, match="not orthonormal"):
-            LowRankMicroState(np.eye(6)[:, :2] * 1e200, np.zeros((2, 2)), np.eye(4)[:, :2], 2)
+            LowRankMicroState(np.eye(6)[:, :2] * 1e200, np.zeros((2, 2)), np.eye(4)[:, :2])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("factor", [0, 1, 2])
@@ -148,7 +153,7 @@ class TestStates:
         factors[factor] = factors[factor].copy()
         factors[factor][1, 1] = bad
         with pytest.raises(ValueError, match="non-finite entries"):
-            LowRankMicroState(*factors, 2)
+            LowRankMicroState(*factors)
 
     def test_dense_norm_is_read_once_on_construction(self):
         rng = np.random.default_rng(6)
@@ -169,15 +174,28 @@ class TestStates:
         x = orthonormal(rng, 10, 3)
         v = orthonormal(rng, 6, 3)
         s = rng.standard_normal((3, 3))
-        state = LowRankMicroState(x, s, v, 3)
-        svals = np.linalg.svd(state.reconstruct(), compute_uv=False)
+        state = LowRankMicroState(x, s, v)
+        svals = np.linalg.svd(reconstruct(state), compute_uv=False)
         assert np.sum(svals > 1e-10 * svals[0]) <= 3
+
+    def test_rank_is_the_width_of_the_factors(self):
+        rng = np.random.default_rng(10)
+        x, v = orthonormal(rng, 10, 3), orthonormal(rng, 6, 3)
+        assert LowRankMicroState(x, rng.standard_normal((3, 3)), v).rank == 3
+        with pytest.raises(ValueError, match="inconsistent"):
+            LowRankMicroState(x, rng.standard_normal((2, 2)), v)
+        with pytest.raises(ValueError, match="inconsistent"):
+            LowRankMicroState(x, rng.standard_normal((3, 3)), v[:, :2])
+        with pytest.raises(ValueError, match="rank must satisfy"):
+            LowRankMicroState(x[:, :0], np.zeros((0, 0)), v[:, :0])
+        with pytest.raises(ValueError, match="rank must satisfy"):
+            LowRankMicroState(orthonormal(rng, 10, 4), np.zeros((4, 4)), np.eye(3))
 
     def test_orthogonality_defects_kept_on_construction(self):
         rng = np.random.default_rng(8)
         x = orthonormal(rng, 10, 3)
         v = orthonormal(rng, 6, 3)
-        state = LowRankMicroState(x, rng.standard_normal((3, 3)), v, 3)
+        state = LowRankMicroState(x, rng.standard_normal((3, 3)), v)
         assert state.x_orth_defect == np.max(np.abs(x.T @ x - np.eye(3)))
         assert state.v_orth_defect == np.max(np.abs(v.T @ v - np.eye(3)))
         assert 0.0 <= state.x_orth_defect <= 1e-12
@@ -190,12 +208,12 @@ class TestStates:
         v[1:, 1:] = orthonormal(rng, 7, 3)
         x = x + 1e-13 * rng.standard_normal(x.shape)
         v[1:] += 1e-13 * rng.standard_normal((7, 4))
-        state = LowRankMicroState(x, rng.standard_normal((4, 4)), v, 4)
+        state = LowRankMicroState(x, rng.standard_normal((4, 4)), v)
         assert min(state.x_orth_defect, state.v_orth_defect) > 1e-13
         fresh = state.reorthonormalized()
         assert max(fresh.x_orth_defect, fresh.v_orth_defect) <= 1e-15
-        np.testing.assert_allclose(fresh.reconstruct(), state.reconstruct(), rtol=0,
-                                   atol=1e-14 * np.abs(state.reconstruct()).max())
+        np.testing.assert_allclose(reconstruct(fresh), reconstruct(state), rtol=0,
+                                   atol=1e-14 * np.abs(reconstruct(state)).max())
         np.testing.assert_array_equal(fresh.V_basis[:, 0], v[:, 0])
         np.testing.assert_allclose(fresh.X_basis[:, 0],
                                    x[:, 0] / np.linalg.norm(x[:, 0]), rtol=0, atol=1e-15)
@@ -204,12 +222,12 @@ class TestStates:
         t_mat = build_angular_operators(5).T_mat
         state = zero_low_rank_state(12, t_mat, rank=3)
         assert state.rank == 3
-        np.testing.assert_allclose(state.reconstruct(), 0.0, atol=1e-15)
+        np.testing.assert_allclose(reconstruct(state), 0.0, atol=1e-15)
         np.testing.assert_allclose(state.X_basis[:, 0], 1 / np.sqrt(12), atol=1e-15)
         np.testing.assert_allclose(state.V_basis.T @ state.V_basis, np.eye(3), atol=1e-14)
         # nodal images of the first three moments: the modal factor is [e_1 e_2 e_3]
         np.testing.assert_array_equal(state.V_basis, t_mat[:3].T)
-        np.testing.assert_allclose(state.modal(t_mat).V_basis, np.eye(5)[:, :3], atol=1e-14)
+        np.testing.assert_allclose(modal(state, t_mat).V_basis, np.eye(5)[:, :3], atol=1e-14)
 
     def test_zero_state_rank_range(self):
         t_mat = build_angular_operators(5).T_mat

@@ -1,0 +1,59 @@
+"""The package's public names and the library example of the README."""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import slabtrt
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(slabtrt.__path__))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_modules_are_found():
+    # an empty list would leave the parametrized test below with no cases
+    assert len(MODULES) == 8
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a stale entry of __all__ fails only on `import *`, so try that too
+    module = importlib.import_module(f"slabtrt.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from slabtrt.{name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_every_name_the_package_imports_is_public_in_its_module():
+    tree = ast.parse(Path(slabtrt.__file__).read_text(encoding="utf-8"))
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imports) > 20
+    for module, name in imports:
+        assert hasattr(slabtrt, name), name
+        assert name in importlib.import_module(f"slabtrt.{module}").__all__, (module, name)
+
+
+def library_blocks():
+    """The fenced python blocks of the README's `## Library` section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = library_blocks()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # the second block continues the first
+        exec(compile(block, str(README), "exec"), namespace)
+    rank = int(capsys.readouterr().out.split()[0])
+    assert 2 <= rank <= 50
+    assert namespace["g"].shape == namespace["g_dense"].shape == (202, 50)
+    assert np.isfinite(namespace["g"]).all() and np.isfinite(namespace["e"])

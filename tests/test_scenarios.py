@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import init_from_kinetic
 from slabtrt.angular import gauss_legendre
-from slabtrt.mesh_state import emission_intensity, init_from_kinetic
+from slabtrt.mesh_state import emission_intensity
 from slabtrt.scenarios import build_scenario, scenario_defaults
 
 
