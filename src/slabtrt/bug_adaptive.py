@@ -63,13 +63,13 @@ class AugmentedFactors:
     diffusion-limit direction (when it is new) and the first angular column is
     the unit first-moment direction b/|b|. `source` is the interface emission
     source of the step, evaluated once together with w_ap. `x_stencil` is the
-    stencil of X_hat for the Galerkin step (not needed by `ap_truncate`).
+    stencil of X_hat for the Galerkin step.
     """
 
     X_hat: np.ndarray
     V_hat: np.ndarray
     source: np.ndarray
-    x_stencil: np.ndarray | None = None
+    x_stencil: np.ndarray
 
 
 def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
@@ -90,7 +90,7 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
         raise ValueError("the first angular basis vector must be b/|b|")
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
+    diffs = padded_difference(state.X_basis, ws.grid)
     k_new = _k_update(state, source, ws, dt, diffs)
     l_new = _l_update(state, source, ws, dt, diffs)
 
@@ -104,7 +104,7 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     return AugmentedFactors(
         X_hat=np.concatenate([state.X_basis, x_new], axis=1),
         V_hat=np.concatenate([state.V_basis, v_new], axis=1), source=source,
-        x_stencil=np.concatenate([diffs, padded_difference(x_new, ws.grid, ws.bc)], axis=1))
+        x_stencil=np.concatenate([diffs, padded_difference(x_new, ws.grid)], axis=1))
 
 
 def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState,
@@ -136,7 +136,8 @@ def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
     return tail.size - int(np.count_nonzero(np.sqrt(tail) <= theta_rel)) + 1
 
 
-def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig):
+def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray,
+                cfg: TruncationConfig):
     """Split off the conserved column, truncate the remainder by SVD, and refold.
 
     The column paired with the first angular basis vector is kept exactly, so the
@@ -149,7 +150,6 @@ def ap_truncate(aug: AugmentedFactors, s_hat: np.ndarray, cfg: TruncationConfig)
     the final spatial basis is lifted, X_new = X_hat C_new. The kept rank is
     capped by both augmented widths.
     """
-    x_hat, v_hat = aug.X_hat, aug.V_hat
     width_x, width_v = x_hat.shape[1], v_hat.shape[1]
     if not np.isfinite(s_hat).all():  # the SVD would only report non-convergence
         raise ValueError("low-rank state contains non-finite entries")
@@ -191,4 +191,4 @@ def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchem
 
     aug = augment_bases(state, macro, ws, dt)
     s_hat = galerkin_s_hat(aug, state, ws, dt)
-    return _finish_step(ap_truncate(aug, s_hat, cfg), macro, ws, dt)
+    return _finish_step(ap_truncate(aug.X_hat, aug.V_hat, s_hat, cfg), macro, ws, dt)

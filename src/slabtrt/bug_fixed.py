@@ -113,12 +113,12 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
 
     r, ang = state.rank, ws.angular
     source = emission_gradient_parts(macro, ws)[1]
-    diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
+    diffs = padded_difference(state.X_basis, ws.grid)
     x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
                                        _k_update(state, source, ws, dt, diffs), r)
     w_new = extend_orthonormal_columns(ang.t0[:, None], _l_update(state, source, ws, dt, diffs),
                                        r + 1, ang.rows)
     s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ w_new)
     s_new = _galerkin_update(x_new, w_new, s_tilde, source, ws, dt,
-                             padded_difference(x_new, ws.grid, ws.bc))
+                             padded_difference(x_new, ws.grid))
     return _finish_step(LowRankMicroState(x_new, s_new, w_new), macro, ws, dt)

@@ -23,8 +23,6 @@ from .limits_diagnostics import (
     rosseland_step,
 )
 from .mesh_state import (
-    BC_PERIODIC,
-    BC_ZERO_GHOST,
     FullMicroState,
     MacroState,
     StaggeredGrid,
@@ -75,7 +73,6 @@ class RunConfig:
     t_end: float | None = None
     dt: float | None = None
     cfl_safety: float = 1.0
-    bc: str = BC_ZERO_GHOST
     output_dir: str = "."
     history_stride: int = 1
 
@@ -91,7 +88,6 @@ _PARSERS = {
     "t_end": float,
     "dt": float,
     "cfl_safety": float,
-    "bc": str,
     "output_dir": str,
     "history_stride": int,
 }
@@ -130,8 +126,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in values:
             fail(key, "is required")
     config = RunConfig(**values)
-    for key, allowed in (("scenario", SCENARIO_NAMES), ("scheme", SCHEMES),
-                         ("bc", (BC_ZERO_GHOST, BC_PERIODIC))):
+    for key, allowed in (("scenario", SCENARIO_NAMES), ("scheme", SCHEMES)):
         if getattr(config, key) not in allowed:
             fail(key, f"must be one of {allowed}")
     if config.nx is not None and config.nx < 1:
@@ -214,7 +209,7 @@ def _prepare(config: RunConfig):
             overrides[key] = value
     built = build_scenario(config.scenario, overrides)
     angular = build_angular_operators(built.micro.g_matrix.shape[1])
-    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular, bc=config.bc)
+    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
     return scn, built, ws
 
 
@@ -258,8 +253,7 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
         micro = FullMicroState(np.zeros((n_rows, 0)))
 
         def advance(macro, micro, dt_step):
-            t_new = rosseland_step(macro.temperature, ws.params, ws.grid, ws.sigma, dt_step,
-                                   bc=ws.bc)
+            t_new = rosseland_step(macro.temperature, ws.params, ws.grid, ws.sigma, dt_step)
             return MacroState(t_new, np.zeros(ws.grid.n_cells)), micro
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}")

@@ -9,8 +9,6 @@ import numpy as np
 
 from .angular import NORM_P1, AngularOperators
 from .mesh_state import (
-    BC_PERIODIC,
-    BC_ZERO_GHOST,
     AbsorptionField,
     FullMicroState,
     MacroState,
@@ -36,13 +34,10 @@ class FullSchemeWorkspace:
     params: PhysicalParams
     sigma: AbsorptionField
     angular: AngularOperators
-    bc: str = BC_ZERO_GHOST
 
     def __post_init__(self):
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:
             raise ValueError("absorption field does not match the grid")
-        if self.bc not in (BC_ZERO_GHOST, BC_PERIODIC):
-            raise ValueError(f"bc must be '{BC_ZERO_GHOST}' or '{BC_PERIODIC}'")
 
     @cached_property
     def _flux_buffer(self) -> np.ndarray:
@@ -70,7 +65,7 @@ def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
     """
     p = ws.params
     grads = diff_interface(np.array([p.a_rad * p.c * macro.temperature, macro.h_meso]).T,
-                           ws.grid, ws.bc)
+                           ws.grid)
     thermal = grads[:, 0]
     return thermal, thermal + p.epsilon**2 * grads[:, 1]
 
@@ -108,10 +103,10 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     mu = (p.epsilon / ws.grid.dx) * ang.quad.nodes
     neg = int(np.searchsorted(mu, 0.0))  # the Gauss nodes ascend
     diff = ws._flux_buffer
-    ghost_l, ghost_r = (g[-1], g[0]) if ws.bc == BC_PERIODIC else (0.0, 0.0)
-    np.subtract(g[0], ghost_l, out=diff[0])
+    # zero ghosts; 0 - g, not -g, which would turn a +0 difference into -0
+    diff[0] = g[0]
     np.subtract(g[1:], g[:-1], out=diff[1:-1])
-    np.subtract(ghost_r, g[-1], out=diff[-1])
+    np.subtract(0.0, g[-1], out=diff[-1])
     forward, backward = diff[1:, :neg], diff[:-1, neg:]
     forward *= mu[:neg]
     backward *= mu[neg:]

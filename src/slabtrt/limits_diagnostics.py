@@ -6,11 +6,11 @@ import numpy as np
 
 from .angular import NORM_P0, AngularOperators
 from .mesh_state import (
-    BC_ZERO_GHOST,
     AbsorptionField,
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    diff_center,
     diff_interface,
 )
 
@@ -72,7 +72,7 @@ def relative_mass_error(m_n: float, m_0: float) -> float:
 
 
 def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: StaggeredGrid,
-                   sigma: AbsorptionField, dt: float, bc: str = BC_ZERO_GHOST) -> np.ndarray:
+                   sigma: AbsorptionField, dt: float) -> np.ndarray:
     """Explicit Euler step of the limiting diffusion equation.
 
     Serves as the small-epsilon oracle for the transport schemes; its parabolic
@@ -86,8 +86,8 @@ def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: Stagge
     p = params
 
     # (1/sigma) * delta, not delta / sigma, which can change the last bit of the output
-    flux = 1.0 / sigma.at_interfaces * diff_interface(t, grid, bc)
-    divergence = np.diff(flux) / grid.dx
+    flux = 1.0 / sigma.at_interfaces * diff_interface(t, grid)
+    divergence = diff_center(flux, grid)
 
     coef = dt * (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) / (1.0 + 2.0 * p.a_rad / p.c_nu)
     return t + coef * divergence

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "BC_ZERO_GHOST",
-    "BC_PERIODIC",
     "PhysicalParams",
     "StaggeredGrid",
     "AbsorptionField",
@@ -25,10 +23,6 @@ __all__ = [
     "extend_orthonormal_columns",
     "zero_low_rank_state",
 ]
-
-BC_ZERO_GHOST = "zero_ghost"
-BC_PERIODIC = "periodic"
-_BCS = (BC_ZERO_GHOST, BC_PERIODIC)
 
 # QR diagonal entries at or below this fraction of the largest column norm mark
 # directions that carry no information: extend_orthonormal_columns drops them,
@@ -249,38 +243,26 @@ class LowRankMicroState:
 # difference stencils
 
 
-def _check_bc(bc: str):
-    if bc not in _BCS:
-        raise ValueError(f"bc must be one of {_BCS}")
-
-
-def _ghost_difference(values, n_rows: int, kind: str, grid: StaggeredGrid, bc: str):
-    """Differences of consecutive rows after padding a ghost row at both ends.
-
-    The ghosts are zero for zero_ghost and the wrapped end rows for periodic.
-    """
-    _check_bc(bc)
+def _ghost_difference(values, n_rows: int, kind: str, grid: StaggeredGrid):
+    """Differences of consecutive rows after padding a zero ghost row at both ends."""
     v = np.asarray(values, dtype=float)
     if v.shape[0] != n_rows:
         raise ValueError(f"{kind} data must have {n_rows} rows")
     out = np.empty((n_rows + 1,) + v.shape[1:])
     np.subtract(v[1:], v[:-1], out=out[1:-1])
-    if bc == BC_PERIODIC:
-        out[0] = out[-1] = v[0] - v[-1]
-    else:
-        out[0], out[-1] = v[0], 0.0 - v[-1]
+    out[0], out[-1] = v[0], 0.0 - v[-1]
     out /= grid.dx
     return out
 
 
-def padded_difference(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
-    """Differences of interface data padded with a ghost row at both ends.
+def padded_difference(values, grid: StaggeredGrid):
+    """Differences of interface data padded with a zero ghost row at both ends.
 
     Returns n_cells + 2 rows: rows [:-1] are the backward differences
     (u_j - u_{j-1}) / dx and rows [1:] the forward differences
     (u_{j+1} - u_j) / dx of the same data, so both come from one padding.
     """
-    return _ghost_difference(values, grid.n_cells + 1, "interface", grid, bc)
+    return _ghost_difference(values, grid.n_cells + 1, "interface", grid)
 
 
 def diff_center(values, grid: StaggeredGrid):
@@ -291,9 +273,9 @@ def diff_center(values, grid: StaggeredGrid):
     return (v[1:] - v[:-1]) / grid.dx
 
 
-def diff_interface(values, grid: StaggeredGrid, bc: str = BC_ZERO_GHOST):
-    """Center-to-interface gradient: (u_{i+1} - u_i) / dx with ghost cells per bc."""
-    return _ghost_difference(values, grid.n_cells, "center", grid, bc)
+def diff_interface(values, grid: StaggeredGrid):
+    """Center-to-interface gradient: (u_{i+1} - u_i) / dx with zero ghost cells."""
+    return _ghost_difference(values, grid.n_cells, "center", grid)
 
 
 # ---------------------------------------------------------------------------

@@ -116,28 +116,24 @@ def init_from_kinetic(f_sampler, T0, grid, params, quad):
     return MacroState(t0, h), FullMicroState(g)
 
 
-def _sample(seq, idx, bc):
-    n = len(seq)
-    if 0 <= idx < n:
-        return seq[idx]
-    if bc == "periodic":
-        return seq[idx % n]
-    return 0.0
+def _sample(seq, idx):
+    """Entry idx of seq, or the zero ghost outside it."""
+    return seq[idx] if 0 <= idx < len(seq) else 0.0
 
 
-def oracle_interface_source(T, h, params, dx, bc):
+def oracle_interface_source(T, h, params, dx):
     """delta0(a c T) + eps^2 * delta0(h) at every interface, by loops."""
     nx = len(T)
     a, c, eps = params.a_rad, params.c, params.epsilon
     src = []
     for j in range(nx + 1):
-        grad_t = (_sample(T, j, bc) - _sample(T, j - 1, bc)) / dx
-        grad_h = (_sample(h, j, bc) - _sample(h, j - 1, bc)) / dx
+        grad_t = (_sample(T, j) - _sample(T, j - 1)) / dx
+        grad_h = (_sample(h, j) - _sample(h, j - 1)) / dx
         src.append(a * c * grad_t + eps**2 * grad_h)
     return src
 
 
-def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus, bc="zero_ghost"):
+def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus):
     """Term-by-term transcription of one dense macro-micro step."""
     nx = len(T)
     ni = nx + 1
@@ -145,17 +141,13 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus,
     a, c, eps = params.a_rad, params.c, params.epsilon
     alpha = 2.0 / params.c_nu
     shift = eps**2 / (c * dt)
-    src = oracle_interface_source(T, h, params, dx, bc)
+    src = oracle_interface_source(T, h, params, dx)
 
     rows = np.asarray(G, dtype=float).tolist()
     A_plus, A_minus = np.asarray(A_plus).tolist(), np.asarray(A_minus).tolist()
 
     def g_at(j, k):
-        if 0 <= j < ni:
-            return rows[j][k]
-        if bc == "periodic":
-            return rows[j % ni][k]
-        return 0.0
+        return rows[j][k] if 0 <= j < ni else 0.0
 
     g_new = np.zeros((ni, n_mom))
     for j in range(ni):
@@ -179,20 +171,16 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus,
     return t_new, h_new, g_new
 
 
-def oracle_l_step(X, S, V, T, h, params, dx, dt, sigma_i, A_plus, A_minus, bc="zero_ghost"):
+def oracle_l_step(X, S, V, T, h, params, dx, dt, sigma_i, A_plus, A_minus):
     """Loop transcription of the angular-basis update (the r x r solve uses numpy)."""
     ni, r = X.shape
     n_mom = V.shape[0]
     c, eps = params.c, params.epsilon
     shift = eps**2 / (c * dt)
-    src = oracle_interface_source(T, h, params, dx, bc)
+    src = oracle_interface_source(T, h, params, dx)
 
     def x_at(j, p):
-        if 0 <= j < ni:
-            return X[j, p]
-        if bc == "periodic":
-            return X[j % ni, p]
-        return 0.0
+        return X[j, p] if 0 <= j < ni else 0.0
 
     l_old = np.zeros((n_mom, r))
     for k in range(n_mom):
@@ -228,13 +216,13 @@ def oracle_l_step(X, S, V, T, h, params, dx, dt, sigma_i, A_plus, A_minus, bc="z
 
 
 def oracle_galerkin_rhs(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
-                        A_plus, A_minus, bc="zero_ghost"):
+                        A_plus, A_minus):
     """Projected explicit right-hand side of the coefficient update (no solve)."""
     ni = X.shape[0]
     n_mom = V.shape[0]
     c, eps = params.c, params.epsilon
     shift = eps**2 / (c * dt)
-    src = np.array(oracle_interface_source(T, h, params, dx, bc))
+    src = np.array(oracle_interface_source(T, h, params, dx))
 
     g_tilde = X @ S_tilde @ V.T
     rows = np.zeros_like(g_tilde)
@@ -242,10 +230,8 @@ def oracle_galerkin_rhs(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
         for k in range(n_mom):
             advect = 0.0
             for ell in range(n_mom):
-                prev = g_tilde[j - 1, ell] if j > 0 else (
-                    g_tilde[-1, ell] if bc == "periodic" else 0.0)
-                nxt = g_tilde[j + 1, ell] if j + 1 < ni else (
-                    g_tilde[0, ell] if bc == "periodic" else 0.0)
+                prev = g_tilde[j - 1, ell] if j > 0 else 0.0
+                nxt = g_tilde[j + 1, ell] if j + 1 < ni else 0.0
                 advect += (A_plus[k][ell] * (g_tilde[j, ell] - prev) / dx
                            + A_minus[k][ell] * (nxt - g_tilde[j, ell]) / dx)
             b_k = SQ23 if k == 0 else 0.0
@@ -254,7 +240,7 @@ def oracle_galerkin_rhs(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
 
 
 def oracle_galerkin_dense(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
-                          A_plus, A_minus, bc="zero_ghost"):
+                          A_plus, A_minus):
     """Coefficient update via the full dense right-hand side projected onto the bases.
 
     The implicit operator S -> shift*S + X^T (sigma o (X S V^T)) V is assembled by
@@ -264,17 +250,17 @@ def oracle_galerkin_dense(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
     n_mom, rv = V.shape
     c, eps = params.c, params.epsilon
     shift = eps**2 / (c * dt)
-    src = np.array(oracle_interface_source(T, h, params, dx, bc))
+    src = np.array(oracle_interface_source(T, h, params, dx))
 
     def dense_diff(mat, sign):
         out = np.zeros_like(mat)
         for j in range(ni):
             for k in range(mat.shape[1]):
                 if sign < 0:
-                    prev = mat[j - 1, k] if j > 0 else (mat[-1, k] if bc == "periodic" else 0.0)
+                    prev = mat[j - 1, k] if j > 0 else 0.0
                     out[j, k] = (mat[j, k] - prev) / dx
                 else:
-                    nxt = mat[j + 1, k] if j + 1 < ni else (mat[0, k] if bc == "periodic" else 0.0)
+                    nxt = mat[j + 1, k] if j + 1 < ni else 0.0
                     out[j, k] = (nxt - mat[j, k]) / dx
         return out
 
@@ -453,7 +439,7 @@ def reference_augment_bases(state, macro, ws, dt):
     t_mat = ws.angular.T_mat
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    diffs = padded_difference(state.X_basis, ws.grid, ws.bc)
+    diffs = padded_difference(state.X_basis, ws.grid)
     k_new = _k_update(state, source, ws, dt, diffs)
     l_new = t_mat @ _l_update(state, source, ws, dt, diffs)
     b_vec = modal_b(ws.angular)

@@ -35,6 +35,7 @@ from slabtrt.limits_diagnostics import (
 )
 from slabtrt.mesh_state import (
     AbsorptionField,
+    FullMicroState,
     LowRankMicroState,
     MacroState,
     PhysicalParams,
@@ -48,7 +49,7 @@ from slabtrt.mesh_state import (
 from slabtrt.scenarios import build_scenario
 
 
-def make_workspace(nx=6, n_moments=4, epsilon=0.8, sigma=0.7, bc="zero_ghost", seed=None):
+def make_workspace(nx=6, n_moments=4, epsilon=0.8, sigma=0.7, seed=None):
     grid = StaggeredGrid(-1.0, 1.0, nx)
     params = PhysicalParams(epsilon=epsilon)
     if seed is None:
@@ -57,7 +58,7 @@ def make_workspace(nx=6, n_moments=4, epsilon=0.8, sigma=0.7, bc="zero_ghost", s
         rng = np.random.default_rng(seed)
         field = AbsorptionField(rng.uniform(0.4, 1.5, nx), rng.uniform(0.4, 1.5, nx + 1))
     angular = build_angular_operators(n_moments)
-    return FullSchemeWorkspace(grid, params, field, angular, bc=bc)
+    return FullSchemeWorkspace(grid, params, field, angular)
 
 
 def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
@@ -75,7 +76,7 @@ def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
 
 
 def stencil(x, ws):
-    return padded_difference(x, ws.grid, ws.bc)
+    return padded_difference(x, ws.grid)
 
 
 def k_update(state, macro, ws, dt):
@@ -102,9 +103,10 @@ def orthonormalized(mat, rank):
 
 
 class TestKStep:
-    def test_zero_coefficients_uniform_periodic(self):
-        ws = make_workspace(bc="periodic")
-        macro = MacroState(np.full(6, 2.0), np.zeros(6))
+    def test_zero_coefficients_at_equilibrium(self):
+        # with zero ghosts the equilibrium is T = 0
+        ws = make_workspace()
+        macro = MacroState(np.zeros(6), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         k_new = k_update(state, macro, ws, 0.01)
         x_new = orthonormalized(k_new, 2)
@@ -150,9 +152,9 @@ class TestKStep:
 
 
 class TestLStep:
-    def test_zero_coefficients_uniform_periodic(self):
-        ws = make_workspace(bc="periodic")
-        macro = MacroState(np.full(6, 2.0), np.zeros(6))
+    def test_zero_coefficients_at_equilibrium(self):
+        ws = make_workspace()
+        macro = MacroState(np.zeros(6), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         l_new = l_update(state, macro, ws, 0.01)
         v_new = orthonormalized(l_new, 2)
@@ -204,8 +206,8 @@ class TestLStep:
 
 class TestSStep:
     def test_zero_data_stays_zero(self):
-        ws = make_workspace(bc="periodic")
-        macro = MacroState(np.full(6, 1.0), np.zeros(6))
+        ws = make_workspace()
+        macro = MacroState(np.zeros(6), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         s_new = galerkin_update(state.X_basis, state.V_basis, state, macro, ws, 0.01)
         np.testing.assert_allclose(s_new, 0.0, atol=1e-15)
@@ -214,7 +216,7 @@ class TestSStep:
         # with sigma constant the implicit operator is (shift + sigma) * identity,
         # so the update is an explicit division by that scalar
         rng = np.random.default_rng(19)
-        ws = make_workspace(sigma=0.9, bc="periodic")
+        ws = make_workspace(sigma=0.9)
         macro = MacroState(rng.standard_normal(6), rng.standard_normal(6))
         state = random_state(rng, 7, 4, 2)
         dt = 0.03
@@ -224,7 +226,7 @@ class TestSStep:
         shift = p.epsilon**2 / (p.c * dt)
         rhs = oracle_galerkin_rhs(state.X_basis, ws.angular.T_mat @ state.V_basis, state.S_coeff,
                                   macro.temperature, macro.h_meso, p, ws.grid.dx, dt,
-                                  ws.sigma.at_interfaces, *upwind(ws.angular), bc="periodic")
+                                  ws.sigma.at_interfaces, *upwind(ws.angular))
         np.testing.assert_allclose(s_new, rhs / (shift + 0.9), atol=1e-12)
 
     def test_dense_projection_oracle(self):
@@ -245,12 +247,12 @@ class TestSStep:
 
 
 class TestStepBugFixed:
-    def test_equilibrium_uniform_periodic_fixed_point(self):
-        ws = make_workspace(bc="periodic")
-        macro = MacroState(np.full(6, 3.0), np.zeros(6))
+    def test_equilibrium_fixed_point(self):
+        ws = make_workspace()
+        macro = MacroState(np.zeros(6), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
         m1, s1 = step_bug_fixed(macro, state, ws, 0.02)
-        np.testing.assert_allclose(m1.temperature, 3.0, atol=1e-14)
+        np.testing.assert_allclose(m1.temperature, 0.0, atol=1e-14)
         np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-14)
         np.testing.assert_allclose(reconstruct(s1), 0.0, atol=1e-14)
         assert s1.rank == 2
@@ -327,7 +329,7 @@ class TestNodalKernels:
     """The BUG kernels hold V as W = T^T V and reach A+- only through it."""
 
     def one_sided(self, mat, ws):
-        diffs = padded_difference(mat, ws.grid, ws.bc)
+        diffs = padded_difference(mat, ws.grid)
         return diffs[:-1], diffs[1:]
 
     def dense_k_update(self, state, source, ws, dt):
@@ -376,13 +378,14 @@ class TestNodalKernels:
         np.testing.assert_allclose(proj_plus, v.T @ a_plus @ v, rtol=0, atol=1e-13)
         np.testing.assert_allclose(proj_minus, v.T @ a_minus @ v, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
-    def test_updates_match_dense_flux_matrices(self, bc):
-        # the L-step's nodal T^T (A+ L F- + A- L F+) is (I - t0 t0^T)(mu+- o (W S^T F))
+    @pytest.mark.parametrize(("nx", "rank"), [(9, 4), (1, 2)])
+    def test_updates_match_dense_flux_matrices(self, nx, rank):
+        # the L-step's nodal T^T (A+ L F- + A- L F+) is (I - t0 t0^T)(mu+- o (W S^T F));
+        # on one cell both interfaces difference a zero ghost
         rng = np.random.default_rng(90)
-        ws = make_workspace(nx=9, n_moments=12, bc=bc, seed=91)
-        state = random_state(rng, 10, 12, 4)
-        source = rng.standard_normal(10)
+        ws = make_workspace(nx=nx, n_moments=12, seed=91)
+        state = random_state(rng, nx + 1, 12, rank)
+        source = rng.standard_normal(nx + 1)
         dt = 0.03
         t_mat = ws.angular.T_mat
         diffs = stencil(state.X_basis, ws)
@@ -393,20 +396,20 @@ class TestNodalKernels:
              t_mat.T @ self.dense_l_update(state, source, ws, dt)),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-        s_tilde = rng.standard_normal((4, 4))
+        s_tilde = rng.standard_normal((rank, rank))
         got = _galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt, diffs)
         want = self.dense_galerkin_update(state.X_basis, t_mat @ state.V_basis, s_tilde,
                                           source, ws, dt)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
-    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
-    def test_shared_stencil_k_step_matches_stencil_of_k(self, bc):
+    @pytest.mark.parametrize(("nx", "rank"), [(30, 4), (1, 2)])
+    def test_shared_stencil_k_step_matches_stencil_of_k(self, nx, rank):
         # D+-(X S) = (D+- X) S: the K-step from the stencil of X against the
         # same update from the stencil of K = X S
         rng = np.random.default_rng(92)
-        ws = make_workspace(nx=30, n_moments=12, bc=bc, seed=93)
-        state = random_state(rng, 31, 12, 4)
-        source = rng.standard_normal(31)
+        ws = make_workspace(nx=nx, n_moments=12, seed=93)
+        state = random_state(rng, nx + 1, 12, rank)
+        source = rng.standard_normal(nx + 1)
         p, w, dt = ws.params, state.V_basis, 0.03
         shift = p.epsilon**2 / (p.c * dt)
         k = state.X_basis @ state.S_coeff
@@ -472,10 +475,11 @@ class TestNodalKernels:
         assert worst <= 1e-14
 
     def test_padded_directions_are_rows_of_t(self):
-        # at equilibrium L = 0, so every angular direction of the fixed-rank step
-        # is padded: the nodal images of the first moments, the rows of T
-        ws = make_workspace(nx=10, n_moments=9, bc="periodic")
-        macro = MacroState(np.full(10, 2.0), np.zeros(10))
+        # at equilibrium (T = 0 with zero ghosts) L = 0, so every angular direction
+        # of the fixed-rank step is padded: the nodal images of the first moments,
+        # the rows of T
+        ws = make_workspace(nx=10, n_moments=9)
+        macro = MacroState(np.zeros(10), np.zeros(10))
         state = zero_low_rank_state(11, ws.angular.T_mat, rank=4)
         _, new = step_bug_fixed(macro, state, ws, 0.02)
         np.testing.assert_allclose(new.V_basis, ws.angular.T_mat[:4].T, rtol=0, atol=1e-15)
@@ -508,3 +512,57 @@ class TestNodalKernels:
             _, new = step_bug_adaptive(macro, state, ws, 0.02, cfg)
         assert new.x_orth_defect == _orth_defect(new.X_basis)
         assert new.v_orth_defect == _orth_defect(new.V_basis)
+
+
+class TestMirrorSymmetry:
+    """Zero ghosts close both ends of the slab alike, so each step commutes with the
+    mirror x -> -x, mu -> -mu: cells, interfaces and the sorted Gauss nodes are
+    reversed, and T and h, both even in mu, keep their sign."""
+
+    @staticmethod
+    def mirror_low_rank(state):
+        # W[::-1] turns the pin T^T e_1 into -pin; negating the first columns of
+        # S and W keeps X S W^T and the pin of the adaptive step
+        flip = np.ones(state.rank)
+        flip[0] = -1.0
+        return LowRankMicroState(state.X_basis[::-1], state.S_coeff * flip,
+                                 state.V_basis[::-1] * flip)
+
+    @pytest.mark.parametrize("scheme", ["full", "bug_fixed", "bug_adaptive"])
+    def test_steps_commute_with_the_mirror(self, scheme):
+        rng = np.random.default_rng(97)
+        nx, n_mom, dt = 10, 7, 0.02
+        sig_c, sig_i = rng.uniform(0.4, 1.5, nx), rng.uniform(0.4, 1.5, nx + 1)
+        ws = FullSchemeWorkspace(StaggeredGrid(-1.0, 1.0, nx), PhysicalParams(epsilon=0.6),
+                                 AbsorptionField(sig_c + sig_c[::-1], sig_i + sig_i[::-1]),
+                                 build_angular_operators(n_mom))
+        macro = MacroState(rng.uniform(0.5, 2.0, nx), rng.standard_normal(nx))
+        mirrored = MacroState(macro.temperature[::-1], macro.h_meso[::-1])
+        if scheme == "full":
+            micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
+            mirrored_micro = FullMicroState(micro.g_matrix[::-1, ::-1])
+
+            def advance(macro, micro):
+                return step_full(macro, micro, ws, dt)
+
+            def nodal(micro):
+                return micro.g_matrix
+        else:
+            micro = random_state(rng, nx + 1, n_mom, 3, pinned=scheme == "bug_adaptive")
+            mirrored_micro = self.mirror_low_rank(micro)
+            cfg = TruncationConfig(theta_rel=1e-3, max_rank=n_mom)
+
+            def advance(macro, micro):
+                if scheme == "bug_fixed":
+                    return step_bug_fixed(macro, micro, ws, dt)
+                return step_bug_adaptive(macro, micro, ws, dt, cfg)
+
+            def nodal(micro):
+                return micro.X_basis @ micro.S_coeff @ micro.V_basis.T
+        for _ in range(5):
+            macro, micro = advance(macro, micro)
+            mirrored, mirrored_micro = advance(mirrored, mirrored_micro)
+        for got, want in ((mirrored.temperature, macro.temperature[::-1]),
+                          (mirrored.h_meso, macro.h_meso[::-1]),
+                          (nodal(mirrored_micro), nodal(micro)[::-1, ::-1])):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

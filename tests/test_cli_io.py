@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabtrt.angular import build_angular_operators
+from slabtrt.angular import NORM_P1, build_angular_operators
 from slabtrt.cli_io import (
     COMPARISON_HEADER,
     HISTORY_HEADER,
@@ -45,7 +45,6 @@ class TestParseConfig:
         assert cfg.epsilon == 1.0
         assert cfg.cfl_safety == 1.0
         assert cfg.history_stride == 1
-        assert cfg.bc == "zero_ghost"
         assert cfg.nx is None and cfg.rank is None and cfg.dt is None
 
     def test_negative_epsilon_names_key_and_line(self):
@@ -238,6 +237,34 @@ class TestSimulate:
         np.testing.assert_array_equal(columns[1], final.temperature)
         np.testing.assert_array_equal(columns[3], final.h_meso)
 
+    @pytest.mark.parametrize("scheme", ["full", "bug_fixed", "bug_adaptive"])
+    def test_mass_changes_by_the_boundary_outflow(self, scheme):
+        # zero ghosts: the interior fluxes of the first moment cancel in the sum,
+        # so each step changes the mass by -(|P1| / 2) dt (g1[n] - g1[0]) of the
+        # new first moment; the pulse reaches both ends of the slab by t = 12
+        nx, n_mom = 41, 8
+        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom,
+                                                     "epsilon": 1.0})
+        grid, params = built.grid, built.params
+        ws = FullSchemeWorkspace(grid, params, built.sigma, build_angular_operators(n_mom))
+        dt = cfl_report(params, grid, ws.angular, built.sigma)[0]
+        pin = ws.angular.pin
+        m_prev = m0 = mass(built.macro, params, grid)
+        worst = outflow = 0.0
+        for _, dt_step, macro, micro in list(simulate(scheme, built.macro, built.micro, ws,
+                                                      dt, 12.0, rank=5, theta_rel=5e-2))[1:]:
+            if scheme == "full":
+                g1 = micro.g_matrix @ pin
+            else:
+                g1 = micro.X_basis @ (micro.S_coeff @ (micro.V_basis.T @ pin))
+            change = -0.5 * NORM_P1 * dt_step * (g1[-1] - g1[0])
+            m_now = mass(macro, params, grid)
+            worst = max(worst, abs(m_now - m_prev - change))
+            outflow -= change
+            m_prev = m_now
+        assert worst <= 1e-13 * m0
+        assert outflow >= 1e-3 * m0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_non_finite_state_aborts_naming_the_step(self, scheme):
@@ -350,6 +377,13 @@ class TestCliEntrypoints:
             tmp_path, "scenario = absorber\nscheme = rosseland\nemission = stefan_boltzmann\n")
         assert main(["run", path]) == 1
         assert "line 3: unknown key 'emission'" in capsys.readouterr().err
+
+    # zero ghost cells are the only boundary condition: no key selects one
+    @pytest.mark.parametrize("value", ["periodic", "zero_ghost"])
+    def test_bc_config_reports_line_and_key(self, tmp_path, capsys, value):
+        path = self.write_config(tmp_path, f"scenario = absorber\nscheme = full\nbc = {value}\n")
+        assert main(["run", path]) == 1
+        assert "line 3: unknown key 'bc'" in capsys.readouterr().err
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))

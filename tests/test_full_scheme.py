@@ -17,12 +17,12 @@ from slabtrt.mesh_state import (
 from slabtrt.scenarios import build_scenario
 
 
-def make_workspace(nx=3, n_moments=2, epsilon=1.0, sigma=1.0, bc="zero_ghost"):
+def make_workspace(nx=3, n_moments=2, epsilon=1.0, sigma=1.0):
     grid = StaggeredGrid(0.0, float(nx), nx)
     params = PhysicalParams(epsilon=epsilon)
     field = AbsorptionField(np.full(nx, sigma), np.full(nx + 1, sigma))
     angular = build_angular_operators(n_moments)
-    return FullSchemeWorkspace(grid, params, field, angular, bc=bc)
+    return FullSchemeWorkspace(grid, params, field, angular)
 
 
 def moments(micro, ws):
@@ -48,15 +48,6 @@ class TestStepFull:
         np.testing.assert_allclose(m1.temperature, 0.0, atol=1e-16)
         np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-16)
         np.testing.assert_allclose(g1.g_matrix, 0.0, atol=1e-16)
-
-    def test_uniform_periodic_is_fixed_point(self):
-        ws = make_workspace(nx=6, n_moments=3, bc="periodic")
-        macro = MacroState(np.full(6, 1.7), np.zeros(6))
-        micro = FullMicroState(np.zeros((7, 4)))
-        m1, g1 = step_full(macro, micro, ws, 0.05)
-        np.testing.assert_allclose(m1.temperature, 1.7, atol=1e-14)
-        np.testing.assert_allclose(m1.h_meso, 0.0, atol=1e-14)
-        np.testing.assert_allclose(g1.g_matrix, 0.0, atol=1e-14)
 
     def test_hand_instance_against_oracle(self):
         # Nx=3, N=2, eps=1, sigma=1, dx=1, dt=0.1, T=(0,1,0), linear, zero ghosts
@@ -85,26 +76,24 @@ class TestStepFull:
 
     def test_random_instances_against_oracle(self):
         rng = np.random.default_rng(8)
-        for bc in ("zero_ghost", "periodic"):
-            for _ in range(2):
-                nx, n_mom = 5, 3
-                grid = StaggeredGrid(-1.0, 1.0, nx)
-                params = PhysicalParams(epsilon=0.7)
-                sig_c = rng.uniform(0.5, 2.0, nx)
-                sig_i = rng.uniform(0.5, 2.0, nx + 1)
-                field = AbsorptionField(sig_c, sig_i)
-                ws = FullSchemeWorkspace(grid, params, field, build_angular_operators(n_mom), bc=bc)
-                T = rng.uniform(0.1, 2.0, nx)
-                h = rng.standard_normal(nx)
-                G = rng.standard_normal((nx + 1, n_mom))
-                dt = 0.02
-                m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, dt)
-                t_o, h_o, g_o = oracle_step_full(
-                    T, h, G, params, grid.dx, dt, sig_c, sig_i,
-                    *upwind(ws.angular), bc=bc)
-                np.testing.assert_allclose(moments(g1, ws), g_o, atol=1e-13)
-                np.testing.assert_allclose(m1.h_meso, h_o, atol=1e-13)
-                np.testing.assert_allclose(m1.temperature, t_o, atol=1e-13)
+        for _ in range(4):
+            nx, n_mom = 5, 3
+            grid = StaggeredGrid(-1.0, 1.0, nx)
+            params = PhysicalParams(epsilon=0.7)
+            sig_c = rng.uniform(0.5, 2.0, nx)
+            sig_i = rng.uniform(0.5, 2.0, nx + 1)
+            field = AbsorptionField(sig_c, sig_i)
+            ws = FullSchemeWorkspace(grid, params, field, build_angular_operators(n_mom))
+            T = rng.uniform(0.1, 2.0, nx)
+            h = rng.standard_normal(nx)
+            G = rng.standard_normal((nx + 1, n_mom))
+            dt = 0.02
+            m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, dt)
+            t_o, h_o, g_o = oracle_step_full(
+                T, h, G, params, grid.dx, dt, sig_c, sig_i, *upwind(ws.angular))
+            np.testing.assert_allclose(moments(g1, ws), g_o, atol=1e-13)
+            np.testing.assert_allclose(m1.h_meso, h_o, atol=1e-13)
+            np.testing.assert_allclose(m1.temperature, t_o, atol=1e-13)
 
     def test_input_validation(self):
         ws = make_workspace()
@@ -121,9 +110,8 @@ class TestStepFull:
 class TestSplitAdvection:
     """The nodal step against the upwind split A = A+ + A- of the moment flux."""
 
-    @pytest.mark.parametrize("bc", ["zero_ghost", "periodic"])
     @pytest.mark.parametrize("n_mom", [1, 2, 3, 8, 101, 400])
-    def test_matches_upwind_products(self, n_mom, bc):
+    def test_matches_upwind_products(self, n_mom):
         # random states against the loop oracle with the modal A+-: N + 1 nodes
         # even (N = 1, 3, 101) and odd (N = 2, 8, 400, with a zero node)
         nx = 3 if n_mom > 100 else 9
@@ -132,12 +120,12 @@ class TestSplitAdvection:
         for epsilon in (1.0, 1e-3):
             sig_c, sig_i = rng.uniform(0.5, 2.0, nx), rng.uniform(0.5, 2.0, nx + 1)
             ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), PhysicalParams(epsilon=epsilon),
-                                     AbsorptionField(sig_c, sig_i), angular, bc=bc)
+                                     AbsorptionField(sig_c, sig_i), angular)
             T, h = rng.uniform(0.1, 2.0, nx), rng.standard_normal(nx)
             G = rng.standard_normal((nx + 1, n_mom))
             m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, 0.02)
             t_o, h_o, g_o = oracle_step_full(T, h, G, ws.params, ws.grid.dx, 0.02, sig_c, sig_i,
-                                             *upwind(ws.angular), bc=bc)
+                                             *upwind(ws.angular))
             for got, want in ((moments(g1, ws), g_o), (m1.h_meso, h_o), (m1.temperature, t_o)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.max(np.abs(g1.g_matrix @ ws.angular.t0)) <= 1e-14 * np.max(np.abs(g_o))
@@ -151,7 +139,7 @@ class TestSplitAdvection:
         first_micro = nodal_dense(rng.standard_normal((13, 7)), build_angular_operators(7))
 
         def run(poisoned):
-            ws = make_workspace(nx=12, n_moments=7, epsilon=0.5, bc="periodic")
+            ws = make_workspace(nx=12, n_moments=7, epsilon=0.5)
             if poisoned:
                 ws.angular = dataclasses.replace(ws.angular, T_mat=np.full((7, 8), np.nan))
             macro, micro = first_macro, first_micro
@@ -168,7 +156,7 @@ class TestSplitAdvection:
     def test_rank_one_rows_are_built_once(self):
         # the (2, N + 1) block [t0; b] of the rank-one update is an angular constant,
         # built with the operators, read-only and left untouched by the steps
-        ws = make_workspace(nx=8, n_moments=6, bc="periodic")
+        ws = make_workspace(nx=8, n_moments=6)
         ang = ws.angular
         np.testing.assert_array_equal(ang.t0_b, np.stack([ang.t0, ang.b]))
         assert not ang.t0_b.flags.writeable
@@ -273,7 +261,7 @@ class TestDiffusionLimit:
             assert err <= 1e-4
 
 
-def step_map_energy_norm(scenario, epsilon, bc, nx=41, n_mom=8):
+def step_map_energy_norm(scenario, epsilon, nx=41, n_mom=8):
     """||M||_E of the linear-emission step map M(dt) at the CFL bound.
 
     E(T, h, g) = ||y||^2 in the energy coordinates y = (sqrt(dx) (a T + eps^2 h / c),
@@ -282,7 +270,7 @@ def step_map_energy_norm(scenario, epsilon, bc, nx=41, n_mom=8):
     """
     built = build_scenario(scenario, {"nx": nx, "n_moments": n_mom, "epsilon": epsilon})
     grid, p = built.grid, built.params
-    ws = FullSchemeWorkspace(grid, p, built.sigma, build_angular_operators(n_mom), bc=bc)
+    ws = FullSchemeWorkspace(grid, p, built.sigma, build_angular_operators(n_mom))
     dt = cfl_report(p, grid, ws.angular, built.sigma)[0]
     w_core, w_heat = np.sqrt(grid.dx), np.sqrt(0.5 * p.a_rad * p.c_nu * grid.dx)
     w_micro = np.sqrt(grid.dx) * p.epsilon / (np.sqrt(2.0) * p.c)
@@ -314,12 +302,4 @@ class TestStepMapEnergy:
     @pytest.mark.parametrize("scenario", ["rectangular_pulse", "absorber"])
     def test_zero_ghost_step_map_does_not_gain_energy(self, scenario, epsilon):
         # measured: at most 0.999985 on these cases
-        assert step_map_energy_norm(scenario, epsilon, "zero_ghost") <= 1.0 + 1e-12
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the periodic stencils store "
-                       "interface 0 and n as two rows, and the step map gains energy "
-                       "(||M||_E = 1.0123 at eps = 1)")
-    @pytest.mark.parametrize("epsilon", [1.0, 1e-2, 1e-5])
-    @pytest.mark.parametrize("scenario", ["rectangular_pulse", "absorber"])
-    def test_periodic_step_map_does_not_gain_energy(self, scenario, epsilon):
-        assert step_map_energy_norm(scenario, epsilon, "periodic") <= 1.0 + 1e-12
+        assert step_map_energy_norm(scenario, epsilon) <= 1.0 + 1e-12
