@@ -25,8 +25,8 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-def recurrence_coeff(k: int) -> float:
-    """Coupling coefficient of the orthonormal three-term recurrence.
+def recurrence_coeff(k: int | np.ndarray) -> float | np.ndarray:
+    """Coupling coefficient of the orthonormal three-term recurrence; k may be an array.
 
     mu * P_k = a_{k-1} P_{k-1} + a_k P_{k+1} with a_k = (k+1)/sqrt((2k+1)(2k+3)).
     """
@@ -57,8 +57,9 @@ def _legendre_with_derivative(n: int, x: np.ndarray):
     """Standard-normalization Legendre P_n and its derivative at points x with |x| < 1."""
     p_prev = np.ones_like(x)
     p = np.array(x, dtype=float, copy=True)
+    odd_x = np.multiply.outer(2.0 * np.arange(2, n + 1) - 1.0, x)  # row k-2 is (2k-1) x
     for k in range(2, n + 1):
-        p, p_prev = ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k, p
+        p, p_prev = (odd_x[k - 2] * p - (k - 1.0) * p_prev) / k, p
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 
@@ -66,36 +67,30 @@ def _legendre_with_derivative(n: int, x: np.ndarray):
 def gauss_legendre(count: int) -> QuadratureRule:
     """Gauss-Legendre rule with `count` nodes, exact for polynomials of degree 2*count - 1.
 
-    Nodes are Newton-refined from Chebyshev-type initial guesses; one half-axis is
-    computed and mirrored so that the rule is symmetric to the last bit.
+    Nodes are Newton-refined from Chebyshev-type initial guesses; the non-negative
+    half-axis is computed and mirrored so that the rule is symmetric to the last bit.
+    The middle node 0 of an odd rule is an exact root, so its Newton steps are 0.
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
-    if count == 1:
-        return QuadratureRule(np.array([0.0]), np.array([2.0]))
-
     n_half = count // 2
     i = np.arange(1, n_half + 1, dtype=float)
     x = np.cos(np.pi * (i - 0.25) / (count + 0.5))  # positive half, descending
+    if count % 2 == 1:
+        x = np.append(x, 0.0)
     for _ in range(_NEWTON_MAX_ITER):
         p, dp = _legendre_with_derivative(count, x)
         step = p / dp
         x = x - step
         if np.max(np.abs(step)) <= _NEWTON_TOL:
             break
-    _, dp = _legendre_with_derivative(count, x)
-    w_half = 2.0 / ((1.0 - x * x) * dp * dp)
-
-    if count % 2 == 1:
-        zero = np.zeros(1)
-        _, dp0 = _legendre_with_derivative(count, zero)
-        w_mid = 2.0 / (dp0 * dp0)
-        nodes = np.concatenate([-x, zero, x[::-1]])
-        weights = np.concatenate([w_half, w_mid, w_half[::-1]])
     else:
-        nodes = np.concatenate([-x, x[::-1]])
-        weights = np.concatenate([w_half, w_half[::-1]])
-    return QuadratureRule(nodes, weights)
+        raise ValueError(f"Gauss-Legendre nodes for count={count} did not converge "
+                         f"in {_NEWTON_MAX_ITER} Newton sweeps")
+    _, dp = _legendre_with_derivative(count, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return QuadratureRule(np.concatenate([-x[:n_half], x[::-1]]),
+                          np.concatenate([w[:n_half], w[::-1]]))
 
 
 def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
@@ -105,8 +100,11 @@ def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
     table[0] = 1.0 / NORM_P0
     if k_max >= 1:
         table[1] = x * np.sqrt(1.5)
+    a = recurrence_coeff(np.arange(k_max, dtype=float))
     for k in range(1, k_max):
-        table[k + 1] = (x * table[k] - recurrence_coeff(k - 1) * table[k - 1]) / recurrence_coeff(k)
+        row = np.multiply(x, table[k], out=table[k + 1])
+        row -= a[k - 1] * table[k - 1]
+        row /= a[k]
     return table
 
 
@@ -150,10 +148,11 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
         raise ValueError("n_moments must be a positive integer")
     quad = gauss_legendre(n_moments + 1)
     table = orthonormal_legendre_table(n_moments, quad.nodes)
-    t_mat = np.sqrt(quad.weights)[None, :] * table[1:, :]
+    sqrt_w = np.sqrt(quad.weights)
+    t_mat = sqrt_w[None, :] * table[1:, :]
 
     mu, mu_abs = quad.nodes, np.abs(quad.nodes)
-    t0, pin = np.sqrt(quad.weights) / NORM_P0, t_mat[0].copy()
+    t0, pin = sqrt_w / NORM_P0, t_mat[0].copy()
     b = NORM_P1 * pin
     return AngularOperators(
         n_moments=n_moments,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import flux_matrices, modal_b
+from slabtrt import angular
 from slabtrt.angular import (
     NORM_P1,
     QuadratureRule,
@@ -43,7 +44,7 @@ class TestGaussLegendre:
         np.testing.assert_allclose(q.nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
         np.testing.assert_allclose(q.weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
 
-    @pytest.mark.parametrize("count", [2, 3, 5, 8, 16, 51, 101])
+    @pytest.mark.parametrize("count", [2, 3, 5, 8, 16, 51, 101, 401])
     def test_weight_sum_and_symmetry(self, count):
         q = gauss_legendre(count)
         assert abs(q.weights.sum() - 2.0) <= 1e-13
@@ -51,7 +52,7 @@ class TestGaussLegendre:
         np.testing.assert_allclose(q.nodes, -q.nodes[::-1], atol=1e-13)
         np.testing.assert_allclose(q.weights, q.weights[::-1], atol=1e-13)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 7, 20, 101])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 20, 101, 401])
     def test_monomial_exactness(self, count):
         q = gauss_legendre(count)
         for p in range(2 * count):
@@ -67,6 +68,18 @@ class TestGaussLegendre:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_middle_node_is_exact_zero(self, count):
+        # mirroring the half-axis must not turn the middle node into -0.0
+        q = gauss_legendre(count)
+        mid = q.nodes[count // 2]
+        assert mid == 0.0 and not np.signbit(mid)
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(angular, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="did not converge in 1 Newton sweeps"):
+            gauss_legendre(20)
 
     def test_rule_shapes_checked(self):
         # the node count is the length of the arrays; nothing else states it
@@ -206,6 +219,13 @@ class TestAngularOperators:
         np.testing.assert_array_equal(ops.rows, t_mat.T)
         for name in ("T_mat", "t0", "pin", "b", "t0_b", "mu_plus", "mu_minus", "rows"):
             assert not getattr(ops, name).flags.writeable, name
+
+    def test_rows_orthonormal_at_pulse_large_size(self):
+        # N = 400 is the moment count of the largest benchmark workload
+        ops = build_angular_operators(400)
+        gram = ops.T_mat @ ops.T_mat.T
+        assert np.max(np.abs(gram - np.eye(400))) <= 1e-13
+        assert np.max(np.abs(ops.T_mat @ ops.t0)) <= 1e-13
 
     def test_beta_constant(self):
         ops = build_angular_operators(4)
