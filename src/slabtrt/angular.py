@@ -147,7 +147,14 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
     if n_moments < 1:
         raise ValueError("n_moments must be a positive integer")
     quad = gauss_legendre(n_moments + 1)
-    table = orthonormal_legendre_table(n_moments, quad.nodes)
+    # The rule is symmetric and each recurrence step negates exactly under
+    # mu -> -mu, so the table is evaluated on the non-negative nodes only and
+    # mirrored with the signs (-1)^i, bit for bit.
+    n_neg = (n_moments + 1) // 2
+    table = np.empty((n_moments + 1, n_moments + 1))
+    table[:, n_neg:] = orthonormal_legendre_table(n_moments, quad.nodes[n_neg:])
+    table[:, :n_neg] = table[:, :-n_neg - 1:-1]
+    table[1::2, :n_neg] *= -1.0
     sqrt_w = np.sqrt(quad.weights)
     t_mat = sqrt_w[None, :] * table[1:, :]
 

@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bug_fixed import _finish_step, _galerkin_update, _k_update, _l_update
+from .bug_fixed import (
+    _finish_step,
+    _flux_projections,
+    _galerkin_update,
+    _k_update,
+    _l_update,
+    _spatial_blocks,
+)
 from .full_scheme import FullSchemeWorkspace, emission_gradient_parts
 from .mesh_state import (
     LowRankMicroState,
@@ -55,21 +62,23 @@ class TruncationConfig:
 
 @dataclass
 class AugmentedFactors:
-    """Augmented orthonormal bases of one step.
+    """Augmented orthonormal bases of one step and the Galerkin blocks of X_hat.
 
     The old bases are the leading columns, X_hat = [X | X1] and V_hat = [V | V1],
     so the old factors project onto them as [I; 0]. V_hat is nodal, like the
     angular factor of the state. The first spatial direction added spans the
     diffusion-limit direction (when it is new) and the first angular column is
-    the unit first-moment direction b/|b|. `source` is the interface emission
-    source of the step, evaluated once together with w_ap. `x_stencil` is the
-    stencil of X_hat for the Galerkin step.
+    the unit first-moment direction b/|b|. `flow_minus` = X_hat^T D- X_hat,
+    `gram` = X_hat^T sigma X_hat and `x_source` = X_hat^T source, with the
+    interface emission source of the step; their leading blocks are those of X,
+    which the L-step reads.
     """
 
     X_hat: np.ndarray
     V_hat: np.ndarray
-    source: np.ndarray
-    x_stencil: np.ndarray
+    flow_minus: np.ndarray
+    gram: np.ndarray
+    x_source: np.ndarray
 
 
 def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
@@ -83,28 +92,31 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     already spanned are dropped, so the widths may differ; padding (canonical
     in space, rows of T in angle) only lifts a width to the rank floor of 2.
     V[:, 0] must be b/|b|, so b is always dropped and V_hat[:, 0] stays the
-    conserved-moment direction.
+    conserved-moment direction. X1 needs only w_ap and K, so X_hat is built
+    first and its Galerkin blocks are formed once: the L-step reads their
+    leading r x r blocks and the S-step all of them.
     """
-    ang = ws.angular
+    ang, r, x = ws.angular, state.rank, state.X_basis
     if np.max(np.abs(state.V_basis[:, 0] - ang.pin)) > _PIN_TOL:
         raise ValueError("the first angular basis vector must be b/|b|")
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    diffs = padded_difference(state.X_basis, ws.grid)
-    k_new = _k_update(state, source, ws, dt, diffs)
-    l_new = _l_update(state, source, ws, dt, diffs)
-
-    x_new = extend_orthonormal_columns(
-        state.X_basis, np.concatenate([w_ap[:, None], k_new], axis=1), _RANK_FLOOR)
+    diffs = padded_difference(x, ws.grid)
+    k_new = _k_update(state, source, ws, dt, diffs, _flux_projections(state.V_basis, ws))
+    x_new = extend_orthonormal_columns(x, np.concatenate([w_ap[:, None], k_new], axis=1),
+                                       _RANK_FLOOR)
+    x_hat = np.concatenate([x, x_new], axis=1)
+    flow_minus, gram = _spatial_blocks(
+        x_hat, np.concatenate([diffs, padded_difference(x_new, ws.grid)], axis=1), ws)
+    x_source = x_hat.T @ source
+    l_new = _l_update(state, ws, dt, (flow_minus[:r, :r], gram[:r, :r]), x_source[:r])
     # t0 is outside range(T^T): without it in the basis, rounding that QR
     # amplifies would leak into that direction
     v_new = extend_orthonormal_columns(np.concatenate([ang.t0[:, None], state.V_basis], axis=1),
                                        np.concatenate([l_new, ang.b[:, None]], axis=1),
                                        _RANK_FLOOR + 1, ang.rows)
-    return AugmentedFactors(
-        X_hat=np.concatenate([state.X_basis, x_new], axis=1),
-        V_hat=np.concatenate([state.V_basis, v_new], axis=1), source=source,
-        x_stencil=np.concatenate([diffs, padded_difference(x_new, ws.grid)], axis=1))
+    return AugmentedFactors(X_hat=x_hat, V_hat=np.concatenate([state.V_basis, v_new], axis=1),
+                            flow_minus=flow_minus, gram=gram, x_source=x_source)
 
 
 def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState,
@@ -117,7 +129,8 @@ def galerkin_s_hat(aug: AugmentedFactors, state_old: LowRankMicroState,
     r = state_old.rank
     s_tilde = np.zeros((aug.X_hat.shape[1], aug.V_hat.shape[1]))
     s_tilde[:r, :r] = state_old.S_coeff
-    return _galerkin_update(aug.X_hat, aug.V_hat, s_tilde, aug.source, ws, dt, aug.x_stencil)
+    return _galerkin_update(aug.V_hat, s_tilde, ws, dt, (aug.flow_minus, aug.gram),
+                            aug.x_source, _flux_projections(aug.V_hat, ws))
 
 
 def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:

@@ -17,9 +17,10 @@ __all__ = ["step_bug_fixed"]
 # The angular factor is held in nodal coordinates, W = T^T V with T = angular.T_mat.
 # The flux matrices are nodal too, A+- = T diag(mu+-) T^T with mu+- = (mu +- |mu|) / 2,
 # so V^T A+- V = W^T diag(mu+-) W and T^T A+- = (I - t0 t0^T) diag(mu+-) T^T: no
-# step multiplies by T. The constants live in `ws.angular`. Each substep takes the
-# stencil of its spatial basis, diffs = padded_difference(X) (rows [:-1] are D- X,
-# rows [1:] D+ X); X^T D+ X = -(X^T D- X)^T by summation by parts for both bcs.
+# step multiplies by T. The constants live in `ws.angular`. The K-step takes the
+# stencil of X, diffs = padded_difference(X) (rows [:-1] are D- X, rows [1:] D+ X),
+# and the L- and S-step the blocks X^T D- X and X^T sigma X of their spatial basis;
+# X^T D+ X = -(X^T D- X)^T by summation by parts.
 
 
 def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
@@ -28,28 +29,37 @@ def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
     return (w.T * ang.mu_plus) @ w, (w.T * ang.mu_minus) @ w
 
 
-def _absorb_inverse(x: np.ndarray, shift: float, ws: FullSchemeWorkspace) -> np.ndarray:
-    """(shift I + X^T sigma X)^-1, with C = X^T sigma X = sum_i sigma_{i+1/2} X_i X_i^T.
+def _spatial_blocks(x: np.ndarray, diffs: np.ndarray, ws: FullSchemeWorkspace):
+    """The Galerkin blocks of a spatial basis X from its stencil: X^T D- X and X^T sigma X.
+
+    X^T sigma X = sum_i sigma_{i+1/2} X_i X_i^T is taken before the shift of
+    the implicit absorption is added, so it holds for every step size.
+    """
+    return x.T @ diffs[:-1], x.T @ (ws.sigma.at_interfaces[:, None] * x)
+
+
+def _absorb_inverse(gram: np.ndarray, shift: float) -> np.ndarray:
+    """(shift I + X^T sigma X)^-1 from gram = X^T sigma X, which is left as it is.
 
     The matrix is small and symmetric positive definite; one inverse and a
     product cost far less than a solve with many right-hand sides.
     """
-    mat = x.T @ (ws.sigma.at_interfaces[:, None] * x)
+    mat = gram.copy()
     mat.flat[::mat.shape[0] + 1] += shift
     return np.linalg.inv(mat)
 
 
 def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float, diffs: np.ndarray) -> np.ndarray:
+              dt: float, diffs: np.ndarray, flux) -> np.ndarray:
     """K = X S advanced in the frozen angular basis, before orthonormalization.
 
-    This is the modal dense update in the basis V, with V^T A+- V in place of A+-
-    and V^T b = W^T T^T b in place of b; absorption is a pointwise division. The
-    stencil of K is that of X times S: D+-K = (D+-X) S.
+    This is the modal dense update in the basis V, with flux = (V^T A+ V, V^T A- V)
+    in place of A+- and V^T b = W^T T^T b in place of b; absorption is a
+    pointwise division. The stencil of K is that of X times S: D+-K = (D+-X) S.
     """
     p, w, s = ws.params, state.V_basis, state.S_coeff
     shift = p.epsilon**2 / (p.c * dt)
-    flux_plus, flux_minus = _flux_projections(w, ws)
+    flux_plus, flux_minus = flux
     advect = diffs[:-1] @ (s @ flux_plus) + diffs[1:] @ (s @ flux_minus)
     rhs = (shift * (state.X_basis @ s) - p.epsilon * advect
            - source[:, None] * (w.T @ ws.angular.b))
@@ -57,38 +67,41 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     return rhs
 
 
-def _l_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorkspace,
-              dt: float, diffs: np.ndarray) -> np.ndarray:
+def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, blocks,
+              x_source: np.ndarray) -> np.ndarray:
     """T^T L for L = V S^T advanced in the frozen spatial basis, before orthonormalization.
 
-    A+ L F- + A- L F+ with F-+ = (D-+ X)^T X and F+ = -F-^T is, in nodal
-    coordinates, P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
+    blocks = (X^T D- X, X^T sigma X) and x_source = X^T source. A+ L F- + A- L F+
+    with F- = (D- X)^T X and F+ = -F-^T is, in nodal coordinates,
+    P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
     The absorption makes the implicit solve an r x r SPD system.
     """
-    p, ang, x = ws.params, ws.angular, state.X_basis
+    p, ang = ws.params, ws.angular
     shift = p.epsilon**2 / (p.c * dt)
-    f_minus = (x.T @ diffs[:-1]).T
+    flow_minus, gram = blocks
     l_nodal = state.V_basis @ state.S_coeff.T
-    advect = (ang.mu_plus[:, None] * (l_nodal @ f_minus)
-              - ang.mu_minus[:, None] * (l_nodal @ f_minus.T))
+    advect = (ang.mu_plus[:, None] * (l_nodal @ flow_minus.T)
+              - ang.mu_minus[:, None] * (l_nodal @ flow_minus))
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
-    rhs = shift * l_nodal - p.epsilon * advect - ang.b[:, None] * (x.T @ source)
-    return rhs @ _absorb_inverse(x, shift, ws)
+    rhs = shift * l_nodal - p.epsilon * advect - ang.b[:, None] * x_source
+    return rhs @ _absorb_inverse(gram, shift)
 
 
-def _galerkin_update(x_new: np.ndarray, w_new: np.ndarray, s_tilde: np.ndarray,
-                     source: np.ndarray, ws: FullSchemeWorkspace, dt: float,
-                     diffs: np.ndarray) -> np.ndarray:
-    """Coefficient update in the bases X_new, W_new from the projected S and the source."""
+def _galerkin_update(w_new: np.ndarray, s_tilde: np.ndarray, ws: FullSchemeWorkspace,
+                     dt: float, blocks, x_source: np.ndarray, flux) -> np.ndarray:
+    """Coefficient update in the bases X_new, W_new from the projected S and the source.
+
+    blocks = (X_new^T D- X_new, X_new^T sigma X_new), x_source = X_new^T source
+    and flux = the projections of W_new.
+    """
     p = ws.params
     shift = p.epsilon**2 / (p.c * dt)
-
-    flow_minus = x_new.T @ diffs[:-1]
-    proj_plus, proj_minus = _flux_projections(w_new, ws)
+    flow_minus, gram = blocks
+    proj_plus, proj_minus = flux
     advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
     rhs = (shift * s_tilde - p.epsilon * advect
-           - (x_new.T @ source)[:, None] * (w_new.T @ ws.angular.b))
-    return _absorb_inverse(x_new, shift, ws) @ rhs
+           - x_source[:, None] * (w_new.T @ ws.angular.b))
+    return _absorb_inverse(gram, shift) @ rhs
 
 
 def _finish_step(new_state: LowRankMicroState, macro: MacroState, ws: FullSchemeWorkspace,
@@ -99,6 +112,33 @@ def _finish_step(new_state: LowRankMicroState, macro: MacroState, ws: FullScheme
     return MacroState(t_new, h_new), new_state
 
 
+def _formed_blocks(x: np.ndarray, w: np.ndarray, ws: FullSchemeWorkspace):
+    """What a step reads of its bases: the stencil of X, (X^T D- X, X^T sigma X)
+    and the flux projections of W."""
+    diffs = padded_difference(x, ws.grid)
+    return diffs, _spatial_blocks(x, diffs, ws), _flux_projections(w, ws)
+
+
+def _carry_key(state: LowRankMicroState, ws: FullSchemeWorkspace):
+    """The read-only objects the blocks of a state are formed from, compared by identity."""
+    return state.X_basis, state.V_basis, ws.grid, ws.sigma, ws.angular
+
+
+def _blocks_of(state: LowRankMicroState, ws: FullSchemeWorkspace):
+    """`_formed_blocks` of the state's bases, carried from the step that returned it.
+
+    The S-step of a fixed-rank step forms these blocks for the bases it
+    returns, and `ws` carries them to the next step. They are taken from there
+    only when the state's factor arrays and the workspace's grid, sigma and
+    angular operators are the very objects they were formed from, else formed
+    again, with the same operations.
+    """
+    carried = ws._carried_blocks
+    if carried is not None and all(a is b for a, b in zip(carried[0], _carry_key(state, ws))):
+        return carried[1]
+    return _formed_blocks(state.X_basis, state.V_basis, ws)
+
+
 def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
                    dt: float):
     """One fixed-rank step: K- and L-step from time-n data, S-step, then meso/macro.
@@ -106,19 +146,24 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     The rank is preserved: directions missing from a rank-deficient K or L are
     padded by the orthonormalization, the angular ones with rows of T. The new
     angular basis is orthogonalized against t0, which lies outside range(T^T).
-    The emission source is evaluated once and shared by the three substeps, and
-    the stencil of X by the K- and L-step.
+    The emission source is evaluated once and shared by the three substeps.
+    The K- and L-step read the stencil and Galerkin blocks of the old bases,
+    which the previous step's S-step formed (`_blocks_of`), and the blocks the
+    S-step forms for the new bases are carried to the next step.
     """
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
 
-    r, ang = state.rank, ws.angular
+    r, ang, x = state.rank, ws.angular, state.X_basis
     source = emission_gradient_parts(macro, ws)[1]
-    diffs = padded_difference(state.X_basis, ws.grid)
-    x_new = extend_orthonormal_columns(np.empty((state.X_basis.shape[0], 0)),
-                                       _k_update(state, source, ws, dt, diffs), r)
-    w_new = extend_orthonormal_columns(ang.t0[:, None], _l_update(state, source, ws, dt, diffs),
+    diffs, blocks, flux = _blocks_of(state, ws)
+    x_new = extend_orthonormal_columns(np.empty((x.shape[0], 0)),
+                                       _k_update(state, source, ws, dt, diffs, flux), r)
+    w_new = extend_orthonormal_columns(ang.t0[:, None],
+                                       _l_update(state, ws, dt, blocks, x.T @ source),
                                        r + 1, ang.rows)
-    s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ w_new)
-    s_new = _galerkin_update(x_new, w_new, s_tilde, source, ws, dt,
-                             padded_difference(x_new, ws.grid))
-    return _finish_step(LowRankMicroState(x_new, s_new, w_new), macro, ws, dt)
+    s_tilde = (x_new.T @ x) @ state.S_coeff @ (state.V_basis.T @ w_new)
+    formed = _formed_blocks(x_new, w_new, ws)
+    s_new = _galerkin_update(w_new, s_tilde, ws, dt, formed[1], x_new.T @ source, formed[2])
+    new_state = LowRankMicroState(x_new, s_new, w_new)
+    ws._carried_blocks = (_carry_key(new_state, ws), formed)
+    return _finish_step(new_state, macro, ws, dt)

@@ -315,8 +315,11 @@ def _write_result(result: RunResult, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "history.csv", HISTORY_HEADER, result.history)
     macro = result.macro
-    profile_rows = zip(result.grid.centers, macro.temperature, result.phi, macro.h_meso)
-    _write_csv(out_dir / "profiles.csv", PROFILES_HEADER, profile_rows)
+    # every entry is a float, so _fmt is repr; one tolist() makes the Python floats
+    profiles = np.column_stack([result.grid.centers, macro.temperature, result.phi,
+                                macro.h_meso]).tolist()
+    lines = [PROFILES_HEADER, *(",".join(map(repr, row)) for row in profiles)]
+    (out_dir / "profiles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_simulation(config: RunConfig, out=None) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +34,9 @@ class FullSchemeWorkspace:
     params: PhysicalParams
     sigma: AbsorptionField
     angular: AngularOperators
+    # Galerkin blocks of the bases the last fixed-rank step returned, for the
+    # K- and L-step of the next one (see bug_fixed._blocks_of)
+    _carried_blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:

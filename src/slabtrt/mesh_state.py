@@ -162,9 +162,15 @@ class FullMicroState:
         return float(self.norm_sq * dx)
 
 
+def _gram(mat: np.ndarray) -> np.ndarray:
+    """M^T M from two buffers: numpy sends M^T M of one buffer to syrk, which for
+    tall, thin M is slower than gemm plus the copy."""
+    return mat.T @ mat.copy()
+
+
 def _orth_defect(mat: np.ndarray) -> float:
     """Largest entry of |M^T M - I|."""
-    gram = mat.T @ mat
+    gram = _gram(mat)
     gram.flat[::gram.shape[0] + 1] -= 1.0
     return float(np.abs(gram).max())
 
@@ -296,6 +302,31 @@ def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:
 # orthonormal factor helpers
 
 
+def _pick_in_order(gram: np.ndarray, n_new: int):
+    """The first n_new candidates, in index order, whose residual against the kept ones is > 0.1.
+
+    Works on the Gram matrix G = C^T C of the candidate block C alone. With R
+    the triangular factor of the kept columns C_P = Q R, candidate i has the
+    parts t = Q^T c_i = R^-T G[P, i] along the kept unit columns and residual
+    norm sqrt(G_ii - t^T t); a kept candidate appends [t; residual] to R.
+    Returns the kept indices and R^-1, so that Q = C_P R^-1.
+    """
+    inv_r = np.zeros((n_new, n_new))
+    picked: list[int] = []
+    for i in range(gram.shape[0]):
+        j = len(picked)
+        if j == n_new:
+            break
+        parts = inv_r[:j, :j].T @ gram[picked, i]
+        residual_sq = gram[i, i] - parts @ parts
+        if residual_sq > 0.01:
+            residual = np.sqrt(residual_sq)
+            inv_r[:j, j] = inv_r[:j, :j] @ parts / -residual
+            inv_r[j, j] = 1.0 / residual
+            picked.append(i)
+    return picked, inv_r
+
+
 def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
                                  candidates: np.ndarray | None = None) -> np.ndarray:
     """Candidate vectors orthonormalized against `basis`, taken in order.
@@ -306,8 +337,10 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
     `basis` (k columns) a rejected candidate lies 99% inside the final span of
     dimension k + n_new and a kept one lies fully inside it, so at most k / 0.99
     candidates are rejected and one block of n_new + k / 0.99 + 1 candidates
-    suffices. The block is projected off `basis` by classical Gram-Schmidt
-    applied twice; no m x m matrix is formed.
+    suffices. The block C is projected off `basis` by classical Gram-Schmidt
+    applied twice; no m x m matrix is formed. The picks are made on the small
+    matrix C^T C (`_pick_in_order`), and the kept columns are formed at the end
+    by one tall product, C_P R^-1.
     """
     basis = np.asarray(basis, dtype=float)
     m, k = basis.shape
@@ -315,19 +348,10 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
     cand = np.eye(m, size) if candidates is None else candidates[:, :size]
     for _ in range(2):
         cand = cand - basis @ (basis.T @ cand)
-    added = np.empty((m, n_new))
-    for j in range(n_new):
-        norms = np.linalg.norm(cand, axis=0)
-        hits = np.flatnonzero(norms > 0.1)
-        if hits.size == 0:
-            raise ValueError("cannot complete basis: not enough independent directions")
-        q = cand[:, hits[0]] / norms[hits[0]]
-        added[:, j] = q
-        cand = cand[:, hits[0] + 1:]
-        if j + 1 < n_new:
-            for _ in range(2):
-                cand = cand - q[:, None] * (q @ cand)
-    return added
+    picked, inv_r = _pick_in_order(_gram(cand), n_new)
+    if len(picked) < n_new:
+        raise ValueError("cannot complete basis: not enough independent directions")
+    return cand[:, picked] @ inv_r
 
 
 def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: int = 0,
@@ -360,7 +384,7 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
     if cols.shape[1] > m:
         raise ValueError("cannot orthonormalize more columns than rows")
     q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
-    keep = np.abs(rr.diagonal()) > _RANK_TOL * np.sqrt((cols * cols).sum(axis=0).max())
+    keep = np.abs(rr.diagonal()) > _RANK_TOL * np.sqrt(np.einsum("ij,ij->j", cols, cols).max())
     n_keep = int(keep.sum())
     if keep[:n_keep].all():
         new = q[:, :n_keep]

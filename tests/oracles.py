@@ -19,7 +19,13 @@ from typing import NamedTuple
 import numpy as np
 
 from slabtrt.angular import build_angular_operators, orthonormal_legendre_table
-from slabtrt.bug_fixed import _k_update, _l_update
+from slabtrt.bug_fixed import (
+    _flux_projections,
+    _galerkin_update,
+    _k_update,
+    _l_update,
+    _spatial_blocks,
+)
 from slabtrt.full_scheme import emission_gradient_parts
 from slabtrt.mesh_state import (
     FullMicroState,
@@ -31,6 +37,30 @@ from slabtrt.mesh_state import (
 )
 
 SQ23 = np.sqrt(2.0 / 3.0)  # norm of the linear Legendre polynomial
+
+
+# The package's substep kernels called from the bases alone, with the stencil,
+# Galerkin blocks and flux projections formed from them as a step forms them.
+
+
+def kernel_k(state, source, ws, dt):
+    """K-step of the package from the state's own stencil and flux projections."""
+    return _k_update(state, source, ws, dt, padded_difference(state.X_basis, ws.grid),
+                     _flux_projections(state.V_basis, ws))
+
+
+def kernel_l(state, source, ws, dt):
+    """L-step (nodal T^T L) of the package from the blocks of the state's X."""
+    x = state.X_basis
+    return _l_update(state, ws, dt, _spatial_blocks(x, padded_difference(x, ws.grid), ws),
+                     x.T @ source)
+
+
+def kernel_galerkin(x_new, w_new, s_tilde, source, ws, dt):
+    """Galerkin coefficient update of the package in the bases X_new, W_new (nodal)."""
+    blocks = _spatial_blocks(x_new, padded_difference(x_new, ws.grid), ws)
+    return _galerkin_update(w_new, s_tilde, ws, dt, blocks, x_new.T @ source,
+                            _flux_projections(w_new, ws))
 
 
 class FluxMatrices(NamedTuple):
@@ -439,9 +469,8 @@ def reference_augment_bases(state, macro, ws, dt):
     t_mat = ws.angular.T_mat
     thermal, source = emission_gradient_parts(macro, ws)
     w_ap = thermal / ws.sigma.at_interfaces
-    diffs = padded_difference(state.X_basis, ws.grid)
-    k_new = _k_update(state, source, ws, dt, diffs)
-    l_new = t_mat @ _l_update(state, source, ws, dt, diffs)
+    k_new = kernel_k(state, source, ws, dt)
+    l_new = t_mat @ kernel_l(state, source, ws, dt)
     b_vec = modal_b(ws.angular)
     n_aug = min(2 * state.rank + 1, state.X_basis.shape[0], ws.angular.n_moments)
     x_hat = reference_orthonormal_columns(np.column_stack([w_ap, k_new, state.X_basis])[:, :n_aug])

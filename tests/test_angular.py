@@ -220,6 +220,14 @@ class TestAngularOperators:
         for name in ("T_mat", "t0", "pin", "b", "t0_b", "mu_plus", "mu_minus", "rows"):
             assert not getattr(ops, name).flags.writeable, name
 
+    @pytest.mark.parametrize("n", [*range(1, 41), 50, 99, 100, 101, 200, 399, 400, 401])
+    def test_mirrored_table_is_the_table_on_every_node(self, n):
+        # the table is evaluated on the non-negative nodes and mirrored with signs
+        # (-1)^i: bit for bit, sign of zero included, the table on all nodes
+        ops = build_angular_operators(n)
+        want = np.sqrt(ops.quad.weights) * orthonormal_legendre_table(n, ops.quad.nodes)[1:]
+        assert np.array_equal(ops.T_mat.view(np.uint64), want.view(np.uint64))
+
     def test_rows_orthonormal_at_pulse_large_size(self):
         # N = 400 is the moment count of the largest benchmark workload
         ops = build_angular_operators(400)

@@ -16,7 +16,7 @@ from oracles import (
     reference_complete_orthonormal_columns,
     upwind,
 )
-from slabtrt import bug_adaptive, full_scheme, mesh_state
+from slabtrt import bug_adaptive, bug_fixed, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
     TruncationConfig,
@@ -206,16 +206,21 @@ class TestGalerkinSHat:
         np.testing.assert_allclose(recon, reconstruct(state), atol=1e-12)
 
     @pytest.mark.parametrize(("nx", "rank"), [(30, 4), (2, 1)])
-    def test_assembled_stencil_is_the_stencil_of_x_hat(self, nx, rank):
-        # [stencil of X | stencil of X1] is padded_difference([X | X1])
+    def test_assembled_blocks_are_the_blocks_of_x_hat(self, nx, rank):
+        # the blocks formed from [stencil of X | stencil of X1] are those of
+        # padded_difference([X | X1]), and the source is projected on all of X_hat
         rng = np.random.default_rng(38)
         ws = make_workspace(nx=nx, n_moments=12, seed=39)
         macro = MacroState(1.0 + rng.uniform(0.0, 1.0, nx), rng.standard_normal(nx))
         state = random_state(rng, nx + 1, 12, rank)
         aug = augment_bases(state, macro, ws, 0.02)
-        want = padded_difference(aug.X_hat, ws.grid)
-        np.testing.assert_allclose(aug.x_stencil, want, rtol=0,
-                                   atol=1e-13 * np.abs(want).max())
+        x_hat = aug.X_hat
+        for got, want in (
+            (aug.flow_minus, x_hat.T @ padded_difference(x_hat, ws.grid)[:-1]),
+            (aug.gram, x_hat.T @ np.diag(ws.sigma.at_interfaces) @ x_hat),
+            (aug.x_source, x_hat.T @ emission_gradient_parts(macro, ws)[1]),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_zero_dynamics_keeps_zero_coefficients(self):
         ws = make_workspace()
@@ -420,7 +425,9 @@ def _count_calls(monkeypatch, module, name):
 class TestStepOperationCounts:
     """Each O(n) operation of a low-rank step runs once: no discarded QRs, one source,
     and one stencil of X shared by the K- and L-step plus one of the new spatial
-    directions."""
+    directions. The Galerkin blocks (X^T D- X and the sigma-weighted Gram X^T sigma X)
+    are formed once per basis: the fixed-rank step carries those of its new
+    bases to the next step, and the adaptive step forms those of X_hat once."""
 
     def setup_problem(self):
         nx, n_mom = 40, 16
@@ -441,7 +448,9 @@ class TestStepOperationCounts:
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
         source = _count_calls(monkeypatch, full_scheme, "emission_gradient_parts")
         stencils = _count_calls(monkeypatch, mesh_state, "padded_difference")
-        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(source), len(stencils))
+        self.grams = _count_calls(monkeypatch, bug_fixed, "_spatial_blocks")
+        return lambda: (sum(rows in tall_rows for rows in qr_rows), len(source), len(stencils),
+                        len(self.grams))
 
     @staticmethod
     def step(scheme, ws, macro, state):
@@ -450,20 +459,37 @@ class TestStepOperationCounts:
                                      TruncationConfig(theta_rel=5e-2, max_rank=16))
         return step_bug_fixed(macro, state, ws, 0.02)
 
-    def check_linear_step(self, monkeypatch, scheme):
+    def check_linear_steps(self, monkeypatch, scheme, n_steps=4):
+        """Per-step counts (tall QRs, sources, stencils, Galerkin block pairs) of n_steps."""
         ws, macro, state = self.setup_problem()
         counts = self.install_counters(monkeypatch, {41, 17})
-        self.step(scheme, ws, macro, state)
-        tall_qr, source, stencils = counts()
-        assert tall_qr == 2
-        assert source == 1
-        assert stencils == 2
+        per_step, before = [], (0, 0, 0, 0)
+        for _ in range(n_steps):
+            x_old = state.X_basis
+            macro, state = self.step(scheme, ws, macro, state)
+            now = counts()
+            per_step.append(tuple(b - a for a, b in zip(before, now)))
+            before = now
+            assert per_step[-1][1] == 1
+        # (later adaptive steps may reach the full angular rank, which takes no QR)
+        assert per_step[0][0] == 2
+        return per_step, x_old
 
     def test_adaptive_step(self, monkeypatch):
-        self.check_linear_step(monkeypatch, "bug_adaptive")
+        per_step, x_old = self.check_linear_steps(monkeypatch, "bug_adaptive")
+        assert all(counts[2:] == (2, 1) for counts in per_step)
+        # the one sigma-weighted Gram of the last step is that of X_hat = [X | X1]
+        x_hat = self.grams[-1][0]
+        assert x_hat.shape[1] > x_old.shape[1]
+        assert np.array_equal(x_hat[:, :x_old.shape[1]], x_old)
 
     def test_fixed_rank_step(self, monkeypatch):
-        self.check_linear_step(monkeypatch, "bug_fixed")
+        per_step, _ = self.check_linear_steps(monkeypatch, "bug_fixed")
+        # the first step forms the blocks of the state it is given; from then on
+        # only those of the new bases: one stencil and one sigma-weighted Gram
+        assert per_step[0][2:] == (2, 2)
+        assert all(counts[2:] == (1, 1) for counts in per_step[1:])
+        assert all(counts[0] == 2 for counts in per_step)
 
     def test_pulse_pads_once_and_qrs_only_new_directions(self, monkeypatch):
         # 30 steps of the 101 x 8 pulse from the rank-1 zero state: only the first

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    kernel_galerkin,
+    kernel_k,
+    kernel_l,
     modal,
     modal_b,
     nodal_dense,
@@ -15,15 +18,10 @@ from oracles import (
     reconstruct,
     upwind,
 )
+from slabtrt import bug_fixed
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import TruncationConfig, step_bug_adaptive
-from slabtrt.bug_fixed import (
-    _flux_projections,
-    _galerkin_update,
-    _k_update,
-    _l_update,
-    step_bug_fixed,
-)
+from slabtrt.bug_fixed import _flux_projections, step_bug_fixed
 from slabtrt.cli_io import simulate
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
@@ -75,26 +73,19 @@ def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
     return nodal_state(x, s, v)
 
 
-def stencil(x, ws):
-    return padded_difference(x, ws.grid)
-
-
 def k_update(state, macro, ws, dt):
-    return _k_update(state, emission_gradient_parts(macro, ws)[1], ws, dt,
-                     stencil(state.X_basis, ws))
+    return kernel_k(state, emission_gradient_parts(macro, ws)[1], ws, dt)
 
 
 def l_update(state, macro, ws, dt):
     """T^T L of the L-step."""
-    return _l_update(state, emission_gradient_parts(macro, ws)[1], ws, dt,
-                     stencil(state.X_basis, ws))
+    return kernel_l(state, emission_gradient_parts(macro, ws)[1], ws, dt)
 
 
 def galerkin_update(x_new, v_new, state_old, macro, ws, dt):
     """Coefficient update in new bases, starting from the projected old solution."""
     s_tilde = (x_new.T @ state_old.X_basis) @ state_old.S_coeff @ (state_old.V_basis.T @ v_new)
-    return _galerkin_update(x_new, v_new, s_tilde, emission_gradient_parts(macro, ws)[1], ws, dt,
-                            stencil(x_new, ws))
+    return kernel_galerkin(x_new, v_new, s_tilde, emission_gradient_parts(macro, ws)[1], ws, dt)
 
 
 def orthonormalized(mat, rank):
@@ -325,6 +316,92 @@ class TestStepBugFixed:
             step_bug_fixed(macro, state, ws, -1.0)
 
 
+class TestCarriedBlocks:
+    """The blocks the S-step forms for the new bases serve the next step's K- and
+    L-step only for the same factor arrays and workspace members; any other
+    state or workspace gets them formed again, and every result is bit-identical."""
+
+    SCHEMES = ("bug_fixed", "bug_adaptive")
+
+    @staticmethod
+    def problem():
+        nx, n_mom = 40, 8
+        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
+                                 build_angular_operators(n_mom))
+        state = random_state(np.random.default_rng(60), nx + 1, n_mom, 3, pinned=True)
+        return ws, built.macro, state
+
+    @staticmethod
+    def step(scheme, macro, state, ws):
+        if scheme == "bug_adaptive":
+            return step_bug_adaptive(macro, state, ws, 0.02,
+                                     TruncationConfig(theta_rel=1e-3, max_rank=8))
+        return step_bug_fixed(macro, state, ws, 0.02)
+
+    @staticmethod
+    def fresh(ws, **members):
+        fields = {"grid": ws.grid, "params": ws.params, "sigma": ws.sigma,
+                  "angular": ws.angular}
+        return FullSchemeWorkspace(**{**fields, **members})
+
+    @staticmethod
+    def assert_identical(a, b):
+        (ma, sa), (mb, sb) = a, b
+        for x, y in ((ma.temperature, mb.temperature), (ma.h_meso, mb.h_meso),
+                     (sa.X_basis, sb.X_basis), (sa.S_coeff, sb.S_coeff),
+                     (sa.V_basis, sb.V_basis)):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        calls = []
+        blocks = bug_fixed._spatial_blocks
+
+        def counted(x, diffs, ws):
+            calls.append(x)
+            return blocks(x, diffs, ws)
+
+        monkeypatch.setattr(bug_fixed, "_spatial_blocks", counted)
+        return calls
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fresh_workspace_every_step_is_bit_identical(self, scheme):
+        ws, macro, state = self.problem()
+        shared = fresh = (macro, state)
+        for _ in range(6):
+            shared = self.step(scheme, *shared, ws)
+            fresh = self.step(scheme, *fresh, self.fresh(ws))
+            self.assert_identical(shared, fresh)
+
+    def test_state_built_outside_a_step_forms_the_blocks(self, monkeypatch):
+        ws, macro, state = self.problem()
+        macro, state = step_bug_fixed(macro, state, ws, 0.02)
+        copy = LowRankMicroState(state.X_basis.copy(), state.S_coeff, state.V_basis.copy())
+        calls = self.count_blocks(monkeypatch)
+        from_step = step_bug_fixed(macro, state, ws, 0.02)
+        assert len(calls) == 1  # only the new bases': the old ones came from the step
+        from_copy = step_bug_fixed(macro, copy, ws, 0.02)
+        assert len(calls) == 3  # the copy's blocks and the new bases'
+        self.assert_identical(from_copy, from_step)
+
+    @pytest.mark.parametrize("member", ["grid", "sigma", "angular"])
+    def test_replaced_workspace_member_forms_the_blocks(self, monkeypatch, member):
+        ws, macro, state = self.problem()
+        macro, state = step_bug_fixed(macro, state, ws, 0.02)
+        old = getattr(ws, member)
+        replace = {
+            "grid": lambda: StaggeredGrid(old.x_min, old.x_max, old.n_cells),
+            "sigma": lambda: AbsorptionField(1.5 * old.at_centers, 1.5 * old.at_interfaces),
+            "angular": lambda: build_angular_operators(old.n_moments),
+        }[member]
+        setattr(ws, member, replace())
+        calls = self.count_blocks(monkeypatch)
+        got = step_bug_fixed(macro, state, ws, 0.02)
+        assert len(calls) == 2
+        self.assert_identical(got, step_bug_fixed(macro, state, self.fresh(ws), 0.02))
+
+
 class TestNodalKernels:
     """The BUG kernels hold V as W = T^T V and reach A+- only through it."""
 
@@ -388,16 +465,14 @@ class TestNodalKernels:
         source = rng.standard_normal(nx + 1)
         dt = 0.03
         t_mat = ws.angular.T_mat
-        diffs = stencil(state.X_basis, ws)
         for got, want in (
-            (_k_update(state, source, ws, dt, diffs),
-             self.dense_k_update(state, source, ws, dt)),
-            (_l_update(state, source, ws, dt, diffs),
+            (kernel_k(state, source, ws, dt), self.dense_k_update(state, source, ws, dt)),
+            (kernel_l(state, source, ws, dt),
              t_mat.T @ self.dense_l_update(state, source, ws, dt)),
         ):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
         s_tilde = rng.standard_normal((rank, rank))
-        got = _galerkin_update(state.X_basis, state.V_basis, s_tilde, source, ws, dt, diffs)
+        got = kernel_galerkin(state.X_basis, state.V_basis, s_tilde, source, ws, dt)
         want = self.dense_galerkin_update(state.X_basis, t_mat @ state.V_basis, s_tilde,
                                           source, ws, dt)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
@@ -418,7 +493,7 @@ class TestNodalKernels:
         rhs = (shift * k - p.epsilon * (k_minus @ flux_plus + k_plus @ flux_minus)
                - np.outer(source, w.T @ ws.angular.b))
         want = rhs / (shift + ws.sigma.at_interfaces)[:, None]
-        got = _k_update(state, source, ws, dt, stencil(state.X_basis, ws))
+        got = kernel_k(state, source, ws, dt)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])

@@ -129,6 +129,8 @@ class TestRunSimulation:
         header, rows = read_rows(tmp_path / "profiles.csv")
         assert header == PROFILES_HEADER
         assert len(rows) == 40
+        # every value is written as the shortest decimal that reads back bit for bit
+        assert all(v == repr(float(v)) for row in rows for v in row)
 
     def test_final_time_is_exact(self, tmp_path):
         cfg = parse_config(DESK.format(scheme="full", epsilon="1.0", out=tmp_path))

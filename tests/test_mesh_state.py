@@ -8,6 +8,7 @@ from oracles import (
     reference_complete_orthonormal_columns,
     reference_orthonormal_columns,
 )
+from slabtrt import mesh_state
 from slabtrt.angular import build_angular_operators, gauss_legendre, orthonormal_legendre_table
 from slabtrt.mesh_state import (
     AbsorptionField,
@@ -389,9 +390,24 @@ class TestExtendOrthonormalColumns:
 
 
 class TestCompleteOrthonormalColumns:
+    @pytest.fixture(autouse=True)
+    def record_picks(self, monkeypatch):
+        # the candidate indices the coefficient-space rule keeps, call by call
+        self.picks = []
+        pick = mesh_state._pick_in_order
+
+        def recorded(gram, n_new):
+            picked, inv_r = pick(gram, n_new)
+            self.picks.append(list(picked))
+            return picked, inv_r
+
+        monkeypatch.setattr(mesh_state, "_pick_in_order", recorded)
+
     def check_against_reference(self, basis, n_new):
         out = complete_orthonormal_columns(basis, n_new)
         ref, picked = reference_complete_orthonormal_columns(basis, n_new)
+        # the same candidates as the vector-at-a-time reference, in the same order
+        assert self.picks[-1] == picked
         assert out.shape == ref.shape == (basis.shape[0], n_new)
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
         # the column kept for e_i holds its residual norm, > 0.1, at index i
@@ -401,7 +417,7 @@ class TestCompleteOrthonormalColumns:
         return picked
 
     @pytest.mark.parametrize("m,k,n_new", [(7, 3, 1), (40, 9, 1), (40, 9, 4), (101, 20, 1),
-                                           (12, 0, 5), (30, 25, 5)])
+                                           (12, 0, 5), (30, 25, 5), (7, 3, 0)])
     def test_random_bases_match_reference(self, m, k, n_new):
         rng = np.random.default_rng(100 + m + k + n_new)
         basis = orthonormal(rng, m, k) if k else np.zeros((m, 0))
@@ -438,6 +454,16 @@ class TestCompleteOrthonormalColumns:
         basis = np.column_stack([t0, ang.T_mat[:3].T])
         out = complete_orthonormal_columns(basis, 4, ang.T_mat.T)
         np.testing.assert_allclose(out, ang.T_mat[3:7].T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_new", [5, 6])
+    def test_candidate_block_narrower_than_its_size(self, n_new):
+        # 10 nodes, basis [t0 | T[:3]^T]: the block size n_new + 4 / 0.99 + 1 = 10
+        # exceeds the 9 rows of T, and the last completion takes the last row
+        ang = build_angular_operators(9)
+        basis = np.column_stack([ang.t0, ang.T_mat[:3].T])
+        out = complete_orthonormal_columns(basis, n_new, ang.rows)
+        assert self.picks[-1] == list(range(3, 3 + n_new))
+        np.testing.assert_allclose(out, ang.T_mat[3:3 + n_new].T, rtol=0, atol=1e-14)
 
     def test_orthonormal_against_nearly_orthonormal_basis(self):
         rng = np.random.default_rng(111)
