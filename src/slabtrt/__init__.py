@@ -16,7 +16,6 @@ from .angular import (
 )
 from .bug_adaptive import (
     AugmentedFactors,
-    TruncationConfig,
     ap_truncate,
     augment_bases,
     galerkin_s_hat,

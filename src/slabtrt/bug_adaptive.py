@@ -24,7 +24,6 @@ from .mesh_state import (
 )
 
 __all__ = [
-    "TruncationConfig",
     "AugmentedFactors",
     "augment_bases",
     "galerkin_s_hat",
@@ -44,20 +43,6 @@ _RANK_FLOOR = 2
 # accumulates over steps; above this orthogonality defect (a tenth of what
 # LowRankMicroState accepts) they are orthonormalized again before a step.
 _REORTH_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Relative singular-value tolerance and rank cap for the adaptive scheme."""
-
-    theta_rel: float
-    max_rank: int
-
-    def __post_init__(self):
-        if self.theta_rel < 0.0:
-            raise ValueError("theta_rel must be nonnegative")
-        if self.max_rank < 2:
-            raise ValueError("max_rank must be at least 2 (conserved column plus one)")
 
 
 @dataclass
@@ -149,13 +134,12 @@ def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
     return tail.size - int(np.count_nonzero(np.sqrt(tail) <= theta_rel)) + 1
 
 
-def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray,
-                cfg: TruncationConfig):
+def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray, theta_rel: float):
     """Split off the conserved column, truncate the remainder by SVD, and refold.
 
     The column paired with the first angular basis vector is kept exactly, so the
     first micro moment survives truncation; the remaining directions are cut at
-    the normalized singular-value tail tolerance of cfg.theta_rel.
+    the normalized singular-value tail tolerance theta_rel.
 
     X_hat is orthonormal, so K_hat = X_hat S_hat is factored through S_hat:
     the thin SVD of the remainder, the normalization of the conserved column
@@ -168,9 +152,7 @@ def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray,
         raise ValueError("low-rank state contains non-finite entries")
 
     c_rem_hat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
-    r_star = _choose_kept_rank(svals, cfg.theta_rel)
-    r_star = min(r_star, cfg.max_rank - 1, width_x - 1, width_v - 1)
-    r_star = max(r_star, 1)
+    r_star = max(min(_choose_kept_rank(svals, theta_rel), width_x - 1, width_v - 1), 1)
 
     w_hat = wt_mat[:r_star, :].T
     c_rem = c_rem_hat[:, :r_star]
@@ -196,12 +178,18 @@ def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray,
 
 
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
-                      dt: float, cfg: TruncationConfig):
-    """One rank-adaptive step: augment, Galerkin update, truncate, then meso/macro."""
+                      dt: float, theta_rel: float):
+    """One rank-adaptive step: augment, Galerkin update, truncate, then meso/macro.
+
+    The kept rank is bounded only by the augmented widths, at most n_cells + 1
+    in space and n_moments in angle (the angular basis is orthogonal to t0).
+    """
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
+    if ws.angular.n_moments < 2:
+        raise ValueError("bug_adaptive needs at least 2 moments (the conserved column plus one)")
     if max(state.x_orth_defect, state.v_orth_defect) > _REORTH_TOL:
         state = state.reorthonormalized()
 
     aug = augment_bases(state, macro, ws, dt)
     s_hat = galerkin_s_hat(aug, state, ws, dt)
-    return _finish_step(ap_truncate(aug.X_hat, aug.V_hat, s_hat, cfg), macro, ws, dt)
+    return _finish_step(ap_truncate(aug.X_hat, aug.V_hat, s_hat, theta_rel), macro, ws, dt)

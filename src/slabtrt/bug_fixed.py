@@ -57,11 +57,11 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     in place of A+- and V^T b = W^T T^T b in place of b; absorption is a
     pointwise division. The stencil of K is that of X times S: D+-K = (D+-X) S.
     """
-    p, w, s = ws.params, state.V_basis, state.S_coeff
-    shift = p.epsilon**2 / (p.c * dt)
+    eps, w, s = ws.params.epsilon, state.V_basis, state.S_coeff
+    shift = eps**2 / dt
     flux_plus, flux_minus = flux
     advect = diffs[:-1] @ (s @ flux_plus) + diffs[1:] @ (s @ flux_minus)
-    rhs = (shift * (state.X_basis @ s) - p.epsilon * advect
+    rhs = (shift * (state.X_basis @ s) - eps * advect
            - source[:, None] * (w.T @ ws.angular.b))
     rhs /= (shift + ws.sigma.at_interfaces)[:, None]
     return rhs
@@ -76,14 +76,14 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
     The absorption makes the implicit solve an r x r SPD system.
     """
-    p, ang = ws.params, ws.angular
-    shift = p.epsilon**2 / (p.c * dt)
+    eps, ang = ws.params.epsilon, ws.angular
+    shift = eps**2 / dt
     flow_minus, gram = blocks
     l_nodal = state.V_basis @ state.S_coeff.T
     advect = (ang.mu_plus[:, None] * (l_nodal @ flow_minus.T)
               - ang.mu_minus[:, None] * (l_nodal @ flow_minus))
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
-    rhs = shift * l_nodal - p.epsilon * advect - ang.b[:, None] * x_source
+    rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
     return rhs @ _absorb_inverse(gram, shift)
 
 
@@ -94,12 +94,12 @@ def _galerkin_update(w_new: np.ndarray, s_tilde: np.ndarray, ws: FullSchemeWorks
     blocks = (X_new^T D- X_new, X_new^T sigma X_new), x_source = X_new^T source
     and flux = the projections of W_new.
     """
-    p = ws.params
-    shift = p.epsilon**2 / (p.c * dt)
+    eps = ws.params.epsilon
+    shift = eps**2 / dt
     flow_minus, gram = blocks
     proj_plus, proj_minus = flux
     advect = flow_minus @ s_tilde @ proj_plus - flow_minus.T @ s_tilde @ proj_minus
-    rhs = (shift * s_tilde - p.epsilon * advect
+    rhs = (shift * s_tilde - eps * advect
            - x_source[:, None] * (w_new.T @ ws.angular.b))
     return _absorb_inverse(gram, shift) @ rhs
 

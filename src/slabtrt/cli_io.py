@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import build_angular_operators
-from .bug_adaptive import TruncationConfig, step_bug_adaptive
+from .bug_adaptive import step_bug_adaptive
 from .bug_fixed import step_bug_fixed
 from .full_scheme import FullSchemeWorkspace, step_full
 from .limits_diagnostics import (
@@ -155,7 +155,7 @@ def _start_rank(config: RunConfig, scn: Scenario) -> int:
     """The rank a low-rank run starts from: the configured one, else the scenario default."""
     if config.rank is not None:
         return config.rank
-    return scn.fixed_rank if config.scheme == "bug_fixed" else scn.adaptive_rank
+    return scn.fixed_rank if config.scheme == "bug_fixed" else 1
 
 
 def _start_problem(config: RunConfig):
@@ -203,12 +203,12 @@ class RunResult:
 def _prepare(config: RunConfig):
     scn = scenario_defaults(config.scenario, config.epsilon)
     overrides = {}
-    for key in ("nx", "n_moments", "epsilon"):
+    for key in ("nx", "epsilon"):
         value = getattr(config, key)
         if value is not None:
             overrides[key] = value
     built = build_scenario(config.scenario, overrides)
-    angular = build_angular_operators(built.micro.g_matrix.shape[1])
+    angular = build_angular_operators(config.n_moments or scn.n_moments)
     ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
     return scn, built, ws
 
@@ -218,23 +218,23 @@ def _stop_time(t_end: float) -> float:
     return t_end - 1e-14 * max(t_end, 1.0)
 
 
-def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
-             dt: float, t_end: float, rank: int = 1, theta_rel: float = 0.0):
+def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
+             t_end: float, rank: int = 1, theta_rel: float = 0.0):
     """Run one scheme to t_end, yielding (t, dt_step, macro, micro) for every state.
 
     The first item is the initial state (t = 0, dt_step = 0), then one follows
-    each step of size min(dt, t_end - t). `micro` is the dense initial state:
-    `full` starts from it, the low-rank schemes from the zero state of `rank`
-    (`bug_adaptive` truncates at theta_rel), and `rosseland` carries no micro
-    moments, i.e. a state with zero columns. The transport states are nodal,
-    the first one included: their moments are (g T) T^T and X S (T V_basis)^T
-    with T = ws.angular.T_mat. A step that raises ValueError, among them every
-    step that would yield a non-finite state, aborts the run with a
-    RuntimeError naming the step.
+    each step of size min(dt, t_end - t). The micro moments start at zero, at
+    equilibrium with the temperature: `full` from the dense zero state, the
+    low-rank schemes from the zero state of `rank` (`bug_adaptive` truncates at
+    theta_rel), and `rosseland` carries no micro moments, i.e. a state with
+    zero columns. The transport states are nodal: their moments are (g T) T^T
+    and X S (T V_basis)^T with T = ws.angular.T_mat. A step that raises
+    ValueError, among them every step that would yield a non-finite state,
+    aborts the run with a RuntimeError naming the step.
     """
-    n_rows, n_mom = micro.g_matrix.shape
+    n_rows = ws.grid.n_cells + 1
     if scheme == "full":
-        micro = FullMicroState(micro.g_matrix @ ws.angular.T_mat)
+        micro = FullMicroState(np.zeros((n_rows, ws.angular.n_moments + 1)))
 
         def advance(macro, micro, dt_step):
             return step_full(macro, micro, ws, dt_step)
@@ -245,15 +245,14 @@ def simulate(scheme: str, macro: MacroState, micro: FullMicroState, ws: FullSche
             return step_bug_fixed(macro, micro, ws, dt_step)
     elif scheme == "bug_adaptive":
         micro = zero_low_rank_state(n_rows, ws.angular.T_mat, rank)
-        cfg = TruncationConfig(theta_rel=theta_rel, max_rank=min(n_rows, n_mom))
 
         def advance(macro, micro, dt_step):
-            return step_bug_adaptive(macro, micro, ws, dt_step, cfg)
+            return step_bug_adaptive(macro, micro, ws, dt_step, theta_rel)
     elif scheme == "rosseland":
         micro = FullMicroState(np.zeros((n_rows, 0)))
 
         def advance(macro, micro, dt_step):
-            t_new = rosseland_step(macro.temperature, ws.params, ws.grid, ws.sigma, dt_step)
+            t_new = rosseland_step(macro.temperature, ws.grid, ws.sigma, dt_step)
             return MacroState(t_new, np.zeros(ws.grid.n_cells)), micro
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}")
@@ -279,7 +278,7 @@ def _run(config: RunConfig) -> RunResult:
     dt = config.dt if config.dt is not None else config.cfl_safety * cfl_dt
     if config.scheme == "rosseland":
         # Explicit diffusion solve: respect the parabolic bound regardless.
-        parabolic = rosseland_stable_dt(params, grid, built.sigma)
+        parabolic = rosseland_stable_dt(grid, built.sigma)
         dt = min(dt, _ROSSELAND_SAFETY * parabolic)
     t_end = config.t_end if config.t_end is not None else scn.t_end
     rank = _start_rank(config, scn)
@@ -287,7 +286,7 @@ def _run(config: RunConfig) -> RunResult:
 
     m0 = mass(built.macro, params, grid)
     history = []
-    run = simulate(config.scheme, built.macro, built.micro, ws, dt, t_end, rank, theta)
+    run = simulate(config.scheme, built.macro, ws, dt, t_end, rank, theta)
     for step, (t, dt_step, macro, micro) in enumerate(run):
         if step and (step % config.history_stride == 0 or t >= _stop_time(t_end)):
             m_n = mass(macro, params, grid)

@@ -60,28 +60,25 @@ class FullSchemeWorkspace:
 
 
 def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
-    """Thermal gradient delta0(a c T) and the full first-moment source.
+    """Thermal gradient delta0(T) and the full first-moment source.
 
     The source adds eps^2 * delta0(h) to the thermal part; the thermal part over
     sigma is the diffusion-limit direction. Returns (thermal, source). Both
-    gradients come from one difference of the columns [a c T | h].
+    gradients come from one difference of the columns [T | h].
     """
-    p = ws.params
-    grads = diff_interface(np.array([p.a_rad * p.c * macro.temperature, macro.h_meso]).T,
-                           ws.grid)
+    grads = diff_interface(np.array([macro.temperature, macro.h_meso]).T, ws.grid)
     thermal = grads[:, 0]
-    return thermal, thermal + p.epsilon**2 * grads[:, 1]
+    return thermal, thermal + ws.params.epsilon**2 * grads[:, 1]
 
 
 def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorkspace,
                       dt: float):
     """Implicit mesoscopic update followed by the explicit temperature update."""
-    p = ws.params
-    shift = p.epsilon**2 / (p.c * dt)
+    shift = ws.params.epsilon**2 / dt
     div_g1 = diff_center(g1_new, ws.grid)
-    denom = shift + ws.sigma.at_centers * (1.0 + p.a_rad * p.alpha)
+    denom = shift + ws.sigma.at_centers * 3.0
     h_new = (shift * macro.h_meso - 0.5 * NORM_P1 * div_g1) / denom
-    t_new = macro.temperature + dt * p.alpha * ws.sigma.at_centers * h_new
+    t_new = macro.temperature + dt * 2.0 * ws.sigma.at_centers * h_new
     return h_new, t_new
 
 
@@ -101,9 +98,9 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     """
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
-    p, ang = ws.params, ws.angular
-    shift = p.epsilon**2 / (p.c * dt)
-    mu = (p.epsilon / ws.grid.dx) * ang.quad.nodes
+    eps, ang = ws.params.epsilon, ws.angular
+    shift = eps**2 / dt
+    mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = int(np.searchsorted(mu, 0.0))  # the Gauss nodes ascend
     diff = ws._flux_buffer
     # zero ghosts; 0 - g, not -g, which would turn a +0 difference into -0

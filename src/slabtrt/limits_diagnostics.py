@@ -33,7 +33,7 @@ def cfl_report(params: PhysicalParams, grid: StaggeredGrid, angular: AngularOper
     nonzero = nodes[nodes != 0.0]
     dx = grid.dx
     bounds = (2.0 * params.epsilon * dx / np.abs(nonzero)
-              + sigma.sigma_min * dx**2 / nonzero**2) / (5.0 * params.c * angular.beta_N)
+              + sigma.sigma_min * dx**2 / nonzero**2) / (5.0 * angular.beta_N)
     idx = int(np.argmin(bounds))
     return float(bounds[idx]), float(nonzero[idx])
 
@@ -47,19 +47,18 @@ def energy(macro: MacroState, micro_norm_sq: float, params: PhysicalParams,
     """
     if micro_norm_sq < 0.0:
         raise ValueError("micro_norm_sq must be nonnegative")
-    p, t = params, macro.temperature
-    core = p.a_rad * t + (p.epsilon**2 / p.c) * macro.h_meso
+    eps, t = params.epsilon, macro.temperature
+    core = t + eps**2 * macro.h_meso
     e = float(core @ core * grid.dx)
-    e += (p.epsilon / (NORM_P0 * p.c)) ** 2 * micro_norm_sq
-    e += 0.5 * p.a_rad * p.c_nu * float(t @ t) * grid.dx
+    e += (eps / NORM_P0) ** 2 * micro_norm_sq
+    e += 0.5 * float(t @ t) * grid.dx
     return e
 
 
 def mass(macro: MacroState, params: PhysicalParams, grid: StaggeredGrid) -> float:
-    """Conserved total: scalar flux over c plus material heat content."""
-    p = params
-    return float(((p.a_rad + 0.5 * p.c_nu) * macro.temperature.sum()
-                  + (p.epsilon**2 / p.c) * macro.h_meso.sum()) * grid.dx)
+    """Conserved total: scalar flux T + eps^2 h plus material heat content T / 2."""
+    return float((1.5 * macro.temperature.sum()
+                  + params.epsilon**2 * macro.h_meso.sum()) * grid.dx)
 
 
 def relative_mass_error(m_n: float, m_0: float) -> float:
@@ -71,8 +70,8 @@ def relative_mass_error(m_n: float, m_0: float) -> float:
     return abs(m_n - m_0) / abs(m_0)
 
 
-def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: StaggeredGrid,
-                   sigma: AbsorptionField, dt: float) -> np.ndarray:
+def rosseland_step(temperature: np.ndarray, grid: StaggeredGrid, sigma: AbsorptionField,
+                   dt: float) -> np.ndarray:
     """Explicit Euler step of the limiting diffusion equation.
 
     Serves as the small-epsilon oracle for the transport schemes; its parabolic
@@ -83,21 +82,18 @@ def rosseland_step(temperature: np.ndarray, params: PhysicalParams, grid: Stagge
     t = np.asarray(temperature, dtype=float)
     if t.shape != (grid.n_cells,):
         raise ValueError("temperature must have n_cells entries")
-    p = params
 
     # (1/sigma) * delta, not delta / sigma, which can change the last bit of the output
     flux = 1.0 / sigma.at_interfaces * diff_interface(t, grid)
     divergence = diff_center(flux, grid)
 
-    coef = dt * (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) / (1.0 + 2.0 * p.a_rad / p.c_nu)
+    coef = dt * (2.0 / 3.0) / 3.0
     return t + coef * divergence
 
 
-def rosseland_stable_dt(params: PhysicalParams, grid: StaggeredGrid,
-                        sigma: AbsorptionField) -> float:
+def rosseland_stable_dt(grid: StaggeredGrid, sigma: AbsorptionField) -> float:
     """Conservative parabolic bound dx^2 / (2 D_max) for the explicit limit solver."""
-    p = params
-    diffusivity = (2.0 * p.a_rad * p.c / (3.0 * p.c_nu)) * np.max(1.0 / sigma.at_interfaces)
+    diffusivity = (2.0 / 3.0) * np.max(1.0 / sigma.at_interfaces)
     if diffusivity <= 0.0:
         return np.inf
     return grid.dx**2 / (2.0 * diffusivity)

@@ -17,7 +17,6 @@ __all__ = [
     "diff_center",
     "diff_interface",
     "padded_difference",
-    "emission_intensity",
     "scalar_flux",
     "complete_orthonormal_columns",
     "extend_orthonormal_columns",
@@ -36,22 +35,17 @@ _LEAK_RENORM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Scaling and material constants shared by every scheme."""
+    """The scaling parameter epsilon shared by every scheme.
+
+    The model is written in units with a = c = c_nu = 1: the emission is
+    B(T) = T and the material heat content is T / 2.
+    """
 
     epsilon: float
-    c: float = 1.0
-    a_rad: float = 1.0
-    c_nu: float = 1.0
 
     def __post_init__(self):
-        for name in ("epsilon", "c", "a_rad", "c_nu"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    @property
-    def alpha(self) -> float:
-        """Temperature relaxation factor 2 / c_nu."""
-        return 2.0 / self.c_nu
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -131,6 +125,11 @@ class MacroState:
     @property
     def n_cells(self) -> int:
         return self.temperature.shape[0]
+
+
+def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:
+    """Scalar flux B(T) + eps^2 h = T + eps^2 h at cell centers."""
+    return macro.temperature + params.epsilon**2 * macro.h_meso
 
 
 @dataclass(frozen=True)
@@ -282,20 +281,6 @@ def diff_center(values, grid: StaggeredGrid):
 def diff_interface(values, grid: StaggeredGrid):
     """Center-to-interface gradient: (u_{i+1} - u_i) / dx with zero ghost cells."""
     return _ghost_difference(values, grid.n_cells, "center", grid)
-
-
-# ---------------------------------------------------------------------------
-# emission
-
-
-def emission_intensity(temperature, params: PhysicalParams):
-    """Blackbody emission B = a c T of the linear closure."""
-    return params.a_rad * params.c * np.asarray(temperature, dtype=float)
-
-
-def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:
-    """Scalar flux B(T) + eps^2 h at cell centers."""
-    return emission_intensity(macro.temperature, params) + params.epsilon**2 * macro.h_meso
 
 
 # ---------------------------------------------------------------------------

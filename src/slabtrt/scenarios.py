@@ -8,7 +8,6 @@ import numpy as np
 
 from .mesh_state import (
     AbsorptionField,
-    FullMicroState,
     MacroState,
     PhysicalParams,
     StaggeredGrid,
@@ -46,7 +45,6 @@ class Scenario:
     epsilon: float = 1.0
     t_end: float = 1.5
     fixed_rank: int = 15
-    adaptive_rank: int = 1
     theta_rel: float = 5e-2
 
     def sigma_fn(self):
@@ -79,13 +77,16 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BuiltScenario:
-    """Realized grid, material data, and equilibrium initial state."""
+    """Realized grid, material data, and initial macro state.
+
+    The run starts at equilibrium: the micro moments are zero, so the start
+    state of every scheme is built from its sizes alone (cli_io.simulate).
+    """
 
     grid: StaggeredGrid
     params: PhysicalParams
     sigma: AbsorptionField
     macro: MacroState
-    micro: FullMicroState
 
 
 _BASE = {
@@ -93,7 +94,7 @@ _BASE = {
     "absorber": Scenario(name="absorber", sigma_insert=(5.0, -0.25, 0.25)),
 }
 
-_OVERRIDE_KEYS = ("nx", "n_moments", "epsilon")
+_OVERRIDE_KEYS = ("nx", "epsilon")
 
 
 def scenario_defaults(name: str, epsilon: float | None = None) -> Scenario:
@@ -104,7 +105,7 @@ def scenario_defaults(name: str, epsilon: float | None = None) -> Scenario:
     if epsilon is not None:
         scn = replace(scn, epsilon=float(epsilon))
         if epsilon < DIFFUSIVE_EPSILON_THRESHOLD:
-            scn = replace(scn, nx=201, fixed_rank=1, adaptive_rank=1)
+            scn = replace(scn, nx=201, fixed_rank=1)
     return scn
 
 
@@ -121,14 +122,9 @@ def build_scenario(name: str, overrides: dict | None = None) -> BuiltScenario:
 
     scn = scenario_defaults(name, overrides.get("epsilon"))
     nx = int(overrides.get("nx", scn.nx))
-    n_moments = int(overrides.get("n_moments", scn.n_moments))
-    if nx < 1 or n_moments < 1:
-        raise ValueError("nx and n_moments must be positive")
-
-    grid = StaggeredGrid(scn.x_min, scn.x_max, nx)
-    params = PhysicalParams(epsilon=scn.epsilon, c=1.0, a_rad=1.0, c_nu=1.0)
+    grid = StaggeredGrid(scn.x_min, scn.x_max, nx)  # refuses nx < 1
+    params = PhysicalParams(epsilon=scn.epsilon)
     sigma = absorption_from_function(scn.sigma_fn(), grid)
     t0 = scn.initial_temperature_fn()(grid.centers)
     macro = MacroState(t0, np.zeros(nx))
-    micro = FullMicroState(np.zeros((nx + 1, n_moments)))
-    return BuiltScenario(grid=grid, params=params, sigma=sigma, macro=macro, micro=micro)
+    return BuiltScenario(grid=grid, params=params, sigma=sigma, macro=macro)

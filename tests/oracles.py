@@ -32,7 +32,6 @@ from slabtrt.mesh_state import (
     LowRankMicroState,
     MacroState,
     complete_orthonormal_columns,
-    emission_intensity,
     padded_difference,
 )
 
@@ -128,7 +127,7 @@ def init_from_kinetic(f_sampler, T0, grid, params, quad):
 
     f_sampler and T0 must accept numpy arrays and broadcast; the micro moments are
     g_k = <(f - <f>/2) P_k> / eps at interfaces for k = 1..quad.nodes.size-1, and
-    h = (<f>/2 - B(T0)) / eps^2 at centers.
+    h = (<f>/2 - B(T0)) / eps^2 at centers, with the emission B(T0) = T0.
     """
     n_moments = quad.nodes.size - 1
     if n_moments < 1:
@@ -142,7 +141,7 @@ def init_from_kinetic(f_sampler, T0, grid, params, quad):
 
     f_c = np.asarray(f_sampler(grid.centers[:, None], quad.nodes[None, :]), dtype=float)
     t0 = np.asarray(T0(grid.centers), dtype=float)
-    h = (0.5 * (f_c @ quad.weights) - emission_intensity(t0, params)) / params.epsilon**2
+    h = (0.5 * (f_c @ quad.weights) - t0) / params.epsilon**2
     return MacroState(t0, h), FullMicroState(g)
 
 
@@ -152,25 +151,25 @@ def _sample(seq, idx):
 
 
 def oracle_interface_source(T, h, params, dx):
-    """delta0(a c T) + eps^2 * delta0(h) at every interface, by loops."""
+    """delta0(T) + eps^2 * delta0(h) at every interface, by loops."""
     nx = len(T)
-    a, c, eps = params.a_rad, params.c, params.epsilon
+    eps = params.epsilon
     src = []
     for j in range(nx + 1):
         grad_t = (_sample(T, j) - _sample(T, j - 1)) / dx
         grad_h = (_sample(h, j) - _sample(h, j - 1)) / dx
-        src.append(a * c * grad_t + eps**2 * grad_h)
+        src.append(grad_t + eps**2 * grad_h)
     return src
 
 
 def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus):
-    """Term-by-term transcription of one dense macro-micro step."""
+    """Term-by-term transcription of one dense macro-micro step (a = c = c_nu = 1)."""
     nx = len(T)
     ni = nx + 1
     n_mom = G.shape[1]
-    a, c, eps = params.a_rad, params.c, params.epsilon
-    alpha = 2.0 / params.c_nu
-    shift = eps**2 / (c * dt)
+    eps = params.epsilon
+    alpha = 2.0  # 2 / c_nu
+    shift = eps**2 / dt
     src = oracle_interface_source(T, h, params, dx)
 
     rows = np.asarray(G, dtype=float).tolist()
@@ -195,7 +194,7 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus)
     t_new = np.zeros(nx)
     for i in range(nx):
         div = (g_new[i + 1, 0] - g_new[i, 0]) / dx
-        denom = shift + sigma_c[i] * (1.0 + a * alpha)
+        denom = shift + sigma_c[i] * (1.0 + alpha)
         h_new[i] = (shift * h[i] - 0.5 * SQ23 * div) / denom
         t_new[i] = T[i] + dt * alpha * sigma_c[i] * h_new[i]
     return t_new, h_new, g_new
@@ -205,8 +204,8 @@ def oracle_l_step(X, S, V, T, h, params, dx, dt, sigma_i, A_plus, A_minus):
     """Loop transcription of the angular-basis update (the r x r solve uses numpy)."""
     ni, r = X.shape
     n_mom = V.shape[0]
-    c, eps = params.c, params.epsilon
-    shift = eps**2 / (c * dt)
+    eps = params.epsilon
+    shift = eps**2 / dt
     src = oracle_interface_source(T, h, params, dx)
 
     def x_at(j, p):
@@ -250,8 +249,8 @@ def oracle_galerkin_rhs(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
     """Projected explicit right-hand side of the coefficient update (no solve)."""
     ni = X.shape[0]
     n_mom = V.shape[0]
-    c, eps = params.c, params.epsilon
-    shift = eps**2 / (c * dt)
+    eps = params.epsilon
+    shift = eps**2 / dt
     src = np.array(oracle_interface_source(T, h, params, dx))
 
     g_tilde = X @ S_tilde @ V.T
@@ -278,8 +277,8 @@ def oracle_galerkin_dense(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
     """
     ni, rx = X.shape
     n_mom, rv = V.shape
-    c, eps = params.c, params.epsilon
-    shift = eps**2 / (c * dt)
+    eps = params.epsilon
+    shift = eps**2 / dt
     src = np.array(oracle_interface_source(T, h, params, dx))
 
     def dense_diff(mat, sign):
@@ -317,10 +316,9 @@ def oracle_galerkin_dense(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
     return np.linalg.solve(op, rhs_proj.ravel()).reshape(rx, rv)
 
 
-def oracle_rosseland_step(T, params, dx, dt, sigma_i):
+def oracle_rosseland_step(T, dx, dt, sigma_i):
     """Loop transcription of the explicit diffusion-limit step (zero ghosts)."""
     nx = len(T)
-    a, c, c_nu = params.a_rad, params.c, params.c_nu
 
     def t_at(i):
         return T[i] if 0 <= i < nx else 0.0
@@ -329,7 +327,7 @@ def oracle_rosseland_step(T, params, dx, dt, sigma_i):
     for i in range(nx):
         upper = (t_at(i + 1) - t_at(i)) / sigma_i[i + 1]
         lower = (t_at(i) - t_at(i - 1)) / sigma_i[i]
-        coef = (2.0 * a * c / (3.0 * c_nu)) / (1.0 + 2.0 * a / c_nu)
+        coef = (2.0 / 3.0) / (1.0 + 2.0)  # 2 a c / (3 c_nu) over 1 + 2 a / c_nu
         out[i] = T[i] + dt * coef * (upper - lower) / dx**2
     return out
 
@@ -415,7 +413,7 @@ class TruncationReference(NamedTuple):
     R2: np.ndarray  # R of the refolding QR of [x_ap | x_rem]
 
 
-def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_tol=1e-14):
+def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, degenerate_tol=1e-14):
     """Conservative truncation carried out on the grid-space product K = X_hat S_hat.
 
     Returns the truncated factors with the intermediates of the truncation
@@ -438,7 +436,7 @@ def reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel, max_rank, degenerate_t
             if np.sqrt(np.sum(normalized[kept:])) <= theta_rel:
                 r_star = kept
                 break
-    r_star = max(min(r_star, max_rank - 1, width_x - 1, width_v - 1), 1)
+    r_star = max(min(r_star, width_x - 1, width_v - 1), 1)
 
     x_rem = x_rem_hat @ u_mat[:, :r_star]
     v_new = np.column_stack([v_hat[:, :1], v_hat[:, 1:] @ wt_mat[:r_star, :].T])

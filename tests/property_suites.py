@@ -8,7 +8,7 @@ import numpy as np
 
 from oracles import flux_matrices, reconstruct, reference_ap_truncate
 from slabtrt.angular import build_angular_operators, orthonormal_legendre_table
-from slabtrt.bug_adaptive import TruncationConfig, ap_truncate
+from slabtrt.bug_adaptive import ap_truncate
 from slabtrt.bug_fixed import step_bug_fixed
 from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.mesh_state import (
@@ -184,9 +184,9 @@ def truncation_factor_identity_suite(n_instances=200, seed=19, cond_limit=1e6):
         spectrum = np.exp(rng.uniform(np.log(1e-3), 0.0, size=n_aug))
         s_hat = (_random_orthonormal(rng, n_aug, n_aug) * spectrum) @ _random_orthonormal(
             rng, n_aug, n_aug).T
-        cfg = TruncationConfig(theta_rel=float(rng.uniform(0.0, 0.5)), max_rank=n_aug)
-        state = ap_truncate(x_hat, v_hat, s_hat, cfg)
-        ref = reference_ap_truncate(x_hat, v_hat, s_hat, cfg.theta_rel, cfg.max_rank)
+        theta_rel = float(rng.uniform(0.0, 0.5))
+        state = ap_truncate(x_hat, v_hat, s_hat, theta_rel)
+        ref = reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel)
         conds = [abs(ref.S_ap[0, 0]), ref.svals[-1] / ref.svals[0], 1.0 / np.linalg.cond(ref.R2)]
         if min(conds) <= 1.0 / cond_limit:
             continue

@@ -51,8 +51,7 @@ def run_desk(scheme, nx=101, n_moments=30, epsilon=1.0, rank=5, t_end=1.5):
 
     The trace starts with the initial state, so every step is checked.
     """
-    built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_moments,
-                                                 "epsilon": epsilon})
+    built = build_scenario("rectangular_pulse", {"nx": nx, "epsilon": epsilon})
     grid, params, sigma = built.grid, built.params, built.sigma
     angular = build_angular_operators(n_moments)
     ws = FullSchemeWorkspace(grid, params, sigma, angular)
@@ -60,7 +59,7 @@ def run_desk(scheme, nx=101, n_moments=30, epsilon=1.0, rank=5, t_end=1.5):
 
     scale = float(np.max(np.abs(built.macro.temperature)))
     trace = Trace()
-    for t, _, macro, micro in simulate(scheme, built.macro, built.micro, ws, dt, t_end,
+    for t, _, macro, micro in simulate(scheme, built.macro, ws, dt, t_end,
                                        rank=rank, theta_rel=5e-2):
         trace.times.append(t)
         trace.energies.append(energy(macro, micro.micro_norm_sq(grid.dx), params, grid))

@@ -19,7 +19,6 @@ from oracles import (
 from slabtrt import bug_adaptive, bug_fixed, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
-    TruncationConfig,
     ap_truncate,
     augment_bases,
     galerkin_s_hat,
@@ -131,7 +130,7 @@ class TestAugmentBases:
         rng = np.random.default_rng(132)
         ws = make_workspace(seed=133)
         macro = MacroState(rng.uniform(0.5, 2.0, 6), rng.standard_normal(6))
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
+        theta_rel = 5e-2
         pinned = random_state(rng, 7, 5, 2)
         x, s_coeff, v = pinned.X_basis, pinned.S_coeff, pinned.V_basis
         v_free = ws.angular.T_mat.T @ np.linalg.qr(rng.standard_normal((5, 2)))[0]
@@ -143,9 +142,9 @@ class TestAugmentBases:
             with pytest.raises(ValueError):
                 augment_bases(state, macro, ws, 0.02)
             with pytest.raises(ValueError):
-                step_bug_adaptive(macro, state, ws, 0.02, cfg)
+                step_bug_adaptive(macro, state, ws, 0.02, theta_rel)
         # within 1e-12 of b/|b| is accepted
-        step_bug_adaptive(macro, LowRankMicroState(x, s_coeff, v_near), ws, 0.02, cfg)
+        step_bug_adaptive(macro, LowRankMicroState(x, s_coeff, v_near), ws, 0.02, theta_rel)
 
     @pytest.mark.parametrize("nx, n_mom, rank", [(12, 5, 3), (12, 5, 4), (12, 5, 5),
                                                  (30, 6, 4), (8, 4, 2)])
@@ -263,19 +262,19 @@ class TestApTruncate:
     def test_zero_tolerance_keeps_everything(self):
         rng = np.random.default_rng(37)
         factors = self.make_factors(rng)
-        state = ap_truncate(*factors, TruncationConfig(theta_rel=0.0, max_rank=5))
+        state = ap_truncate(*factors, 0.0)
         assert state.rank == 5
 
     def test_huge_tolerance_collapses_to_two(self):
         rng = np.random.default_rng(38)
         factors = self.make_factors(rng)
-        state = ap_truncate(*factors, TruncationConfig(theta_rel=1e9, max_rank=5))
+        state = ap_truncate(*factors, 1e9)
         assert state.rank == 2
 
     def test_conserved_column_is_exact(self):
         rng = np.random.default_rng(39)
         x_hat, v_hat, s_hat = self.make_factors(rng)
-        state = ap_truncate(x_hat, v_hat, s_hat, TruncationConfig(theta_rel=0.3, max_rank=5))
+        state = ap_truncate(x_hat, v_hat, s_hat, 0.3)
         k_ap = (x_hat @ s_hat)[:, 0]
         recon_dir = reconstruct(state) @ v_hat[:, 0]
         np.testing.assert_allclose(recon_dir, k_ap, atol=1e-12 * max(1.0, np.abs(k_ap).max()))
@@ -284,14 +283,8 @@ class TestApTruncate:
         rng = np.random.default_rng(40)
         for theta in (0.0, 0.05, 0.3, 2.0):
             x_hat, v_hat, s_hat = self.make_factors(rng)
-            state = ap_truncate(x_hat, v_hat, s_hat, TruncationConfig(theta_rel=theta, max_rank=5))
+            state = ap_truncate(x_hat, v_hat, s_hat, theta)
             assert np.linalg.norm(state.S_coeff) <= np.linalg.norm(s_hat) + 1e-12
-
-    def test_max_rank_cap(self):
-        rng = np.random.default_rng(41)
-        factors = self.make_factors(rng, r=3)
-        state = ap_truncate(*factors, TruncationConfig(theta_rel=0.0, max_rank=4))
-        assert state.rank == 4
 
 
 class TestChooseKeptRank:
@@ -331,9 +324,9 @@ class TestApTruncateMatchesGridSpace:
             s_hat[:, 0] = 0.0
         return x_hat, v_hat, s_hat
 
-    def compare(self, x_hat, v_hat, s_hat, cfg):
-        state = ap_truncate(x_hat, v_hat, s_hat, cfg)
-        ref = reference_ap_truncate(x_hat, v_hat, s_hat, cfg.theta_rel, cfg.max_rank)
+    def compare(self, x_hat, v_hat, s_hat, theta_rel):
+        state = ap_truncate(x_hat, v_hat, s_hat, theta_rel)
+        ref = reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel)
         assert state.rank == ref.r_star + 1
         recon_ref = ref.X_new @ ref.S_new @ ref.V_new.T
         scale = np.linalg.norm(recon_ref)
@@ -351,9 +344,8 @@ class TestApTruncateMatchesGridSpace:
             x_hat, v_hat, s_hat = self.make_factors(rng, r, int(rng.integers(0, 30)),
                                                     int(rng.integers(0, 10)))
             n_aug = s_hat.shape[0]
-            cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.01, 0.05, 0.3, 2.0])),
-                                   max_rank=int(rng.integers(2, n_aug + 2)))
-            self.compare(x_hat, v_hat, s_hat, cfg)
+            theta_rel = float(rng.choice([0.0, 0.01, 0.05, 0.3, 2.0]))
+            self.compare(x_hat, v_hat, s_hat, theta_rel)
 
     def test_unequal_widths(self):
         # the augmented bases may differ in width; r* is capped by both
@@ -364,17 +356,15 @@ class TestApTruncateMatchesGridSpace:
             x_hat, _ = np.linalg.qr(rng.standard_normal((m, width_x)))
             v_hat, _ = np.linalg.qr(rng.standard_normal((n_mom, width_v)))
             s_hat = rng.standard_normal((width_x, width_v))
-            cfg = TruncationConfig(theta_rel=float(rng.choice([0.0, 0.05, 0.3])),
-                                   max_rank=int(rng.integers(2, 10)))
-            state, _, _ = self.compare(x_hat, v_hat, s_hat, cfg)
-            assert state.rank <= min(width_x, width_v, cfg.max_rank)
+            theta_rel = float(rng.choice([0.0, 0.05, 0.3]))
+            state, _, _ = self.compare(x_hat, v_hat, s_hat, theta_rel)
+            assert state.rank <= min(width_x, width_v)
 
     def test_degenerate_conserved_column(self):
         rng = np.random.default_rng(61)
         for r in (1, 2, 4):
             x_hat, v_hat, s_hat = self.make_factors(rng, r, 5, 3, zero_conserved=True)
-            state, x_ref, s_ref = self.compare(
-                x_hat, v_hat, s_hat, TruncationConfig(theta_rel=0.05, max_rank=2 * r + 1))
+            state, x_ref, s_ref = self.compare(x_hat, v_hat, s_hat, 0.05)
             # both pad the conserved slot with a zero-weight orthonormal direction
             np.testing.assert_allclose(state.S_coeff[:, 0], 0.0, atol=0.0)
             np.testing.assert_allclose(s_ref[:, 0], 0.0, atol=0.0)
@@ -393,8 +383,7 @@ class TestApTruncateMatchesGridSpace:
         for r in (1, 3):
             x_hat, v_hat, s_hat = self.make_factors(rng, r, 6, 2)
             s_hat[:, 1:] = 0.0
-            state, _, _ = self.compare(
-                x_hat, v_hat, s_hat, TruncationConfig(theta_rel=0.05, max_rank=2 * r + 1))
+            state, _, _ = self.compare(x_hat, v_hat, s_hat, 0.05)
             assert state.rank == 2
             # the slots [c_ap | pad] are orthonormal, so the refolding QR's R is
             # diagonal up to sign and its Q is the slots themselves
@@ -455,8 +444,7 @@ class TestStepOperationCounts:
     @staticmethod
     def step(scheme, ws, macro, state):
         if scheme == "bug_adaptive":
-            return step_bug_adaptive(macro, state, ws, 0.02,
-                                     TruncationConfig(theta_rel=5e-2, max_rank=16))
+            return step_bug_adaptive(macro, state, ws, 0.02, 5e-2)
         return step_bug_fixed(macro, state, ws, 0.02)
 
     def check_linear_steps(self, monkeypatch, scheme, n_steps=4):
@@ -497,11 +485,11 @@ class TestStepOperationCounts:
         # slot in truncation); the augmentation QRs take at most r + 1 columns and
         # truncation QRs act on coefficient blocks of at most 2r + 1 rows
         nx, n_mom = 101, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        built = build_scenario("rectangular_pulse", {"nx": nx})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=n_mom)
+        theta_rel = 5e-2
         step = {"index": 0, "rank": 1, "augmenting": False}
         qr_log, completions = [], []
         qr = np.linalg.qr
@@ -534,7 +522,7 @@ class TestStepOperationCounts:
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         for index in range(1, 31):
             step.update(index=index, rank=state.rank)
-            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
         assert max(r for _, r, _, _ in qr_log) >= 5
         tall = [(i, shape) for i, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom + 1)]
         assert len([c for c in completions if c[1] in (nx + 1, n_mom + 1)]) <= 1
@@ -548,26 +536,24 @@ class TestStepOperationCounts:
         assert len(tall) >= 2 * 30
 
 
-class TestTruncationConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncationConfig(theta_rel=-0.1, max_rank=5)
-        with pytest.raises(ValueError):
-            TruncationConfig(theta_rel=0.1, max_rank=1)
-        cfg = TruncationConfig(theta_rel=0.0, max_rank=2)
-        assert cfg.theta_rel == 0.0
-
-
 class TestStepBugAdaptive:
     def test_equilibrium_collapses_to_minimum_rank(self):
         ws = make_workspace()
         macro = MacroState(np.zeros(6), np.zeros(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=2)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=5)
-        m1, s1 = step_bug_adaptive(macro, state, ws, 0.02, cfg)
+        theta_rel = 5e-2
+        m1, s1 = step_bug_adaptive(macro, state, ws, 0.02, theta_rel)
         np.testing.assert_allclose(m1.temperature, 0.0, atol=1e-14)
         np.testing.assert_allclose(reconstruct(s1), 0.0, atol=1e-13)
         assert s1.rank == 2
+
+    def test_one_moment_is_refused(self):
+        # the conserved column plus one truncated direction need N >= 2
+        ws = make_workspace(n_moments=1)
+        macro = MacroState(np.ones(6), np.zeros(6))
+        state = zero_low_rank_state(7, ws.angular.T_mat)
+        with pytest.raises(ValueError, match="at least 2 moments"):
+            step_bug_adaptive(macro, state, ws, 0.02, 5e-2)
 
     def test_drifted_bases_are_orthonormalized_again(self):
         # the old bases are carried into the augmented ones as they are; once
@@ -581,10 +567,10 @@ class TestStepBugAdaptive:
         v[1:] += 1e-13 * rng.standard_normal((7, 3))
         drifted = LowRankMicroState(x, clean.S_coeff, ws.angular.T_mat.T @ v)
         assert drifted.x_orth_defect > 1e-13
-        cfg = TruncationConfig(theta_rel=1e-3, max_rank=8)
-        _, new = step_bug_adaptive(macro, drifted, ws, 0.02, cfg)
+        theta_rel = 1e-3
+        _, new = step_bug_adaptive(macro, drifted, ws, 0.02, theta_rel)
         assert max(new.x_orth_defect, new.v_orth_defect) <= 1e-14
-        _, want = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, cfg)
+        _, want = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, theta_rel)
         np.testing.assert_array_equal(reconstruct(new), reconstruct(want))
 
     def test_small_epsilon_limit_after_one_step(self):
@@ -597,10 +583,10 @@ class TestStepBugAdaptive:
         dt = cfl_report(params, grid, angular, sigma)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
+        theta_rel = 5e-2
 
         w_before = emission_gradient_parts(macro, ws)[0] / ws.sigma.at_interfaces
-        _, s1 = step_bug_adaptive(macro, state, ws, dt, cfg)
+        _, s1 = step_bug_adaptive(macro, state, ws, dt, theta_rel)
         target = -np.outer(w_before, modal_b(ws.angular))
         scale = np.max(np.linalg.norm(target, axis=1))
         defects = np.linalg.norm(reconstruct(modal(s1, angular.T_mat)) - target, axis=1)
@@ -609,32 +595,32 @@ class TestStepBugAdaptive:
     def test_diffusive_rank_stays_small(self):
         nx, n_mom = 60, 12
         built = build_scenario("rectangular_pulse",
-                               {"nx": nx, "n_moments": n_mom, "epsilon": 1e-5})
+                               {"nx": nx, "epsilon": 1e-5})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
+        theta_rel = 5e-2
         for _ in range(200):
-            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
             assert state.rank <= 3
 
     def test_kinetic_pulse_matches_dense_scheme(self):
         nx, n_mom = 101, 30
-        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        built = build_scenario("rectangular_pulse", {"nx": nx})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        macro_d, micro_d = built.macro, nodal_dense(built.micro.g_matrix, angular)
+        macro_d, micro_d = built.macro, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
         macro_a = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
+        theta_rel = 5e-2
         t = 0.0
         while t < 1.5 - 1e-12:
             dt_step = min(dt, 1.5 - t)
             macro_d, micro_d = step_full(macro_d, micro_d, ws, dt_step)
-            macro_a, state = step_bug_adaptive(macro_a, state, ws, dt_step, cfg)
+            macro_a, state = step_bug_adaptive(macro_a, state, ws, dt_step, theta_rel)
             t += dt_step
         err_t = l2_relative_difference(macro_a.temperature, macro_d.temperature, built.grid)
         err_phi = l2_relative_difference(scalar_flux(macro_a, built.params),
@@ -647,33 +633,33 @@ class TestStepBugAdaptive:
         ws = make_workspace(seed=43)
         macro = MacroState(rng.uniform(0.5, 2.0, 6), 0.1 * rng.standard_normal(6))
         state = zero_low_rank_state(7, ws.angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=0.1, max_rank=5)
+        theta_rel = 0.1
         b = ws.angular.b
         for _ in range(20):
             aug = augment_bases(state, macro, ws, 0.02)
             w = diffusion_direction(macro, ws)
             res_w = w - aug.X_hat @ (aug.X_hat.T @ w)
             assert np.linalg.norm(res_w) <= 1e-12 * max(np.linalg.norm(w), 1e-300)
-            macro, state = step_bug_adaptive(macro, state, ws, 0.02, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, 0.02, theta_rel)
             res_b = b - state.V_basis @ (state.V_basis.T @ b)
             assert np.linalg.norm(res_b) <= 1e-12
 
     def test_energy_and_mass_bookkeeping(self):
         # support must stay clear of the boundary for the conservation property
         nx, n_mom = 101, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        built = build_scenario("rectangular_pulse", {"nx": nx})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=8)
+        theta_rel = 5e-2
         e_prev = energy(macro, 0.0, built.params, built.grid)
         e0 = e_prev
         m0 = mass(macro, built.params, built.grid)
         m_prev = m0
         for _ in range(55):
-            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
             e = energy(macro, state.micro_norm_sq(built.grid.dx), built.params, built.grid)
             assert e <= e_prev + 1e-12 * e0
             e_prev = e
@@ -687,11 +673,11 @@ class TestStepBugAdaptive:
         # a relative 1e-15 perturbation of S_hat in every step stands for any
         # reassociation of the kernels; the drift must stay inside the bound
         # for every such perturbation, not only for the unperturbed arithmetic
-        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom})
+        built = build_scenario("rectangular_pulse", {"nx": nx})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
+        theta_rel = 5e-2
         m0 = mass(built.macro, built.params, built.grid)
         galerkin = bug_adaptive.galerkin_s_hat
         for seed in range(10):
@@ -706,7 +692,7 @@ class TestStepBugAdaptive:
             state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
             worst = 0.0
             for _ in range(steps):
-                macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+                macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
                 worst = max(worst, abs(mass(macro, built.params, built.grid) - m0))
             assert worst <= bound * abs(m0), f"seed {seed}: drift {worst / abs(m0):.2e}"
 
@@ -715,16 +701,16 @@ class TestStepBugAdaptive:
         # settles at rank 3 immediately after the first augmented step
         nx, n_mom = 101, 30
         built = build_scenario("rectangular_pulse",
-                               {"nx": nx, "n_moments": n_mom, "epsilon": 1e-5})
+                               {"nx": nx, "epsilon": 1e-5})
         angular = build_angular_operators(n_mom)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         macro = built.macro
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=min(nx + 1, n_mom))
+        theta_rel = 5e-2
         ranks = []
         for _ in range(25):
-            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
             ranks.append(state.rank)
         assert ranks == [2] + [3] * 24
 
@@ -738,10 +724,10 @@ class TestStepBugAdaptive:
         dt = cfl_report(params, grid, angular, sigma)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
-        cfg = TruncationConfig(theta_rel=5e-2, max_rank=10)
+        theta_rel = 5e-2
         t_ref = macro.temperature.copy()
         for _ in range(10):
-            macro, state = step_bug_adaptive(macro, state, ws, dt, cfg)
-            t_ref = rosseland_step(t_ref, params, grid, sigma, dt)
+            macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
+            t_ref = rosseland_step(t_ref, grid, sigma, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4

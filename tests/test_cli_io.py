@@ -221,10 +221,10 @@ class TestSimulate:
         _, history = read_rows(tmp_path / "history.csv")
         _, profiles = read_rows(tmp_path / "profiles.csv")
 
-        built = build_scenario("absorber", {"nx": 41, "n_moments": 8, "epsilon": 1.0})
+        built = build_scenario("absorber", {"nx": 41, "epsilon": 1.0})
         grid, params = built.grid, built.params
         ws = FullSchemeWorkspace(grid, params, built.sigma, build_angular_operators(8))
-        states = list(simulate(scheme, built.macro, built.micro, ws, 0.01, 0.3,
+        states = list(simulate(scheme, built.macro, ws, 0.01, 0.3,
                                rank=3, theta_rel=0.05))
         assert states[0][:3] == (0.0, 0.0, built.macro)
         assert len(history) == len(states) - 1 == 30
@@ -239,21 +239,36 @@ class TestSimulate:
         np.testing.assert_array_equal(columns[1], final.temperature)
         np.testing.assert_array_equal(columns[3], final.h_meso)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_starts_from_zero_micro_moments(self, scheme):
+        # every run starts at equilibrium: the first state simulate yields has no
+        # micro moments, and the dense one is +0 in each of its N + 1 nodal columns
+        nx, n_mom = 17, 6
+        built = build_scenario("absorber", {"nx": nx, "epsilon": 1.0})
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
+                                 build_angular_operators(n_mom))
+        t, dt_step, macro, micro = next(simulate(scheme, built.macro, ws, 0.01, 0.1, rank=2))
+        assert (t, dt_step, macro) == (0.0, 0.0, built.macro)
+        assert micro.micro_norm_sq(built.grid.dx) == 0.0
+        if scheme == "full":
+            g = micro.g_matrix
+            assert g.shape == (nx + 1, n_mom + 1)
+            assert not np.signbit(g).any()
+
     @pytest.mark.parametrize("scheme", ["full", "bug_fixed", "bug_adaptive"])
     def test_mass_changes_by_the_boundary_outflow(self, scheme):
         # zero ghosts: the interior fluxes of the first moment cancel in the sum,
         # so each step changes the mass by -(|P1| / 2) dt (g1[n] - g1[0]) of the
         # new first moment; the pulse reaches both ends of the slab by t = 12
         nx, n_mom = 41, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx, "n_moments": n_mom,
-                                                     "epsilon": 1.0})
+        built = build_scenario("rectangular_pulse", {"nx": nx, "epsilon": 1.0})
         grid, params = built.grid, built.params
         ws = FullSchemeWorkspace(grid, params, built.sigma, build_angular_operators(n_mom))
         dt = cfl_report(params, grid, ws.angular, built.sigma)[0]
         pin = ws.angular.pin
         m_prev = m0 = mass(built.macro, params, grid)
         worst = outflow = 0.0
-        for _, dt_step, macro, micro in list(simulate(scheme, built.macro, built.micro, ws,
+        for _, dt_step, macro, micro in list(simulate(scheme, built.macro, ws,
                                                       dt, 12.0, rank=5, theta_rel=5e-2))[1:]:
             if scheme == "full":
                 g1 = micro.g_matrix @ pin
@@ -273,14 +288,14 @@ class TestSimulate:
         # a pulse of 1.6e308, just below the largest double: the first temperature
         # gradient overflows, the state containers (and ap_truncate, before its SVD)
         # reject the non-finite result, and simulate names the step and the cause
-        built = build_scenario("rectangular_pulse", {"nx": 41, "n_moments": 8})
+        built = build_scenario("rectangular_pulse", {"nx": 41})
         macro = MacroState(8e305 * built.macro.temperature, built.macro.h_meso)
         angular = build_angular_operators(8)
         ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
         dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
         with pytest.raises(RuntimeError,
                            match=r"simulation aborted at step 1: .*non-finite entries"):
-            for _ in simulate(scheme, macro, built.micro, ws, dt, 1.5, rank=3,
+            for _ in simulate(scheme, macro, ws, dt, 1.5, rank=3,
                               theta_rel=5e-2):
                 pass
 

@@ -244,7 +244,7 @@ class TestDiffusionLimit:
         g1 = moments(g1, ws)
 
         grad = np.diff(np.concatenate([[0.0], macro.temperature, [0.0]])) / grid.dx
-        target = -NORM_P1 * params.a_rad * params.c / ws.sigma.at_interfaces * grad
+        target = -NORM_P1 / ws.sigma.at_interfaces * grad
         scale = np.max(np.abs(target))
         np.testing.assert_allclose(g1[:, 0], target, atol=1e-8 * scale)
         assert np.max(np.abs(g1[:, 1:])) <= 1e-8 * scale
@@ -256,7 +256,7 @@ class TestDiffusionLimit:
         t_ref = macro.temperature.copy()
         for _ in range(10):
             macro, micro = step_full(macro, micro, ws, dt)
-            t_ref = rosseland_step(t_ref, params, grid, ws.sigma, dt)
+            t_ref = rosseland_step(t_ref, grid, ws.sigma, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4
 
@@ -264,25 +264,25 @@ class TestDiffusionLimit:
 def step_map_energy_norm(scenario, epsilon, nx=41, n_mom=8):
     """||M||_E of the linear-emission step map M(dt) at the CFL bound.
 
-    E(T, h, g) = ||y||^2 in the energy coordinates y = (sqrt(dx) (a T + eps^2 h / c),
-    sqrt(a c_nu dx / 2) T, sqrt(dx) eps / (sqrt(2) c) g), so ||M||_E is the 2-norm of
-    the step map in y; it is built column by column from unit vectors of y.
+    E(T, h, g) = ||y||^2 in the energy coordinates y = (sqrt(dx) (T + eps^2 h),
+    sqrt(dx / 2) T, sqrt(dx) eps / sqrt(2) g), so ||M||_E is the 2-norm of the step
+    map in y; it is built column by column from unit vectors of y.
     """
-    built = build_scenario(scenario, {"nx": nx, "n_moments": n_mom, "epsilon": epsilon})
+    built = build_scenario(scenario, {"nx": nx, "epsilon": epsilon})
     grid, p = built.grid, built.params
     ws = FullSchemeWorkspace(grid, p, built.sigma, build_angular_operators(n_mom))
     dt = cfl_report(p, grid, ws.angular, built.sigma)[0]
-    w_core, w_heat = np.sqrt(grid.dx), np.sqrt(0.5 * p.a_rad * p.c_nu * grid.dx)
-    w_micro = np.sqrt(grid.dx) * p.epsilon / (np.sqrt(2.0) * p.c)
+    w_core, w_heat = np.sqrt(grid.dx), np.sqrt(0.5 * grid.dx)
+    w_micro = np.sqrt(grid.dx) * p.epsilon / np.sqrt(2.0)
 
     def energy_coordinates(macro, micro):
-        core = p.a_rad * macro.temperature + p.epsilon**2 / p.c * macro.h_meso
+        core = macro.temperature + p.epsilon**2 * macro.h_meso
         return np.concatenate([w_core * core, w_heat * macro.temperature,
                                w_micro * moments(micro, ws).ravel()])
 
     def state_of(y):
         temperature = y[nx:2 * nx] / w_heat
-        h = (y[:nx] / w_core - p.a_rad * temperature) * p.c / p.epsilon**2
+        h = (y[:nx] / w_core - temperature) / p.epsilon**2
         g = (y[2 * nx:] / w_micro).reshape(nx + 1, n_mom)
         return MacroState(temperature, h), nodal_dense(g, ws.angular)
 

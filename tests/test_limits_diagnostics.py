@@ -49,13 +49,13 @@ class TestCfl:
     def test_two_node_closed_form(self):
         # N=1: nodes +-1/sqrt(3), beta_N = 2
         grid = StaggeredGrid(0.0, 2.0, 10)
-        params = PhysicalParams(epsilon=0.3, c=2.0)
+        params = PhysicalParams(epsilon=0.3)
         sigma = uniform_absorption(10, 0.4)
         angular = build_angular_operators(1)
         assert angular.beta_N == pytest.approx(2.0, abs=1e-14)
         dt = cfl_report(params, grid, angular, sigma)[0]
         expected = (2.0 * np.sqrt(3.0) * params.epsilon * grid.dx
-                    + 3.0 * 0.4 * grid.dx**2) / (10.0 * params.c)
+                    + 3.0 * 0.4 * grid.dx**2) / 10.0
         assert dt == pytest.approx(expected, rel=1e-13)
 
     def test_monotonicity(self):
@@ -123,22 +123,20 @@ class TestEnergyMass:
 class TestRosseland:
     def test_uniform_interior_unchanged(self):
         grid = StaggeredGrid(0.0, 1.0, 10)
-        params = PhysicalParams(epsilon=1e-5)
         sigma = uniform_absorption(10, 1.0)
-        t1 = rosseland_step(np.full(10, 2.0), params, grid, sigma, 0.001)
+        t1 = rosseland_step(np.full(10, 2.0), grid, sigma, 0.001)
         np.testing.assert_allclose(t1[1:-1], 2.0, atol=1e-14)
 
     def test_linear_constant_sigma_is_heat_equation(self):
-        # diffusivity (2 a c)/(3 c_nu sigma (1 + 2 a / c_nu)) against a direct stencil
+        # diffusivity 2 / (3 sigma (1 + 2)) against a direct stencil
         nx = 16
         grid = StaggeredGrid(0.0, 2.0, nx)
-        params = PhysicalParams(epsilon=1e-5)
         sigma_val = 0.8
         sigma = uniform_absorption(nx, sigma_val)
         rng = np.random.default_rng(4)
         T = rng.uniform(0.0, 1.0, nx)
         dt = 1e-4
-        out = rosseland_step(T, params, grid, sigma, dt)
+        out = rosseland_step(T, grid, sigma, dt)
         diffusivity = 2.0 / (3.0 * sigma_val * (1.0 + 2.0))
         padded = np.concatenate([[0.0], T, [0.0]])
         lap = (padded[2:] - 2 * padded[1:-1] + padded[:-2]) / grid.dx**2
@@ -146,11 +144,10 @@ class TestRosseland:
 
     def test_three_cell_hand_instance(self):
         grid = StaggeredGrid(0.0, 3.0, 3)
-        params = PhysicalParams(epsilon=1e-6)
         sigma = uniform_absorption(3, 1.0)
         T = np.array([0.0, 1.0, 0.0])
-        out = rosseland_step(T, params, grid, sigma, 0.1)
-        oracle = oracle_rosseland_step(T, params, 1.0, 0.1, np.ones(4))
+        out = rosseland_step(T, grid, sigma, 0.1)
+        oracle = oracle_rosseland_step(T, 1.0, 0.1, np.ones(4))
         np.testing.assert_allclose(out, oracle, atol=1e-14)
         coef = 0.1 * (2.0 / 3.0) / 3.0
         np.testing.assert_allclose(out, [coef, 1.0 - 2 * coef, coef], atol=1e-14)
@@ -158,15 +155,14 @@ class TestRosseland:
     def test_variable_sigma_against_oracle(self):
         nx = 9
         grid = StaggeredGrid(-1.0, 1.0, nx)
-        params = PhysicalParams(epsilon=1e-5)
         rng = np.random.default_rng(5)
         sig_c = rng.uniform(0.5, 2.0, nx)
         sig_i = rng.uniform(0.5, 2.0, nx + 1)
         sigma = AbsorptionField(sig_c, sig_i)
         T = rng.uniform(0.1, 1.5, nx)
         dt = 1e-4
-        out = rosseland_step(T, params, grid, sigma, dt)
-        oracle = oracle_rosseland_step(T, params, grid.dx, dt, sig_i)
+        out = rosseland_step(T, grid, sigma, dt)
+        oracle = oracle_rosseland_step(T, grid.dx, dt, sig_i)
         np.testing.assert_allclose(out, oracle, atol=1e-13)
 
     def test_stable_dt_is_set_by_the_smallest_interface_sigma(self):
@@ -174,7 +170,7 @@ class TestRosseland:
         grid = StaggeredGrid(0.0, 1.0, nx)
         sig_i = np.array([0.9, 1.3, 0.45, 2.0, 0.9, 1.1, 0.7])
         sigma = AbsorptionField(np.full(nx, 0.3), sig_i)  # centers play no part
-        dt = rosseland_stable_dt(PhysicalParams(epsilon=1e-5), grid, sigma)
+        dt = rosseland_stable_dt(grid, sigma)
         assert dt == pytest.approx(grid.dx**2 / (2.0 * (2.0 / 3.0) / 0.45), rel=1e-14)
 
     def test_mass_changes_by_the_boundary_fluxes(self):
@@ -182,22 +178,20 @@ class TestRosseland:
         # fluxes are -T[0] / (sigma dx) and -T[-1] / (sigma dx) out of the slab
         nx = 14
         grid = StaggeredGrid(0.0, 1.0, nx)
-        params = PhysicalParams(epsilon=1e-5)
         sigma = uniform_absorption(nx, 0.6)
         rng = np.random.default_rng(6)
         T = rng.uniform(0.0, 1.0, nx)
         dt = 1e-4
-        weight = (1.0 + 2.0) * grid.dx  # (1 + 2 a / c_nu) dx
+        weight = (1.0 + 2.0) * grid.dx
         total0 = float(np.sum(T) * weight)
-        out = rosseland_step(T, params, grid, sigma, dt)
-        outflow = dt * (2.0 / 3.0) * (T[0] + T[-1]) / (0.6 * grid.dx)  # 2 a c / (3 c_nu)
+        out = rosseland_step(T, grid, sigma, dt)
+        outflow = dt * (2.0 / 3.0) * (T[0] + T[-1]) / (0.6 * grid.dx)
         assert abs(np.sum(out) * weight - (total0 - outflow)) <= 1e-12 * abs(total0)
 
     def test_dt_validation(self):
         grid = StaggeredGrid(0.0, 1.0, 4)
-        params = PhysicalParams(epsilon=1.0)
         with pytest.raises(ValueError):
-            rosseland_step(np.zeros(4), params, grid, uniform_absorption(4, 1.0), 0.0)
+            rosseland_step(np.zeros(4), grid, uniform_absorption(4, 1.0), 0.0)
 
 
 class TestProfileComparison:

@@ -498,8 +498,8 @@ class TestEmission:
         np.testing.assert_allclose(scalar_flux(macro, params), 1.03, atol=1e-15)
 
     def test_beta_linear_is_one(self):
-        # beta = dB/dT / (a c) is one under the linear closure B = a c T: raising T by
-        # a step raises the scalar flux by exactly that step
+        # beta = dB/dT is one under the linear closure B = T: raising T by a step
+        # raises the scalar flux by exactly that step
         params = PhysicalParams(epsilon=0.5)
         macro = MacroState(np.linspace(0.0, 5.0, 6), np.zeros(6))
         raised = MacroState(macro.temperature + 0.25, macro.h_meso)
@@ -507,10 +507,21 @@ class TestEmission:
                                       0.25)
 
     def test_params_take_no_emission_law(self):
-        # the schemes implement the linear closure B = a c T only
+        # the schemes implement the linear closure B = T only
         with pytest.raises(TypeError):
             PhysicalParams(epsilon=1.0, emission="stefan_boltzmann")
         assert not hasattr(PhysicalParams(epsilon=1.0), "emission")
+
+    @pytest.mark.parametrize("name", ["c", "a_rad", "c_nu"])
+    def test_params_take_no_unit_constants(self, name):
+        # the model is written in units with a = c = c_nu = 1
+        with pytest.raises(TypeError):
+            PhysicalParams(epsilon=1.0, **{name: 2.0})
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_params_refuse_nonpositive_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be strictly positive"):
+            PhysicalParams(epsilon=epsilon)
 
 
 class TestInitFromKinetic:
@@ -525,7 +536,7 @@ class TestInitFromKinetic:
             return 1.0 + 0.2 * np.sin(np.pi * x)
 
         def f(x, mu):
-            return params.a_rad * params.c * t0(x) + 0.0 * mu
+            return t0(x) + 0.0 * mu
 
         macro, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
         np.testing.assert_allclose(macro.temperature, t0(self.grid.centers), atol=1e-15)
@@ -544,7 +555,7 @@ class TestInitFromKinetic:
             return np.cos(0.5 * np.pi * x)
 
         def f(x, mu):
-            return params.a_rad * params.c * t0(x) + params.epsilon * np.sqrt(1.5) * mu * phi(x)
+            return t0(x) + params.epsilon * np.sqrt(1.5) * mu * phi(x)
 
         macro, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
         np.testing.assert_allclose(micro.g_matrix[:, 0], phi(self.grid.interfaces), atol=1e-12)
@@ -560,7 +571,7 @@ class TestInitFromKinetic:
             return np.ones_like(np.asarray(x))
 
         def f(x, mu):
-            return params.a_rad * params.c * t0(x) + params.epsilon * np.sqrt(2 / 3) * mu
+            return t0(x) + params.epsilon * np.sqrt(2 / 3) * mu
 
         _, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
         np.testing.assert_allclose(micro.g_matrix[:, 0], 2.0 / 3.0, atol=1e-12)
@@ -576,5 +587,5 @@ class TestInitFromKinetic:
 
         macro, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
         np.testing.assert_allclose(micro.g_matrix, 0.0, atol=1e-12)
-        expected_h = (3.0 - params.a_rad * params.c * 2.0) / params.epsilon**2
+        expected_h = (3.0 - 2.0) / params.epsilon**2
         np.testing.assert_allclose(macro.h_meso, expected_h, atol=1e-12)

@@ -3,7 +3,6 @@ import pytest
 
 from oracles import init_from_kinetic
 from slabtrt.angular import gauss_legendre
-from slabtrt.mesh_state import emission_intensity
 from slabtrt.scenarios import build_scenario, scenario_defaults
 
 
@@ -15,13 +14,11 @@ class TestDefaults:
         assert scn.t_end == 1.5
         assert scn.theta_rel == 5e-2
         assert scn.fixed_rank == 15
-        assert scn.adaptive_rank == 1
 
     def test_diffusive_preset(self):
         scn = scenario_defaults("rectangular_pulse", epsilon=1e-5)
         assert scn.nx == 201
         assert scn.fixed_rank == 1
-        assert scn.adaptive_rank == 1
         assert scn.n_moments == 100
 
     def test_unknown_name(self):
@@ -38,18 +35,17 @@ class TestRectangularPulse:
         np.testing.assert_allclose(T[~inside], 0.0, atol=1e-15)
 
     def test_equilibrium_micro_state(self):
-        built = build_scenario("rectangular_pulse", {"nx": 64, "n_moments": 8})
-        np.testing.assert_allclose(built.micro.g_matrix, 0.0, atol=1e-16)
+        built = build_scenario("rectangular_pulse", {"nx": 64})
         np.testing.assert_allclose(built.macro.h_meso, 0.0, atol=1e-16)
 
     def test_equilibrium_matches_kinetic_initialization(self):
-        built = build_scenario("rectangular_pulse", {"nx": 32, "n_moments": 6})
+        built = build_scenario("rectangular_pulse", {"nx": 32})
         quad = gauss_legendre(7)
         scn = scenario_defaults("rectangular_pulse")
         t0_fn = scn.initial_temperature_fn()
 
         def f(x, mu):
-            return emission_intensity(t0_fn(x), built.params) + 0.0 * mu
+            return t0_fn(x) + 0.0 * mu  # the emission B(T) = T
 
         macro, micro = init_from_kinetic(f, t0_fn, built.grid, built.params, quad)
         np.testing.assert_allclose(macro.temperature, built.macro.temperature, atol=1e-12)
@@ -94,6 +90,11 @@ class TestValidation:
     def test_unknown_override(self):
         with pytest.raises(ValueError, match="unknown scenario overrides: \\['cells'\\]"):
             build_scenario("rectangular_pulse", {"cells": 10})
+
+    def test_n_moments_override_refused(self):
+        # the scenario holds no micro state, so the moment count is not its to set
+        with pytest.raises(ValueError, match="unknown scenario overrides: \\['n_moments'\\]"):
+            build_scenario("rectangular_pulse", {"nx": 10, "n_moments": 8})
 
     @pytest.mark.parametrize("value", ["linear", "stefan_boltzmann"])
     def test_emission_override_refused(self, value):
