@@ -130,6 +130,7 @@ class AngularOperators:
     t0_b: np.ndarray  # the rows t0 and b: the two rank-one directions of the dense step
     mu_plus: np.ndarray  # (mu + |mu|) / 2
     mu_minus: np.ndarray  # (mu - |mu|) / 2
+    n_neg: int  # (N + 1) // 2: the nodes [:n_neg] are < 0 (mu+ = 0), [n_neg:] >= 0 (mu- = 0)
     rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
 
     def __post_init__(self):
@@ -172,5 +173,6 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
         t0_b=np.stack([t0, b]),
         mu_plus=0.5 * (mu + mu_abs),
         mu_minus=0.5 * (mu - mu_abs),
+        n_neg=n_neg,
         rows=t_mat.T.copy(),
     )

@@ -71,12 +71,12 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     """Extend both bases by the directions of the step: X_hat = [X | X1], V_hat = [V | V1].
 
     X1 is an orthonormal basis of the part of [w_ap, K] outside span X, and V1
-    of the part of [L, b] outside span [t0 | V], in nodal coordinates. The K and
+    of the part of L outside span [t0 | V], in nodal coordinates. The K and
     L updates enter as they are, and each new block gets one projection and one
     QR of at most r + 1 columns (`extend_orthonormal_columns`). Directions
     already spanned are dropped, so the widths may differ; padding (canonical
     in space, rows of T in angle) only lifts a width to the rank floor of 2.
-    V[:, 0] must be b/|b|, so b is always dropped and V_hat[:, 0] stays the
+    V[:, 0] must be b/|b|, so b is already in span V and V_hat[:, 0] stays the
     conserved-moment direction. X1 needs only w_ap and K, so X_hat is built
     first and its Galerkin blocks are formed once: the L-step reads their
     leading r x r blocks and the S-step all of them.
@@ -98,8 +98,7 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     # t0 is outside range(T^T): without it in the basis, rounding that QR
     # amplifies would leak into that direction
     v_new = extend_orthonormal_columns(np.concatenate([ang.t0[:, None], state.V_basis], axis=1),
-                                       np.concatenate([l_new, ang.b[:, None]], axis=1),
-                                       _RANK_FLOOR + 1, ang.rows)
+                                       l_new, _RANK_FLOOR + 1, ang.rows)
     return AugmentedFactors(X_hat=x_hat, V_hat=np.concatenate([state.V_basis, v_new], axis=1),
                             flow_minus=flow_minus, gram=gram, x_source=x_source)
 

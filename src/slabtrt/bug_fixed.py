@@ -24,9 +24,14 @@ __all__ = ["step_bug_fixed"]
 
 
 def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
-    """V^T A+ V and V^T A- V from the nodal factor W = T^T V."""
-    ang = ws.angular
-    return (w.T * ang.mu_plus) @ w, (w.T * ang.mu_minus) @ w
+    """V^T A+ V and V^T A- V from the nodal factor W = T^T V.
+
+    mu+ is zero on the nodes mu < 0 and mu- on the nodes mu >= 0, so each
+    projection sums over its own half of the rows of W.
+    """
+    ang, n = ws.angular, ws.angular.n_neg
+    lower, upper = w[:n], w[n:]
+    return (upper.T * ang.mu_plus[n:]) @ upper, (lower.T * ang.mu_minus[:n]) @ lower
 
 
 def _spatial_blocks(x: np.ndarray, diffs: np.ndarray, ws: FullSchemeWorkspace):
@@ -56,13 +61,16 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     This is the modal dense update in the basis V, with flux = (V^T A+ V, V^T A- V)
     in place of A+- and V^T b = W^T T^T b in place of b; absorption is a
     pointwise division. The stencil of K is that of X times S: D+-K = (D+-X) S.
+    The shift and eps scale the r x r factors, and the tall terms are
+    accumulated in place into one array.
     """
     eps, w, s = ws.params.epsilon, state.V_basis, state.S_coeff
     shift = eps**2 / dt
     flux_plus, flux_minus = flux
-    advect = diffs[:-1] @ (s @ flux_plus) + diffs[1:] @ (s @ flux_minus)
-    rhs = (shift * (state.X_basis @ s) - eps * advect
-           - source[:, None] * (w.T @ ws.angular.b))
+    rhs = state.X_basis @ (shift * s)
+    rhs -= diffs[:-1] @ (eps * (s @ flux_plus))
+    rhs -= diffs[1:] @ (eps * (s @ flux_minus))
+    rhs -= np.multiply.outer(source, w.T @ ws.angular.b)
     rhs /= (shift + ws.sigma.at_interfaces)[:, None]
     return rhs
 
@@ -74,14 +82,19 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     blocks = (X^T D- X, X^T sigma X) and x_source = X^T source. A+ L F- + A- L F+
     with F- = (D- X)^T X and F+ = -F-^T is, in nodal coordinates,
     P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
-    The absorption makes the implicit solve an r x r SPD system.
+    The absorption makes the implicit solve an r x r SPD system. mu+ is zero
+    on the nodes mu < 0 and mu- on the nodes mu >= 0, so each product is
+    taken on its own half of the rows.
     """
-    eps, ang = ws.params.epsilon, ws.angular
+    eps, ang, n = ws.params.epsilon, ws.angular, ws.angular.n_neg
     shift = eps**2 / dt
     flow_minus, gram = blocks
     l_nodal = state.V_basis @ state.S_coeff.T
-    advect = (ang.mu_plus[:, None] * (l_nodal @ flow_minus.T)
-              - ang.mu_minus[:, None] * (l_nodal @ flow_minus))
+    advect = np.empty_like(l_nodal)
+    np.matmul(l_nodal[n:], flow_minus.T, out=advect[n:])
+    advect[n:] *= ang.mu_plus[n:, None]
+    np.matmul(l_nodal[:n], flow_minus, out=advect[:n])
+    advect[:n] *= -ang.mu_minus[:n, None]
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
     rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
     return rhs @ _absorb_inverse(gram, shift)

@@ -63,12 +63,10 @@ def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
     """Thermal gradient delta0(T) and the full first-moment source.
 
     The source adds eps^2 * delta0(h) to the thermal part; the thermal part over
-    sigma is the diffusion-limit direction. Returns (thermal, source). Both
-    gradients come from one difference of the columns [T | h].
+    sigma is the diffusion-limit direction. Returns (thermal, source).
     """
-    grads = diff_interface(np.array([macro.temperature, macro.h_meso]).T, ws.grid)
-    thermal = grads[:, 0]
-    return thermal, thermal + ws.params.epsilon**2 * grads[:, 1]
+    thermal = diff_interface(macro.temperature, ws.grid)
+    return thermal, thermal + ws.params.epsilon**2 * diff_interface(macro.h_meso, ws.grid)
 
 
 def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorkspace,
@@ -101,7 +99,7 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     eps, ang = ws.params.epsilon, ws.angular
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
-    neg = int(np.searchsorted(mu, 0.0))  # the Gauss nodes ascend
+    neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]
     diff = ws._flux_buffer
     # zero ghosts; 0 - g, not -g, which would turn a +0 difference into -0
     diff[0] = g[0]

@@ -180,7 +180,7 @@ def _cholesky_qr(mat: np.ndarray):
     Accurate for nearly orthonormal mat. R is upper triangular, so the first
     column of Q is the first column of mat divided by its norm.
     """
-    upper = np.linalg.cholesky(mat.T @ mat).T
+    upper = np.linalg.cholesky(_gram(mat)).T
     return mat @ np.linalg.inv(upper), upper
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from slabtrt.angular import build_angular_operators, orthonormal_legendre_table
 from slabtrt.bug_fixed import (
+    _absorb_inverse,
     _flux_projections,
     _galerkin_update,
     _k_update,
@@ -60,6 +61,29 @@ def kernel_galerkin(x_new, w_new, s_tilde, source, ws, dt):
     blocks = _spatial_blocks(x_new, padded_difference(x_new, ws.grid), ws)
     return _galerkin_update(w_new, s_tilde, ws, dt, blocks, x_new.T @ source,
                             _flux_projections(w_new, ws))
+
+
+# The angular products of the BUG kernels with mu+ and mu- applied on every
+# Gauss node, the zero factors included. The package applies each on its own
+# half of the nodes; these are what that split must reproduce.
+
+
+def all_node_flux_projections(w, angular):
+    """(W^T diag(mu+) W, W^T diag(mu-) W) summed over all N + 1 nodes."""
+    return (w.T * angular.mu_plus) @ w, (w.T * angular.mu_minus) @ w
+
+
+def all_node_l_update(state, ws, dt, blocks, x_source):
+    """The L-step (nodal T^T L) with P (mu+ o (W S^T F-^T) - mu- o (W S^T F-)) on all nodes."""
+    eps, ang = ws.params.epsilon, ws.angular
+    shift = eps**2 / dt
+    flow_minus, gram = blocks
+    l_nodal = state.V_basis @ state.S_coeff.T
+    advect = (ang.mu_plus[:, None] * (l_nodal @ flow_minus.T)
+              - ang.mu_minus[:, None] * (l_nodal @ flow_minus))
+    advect -= ang.t0[:, None] * (ang.t0 @ advect)
+    rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
+    return rhs @ _absorb_inverse(gram, shift)
 
 
 class FluxMatrices(NamedTuple):

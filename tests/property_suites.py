@@ -6,15 +6,17 @@ stated tolerance and report the margin.
 
 import numpy as np
 
-from oracles import flux_matrices, reconstruct, reference_ap_truncate
+from oracles import flux_matrices, nodal_state, reconstruct, reference_ap_truncate
 from slabtrt.angular import build_angular_operators, orthonormal_legendre_table
-from slabtrt.bug_adaptive import ap_truncate
+from slabtrt.bug_adaptive import ap_truncate, step_bug_adaptive
 from slabtrt.bug_fixed import step_bug_fixed
 from slabtrt.full_scheme import FullSchemeWorkspace
+from slabtrt.limits_diagnostics import cfl_report, energy
 from slabtrt.mesh_state import (
     AbsorptionField,
     LowRankMicroState,
     MacroState,
+    PhysicalParams,
     StaggeredGrid,
     padded_difference,
 )
@@ -218,8 +220,6 @@ def gauge_invariance_suite(n_instances=200, seed=23):
         grid = StaggeredGrid(-1.0, 1.0, nx)
         ang = build_angular_operators(n_mom)
         sigma = AbsorptionField(rng.uniform(0.4, 2.0, nx), rng.uniform(0.4, 2.0, nx + 1))
-        from slabtrt.mesh_state import PhysicalParams
-
         params = PhysicalParams(epsilon=float(rng.uniform(0.05, 1.0)))
         ws = FullSchemeWorkspace(grid, params, sigma, ang)
         macro = MacroState(rng.standard_normal(nx), rng.standard_normal(nx))
@@ -238,4 +238,45 @@ def gauge_invariance_suite(n_instances=200, seed=23):
         ga = reconstruct(out_a)
         gb = reconstruct(out_b)
         worst = max(worst, np.linalg.norm(ga - gb) / max(np.linalg.norm(ga), 1e-300))
+    return worst
+
+
+def step_energy_suite(n_instances=100, seed=29):
+    """Largest relative energy gain of one low-rank step at the CFL bound.
+
+    Each instance draws a grid, absorption, epsilon, macro state and a random
+    low-rank state whose first angular column is pinned to b/|b|, and takes one
+    `bug_fixed` step and one `bug_adaptive` step from it with dt at the CFL
+    bound of `cfl_report`. Returns the worst (E_new - E_old) / E_old over both
+    schemes, nonpositive when no step gains energy. The absorption and the
+    macro state span three decades down from O(1): with strong absorption and
+    an O(1) macro state every step loses at least 0.1% of its energy, which
+    would hide a Galerkin advection that gains energy.
+    """
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(n_instances):
+        nx = int(rng.integers(4, 30))
+        n_mom = int(rng.integers(2, 12))
+        r = int(rng.integers(1, min(5, n_mom) + 1))
+        grid = StaggeredGrid(0.0, float(rng.uniform(0.5, 3.0)), nx)
+        ang = build_angular_operators(n_mom)
+        sigma = AbsorptionField(10.0 ** rng.uniform(-3.0, 1.0, nx),
+                                10.0 ** rng.uniform(-3.0, 1.0, nx + 1))
+        params = PhysicalParams(epsilon=float(10.0 ** rng.uniform(-4.0, 0.0)))
+        ws = FullSchemeWorkspace(grid, params, sigma, ang)
+        dt = cfl_report(params, grid, ang, sigma)[0]
+        scale = 10.0 ** rng.uniform(-3.0, 0.0)
+        macro = MacroState(scale * rng.standard_normal(nx), scale * rng.standard_normal(nx))
+        v = np.zeros((n_mom, r))
+        v[0, 0] = 1.0
+        if r > 1:
+            v[1:, 1:] = _random_orthonormal(rng, n_mom - 1, r - 1)
+        state = nodal_state(_random_orthonormal(rng, nx + 1, r), rng.standard_normal((r, r)), v)
+        e_old = energy(macro, state.micro_norm_sq(grid.dx), params, grid)
+        theta_rel = float(rng.uniform(0.0, 0.1))
+        for new_macro, new_state in (step_bug_fixed(macro, state, ws, dt),
+                                     step_bug_adaptive(macro, state, ws, dt, theta_rel)):
+            e_new = energy(new_macro, new_state.micro_norm_sq(grid.dx), params, grid)
+            worst = max(worst, (e_new - e_old) / e_old)
     return worst

@@ -126,6 +126,31 @@ class TestAugmentBases:
             np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]),
                                        rtol=0, atol=1e-13)
 
+    def test_angular_extension_takes_l_alone(self, monkeypatch):
+        # V[:, 0] is b/|b|, so the extension receives only the r columns of L, and
+        # the pinned column leads V_hat and every truncated basis bit for bit
+        rng = np.random.default_rng(133)
+        ws = make_workspace(nx=20, n_moments=12, seed=134)
+        pin = ws.angular.pin
+        macro = MacroState(rng.uniform(0.5, 2.0, 20), rng.standard_normal(20))
+        state = zero_low_rank_state(21, ws.angular.T_mat, rank=1)
+        widths = []
+        extend = bug_adaptive.extend_orthonormal_columns
+
+        def spied(basis, cols, *args):
+            if basis.shape[0] == ws.angular.n_moments + 1:  # the angular extension
+                widths.append(cols.shape[1])
+            return extend(basis, cols, *args)
+
+        monkeypatch.setattr(bug_adaptive, "extend_orthonormal_columns", spied)
+        for _ in range(6):
+            np.testing.assert_array_equal(state.V_basis[:, 0], pin)
+            np.testing.assert_array_equal(augment_bases(state, macro, ws, 0.02).V_hat[:, 0], pin)
+            assert widths[-1] == state.rank
+            macro, state = step_bug_adaptive(macro, state, ws, 0.02, 1e-3)
+        np.testing.assert_array_equal(state.V_basis[:, 0], pin)
+        assert state.rank > 1
+
     def test_first_angular_column_must_be_pinned(self):
         rng = np.random.default_rng(132)
         ws = make_workspace(seed=133)

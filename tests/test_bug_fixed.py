@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    all_node_flux_projections,
+    all_node_l_update,
     kernel_galerkin,
     kernel_k,
     kernel_l,
@@ -494,6 +496,28 @@ class TestNodalKernels:
         want = rhs / (shift + ws.sigma.at_interfaces)[:, None]
         got = kernel_k(state, source, ws, dt)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n_moments", [1, 2, 7, 8, 24, 25])
+    def test_half_node_products_match_all_node_formulas(self, n_moments):
+        # mu+ on the nodes mu >= 0 and mu- on the nodes mu < 0 only: with an odd
+        # N + 1 the node mu = 0 is in the mu+ half, where both factors vanish
+        rng = np.random.default_rng(94 + n_moments)
+        nx, rank = 9, min(n_moments, 4)
+        ws = make_workspace(nx=nx, n_moments=n_moments, seed=95)
+        ang = ws.angular
+        assert ang.n_neg == int(np.searchsorted(ang.quad.nodes, 0.0))
+        assert np.all(ang.quad.nodes[:ang.n_neg] < 0.0)
+        assert np.all(ang.quad.nodes[ang.n_neg:] >= 0.0)
+        state = random_state(rng, nx + 1, n_moments, rank)
+        x = state.X_basis
+        blocks = bug_fixed._spatial_blocks(x, padded_difference(x, ws.grid), ws)
+        x_source = x.T @ rng.standard_normal(nx + 1)
+        pairs = list(zip(_flux_projections(state.V_basis, ws),
+                         all_node_flux_projections(state.V_basis, ang)))
+        pairs.append((bug_fixed._l_update(state, ws, 0.03, blocks, x_source),
+                      all_node_l_update(state, ws, 0.03, blocks, x_source)))
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     def test_steps_read_no_transformation_matrix(self, scheme):

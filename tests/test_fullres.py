@@ -10,6 +10,16 @@ from slabtrt.cli_io import main
 
 pytestmark = pytest.mark.slow
 
+# The `rank` column of bug_adaptive's history (every 20th step) in each sweep
+# below. A rounding-level change of the kernels must not flip a truncation
+# decision: the ranks are compared entry by entry.
+ADAPTIVE_RANKS = {
+    ("rectangular_pulse", "1.0"): [7, 8, 8, 9, 9, 9, 10, 10, 10, 10, 10, 10, 10, 10, 10],
+    ("absorber", "1.0"): [7, 7, 8, 9, 9, 10, 11, 11, 12, 12, 12, 13, 13, 14, 14],
+    ("rectangular_pulse", "1e-5"): [3] * 237,
+    ("absorber", "1e-5"): [3] * 237,
+}
+
 
 def read_column(path, header_name):
     lines = path.read_text().strip().splitlines()
@@ -36,6 +46,11 @@ def run_sweep(tmp_path, scenario, epsilon, rank):
     return out
 
 
+def assert_adaptive_ranks(out, scenario, epsilon):
+    ranks = read_column(out / "bug_adaptive" / "history.csv", "rank")
+    assert ranks.tolist() == ADAPTIVE_RANKS[(scenario, epsilon)]
+
+
 @pytest.mark.parametrize("scenario", ["rectangular_pulse", "absorber"])
 def test_fullres_kinetic(tmp_path, scenario):
     out = run_sweep(tmp_path, scenario, "1.0", rank=15)
@@ -53,6 +68,7 @@ def test_fullres_kinetic(tmp_path, scenario):
         assert np.all(np.diff(energies) <= 1e-12 * energies[0])
         mass_err = read_column(out / scheme / "history.csv", "rel_mass_error")
         assert np.all(mass_err <= limit)
+    assert_adaptive_ranks(out, scenario, "1.0")
 
 
 @pytest.mark.parametrize("scenario", ["rectangular_pulse", "absorber"])
@@ -64,3 +80,4 @@ def test_fullres_diffusive(tmp_path, scenario):
         assert t_diff <= 1e-3
     ranks = read_column(out / "bug_adaptive" / "history.csv", "rank")
     assert ranks.max() <= 3
+    assert_adaptive_ranks(out, scenario, "1e-5")

@@ -1,5 +1,6 @@
 """Randomized invariant suites for the difference operators, angular transfer,
-advection operator, conservative truncation, and gauge freedom."""
+advection operator, conservative truncation, gauge freedom, and the energy of
+one low-rank step."""
 
 import property_suites as suites
 
@@ -33,3 +34,8 @@ def test_truncation_factor_identity():
 
 def test_gauge_invariance_of_fixed_rank_step():
     assert suites.gauge_invariance_suite(200) <= 1e-11
+
+
+def test_low_rank_steps_do_not_gain_energy():
+    # one bug_fixed and one bug_adaptive step at the CFL bound from random pinned states
+    assert suites.step_energy_suite(100) <= 1e-12
