@@ -96,7 +96,10 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     np.matmul(l_nodal[:n], flow_minus, out=advect[:n])
     advect[:n] *= -ang.mu_minus[:n, None]
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
-    rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
+    advect *= eps
+    rhs = np.multiply(l_nodal, shift, out=l_nodal)
+    rhs -= advect
+    rhs -= np.multiply.outer(ang.b, x_source)
     return rhs @ _absorb_inverse(gram, shift)
 
 

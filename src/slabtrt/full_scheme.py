@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,15 +36,22 @@ class FullSchemeWorkspace:
     # Galerkin blocks of the bases the last fixed-rank step returned, for the
     # K- and L-step of the next one (see bug_fixed._blocks_of)
     _carried_blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:
             raise ValueError("absorption field does not match the grid")
 
-    @cached_property
     def _flux_buffer(self) -> np.ndarray:
-        """Work rows of the dense step, one per interface plus one, reused by every step."""
-        return np.empty((self.grid.n_cells + 2, self.angular.n_moments + 1))
+        """Work rows of the dense step, one per interface plus one, reused by every step.
+
+        Allocated again when the grid or the angular operators were replaced by
+        ones of another size.
+        """
+        shape = (self.grid.n_cells + 2, self.angular.n_moments + 1)
+        if self._buffer is None or self._buffer.shape != shape:
+            self._buffer = np.empty(shape)
+        return self._buffer
 
     def check_step(self, macro: MacroState, n_rows: int, n_nodes: int, dt: float):
         """Reject a step size, or a macro state and nodal micro shape that do not fit."""
@@ -100,14 +106,13 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]
-    diff = ws._flux_buffer
+    diff = ws._flux_buffer()
     # zero ghosts; 0 - g, not -g, which would turn a +0 difference into -0
     diff[0] = g[0]
     np.subtract(g[1:], g[:-1], out=diff[1:-1])
     np.subtract(0.0, g[-1], out=diff[-1])
+    diff *= mu  # one full-width pass; the rows diff[0, :neg] and diff[-1, neg:] go unread
     forward, backward = diff[1:, :neg], diff[:-1, neg:]
-    forward *= mu[:neg]
-    backward *= mu[neg:]
     along_t0 = forward @ ang.t0[:neg] + backward @ ang.t0[neg:]
     g_new = np.multiply(g, shift)
     g_new[:, :neg] -= forward

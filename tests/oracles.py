@@ -7,7 +7,9 @@ time basis completion, Householder QR with padding, the loop form of the
 kept-rank rule, the grid-space conservative truncation and the full-stack
 basis augmentation) are the straightforward formulations that the package's
 blocked, vectorized, coefficient-space and block-extension versions must
-reproduce.
+reproduce. Two earlier forms of package kernels (the dense step scaling on
+half-width views, the L-step right-hand side from temporaries) are kept as
+the references their present forms must match bit for bit.
 
 The modal references come first: the flux matrices A, A+-, |A|, the modal
 views of the nodal states and the kinetic initialization. No step of the
@@ -27,7 +29,7 @@ from slabtrt.bug_fixed import (
     _l_update,
     _spatial_blocks,
 )
-from slabtrt.full_scheme import emission_gradient_parts
+from slabtrt.full_scheme import emission_gradient_parts, meso_macro_update
 from slabtrt.mesh_state import (
     FullMicroState,
     LowRankMicroState,
@@ -81,6 +83,53 @@ def all_node_l_update(state, ws, dt, blocks, x_source):
     l_nodal = state.V_basis @ state.S_coeff.T
     advect = (ang.mu_plus[:, None] * (l_nodal @ flow_minus.T)
               - ang.mu_minus[:, None] * (l_nodal @ flow_minus))
+    advect -= ang.t0[:, None] * (ang.t0 @ advect)
+    rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
+    return rhs @ _absorb_inverse(gram, shift)
+
+
+# Earlier forms of two kernels, kept as references that the present ones must
+# reproduce bit for bit: the dense step scaling its upwind differences on the
+# two half-width views, and the L-step right-hand side from three temporaries.
+
+
+def half_width_step_full(macro, micro, ws, dt):
+    """`step_full` with the differences scaled by mu on each half of the nodes only."""
+    g = micro.g_matrix
+    ws.check_step(macro, *g.shape, dt)
+    eps, ang = ws.params.epsilon, ws.angular
+    shift = eps**2 / dt
+    mu = (eps / ws.grid.dx) * ang.quad.nodes
+    neg = ang.n_neg
+    diff = np.empty((g.shape[0] + 1, g.shape[1]))
+    diff[0] = g[0]
+    np.subtract(g[1:], g[:-1], out=diff[1:-1])
+    np.subtract(0.0, g[-1], out=diff[-1])
+    forward, backward = diff[1:, :neg], diff[:-1, neg:]
+    forward *= mu[:neg]
+    backward *= mu[neg:]
+    along_t0 = forward @ ang.t0[:neg] + backward @ ang.t0[neg:]
+    g_new = np.multiply(g, shift)
+    g_new[:, :neg] -= forward
+    g_new[:, neg:] -= backward
+    source = emission_gradient_parts(macro, ws)[1]
+    g_new += np.matmul(np.column_stack([along_t0, -source]), ang.t0_b, out=diff[:-1])
+    g_new /= (shift + ws.sigma.at_interfaces)[:, None]
+    h_new, t_new = meso_macro_update(g_new @ ang.pin, macro, ws, dt)
+    return MacroState(t_new, h_new), FullMicroState(g_new)
+
+
+def three_temporary_l_update(state, ws, dt, blocks, x_source):
+    """`_l_update` with its right-hand side built from three (N+1) x r temporaries."""
+    eps, ang, n = ws.params.epsilon, ws.angular, ws.angular.n_neg
+    shift = eps**2 / dt
+    flow_minus, gram = blocks
+    l_nodal = state.V_basis @ state.S_coeff.T
+    advect = np.empty_like(l_nodal)
+    np.matmul(l_nodal[n:], flow_minus.T, out=advect[n:])
+    advect[n:] *= ang.mu_plus[n:, None]
+    np.matmul(l_nodal[:n], flow_minus, out=advect[:n])
+    advect[:n] *= -ang.mu_minus[:n, None]
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
     rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
     return rhs @ _absorb_inverse(gram, shift)

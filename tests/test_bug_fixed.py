@@ -18,6 +18,7 @@ from oracles import (
     oracle_l_step,
     oracle_step_full,
     reconstruct,
+    three_temporary_l_update,
     upwind,
 )
 from slabtrt import bug_fixed
@@ -518,6 +519,21 @@ class TestNodalKernels:
                       all_node_l_update(state, ws, 0.03, blocks, x_source)))
         for got, want in pairs:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("rank", [1, 5])
+    @pytest.mark.parametrize("n_moments", [7, 8, 100])
+    def test_in_place_l_step_matches_three_temporary_form_bit_for_bit(self, n_moments, rank):
+        rng = np.random.default_rng(19 * n_moments + rank)
+        nx = 9
+        ws = make_workspace(nx=nx, n_moments=n_moments, seed=rank)
+        for _ in range(3):
+            state = random_state(rng, nx + 1, n_moments, rank)
+            x = state.X_basis
+            blocks = bug_fixed._spatial_blocks(x, padded_difference(x, ws.grid), ws)
+            x_source = x.T @ rng.standard_normal(nx + 1)
+            got = bug_fixed._l_update(state, ws, 0.03, blocks, x_source)
+            want = three_temporary_l_update(state, ws, 0.03, blocks, x_source)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     def test_steps_read_no_transformation_matrix(self, scheme):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import modal, nodal_dense, oracle_step_full, upwind
+from oracles import half_width_step_full, modal, nodal_dense, oracle_step_full, upwind
 from slabtrt.angular import NORM_P1, build_angular_operators
 from slabtrt.full_scheme import FullSchemeWorkspace, step_full
 from slabtrt.limits_diagnostics import cfl_report, energy, mass, rosseland_step
@@ -37,6 +37,11 @@ def smooth_profile(x, x_min, x_max, seed, modes=4):
     for k in range(1, modes + 1):
         out += rng.standard_normal() / k * np.sin(np.pi * k * s)
     return out
+
+
+def same_bits(got, want):
+    """Equal shapes and equal float64 bit patterns, the sign of zero included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestStepFull:
@@ -105,6 +110,23 @@ class TestStepFull:
         for cols in (2, 5):
             with pytest.raises(ValueError, match="n_moments \\+ 1 columns"):
                 step_full(macro, FullMicroState(np.zeros((4, cols))), ws, 0.1)
+
+    def test_replaced_angular_operators_get_a_buffer_of_their_size(self):
+        # N = 4 -> 6 -> 4 on 10 cells between steps of one workspace: each step
+        # matches the step of a fresh workspace bit for bit
+        rng = np.random.default_rng(19)
+        ws = make_workspace(nx=10, n_moments=4, epsilon=0.5)
+        macro = MacroState(rng.uniform(0.5, 1.5, 10), rng.standard_normal(10))
+        for n_mom in (4, 6, 4):
+            ws.angular = build_angular_operators(n_mom)
+            micro = nodal_dense(rng.standard_normal((11, n_mom)), ws.angular)
+            got = step_full(macro, micro, ws, 0.02)
+            want = step_full(macro, micro, make_workspace(nx=10, n_moments=n_mom, epsilon=0.5),
+                             0.02)
+            assert same_bits(got[1].g_matrix, want[1].g_matrix)
+            assert same_bits(got[0].temperature, want[0].temperature)
+            assert same_bits(got[0].h_meso, want[0].h_meso)
+            macro = got[0]
 
 
 class TestSplitAdvection:
@@ -180,6 +202,35 @@ class TestSplitAdvection:
         for _ in range(2):
             macro, micro = step_full(macro, micro, ws, 0.05)
         np.testing.assert_array_equal(first.g_matrix, kept)
+
+
+class TestFullWidthScaling:
+    """The step against its earlier form, which scaled each half of the nodes on its own view."""
+
+    @pytest.mark.parametrize("start", ["zero_micro", "random"])
+    @pytest.mark.parametrize("n_mom", [1, 2, 7, 8, 100])
+    def test_chained_steps_match_half_width_scaling_bit_for_bit(self, n_mom, start):
+        # N + 1 = 2, 3, 8, 9, 101 nodes; the odd counts carry the node mu = 0
+        nx = 7
+        rng = np.random.default_rng(190 + n_mom)
+        for epsilon in (1.0, 1e-3):
+            ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), PhysicalParams(epsilon=epsilon),
+                                     AbsorptionField(rng.uniform(0.5, 2.0, nx),
+                                                     rng.uniform(0.5, 2.0, nx + 1)),
+                                     build_angular_operators(n_mom))
+            temperature = rng.uniform(0.1, 2.0, nx)
+            if start == "zero_micro":
+                macro = MacroState(temperature, np.zeros(nx))
+                micro = FullMicroState(np.zeros((nx + 1, n_mom + 1)))
+            else:
+                macro = MacroState(temperature, rng.standard_normal(nx))
+                micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
+            got, want = (macro, micro), (macro, micro)
+            for _ in range(3):
+                got, want = step_full(*got, ws, 0.02), half_width_step_full(*want, ws, 0.02)
+                assert same_bits(got[1].g_matrix, want[1].g_matrix)
+                assert same_bits(got[0].temperature, want[0].temperature)
+                assert same_bits(got[0].h_meso, want[0].h_meso)
 
 
 class TestEnergyAndMass:
