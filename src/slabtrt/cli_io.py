@@ -173,18 +173,10 @@ def _start_problem(config: RunConfig):
     return None
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain digits for integers, text as is."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: str, rows):
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    """One line per row; str gives text as is, plain digits for integers and the
+    shortest round-trip decimal for floats, numpy's float64 included."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -250,17 +242,19 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
             return step_bug_adaptive(macro, micro, ws, dt_step, theta_rel)
     elif scheme == "rosseland":
         micro = FullMicroState(np.zeros((n_rows, 0)))
+        h_zero = np.zeros(ws.grid.n_cells)  # read-only once a MacroState holds it
 
         def advance(macro, micro, dt_step):
             t_new = rosseland_step(macro.temperature, ws.grid, ws.sigma, dt_step)
-            return MacroState(t_new, np.zeros(ws.grid.n_cells)), micro
+            return MacroState(t_new, h_zero), micro
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}")
 
     t = 0.0
     step = 0
+    stop = _stop_time(t_end)
     yield t, 0.0, macro, micro
-    while t < _stop_time(t_end):
+    while t < stop:
         dt_step = min(dt, t_end - t)
         step += 1
         try:
@@ -285,10 +279,11 @@ def _run(config: RunConfig) -> RunResult:
     theta = config.theta_rel if config.theta_rel is not None else scn.theta_rel
 
     m0 = mass(built.macro, params, grid)
+    stop, flag_above = _stop_time(t_end), cfl_dt * _CFL_FLAG_SLACK
     history = []
     run = simulate(config.scheme, built.macro, ws, dt, t_end, rank, theta)
     for step, (t, dt_step, macro, micro) in enumerate(run):
-        if step and (step % config.history_stride == 0 or t >= _stop_time(t_end)):
+        if step and (step % config.history_stride == 0 or t >= stop):
             m_n = mass(macro, params, grid)
             history.append((
                 t,
@@ -297,7 +292,7 @@ def _run(config: RunConfig) -> RunResult:
                 relative_mass_error(m_n, m0),
                 getattr(micro, "rank", 0),  # the dense and the diffusion scheme report 0
                 dt_step,
-                int(dt_step > cfl_dt * _CFL_FLAG_SLACK),
+                int(dt_step > flag_above),
             ))
 
     return RunResult(
@@ -314,19 +309,17 @@ def _write_result(result: RunResult, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "history.csv", HISTORY_HEADER, result.history)
     macro = result.macro
-    # every entry is a float, so _fmt is repr; one tolist() makes the Python floats
-    profiles = np.column_stack([result.grid.centers, macro.temperature, result.phi,
-                                macro.h_meso]).tolist()
-    lines = [PROFILES_HEADER, *(",".join(map(repr, row)) for row in profiles)]
-    (out_dir / "profiles.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one tolist() makes the Python floats
+    _write_csv(out_dir / "profiles.csv", PROFILES_HEADER, np.column_stack([
+        result.grid.centers, macro.temperature, result.phi, macro.h_meso]).tolist())
 
 
 def run_simulation(config: RunConfig, out=None) -> int:
     """Run one scheme and write history.csv and profiles.csv to output_dir."""
     out = out if out is not None else sys.stdout
     result = _run(config)
-    print(f"cfl_dt = {_fmt(result.cfl_dt)}", file=out)
-    print(f"dt = {_fmt(result.dt_used)}", file=out)
+    print(f"cfl_dt = {result.cfl_dt}", file=out)
+    print(f"dt = {result.dt_used}", file=out)
     _write_result(result, Path(config.output_dir))
     return 0
 
@@ -334,8 +327,8 @@ def run_simulation(config: RunConfig, out=None) -> int:
 def _cmd_cfl(config: RunConfig, out) -> int:
     _, built, ws = _prepare(config)
     dt, node = cfl_report(built.params, built.grid, ws.angular, built.sigma)
-    print(f"cfl_dt = {_fmt(dt)}", file=out)
-    print(f"minimizing_node = {_fmt(node)}", file=out)
+    print(f"cfl_dt = {dt}", file=out)
+    print(f"minimizing_node = {node}", file=out)
     return 0
 
 
@@ -355,7 +348,7 @@ def _cmd_sweep(config: RunConfig, schemes: str, out) -> int:
         result = _run(replace(config, scheme=scheme))
         _write_result(result, out_dir / scheme)
         results[scheme] = result
-        print(f"{scheme}: cfl_dt = {_fmt(result.cfl_dt)}, dt = {_fmt(result.dt_used)}", file=out)
+        print(f"{scheme}: cfl_dt = {result.cfl_dt}, dt = {result.dt_used}", file=out)
 
     rows = []
     for i, name_a in enumerate(schemes):

@@ -59,6 +59,8 @@ class FullSchemeWorkspace:
             raise ValueError("dt must be strictly positive")
         if macro.n_cells != self.grid.n_cells:
             raise ValueError("macro state does not match the grid")
+        if self.sigma.at_centers.shape[0] != self.grid.n_cells:
+            raise ValueError("absorption field sigma does not match the grid")
         if n_rows != self.grid.n_cells + 1:
             raise ValueError("micro state must live on the n_cells + 1 interfaces")
         if n_nodes != self.angular.n_moments + 1:

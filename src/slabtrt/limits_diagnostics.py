@@ -84,16 +84,17 @@ def rosseland_step(temperature: np.ndarray, grid: StaggeredGrid, sigma: Absorpti
         raise ValueError("temperature must have n_cells entries")
 
     # (1/sigma) * delta, not delta / sigma, which can change the last bit of the output
-    flux = 1.0 / sigma.at_interfaces * diff_interface(t, grid)
+    flux = sigma.inv_at_interfaces * diff_interface(t, grid)
     divergence = diff_center(flux, grid)
 
-    coef = dt * (2.0 / 3.0) / 3.0
-    return t + coef * divergence
+    divergence *= dt * (2.0 / 3.0) / 3.0
+    divergence += t
+    return divergence
 
 
 def rosseland_stable_dt(grid: StaggeredGrid, sigma: AbsorptionField) -> float:
     """Conservative parabolic bound dx^2 / (2 D_max) for the explicit limit solver."""
-    diffusivity = (2.0 / 3.0) * np.max(1.0 / sigma.at_interfaces)
+    diffusivity = (2.0 / 3.0) * float(sigma.inv_at_interfaces.max())
     if diffusivity <= 0.0:
         return np.inf
     return grid.dx**2 / (2.0 * diffusivity)

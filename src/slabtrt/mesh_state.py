@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,7 @@ class AbsorptionField:
     at_centers: np.ndarray
     at_interfaces: np.ndarray
     sigma_min: float = field(init=False)
+    inv_at_interfaces: np.ndarray = field(init=False, repr=False, compare=False)  # 1 / sigma
 
     def __post_init__(self):
         ac = np.asarray(self.at_centers, dtype=float)
@@ -94,6 +96,9 @@ class AbsorptionField:
         object.__setattr__(self, "at_centers", ac)
         object.__setattr__(self, "at_interfaces", ai)
         object.__setattr__(self, "sigma_min", float(min(ac.min(), ai.min())))
+        inv = 1.0 / ai
+        inv.setflags(write=False)
+        object.__setattr__(self, "inv_at_interfaces", inv)
 
 
 def absorption_from_function(sigma_fn, grid: StaggeredGrid) -> AbsorptionField:
@@ -115,7 +120,10 @@ class MacroState:
         h = np.asarray(self.h_meso, dtype=float)
         if t.shape != h.shape or t.ndim != 1:
             raise ValueError("temperature and h_meso must be 1-d arrays of equal length")
-        if not (np.isfinite(t).all() and np.isfinite(h).all()):
+        # a non-finite entry makes the sum of squares non-finite (vdot reports no
+        # overflow); only finite entries above ~1e154 also need the entrywise check
+        if not (math.isfinite(np.vdot(t, t)) and math.isfinite(np.vdot(h, h))) and not (
+                np.isfinite(t).all() and np.isfinite(h).all()):
             raise ValueError("macro state contains non-finite entries")
         t.setflags(write=False)
         h.setflags(write=False)

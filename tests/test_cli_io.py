@@ -11,6 +11,10 @@ from slabtrt.cli_io import (
     SCHEMES,
     ConfigError,
     RunConfig,
+    RunResult,
+    _run,
+    _write_csv,
+    _write_result,
     main,
     parse_config,
     run_simulation,
@@ -205,6 +209,55 @@ class TestRunSimulation:
         _, rows_dense = read_rows(tmp_path / "d" / "history.csv")
         assert len(rows) < len(rows_dense)
         assert float(rows[-1][0]) == pytest.approx(0.2, abs=1e-14)
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_history_rows_hold_python_numbers(self, scheme):
+        # the kinetic pulse on 201 cells: the Rosseland step is set by its parabolic bound
+        config = RunConfig(scenario="rectangular_pulse", scheme=scheme, nx=201, n_moments=6,
+                           epsilon=1.0, rank=3, t_end=0.05)
+        result = _run(config)
+        if scheme == "rosseland":
+            assert result.dt_used < result.cfl_dt
+        assert type(result.cfl_dt) is float and type(result.dt_used) is float
+        assert len(result.history) >= 3
+        for row in result.history:
+            assert [type(v) for v in row] == [float, float, float, float, int, float, int]
+
+    @staticmethod
+    def values(n):
+        """Finite doubles from random bit patterns, plus the edges of repr's formats."""
+        bits = np.random.default_rng(20).integers(0, 2**64, size=n, dtype=np.uint64)
+        drawn = bits.view(np.float64)
+        edges = np.array([0.0, 1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+                          5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0])
+        values = np.concatenate([edges, -edges, drawn[np.isfinite(drawn)]])
+        return values[:values.size - values.size % 4].reshape(-1, 4)
+
+    def test_writers_emit_the_shortest_round_trip_text(self, tmp_path):
+        # numpy float64 inputs are written as the shortest decimal that reads back
+        # bit for bit, the text repr gives a Python float
+        table = self.values(400)
+        history = [(np.float64(a), b, np.float64(c), d, 3, np.float64(a), 0)
+                   for a, b, c, d in table.tolist()]
+        grid = build_scenario("absorber", {"nx": table.shape[0]}).grid
+        result = RunResult(grid=grid, macro=MacroState(table[:, 1], table[:, 3]),
+                           phi=table[:, 2], history=history, cfl_dt=1.0, dt_used=1.0)
+        _write_result(result, tmp_path)
+        comparison = [("full", "rosseland", np.float64(a), np.float64(b))
+                      for a, b in table[:, :2].tolist()]
+        _write_csv(tmp_path / "comparison.csv", COMPARISON_HEADER, comparison)
+
+        def text(v):
+            return v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
+
+        profiles = np.column_stack([grid.centers, table[:, 1], table[:, 2], table[:, 3]])
+        for name, header, rows in (("history.csv", HISTORY_HEADER, history),
+                                   ("profiles.csv", PROFILES_HEADER, profiles.tolist()),
+                                   ("comparison.csv", COMPARISON_HEADER, comparison)):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            assert lines == [header] + [",".join(text(v) for v in row) for row in rows]
 
 
 class TestSimulate:

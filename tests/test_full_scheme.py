@@ -5,14 +5,25 @@ import pytest
 
 from oracles import half_width_step_full, modal, nodal_dense, oracle_step_full, upwind
 from slabtrt.angular import NORM_P1, build_angular_operators
+from slabtrt.bug_adaptive import step_bug_adaptive
+from slabtrt.bug_fixed import step_bug_fixed
+from slabtrt.cli_io import simulate
 from slabtrt.full_scheme import FullSchemeWorkspace, step_full
-from slabtrt.limits_diagnostics import cfl_report, energy, mass, rosseland_step
+from slabtrt.limits_diagnostics import (
+    cfl_report,
+    energy,
+    l2_relative_difference,
+    mass,
+    rosseland_stable_dt,
+    rosseland_step,
+)
 from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    zero_low_rank_state,
 )
 from slabtrt.scenarios import build_scenario
 
@@ -127,6 +138,22 @@ class TestStepFull:
             assert same_bits(got[0].temperature, want[0].temperature)
             assert same_bits(got[0].h_meso, want[0].h_meso)
             macro = got[0]
+
+    @pytest.mark.parametrize("scheme", ["full", "bug_fixed", "bug_adaptive"])
+    def test_grid_replaced_under_sigma_is_refused(self, scheme):
+        # 10 -> 12 cells with sigma still sampled on 10: the step names both
+        # instead of failing on a broadcast inside numpy
+        ws = make_workspace(nx=10, n_moments=4)
+        ws.grid = StaggeredGrid(0.0, 12.0, 12)
+        macro = MacroState(np.ones(12), np.zeros(12))
+        with pytest.raises(ValueError, match="absorption field sigma does not match the grid"):
+            if scheme == "full":
+                step_full(macro, FullMicroState(np.zeros((13, 5))), ws, 0.01)
+            elif scheme == "bug_fixed":
+                step_bug_fixed(macro, zero_low_rank_state(13, ws.angular.T_mat, 2), ws, 0.01)
+            else:
+                step_bug_adaptive(macro, zero_low_rank_state(13, ws.angular.T_mat, 2), ws,
+                                  0.01, 5e-2)
 
 
 class TestSplitAdvection:
@@ -310,6 +337,29 @@ class TestDiffusionLimit:
             t_ref = rosseland_step(t_ref, grid, ws.sigma, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4
+
+    def test_distance_to_the_diffusion_limit_is_first_order_in_epsilon(self):
+        # absorber, 101 cells, N = 16, to t = 0.15 at the step bound: the dense
+        # scheme's temperature is eps * (0.81 +- 0.01) from the Rosseland one for
+        # eps from 1e-3 to 1e-6, and the adaptive scheme stays on the dense one
+        rates = []
+        for epsilon in (1e-3, 1e-4, 1e-5, 1e-6):
+            built = build_scenario("absorber", {"nx": 101, "epsilon": epsilon})
+            ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
+                                     build_angular_operators(16))
+            dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+            limit_dt = min(dt, 0.9 * rosseland_stable_dt(built.grid, built.sigma))
+            final = {}
+            for scheme, step_dt in (("full", dt), ("bug_adaptive", dt), ("rosseland", limit_dt)):
+                *_, (t, _, macro, _) = simulate(scheme, built.macro, ws, step_dt, 0.15,
+                                                rank=1, theta_rel=5e-2)
+                assert t == pytest.approx(0.15, abs=1e-14)
+                final[scheme] = macro.temperature
+            rates.append(l2_relative_difference(final["full"], final["rosseland"],
+                                                built.grid) / epsilon)
+            assert l2_relative_difference(final["bug_adaptive"], final["full"],
+                                          built.grid) <= 1e-10
+        assert max(rates) <= 2.0 * min(rates)
 
 
 def step_map_energy_norm(scenario, epsilon, nx=41, n_mom=8):

@@ -17,6 +17,8 @@ from slabtrt.mesh_state import (
     MacroState,
     PhysicalParams,
     StaggeredGrid,
+    diff_center,
+    diff_interface,
 )
 
 
@@ -172,6 +174,25 @@ class TestRosseland:
         sigma = AbsorptionField(np.full(nx, 0.3), sig_i)  # centers play no part
         dt = rosseland_stable_dt(grid, sigma)
         assert dt == pytest.approx(grid.dx**2 / (2.0 * (2.0 / 3.0) / 0.45), rel=1e-14)
+
+    def test_kept_reciprocal_matches_the_one_of_each_step_bit_for_bit(self):
+        # 1 / sigma is computed once per field, not once per step; the step and
+        # its bound read back the same bits as the form that divided every time
+        rng = np.random.default_rng(20)
+        for nx in (1, 2, 9, 64):
+            grid = StaggeredGrid(-1.0, 2.0, nx)
+            sig_i = rng.uniform(1e-3, 1e3, nx + 1)
+            sigma = AbsorptionField(rng.uniform(0.5, 2.0, nx), sig_i)
+            assert not sigma.inv_at_interfaces.flags.writeable
+            T = rng.uniform(-1.0, 2.0, nx)
+            dt = float(rng.uniform(1e-5, 1e-3))
+            got = rosseland_step(T, grid, sigma, dt)
+            want = T + dt * (2.0 / 3.0) / 3.0 * diff_center(
+                1.0 / sig_i * diff_interface(T, grid), grid)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            bound = rosseland_stable_dt(grid, sigma)
+            assert type(bound) is float
+            assert bound == grid.dx**2 / (2.0 * ((2.0 / 3.0) * np.max(1.0 / sig_i)))
 
     def test_mass_changes_by_the_boundary_fluxes(self):
         # with zero ghosts the interior fluxes cancel in the sum, and the end

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,22 @@ class TestStates:
             MacroState(np.array([1.0, np.nan]), np.zeros(2))
         with pytest.raises(ValueError):
             MacroState(np.zeros(3), np.zeros(2))
+
+    def test_macro_finiteness_is_checked_without_warnings(self):
+        # the squares of 1e200 overflow, yet the entries are finite; a non-finite
+        # entry, or the pair inf, -inf whose sum is nan, is refused by ValueError
+        # and never reported as a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = np.array([1e200, -1e200, 1.0])
+            for t, h in ((big, np.zeros(3)), (np.zeros(3), big), (big, big)):
+                state = MacroState(t, h)
+                assert np.array_equal(state.temperature, t) and np.array_equal(state.h_meso, h)
+            for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf],
+                        [1e200, np.nan]):
+                for t, h in ((np.array(bad), np.zeros(2)), (np.zeros(2), np.array(bad))):
+                    with pytest.raises(ValueError, match="non-finite entries"):
+                        MacroState(t, h)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_low_rank_orthonormality_enforced(self):
