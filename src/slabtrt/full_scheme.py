@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "step_full",
 ]
 
+_BLOCK_BYTES = 512 * 1024  # g rows per step_full block: with output and differences 1.5 MB of L2
+
 
 @dataclass
 class FullSchemeWorkspace:
@@ -43,12 +46,16 @@ class FullSchemeWorkspace:
             raise ValueError("absorption field does not match the grid")
 
     def _flux_buffer(self) -> np.ndarray:
-        """Work rows of the dense step, one per interface plus one, reused by every step.
+        """Difference rows of one row block of the dense step, plus its ghost row.
 
-        Allocated again when the grid or the angular operators were replaced by
-        ones of another size.
+        Blocks hold at most _BLOCK_BYTES of g, in heights of 8 rows, so each starts
+        where BLAS groups the rows of the whole state; a lone last row joins the block
+        before it, since numpy takes a one-row product as a dot, summed in another
+        order. Allocated again when the grid or the angular operators change size.
         """
-        shape = (self.grid.n_cells + 2, self.angular.n_moments + 1)
+        n_rows, width = self.grid.n_cells + 1, self.angular.n_moments + 1
+        height = 8 * math.ceil(n_rows / math.ceil(n_rows * width * 8 / _BLOCK_BYTES) / 8)
+        shape = (min(n_rows, height + 1) + 1, width)
         if self._buffer is None or self._buffer.shape != shape:
             self._buffer = np.empty(shape)
         return self._buffer
@@ -96,11 +103,12 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     A+- = T diag(mu+-) T^T the flux of g T is (D- g T diag(mu+) + D+ g T diag(mu-)) P
     with P = T^T T = I - t0 t0^T: per node an upwind difference times mu, forward
     where mu < 0 and backward where mu >= 0, projected off t0. The source enters
-    along T^T b and absorption is a pointwise scalar division. The differences and
-    then the two rank-one terms go into the workspace buffer, so the new micro
-    state is the only new n x (N+1) array. Order is forced by the implicit
-    couplings: micro moments first, then the mesoscopic variable (which sees the
-    new first moment g T pin), then temperature.
+    along T^T b and absorption is a pointwise scalar division. Row i of the new
+    state reads difference rows i and i + 1 only, so the step runs over row blocks
+    of g that stay in cache, their differences and rank-one terms in the workspace
+    buffer; the new micro state is the only new n x (N+1) array. Order is forced by
+    the implicit couplings: micro moments first, then the mesoscopic variable
+    (which sees the new first moment g T pin), then temperature.
     """
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
@@ -108,20 +116,31 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]
-    diff = ws._flux_buffer()
-    # zero ghosts; 0 - g, not -g, which would turn a +0 difference into -0
-    diff[0] = g[0]
-    np.subtract(g[1:], g[:-1], out=diff[1:-1])
-    np.subtract(0.0, g[-1], out=diff[-1])
-    diff *= mu  # one full-width pass; the rows diff[0, :neg] and diff[-1, neg:] go unread
-    forward, backward = diff[1:, :neg], diff[:-1, neg:]
-    along_t0 = forward @ ang.t0[:neg] + backward @ ang.t0[neg:]
-    g_new = np.multiply(g, shift)
-    g_new[:, :neg] -= forward
-    g_new[:, neg:] -= backward
-    source = emission_gradient_parts(macro, ws)[1]
-    g_new += np.matmul(np.column_stack([along_t0, -source]), ang.t0_b, out=diff[:-1])
-    g_new /= (shift + ws.sigma.at_interfaces)[:, None]
+    buffer = ws._flux_buffer()
+    n_rows, height = g.shape[0], buffer.shape[0] - 2  # a last block may have height + 1 rows
+    # rows [g projection | -source]; the projection column is filled block by block
+    rank_two = np.empty((n_rows, 2))
+    np.negative(emission_gradient_parts(macro, ws)[1], out=rank_two[:, 1])
+    denom = (shift + ws.sigma.at_interfaces)[:, None]
+    g_new, g1_new = np.empty_like(g), np.empty(n_rows)
+    for top in range(0, n_rows - 1, height):
+        end = top + height if n_rows - top > height + 1 else n_rows
+        # difference rows top..end: zero ghosts first, overwritten inside the state;
+        # 0 - g, not -g, which would turn a +0 difference into -0
+        diff = buffer[:end - top + 1]
+        diff[0] = g[0]
+        np.subtract(0.0, g[-1], out=diff[-1])
+        lo, hi = max(top, 1), min(end, n_rows - 1)
+        np.subtract(g[lo:hi + 1], g[lo - 1:hi], out=diff[lo - top:hi - top + 1])
+        diff *= mu  # one full-width pass; the rows diff[0, :neg] and diff[-1, neg:] go unread
+        forward, backward = diff[1:, :neg], diff[:-1, neg:]
+        np.add(forward @ ang.t0[:neg], backward @ ang.t0[neg:], out=rank_two[top:end, 0])
+        block = np.multiply(g[top:end], shift, out=g_new[top:end])
+        block[:, :neg] -= forward
+        block[:, neg:] -= backward
+        block += np.matmul(rank_two[top:end], ang.t0_b, out=diff[:-1])
+        block /= denom[top:end]
+        np.matmul(block, ang.pin, out=g1_new[top:end])
 
-    h_new, t_new = meso_macro_update(g_new @ ang.pin, macro, ws, dt)
+    h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)

@@ -49,9 +49,10 @@ def energy(macro: MacroState, micro_norm_sq: float, params: PhysicalParams,
         raise ValueError("micro_norm_sq must be nonnegative")
     eps, t = params.epsilon, macro.temperature
     core = t + eps**2 * macro.h_meso
-    e = float(core @ core * grid.dx)
+    # vdot, not @: a matmul ufunc that overflows on finite entries warns
+    e = float(np.vdot(core, core) * grid.dx)
     e += (eps / NORM_P0) ** 2 * micro_norm_sq
-    e += 0.5 * float(t @ t) * grid.dx
+    e += 0.5 * float(np.vdot(t, t)) * grid.dx
     return e
 
 

@@ -7,9 +7,10 @@ time basis completion, Householder QR with padding, the loop form of the
 kept-rank rule, the grid-space conservative truncation and the full-stack
 basis augmentation) are the straightforward formulations that the package's
 blocked, vectorized, coefficient-space and block-extension versions must
-reproduce. Two earlier forms of package kernels (the dense step scaling on
-half-width views, the L-step right-hand side from temporaries) are kept as
-the references their present forms must match bit for bit.
+reproduce. Earlier forms of package kernels (the dense step scaling on
+half-width views, the dense step over the whole state at once, the L-step
+right-hand side from temporaries) are kept as the references their present
+forms must match bit for bit.
 
 The modal references come first: the flux matrices A, A+-, |A|, the modal
 views of the nodal states and the kinetic initialization. No step of the
@@ -90,7 +91,8 @@ def all_node_l_update(state, ws, dt, blocks, x_source):
 
 # Earlier forms of two kernels, kept as references that the present ones must
 # reproduce bit for bit: the dense step scaling its upwind differences on the
-# two half-width views, and the L-step right-hand side from three temporaries.
+# two half-width views, the dense step over the whole state in one block, and
+# the L-step right-hand side from three temporaries.
 
 
 def half_width_step_full(macro, micro, ws, dt):
@@ -108,6 +110,31 @@ def half_width_step_full(macro, micro, ws, dt):
     forward, backward = diff[1:, :neg], diff[:-1, neg:]
     forward *= mu[:neg]
     backward *= mu[neg:]
+    along_t0 = forward @ ang.t0[:neg] + backward @ ang.t0[neg:]
+    g_new = np.multiply(g, shift)
+    g_new[:, :neg] -= forward
+    g_new[:, neg:] -= backward
+    source = emission_gradient_parts(macro, ws)[1]
+    g_new += np.matmul(np.column_stack([along_t0, -source]), ang.t0_b, out=diff[:-1])
+    g_new /= (shift + ws.sigma.at_interfaces)[:, None]
+    h_new, t_new = meso_macro_update(g_new @ ang.pin, macro, ws, dt)
+    return MacroState(t_new, h_new), FullMicroState(g_new)
+
+
+def unblocked_step_full(macro, micro, ws, dt):
+    """`step_full` with every pass over the whole state: one (n+1) x (N+1) difference buffer."""
+    g = micro.g_matrix
+    ws.check_step(macro, *g.shape, dt)
+    eps, ang = ws.params.epsilon, ws.angular
+    shift = eps**2 / dt
+    mu = (eps / ws.grid.dx) * ang.quad.nodes
+    neg = ang.n_neg
+    diff = np.empty((g.shape[0] + 1, g.shape[1]))
+    diff[0] = g[0]
+    np.subtract(g[1:], g[:-1], out=diff[1:-1])
+    np.subtract(0.0, g[-1], out=diff[-1])
+    diff *= mu
+    forward, backward = diff[1:, :neg], diff[:-1, neg:]
     along_t0 = forward @ ang.t0[:neg] + backward @ ang.t0[neg:]
     g_new = np.multiply(g, shift)
     g_new[:, :neg] -= forward

@@ -3,7 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import half_width_step_full, modal, nodal_dense, oracle_step_full, upwind
+from oracles import (
+    half_width_step_full,
+    modal,
+    nodal_dense,
+    oracle_step_full,
+    unblocked_step_full,
+    upwind,
+)
+from slabtrt import full_scheme
 from slabtrt.angular import NORM_P1, build_angular_operators
 from slabtrt.bug_adaptive import step_bug_adaptive
 from slabtrt.bug_fixed import step_bug_fixed
@@ -123,21 +131,27 @@ class TestStepFull:
                 step_full(macro, FullMicroState(np.zeros((4, cols))), ws, 0.1)
 
     def test_replaced_angular_operators_get_a_buffer_of_their_size(self):
-        # N = 4 -> 6 -> 4 on 10 cells between steps of one workspace: each step
-        # matches the step of a fresh workspace bit for bit
+        # (cells, N) changed between steps of one workspace: N = 4 -> 6 -> 4 on 10
+        # cells, and 2001 -> 300 -> 2001 cells at N = 400, whose row blocks are
+        # 160 and 152 rows high; each step matches the step of a fresh workspace
+        # bit for bit
         rng = np.random.default_rng(19)
+        sizes = [(10, 4), (10, 6), (10, 4), (2001, 400), (300, 400), (2001, 400), (10, 4)]
         ws = make_workspace(nx=10, n_moments=4, epsilon=0.5)
-        macro = MacroState(rng.uniform(0.5, 1.5, 10), rng.standard_normal(10))
-        for n_mom in (4, 6, 4):
-            ws.angular = build_angular_operators(n_mom)
-            micro = nodal_dense(rng.standard_normal((11, n_mom)), ws.angular)
-            got = step_full(macro, micro, ws, 0.02)
-            want = step_full(macro, micro, make_workspace(nx=10, n_moments=n_mom, epsilon=0.5),
-                             0.02)
-            assert same_bits(got[1].g_matrix, want[1].g_matrix)
-            assert same_bits(got[0].temperature, want[0].temperature)
-            assert same_bits(got[0].h_meso, want[0].h_meso)
-            macro = got[0]
+        for nx, n_mom in sizes:
+            fresh = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5)
+            ws.grid, ws.sigma, ws.angular = fresh.grid, fresh.sigma, fresh.angular
+            macro = MacroState(rng.uniform(0.5, 1.5, nx), rng.standard_normal(nx))
+            micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
+            assert_same_states(step_full(macro, micro, ws, 0.02),
+                               step_full(macro, micro, fresh, 0.02))
+            if nx == 2001:
+                # one 160-row block, its ghost row and a row for a lone last row
+                # to join the block before it; not the n + 1 = 2003 rows of
+                # the whole state
+                assert ws._buffer.shape == (162, 401)
+            else:
+                assert ws._buffer.shape == fresh._buffer.shape
 
     @pytest.mark.parametrize("scheme", ["full", "bug_fixed", "bug_adaptive"])
     def test_grid_replaced_under_sigma_is_refused(self, scheme):
@@ -231,6 +245,34 @@ class TestSplitAdvection:
         np.testing.assert_array_equal(first.g_matrix, kept)
 
 
+def chained_step_pairs(reference, nx, n_mom, start, seed):
+    """Three chained steps of step_full and of `reference` from one start, for eps = 1
+    and 1e-3 on nx cells: (workspace, step_full state, reference state) after each."""
+    rng = np.random.default_rng(seed)
+    for epsilon in (1.0, 1e-3):
+        ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), PhysicalParams(epsilon=epsilon),
+                                 AbsorptionField(rng.uniform(0.5, 2.0, nx),
+                                                 rng.uniform(0.5, 2.0, nx + 1)),
+                                 build_angular_operators(n_mom))
+        temperature = rng.uniform(0.1, 2.0, nx)
+        if start == "zero_micro":
+            macro = MacroState(temperature, np.zeros(nx))
+            micro = FullMicroState(np.zeros((nx + 1, n_mom + 1)))
+        else:
+            macro = MacroState(temperature, rng.standard_normal(nx))
+            micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
+        got, want = (macro, micro), (macro, micro)
+        for _ in range(3):
+            got, want = step_full(*got, ws, 0.02), reference(*want, ws, 0.02)
+            yield ws, got, want
+
+
+def assert_same_states(got, want):
+    assert same_bits(got[1].g_matrix, want[1].g_matrix)
+    assert same_bits(got[0].temperature, want[0].temperature)
+    assert same_bits(got[0].h_meso, want[0].h_meso)
+
+
 class TestFullWidthScaling:
     """The step against its earlier form, which scaled each half of the nodes on its own view."""
 
@@ -238,26 +280,27 @@ class TestFullWidthScaling:
     @pytest.mark.parametrize("n_mom", [1, 2, 7, 8, 100])
     def test_chained_steps_match_half_width_scaling_bit_for_bit(self, n_mom, start):
         # N + 1 = 2, 3, 8, 9, 101 nodes; the odd counts carry the node mu = 0
-        nx = 7
-        rng = np.random.default_rng(190 + n_mom)
-        for epsilon in (1.0, 1e-3):
-            ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), PhysicalParams(epsilon=epsilon),
-                                     AbsorptionField(rng.uniform(0.5, 2.0, nx),
-                                                     rng.uniform(0.5, 2.0, nx + 1)),
-                                     build_angular_operators(n_mom))
-            temperature = rng.uniform(0.1, 2.0, nx)
-            if start == "zero_micro":
-                macro = MacroState(temperature, np.zeros(nx))
-                micro = FullMicroState(np.zeros((nx + 1, n_mom + 1)))
-            else:
-                macro = MacroState(temperature, rng.standard_normal(nx))
-                micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
-            got, want = (macro, micro), (macro, micro)
-            for _ in range(3):
-                got, want = step_full(*got, ws, 0.02), half_width_step_full(*want, ws, 0.02)
-                assert same_bits(got[1].g_matrix, want[1].g_matrix)
-                assert same_bits(got[0].temperature, want[0].temperature)
-                assert same_bits(got[0].h_meso, want[0].h_meso)
+        for _, got, want in chained_step_pairs(half_width_step_full, 7, n_mom, start,
+                                               190 + n_mom):
+            assert_same_states(got, want)
+
+
+class TestRowBlocks:
+    """The step over row blocks against the step over the whole state at once."""
+
+    @pytest.mark.parametrize("start", ["zero_micro", "random"])
+    @pytest.mark.parametrize("n_mom", [1, 2, 7, 8, 100])
+    @pytest.mark.parametrize("nx", [23, 24, 25])
+    def test_chained_steps_over_8_row_blocks_match_unblocked_step_bit_for_bit(
+            self, nx, n_mom, start, monkeypatch):
+        # one byte per block makes every block 8 rows high: 24 rows are three
+        # blocks, a 25th row joins the last of them, and 26 rows end in a block
+        # of 2; N + 1 = 2, 3, 8, 9, 101 nodes, the odd counts with mu = 0
+        monkeypatch.setattr(full_scheme, "_BLOCK_BYTES", 1)
+        for ws, got, want in chained_step_pairs(unblocked_step_full, nx, n_mom, start,
+                                                210 + 7 * nx + n_mom):
+            assert ws._buffer.shape == (10, n_mom + 1)
+            assert_same_states(got, want)
 
 
 class TestEnergyAndMass:

@@ -3,10 +3,21 @@
 Deselected by default; run with `pytest -m slow tests/test_fullres.py -v -s`.
 """
 
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from oracles import unblocked_step_full
+from slabtrt import cli_io
+from slabtrt.angular import build_angular_operators
 from slabtrt.cli_io import main
+from slabtrt.full_scheme import FullSchemeWorkspace, step_full
+from slabtrt.limits_diagnostics import cfl_report
+from slabtrt.scenarios import build_scenario
 
 pytestmark = pytest.mark.slow
 
@@ -81,3 +92,37 @@ def test_fullres_diffusive(tmp_path, scenario):
     ranks = read_column(out / "bug_adaptive" / "history.csv", "rank")
     assert ranks.max() <= 3
     assert_adaptive_ranks(out, scenario, "1e-5")
+
+
+def pulse_large_full_finals():
+    """Step count and final (g, T, h) of `full` on the pulse_large configuration
+    (rectangular_pulse, 2001 x 400, eps = 1, t_end 0.1) with the package's step
+    over row blocks and with the unblocked reference."""
+    built = build_scenario("rectangular_pulse", {"nx": 2001, "epsilon": 1.0})
+    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, build_angular_operators(400))
+    dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+    finals = []
+    for step in (step_full, unblocked_step_full):
+        with mock.patch.object(cli_io, "step_full", step):
+            for n_steps, (_, _, macro, micro) in enumerate(cli_io.simulate(
+                    "full", built.macro, ws, dt, 0.1)):
+                pass
+        finals.append((n_steps, micro.g_matrix, macro.temperature, macro.h_meso))
+    return finals
+
+
+def test_pulse_large_full_over_row_blocks_matches_unblocked_bit_for_bit():
+    # 2002 interface rows are 13 blocks. With more than one BLAS thread OpenBLAS
+    # splits a matrix-vector product at rows that depend on the thread count, and
+    # the unblocked step's own bits move with it; so the runs are made in a
+    # child process with one BLAS thread, as CI and the benchmark run
+    threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p), **threads)
+    code = ("import numpy as np, test_fullres\n"
+            "(n, *a), (m, *b) = test_fullres.pulse_large_full_finals()\n"
+            "same = [np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a, b)]\n"
+            "print(n, m, *same)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, cwd=os.path.dirname(__file__))
+    assert out.stdout.split() == ["79", "79", "True", "True", "True"]

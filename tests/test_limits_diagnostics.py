@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ class TestEnergyMass:
         macro = MacroState(np.ones(40), np.zeros(40))
         assert energy(macro, 0.0, params, grid) == pytest.approx(30.0, rel=1e-13)
         assert mass(macro, params, grid) == pytest.approx(30.0, rel=1e-13)
+
+    def test_finite_state_too_large_to_square_overflows_to_inf_without_warning(self):
+        # 1e200 squared overflows; the energy is +inf, with no overflow warning
+        # from the matrix product, which -W error would turn into a failure
+        grid = StaggeredGrid(0.0, 3.0, 3)
+        macro = MacroState(np.full(3, 1e200), np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert energy(macro, 0.0, PhysicalParams(epsilon=1.0), grid) == np.inf
+            assert mass(macro, PhysicalParams(epsilon=1.0), grid) == pytest.approx(4.5e200)
 
     def test_dense_and_factored_micro_norms_agree(self):
         rng = np.random.default_rng(3)
