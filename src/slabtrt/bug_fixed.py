@@ -135,23 +135,17 @@ def _formed_blocks(x: np.ndarray, w: np.ndarray, ws: FullSchemeWorkspace):
     return diffs, _spatial_blocks(x, diffs, ws), _flux_projections(w, ws)
 
 
-def _carry_key(state: LowRankMicroState, ws: FullSchemeWorkspace):
-    """The read-only objects the blocks of a state are formed from, compared by identity."""
-    return state.X_basis, state.V_basis, ws.grid, ws.sigma, ws.angular
-
-
 def _blocks_of(state: LowRankMicroState, ws: FullSchemeWorkspace):
     """`_formed_blocks` of the state's bases, carried from the step that returned it.
 
     The S-step of a fixed-rank step forms these blocks for the bases it
     returns, and `ws` carries them to the next step. They are taken from there
-    only when the state's factor arrays and the workspace's grid, sigma and
-    angular operators are the very objects they were formed from, else formed
-    again, with the same operations.
+    only when the state's factor arrays are the very objects they were formed
+    from, else formed again, with the same operations.
     """
-    carried = ws._carried_blocks
-    if carried is not None and all(a is b for a, b in zip(carried[0], _carry_key(state, ws))):
-        return carried[1]
+    carried = ws._carried[0]
+    if carried is not None and carried[0] is state.X_basis and carried[1] is state.V_basis:
+        return carried[2]
     return _formed_blocks(state.X_basis, state.V_basis, ws)
 
 
@@ -181,5 +175,5 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     formed = _formed_blocks(x_new, w_new, ws)
     s_new = _galerkin_update(w_new, s_tilde, ws, dt, formed[1], x_new.T @ source, formed[2])
     new_state = LowRankMicroState(x_new, s_new, w_new)
-    ws._carried_blocks = (_carry_key(new_state, ws), formed)
+    ws._carried[0] = (new_state.X_basis, new_state.V_basis, formed)
     return _finish_step(new_state, macro, ws, dt)

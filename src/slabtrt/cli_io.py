@@ -71,8 +71,6 @@ class RunConfig:
     rank: int | None = None
     theta_rel: float | None = None
     t_end: float | None = None
-    dt: float | None = None
-    cfl_safety: float = 1.0
     output_dir: str = "."
     history_stride: int = 1
 
@@ -86,8 +84,6 @@ _PARSERS = {
     "rank": int,
     "theta_rel": float,
     "t_end": float,
-    "dt": float,
-    "cfl_safety": float,
     "output_dir": str,
     "history_stride": int,
 }
@@ -142,10 +138,6 @@ def parse_config(text: str) -> RunConfig:
         fail("theta_rel", "must be nonnegative")
     if config.t_end is not None and not config.t_end > 0.0:
         fail("t_end", "must be strictly positive")
-    if config.dt is not None and not config.dt > 0.0:
-        fail("dt", "must be strictly positive")
-    if not config.cfl_safety > 0.0:
-        fail("cfl_safety", "must be strictly positive")
     if config.history_stride < 1:
         fail("history_stride", "must be a positive integer")
     return config
@@ -269,11 +261,10 @@ def _run(config: RunConfig) -> RunResult:
     scn, built, ws = _prepare(config)
     grid, params = built.grid, built.params
     cfl_dt, _ = cfl_report(params, grid, ws.angular, built.sigma)
-    dt = config.dt if config.dt is not None else config.cfl_safety * cfl_dt
+    dt = cfl_dt
     if config.scheme == "rosseland":
-        # Explicit diffusion solve: respect the parabolic bound regardless.
-        parabolic = rosseland_stable_dt(grid, built.sigma)
-        dt = min(dt, _ROSSELAND_SAFETY * parabolic)
+        # Explicit diffusion solve: respect the parabolic bound too.
+        dt = min(dt, _ROSSELAND_SAFETY * rosseland_stable_dt(grid, built.sigma))
     t_end = config.t_end if config.t_end is not None else scn.t_end
     rank = _start_rank(config, scn)
     theta = config.theta_rel if config.theta_rel is not None else scn.theta_rel

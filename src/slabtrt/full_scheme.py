@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ __all__ = [
 _BLOCK_BYTES = 512 * 1024  # g rows per step_full block: with output and differences 1.5 MB of L2
 
 
-@dataclass
+@dataclass(frozen=True)
 class FullSchemeWorkspace:
     """Grid, material, and angular operators shared by one simulation."""
 
@@ -36,29 +37,27 @@ class FullSchemeWorkspace:
     params: PhysicalParams
     sigma: AbsorptionField
     angular: AngularOperators
-    # Galerkin blocks of the bases the last fixed-rank step returned, for the
-    # K- and L-step of the next one (see bug_fixed._blocks_of)
-    _carried_blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _buffer: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # one slot: the bases the last fixed-rank step returned and their Galerkin
+    # blocks, for the K- and L-step of the next one (see bug_fixed._blocks_of)
+    _carried: list = field(default_factory=lambda: [None], init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:
             raise ValueError("absorption field does not match the grid")
 
+    @cached_property
     def _flux_buffer(self) -> np.ndarray:
         """Difference rows of one row block of the dense step, plus its ghost row.
 
         Blocks hold at most _BLOCK_BYTES of g, in heights of 8 rows, so each starts
         where BLAS groups the rows of the whole state; a lone last row joins the block
         before it, since numpy takes a one-row product as a dot, summed in another
-        order. Allocated again when the grid or the angular operators change size.
+        order.
         """
         n_rows, width = self.grid.n_cells + 1, self.angular.n_moments + 1
         height = 8 * math.ceil(n_rows / math.ceil(n_rows * width * 8 / _BLOCK_BYTES) / 8)
-        shape = (min(n_rows, height + 1) + 1, width)
-        if self._buffer is None or self._buffer.shape != shape:
-            self._buffer = np.empty(shape)
-        return self._buffer
+        return np.empty((min(n_rows, height + 1) + 1, width))
 
     def check_step(self, macro: MacroState, n_rows: int, n_nodes: int, dt: float):
         """Reject a step size, or a macro state and nodal micro shape that do not fit."""
@@ -66,8 +65,6 @@ class FullSchemeWorkspace:
             raise ValueError("dt must be strictly positive")
         if macro.n_cells != self.grid.n_cells:
             raise ValueError("macro state does not match the grid")
-        if self.sigma.at_centers.shape[0] != self.grid.n_cells:
-            raise ValueError("absorption field sigma does not match the grid")
         if n_rows != self.grid.n_cells + 1:
             raise ValueError("micro state must live on the n_cells + 1 interfaces")
         if n_nodes != self.angular.n_moments + 1:
@@ -116,7 +113,7 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]
-    buffer = ws._flux_buffer()
+    buffer = ws._flux_buffer
     n_rows, height = g.shape[0], buffer.shape[0] - 2  # a last block may have height + 1 rows
     # rows [g projection | -source]; the projection column is filled block by block
     rank_two = np.empty((n_rows, 2))

@@ -96,8 +96,6 @@ def rosseland_step(temperature: np.ndarray, grid: StaggeredGrid, sigma: Absorpti
 def rosseland_stable_dt(grid: StaggeredGrid, sigma: AbsorptionField) -> float:
     """Conservative parabolic bound dx^2 / (2 D_max) for the explicit limit solver."""
     diffusivity = (2.0 / 3.0) * float(sigma.inv_at_interfaces.max())
-    if diffusivity <= 0.0:
-        return np.inf
     return grid.dx**2 / (2.0 * diffusivity)
 
 

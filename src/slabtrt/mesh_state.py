@@ -89,8 +89,8 @@ class AbsorptionField:
         ai = np.asarray(self.at_interfaces, dtype=float)
         if ai.shape != (ac.shape[0] + 1,):
             raise ValueError("interface samples must number n_cells + 1")
-        if not (np.all(ac > 0.0) and np.all(ai > 0.0)):
-            raise ValueError("absorption must be strictly positive everywhere")
+        if not (np.all((ac > 0.0) & (ac < np.inf)) and np.all((ai > 0.0) & (ai < np.inf))):
+            raise ValueError("absorption must be finite and strictly positive everywhere")
         ac.setflags(write=False)
         ai.setflags(write=False)
         object.__setattr__(self, "at_centers", ac)

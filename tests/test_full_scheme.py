@@ -130,44 +130,36 @@ class TestStepFull:
             with pytest.raises(ValueError, match="n_moments \\+ 1 columns"):
                 step_full(macro, FullMicroState(np.zeros((4, cols))), ws, 0.1)
 
-    def test_replaced_angular_operators_get_a_buffer_of_their_size(self):
-        # (cells, N) changed between steps of one workspace: N = 4 -> 6 -> 4 on 10
-        # cells, and 2001 -> 300 -> 2001 cells at N = 400, whose row blocks are
-        # 160 and 152 rows high; each step matches the step of a fresh workspace
-        # bit for bit
+    def test_buffer_is_sized_by_its_workspace(self):
+        # N = 4 and 6 on 10 cells, and 2001 and 300 cells at N = 400, whose row
+        # blocks are 160 and 152 rows high: each workspace makes its buffer once
+        # and its steps keep it
         rng = np.random.default_rng(19)
-        sizes = [(10, 4), (10, 6), (10, 4), (2001, 400), (300, 400), (2001, 400), (10, 4)]
-        ws = make_workspace(nx=10, n_moments=4, epsilon=0.5)
-        for nx, n_mom in sizes:
-            fresh = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5)
-            ws.grid, ws.sigma, ws.angular = fresh.grid, fresh.sigma, fresh.angular
+        for nx, n_mom, rows in [(10, 4, 12), (10, 6, 12), (2001, 400, 162), (300, 400, 154)]:
+            ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5)
             macro = MacroState(rng.uniform(0.5, 1.5, nx), rng.standard_normal(nx))
             micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
-            assert_same_states(step_full(macro, micro, ws, 0.02),
-                               step_full(macro, micro, fresh, 0.02))
-            if nx == 2001:
-                # one 160-row block, its ghost row and a row for a lone last row
-                # to join the block before it; not the n + 1 = 2003 rows of
-                # the whole state
-                assert ws._buffer.shape == (162, 401)
-            else:
-                assert ws._buffer.shape == fresh._buffer.shape
+            buffer = ws._flux_buffer
+            for _ in range(2):
+                macro, micro = step_full(macro, micro, ws, 0.02)
+            assert ws._flux_buffer is buffer
+            # at 2001 x 400: one 160-row block, its ghost row and a row for a lone
+            # last row to join the block before it; not the n + 1 = 2003 rows of
+            # the whole state
+            assert buffer.shape == (rows, n_mom + 1)
 
-    @pytest.mark.parametrize("scheme", ["full", "bug_fixed", "bug_adaptive"])
-    def test_grid_replaced_under_sigma_is_refused(self, scheme):
-        # 10 -> 12 cells with sigma still sampled on 10: the step names both
-        # instead of failing on a broadcast inside numpy
+    @pytest.mark.parametrize("member", ["grid", "sigma", "angular", "params"])
+    def test_members_are_fixed(self, member):
         ws = make_workspace(nx=10, n_moments=4)
-        ws.grid = StaggeredGrid(0.0, 12.0, 12)
-        macro = MacroState(np.ones(12), np.zeros(12))
-        with pytest.raises(ValueError, match="absorption field sigma does not match the grid"):
-            if scheme == "full":
-                step_full(macro, FullMicroState(np.zeros((13, 5))), ws, 0.01)
-            elif scheme == "bug_fixed":
-                step_bug_fixed(macro, zero_low_rank_state(13, ws.angular.T_mat, 2), ws, 0.01)
-            else:
-                step_bug_adaptive(macro, zero_low_rank_state(13, ws.angular.T_mat, 2), ws,
-                                  0.01, 5e-2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ws, member, getattr(ws, member))
+
+    def test_sigma_of_another_grid_is_refused(self):
+        # sigma on 10 cells with a 12-cell grid: refused before any step can
+        # fail on a broadcast inside numpy
+        ws = make_workspace(nx=10, n_moments=4)
+        with pytest.raises(ValueError, match="absorption field does not match the grid"):
+            FullSchemeWorkspace(StaggeredGrid(0.0, 12.0, 12), ws.params, ws.sigma, ws.angular)
 
 
 class TestSplitAdvection:
@@ -204,7 +196,8 @@ class TestSplitAdvection:
         def run(poisoned):
             ws = make_workspace(nx=12, n_moments=7, epsilon=0.5)
             if poisoned:
-                ws.angular = dataclasses.replace(ws.angular, T_mat=np.full((7, 8), np.nan))
+                ws = dataclasses.replace(ws, angular=dataclasses.replace(
+                    ws.angular, T_mat=np.full((7, 8), np.nan)))
             macro, micro = first_macro, first_micro
             for _ in range(3):
                 macro, micro = step_full(macro, micro, ws, 0.01)
@@ -299,7 +292,7 @@ class TestRowBlocks:
         monkeypatch.setattr(full_scheme, "_BLOCK_BYTES", 1)
         for ws, got, want in chained_step_pairs(unblocked_step_full, nx, n_mom, start,
                                                 210 + 7 * nx + n_mom):
-            assert ws._buffer.shape == (10, n_mom + 1)
+            assert ws._flux_buffer.shape == (10, n_mom + 1)
             assert_same_states(got, want)
 
 
@@ -403,6 +396,23 @@ class TestDiffusionLimit:
             assert l2_relative_difference(final["bug_adaptive"], final["full"],
                                           built.grid) <= 1e-10
         assert max(rates) <= 2.0 * min(rates)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-1, 1e-2])
+    def test_adaptive_scheme_stays_on_the_dense_one_at_intermediate_epsilon(self, epsilon):
+        # the set-up above, between the kinetic and the diffusive regime: measured
+        # 4.0e-8, 1.9e-6 and 8.7e-10 for eps = 1, 1e-1 and 1e-2
+        built = build_scenario("absorber", {"nx": 101, "epsilon": epsilon})
+        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
+                                 build_angular_operators(16))
+        dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+        final = {}
+        for scheme in ("full", "bug_adaptive"):
+            *_, (t, _, macro, _) = simulate(scheme, built.macro, ws, dt, 0.15,
+                                            rank=1, theta_rel=5e-2)
+            assert t == pytest.approx(0.15, abs=1e-14)
+            final[scheme] = macro.temperature
+        assert l2_relative_difference(final["bug_adaptive"], final["full"],
+                                      built.grid) <= 1e-5
 
 
 def step_map_energy_norm(scenario, epsilon, nx=41, n_mom=8):

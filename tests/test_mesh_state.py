@@ -84,6 +84,16 @@ class TestAbsorption:
         with pytest.raises(ValueError):
             AbsorptionField(np.full(8, 1.0), np.full(8, 1.0))
 
+    # +inf sigma was accepted once; a step on it then failed on a non-finite
+    # macro state, naming no absorption
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["centers", "interfaces"])
+    def test_non_finite_entries_refused(self, bad, where):
+        centers, interfaces = np.ones(4), np.ones(5)
+        (centers if where == "centers" else interfaces)[1] = bad
+        with pytest.raises(ValueError, match="strictly positive"):
+            AbsorptionField(centers, interfaces)
+
 
 class TestDifferences:
     @pytest.mark.parametrize("kind", sorted(STENCILS))

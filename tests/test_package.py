@@ -1,4 +1,4 @@
-"""The package's public names and the library example of the README."""
+"""The package's public names and the library example and config table of the README."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import slabtrt
+from slabtrt.cli_io import _PARSERS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(slabtrt.__path__))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,3 +58,10 @@ def test_readme_library_example_runs(capsys):
     assert 2 <= rank <= 50
     assert namespace["g"].shape == namespace["g_dense"].shape == (202, 50)
     assert np.isfinite(namespace["g"]).all() and np.isfinite(namespace["e"])
+
+
+def test_readme_config_table_lists_the_parsed_keys():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Config keys\n", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` ", section, flags=re.M)
+    assert keys == list(_PARSERS)
