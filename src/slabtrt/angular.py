@@ -128,8 +128,6 @@ class AngularOperators:
     pin: np.ndarray  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
     b: np.ndarray  # T^T b = |P_1| pin, the nodal source direction
     t0_b: np.ndarray  # the rows t0 and b: the two rank-one directions of the dense step
-    mu_plus: np.ndarray  # (mu + |mu|) / 2
-    mu_minus: np.ndarray  # (mu - |mu|) / 2
     n_neg: int  # (N + 1) // 2: the nodes [:n_neg] are < 0 (mu+ = 0), [n_neg:] >= 0 (mu- = 0)
     rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
 
@@ -139,7 +137,7 @@ class AngularOperators:
             raise ValueError("n_moments must be a positive integer")
         if self.T_mat.shape != (n, n + 1):
             raise ValueError("T_mat must be n_moments x (n_moments + 1)")
-        for name in ("T_mat", "t0", "pin", "b", "t0_b", "mu_plus", "mu_minus", "rows"):
+        for name in ("T_mat", "t0", "pin", "b", "t0_b", "rows"):
             getattr(self, name).setflags(write=False)
 
 
@@ -159,7 +157,6 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
     sqrt_w = np.sqrt(quad.weights)
     t_mat = sqrt_w[None, :] * table[1:, :]
 
-    mu, mu_abs = quad.nodes, np.abs(quad.nodes)
     t0, pin = sqrt_w / NORM_P0, t_mat[0].copy()
     b = NORM_P1 * pin
     return AngularOperators(
@@ -171,8 +168,6 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
         pin=pin,
         b=b,
         t0_b=np.stack([t0, b]),
-        mu_plus=0.5 * (mu + mu_abs),
-        mu_minus=0.5 * (mu - mu_abs),
         n_neg=n_neg,
         rows=t_mat.T.copy(),
     )

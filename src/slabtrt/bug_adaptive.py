@@ -18,6 +18,7 @@ from .full_scheme import FullSchemeWorkspace, emission_gradient_parts
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
+    _orth_defect,
     complete_orthonormal_columns,
     extend_orthonormal_columns,
     padded_difference,
@@ -173,7 +174,7 @@ def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray, theta_r
         slots[:, dead] = complete_orthonormal_columns(live, int(dead.sum()))
 
     c_new, r2 = np.linalg.qr(slots)
-    return LowRankMicroState(x_hat @ c_new, r2 * weights, v_new)
+    return LowRankMicroState._trusted(x_hat @ c_new, r2 * weights, v_new)
 
 
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,
@@ -186,7 +187,7 @@ def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchem
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
     if ws.angular.n_moments < 2:
         raise ValueError("bug_adaptive needs at least 2 moments (the conserved column plus one)")
-    if max(state.x_orth_defect, state.v_orth_defect) > _REORTH_TOL:
+    if max(_orth_defect(state.X_basis), _orth_defect(state.V_basis)) > _REORTH_TOL:
         state = state.reorthonormalized()
 
     aug = augment_bases(state, macro, ws, dt)

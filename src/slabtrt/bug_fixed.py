@@ -27,11 +27,11 @@ def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
     """V^T A+ V and V^T A- V from the nodal factor W = T^T V.
 
     mu+ is zero on the nodes mu < 0 and mu- on the nodes mu >= 0, so each
-    projection sums over its own half of the rows of W.
+    projection sums over its own half of the rows of W, where mu+- is mu.
     """
-    ang, n = ws.angular, ws.angular.n_neg
+    mu, n = ws.angular.quad.nodes, ws.angular.n_neg
     lower, upper = w[:n], w[n:]
-    return (upper.T * ang.mu_plus[n:]) @ upper, (lower.T * ang.mu_minus[:n]) @ lower
+    return (upper.T * mu[n:]) @ upper, (lower.T * mu[:n]) @ lower
 
 
 def _spatial_blocks(x: np.ndarray, diffs: np.ndarray, ws: FullSchemeWorkspace):
@@ -84,7 +84,7 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     P (mu+ o (W S^T F-) - mu- o (W S^T F-^T)) with P = I - t0 t0^T.
     The absorption makes the implicit solve an r x r SPD system. mu+ is zero
     on the nodes mu < 0 and mu- on the nodes mu >= 0, so each product is
-    taken on its own half of the rows.
+    taken on its own half of the rows, where mu+- is mu.
     """
     eps, ang, n = ws.params.epsilon, ws.angular, ws.angular.n_neg
     shift = eps**2 / dt
@@ -92,9 +92,9 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     l_nodal = state.V_basis @ state.S_coeff.T
     advect = np.empty_like(l_nodal)
     np.matmul(l_nodal[n:], flow_minus.T, out=advect[n:])
-    advect[n:] *= ang.mu_plus[n:, None]
+    advect[n:] *= ang.quad.nodes[n:, None]
     np.matmul(l_nodal[:n], flow_minus, out=advect[:n])
-    advect[:n] *= -ang.mu_minus[:n, None]
+    advect[:n] *= -ang.quad.nodes[:n, None]
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
     advect *= eps
     rhs = np.multiply(l_nodal, shift, out=l_nodal)
@@ -136,16 +136,11 @@ def _formed_blocks(x: np.ndarray, w: np.ndarray, ws: FullSchemeWorkspace):
 
 
 def _blocks_of(state: LowRankMicroState, ws: FullSchemeWorkspace):
-    """`_formed_blocks` of the state's bases, carried from the step that returned it.
-
-    The S-step of a fixed-rank step forms these blocks for the bases it
-    returns, and `ws` carries them to the next step. They are taken from there
-    only when the state's factor arrays are the very objects they were formed
-    from, else formed again, with the same operations.
-    """
-    carried = ws._carried[0]
-    if carried is not None and carried[0] is state.X_basis and carried[1] is state.V_basis:
-        return carried[2]
+    """`_formed_blocks` of the state's bases: those the state carries from the
+    S-step that made it, when `ws` is the workspace they were formed for, else
+    formed again, with the same operations."""
+    if state._blocks is not None and state._blocks[0] is ws:
+        return state._blocks[1]
     return _formed_blocks(state.X_basis, state.V_basis, ws)
 
 
@@ -158,8 +153,8 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     angular basis is orthogonalized against t0, which lies outside range(T^T).
     The emission source is evaluated once and shared by the three substeps.
     The K- and L-step read the stencil and Galerkin blocks of the old bases,
-    which the previous step's S-step formed (`_blocks_of`), and the blocks the
-    S-step forms for the new bases are carried to the next step.
+    which the previous step's S-step formed (`_blocks_of`), and the new state
+    carries the blocks its S-step forms for the new bases to the next step.
     """
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
 
@@ -174,6 +169,5 @@ def step_bug_fixed(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWo
     s_tilde = (x_new.T @ x) @ state.S_coeff @ (state.V_basis.T @ w_new)
     formed = _formed_blocks(x_new, w_new, ws)
     s_new = _galerkin_update(w_new, s_tilde, ws, dt, formed[1], x_new.T @ source, formed[2])
-    new_state = LowRankMicroState(x_new, s_new, w_new)
-    ws._carried[0] = (new_state.X_basis, new_state.V_basis, formed)
-    return _finish_step(new_state, macro, ws, dt)
+    return _finish_step(LowRankMicroState._trusted(x_new, s_new, w_new, (ws, formed)),
+                        macro, ws, dt)

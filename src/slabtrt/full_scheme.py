@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,10 +37,6 @@ class FullSchemeWorkspace:
     params: PhysicalParams
     sigma: AbsorptionField
     angular: AngularOperators
-    # one slot: the bases the last fixed-rank step returned and their Galerkin
-    # blocks, for the K- and L-step of the next one (see bug_fixed._blocks_of)
-    _carried: list = field(default_factory=lambda: [None], init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:

@@ -89,8 +89,9 @@ class AbsorptionField:
         ai = np.asarray(self.at_interfaces, dtype=float)
         if ai.shape != (ac.shape[0] + 1,):
             raise ValueError("interface samples must number n_cells + 1")
-        if not (np.all((ac > 0.0) & (ac < np.inf)) and np.all((ai > 0.0) & (ai < np.inf))):
-            raise ValueError("absorption must be finite and strictly positive everywhere")
+        low = np.finfo(float).smallest_normal  # below it, 1 / sigma overflows
+        if not (np.all((ac >= low) & (ac < np.inf)) and np.all((ai >= low) & (ai < np.inf))):
+            raise ValueError(f"absorption must be finite and strictly positive (>= {low:.4g})")
         ac.setflags(write=False)
         ai.setflags(write=False)
         object.__setattr__(self, "at_centers", ac)
@@ -198,15 +199,16 @@ class LowRankMicroState:
 
     The low-rank schemes hold V in nodal coordinates, V_basis = T^T V with
     N + 1 rows (T = angular.T_mat), so the moments are X S (T V_basis)^T. The
-    rank is the column count of the factors. The orthogonality defects of X
-    and V are computed once, on construction, and kept for the step reports.
+    rank is the column count of the factors. The constructor checks the
+    factors; the states a step makes come from `_trusted`, which does not.
     """
 
     X_basis: np.ndarray
     S_coeff: np.ndarray
     V_basis: np.ndarray
-    x_orth_defect: float = field(init=False, repr=False, compare=False)
-    v_orth_defect: float = field(init=False, repr=False, compare=False)
+    # (workspace, bug_fixed._formed_blocks of the bases) from the fixed-rank step
+    # that made the state, else None
+    _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.X_basis, dtype=float)
@@ -225,13 +227,22 @@ class LowRankMicroState:
             raise ValueError("X_basis columns are not orthonormal")
         if not v_defect <= _ORTH_TOL:
             raise ValueError("V_basis columns are not orthonormal")
-        for arr in (x, s, v):
+        self._freeze(x, s, v)
+
+    def _freeze(self, x: np.ndarray, s: np.ndarray, v: np.ndarray):
+        for name, arr in (("X_basis", x), ("S_coeff", s), ("V_basis", v)):
             arr.setflags(write=False)
-        object.__setattr__(self, "X_basis", x)
-        object.__setattr__(self, "S_coeff", s)
-        object.__setattr__(self, "V_basis", v)
-        object.__setattr__(self, "x_orth_defect", x_defect)
-        object.__setattr__(self, "v_orth_defect", v_defect)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _trusted(cls, x: np.ndarray, s: np.ndarray, v: np.ndarray,
+                 blocks: tuple | None = None) -> "LowRankMicroState":
+        """The state of float arrays a step made, frozen but not checked: a step keeps
+        its bases orthonormal and its entries finite. `blocks` becomes `_blocks`."""
+        state = object.__new__(cls)
+        state._freeze(x, s, v)
+        object.__setattr__(state, "_blocks", blocks)
+        return state
 
     @property
     def rank(self) -> int:
@@ -245,7 +256,7 @@ class LowRankMicroState:
         """
         qx, rx = _cholesky_qr(self.X_basis)
         qv, rv = _cholesky_qr(self.V_basis)
-        return LowRankMicroState(qx, rx @ self.S_coeff @ rv.T, qv)
+        return LowRankMicroState._trusted(qx, rx @ self.S_coeff @ rv.T, qv)
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||S||_F^2."""
@@ -410,4 +421,4 @@ def zero_low_rank_state(n_interfaces: int, t_mat: np.ndarray, rank: int = 1) -> 
         x[:, 1:] = complete_orthonormal_columns(x[:, :1], rank - 1)
     v = t_mat[:rank].T.copy()
     s = np.zeros((rank, rank))
-    return LowRankMicroState(x, s, v)
+    return LowRankMicroState._trusted(x, s, v)

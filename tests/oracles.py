@@ -71,9 +71,16 @@ def kernel_galerkin(x_new, w_new, s_tilde, source, ws, dt):
 # half of the nodes; these are what that split must reproduce.
 
 
+def upwind_nodes(angular):
+    """mu+ = (mu + |mu|) / 2 and mu- = (mu - |mu|) / 2 on every Gauss node."""
+    mu = angular.quad.nodes
+    return 0.5 * (mu + np.abs(mu)), 0.5 * (mu - np.abs(mu))
+
+
 def all_node_flux_projections(w, angular):
     """(W^T diag(mu+) W, W^T diag(mu-) W) summed over all N + 1 nodes."""
-    return (w.T * angular.mu_plus) @ w, (w.T * angular.mu_minus) @ w
+    mu_plus, mu_minus = upwind_nodes(angular)
+    return (w.T * mu_plus) @ w, (w.T * mu_minus) @ w
 
 
 def all_node_l_update(state, ws, dt, blocks, x_source):
@@ -81,9 +88,10 @@ def all_node_l_update(state, ws, dt, blocks, x_source):
     eps, ang = ws.params.epsilon, ws.angular
     shift = eps**2 / dt
     flow_minus, gram = blocks
+    mu_plus, mu_minus = upwind_nodes(ang)
     l_nodal = state.V_basis @ state.S_coeff.T
-    advect = (ang.mu_plus[:, None] * (l_nodal @ flow_minus.T)
-              - ang.mu_minus[:, None] * (l_nodal @ flow_minus))
+    advect = (mu_plus[:, None] * (l_nodal @ flow_minus.T)
+              - mu_minus[:, None] * (l_nodal @ flow_minus))
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
     rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
     return rhs @ _absorb_inverse(gram, shift)
@@ -151,12 +159,13 @@ def three_temporary_l_update(state, ws, dt, blocks, x_source):
     eps, ang, n = ws.params.epsilon, ws.angular, ws.angular.n_neg
     shift = eps**2 / dt
     flow_minus, gram = blocks
+    mu_plus, mu_minus = upwind_nodes(ang)
     l_nodal = state.V_basis @ state.S_coeff.T
     advect = np.empty_like(l_nodal)
     np.matmul(l_nodal[n:], flow_minus.T, out=advect[n:])
-    advect[n:] *= ang.mu_plus[n:, None]
+    advect[n:] *= mu_plus[n:, None]
     np.matmul(l_nodal[:n], flow_minus, out=advect[:n])
-    advect[:n] *= -ang.mu_minus[:n, None]
+    advect[:n] *= -mu_minus[:n, None]
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
     rhs = shift * l_nodal - eps * advect - ang.b[:, None] * x_source
     return rhs @ _absorb_inverse(gram, shift)

@@ -208,17 +208,25 @@ class TestAngularOperators:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_nodal_constants(self, n):
         ops = build_angular_operators(n)
-        mu, t_mat = ops.quad.nodes, ops.T_mat
+        t_mat = ops.T_mat
         np.testing.assert_array_equal(ops.t0, np.sqrt(ops.quad.weights) / np.sqrt(2.0))
         # T^T T = I - t0 t0^T: range(T^T) is the complement of t0
         np.testing.assert_allclose(t_mat.T @ t_mat, np.eye(n + 1) - np.outer(ops.t0, ops.t0),
                                    rtol=0, atol=1e-14)
         np.testing.assert_array_equal(ops.t0_b, np.stack([ops.t0, ops.b]))
-        np.testing.assert_array_equal(ops.mu_plus + ops.mu_minus, mu)
-        assert np.all(ops.mu_plus >= 0.0) and np.all(ops.mu_minus <= 0.0)
         np.testing.assert_array_equal(ops.rows, t_mat.T)
-        for name in ("T_mat", "t0", "pin", "b", "t0_b", "mu_plus", "mu_minus", "rows"):
+        for name in ("T_mat", "t0", "pin", "b", "t0_b", "rows"):
             assert not getattr(ops, name).flags.writeable, name
+
+    def test_upwind_halves_are_the_nodes(self):
+        # the BUG kernels scale by the nodes [n_neg:] for mu+ = (mu + |mu|) / 2 and
+        # by the nodes [:n_neg] for mu- = (mu - |mu|) / 2: bit for bit the same
+        for n in [*range(1, 130), 200, 400, 800]:
+            ops = build_angular_operators(n)
+            mu, neg = ops.quad.nodes, ops.n_neg
+            mu_plus, mu_minus = (0.5 * (mu + np.abs(mu)))[neg:], (0.5 * (mu - np.abs(mu)))[:neg]
+            assert np.array_equal(mu_plus.view(np.uint64), mu[neg:].view(np.uint64)), n
+            assert np.array_equal(mu_minus.view(np.uint64), mu[:neg].view(np.uint64)), n
 
     @pytest.mark.parametrize("n", [*range(1, 41), 50, 99, 100, 101, 200, 399, 400, 401])
     def test_mirrored_table_is_the_table_on_every_node(self, n):
