@@ -35,14 +35,14 @@ def recurrence_coeff(k: int | np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Gauss-Legendre nodes and weights on [-1, 1] (copied)."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 1 or weights.shape != nodes.shape:
             raise ValueError("nodes and weights must be nonempty 1-d arrays of equal length")
         if not np.all(weights > 0.0):

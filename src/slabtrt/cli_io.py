@@ -136,31 +136,32 @@ def parse_config(text: str) -> RunConfig:
         fail(*problem)
     if config.theta_rel is not None and config.theta_rel < 0.0:
         fail("theta_rel", "must be nonnegative")
-    if config.t_end is not None and not config.t_end > 0.0:
-        fail("t_end", "must be strictly positive")
+    if config.t_end is not None and not _stop_time(config.t_end) > 0.0:
+        fail("t_end", "must exceed 1e-14, or the run takes no step")
     if config.history_stride < 1:
         fail("history_stride", "must be a positive integer")
     return config
 
 
-def _start_rank(config: RunConfig, scn: Scenario) -> int:
-    """The rank a low-rank run starts from: the configured one, else the scenario default."""
-    if config.rank is not None:
-        return config.rank
-    return scn.fixed_rank if config.scheme == "bug_fixed" else 1
+def _resolve(config: RunConfig) -> Scenario:
+    """The config's problem: its scenario with each key the config sets in place of the
+    default, and `fixed_rank` the start rank (as set, else bug_fixed's default, else 1)."""
+    scn = scenario_defaults(config.scenario, config.epsilon)
+    given = {key: getattr(config, key) for key in ("nx", "n_moments", "t_end", "theta_rel")}
+    start = scn.fixed_rank if config.scheme == "bug_fixed" else 1
+    return replace(scn, fixed_rank=start if config.rank is None else config.rank,
+                   **{key: value for key, value in given.items() if value is not None})
 
 
 def _start_problem(config: RunConfig):
     """(key, message) when the scheme cannot start from the resolved sizes, else None."""
-    scn = scenario_defaults(config.scenario, config.epsilon)
-    n_moments = config.n_moments or scn.n_moments
-    if config.scheme == "bug_adaptive" and n_moments < 2:
+    run = _resolve(config)
+    if config.scheme == "bug_adaptive" and run.n_moments < 2:
         return "n_moments", "bug_adaptive needs at least 2 (the conserved column plus one)"
-    most = min((config.nx or scn.nx) + 1, n_moments)
+    most = min(run.nx + 1, run.n_moments)
     if config.rank is not None or config.scheme in ("bug_fixed", "bug_adaptive"):
-        rank = _start_rank(config, scn)
-        if not 1 <= rank <= most:
-            hint = "" if config.rank is not None else f" (scenario default {rank}; set it)"
+        if not 1 <= run.fixed_rank <= most:
+            hint = f" (scenario default {run.fixed_rank}; set it)" if config.rank is None else ""
             return "rank", f"must be between 1 and min(nx + 1, n_moments) = {most}{hint}"
     return None
 
@@ -185,16 +186,11 @@ class RunResult:
 
 
 def _prepare(config: RunConfig):
-    scn = scenario_defaults(config.scenario, config.epsilon)
-    overrides = {}
-    for key in ("nx", "epsilon"):
-        value = getattr(config, key)
-        if value is not None:
-            overrides[key] = value
-    built = build_scenario(config.scenario, overrides)
-    angular = build_angular_operators(config.n_moments or scn.n_moments)
+    run = _resolve(config)
+    built = build_scenario(config.scenario, {"nx": run.nx, "epsilon": run.epsilon})
+    angular = build_angular_operators(run.n_moments)
     ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-    return scn, built, ws
+    return run, built, ws
 
 
 def _stop_time(t_end: float) -> float:
@@ -258,22 +254,20 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
 
 
 def _run(config: RunConfig) -> RunResult:
-    scn, built, ws = _prepare(config)
+    run, built, ws = _prepare(config)
     grid, params = built.grid, built.params
     cfl_dt, _ = cfl_report(params, grid, ws.angular, built.sigma)
     dt = cfl_dt
     if config.scheme == "rosseland":
         # Explicit diffusion solve: respect the parabolic bound too.
         dt = min(dt, _ROSSELAND_SAFETY * rosseland_stable_dt(grid, built.sigma))
-    t_end = config.t_end if config.t_end is not None else scn.t_end
-    rank = _start_rank(config, scn)
-    theta = config.theta_rel if config.theta_rel is not None else scn.theta_rel
 
     m0 = mass(built.macro, params, grid)
-    stop, flag_above = _stop_time(t_end), cfl_dt * _CFL_FLAG_SLACK
+    stop, flag_above = _stop_time(run.t_end), cfl_dt * _CFL_FLAG_SLACK
     history = []
-    run = simulate(config.scheme, built.macro, ws, dt, t_end, rank, theta)
-    for step, (t, dt_step, macro, micro) in enumerate(run):
+    states = simulate(config.scheme, built.macro, ws, dt, run.t_end, run.fixed_rank,
+                      run.theta_rel)
+    for step, (t, dt_step, macro, micro) in enumerate(states):
         if step and (step % config.history_stride == 0 or t >= stop):
             m_n = mass(macro, params, grid)
             history.append((

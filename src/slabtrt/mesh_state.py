@@ -14,7 +14,6 @@ __all__ = [
     "MacroState",
     "FullMicroState",
     "LowRankMicroState",
-    "absorption_from_function",
     "diff_center",
     "diff_interface",
     "padded_difference",
@@ -77,7 +76,7 @@ class StaggeredGrid:
 
 @dataclass(frozen=True)
 class AbsorptionField:
-    """Absorption cross-section sampled at cell centers and interfaces."""
+    """Absorption cross-section sampled at cell centers and interfaces (copied)."""
 
     at_centers: np.ndarray
     at_interfaces: np.ndarray
@@ -85,8 +84,8 @@ class AbsorptionField:
     inv_at_interfaces: np.ndarray = field(init=False, repr=False, compare=False)  # 1 / sigma
 
     def __post_init__(self):
-        ac = np.asarray(self.at_centers, dtype=float)
-        ai = np.asarray(self.at_interfaces, dtype=float)
+        ac = np.array(self.at_centers, dtype=float)
+        ai = np.array(self.at_interfaces, dtype=float)
         if ai.shape != (ac.shape[0] + 1,):
             raise ValueError("interface samples must number n_cells + 1")
         low = np.finfo(float).smallest_normal  # below it, 1 / sigma overflows
@@ -102,16 +101,12 @@ class AbsorptionField:
         object.__setattr__(self, "inv_at_interfaces", inv)
 
 
-def absorption_from_function(sigma_fn, grid: StaggeredGrid) -> AbsorptionField:
-    """Sample an analytic cross-section directly at centers and interfaces."""
-    ac = np.asarray(sigma_fn(grid.centers), dtype=float)
-    ai = np.asarray(sigma_fn(grid.interfaces), dtype=float)
-    return AbsorptionField(ac, ai)
-
-
 @dataclass(frozen=True)
 class MacroState:
-    """Temperature and mesoscopic correction at cell centers."""
+    """Temperature and mesoscopic correction at cell centers.
+
+    Takes ownership: every step builds one, so float arrays are frozen, not copied.
+    """
 
     temperature: np.ndarray
     h_meso: np.ndarray
@@ -147,6 +142,7 @@ class FullMicroState:
 
     The dense step holds them in nodal coordinates, g T with N + 1 columns
     (T = angular.T_mat). T has orthonormal rows, so both forms have the same norm.
+    Takes ownership, like MacroState: a float g is frozen, not copied.
     """
 
     g_matrix: np.ndarray
@@ -199,8 +195,9 @@ class LowRankMicroState:
 
     The low-rank schemes hold V in nodal coordinates, V_basis = T^T V with
     N + 1 rows (T = angular.T_mat), so the moments are X S (T V_basis)^T. The
-    rank is the column count of the factors. The constructor checks the
-    factors; the states a step makes come from `_trusted`, which does not.
+    rank is the column count of the factors. The constructor checks copies of
+    the factors; the states a step makes come from `_trusted`, which neither
+    copies nor checks.
     """
 
     X_basis: np.ndarray
@@ -211,9 +208,9 @@ class LowRankMicroState:
     _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.X_basis, dtype=float)
-        s = np.asarray(self.S_coeff, dtype=float)
-        v = np.asarray(self.V_basis, dtype=float)
+        x = np.array(self.X_basis, dtype=float)
+        s = np.array(self.S_coeff, dtype=float)
+        v = np.array(self.V_basis, dtype=float)
         r = x.shape[1]
         if not (1 <= r <= min(x.shape[0], v.shape[0])):
             raise ValueError("rank must satisfy 1 <= rank <= min(n_interfaces, n_moments)")

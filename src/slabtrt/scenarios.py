@@ -6,19 +6,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh_state import (
-    AbsorptionField,
-    MacroState,
-    PhysicalParams,
-    StaggeredGrid,
-    absorption_from_function,
-)
+from .mesh_state import AbsorptionField, MacroState, PhysicalParams, StaggeredGrid
 
 __all__ = [
     "Scenario",
     "BuiltScenario",
     "SCENARIO_NAMES",
     "DIFFUSIVE_EPSILON_THRESHOLD",
+    "X_MIN",
+    "X_MAX",
+    "SIGMA_BACKGROUND",
+    "PULSE_STRENGTH",
+    "PULSE_HALF_WIDTH",
     "scenario_defaults",
     "build_scenario",
 ]
@@ -28,18 +27,19 @@ SCENARIO_NAMES = ("rectangular_pulse", "absorber")
 # Requested epsilon below this switches to the coarser diffusive-regime defaults.
 DIFFUSIVE_EPSILON_THRESHOLD = 1e-2
 
+# Both problems: the slab [X_MIN, X_MAX], the cross-section outside the absorber
+# insert, and the pulse T = PULSE_STRENGTH / sigma on |x| <= PULSE_HALF_WIDTH.
+X_MIN, X_MAX = -10.0, 10.0
+SIGMA_BACKGROUND = 0.5
+PULSE_STRENGTH = 100.0
+PULSE_HALF_WIDTH = 0.5
+
 
 @dataclass(frozen=True)
 class Scenario:
     """Problem definition plus regime-dependent solver defaults."""
 
-    name: str
-    x_min: float = -10.0
-    x_max: float = 10.0
-    sigma_background: float = 0.5
     sigma_insert: tuple[float, float, float] | None = None  # (value, x_lo, x_hi), inclusive
-    pulse_strength: float = 100.0
-    pulse_half_width: float = 0.5
     nx: int = 501
     n_moments: int = 100
     epsilon: float = 1.0
@@ -47,32 +47,19 @@ class Scenario:
     fixed_rank: int = 15
     theta_rel: float = 5e-2
 
-    def sigma_fn(self):
+    def absorption(self, x) -> np.ndarray:
         """Vectorized cross-section; insert edges are inclusive."""
-        background = self.sigma_background
-        insert = self.sigma_insert
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, SIGMA_BACKGROUND)
+        if self.sigma_insert is not None:
+            value, lo, hi = self.sigma_insert
+            out[(x >= lo) & (x <= hi)] = value
+        return out
 
-        def sigma(x):
-            x = np.asarray(x, dtype=float)
-            out = np.full_like(x, background)
-            if insert is not None:
-                value, lo, hi = insert
-                out[(x >= lo) & (x <= hi)] = value
-            return out
-
-        return sigma
-
-    def initial_temperature_fn(self):
+    def initial_temperature(self, x) -> np.ndarray:
         """Pulse amplitude scaled by the local cross-section; edges are inclusive."""
-        sigma = self.sigma_fn()
-        strength, half_width = self.pulse_strength, self.pulse_half_width
-
-        def t0(x):
-            x = np.asarray(x, dtype=float)
-            inside = np.abs(x) <= half_width
-            return np.where(inside, strength / sigma(x), 0.0)
-
-        return t0
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= PULSE_HALF_WIDTH, PULSE_STRENGTH / self.absorption(x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,8 @@ class BuiltScenario:
 
 
 _BASE = {
-    "rectangular_pulse": Scenario(name="rectangular_pulse"),
-    "absorber": Scenario(name="absorber", sigma_insert=(5.0, -0.25, 0.25)),
+    "rectangular_pulse": Scenario(),
+    "absorber": Scenario(sigma_insert=(5.0, -0.25, 0.25)),
 }
 
 _OVERRIDE_KEYS = ("nx", "epsilon")
@@ -122,9 +109,8 @@ def build_scenario(name: str, overrides: dict | None = None) -> BuiltScenario:
 
     scn = scenario_defaults(name, overrides.get("epsilon"))
     nx = int(overrides.get("nx", scn.nx))
-    grid = StaggeredGrid(scn.x_min, scn.x_max, nx)  # refuses nx < 1
+    grid = StaggeredGrid(X_MIN, X_MAX, nx)  # refuses nx < 1
+    sigma = AbsorptionField(scn.absorption(grid.centers), scn.absorption(grid.interfaces))
+    macro = MacroState(scn.initial_temperature(grid.centers), np.zeros(nx))
     params = PhysicalParams(epsilon=scn.epsilon)
-    sigma = absorption_from_function(scn.sigma_fn(), grid)
-    t0 = scn.initial_temperature_fn()(grid.centers)
-    macro = MacroState(t0, np.zeros(nx))
     return BuiltScenario(grid=grid, params=params, sigma=sigma, macro=macro)

@@ -99,6 +99,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 3: key '{key}': must be finite"):
             parse_config(f"scenario = absorber\nscheme = full\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("value", ["1e-15", "1e-14", "0.0", "-0.5"])
+    def test_t_end_that_takes_no_step_names_key_and_line(self, value):
+        # a run is finished from t_end - 1e-14 max(t_end, 1) on, which is <= 0 here
+        with pytest.raises(ConfigError, match="line 3: key 't_end': must exceed 1e-14"):
+            parse_config(f"scenario = absorber\nscheme = full\nt_end = {value}\n")
+
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     @pytest.mark.parametrize("grid, most", [
         ("nx = 41\nn_moments = 8", 8),    # min(nx + 1, n_moments) = 8
@@ -418,6 +424,23 @@ class TestCliEntrypoints:
         assert main(["sweep", path, "--schemes", schemes]) == 1
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_sweep_refuses_a_t_end_that_takes_no_step(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = full\nnx = 20\nn_moments = 4\n"
+                      f"t_end = 1e-15\noutput_dir = {out_dir}\n")
+        assert main(["sweep", path]) == 1
+        assert "error: line 5: key 't_end': must exceed 1e-14" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_shortest_accepted_t_end_takes_one_step(self, tmp_path, capsys):
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = full\nnx = 20\nn_moments = 4\n"
+                      f"t_end = 2e-14\noutput_dir = {tmp_path}\n")
+        assert main(["run", path]) == 0
+        _, rows = read_rows(tmp_path / "history.csv")
+        assert [(row[0], row[5]) for row in rows] == [("2e-14", "2e-14")]
 
     def test_usage_error_nonzero_exit(self):
         assert main(["frobnicate"]) != 0

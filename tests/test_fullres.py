@@ -17,6 +17,7 @@ from slabtrt.angular import build_angular_operators
 from slabtrt.cli_io import main
 from slabtrt.full_scheme import FullSchemeWorkspace, step_full
 from slabtrt.limits_diagnostics import cfl_report
+from slabtrt.mesh_state import LowRankMicroState, _orth_defect
 from slabtrt.scenarios import build_scenario
 
 pytestmark = pytest.mark.slow
@@ -126,3 +127,27 @@ def test_pulse_large_full_over_row_blocks_matches_unblocked_bit_for_bit():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, cwd=os.path.dirname(__file__))
     assert out.stdout.split() == ["79", "79", "True", "True", "True"]
+
+
+def test_basis_repair_keeps_a_long_adaptive_run_orthonormal(monkeypatch):
+    # the diffusive absorber at 10x the benchmark's horizon: the bases drift by about
+    # 1e-13 per thousand steps, and step_bug_adaptive repairs a state whose defect
+    # passes 1e-13, so every state stays within the 1e-12 the constructor checks
+    built = build_scenario("absorber", {"nx": 201, "epsilon": 1e-5})
+    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, build_angular_operators(100))
+    dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+    repair = LowRankMicroState.reorthonormalized
+    repairs = []
+
+    def counted(state):
+        repairs.append(state.rank)
+        return repair(state)
+
+    monkeypatch.setattr(LowRankMicroState, "reorthonormalized", counted)
+    worst = 0.0
+    for n_steps, (_, _, _, micro) in enumerate(cli_io.simulate(
+            "bug_adaptive", built.macro, ws, dt, 1.5, 1, 5e-2)):
+        worst = max(worst, _orth_defect(micro.X_basis), _orth_defect(micro.V_basis))
+    assert n_steps > 4000
+    assert len(repairs) >= 1
+    assert worst <= 1e-12

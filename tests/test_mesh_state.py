@@ -11,7 +11,12 @@ from oracles import (
     reference_orthonormal_columns,
 )
 from slabtrt import mesh_state
-from slabtrt.angular import build_angular_operators, gauss_legendre, orthonormal_legendre_table
+from slabtrt.angular import (
+    QuadratureRule,
+    build_angular_operators,
+    gauss_legendre,
+    orthonormal_legendre_table,
+)
 from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
@@ -248,6 +253,33 @@ class TestStates:
             LowRankMicroState(x[:, :0], np.zeros((0, 0)), v[:, :0])
         with pytest.raises(ValueError, match="rank must satisfy"):
             LowRankMicroState(orthonormal(rng, 10, 4), np.zeros((4, 4)), np.eye(3))
+
+    @pytest.mark.parametrize("cls, fields, shapes", [
+        (LowRankMicroState, ("X_basis", "S_coeff", "V_basis"), None),
+        (AbsorptionField, ("at_centers", "at_interfaces"), [(8,), (9,)]),
+        (QuadratureRule, ("nodes", "weights"), [(5,), (5,)]),
+    ], ids=["LowRankMicroState", "AbsorptionField", "QuadratureRule"])
+    def test_constructor_copies_the_callers_arrays(self, cls, fields, shapes):
+        # built once per run, so they hold read-only copies and the caller keeps its arrays
+        rng = np.random.default_rng(12)
+        if shapes is None:
+            given = [orthonormal(rng, 10, 3), rng.standard_normal((3, 3)), orthonormal(rng, 6, 3)]
+        else:
+            given = [rng.uniform(0.5, 2.0, shape) for shape in shapes]
+        obj = cls(*given)
+        kept = [arr.copy() for arr in given]
+        for arr in given:
+            arr += 1.0
+        for name, want in zip(fields, kept):
+            held = getattr(obj, name)
+            assert np.array_equal(held, want) and not held.flags.writeable
+
+    def test_step_states_take_ownership(self):
+        # every step builds these from arrays it has just made, so they are frozen, not copied
+        t, h, g = np.ones(4), np.zeros(4), np.zeros((5, 3))
+        macro, micro = MacroState(t, h), FullMicroState(g)
+        assert macro.temperature is t and macro.h_meso is h and micro.g_matrix is g
+        assert not (t.flags.writeable or h.flags.writeable or g.flags.writeable)
 
     def test_reorthonormalized_keeps_product_and_first_columns(self):
         rng = np.random.default_rng(9)

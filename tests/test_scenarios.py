@@ -33,6 +33,15 @@ class TestRectangularPulse:
         inside = np.abs(built.grid.centers) <= 0.5
         np.testing.assert_allclose(T[inside], 200.0, atol=1e-12)
         np.testing.assert_allclose(T[~inside], 0.0, atol=1e-15)
+        # the fixed slab [-10, 10] with sigma = 0.5 throughout
+        assert (built.grid.x_min, built.grid.x_max) == (-10.0, 10.0)
+        assert built.grid.n_cells * built.grid.dx == 20.0
+        assert np.all(built.sigma.at_centers == 0.5)
+        assert np.all(built.sigma.at_interfaces == 0.5)
+        # T0 = 100 / sigma on |x| <= 0.5, edges inclusive
+        t0 = scenario_defaults("rectangular_pulse").initial_temperature
+        assert t0(np.array([-0.5, 0.5])).tolist() == [200.0, 200.0]
+        assert t0(np.array([-0.5000001, 0.5000001])).tolist() == [0.0, 0.0]
 
     def test_equilibrium_micro_state(self):
         built = build_scenario("rectangular_pulse", {"nx": 64})
@@ -42,7 +51,7 @@ class TestRectangularPulse:
         built = build_scenario("rectangular_pulse", {"nx": 32})
         quad = gauss_legendre(7)
         scn = scenario_defaults("rectangular_pulse")
-        t0_fn = scn.initial_temperature_fn()
+        t0_fn = scn.initial_temperature
 
         def f(x, mu):
             return t0_fn(x) + 0.0 * mu  # the emission B(T) = T
@@ -63,7 +72,7 @@ class TestRectangularPulse:
 class TestAbsorber:
     def test_cross_section_values(self):
         scn = scenario_defaults("absorber")
-        sigma = scn.sigma_fn()
+        sigma = scn.absorption
         assert sigma(np.array([0.0]))[0] == 5.0
         assert sigma(np.array([1.0]))[0] == 0.5
         # inclusive edges
@@ -73,10 +82,14 @@ class TestAbsorber:
 
     def test_temperature_scales_with_local_absorption(self):
         scn = scenario_defaults("absorber")
-        t0 = scn.initial_temperature_fn()
+        t0 = scn.initial_temperature
         assert t0(np.array([0.0]))[0] == pytest.approx(20.0)
         assert t0(np.array([0.4]))[0] == pytest.approx(200.0)
         assert t0(np.array([0.6]))[0] == 0.0
+        # T0 = 100 / sigma on |x| <= 0.5, edges of the pulse and the insert inclusive
+        assert t0(np.array([-0.5, 0.5])).tolist() == [200.0, 200.0]
+        assert t0(np.array([-0.25, 0.25])).tolist() == [20.0, 20.0]
+        assert t0(np.array([0.5000001]))[0] == 0.0
 
     def test_built_fields(self):
         built = build_scenario("absorber", {"nx": 201})
@@ -84,6 +97,11 @@ class TestAbsorber:
         np.testing.assert_allclose(built.sigma.at_centers[mid], 5.0)
         np.testing.assert_allclose(built.sigma.at_centers[~mid], 0.5)
         assert built.sigma.sigma_min == 0.5
+        # the same slab as the pulse, and sigma = 0.5 outside the insert
+        assert (built.grid.x_min, built.grid.x_max) == (-10.0, 10.0)
+        assert built.grid.n_cells * built.grid.dx == 20.0
+        outside = np.abs(built.grid.interfaces) > 0.25
+        assert np.all(built.sigma.at_interfaces[outside] == 0.5)
 
 
 class TestValidation:
