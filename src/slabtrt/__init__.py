@@ -37,7 +37,6 @@ from .mesh_state import (
     FullMicroState,
     LowRankMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     scalar_flux,
     zero_low_rank_state,

@@ -64,7 +64,7 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     The shift and eps scale the r x r factors, and the tall terms are
     accumulated in place into one array.
     """
-    eps, w, s = ws.params.epsilon, state.V_basis, state.S_coeff
+    eps, w, s = ws.epsilon, state.V_basis, state.S_coeff
     shift = eps**2 / dt
     flux_plus, flux_minus = flux
     rhs = state.X_basis @ (shift * s)
@@ -86,7 +86,7 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     on the nodes mu < 0 and mu- on the nodes mu >= 0, so each product is
     taken on its own half of the rows, where mu+- is mu.
     """
-    eps, ang, n = ws.params.epsilon, ws.angular, ws.angular.n_neg
+    eps, ang, n = ws.epsilon, ws.angular, ws.angular.n_neg
     shift = eps**2 / dt
     flow_minus, gram = blocks
     l_nodal = state.V_basis @ state.S_coeff.T
@@ -110,7 +110,7 @@ def _galerkin_update(w_new: np.ndarray, s_tilde: np.ndarray, ws: FullSchemeWorks
     blocks = (X_new^T D- X_new, X_new^T sigma X_new), x_source = X_new^T source
     and flux = the projections of W_new.
     """
-    eps = ws.params.epsilon
+    eps = ws.epsilon
     shift = eps**2 / dt
     flow_minus, gram = blocks
     proj_plus, proj_minus = flux

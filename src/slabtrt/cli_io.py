@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import build_angular_operators
 from .bug_adaptive import step_bug_adaptive
 from .bug_fixed import step_bug_fixed
 from .full_scheme import FullSchemeWorkspace, step_full
@@ -185,14 +184,6 @@ class RunResult:
     dt_used: float
 
 
-def _prepare(config: RunConfig):
-    run = _resolve(config)
-    built = build_scenario(config.scenario, {"nx": run.nx, "epsilon": run.epsilon})
-    angular = build_angular_operators(run.n_moments)
-    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-    return run, built, ws
-
-
 def _stop_time(t_end: float) -> float:
     """Time from which a run counts as finished; absorbs the rounding of summed steps."""
     return t_end - 1e-14 * max(t_end, 1.0)
@@ -233,7 +224,7 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
         h_zero = np.zeros(ws.grid.n_cells)  # read-only once a MacroState holds it
 
         def advance(macro, micro, dt_step):
-            t_new = rosseland_step(macro.temperature, ws.grid, ws.sigma, dt_step)
+            t_new = rosseland_step(macro.temperature, ws, dt_step)
             return MacroState(t_new, h_zero), micro
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}")
@@ -254,25 +245,24 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
 
 
 def _run(config: RunConfig) -> RunResult:
-    run, built, ws = _prepare(config)
-    grid, params = built.grid, built.params
-    cfl_dt, _ = cfl_report(params, grid, ws.angular, built.sigma)
+    run = _resolve(config)
+    ws, macro = build_scenario(run)
+    cfl_dt, _ = cfl_report(ws)
     dt = cfl_dt
     if config.scheme == "rosseland":
         # Explicit diffusion solve: respect the parabolic bound too.
-        dt = min(dt, _ROSSELAND_SAFETY * rosseland_stable_dt(grid, built.sigma))
+        dt = min(dt, _ROSSELAND_SAFETY * rosseland_stable_dt(ws))
 
-    m0 = mass(built.macro, params, grid)
+    m0 = mass(macro, ws)
     stop, flag_above = _stop_time(run.t_end), cfl_dt * _CFL_FLAG_SLACK
     history = []
-    states = simulate(config.scheme, built.macro, ws, dt, run.t_end, run.fixed_rank,
-                      run.theta_rel)
+    states = simulate(config.scheme, macro, ws, dt, run.t_end, run.fixed_rank, run.theta_rel)
     for step, (t, dt_step, macro, micro) in enumerate(states):
         if step and (step % config.history_stride == 0 or t >= stop):
-            m_n = mass(macro, params, grid)
+            m_n = mass(macro, ws)
             history.append((
                 t,
-                energy(macro, micro.micro_norm_sq(grid.dx), params, grid),
+                energy(macro, micro.micro_norm_sq(ws.grid.dx), ws),
                 m_n,
                 relative_mass_error(m_n, m0),
                 getattr(micro, "rank", 0),  # the dense and the diffusion scheme report 0
@@ -281,9 +271,9 @@ def _run(config: RunConfig) -> RunResult:
             ))
 
     return RunResult(
-        grid=grid,
+        grid=ws.grid,
         macro=macro,
-        phi=scalar_flux(macro, params),
+        phi=scalar_flux(macro, ws.epsilon),
         history=history,
         cfl_dt=cfl_dt,
         dt_used=dt,
@@ -310,8 +300,7 @@ def run_simulation(config: RunConfig, out=None) -> int:
 
 
 def _cmd_cfl(config: RunConfig, out) -> int:
-    _, built, ws = _prepare(config)
-    dt, node = cfl_report(built.params, built.grid, ws.angular, built.sigma)
+    dt, node = cfl_report(build_scenario(_resolve(config))[0])
     print(f"cfl_dt = {dt}", file=out)
     print(f"minimizing_node = {node}", file=out)
     return 0
@@ -319,7 +308,13 @@ def _cmd_cfl(config: RunConfig, out) -> int:
 
 def _cmd_sweep(config: RunConfig, schemes: str, out) -> int:
     schemes = [s.strip() for s in schemes.split(",") if s.strip()]
-    for scheme in schemes:  # refuse before any scheme runs or writes
+    # refuse before any scheme runs or writes
+    if not schemes:
+        raise ConfigError("--schemes: no scheme given")
+    twice = sorted({s for s in schemes if schemes.count(s) > 1})
+    if twice:
+        raise ConfigError(f"--schemes: {','.join(twice)} named more than once")
+    for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"key 'scheme': must be one of {SCHEMES}")
         problem = _start_problem(replace(config, scheme=scheme))

@@ -13,7 +13,6 @@ from .mesh_state import (
     AbsorptionField,
     FullMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     diff_center,
     diff_interface,
@@ -31,14 +30,21 @@ _BLOCK_BYTES = 512 * 1024  # g rows per step_full block: with output and differe
 
 @dataclass(frozen=True)
 class FullSchemeWorkspace:
-    """Grid, material, and angular operators shared by one simulation."""
+    """The problem every scheme advances: grid, scaling epsilon, absorption and
+    angular operators.
+
+    The model is written in units with a = c = c_nu = 1: the emission is
+    B(T) = T and the material heat content is T / 2.
+    """
 
     grid: StaggeredGrid
-    params: PhysicalParams
+    epsilon: float
     sigma: AbsorptionField
     angular: AngularOperators
 
     def __post_init__(self):
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be strictly positive")
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:
             raise ValueError("absorption field does not match the grid")
 
@@ -74,13 +80,13 @@ def emission_gradient_parts(macro: MacroState, ws: FullSchemeWorkspace):
     sigma is the diffusion-limit direction. Returns (thermal, source).
     """
     thermal = diff_interface(macro.temperature, ws.grid)
-    return thermal, thermal + ws.params.epsilon**2 * diff_interface(macro.h_meso, ws.grid)
+    return thermal, thermal + ws.epsilon**2 * diff_interface(macro.h_meso, ws.grid)
 
 
 def meso_macro_update(g1_new: np.ndarray, macro: MacroState, ws: FullSchemeWorkspace,
                       dt: float):
     """Implicit mesoscopic update followed by the explicit temperature update."""
-    shift = ws.params.epsilon**2 / dt
+    shift = ws.epsilon**2 / dt
     div_g1 = diff_center(g1_new, ws.grid)
     denom = shift + ws.sigma.at_centers * 3.0
     h_new = (shift * macro.h_meso - 0.5 * NORM_P1 * div_g1) / denom
@@ -105,7 +111,7 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     """
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
-    eps, ang = ws.params.epsilon, ws.angular
+    eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]

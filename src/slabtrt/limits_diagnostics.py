@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .angular import NORM_P0, AngularOperators
-from .mesh_state import (
-    AbsorptionField,
-    MacroState,
-    PhysicalParams,
-    StaggeredGrid,
-    diff_center,
-    diff_interface,
-)
+from .angular import NORM_P0
+from .full_scheme import FullSchemeWorkspace
+from .mesh_state import MacroState, StaggeredGrid, diff_center, diff_interface
 
 __all__ = [
     "cfl_report",
@@ -25,21 +19,19 @@ __all__ = [
 ]
 
 
-def cfl_report(params: PhysicalParams, grid: StaggeredGrid, angular: AngularOperators,
-               sigma: AbsorptionField):
+def cfl_report(ws: FullSchemeWorkspace):
     """Largest energy-stable step size, blending hyperbolic and parabolic scalings, and the
     node that attains it; N + 1 >= 2 symmetric Gauss nodes include two nonzero ones."""
-    nodes = angular.quad.nodes
+    nodes = ws.angular.quad.nodes
     nonzero = nodes[nodes != 0.0]
-    dx = grid.dx
-    bounds = (2.0 * params.epsilon * dx / np.abs(nonzero)
-              + sigma.sigma_min * dx**2 / nonzero**2) / (5.0 * angular.beta_N)
+    dx = ws.grid.dx
+    bounds = (2.0 * ws.epsilon * dx / np.abs(nonzero)
+              + ws.sigma.sigma_min * dx**2 / nonzero**2) / (5.0 * ws.angular.beta_N)
     idx = int(np.argmin(bounds))
     return float(bounds[idx]), float(nonzero[idx])
 
 
-def energy(macro: MacroState, micro_norm_sq: float, params: PhysicalParams,
-           grid: StaggeredGrid) -> float:
+def energy(macro: MacroState, micro_norm_sq: float, ws: FullSchemeWorkspace) -> float:
     """Discrete energy of the macro-micro system.
 
     micro_norm_sq is the squared dx-weighted norm of the micro moments
@@ -47,19 +39,19 @@ def energy(macro: MacroState, micro_norm_sq: float, params: PhysicalParams,
     """
     if micro_norm_sq < 0.0:
         raise ValueError("micro_norm_sq must be nonnegative")
-    eps, t = params.epsilon, macro.temperature
+    eps, dx, t = ws.epsilon, ws.grid.dx, macro.temperature
     core = t + eps**2 * macro.h_meso
     # vdot, not @: a matmul ufunc that overflows on finite entries warns
-    e = float(np.vdot(core, core) * grid.dx)
+    e = float(np.vdot(core, core) * dx)
     e += (eps / NORM_P0) ** 2 * micro_norm_sq
-    e += 0.5 * float(np.vdot(t, t)) * grid.dx
+    e += 0.5 * float(np.vdot(t, t)) * dx
     return e
 
 
-def mass(macro: MacroState, params: PhysicalParams, grid: StaggeredGrid) -> float:
+def mass(macro: MacroState, ws: FullSchemeWorkspace) -> float:
     """Conserved total: scalar flux T + eps^2 h plus material heat content T / 2."""
     return float((1.5 * macro.temperature.sum()
-                  + params.epsilon**2 * macro.h_meso.sum()) * grid.dx)
+                  + ws.epsilon**2 * macro.h_meso.sum()) * ws.grid.dx)
 
 
 def relative_mass_error(m_n: float, m_0: float) -> float:
@@ -71,8 +63,7 @@ def relative_mass_error(m_n: float, m_0: float) -> float:
     return abs(m_n - m_0) / abs(m_0)
 
 
-def rosseland_step(temperature: np.ndarray, grid: StaggeredGrid, sigma: AbsorptionField,
-                   dt: float) -> np.ndarray:
+def rosseland_step(temperature: np.ndarray, ws: FullSchemeWorkspace, dt: float) -> np.ndarray:
     """Explicit Euler step of the limiting diffusion equation.
 
     Serves as the small-epsilon oracle for the transport schemes; its parabolic
@@ -80,12 +71,12 @@ def rosseland_step(temperature: np.ndarray, grid: StaggeredGrid, sigma: Absorpti
     """
     if not dt > 0.0:
         raise ValueError("dt must be strictly positive")
-    t = np.asarray(temperature, dtype=float)
+    grid, t = ws.grid, np.asarray(temperature, dtype=float)
     if t.shape != (grid.n_cells,):
         raise ValueError("temperature must have n_cells entries")
 
     # (1/sigma) * delta, not delta / sigma, which can change the last bit of the output
-    flux = sigma.inv_at_interfaces * diff_interface(t, grid)
+    flux = ws.sigma.inv_at_interfaces * diff_interface(t, grid)
     divergence = diff_center(flux, grid)
 
     divergence *= dt * (2.0 / 3.0) / 3.0
@@ -93,10 +84,10 @@ def rosseland_step(temperature: np.ndarray, grid: StaggeredGrid, sigma: Absorpti
     return divergence
 
 
-def rosseland_stable_dt(grid: StaggeredGrid, sigma: AbsorptionField) -> float:
+def rosseland_stable_dt(ws: FullSchemeWorkspace) -> float:
     """Conservative parabolic bound dx^2 / (2 D_max) for the explicit limit solver."""
-    diffusivity = (2.0 / 3.0) * float(sigma.inv_at_interfaces.max())
-    return grid.dx**2 / (2.0 * diffusivity)
+    diffusivity = (2.0 / 3.0) * float(ws.sigma.inv_at_interfaces.max())
+    return ws.grid.dx**2 / (2.0 * diffusivity)
 
 
 def l2_relative_difference(u: np.ndarray, v: np.ndarray, grid: StaggeredGrid) -> float:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "PhysicalParams",
     "StaggeredGrid",
     "AbsorptionField",
     "MacroState",
@@ -34,21 +34,6 @@ _LEAK_RENORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
-    """The scaling parameter epsilon shared by every scheme.
-
-    The model is written in units with a = c = c_nu = 1: the emission is
-    B(T) = T and the material heat content is T / 2.
-    """
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be strictly positive")
-
-
-@dataclass(frozen=True)
 class StaggeredGrid:
     """Equidistant staggered grid: cell centers plus the surrounding interfaces."""
 
@@ -60,15 +45,20 @@ class StaggeredGrid:
     interfaces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_cells < 1:
+        try:
+            n_cells = operator.index(self.n_cells)  # Python or numpy integers only
+        except TypeError:
+            n_cells = 0  # a float or a string is refused below
+        if n_cells < 1:
             raise ValueError("n_cells must be a positive integer")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
-        dx = (self.x_max - self.x_min) / self.n_cells
-        interfaces = self.x_min + dx * np.arange(self.n_cells + 1)
+        dx = (self.x_max - self.x_min) / n_cells
+        interfaces = self.x_min + dx * np.arange(n_cells + 1)
         centers = 0.5 * (interfaces[:-1] + interfaces[1:])
         interfaces.setflags(write=False)
         centers.setflags(write=False)
+        object.__setattr__(self, "n_cells", n_cells)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "interfaces", interfaces)
@@ -86,6 +76,8 @@ class AbsorptionField:
     def __post_init__(self):
         ac = np.array(self.at_centers, dtype=float)
         ai = np.array(self.at_interfaces, dtype=float)
+        if ac.ndim != 1 or ai.ndim != 1:
+            raise ValueError("absorption samples must be 1-d arrays")
         if ai.shape != (ac.shape[0] + 1,):
             raise ValueError("interface samples must number n_cells + 1")
         low = np.finfo(float).smallest_normal  # below it, 1 / sigma overflows
@@ -131,9 +123,9 @@ class MacroState:
         return self.temperature.shape[0]
 
 
-def scalar_flux(macro: MacroState, params: PhysicalParams) -> np.ndarray:
+def scalar_flux(macro: MacroState, epsilon: float) -> np.ndarray:
     """Scalar flux B(T) + eps^2 h = T + eps^2 h at cell centers."""
-    return macro.temperature + params.epsilon**2 * macro.h_meso
+    return macro.temperature + epsilon**2 * macro.h_meso
 
 
 @dataclass(frozen=True)

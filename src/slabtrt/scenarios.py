@@ -6,11 +6,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mesh_state import AbsorptionField, MacroState, PhysicalParams, StaggeredGrid
+from .angular import build_angular_operators
+from .full_scheme import FullSchemeWorkspace
+from .mesh_state import AbsorptionField, MacroState, StaggeredGrid
 
 __all__ = [
     "Scenario",
-    "BuiltScenario",
     "SCENARIO_NAMES",
     "DIFFUSIVE_EPSILON_THRESHOLD",
     "X_MIN",
@@ -62,26 +63,10 @@ class Scenario:
         return np.where(np.abs(x) <= PULSE_HALF_WIDTH, PULSE_STRENGTH / self.absorption(x), 0.0)
 
 
-@dataclass(frozen=True)
-class BuiltScenario:
-    """Realized grid, material data, and initial macro state.
-
-    The run starts at equilibrium: the micro moments are zero, so the start
-    state of every scheme is built from its sizes alone (cli_io.simulate).
-    """
-
-    grid: StaggeredGrid
-    params: PhysicalParams
-    sigma: AbsorptionField
-    macro: MacroState
-
-
 _BASE = {
     "rectangular_pulse": Scenario(),
     "absorber": Scenario(sigma_insert=(5.0, -0.25, 0.25)),
 }
-
-_OVERRIDE_KEYS = ("nx", "epsilon")
 
 
 def scenario_defaults(name: str, epsilon: float | None = None) -> Scenario:
@@ -96,21 +81,16 @@ def scenario_defaults(name: str, epsilon: float | None = None) -> Scenario:
     return scn
 
 
-def build_scenario(name: str, overrides: dict | None = None) -> BuiltScenario:
-    """Construct grid, material, and equilibrium initial data for a named case.
+def build_scenario(scn: Scenario) -> tuple[FullSchemeWorkspace, MacroState]:
+    """The workspace of a resolved scenario and its initial macro state.
 
-    The particle density starts at equilibrium with the temperature, so the micro
-    moments and the mesoscopic correction vanish identically.
+    The grid spans [X_MIN, X_MAX] with `nx` cells and the angular operators have
+    `n_moments` moments. The particle density starts at equilibrium with the
+    temperature, so the micro moments and the mesoscopic correction vanish
+    identically: the start state of every scheme is built from its sizes alone
+    (cli_io.simulate).
     """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(_OVERRIDE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown scenario overrides: {sorted(unknown)}")
-
-    scn = scenario_defaults(name, overrides.get("epsilon"))
-    nx = int(overrides.get("nx", scn.nx))
-    grid = StaggeredGrid(X_MIN, X_MAX, nx)  # refuses nx < 1
+    grid = StaggeredGrid(X_MIN, X_MAX, scn.nx)  # refuses nx < 1
     sigma = AbsorptionField(scn.absorption(grid.centers), scn.absorption(grid.interfaces))
-    macro = MacroState(scn.initial_temperature(grid.centers), np.zeros(nx))
-    params = PhysicalParams(epsilon=scn.epsilon)
-    return BuiltScenario(grid=grid, params=params, sigma=sigma, macro=macro)
+    ws = FullSchemeWorkspace(grid, scn.epsilon, sigma, build_angular_operators(scn.n_moments))
+    return ws, MacroState(scn.initial_temperature(grid.centers), np.zeros(grid.n_cells))

@@ -85,7 +85,7 @@ def all_node_flux_projections(w, angular):
 
 def all_node_l_update(state, ws, dt, blocks, x_source):
     """The L-step (nodal T^T L) with P (mu+ o (W S^T F-^T) - mu- o (W S^T F-)) on all nodes."""
-    eps, ang = ws.params.epsilon, ws.angular
+    eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
     flow_minus, gram = blocks
     mu_plus, mu_minus = upwind_nodes(ang)
@@ -107,7 +107,7 @@ def half_width_step_full(macro, micro, ws, dt):
     """`step_full` with the differences scaled by mu on each half of the nodes only."""
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
-    eps, ang = ws.params.epsilon, ws.angular
+    eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg
@@ -133,7 +133,7 @@ def unblocked_step_full(macro, micro, ws, dt):
     """`step_full` with every pass over the whole state: one (n+1) x (N+1) difference buffer."""
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
-    eps, ang = ws.params.epsilon, ws.angular
+    eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg
@@ -156,7 +156,7 @@ def unblocked_step_full(macro, micro, ws, dt):
 
 def three_temporary_l_update(state, ws, dt, blocks, x_source):
     """`_l_update` with its right-hand side built from three (N+1) x r temporaries."""
-    eps, ang, n = ws.params.epsilon, ws.angular, ws.angular.n_neg
+    eps, ang, n = ws.epsilon, ws.angular, ws.angular.n_neg
     shift = eps**2 / dt
     flow_minus, gram = blocks
     mu_plus, mu_minus = upwind_nodes(ang)
@@ -231,7 +231,7 @@ def nodal_dense(g, angular):
     return FullMicroState(np.asarray(g, dtype=float) @ angular.T_mat)
 
 
-def init_from_kinetic(f_sampler, T0, grid, params, quad):
+def init_from_kinetic(f_sampler, T0, grid, epsilon, quad):
     """Macro-micro initial data from a kinetic density f(x, mu) and temperature T0(x).
 
     f_sampler and T0 must accept numpy arrays and broadcast; the micro moments are
@@ -246,11 +246,11 @@ def init_from_kinetic(f_sampler, T0, grid, params, quad):
     f_if = np.asarray(f_sampler(grid.interfaces[:, None], quad.nodes[None, :]), dtype=float)
     mean_if = 0.5 * (f_if @ quad.weights)
     fluct = f_if - mean_if[:, None]
-    g = ((fluct * quad.weights[None, :]) @ table[1:].T) / params.epsilon
+    g = ((fluct * quad.weights[None, :]) @ table[1:].T) / epsilon
 
     f_c = np.asarray(f_sampler(grid.centers[:, None], quad.nodes[None, :]), dtype=float)
     t0 = np.asarray(T0(grid.centers), dtype=float)
-    h = (0.5 * (f_c @ quad.weights) - t0) / params.epsilon**2
+    h = (0.5 * (f_c @ quad.weights) - t0) / epsilon**2
     return MacroState(t0, h), FullMicroState(g)
 
 
@@ -259,10 +259,10 @@ def _sample(seq, idx):
     return seq[idx] if 0 <= idx < len(seq) else 0.0
 
 
-def oracle_interface_source(T, h, params, dx):
+def oracle_interface_source(T, h, epsilon, dx):
     """delta0(T) + eps^2 * delta0(h) at every interface, by loops."""
     nx = len(T)
-    eps = params.epsilon
+    eps = epsilon
     src = []
     for j in range(nx + 1):
         grad_t = (_sample(T, j) - _sample(T, j - 1)) / dx
@@ -271,15 +271,15 @@ def oracle_interface_source(T, h, params, dx):
     return src
 
 
-def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus):
+def oracle_step_full(T, h, G, epsilon, dx, dt, sigma_c, sigma_i, A_plus, A_minus):
     """Term-by-term transcription of one dense macro-micro step (a = c = c_nu = 1)."""
     nx = len(T)
     ni = nx + 1
     n_mom = G.shape[1]
-    eps = params.epsilon
+    eps = epsilon
     alpha = 2.0  # 2 / c_nu
     shift = eps**2 / dt
-    src = oracle_interface_source(T, h, params, dx)
+    src = oracle_interface_source(T, h, epsilon, dx)
 
     rows = np.asarray(G, dtype=float).tolist()
     A_plus, A_minus = np.asarray(A_plus).tolist(), np.asarray(A_minus).tolist()
@@ -309,13 +309,13 @@ def oracle_step_full(T, h, G, params, dx, dt, sigma_c, sigma_i, A_plus, A_minus)
     return t_new, h_new, g_new
 
 
-def oracle_l_step(X, S, V, T, h, params, dx, dt, sigma_i, A_plus, A_minus):
+def oracle_l_step(X, S, V, T, h, epsilon, dx, dt, sigma_i, A_plus, A_minus):
     """Loop transcription of the angular-basis update (the r x r solve uses numpy)."""
     ni, r = X.shape
     n_mom = V.shape[0]
-    eps = params.epsilon
+    eps = epsilon
     shift = eps**2 / dt
-    src = oracle_interface_source(T, h, params, dx)
+    src = oracle_interface_source(T, h, epsilon, dx)
 
     def x_at(j, p):
         return X[j, p] if 0 <= j < ni else 0.0
@@ -353,14 +353,14 @@ def oracle_l_step(X, S, V, T, h, params, dx, dt, sigma_i, A_plus, A_minus):
     return np.linalg.solve(lhs.T, rhs.T).T
 
 
-def oracle_galerkin_rhs(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
+def oracle_galerkin_rhs(X, V, S_tilde, T, h, epsilon, dx, dt, sigma_i,
                         A_plus, A_minus):
     """Projected explicit right-hand side of the coefficient update (no solve)."""
     ni = X.shape[0]
     n_mom = V.shape[0]
-    eps = params.epsilon
+    eps = epsilon
     shift = eps**2 / dt
-    src = np.array(oracle_interface_source(T, h, params, dx))
+    src = np.array(oracle_interface_source(T, h, epsilon, dx))
 
     g_tilde = X @ S_tilde @ V.T
     rows = np.zeros_like(g_tilde)
@@ -377,7 +377,7 @@ def oracle_galerkin_rhs(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
     return X.T @ rows @ V
 
 
-def oracle_galerkin_dense(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
+def oracle_galerkin_dense(X, V, S_tilde, T, h, epsilon, dx, dt, sigma_i,
                           A_plus, A_minus):
     """Coefficient update via the full dense right-hand side projected onto the bases.
 
@@ -386,9 +386,9 @@ def oracle_galerkin_dense(X, V, S_tilde, T, h, params, dx, dt, sigma_i,
     """
     ni, rx = X.shape
     n_mom, rv = V.shape
-    eps = params.epsilon
+    eps = epsilon
     shift = eps**2 / dt
-    src = np.array(oracle_interface_source(T, h, params, dx))
+    src = np.array(oracle_interface_source(T, h, epsilon, dx))
 
     def dense_diff(mat, sign):
         out = np.zeros_like(mat)

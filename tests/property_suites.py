@@ -16,7 +16,6 @@ from slabtrt.mesh_state import (
     AbsorptionField,
     LowRankMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     padded_difference,
 )
@@ -220,8 +219,8 @@ def gauge_invariance_suite(n_instances=200, seed=23):
         grid = StaggeredGrid(-1.0, 1.0, nx)
         ang = build_angular_operators(n_mom)
         sigma = AbsorptionField(rng.uniform(0.4, 2.0, nx), rng.uniform(0.4, 2.0, nx + 1))
-        params = PhysicalParams(epsilon=float(rng.uniform(0.05, 1.0)))
-        ws = FullSchemeWorkspace(grid, params, sigma, ang)
+        epsilon = float(rng.uniform(0.05, 1.0))
+        ws = FullSchemeWorkspace(grid, epsilon, sigma, ang)
         macro = MacroState(rng.standard_normal(nx), rng.standard_normal(nx))
         x = _random_orthonormal(rng, nx + 1, r)
         v = _random_orthonormal(rng, n_mom, r)
@@ -263,9 +262,9 @@ def step_energy_suite(n_instances=100, seed=29):
         ang = build_angular_operators(n_mom)
         sigma = AbsorptionField(10.0 ** rng.uniform(-3.0, 1.0, nx),
                                 10.0 ** rng.uniform(-3.0, 1.0, nx + 1))
-        params = PhysicalParams(epsilon=float(10.0 ** rng.uniform(-4.0, 0.0)))
-        ws = FullSchemeWorkspace(grid, params, sigma, ang)
-        dt = cfl_report(params, grid, ang, sigma)[0]
+        epsilon = float(10.0 ** rng.uniform(-4.0, 0.0))
+        ws = FullSchemeWorkspace(grid, epsilon, sigma, ang)
+        dt = cfl_report(ws)[0]
         scale = 10.0 ** rng.uniform(-3.0, 0.0)
         macro = MacroState(scale * rng.standard_normal(nx), scale * rng.standard_normal(nx))
         v = np.zeros((n_mom, r))
@@ -273,10 +272,10 @@ def step_energy_suite(n_instances=100, seed=29):
         if r > 1:
             v[1:, 1:] = _random_orthonormal(rng, n_mom - 1, r - 1)
         state = nodal_state(_random_orthonormal(rng, nx + 1, r), rng.standard_normal((r, r)), v)
-        e_old = energy(macro, state.micro_norm_sq(grid.dx), params, grid)
+        e_old = energy(macro, state.micro_norm_sq(grid.dx), ws)
         theta_rel = float(rng.uniform(0.0, 0.1))
         for new_macro, new_state in (step_bug_fixed(macro, state, ws, dt),
                                      step_bug_adaptive(macro, state, ws, dt, theta_rel)):
-            e_new = energy(new_macro, new_state.micro_norm_sq(grid.dx), params, grid)
+            e_new = energy(new_macro, new_state.micro_norm_sq(grid.dx), ws)
             worst = max(worst, (e_new - e_old) / e_old)
     return worst

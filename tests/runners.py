@@ -1,15 +1,19 @@
 """In-memory simulation driver with per-step traces, for test assertions."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from slabtrt.angular import build_angular_operators
 from slabtrt.cli_io import simulate
-from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.limits_diagnostics import cfl_report, energy, mass
 from slabtrt.mesh_state import LowRankMicroState
-from slabtrt.scenarios import build_scenario
+from slabtrt.scenarios import build_scenario, scenario_defaults
+
+
+def build_problem(name, nx, n_moments, epsilon=None):
+    """Workspace and start state of a named scenario at the given sizes; epsilon None
+    keeps the scenario's, and a given one picks the regime defaults as a config does."""
+    return build_scenario(replace(scenario_defaults(name, epsilon), nx=nx, n_moments=n_moments))
 
 
 @dataclass
@@ -51,19 +55,16 @@ def run_desk(scheme, nx=101, n_moments=30, epsilon=1.0, rank=5, t_end=1.5):
 
     The trace starts with the initial state, so every step is checked.
     """
-    built = build_scenario("rectangular_pulse", {"nx": nx, "epsilon": epsilon})
-    grid, params, sigma = built.grid, built.params, built.sigma
-    angular = build_angular_operators(n_moments)
-    ws = FullSchemeWorkspace(grid, params, sigma, angular)
-    dt = cfl_report(params, grid, angular, sigma)[0]
+    ws, macro0 = build_problem("rectangular_pulse", nx, n_moments, epsilon)
+    dt = cfl_report(ws)[0]
 
-    scale = float(np.max(np.abs(built.macro.temperature)))
+    scale = float(np.max(np.abs(macro0.temperature)))
     trace = Trace()
-    for t, _, macro, micro in simulate(scheme, built.macro, ws, dt, t_end,
+    for t, _, macro, micro in simulate(scheme, macro0, ws, dt, t_end,
                                        rank=rank, theta_rel=5e-2):
         trace.times.append(t)
-        trace.energies.append(energy(macro, micro.micro_norm_sq(grid.dx), params, grid))
-        trace.masses.append(mass(macro, params, grid))
+        trace.energies.append(energy(macro, micro.micro_norm_sq(ws.grid.dx), ws))
+        trace.masses.append(mass(macro, ws))
         trace.ranks.append(getattr(micro, "rank", 0))
         trace.support_margins.append(_support_margin(
             macro.temperature, macro.h_meso, _moment_row_norms(micro), scale))

@@ -22,7 +22,7 @@ from oracles import (
     reconstruct,
     upwind,
 )
-from runners import run_desk
+from runners import build_problem, run_desk
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import step_bug_adaptive
 from slabtrt.bug_fixed import step_bug_fixed
@@ -37,12 +37,10 @@ from slabtrt.mesh_state import (
     AbsorptionField,
     LowRankMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     scalar_flux,
     zero_low_rank_state,
 )
-from slabtrt.scenarios import build_scenario
 
 
 def report(number, ok, text):
@@ -124,28 +122,26 @@ def test_criterion_4_rosseland_agreement(tmp_path):
 
 def test_criterion_5_one_step_limit():
     nx, n_mom = 101, 30
-    built = build_scenario("rectangular_pulse",
-                           {"nx": nx, "epsilon": 1e-6})
-    angular = build_angular_operators(n_mom)
-    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-    dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-    w_ap = emission_gradient_parts(built.macro, ws)[0] / ws.sigma.at_interfaces
+    ws, macro0 = build_problem("rectangular_pulse", nx, n_mom, 1e-6)
+    angular = ws.angular
+    dt = cfl_report(ws)[0]
+    w_ap = emission_gradient_parts(macro0, ws)[0] / ws.sigma.at_interfaces
     target = -np.outer(w_ap, modal_b(angular))
     scale = float(np.max(np.linalg.norm(target, axis=1)))
 
     worst = 0.0
-    _, dense = step_full(built.macro, nodal_dense(np.zeros((nx + 1, n_mom)), angular), ws, dt)
+    _, dense = step_full(macro0, nodal_dense(np.zeros((nx + 1, n_mom)), angular), ws, dt)
     worst = max(worst, np.max(np.linalg.norm(
         modal(dense, angular.T_mat).g_matrix - target, axis=1)[1:-1]) / scale)
 
     _, fixed_state = step_bug_fixed(
-        built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt)
+        macro0, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt)
     worst = max(worst, np.max(np.linalg.norm(
         reconstruct(modal(fixed_state, angular.T_mat)) - target, axis=1)[1:-1]) / scale)
 
     theta_rel = 5e-2
     _, adaptive_state = step_bug_adaptive(
-        built.macro, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt, theta_rel)
+        macro0, zero_low_rank_state(nx + 1, angular.T_mat, 1), ws, dt, theta_rel)
     worst = max(worst, np.max(np.linalg.norm(
         reconstruct(modal(adaptive_state, angular.T_mat)) - target, axis=1)[1:-1]) / scale)
 
@@ -154,15 +150,14 @@ def test_criterion_5_one_step_limit():
 
 def test_criterion_6_low_rank_fidelity():
     nx, n_mom = 201, 50
-    built = build_scenario("rectangular_pulse", {"nx": nx})
-    angular = build_angular_operators(n_mom)
-    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-    dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+    ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+    angular = ws.angular
+    dt = cfl_report(ws)[0]
 
-    macro_d, micro_d = built.macro, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
-    macro_f = built.macro
+    macro_d, micro_d = macro0, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
+    macro_f = macro0
     state_f = zero_low_rank_state(nx + 1, angular.T_mat, 15)
-    macro_a = built.macro
+    macro_a = macro0
     state_a = zero_low_rank_state(nx + 1, angular.T_mat, 1)
     theta_rel = 5e-2
 
@@ -177,9 +172,9 @@ def test_criterion_6_low_rank_fidelity():
     worst = 0.0
     for macro in (macro_f, macro_a):
         worst = max(worst, l2_relative_difference(
-            macro.temperature, macro_d.temperature, built.grid))
+            macro.temperature, macro_d.temperature, ws.grid))
         worst = max(worst, l2_relative_difference(
-            scalar_flux(macro, built.params), scalar_flux(macro_d, built.params), built.grid))
+            scalar_flux(macro, ws.epsilon), scalar_flux(macro_d, ws.epsilon), ws.grid))
     report(6, worst <= 0.02, f"rank-15 fixed and adaptive vs dense, worst L2 {worst:.4f}")
 
 
@@ -216,13 +211,13 @@ def test_criterion_9_oracle_equivalence():
 
     # dense step on the 3-cell hand instance
     grid = StaggeredGrid(0.0, 3.0, 3)
-    params = PhysicalParams(epsilon=1.0)
+    epsilon = 1.0
     sigma = AbsorptionField(np.ones(3), np.ones(4))
-    ws = FullSchemeWorkspace(grid, params, sigma, build_angular_operators(2))
+    ws = FullSchemeWorkspace(grid, epsilon, sigma, build_angular_operators(2))
     T = np.array([0.0, 1.0, 0.0])
     macro = MacroState(T, np.zeros(3))
     m1, g1 = step_full(macro, nodal_dense(np.zeros((4, 2)), ws.angular), ws, 0.1)
-    t_o, h_o, g_o = oracle_step_full(T, np.zeros(3), np.zeros((4, 2)), params, 1.0, 0.1,
+    t_o, h_o, g_o = oracle_step_full(T, np.zeros(3), np.zeros((4, 2)), epsilon, 1.0, 0.1,
                                      np.ones(3), np.ones(4),
                                      *upwind(ws.angular))
     worst = max(worst, np.max(np.abs(modal(g1, ws.angular.T_mat).g_matrix - g_o)),
@@ -231,9 +226,9 @@ def test_criterion_9_oracle_equivalence():
     # angular-basis update on a 3-interface rank-1 instance
     rng = np.random.default_rng(50)
     grid2 = StaggeredGrid(0.0, 1.0, 2)
-    params2 = PhysicalParams(epsilon=0.6)
+    eps2 = 0.6
     sig_c, sig_i = rng.uniform(0.5, 1.5, 2), rng.uniform(0.5, 1.5, 3)
-    ws2 = FullSchemeWorkspace(grid2, params2, AbsorptionField(sig_c, sig_i),
+    ws2 = FullSchemeWorkspace(grid2, eps2, AbsorptionField(sig_c, sig_i),
                               build_angular_operators(3))
     x, _ = np.linalg.qr(rng.standard_normal((3, 1)))
     v, _ = np.linalg.qr(rng.standard_normal((3, 1)))
@@ -242,16 +237,16 @@ def test_criterion_9_oracle_equivalence():
     macro2 = MacroState(rng.uniform(0, 2, 2), rng.standard_normal(2))
     l_new = t_mat2 @ kernel_l(state, emission_gradient_parts(macro2, ws2)[1], ws2, 0.05)
     l_oracle = oracle_l_step(x, state.S_coeff, v, macro2.temperature, macro2.h_meso,
-                             params2, grid2.dx, 0.05, sig_i,
+                             eps2, grid2.dx, 0.05, sig_i,
                              *upwind(ws2.angular))
     worst = max(worst, np.max(np.abs(l_new - l_oracle)))
 
     # Galerkin coefficient update against the dense projection oracle
     rng = np.random.default_rng(51)
     grid3 = StaggeredGrid(-1.0, 1.0, 5)
-    params3 = PhysicalParams(epsilon=0.8)
+    eps3 = 0.8
     sig_c, sig_i = rng.uniform(0.4, 1.5, 5), rng.uniform(0.4, 1.5, 6)
-    ws3 = FullSchemeWorkspace(grid3, params3, AbsorptionField(sig_c, sig_i),
+    ws3 = FullSchemeWorkspace(grid3, eps3, AbsorptionField(sig_c, sig_i),
                               build_angular_operators(4))
     x_old, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     v_old, _ = np.linalg.qr(rng.standard_normal((4, 2)))
@@ -263,12 +258,12 @@ def test_criterion_9_oracle_equivalence():
     s_new = kernel_galerkin(x_new, ws3.angular.T_mat.T @ v_new, s_tilde,
                             emission_gradient_parts(macro3, ws3)[1], ws3, 0.04)
     s_oracle = oracle_galerkin_dense(x_new, v_new, s_tilde, macro3.temperature,
-                                     macro3.h_meso, params3, grid3.dx, 0.04, sig_i,
+                                     macro3.h_meso, eps3, grid3.dx, 0.04, sig_i,
                                      *upwind(ws3.angular))
     worst = max(worst, np.max(np.abs(s_new - s_oracle)))
 
     # diffusion-limit reference step, 3-cell hand instance
-    out = rosseland_step(T, grid, sigma, 0.1)
+    out = rosseland_step(T, ws, 0.1)
     out_oracle = oracle_rosseland_step(T, 1.0, 0.1, np.ones(4))
     worst = max(worst, np.max(np.abs(out - out_oracle)))
 

@@ -16,6 +16,7 @@ from oracles import (
     reference_complete_orthonormal_columns,
     upwind,
 )
+from runners import build_problem
 from slabtrt import bug_adaptive, bug_fixed, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
@@ -37,26 +38,23 @@ from slabtrt.mesh_state import (
     AbsorptionField,
     LowRankMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     _orth_defect,
     padded_difference,
     scalar_flux,
     zero_low_rank_state,
 )
-from slabtrt.scenarios import build_scenario
 
 
 def make_workspace(nx=6, n_moments=5, epsilon=0.8, sigma=0.7, seed=None):
     grid = StaggeredGrid(-1.0, 1.0, nx)
-    params = PhysicalParams(epsilon=epsilon)
     if seed is None:
         field = AbsorptionField(np.full(nx, sigma), np.full(nx + 1, sigma))
     else:
         rng = np.random.default_rng(seed)
         field = AbsorptionField(rng.uniform(0.4, 1.5, nx), rng.uniform(0.4, 1.5, nx + 1))
     angular = build_angular_operators(n_moments)
-    return FullSchemeWorkspace(grid, params, field, angular)
+    return FullSchemeWorkspace(grid, epsilon, field, angular)
 
 
 def old_coefficients(aug, state):
@@ -259,8 +257,8 @@ class TestGalerkinSHat:
         rng = np.random.default_rng(36)
         nx, n_mom = 3, 3
         grid = StaggeredGrid(0.0, 1.0, nx)
-        params = PhysicalParams(epsilon=0.6)
-        ws = FullSchemeWorkspace(grid, params,
+        epsilon = 0.6
+        ws = FullSchemeWorkspace(grid, epsilon,
                                  AbsorptionField(rng.uniform(0.5, 1.5, nx),
                                                  rng.uniform(0.5, 1.5, nx + 1)),
                                  build_angular_operators(n_mom))
@@ -271,7 +269,7 @@ class TestGalerkinSHat:
         s_hat = galerkin_s_hat(aug, state, ws, dt)
         s_tilde = old_coefficients(aug, state)
         oracle = oracle_galerkin_dense(aug.X_hat, ws.angular.T_mat @ aug.V_hat, s_tilde,
-                                       macro.temperature, macro.h_meso, params,
+                                       macro.temperature, macro.h_meso, epsilon,
                                        grid.dx, dt, ws.sigma.at_interfaces,
                                        *upwind(ws.angular))
         np.testing.assert_allclose(s_hat, oracle, atol=1e-12)
@@ -511,10 +509,9 @@ class TestStepOperationCounts:
         # slot in truncation); the augmentation QRs take at most r + 1 columns and
         # truncation QRs act on coefficient blocks of at most 2r + 1 rows
         nx, n_mom = 101, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
         theta_rel = 5e-2
         step = {"index": 0, "rank": 1, "augmenting": False}
         qr_log, completions = [], []
@@ -544,7 +541,7 @@ class TestStepOperationCounts:
             monkeypatch.setattr(module, "complete_orthonormal_columns", counted_complete)
         monkeypatch.setattr(bug_adaptive, "augment_bases", marked_augment)
 
-        macro = built.macro
+        macro = macro0
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         for index in range(1, 31):
             step.update(index=index, rank=state.rank)
@@ -602,11 +599,11 @@ class TestStepBugAdaptive:
     def test_small_epsilon_limit_after_one_step(self):
         nx, n_mom = 40, 8
         grid = StaggeredGrid(-4.0, 4.0, nx)
-        params = PhysicalParams(epsilon=1e-6)
+        epsilon = 1e-6
         sigma = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(grid, params, sigma, angular)
-        dt = cfl_report(params, grid, angular, sigma)[0]
+        ws = FullSchemeWorkspace(grid, epsilon, sigma, angular)
+        dt = cfl_report(ws)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         theta_rel = 5e-2
@@ -620,12 +617,9 @@ class TestStepBugAdaptive:
 
     def test_diffusive_rank_stays_small(self):
         nx, n_mom = 60, 12
-        built = build_scenario("rectangular_pulse",
-                               {"nx": nx, "epsilon": 1e-5})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        macro = built.macro
+        ws, macro = build_problem("rectangular_pulse", nx, n_mom, 1e-5)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         theta_rel = 5e-2
         for _ in range(200):
@@ -634,12 +628,11 @@ class TestStepBugAdaptive:
 
     def test_kinetic_pulse_matches_dense_scheme(self):
         nx, n_mom = 101, 30
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        macro_d, micro_d = built.macro, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
-        macro_a = built.macro
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
+        macro_d, micro_d = macro0, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
+        macro_a = macro0
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         theta_rel = 5e-2
         t = 0.0
@@ -648,9 +641,9 @@ class TestStepBugAdaptive:
             macro_d, micro_d = step_full(macro_d, micro_d, ws, dt_step)
             macro_a, state = step_bug_adaptive(macro_a, state, ws, dt_step, theta_rel)
             t += dt_step
-        err_t = l2_relative_difference(macro_a.temperature, macro_d.temperature, built.grid)
-        err_phi = l2_relative_difference(scalar_flux(macro_a, built.params),
-                                         scalar_flux(macro_d, built.params), built.grid)
+        err_t = l2_relative_difference(macro_a.temperature, macro_d.temperature, ws.grid)
+        err_phi = l2_relative_difference(scalar_flux(macro_a, ws.epsilon),
+                                         scalar_flux(macro_d, ws.epsilon), ws.grid)
         assert err_t <= 0.02
         assert err_phi <= 0.02
 
@@ -673,23 +666,21 @@ class TestStepBugAdaptive:
     def test_energy_and_mass_bookkeeping(self):
         # support must stay clear of the boundary for the conservation property
         nx, n_mom = 101, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        macro = built.macro
+        ws, macro = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         theta_rel = 5e-2
-        e_prev = energy(macro, 0.0, built.params, built.grid)
+        e_prev = energy(macro, 0.0, ws)
         e0 = e_prev
-        m0 = mass(macro, built.params, built.grid)
+        m0 = mass(macro, ws)
         m_prev = m0
         for _ in range(55):
             macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
-            e = energy(macro, state.micro_norm_sq(built.grid.dx), built.params, built.grid)
+            e = energy(macro, state.micro_norm_sq(ws.grid.dx), ws)
             assert e <= e_prev + 1e-12 * e0
             e_prev = e
-            m_now = mass(macro, built.params, built.grid)
+            m_now = mass(macro, ws)
             assert abs(m_now - m_prev) <= 1e-11 * abs(m0)  # per-step change
             assert abs(m_now - m0) <= 1e-10 * abs(m0)      # accumulated drift
             m_prev = m_now
@@ -699,12 +690,11 @@ class TestStepBugAdaptive:
         # a relative 1e-15 perturbation of S_hat in every step stands for any
         # reassociation of the kernels; the drift must stay inside the bound
         # for every such perturbation, not only for the unperturbed arithmetic
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
         theta_rel = 5e-2
-        m0 = mass(built.macro, built.params, built.grid)
+        m0 = mass(macro0, ws)
         galerkin = bug_adaptive.galerkin_s_hat
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -714,24 +704,21 @@ class TestStepBugAdaptive:
                 return s_hat * (1.0 + 1e-15 * rng.standard_normal(s_hat.shape))
 
             monkeypatch.setattr(bug_adaptive, "galerkin_s_hat", perturbed)
-            macro = built.macro
+            macro = macro0
             state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
             worst = 0.0
             for _ in range(steps):
                 macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
-                worst = max(worst, abs(mass(macro, built.params, built.grid) - m0))
+                worst = max(worst, abs(mass(macro, ws) - m0))
             assert worst <= bound * abs(m0), f"seed {seed}: drift {worst / abs(m0):.2e}"
 
     def test_diffusive_rank_trace_regression(self):
         # frozen baseline from the validated build: the diffusive desk pulse
         # settles at rank 3 immediately after the first augmented step
         nx, n_mom = 101, 30
-        built = build_scenario("rectangular_pulse",
-                               {"nx": nx, "epsilon": 1e-5})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        macro = built.macro
+        ws, macro = build_problem("rectangular_pulse", nx, n_mom, 1e-5)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         theta_rel = 5e-2
         ranks = []
@@ -743,17 +730,17 @@ class TestStepBugAdaptive:
     def test_diffusive_temperature_tracks_reference(self):
         nx, n_mom = 50, 10
         grid = StaggeredGrid(-5.0, 5.0, nx)
-        params = PhysicalParams(epsilon=1e-6)
+        epsilon = 1e-6
         sigma = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(grid, params, sigma, angular)
-        dt = cfl_report(params, grid, angular, sigma)[0]
+        ws = FullSchemeWorkspace(grid, epsilon, sigma, angular)
+        dt = cfl_report(ws)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         theta_rel = 5e-2
         t_ref = macro.temperature.copy()
         for _ in range(10):
             macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
-            t_ref = rosseland_step(t_ref, grid, sigma, dt)
+            t_ref = rosseland_step(t_ref, ws, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4

@@ -21,6 +21,7 @@ from oracles import (
     three_temporary_l_update,
     upwind,
 )
+from runners import build_problem
 from slabtrt import bug_fixed
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import step_bug_adaptive
@@ -39,7 +40,6 @@ from slabtrt.mesh_state import (
     FullMicroState,
     LowRankMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     _orth_defect,
     extend_orthonormal_columns,
@@ -47,19 +47,17 @@ from slabtrt.mesh_state import (
     scalar_flux,
     zero_low_rank_state,
 )
-from slabtrt.scenarios import build_scenario
 
 
 def make_workspace(nx=6, n_moments=4, epsilon=0.8, sigma=0.7, seed=None):
     grid = StaggeredGrid(-1.0, 1.0, nx)
-    params = PhysicalParams(epsilon=epsilon)
     if seed is None:
         field = AbsorptionField(np.full(nx, sigma), np.full(nx + 1, sigma))
     else:
         rng = np.random.default_rng(seed)
         field = AbsorptionField(rng.uniform(0.4, 1.5, nx), rng.uniform(0.4, 1.5, nx + 1))
     angular = build_angular_operators(n_moments)
-    return FullSchemeWorkspace(grid, params, field, angular)
+    return FullSchemeWorkspace(grid, epsilon, field, angular)
 
 
 def random_state(rng, n_interfaces, n_moments, rank, pinned=False):
@@ -121,7 +119,7 @@ class TestKStep:
         g_in_span = x @ s
         state = nodal_state(x, s, np.eye(4))
         k_new = k_update(state, macro, ws, 0.02)
-        _, _, oracle = oracle_step_full(macro.temperature, macro.h_meso, g_in_span, ws.params,
+        _, _, oracle = oracle_step_full(macro.temperature, macro.h_meso, g_in_span, ws.epsilon,
                                         ws.grid.dx, 0.02, ws.sigma.at_centers,
                                         ws.sigma.at_interfaces, *upwind(ws.angular))
         np.testing.assert_allclose(k_new, oracle, atol=1e-12)
@@ -166,10 +164,10 @@ class TestLStep:
         rng = np.random.default_rng(16)
         nx, n_mom = 2, 3
         grid = StaggeredGrid(0.0, 1.0, nx)
-        params = PhysicalParams(epsilon=0.6)
+        epsilon = 0.6
         sig_c = rng.uniform(0.5, 1.5, nx)
         sig_i = rng.uniform(0.5, 1.5, nx + 1)
-        ws = FullSchemeWorkspace(grid, params, AbsorptionField(sig_c, sig_i),
+        ws = FullSchemeWorkspace(grid, epsilon, AbsorptionField(sig_c, sig_i),
                                  build_angular_operators(n_mom))
         state = random_state(rng, nx + 1, n_mom, 1)
         T = rng.uniform(0.0, 2.0, nx)
@@ -179,7 +177,7 @@ class TestLStep:
         l_new = ws.angular.T_mat @ l_update(state, macro, ws, dt)
         v_modal = ws.angular.T_mat @ state.V_basis
         oracle = oracle_l_step(state.X_basis, state.S_coeff, v_modal, T, h,
-                               params, grid.dx, dt, sig_i,
+                               epsilon, grid.dx, dt, sig_i,
                                *upwind(ws.angular))
         np.testing.assert_allclose(l_new, oracle, atol=1e-12)
 
@@ -193,7 +191,7 @@ class TestLStep:
         l_new = ws.angular.T_mat @ l_update(state, macro, ws, 0.04)
         v_modal = ws.angular.T_mat @ state.V_basis
         oracle = oracle_l_step(state.X_basis, state.S_coeff, v_modal, T, h,
-                               ws.params, ws.grid.dx, 0.04, ws.sigma.at_interfaces,
+                               ws.epsilon, ws.grid.dx, 0.04, ws.sigma.at_interfaces,
                                *upwind(ws.angular))
         np.testing.assert_allclose(l_new, oracle, atol=1e-12)
 
@@ -216,10 +214,10 @@ class TestSStep:
         dt = 0.03
         s_new = galerkin_update(state.X_basis, state.V_basis, state, macro, ws, dt)
 
-        p = ws.params
-        shift = p.epsilon**2 / dt
+        eps = ws.epsilon
+        shift = eps**2 / dt
         rhs = oracle_galerkin_rhs(state.X_basis, ws.angular.T_mat @ state.V_basis, state.S_coeff,
-                                  macro.temperature, macro.h_meso, p, ws.grid.dx, dt,
+                                  macro.temperature, macro.h_meso, eps, ws.grid.dx, dt,
                                   ws.sigma.at_interfaces, *upwind(ws.angular))
         np.testing.assert_allclose(s_new, rhs / (shift + 0.9), atol=1e-12)
 
@@ -234,7 +232,7 @@ class TestSStep:
         x_new, v_new = random_state(rng, 6, 4, 2).X_basis, random_state(rng, 6, 4, 2).V_basis
         s_new = galerkin_update(x_new, v_new, state, macro, ws, dt)
         s_tilde = (x_new.T @ state.X_basis) @ state.S_coeff @ (state.V_basis.T @ v_new)
-        oracle = oracle_galerkin_dense(x_new, ws.angular.T_mat @ v_new, s_tilde, T, h, ws.params,
+        oracle = oracle_galerkin_dense(x_new, ws.angular.T_mat @ v_new, s_tilde, T, h, ws.epsilon,
                                        ws.grid.dx, dt, ws.sigma.at_interfaces,
                                        *upwind(ws.angular))
         np.testing.assert_allclose(s_new, oracle, atol=1e-12)
@@ -256,30 +254,29 @@ class TestStepBugFixed:
     def test_diffusive_temperature_tracks_reference(self):
         nx, n_mom = 50, 10
         grid = StaggeredGrid(-5.0, 5.0, nx)
-        params = PhysicalParams(epsilon=1e-6)
+        epsilon = 1e-6
         sigma = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(grid, params, sigma, angular)
-        dt = cfl_report(params, grid, angular, sigma)[0]
+        ws = FullSchemeWorkspace(grid, epsilon, sigma, angular)
+        dt = cfl_report(ws)[0]
         macro = MacroState(np.exp(-grid.centers**2), np.zeros(nx))
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank=1)
         t_ref = macro.temperature.copy()
         for _ in range(10):
             macro, state = step_bug_fixed(macro, state, ws, dt)
-            t_ref = rosseland_step(t_ref, grid, sigma, dt)
+            t_ref = rosseland_step(t_ref, ws, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4
 
     def test_kinetic_pulse_matches_dense_scheme(self):
         # moderate desk case: rank 15 against the dense scheme with the same moments
         nx, n_mom, rank = 101, 30, 15
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
 
-        macro_d, micro_d = built.macro, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
-        macro_l = built.macro
+        macro_d, micro_d = macro0, nodal_dense(np.zeros((nx + 1, n_mom)), angular)
+        macro_l = macro0
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank)
         t = 0.0
         while t < 1.5 - 1e-12:
@@ -287,29 +284,27 @@ class TestStepBugFixed:
             macro_d, micro_d = step_full(macro_d, micro_d, ws, dt_step)
             macro_l, state = step_bug_fixed(macro_l, state, ws, dt_step)
             t += dt_step
-        err_t = l2_relative_difference(macro_l.temperature, macro_d.temperature, built.grid)
-        err_phi = l2_relative_difference(scalar_flux(macro_l, built.params),
-                                         scalar_flux(macro_d, built.params), built.grid)
+        err_t = l2_relative_difference(macro_l.temperature, macro_d.temperature, ws.grid)
+        err_phi = l2_relative_difference(scalar_flux(macro_l, ws.epsilon),
+                                         scalar_flux(macro_d, ws.epsilon), ws.grid)
         assert err_t <= 0.02
         assert err_phi <= 0.02
 
     def test_energy_dissipation_and_mass(self):
         nx, n_mom, rank = 60, 8, 4
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        macro = built.macro
+        ws, macro = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
         state = zero_low_rank_state(nx + 1, angular.T_mat, rank)
-        e_prev = energy(macro, 0.0, built.params, built.grid)
+        e_prev = energy(macro, 0.0, ws)
         e0 = e_prev
-        m0 = mass(macro, built.params, built.grid)
+        m0 = mass(macro, ws)
         for _ in range(60):
             macro, state = step_bug_fixed(macro, state, ws, dt)
-            e = energy(macro, state.micro_norm_sq(built.grid.dx), built.params, built.grid)
+            e = energy(macro, state.micro_norm_sq(ws.grid.dx), ws)
             assert e <= e_prev + 1e-12 * e0
             e_prev = e
-            assert abs(mass(macro, built.params, built.grid) - m0) <= 1e-12 * abs(m0)
+            assert abs(mass(macro, ws) - m0) <= 1e-12 * abs(m0)
 
     def test_dt_validation(self):
         ws = make_workspace()
@@ -330,11 +325,9 @@ class TestCarriedBlocks:
     @staticmethod
     def problem():
         nx, n_mom = 40, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
-                                 build_angular_operators(n_mom))
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
         state = random_state(np.random.default_rng(60), nx + 1, n_mom, 3, pinned=True)
-        return ws, built.macro, state
+        return ws, macro0, state
 
     @staticmethod
     def step(scheme, macro, state, ws):
@@ -344,7 +337,7 @@ class TestCarriedBlocks:
 
     @staticmethod
     def fresh(ws, **members):
-        fields = {"grid": ws.grid, "params": ws.params, "sigma": ws.sigma,
+        fields = {"grid": ws.grid, "epsilon": ws.epsilon, "sigma": ws.sigma,
                   "angular": ws.angular}
         return FullSchemeWorkspace(**{**fields, **members})
 
@@ -415,11 +408,9 @@ class TestStepMadeStates:
     @pytest.mark.parametrize("scenario, epsilon", [("rectangular_pulse", 1.0),
                                                    ("absorber", 1e-5)])
     def test_every_state_passes_the_public_checks(self, scheme, scenario, epsilon):
-        built = build_scenario(scenario, {"nx": 30, "epsilon": epsilon})
-        angular = build_angular_operators(10)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        states = [state for _, _, _, state in simulate(scheme, built.macro, ws, dt, 24 * dt,
+        ws, macro0 = build_problem(scenario, 30, 10, epsilon)
+        dt = cfl_report(ws)[0]
+        states = [state for _, _, _, state in simulate(scheme, macro0, ws, dt, 24 * dt,
                                                       rank=3, theta_rel=5e-2)]
         assert len(states) == 25  # the zero state and 24 steps
         for step, state in enumerate(states):
@@ -437,37 +428,37 @@ class TestNodalKernels:
         return diffs[:-1], diffs[1:]
 
     def dense_k_update(self, state, source, ws, dt):
-        p, ang = ws.params, ws.angular
+        eps, ang = ws.epsilon, ws.angular
         x, s, v = state.X_basis, state.S_coeff, ang.T_mat @ state.V_basis
-        shift = p.epsilon**2 / dt
+        shift = eps**2 / dt
         k = x @ s
         k_minus, k_plus = self.one_sided(k, ws)
         a_plus, a_minus = upwind(ang)
         advect = k_minus @ (v.T @ a_plus @ v) + k_plus @ (v.T @ a_minus @ v)
-        rhs = shift * k - p.epsilon * advect - np.outer(source, v.T @ modal_b(ang))
+        rhs = shift * k - eps * advect - np.outer(source, v.T @ modal_b(ang))
         return rhs / (shift + ws.sigma.at_interfaces)[:, None]
 
     def dense_l_update(self, state, source, ws, dt):
-        p, ang = ws.params, ws.angular
+        eps, ang = ws.epsilon, ws.angular
         x, s, v = state.X_basis, state.S_coeff, ang.T_mat @ state.V_basis
-        shift = p.epsilon**2 / dt
+        shift = eps**2 / dt
         l_mat = v @ s.T
         x_minus, x_plus = self.one_sided(x, ws)
         a_plus, a_minus = upwind(ang)
         advect = a_plus @ l_mat @ (x_minus.T @ x) + a_minus @ l_mat @ (x_plus.T @ x)
-        rhs = shift * l_mat - p.epsilon * advect - np.outer(modal_b(ang), x.T @ source)
+        rhs = shift * l_mat - eps * advect - np.outer(modal_b(ang), x.T @ source)
         absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
         return np.linalg.solve(shift * np.eye(state.rank) + absorb, rhs.T).T
 
     def dense_galerkin_update(self, x, v, s_tilde, source, ws, dt):
-        p, ang = ws.params, ws.angular
-        shift = p.epsilon**2 / dt
+        eps, ang = ws.epsilon, ws.angular
+        shift = eps**2 / dt
         x_minus, x_plus = self.one_sided(x, ws)
         a_plus, a_minus = upwind(ang)
         advect = (x.T @ x_minus @ s_tilde @ (v.T @ a_plus @ v)
                   + x.T @ x_plus @ s_tilde @ (v.T @ a_minus @ v))
         absorb = x.T @ (ws.sigma.at_interfaces[:, None] * x)
-        rhs = shift * s_tilde - p.epsilon * advect - np.outer(x.T @ source, v.T @ modal_b(ang))
+        rhs = shift * s_tilde - eps * advect - np.outer(x.T @ source, v.T @ modal_b(ang))
         return np.linalg.solve(shift * np.eye(x.shape[1]) + absorb, rhs)
 
     @pytest.mark.parametrize("n_moments", [1, 4, 9, 24])
@@ -512,12 +503,12 @@ class TestNodalKernels:
         ws = make_workspace(nx=nx, n_moments=12, seed=93)
         state = random_state(rng, nx + 1, 12, rank)
         source = rng.standard_normal(nx + 1)
-        p, w, dt = ws.params, state.V_basis, 0.03
-        shift = p.epsilon**2 / dt
+        eps, w, dt = ws.epsilon, state.V_basis, 0.03
+        shift = eps**2 / dt
         k = state.X_basis @ state.S_coeff
         k_minus, k_plus = self.one_sided(k, ws)
         flux_plus, flux_minus = _flux_projections(w, ws)
-        rhs = (shift * k - p.epsilon * (k_minus @ flux_plus + k_plus @ flux_minus)
+        rhs = (shift * k - eps * (k_minus @ flux_plus + k_plus @ flux_minus)
                - np.outer(source, w.T @ ws.angular.b))
         want = rhs / (shift + ws.sigma.at_interfaces)[:, None]
         got = kernel_k(state, source, ws, dt)
@@ -566,17 +557,17 @@ class TestNodalKernels:
         # nowhere, nor by A = T diag(mu) T^T: with T_mat set to NaN it returns
         # the same state, bit for bit
         nx, n_mom = 41, 16
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        clean, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+        angular = clean.angular
+        dt = cfl_report(clean)[0]
         theta_rel = 5e-2
 
         def run(poisoned):
-            ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
+            ws = clean
             if poisoned:
                 ws = dataclasses.replace(ws, angular=dataclasses.replace(
                     angular, T_mat=np.full((n_mom, n_mom + 1), np.nan)))
-            macro = built.macro
+            macro = macro0
             # from the zero state both schemes pad angular directions in the first step
             state = zero_low_rank_state(nx + 1, angular.T_mat,
                                         rank=1 if scheme == "bug_adaptive" else 4)
@@ -605,12 +596,10 @@ class TestNodalKernels:
         # projects against it, else rounding amplified by QR leaks into it
         # (to 4e-4 in the adaptive and 9e-13 in the fixed-rank scheme here)
         nx, n_mom = 41, 16
-        built = build_scenario("absorber", {"nx": nx, "epsilon": 1e-5})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        ws, macro0 = build_problem("absorber", nx, n_mom, 1e-5)
+        dt = cfl_report(ws)[0]
         worst = max(np.max(np.abs(ws.angular.t0 @ state.V_basis)) for _, _, _, state in simulate(
-            scheme, built.macro, ws, dt, 1000 * dt, rank=3, theta_rel=5e-2))
+            scheme, macro0, ws, dt, 1000 * dt, rank=3, theta_rel=5e-2))
         assert worst <= 1e-14
 
     def test_padded_directions_are_rows_of_t(self):
@@ -626,11 +615,10 @@ class TestNodalKernels:
     @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
     def test_modal_view_of_every_state_is_orthonormal_and_pinned(self, scheme):
         nx, n_mom = 61, 12
-        built = build_scenario("rectangular_pulse", {"nx": nx})
-        angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
-        for step, (_, _, _, state) in enumerate(simulate(scheme, built.macro, ws,
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
+        angular = ws.angular
+        dt = cfl_report(ws)[0]
+        for step, (_, _, _, state) in enumerate(simulate(scheme, macro0, ws,
                                                          dt, 40 * dt, rank=5, theta_rel=5e-2)):
             moments = modal(state, angular.T_mat)  # validates orthonormality to 1e-12
             assert _orth_defect(moments.V_basis) <= 1e-12
@@ -658,7 +646,7 @@ class TestMirrorSymmetry:
         rng = np.random.default_rng(97)
         nx, n_mom, dt = 10, 7, 0.02
         sig_c, sig_i = rng.uniform(0.4, 1.5, nx), rng.uniform(0.4, 1.5, nx + 1)
-        ws = FullSchemeWorkspace(StaggeredGrid(-1.0, 1.0, nx), PhysicalParams(epsilon=0.6),
+        ws = FullSchemeWorkspace(StaggeredGrid(-1.0, 1.0, nx), 0.6,
                                  AbsorptionField(sig_c + sig_c[::-1], sig_i + sig_i[::-1]),
                                  build_angular_operators(n_mom))
         macro = MacroState(rng.uniform(0.5, 2.0, nx), rng.standard_normal(nx))

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slabtrt.angular import NORM_P1, build_angular_operators
+from runners import build_problem
+from slabtrt.angular import NORM_P1
 from slabtrt.cli_io import (
     COMPARISON_HEADER,
     HISTORY_HEADER,
@@ -21,10 +22,9 @@ from slabtrt.cli_io import (
     run_simulation,
     simulate,
 )
-from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.limits_diagnostics import cfl_report, energy, mass, relative_mass_error
-from slabtrt.mesh_state import MacroState
-from slabtrt.scenarios import build_scenario
+from slabtrt.mesh_state import MacroState, StaggeredGrid
+from slabtrt.scenarios import X_MAX, X_MIN
 
 DESK = """
 scenario = rectangular_pulse
@@ -236,7 +236,7 @@ class TestOutputContract:
         table = self.values(400)
         history = [(np.float64(a), b, np.float64(c), d, 3, np.float64(a), 0)
                    for a, b, c, d in table.tolist()]
-        grid = build_scenario("absorber", {"nx": table.shape[0]}).grid
+        grid = StaggeredGrid(X_MIN, X_MAX, table.shape[0])
         result = RunResult(grid=grid, macro=MacroState(table[:, 1], table[:, 3]),
                            phi=table[:, 2], history=history, cfl_dt=1.0, dt_used=1.0)
         _write_result(result, tmp_path)
@@ -273,19 +273,17 @@ class TestSimulate:
         _, history = read_rows(tmp_path / "history.csv")
         _, profiles = read_rows(tmp_path / "profiles.csv")
 
-        built = build_scenario("absorber", {"nx": 41, "epsilon": 1.0})
-        grid, params = built.grid, built.params
-        ws = FullSchemeWorkspace(grid, params, built.sigma, build_angular_operators(8))
-        states = list(simulate(scheme, built.macro, ws, cfl_dt, 0.3,
+        ws, macro0 = build_problem("absorber", 41, 8, 1.0)
+        states = list(simulate(scheme, macro0, ws, cfl_dt, 0.3,
                                rank=3, theta_rel=0.05))
-        assert states[0][:3] == (0.0, 0.0, built.macro)
+        assert states[0][:3] == (0.0, 0.0, macro0)
         # three steps at the bound and a shorter last one
         assert len(history) == len(states) - 1 == 4
-        m0 = mass(built.macro, params, grid)
+        m0 = mass(macro0, ws)
         for row, (t, dt_step, macro, micro) in zip(history, states[1:]):
-            m_n = mass(macro, params, grid)
+            m_n = mass(macro, ws)
             assert [float(v) for v in row[:6]] == [
-                t, energy(macro, micro.micro_norm_sq(grid.dx), params, grid), m_n,
+                t, energy(macro, micro.micro_norm_sq(ws.grid.dx), ws), m_n,
                 relative_mass_error(m_n, m0), getattr(micro, "rank", 0), dt_step]
         final = states[-1][2]
         columns = np.array(profiles, dtype=float).T
@@ -297,12 +295,10 @@ class TestSimulate:
         # every run starts at equilibrium: the first state simulate yields has no
         # micro moments, and the dense one is +0 in each of its N + 1 nodal columns
         nx, n_mom = 17, 6
-        built = build_scenario("absorber", {"nx": nx, "epsilon": 1.0})
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
-                                 build_angular_operators(n_mom))
-        t, dt_step, macro, micro = next(simulate(scheme, built.macro, ws, 0.01, 0.1, rank=2))
-        assert (t, dt_step, macro) == (0.0, 0.0, built.macro)
-        assert micro.micro_norm_sq(built.grid.dx) == 0.0
+        ws, macro0 = build_problem("absorber", nx, n_mom, 1.0)
+        t, dt_step, macro, micro = next(simulate(scheme, macro0, ws, 0.01, 0.1, rank=2))
+        assert (t, dt_step, macro) == (0.0, 0.0, macro0)
+        assert micro.micro_norm_sq(ws.grid.dx) == 0.0
         if scheme == "full":
             g = micro.g_matrix
             assert g.shape == (nx + 1, n_mom + 1)
@@ -314,21 +310,19 @@ class TestSimulate:
         # so each step changes the mass by -(|P1| / 2) dt (g1[n] - g1[0]) of the
         # new first moment; the pulse reaches both ends of the slab by t = 12
         nx, n_mom = 41, 8
-        built = build_scenario("rectangular_pulse", {"nx": nx, "epsilon": 1.0})
-        grid, params = built.grid, built.params
-        ws = FullSchemeWorkspace(grid, params, built.sigma, build_angular_operators(n_mom))
-        dt = cfl_report(params, grid, ws.angular, built.sigma)[0]
+        ws, macro0 = build_problem("rectangular_pulse", nx, n_mom, 1.0)
+        dt = cfl_report(ws)[0]
         pin = ws.angular.pin
-        m_prev = m0 = mass(built.macro, params, grid)
+        m_prev = m0 = mass(macro0, ws)
         worst = outflow = 0.0
-        for _, dt_step, macro, micro in list(simulate(scheme, built.macro, ws,
+        for _, dt_step, macro, micro in list(simulate(scheme, macro0, ws,
                                                       dt, 12.0, rank=5, theta_rel=5e-2))[1:]:
             if scheme == "full":
                 g1 = micro.g_matrix @ pin
             else:
                 g1 = micro.X_basis @ (micro.S_coeff @ (micro.V_basis.T @ pin))
             change = -0.5 * NORM_P1 * dt_step * (g1[-1] - g1[0])
-            m_now = mass(macro, params, grid)
+            m_now = mass(macro, ws)
             worst = max(worst, abs(m_now - m_prev - change))
             outflow -= change
             m_prev = m_now
@@ -341,11 +335,9 @@ class TestSimulate:
         # a pulse of 1.6e308, just below the largest double: the first temperature
         # gradient overflows, the state containers (and ap_truncate, before its SVD)
         # reject the non-finite result, and simulate names the step and the cause
-        built = build_scenario("rectangular_pulse", {"nx": 41})
-        macro = MacroState(8e305 * built.macro.temperature, built.macro.h_meso)
-        angular = build_angular_operators(8)
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, angular)
-        dt = cfl_report(built.params, built.grid, angular, built.sigma)[0]
+        ws, macro0 = build_problem("rectangular_pulse", 41, 8)
+        macro = MacroState(8e305 * macro0.temperature, macro0.h_meso)
+        dt = cfl_report(ws)[0]
         with pytest.raises(RuntimeError,
                            match=r"simulation aborted at step 1: .*non-finite entries"):
             for _ in simulate(scheme, macro, ws, dt, 1.5, rank=3,
@@ -421,6 +413,24 @@ class TestCliEntrypoints:
         path = self.write_config(
             tmp_path, f"scenario = absorber\nscheme = full\nnx = 20\n"
                       f"n_moments = {n_moments}\noutput_dir = {out_dir}\n")
+        assert main(["sweep", path, "--schemes", schemes]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    # `--schemes ,` once ran nothing and wrote a header-only comparison.csv, and
+    # `--schemes full,full` ran full twice into one directory and compared it with itself
+    @pytest.mark.parametrize("schemes, message", [
+        (",", "error: --schemes: no scheme given"),
+        ("", "error: --schemes: no scheme given"),
+        ("full,full", "error: --schemes: full named more than once"),
+        ("rosseland, full ,rosseland,full", "error: --schemes: full,rosseland named more than once"),
+    ])
+    def test_sweep_refuses_an_empty_or_repeating_scheme_list(self, tmp_path, capsys, schemes,
+                                                            message):
+        out_dir = tmp_path / "sweep"
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = full\nnx = 20\nn_moments = 4\n"
+                      f"output_dir = {out_dir}\n")
         assert main(["sweep", path, "--schemes", schemes]) == 1
         assert message in capsys.readouterr().err
         assert not out_dir.exists()

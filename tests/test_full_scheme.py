@@ -11,6 +11,7 @@ from oracles import (
     unblocked_step_full,
     upwind,
 )
+from runners import build_problem
 from slabtrt import full_scheme
 from slabtrt.angular import NORM_P1, build_angular_operators
 from slabtrt.bug_adaptive import step_bug_adaptive
@@ -29,19 +30,16 @@ from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     zero_low_rank_state,
 )
-from slabtrt.scenarios import build_scenario
 
 
 def make_workspace(nx=3, n_moments=2, epsilon=1.0, sigma=1.0):
     grid = StaggeredGrid(0.0, float(nx), nx)
-    params = PhysicalParams(epsilon=epsilon)
     field = AbsorptionField(np.full(nx, sigma), np.full(nx + 1, sigma))
     angular = build_angular_operators(n_moments)
-    return FullSchemeWorkspace(grid, params, field, angular)
+    return FullSchemeWorkspace(grid, epsilon, field, angular)
 
 
 def moments(micro, ws):
@@ -84,7 +82,7 @@ class TestStepFull:
         g1 = moments(g1, ws)
 
         t_o, h_o, g_o = oracle_step_full(
-            T, np.zeros(3), np.zeros((4, 2)), ws.params, 1.0, dt,
+            T, np.zeros(3), np.zeros((4, 2)), ws.epsilon, 1.0, dt,
             np.ones(3), np.ones(4), *upwind(ws.angular))
         np.testing.assert_allclose(g1, g_o, atol=1e-13)
         np.testing.assert_allclose(m1.h_meso, h_o, atol=1e-13)
@@ -103,18 +101,18 @@ class TestStepFull:
         for _ in range(4):
             nx, n_mom = 5, 3
             grid = StaggeredGrid(-1.0, 1.0, nx)
-            params = PhysicalParams(epsilon=0.7)
+            epsilon = 0.7
             sig_c = rng.uniform(0.5, 2.0, nx)
             sig_i = rng.uniform(0.5, 2.0, nx + 1)
             field = AbsorptionField(sig_c, sig_i)
-            ws = FullSchemeWorkspace(grid, params, field, build_angular_operators(n_mom))
+            ws = FullSchemeWorkspace(grid, epsilon, field, build_angular_operators(n_mom))
             T = rng.uniform(0.1, 2.0, nx)
             h = rng.standard_normal(nx)
             G = rng.standard_normal((nx + 1, n_mom))
             dt = 0.02
             m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, dt)
             t_o, h_o, g_o = oracle_step_full(
-                T, h, G, params, grid.dx, dt, sig_c, sig_i, *upwind(ws.angular))
+                T, h, G, epsilon, grid.dx, dt, sig_c, sig_i, *upwind(ws.angular))
             np.testing.assert_allclose(moments(g1, ws), g_o, atol=1e-13)
             np.testing.assert_allclose(m1.h_meso, h_o, atol=1e-13)
             np.testing.assert_allclose(m1.temperature, t_o, atol=1e-13)
@@ -148,18 +146,37 @@ class TestStepFull:
             # the whole state
             assert buffer.shape == (rows, n_mom + 1)
 
-    @pytest.mark.parametrize("member", ["grid", "sigma", "angular", "params"])
+    @pytest.mark.parametrize("member", ["grid", "sigma", "angular", "epsilon"])
     def test_members_are_fixed(self, member):
         ws = make_workspace(nx=10, n_moments=4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ws, member, getattr(ws, member))
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_nonpositive_epsilon_is_refused(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be strictly positive"):
+            make_workspace(epsilon=epsilon)
+
+    def test_takes_no_emission_law(self):
+        # the schemes implement the linear closure B = T only
+        ws = make_workspace()
+        with pytest.raises(TypeError):
+            FullSchemeWorkspace(ws.grid, 1.0, ws.sigma, ws.angular, emission="stefan_boltzmann")
+        assert not hasattr(ws, "emission")
+
+    @pytest.mark.parametrize("name", ["c", "a_rad", "c_nu"])
+    def test_takes_no_unit_constants(self, name):
+        # the model is written in units with a = c = c_nu = 1
+        ws = make_workspace()
+        with pytest.raises(TypeError):
+            FullSchemeWorkspace(ws.grid, 1.0, ws.sigma, ws.angular, **{name: 2.0})
 
     def test_sigma_of_another_grid_is_refused(self):
         # sigma on 10 cells with a 12-cell grid: refused before any step can
         # fail on a broadcast inside numpy
         ws = make_workspace(nx=10, n_moments=4)
         with pytest.raises(ValueError, match="absorption field does not match the grid"):
-            FullSchemeWorkspace(StaggeredGrid(0.0, 12.0, 12), ws.params, ws.sigma, ws.angular)
+            FullSchemeWorkspace(StaggeredGrid(0.0, 12.0, 12), ws.epsilon, ws.sigma, ws.angular)
 
 
 class TestSplitAdvection:
@@ -174,12 +191,12 @@ class TestSplitAdvection:
         angular = build_angular_operators(n_mom)
         for epsilon in (1.0, 1e-3):
             sig_c, sig_i = rng.uniform(0.5, 2.0, nx), rng.uniform(0.5, 2.0, nx + 1)
-            ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), PhysicalParams(epsilon=epsilon),
+            ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), epsilon,
                                      AbsorptionField(sig_c, sig_i), angular)
             T, h = rng.uniform(0.1, 2.0, nx), rng.standard_normal(nx)
             G = rng.standard_normal((nx + 1, n_mom))
             m1, g1 = step_full(MacroState(T, h), nodal_dense(G, ws.angular), ws, 0.02)
-            t_o, h_o, g_o = oracle_step_full(T, h, G, ws.params, ws.grid.dx, 0.02, sig_c, sig_i,
+            t_o, h_o, g_o = oracle_step_full(T, h, G, ws.epsilon, ws.grid.dx, 0.02, sig_c, sig_i,
                                              *upwind(ws.angular))
             for got, want in ((moments(g1, ws), g_o), (m1.h_meso, h_o), (m1.temperature, t_o)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -243,7 +260,7 @@ def chained_step_pairs(reference, nx, n_mom, start, seed):
     and 1e-3 on nx cells: (workspace, step_full state, reference state) after each."""
     rng = np.random.default_rng(seed)
     for epsilon in (1.0, 1e-3):
-        ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), PhysicalParams(epsilon=epsilon),
+        ws = FullSchemeWorkspace(StaggeredGrid(0.0, 2.0, nx), epsilon,
                                  AbsorptionField(rng.uniform(0.5, 2.0, nx),
                                                  rng.uniform(0.5, 2.0, nx + 1)),
                                  build_angular_operators(n_mom))
@@ -300,11 +317,11 @@ class TestEnergyAndMass:
     def test_energy_dissipation_300_steps(self):
         nx, n_mom = 40, 8
         grid = StaggeredGrid(-2.0, 2.0, nx)
-        params = PhysicalParams(epsilon=0.8)
+        epsilon = 0.8
         field = AbsorptionField(np.full(nx, 0.6), np.full(nx + 1, 0.6))
         angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(grid, params, field, angular)
-        dt = cfl_report(params, grid, angular, field)[0]
+        ws = FullSchemeWorkspace(grid, epsilon, field, angular)
+        dt = cfl_report(ws)[0]
 
         T = smooth_profile(grid.centers, -2.0, 2.0, seed=10)
         h = 0.3 * smooth_profile(grid.centers, -2.0, 2.0, seed=11)
@@ -313,11 +330,11 @@ class TestEnergyAndMass:
             for k in range(n_mom)])
         macro, micro = MacroState(T, h), nodal_dense(G, ws.angular)
 
-        e_prev = energy(macro, float(np.sum(G**2) * grid.dx), params, grid)
+        e_prev = energy(macro, float(np.sum(G**2) * grid.dx), ws)
         e0 = e_prev
         for _ in range(300):
             macro, micro = step_full(macro, micro, ws, dt)
-            e = energy(macro, float(np.sum(moments(micro, ws)**2) * grid.dx), params, grid)
+            e = energy(macro, float(np.sum(moments(micro, ws)**2) * grid.dx), ws)
             assert e <= e_prev + 1e-12 * e0
             e_prev = e
 
@@ -325,35 +342,34 @@ class TestEnergyAndMass:
         # domain wide enough that the numerical tail never reaches the boundary
         nx, n_mom = 120, 6
         grid = StaggeredGrid(-12.0, 12.0, nx)
-        params = PhysicalParams(epsilon=1.0)
+        epsilon = 1.0
         field = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(grid, params, field, angular)
-        dt = cfl_report(params, grid, angular, field)[0]
+        ws = FullSchemeWorkspace(grid, epsilon, field, angular)
+        dt = cfl_report(ws)[0]
 
         T = np.where(np.abs(grid.centers) <= 0.5, 1.0, 0.0)
         macro, micro = MacroState(T, np.zeros(nx)), FullMicroState(np.zeros((nx + 1, n_mom + 1)))
-        m0 = mass(macro, params, grid)
+        m0 = mass(macro, ws)
         for _ in range(100):
             macro, micro = step_full(macro, micro, ws, dt)
-            assert abs(mass(macro, params, grid) - m0) <= 1e-12 * abs(m0)
+            assert abs(mass(macro, ws) - m0) <= 1e-12 * abs(m0)
 
 
 class TestDiffusionLimit:
     def make_diffusive(self, epsilon=1e-6):
         nx, n_mom = 50, 10
         grid = StaggeredGrid(-5.0, 5.0, nx)
-        params = PhysicalParams(epsilon=epsilon)
         field = AbsorptionField(np.full(nx, 0.5), np.full(nx + 1, 0.5))
         angular = build_angular_operators(n_mom)
-        ws = FullSchemeWorkspace(grid, params, field, angular)
+        ws = FullSchemeWorkspace(grid, epsilon, field, angular)
         T = np.exp(-grid.centers**2)
         return ws, MacroState(T, np.zeros(nx)), FullMicroState(np.zeros((nx + 1, n_mom + 1)))
 
     def test_first_moment_limit_after_one_step(self):
         ws, macro, micro = self.make_diffusive()
-        params, grid = ws.params, ws.grid
-        dt = cfl_report(params, grid, ws.angular, ws.sigma)[0]
+        grid = ws.grid
+        dt = cfl_report(ws)[0]
         m1, g1 = step_full(macro, micro, ws, dt)
         g1 = moments(g1, ws)
 
@@ -365,12 +381,11 @@ class TestDiffusionLimit:
 
     def test_temperature_tracks_diffusion_reference(self):
         ws, macro, micro = self.make_diffusive()
-        params, grid = ws.params, ws.grid
-        dt = cfl_report(params, grid, ws.angular, ws.sigma)[0]
+        dt = cfl_report(ws)[0]
         t_ref = macro.temperature.copy()
         for _ in range(10):
             macro, micro = step_full(macro, micro, ws, dt)
-            t_ref = rosseland_step(t_ref, grid, ws.sigma, dt)
+            t_ref = rosseland_step(t_ref, ws, dt)
             err = np.linalg.norm(macro.temperature - t_ref) / np.linalg.norm(t_ref)
             assert err <= 1e-4
 
@@ -380,39 +395,35 @@ class TestDiffusionLimit:
         # eps from 1e-3 to 1e-6, and the adaptive scheme stays on the dense one
         rates = []
         for epsilon in (1e-3, 1e-4, 1e-5, 1e-6):
-            built = build_scenario("absorber", {"nx": 101, "epsilon": epsilon})
-            ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
-                                     build_angular_operators(16))
-            dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
-            limit_dt = min(dt, 0.9 * rosseland_stable_dt(built.grid, built.sigma))
+            ws, macro0 = build_problem("absorber", 101, 16, epsilon)
+            dt = cfl_report(ws)[0]
+            limit_dt = min(dt, 0.9 * rosseland_stable_dt(ws))
             final = {}
             for scheme, step_dt in (("full", dt), ("bug_adaptive", dt), ("rosseland", limit_dt)):
-                *_, (t, _, macro, _) = simulate(scheme, built.macro, ws, step_dt, 0.15,
+                *_, (t, _, macro, _) = simulate(scheme, macro0, ws, step_dt, 0.15,
                                                 rank=1, theta_rel=5e-2)
                 assert t == pytest.approx(0.15, abs=1e-14)
                 final[scheme] = macro.temperature
             rates.append(l2_relative_difference(final["full"], final["rosseland"],
-                                                built.grid) / epsilon)
+                                                ws.grid) / epsilon)
             assert l2_relative_difference(final["bug_adaptive"], final["full"],
-                                          built.grid) <= 1e-10
+                                          ws.grid) <= 1e-10
         assert max(rates) <= 2.0 * min(rates)
 
     @pytest.mark.parametrize("epsilon", [1.0, 1e-1, 1e-2])
     def test_adaptive_scheme_stays_on_the_dense_one_at_intermediate_epsilon(self, epsilon):
         # the set-up above, between the kinetic and the diffusive regime: measured
         # 4.0e-8, 1.9e-6 and 8.7e-10 for eps = 1, 1e-1 and 1e-2
-        built = build_scenario("absorber", {"nx": 101, "epsilon": epsilon})
-        ws = FullSchemeWorkspace(built.grid, built.params, built.sigma,
-                                 build_angular_operators(16))
-        dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+        ws, macro0 = build_problem("absorber", 101, 16, epsilon)
+        dt = cfl_report(ws)[0]
         final = {}
         for scheme in ("full", "bug_adaptive"):
-            *_, (t, _, macro, _) = simulate(scheme, built.macro, ws, dt, 0.15,
+            *_, (t, _, macro, _) = simulate(scheme, macro0, ws, dt, 0.15,
                                             rank=1, theta_rel=5e-2)
             assert t == pytest.approx(0.15, abs=1e-14)
             final[scheme] = macro.temperature
         assert l2_relative_difference(final["bug_adaptive"], final["full"],
-                                      built.grid) <= 1e-5
+                                      ws.grid) <= 1e-5
 
 
 def step_map_energy_norm(scenario, epsilon, nx=41, n_mom=8):
@@ -422,28 +433,27 @@ def step_map_energy_norm(scenario, epsilon, nx=41, n_mom=8):
     sqrt(dx / 2) T, sqrt(dx) eps / sqrt(2) g), so ||M||_E is the 2-norm of the step
     map in y; it is built column by column from unit vectors of y.
     """
-    built = build_scenario(scenario, {"nx": nx, "epsilon": epsilon})
-    grid, p = built.grid, built.params
-    ws = FullSchemeWorkspace(grid, p, built.sigma, build_angular_operators(n_mom))
-    dt = cfl_report(p, grid, ws.angular, built.sigma)[0]
+    ws, _ = build_problem(scenario, nx, n_mom, epsilon)
+    grid, eps = ws.grid, ws.epsilon
+    dt = cfl_report(ws)[0]
     w_core, w_heat = np.sqrt(grid.dx), np.sqrt(0.5 * grid.dx)
-    w_micro = np.sqrt(grid.dx) * p.epsilon / np.sqrt(2.0)
+    w_micro = np.sqrt(grid.dx) * eps / np.sqrt(2.0)
 
     def energy_coordinates(macro, micro):
-        core = macro.temperature + p.epsilon**2 * macro.h_meso
+        core = macro.temperature + eps**2 * macro.h_meso
         return np.concatenate([w_core * core, w_heat * macro.temperature,
                                w_micro * moments(micro, ws).ravel()])
 
     def state_of(y):
         temperature = y[nx:2 * nx] / w_heat
-        h = (y[:nx] / w_core - temperature) / p.epsilon**2
+        h = (y[:nx] / w_core - temperature) / eps**2
         g = (y[2 * nx:] / w_micro).reshape(nx + 1, n_mom)
         return MacroState(temperature, h), nodal_dense(g, ws.angular)
 
     # the coordinates are those of the energy the diagnostics report
     y = np.random.default_rng(5).standard_normal(2 * nx + (nx + 1) * n_mom)
     macro, micro = state_of(y)
-    assert np.isclose(y @ y, energy(macro, micro.micro_norm_sq(grid.dx), p, grid), rtol=1e-10)
+    assert np.isclose(y @ y, energy(macro, micro.micro_norm_sq(grid.dx), ws), rtol=1e-10)
     columns = [energy_coordinates(*step_full(*state_of(y), ws, dt))
                for y in np.eye(y.size)]
     return np.linalg.norm(np.column_stack(columns), 2)

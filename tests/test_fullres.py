@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from oracles import unblocked_step_full
+from runners import build_problem
 from slabtrt import cli_io
-from slabtrt.angular import build_angular_operators
 from slabtrt.cli_io import main
-from slabtrt.full_scheme import FullSchemeWorkspace, step_full
+from slabtrt.full_scheme import step_full
 from slabtrt.limits_diagnostics import cfl_report
 from slabtrt.mesh_state import LowRankMicroState, _orth_defect
-from slabtrt.scenarios import build_scenario
 
 pytestmark = pytest.mark.slow
 
@@ -99,14 +98,13 @@ def pulse_large_full_finals():
     """Step count and final (g, T, h) of `full` on the pulse_large configuration
     (rectangular_pulse, 2001 x 400, eps = 1, t_end 0.1) with the package's step
     over row blocks and with the unblocked reference."""
-    built = build_scenario("rectangular_pulse", {"nx": 2001, "epsilon": 1.0})
-    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, build_angular_operators(400))
-    dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+    ws, macro0 = build_problem("rectangular_pulse", 2001, 400, 1.0)
+    dt = cfl_report(ws)[0]
     finals = []
     for step in (step_full, unblocked_step_full):
         with mock.patch.object(cli_io, "step_full", step):
             for n_steps, (_, _, macro, micro) in enumerate(cli_io.simulate(
-                    "full", built.macro, ws, dt, 0.1)):
+                    "full", macro0, ws, dt, 0.1)):
                 pass
         finals.append((n_steps, micro.g_matrix, macro.temperature, macro.h_meso))
     return finals
@@ -133,9 +131,8 @@ def test_basis_repair_keeps_a_long_adaptive_run_orthonormal(monkeypatch):
     # the diffusive absorber at 10x the benchmark's horizon: the bases drift by about
     # 1e-13 per thousand steps, and step_bug_adaptive repairs a state whose defect
     # passes 1e-13, so every state stays within the 1e-12 the constructor checks
-    built = build_scenario("absorber", {"nx": 201, "epsilon": 1e-5})
-    ws = FullSchemeWorkspace(built.grid, built.params, built.sigma, build_angular_operators(100))
-    dt = cfl_report(built.params, built.grid, ws.angular, built.sigma)[0]
+    ws, macro0 = build_problem("absorber", 201, 100, 1e-5)
+    dt = cfl_report(ws)[0]
     repair = LowRankMicroState.reorthonormalized
     repairs = []
 
@@ -146,7 +143,7 @@ def test_basis_repair_keeps_a_long_adaptive_run_orthonormal(monkeypatch):
     monkeypatch.setattr(LowRankMicroState, "reorthonormalized", counted)
     worst = 0.0
     for n_steps, (_, _, _, micro) in enumerate(cli_io.simulate(
-            "bug_adaptive", built.macro, ws, dt, 1.5, 1, 5e-2)):
+            "bug_adaptive", macro0, ws, dt, 1.5, 1, 5e-2)):
         worst = max(worst, _orth_defect(micro.X_basis), _orth_defect(micro.V_basis))
     assert n_steps > 4000
     assert len(repairs) >= 1

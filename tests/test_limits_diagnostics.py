@@ -5,6 +5,7 @@ import pytest
 
 from oracles import oracle_rosseland_step, reconstruct
 from slabtrt.angular import build_angular_operators
+from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.limits_diagnostics import (
     cfl_report,
     energy,
@@ -17,7 +18,6 @@ from slabtrt.limits_diagnostics import (
 from slabtrt.mesh_state import (
     AbsorptionField,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     diff_center,
     diff_interface,
@@ -28,24 +28,27 @@ def uniform_absorption(nx, value):
     return AbsorptionField(np.full(nx, value), np.full(nx + 1, value))
 
 
+def workspace(grid, sigma=1.0, epsilon=1.0, angular=None):
+    """Workspace on `grid`, uniform when sigma is a number; only cfl_report reads the
+    angular operators, so the others get the smallest set."""
+    if not isinstance(sigma, AbsorptionField):
+        sigma = uniform_absorption(grid.n_cells, sigma)
+    return FullSchemeWorkspace(grid, epsilon, sigma, angular or build_angular_operators(1))
+
+
 class TestCfl:
     def test_reference_kinetic_configuration(self):
         # domain [-10, 10], 501 cells, 100 moments, eps = 1, sigma_min = 0.5
         grid = StaggeredGrid(-10.0, 10.0, 501)
-        params = PhysicalParams(epsilon=1.0)
-        sigma = uniform_absorption(501, 0.5)
-        angular = build_angular_operators(100)
-        dt, node = cfl_report(params, grid, angular, sigma)
+        dt, node = cfl_report(workspace(grid, 0.5, 1.0, build_angular_operators(100)))
         assert abs(dt - 0.005) <= 0.1 * 0.005
         assert abs(node - (-0.999719)) <= 1e-3
 
     def test_parabolic_specialization(self):
         # without the hyperbolic part the bound reduces to the sigma dx^2 term
         grid = StaggeredGrid(0.0, 1.0, 20)
-        sigma = uniform_absorption(20, 0.7)
         angular = build_angular_operators(6)
-        params_small = PhysicalParams(epsilon=1e-300)
-        dt = cfl_report(params_small, grid, angular, sigma)[0]
+        dt = cfl_report(workspace(grid, 0.7, 1e-300, angular))[0]
         nodes = angular.quad.nodes[angular.quad.nodes != 0.0]
         expected = np.min(0.7 * grid.dx**2 / nodes**2) / (5.0 * angular.beta_N)
         assert dt == pytest.approx(expected, rel=1e-12)
@@ -53,12 +56,10 @@ class TestCfl:
     def test_two_node_closed_form(self):
         # N=1: nodes +-1/sqrt(3), beta_N = 2
         grid = StaggeredGrid(0.0, 2.0, 10)
-        params = PhysicalParams(epsilon=0.3)
-        sigma = uniform_absorption(10, 0.4)
         angular = build_angular_operators(1)
         assert angular.beta_N == pytest.approx(2.0, abs=1e-14)
-        dt = cfl_report(params, grid, angular, sigma)[0]
-        expected = (2.0 * np.sqrt(3.0) * params.epsilon * grid.dx
+        dt = cfl_report(workspace(grid, 0.4, 0.3, angular))[0]
+        expected = (2.0 * np.sqrt(3.0) * 0.3 * grid.dx
                     + 3.0 * 0.4 * grid.dx**2) / 10.0
         assert dt == pytest.approx(expected, rel=1e-13)
 
@@ -70,44 +71,39 @@ class TestCfl:
         for grid_a, grid_b in zip(grid_points, grid_points[1:]):
             for s in sigma_values:
                 for e in eps_values:
-                    p = PhysicalParams(epsilon=e)
-                    dt_a = cfl_report(p, grid_a, angular, uniform_absorption(grid_a.n_cells, s))[0]
-                    dt_b = cfl_report(p, grid_b, angular, uniform_absorption(grid_b.n_cells, s))[0]
+                    dt_a = cfl_report(workspace(grid_a, s, e, angular))[0]
+                    dt_b = cfl_report(workspace(grid_b, s, e, angular))[0]
                     assert dt_a <= dt_b  # finer grid, smaller step
         grid = grid_points[0]
         for s_a, s_b in zip(sigma_values, sigma_values[1:]):
-            p = PhysicalParams(epsilon=0.1)
-            assert cfl_report(p, grid, angular, uniform_absorption(40, s_a))[0] <= \
-                cfl_report(p, grid, angular, uniform_absorption(40, s_b))[0]
+            assert cfl_report(workspace(grid, s_a, 0.1, angular))[0] <= \
+                cfl_report(workspace(grid, s_b, 0.1, angular))[0]
         for e_a, e_b in zip(eps_values, eps_values[1:]):
-            sig = uniform_absorption(40, 0.5)
-            assert cfl_report(PhysicalParams(epsilon=e_a), grid, angular, sig)[0] <= \
-                cfl_report(PhysicalParams(epsilon=e_b), grid, angular, sig)[0]
+            assert cfl_report(workspace(grid, 0.5, e_a, angular))[0] <= \
+                cfl_report(workspace(grid, 0.5, e_b, angular))[0]
 
 
 class TestEnergyMass:
     def test_zero_state(self):
-        grid = StaggeredGrid(-10.0, 10.0, 20)
-        params = PhysicalParams(epsilon=1.0)
+        ws = workspace(StaggeredGrid(-10.0, 10.0, 20))
         macro = MacroState(np.zeros(20), np.zeros(20))
-        assert energy(macro, 0.0, params, grid) == 0.0
+        assert energy(macro, 0.0, ws) == 0.0
 
     def test_constant_fields(self):
-        grid = StaggeredGrid(-10.0, 10.0, 40)
-        params = PhysicalParams(epsilon=1.0)
+        ws = workspace(StaggeredGrid(-10.0, 10.0, 40))
         macro = MacroState(np.ones(40), np.zeros(40))
-        assert energy(macro, 0.0, params, grid) == pytest.approx(30.0, rel=1e-13)
-        assert mass(macro, params, grid) == pytest.approx(30.0, rel=1e-13)
+        assert energy(macro, 0.0, ws) == pytest.approx(30.0, rel=1e-13)
+        assert mass(macro, ws) == pytest.approx(30.0, rel=1e-13)
 
     def test_finite_state_too_large_to_square_overflows_to_inf_without_warning(self):
         # 1e200 squared overflows; the energy is +inf, with no overflow warning
         # from the matrix product, which -W error would turn into a failure
-        grid = StaggeredGrid(0.0, 3.0, 3)
+        ws = workspace(StaggeredGrid(0.0, 3.0, 3))
         macro = MacroState(np.full(3, 1e200), np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert energy(macro, 0.0, PhysicalParams(epsilon=1.0), grid) == np.inf
-            assert mass(macro, PhysicalParams(epsilon=1.0), grid) == pytest.approx(4.5e200)
+            assert energy(macro, 0.0, ws) == np.inf
+            assert mass(macro, ws) == pytest.approx(4.5e200)
 
     def test_dense_and_factored_micro_norms_agree(self):
         rng = np.random.default_rng(3)
@@ -122,10 +118,9 @@ class TestEnergyMass:
         assert abs(dense - state.micro_norm_sq(grid.dx)) <= 1e-12 * max(dense, 1.0)
 
     def test_meso_contribution_scales_with_epsilon(self):
-        grid = StaggeredGrid(0.0, 1.0, 4)
+        tiny = workspace(StaggeredGrid(0.0, 1.0, 4), epsilon=1e-300)
         macro = MacroState(np.zeros(4), np.full(4, 5.0))
-        tiny = PhysicalParams(epsilon=1e-300)
-        assert mass(macro, tiny, grid) == pytest.approx(0.0, abs=1e-280)
+        assert mass(macro, tiny) == pytest.approx(0.0, abs=1e-280)
 
     def test_relative_mass_error_edge_cases(self):
         assert relative_mass_error(0.0, 0.0) == 0.0
@@ -136,9 +131,8 @@ class TestEnergyMass:
 
 class TestRosseland:
     def test_uniform_interior_unchanged(self):
-        grid = StaggeredGrid(0.0, 1.0, 10)
-        sigma = uniform_absorption(10, 1.0)
-        t1 = rosseland_step(np.full(10, 2.0), grid, sigma, 0.001)
+        ws = workspace(StaggeredGrid(0.0, 1.0, 10))
+        t1 = rosseland_step(np.full(10, 2.0), ws, 0.001)
         np.testing.assert_allclose(t1[1:-1], 2.0, atol=1e-14)
 
     def test_linear_constant_sigma_is_heat_equation(self):
@@ -146,21 +140,19 @@ class TestRosseland:
         nx = 16
         grid = StaggeredGrid(0.0, 2.0, nx)
         sigma_val = 0.8
-        sigma = uniform_absorption(nx, sigma_val)
         rng = np.random.default_rng(4)
         T = rng.uniform(0.0, 1.0, nx)
         dt = 1e-4
-        out = rosseland_step(T, grid, sigma, dt)
+        out = rosseland_step(T, workspace(grid, sigma_val), dt)
         diffusivity = 2.0 / (3.0 * sigma_val * (1.0 + 2.0))
         padded = np.concatenate([[0.0], T, [0.0]])
         lap = (padded[2:] - 2 * padded[1:-1] + padded[:-2]) / grid.dx**2
         np.testing.assert_allclose(out, T + dt * diffusivity * lap, atol=1e-14)
 
     def test_three_cell_hand_instance(self):
-        grid = StaggeredGrid(0.0, 3.0, 3)
-        sigma = uniform_absorption(3, 1.0)
+        ws = workspace(StaggeredGrid(0.0, 3.0, 3))
         T = np.array([0.0, 1.0, 0.0])
-        out = rosseland_step(T, grid, sigma, 0.1)
+        out = rosseland_step(T, ws, 0.1)
         oracle = oracle_rosseland_step(T, 1.0, 0.1, np.ones(4))
         np.testing.assert_allclose(out, oracle, atol=1e-14)
         coef = 0.1 * (2.0 / 3.0) / 3.0
@@ -172,10 +164,10 @@ class TestRosseland:
         rng = np.random.default_rng(5)
         sig_c = rng.uniform(0.5, 2.0, nx)
         sig_i = rng.uniform(0.5, 2.0, nx + 1)
-        sigma = AbsorptionField(sig_c, sig_i)
+        ws = workspace(grid, AbsorptionField(sig_c, sig_i))
         T = rng.uniform(0.1, 1.5, nx)
         dt = 1e-4
-        out = rosseland_step(T, grid, sigma, dt)
+        out = rosseland_step(T, ws, dt)
         oracle = oracle_rosseland_step(T, grid.dx, dt, sig_i)
         np.testing.assert_allclose(out, oracle, atol=1e-13)
 
@@ -184,7 +176,7 @@ class TestRosseland:
         grid = StaggeredGrid(0.0, 1.0, nx)
         sig_i = np.array([0.9, 1.3, 0.45, 2.0, 0.9, 1.1, 0.7])
         sigma = AbsorptionField(np.full(nx, 0.3), sig_i)  # centers play no part
-        dt = rosseland_stable_dt(grid, sigma)
+        dt = rosseland_stable_dt(workspace(grid, sigma))
         assert dt == pytest.approx(grid.dx**2 / (2.0 * (2.0 / 3.0) / 0.45), rel=1e-14)
 
     def test_kept_reciprocal_matches_the_one_of_each_step_bit_for_bit(self):
@@ -198,11 +190,12 @@ class TestRosseland:
             assert not sigma.inv_at_interfaces.flags.writeable
             T = rng.uniform(-1.0, 2.0, nx)
             dt = float(rng.uniform(1e-5, 1e-3))
-            got = rosseland_step(T, grid, sigma, dt)
+            ws = workspace(grid, sigma)
+            got = rosseland_step(T, ws, dt)
             want = T + dt * (2.0 / 3.0) / 3.0 * diff_center(
                 1.0 / sig_i * diff_interface(T, grid), grid)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            bound = rosseland_stable_dt(grid, sigma)
+            bound = rosseland_stable_dt(ws)
             assert type(bound) is float
             assert bound == grid.dx**2 / (2.0 * ((2.0 / 3.0) * np.max(1.0 / sig_i)))
 
@@ -211,20 +204,19 @@ class TestRosseland:
         # fluxes are -T[0] / (sigma dx) and -T[-1] / (sigma dx) out of the slab
         nx = 14
         grid = StaggeredGrid(0.0, 1.0, nx)
-        sigma = uniform_absorption(nx, 0.6)
         rng = np.random.default_rng(6)
         T = rng.uniform(0.0, 1.0, nx)
         dt = 1e-4
         weight = (1.0 + 2.0) * grid.dx
         total0 = float(np.sum(T) * weight)
-        out = rosseland_step(T, grid, sigma, dt)
+        out = rosseland_step(T, workspace(grid, 0.6), dt)
         outflow = dt * (2.0 / 3.0) * (T[0] + T[-1]) / (0.6 * grid.dx)
         assert abs(np.sum(out) * weight - (total0 - outflow)) <= 1e-12 * abs(total0)
 
     def test_dt_validation(self):
-        grid = StaggeredGrid(0.0, 1.0, 4)
+        ws = workspace(StaggeredGrid(0.0, 1.0, 4))
         with pytest.raises(ValueError):
-            rosseland_step(np.zeros(4), grid, uniform_absorption(4, 1.0), 0.0)
+            rosseland_step(np.zeros(4), ws, 0.0)
 
 
 class TestProfileComparison:

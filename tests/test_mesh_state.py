@@ -22,7 +22,6 @@ from slabtrt.mesh_state import (
     FullMicroState,
     LowRankMicroState,
     MacroState,
-    PhysicalParams,
     StaggeredGrid,
     _orth_defect,
     complete_orthonormal_columns,
@@ -76,6 +75,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             StaggeredGrid(1.0, 0.0, 4)
 
+    # a fractional count was accepted once: 2.5 cells gave dx = 0.8 and 3 centers
+    @pytest.mark.parametrize("n_cells", [2.5, 3.0, "4", None])
+    def test_cell_count_must_be_an_integer(self, n_cells):
+        with pytest.raises(ValueError, match="n_cells must be a positive integer"):
+            StaggeredGrid(-1.0, 1.0, n_cells)
+
+    def test_numpy_integer_cell_count(self):
+        grid = StaggeredGrid(-1.0, 1.0, np.int64(8))
+        assert type(grid.n_cells) is int and grid.n_cells == 8
+        np.testing.assert_array_equal(grid.centers, StaggeredGrid(-1.0, 1.0, 8).centers)
+
 
 class TestAbsorption:
     def test_sigma_min(self, grid):
@@ -89,6 +99,17 @@ class TestAbsorption:
     def test_interface_count_checked(self):
         with pytest.raises(ValueError):
             AbsorptionField(np.full(8, 1.0), np.full(8, 1.0))
+
+    # (5, 1) centers with 6 interfaces were accepted once; the first step then
+    # failed on "temperature and h_meso must be 1-d arrays"
+    @pytest.mark.parametrize("centers, interfaces", [
+        (np.full((5, 1), 0.5), np.full(6, 0.5)),
+        (np.full(5, 0.5), np.full((6, 1), 0.5)),
+        (np.float64(0.5), np.full(1, 0.5)),
+    ])
+    def test_samples_must_be_1d(self, centers, interfaces):
+        with pytest.raises(ValueError, match="absorption samples must be 1-d arrays"):
+            AbsorptionField(centers, interfaces)
 
     # +inf sigma was accepted once; a step on it then failed on a non-finite
     # macro state, naming no absorption
@@ -554,40 +575,19 @@ class TestCompleteOrthonormalColumns:
 
 class TestEmission:
     def test_scalar_flux_linear(self):
-        params = PhysicalParams(epsilon=1.0)
         macro = MacroState(np.full(4, 2.0), np.zeros(4))
-        np.testing.assert_allclose(scalar_flux(macro, params), 2.0, atol=1e-15)
+        np.testing.assert_allclose(scalar_flux(macro, 1.0), 2.0, atol=1e-15)
 
     def test_scalar_flux_with_meso(self):
-        params = PhysicalParams(epsilon=0.1)
         macro = MacroState(np.ones(4), np.full(4, 3.0))
-        np.testing.assert_allclose(scalar_flux(macro, params), 1.03, atol=1e-15)
+        np.testing.assert_allclose(scalar_flux(macro, 0.1), 1.03, atol=1e-15)
 
     def test_beta_linear_is_one(self):
         # beta = dB/dT is one under the linear closure B = T: raising T by a step
         # raises the scalar flux by exactly that step
-        params = PhysicalParams(epsilon=0.5)
         macro = MacroState(np.linspace(0.0, 5.0, 6), np.zeros(6))
         raised = MacroState(macro.temperature + 0.25, macro.h_meso)
-        np.testing.assert_array_equal(scalar_flux(raised, params) - scalar_flux(macro, params),
-                                      0.25)
-
-    def test_params_take_no_emission_law(self):
-        # the schemes implement the linear closure B = T only
-        with pytest.raises(TypeError):
-            PhysicalParams(epsilon=1.0, emission="stefan_boltzmann")
-        assert not hasattr(PhysicalParams(epsilon=1.0), "emission")
-
-    @pytest.mark.parametrize("name", ["c", "a_rad", "c_nu"])
-    def test_params_take_no_unit_constants(self, name):
-        # the model is written in units with a = c = c_nu = 1
-        with pytest.raises(TypeError):
-            PhysicalParams(epsilon=1.0, **{name: 2.0})
-
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
-    def test_params_refuse_nonpositive_epsilon(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be strictly positive"):
-            PhysicalParams(epsilon=epsilon)
+        np.testing.assert_array_equal(scalar_flux(raised, 0.5) - scalar_flux(macro, 0.5), 0.25)
 
 
 class TestInitFromKinetic:
@@ -596,7 +596,7 @@ class TestInitFromKinetic:
         self.quad = gauss_legendre(9)  # 8 moments
 
     def test_equilibrium_gives_zero_micro(self):
-        params = PhysicalParams(epsilon=0.5)
+        epsilon = 0.5
 
         def t0(x):
             return 1.0 + 0.2 * np.sin(np.pi * x)
@@ -604,7 +604,7 @@ class TestInitFromKinetic:
         def f(x, mu):
             return t0(x) + 0.0 * mu
 
-        macro, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
+        macro, micro = init_from_kinetic(f, t0, self.grid, epsilon, self.quad)
         np.testing.assert_allclose(macro.temperature, t0(self.grid.centers), atol=1e-15)
         np.testing.assert_allclose(macro.h_meso, 0.0, atol=1e-12)
         np.testing.assert_allclose(micro.g_matrix, 0.0, atol=1e-12)
@@ -612,7 +612,7 @@ class TestInitFromKinetic:
     def test_pure_first_moment(self):
         # a perturbation along the orthonormal linear polynomial lands entirely
         # in the first moment column with unit coefficient
-        params = PhysicalParams(epsilon=0.3)
+        epsilon = 0.3
 
         def t0(x):
             return np.ones_like(np.asarray(x))
@@ -621,9 +621,9 @@ class TestInitFromKinetic:
             return np.cos(0.5 * np.pi * x)
 
         def f(x, mu):
-            return t0(x) + params.epsilon * np.sqrt(1.5) * mu * phi(x)
+            return t0(x) + epsilon * np.sqrt(1.5) * mu * phi(x)
 
-        macro, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
+        macro, micro = init_from_kinetic(f, t0, self.grid, epsilon, self.quad)
         np.testing.assert_allclose(micro.g_matrix[:, 0], phi(self.grid.interfaces), atol=1e-12)
         np.testing.assert_allclose(micro.g_matrix[:, 1:], 0.0, atol=1e-12)
         np.testing.assert_allclose(macro.h_meso, 0.0, atol=1e-12)
@@ -631,19 +631,19 @@ class TestInitFromKinetic:
     def test_first_moment_coefficient_scaling(self):
         # the same perturbation written against mu itself picks up the norm of
         # the linear polynomial squared, i.e. a factor 2/3
-        params = PhysicalParams(epsilon=0.3)
+        epsilon = 0.3
 
         def t0(x):
             return np.ones_like(np.asarray(x))
 
         def f(x, mu):
-            return t0(x) + params.epsilon * np.sqrt(2 / 3) * mu
+            return t0(x) + epsilon * np.sqrt(2 / 3) * mu
 
-        _, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
+        _, micro = init_from_kinetic(f, t0, self.grid, epsilon, self.quad)
         np.testing.assert_allclose(micro.g_matrix[:, 0], 2.0 / 3.0, atol=1e-12)
 
     def test_isotropic_off_equilibrium(self):
-        params = PhysicalParams(epsilon=0.5)
+        epsilon = 0.5
 
         def t0(x):
             return np.full_like(np.asarray(x), 2.0)
@@ -651,7 +651,7 @@ class TestInitFromKinetic:
         def f(x, mu):
             return 3.0 + 0.0 * mu + 0.0 * x
 
-        macro, micro = init_from_kinetic(f, t0, self.grid, params, self.quad)
+        macro, micro = init_from_kinetic(f, t0, self.grid, epsilon, self.quad)
         np.testing.assert_allclose(micro.g_matrix, 0.0, atol=1e-12)
-        expected_h = (3.0 - 2.0) / params.epsilon**2
+        expected_h = (3.0 - 2.0) / epsilon**2
         np.testing.assert_allclose(macro.h_meso, expected_h, atol=1e-12)

@@ -65,3 +65,33 @@ def test_readme_config_table_lists_the_parsed_keys():
     section = text.split("\n### Config keys\n", 1)[1].split("\n#", 1)[0]
     keys = re.findall(r"^\| `(\w+)` ", section, flags=re.M)
     assert keys == list(_PARSERS)
+
+
+def imported_names_never_used(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in its __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    # a dotted use such as np.zeros reads the Name np; annotations are parsed too
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                for name in ast.literal_eval(node.value)}
+    return sorted(imported - used - exported)
+
+
+def test_unused_import_check_finds_one():
+    source = ("import math\nimport numpy as np\nfrom os import path, sep, getcwd\n"
+              "__all__ = ['getcwd']\nx = np.pi + len(sep)\n")
+    assert imported_names_never_used(source) == ["math", "path"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    # __init__ imports only to re-export, so it is not among MODULES
+    path = Path(slabtrt.__file__).parent / f"{name}.py"
+    assert imported_names_never_used(path.read_text(encoding="utf-8")) == []

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import init_from_kinetic
+from runners import build_problem
 from slabtrt.angular import gauss_legendre
-from slabtrt.scenarios import build_scenario, scenario_defaults
+from slabtrt.scenarios import Scenario, build_scenario, scenario_defaults
 
 
 class TestDefaults:
@@ -28,27 +31,27 @@ class TestDefaults:
 
 class TestRectangularPulse:
     def test_temperature_profile(self):
-        built = build_scenario("rectangular_pulse", {"nx": 501, "epsilon": 1.0})
-        T = built.macro.temperature
-        inside = np.abs(built.grid.centers) <= 0.5
+        ws, macro = build_problem("rectangular_pulse", 501, 4, 1.0)
+        T = macro.temperature
+        inside = np.abs(ws.grid.centers) <= 0.5
         np.testing.assert_allclose(T[inside], 200.0, atol=1e-12)
         np.testing.assert_allclose(T[~inside], 0.0, atol=1e-15)
         # the fixed slab [-10, 10] with sigma = 0.5 throughout
-        assert (built.grid.x_min, built.grid.x_max) == (-10.0, 10.0)
-        assert built.grid.n_cells * built.grid.dx == 20.0
-        assert np.all(built.sigma.at_centers == 0.5)
-        assert np.all(built.sigma.at_interfaces == 0.5)
+        assert (ws.grid.x_min, ws.grid.x_max) == (-10.0, 10.0)
+        assert ws.grid.n_cells * ws.grid.dx == 20.0
+        assert np.all(ws.sigma.at_centers == 0.5)
+        assert np.all(ws.sigma.at_interfaces == 0.5)
         # T0 = 100 / sigma on |x| <= 0.5, edges inclusive
         t0 = scenario_defaults("rectangular_pulse").initial_temperature
         assert t0(np.array([-0.5, 0.5])).tolist() == [200.0, 200.0]
         assert t0(np.array([-0.5000001, 0.5000001])).tolist() == [0.0, 0.0]
 
     def test_equilibrium_micro_state(self):
-        built = build_scenario("rectangular_pulse", {"nx": 64})
-        np.testing.assert_allclose(built.macro.h_meso, 0.0, atol=1e-16)
+        _, macro = build_problem("rectangular_pulse", 64, 4)
+        np.testing.assert_allclose(macro.h_meso, 0.0, atol=1e-16)
 
     def test_equilibrium_matches_kinetic_initialization(self):
-        built = build_scenario("rectangular_pulse", {"nx": 32})
+        ws, start = build_problem("rectangular_pulse", 32, 4)
         quad = gauss_legendre(7)
         scn = scenario_defaults("rectangular_pulse")
         t0_fn = scn.initial_temperature
@@ -56,17 +59,17 @@ class TestRectangularPulse:
         def f(x, mu):
             return t0_fn(x) + 0.0 * mu  # the emission B(T) = T
 
-        macro, micro = init_from_kinetic(f, t0_fn, built.grid, built.params, quad)
-        np.testing.assert_allclose(macro.temperature, built.macro.temperature, atol=1e-12)
+        macro, micro = init_from_kinetic(f, t0_fn, ws.grid, ws.epsilon, quad)
+        np.testing.assert_allclose(macro.temperature, start.temperature, atol=1e-12)
         np.testing.assert_allclose(macro.h_meso, 0.0, atol=1e-10)
         np.testing.assert_allclose(micro.g_matrix, 0.0, atol=1e-10)
 
     def test_deterministic_construction(self):
-        a = build_scenario("rectangular_pulse", {"nx": 100})
-        b = build_scenario("rectangular_pulse", {"nx": 100})
-        assert np.array_equal(a.macro.temperature, b.macro.temperature)
-        assert np.array_equal(a.sigma.at_interfaces, b.sigma.at_interfaces)
-        assert np.array_equal(a.grid.centers, b.grid.centers)
+        (ws_a, macro_a), (ws_b, macro_b) = (build_problem("rectangular_pulse", 100, 4)
+                                            for _ in range(2))
+        assert np.array_equal(macro_a.temperature, macro_b.temperature)
+        assert np.array_equal(ws_a.sigma.at_interfaces, ws_b.sigma.at_interfaces)
+        assert np.array_equal(ws_a.grid.centers, ws_b.grid.centers)
 
 
 class TestAbsorber:
@@ -92,33 +95,46 @@ class TestAbsorber:
         assert t0(np.array([0.5000001]))[0] == 0.0
 
     def test_built_fields(self):
-        built = build_scenario("absorber", {"nx": 201})
-        mid = np.abs(built.grid.centers) <= 0.25
-        np.testing.assert_allclose(built.sigma.at_centers[mid], 5.0)
-        np.testing.assert_allclose(built.sigma.at_centers[~mid], 0.5)
-        assert built.sigma.sigma_min == 0.5
+        ws, _ = build_problem("absorber", 201, 4)
+        mid = np.abs(ws.grid.centers) <= 0.25
+        np.testing.assert_allclose(ws.sigma.at_centers[mid], 5.0)
+        np.testing.assert_allclose(ws.sigma.at_centers[~mid], 0.5)
+        assert ws.sigma.sigma_min == 0.5
         # the same slab as the pulse, and sigma = 0.5 outside the insert
-        assert (built.grid.x_min, built.grid.x_max) == (-10.0, 10.0)
-        assert built.grid.n_cells * built.grid.dx == 20.0
-        outside = np.abs(built.grid.interfaces) > 0.25
-        assert np.all(built.sigma.at_interfaces[outside] == 0.5)
+        assert (ws.grid.x_min, ws.grid.x_max) == (-10.0, 10.0)
+        assert ws.grid.n_cells * ws.grid.dx == 20.0
+        outside = np.abs(ws.grid.interfaces) > 0.25
+        assert np.all(ws.sigma.at_interfaces[outside] == 0.5)
 
 
-class TestValidation:
-    def test_unknown_override(self):
-        with pytest.raises(ValueError, match="unknown scenario overrides: \\['cells'\\]"):
-            build_scenario("rectangular_pulse", {"cells": 10})
+class TestBuild:
+    def test_workspace_holds_the_resolved_problem(self):
+        # the grid has nx cells, the angular operators n_moments moments, and the
+        # workspace the scenario's epsilon; every scheme starts from the same macro state
+        scn = replace(scenario_defaults("absorber", 1e-3), nx=30, n_moments=6)
+        ws, macro = build_scenario(scn)
+        assert (ws.grid.n_cells, ws.angular.n_moments, ws.epsilon) == (30, 6, 1e-3)
+        np.testing.assert_array_equal(ws.sigma.at_centers, scn.absorption(ws.grid.centers))
+        np.testing.assert_array_equal(macro.temperature,
+                                      scn.initial_temperature(ws.grid.centers))
+        assert not macro.h_meso.any()
 
-    def test_n_moments_override_refused(self):
-        # the scenario holds no micro state, so the moment count is not its to set
-        with pytest.raises(ValueError, match="unknown scenario overrides: \\['n_moments'\\]"):
-            build_scenario("rectangular_pulse", {"nx": 10, "n_moments": 8})
+    def test_unknown_field(self):
+        with pytest.raises(TypeError):
+            replace(scenario_defaults("rectangular_pulse"), cells=10)
 
     @pytest.mark.parametrize("value", ["linear", "stefan_boltzmann"])
-    def test_emission_override_refused(self, value):
-        with pytest.raises(ValueError, match="unknown scenario overrides: \\['emission'\\]"):
-            build_scenario("rectangular_pulse", {"nx": 10, "emission": value})
+    def test_no_emission_field(self, value):
+        # the schemes implement the linear closure B = T only
+        with pytest.raises(TypeError):
+            Scenario(emission=value)
 
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            build_scenario("rectangular_pulse", {"nx": 0})
+    @pytest.mark.parametrize("field, value, message", [
+        ("nx", 0, "n_cells must be a positive integer"),
+        ("nx", 2.5, "n_cells must be a positive integer"),
+        ("n_moments", 0, "n_moments must be a positive integer"),
+        ("epsilon", 0.0, "epsilon must be strictly positive"),
+    ])
+    def test_invalid_sizes(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            build_scenario(replace(scenario_defaults("rectangular_pulse"), **{field: value}))
