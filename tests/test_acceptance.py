@@ -26,7 +26,7 @@ from runners import build_problem, run_desk
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import step_bug_adaptive
 from slabtrt.bug_fixed import step_bug_fixed
-from slabtrt.cli_io import main, parse_config
+from slabtrt.cli_io import main
 from slabtrt.full_scheme import FullSchemeWorkspace, emission_gradient_parts, step_full
 from slabtrt.limits_diagnostics import (
     cfl_report,

@@ -52,13 +52,38 @@ class TestGaussLegendre:
         np.testing.assert_allclose(q.nodes, -q.nodes[::-1], atol=1e-13)
         np.testing.assert_allclose(q.weights, q.weights[::-1], atol=1e-13)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 7, 20, 101, 401])
+    @pytest.mark.parametrize("count", [*range(1, 41), 101, 401, 1001])
     def test_monomial_exactness(self, count):
         q = gauss_legendre(count)
         for p in range(2 * count):
             exact = 0.0 if p % 2 == 1 else 2.0 / (p + 1)
             approx = float(q.weights @ q.nodes**p)
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_weights_match_the_derivative_formula(self):
+        # the Christoffel sums of the table against the classical 2 / ((1 - x^2) P_n'(x)^2),
+        # with P_n' evaluated independently, by numpy's Legendre series
+        count = 401
+        q = gauss_legendre(count)
+        dp = np.polynomial.Legendre.basis(count).deriv()(q.nodes)
+        np.testing.assert_allclose(q.weights, 2.0 / ((1.0 - q.nodes**2) * dp**2),
+                                   rtol=1e-11, atol=0.0)
+
+    def test_two_newton_sweeps_from_the_olver_start(self, monkeypatch):
+        # Olver's start is within 4e-9 of the nodes from count 50 on, so one Newton
+        # sweep converges and a second confirms it; the weights take no sweep
+        sweep = angular._legendre_with_derivative
+        calls = []
+
+        def counted(n, x):
+            calls.append(n)
+            return sweep(n, x)
+
+        monkeypatch.setattr(angular, "_legendre_with_derivative", counted)
+        for count in [*range(50, 200), 401, 801, 1001]:
+            calls.clear()
+            gauss_legendre(count)
+            assert len(calls) <= 2, count
 
     def test_deterministic(self):
         a, b = gauss_legendre(33), gauss_legendre(33)

@@ -14,8 +14,6 @@ from oracles import (
 from runners import build_problem
 from slabtrt import full_scheme
 from slabtrt.angular import NORM_P1, build_angular_operators
-from slabtrt.bug_adaptive import step_bug_adaptive
-from slabtrt.bug_fixed import step_bug_fixed
 from slabtrt.cli_io import simulate
 from slabtrt.full_scheme import FullSchemeWorkspace, step_full
 from slabtrt.limits_diagnostics import (
@@ -31,7 +29,6 @@ from slabtrt.mesh_state import (
     FullMicroState,
     MacroState,
     StaggeredGrid,
-    zero_low_rank_state,
 )
 
 

@@ -13,7 +13,9 @@ import slabtrt
 from slabtrt.cli_io import _PARSERS
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(slabtrt.__path__))
-README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(p.name for p in TESTS.glob("*.py"))
+README = TESTS.parent / "README.md"
 
 
 def test_the_modules_are_found():
@@ -95,3 +97,13 @@ def test_no_module_imports_a_name_it_never_uses(name):
     # __init__ imports only to re-export, so it is not among MODULES
     path = Path(slabtrt.__file__).parent / f"{name}.py"
     assert imported_names_never_used(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_test_files_are_found():
+    # as for MODULES: an empty list would leave the test below with no cases
+    assert len(TEST_FILES) >= 10 and "test_package.py" in TEST_FILES
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_no_test_file_imports_a_name_it_never_uses(name):
+    assert imported_names_never_used((TESTS / name).read_text(encoding="utf-8")) == []
