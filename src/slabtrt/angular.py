@@ -59,24 +59,13 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray):
-    """Standard-normalization Legendre P_n and its derivative at points x with |x| < 1."""
-    p_prev = np.ones_like(x)
-    p = np.array(x, dtype=float, copy=True)
-    odd_x = np.multiply.outer(2.0 * np.arange(2, n + 1) - 1.0, x)  # row k-2 is (2k-1) x
-    for k in range(2, n + 1):
-        p, p_prev = (odd_x[k - 2] * p - (k - 1.0) * p_prev) / k, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 def _olver_start(count: int) -> np.ndarray:
     """Olver's approximation of the positive Gauss-Legendre nodes, descending.
 
     theta_k = psi + (psi cot psi - 1) / (8 psi nu^2) with psi = j_{0,k} / nu and
     nu = count + 1/2, where j_{0,k} is the k-th zero of the Bessel function J_0
     (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). Its error is 2.4e-10 at
-    count 101 and 1.0e-12 at count 401, so Newton stops after two sweeps there.
+    count 101 and 1.0e-12 at count 401, so the second Newton sweep finds the nodes there.
     """
     k = np.arange(1, count // 2 + 1, dtype=float)
     beta = (k - 0.25) * np.pi  # McMahon's expansion of j_{0,k}
@@ -94,9 +83,12 @@ def _gauss_legendre_with_table(count: int) -> tuple[QuadratureRule, np.ndarray]:
     The nodes are Newton-refined from Olver's start; the non-negative half-axis
     is computed and mirrored, so that the rule is symmetric to the last bit. The
     middle node 0 of an odd rule is an exact root, so its Newton steps are 0.
-    The weights are the Christoffel sums w = 1 / sum_k P~_k(x)^2 over the
-    table's rows, with P~_0^2 counted as exactly 1/2: the table is needed
-    anyway, so no sweep of the derivative is.
+    Each sweep is one table of rows 0..count: with c = sqrt((2n+1)/(2n-1)) the
+    identity (x^2 - 1) P~_n' = n (x P~_n - c P~_{n-1}) gives the Newton step from
+    its last two rows. The sweep whose step is within _NEWTON_TOL is kept
+    unstepped: its points are the nodes, and its rows 0..count-1 give the
+    weights, as the Christoffel sums w = 1 / sum_k P~_k(x)^2 with P~_0^2 counted
+    as exactly 1/2, and the table that is returned.
     """
     if count < 1:
         raise ValueError("count must be a positive integer")
@@ -104,17 +96,18 @@ def _gauss_legendre_with_table(count: int) -> tuple[QuadratureRule, np.ndarray]:
     x = _olver_start(count)  # positive half, descending
     if count % 2 == 1:
         x = np.append(x, 0.0)
+    c = np.sqrt((2.0 * count + 1.0) / (2.0 * count - 1.0))
     for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _legendre_with_derivative(count, x)
-        step = p / dp
-        x = x - step
+        table = orthonormal_legendre_table(count, x)
+        p = table[count]
+        step = p * (x * x - 1.0) / (count * (x * p - c * table[count - 1]))
         if np.max(np.abs(step)) <= _NEWTON_TOL:
             break
+        x = x - step
     else:
         raise ValueError(f"Gauss-Legendre nodes for count={count} did not converge "
                          f"in {_NEWTON_MAX_ITER} Newton sweeps")
-    x = x[::-1]
-    table = orthonormal_legendre_table(count - 1, x)
+    x, table = x[::-1], table[:count, ::-1]
     w = 1.0 / (0.5 + np.einsum("ij,ij->j", table[1:], table[1:]))
     rule = QuadratureRule(np.concatenate([-x[:-n_half - 1:-1], x]),
                           np.concatenate([w[:-n_half - 1:-1], w]))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bug_adaptive import step_bug_adaptive
 from .bug_fixed import step_bug_fixed
-from .full_scheme import FullSchemeWorkspace, step_full
+from .full_scheme import EPSILON_MAX, FullSchemeWorkspace, step_full
 from .limits_diagnostics import (
     cfl_report,
     energy,
@@ -128,8 +128,8 @@ def parse_config(text: str) -> RunConfig:
         fail("nx", "must be a positive integer")
     if config.n_moments is not None and config.n_moments < 1:
         fail("n_moments", "must be a positive integer")
-    if config.epsilon is not None and not config.epsilon > 0.0:
-        fail("epsilon", "must be strictly positive")
+    if config.epsilon is not None and not 0.0 < config.epsilon <= EPSILON_MAX:
+        fail("epsilon", f"must be strictly positive and at most {EPSILON_MAX:g}")
     problem = _start_problem(config)
     if problem:
         fail(*problem)
@@ -316,7 +316,7 @@ def _cmd_sweep(config: RunConfig, schemes: str, out) -> int:
         raise ConfigError(f"--schemes: {','.join(twice)} named more than once")
     for scheme in schemes:
         if scheme not in SCHEMES:
-            raise ConfigError(f"key 'scheme': must be one of {SCHEMES}")
+            raise ConfigError(f"--schemes: unknown scheme '{scheme}' (choose from {SCHEMES})")
         problem = _start_problem(replace(config, scheme=scheme))
         if problem:
             raise ConfigError(f"scheme {scheme}: key '{problem[0]}': {problem[1]}")

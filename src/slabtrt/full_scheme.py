@@ -19,12 +19,16 @@ from .mesh_state import (
 )
 
 __all__ = [
+    "EPSILON_MAX",
     "FullSchemeWorkspace",
     "emission_gradient_parts",
     "meso_macro_update",
     "step_full",
 ]
 
+# Largest accepted epsilon: every step forms eps^2 / dt with dt > 1e-14, and every scheme runs
+# clean under -W error to eps = 1e147 there; eps^2 / dt overflows from 1e150 at dt = 1e-13.
+EPSILON_MAX = 1e100
 _BLOCK_BYTES = 512 * 1024  # g rows per step_full block: with output and differences 1.5 MB of L2
 
 
@@ -43,8 +47,8 @@ class FullSchemeWorkspace:
     angular: AngularOperators
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be strictly positive")
+        if not 0.0 < self.epsilon <= EPSILON_MAX:
+            raise ValueError(f"epsilon must be strictly positive and at most {EPSILON_MAX:g}")
         if self.sigma.at_centers.shape[0] != self.grid.n_cells:
             raise ValueError("absorption field does not match the grid")
 

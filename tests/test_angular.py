@@ -69,21 +69,23 @@ class TestGaussLegendre:
         np.testing.assert_allclose(q.weights, 2.0 / ((1.0 - q.nodes**2) * dp**2),
                                    rtol=1e-11, atol=0.0)
 
-    def test_two_newton_sweeps_from_the_olver_start(self, monkeypatch):
-        # Olver's start is within 4e-9 of the nodes from count 50 on, so one Newton
-        # sweep converges and a second confirms it; the weights take no sweep
-        sweep = angular._legendre_with_derivative
+    def test_newton_sweeps_are_the_table_and_the_last_gives_the_weights(self, monkeypatch):
+        # each Newton sweep is one table of rows 0..count, and the sweep whose step
+        # is within the tolerance gives the weights too. Olver's start is close
+        # enough from count 23 on that one sweep steps and the second stops
+        table = angular.orthonormal_legendre_table
         calls = []
 
-        def counted(n, x):
-            calls.append(n)
-            return sweep(n, x)
+        def counted(k_max, x):
+            calls.append(k_max)
+            return table(k_max, x)
 
-        monkeypatch.setattr(angular, "_legendre_with_derivative", counted)
-        for count in [*range(50, 200), 401, 801, 1001]:
+        monkeypatch.setattr(angular, "orthonormal_legendre_table", counted)
+        for count in [*range(2, 200), 401, 801, 1001]:
             calls.clear()
             gauss_legendre(count)
-            assert len(calls) <= 2, count
+            assert set(calls) == {count}, count
+            assert len(calls) <= (2 if count >= 23 else 3), count
 
     def test_deterministic(self):
         a, b = gauss_legendre(33), gauss_legendre(33)

@@ -425,22 +425,24 @@ def full_rank_cases():
 
     The cell centres of these grids reach the pulse and the insert. Two kinds
     of run are known not to track the dense step, and are strict expected
-    failures: the absorber at eps = 1 from rank 1, and every start at rank
-    N = 4 on 101 x 4.
+    failures: the absorber at eps = 1 and eps = 1e-2 from rank 1, and every
+    start at rank N = 4 on 101 x 4.
     """
     early = pytest.mark.xfail(strict=True, reason=(
         "before the rank reaches N the dense solution leaves the span of the augmented "
-        "bases (g is 2.9e-4 off after the third step on 41x8), and T keeps that error"))
+        "bases, and T keeps that error: on 41x8 g is 2.9e-4 off after the third step at "
+        "eps = 1 and 7.8e-5 at eps = 1e-2; on 101x4 at eps = 1e-2 the ranks agree after "
+        "the second step but g is 1e-5 off"))
     stuck = pytest.mark.xfail(strict=True, reason=(
         "from the zero state of rank N = 4 the rank falls to 2 in the first step and "
         "never grows again"))
     cases = []
     for scenario in ("rectangular_pulse", "absorber"):
-        for epsilon in (1.0, 1e-5):
+        for epsilon in (1.0, 1e-2, 1e-5):
             for nx, n_mom in ((41, 8), (30, 6), (101, 4)):
                 for start_rank in (1, n_mom):
                     marks = ()
-                    if start_rank == 1 and scenario == "absorber" and epsilon == 1.0:
+                    if start_rank == 1 and scenario == "absorber" and epsilon >= 1e-2:
                         marks = early
                     elif start_rank == n_mom == 4:
                         marks = stuck
@@ -697,7 +699,7 @@ class TestStepBugAdaptive:
             worst = max(worst, np.max(np.abs(macro_a.temperature - t_full))
                         / np.max(np.abs(t_full)))
         assert worst <= 1e-12
-        if epsilon == 1.0 or start_rank == n_mom:
+        if epsilon >= 1e-2 or start_rank == n_mom:
             assert max(ranks) == n_mom
 
     def test_moment_direction_survives_every_step(self):

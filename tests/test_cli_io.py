@@ -55,6 +55,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 3.*epsilon"):
             parse_config("scenario = rectangular_pulse\nscheme = full\nepsilon = -1")
 
+    # eps^2 overflowed from 1.4e154, and eps^2 / dt from 1e150 at t_end = 1e-13
+    @pytest.mark.parametrize("epsilon", ["1.3e154", "1.4e154", "1e200"])
+    def test_epsilon_whose_square_overflows_names_key_and_line(self, epsilon):
+        with pytest.raises(ConfigError,
+                           match=r"line 3: key 'epsilon': must be strictly positive and at most"):
+            parse_config(f"scenario = rectangular_pulse\nscheme = full\nepsilon = {epsilon}")
+
     def test_fixed_rank_run(self):
         cfg = parse_config("scenario = rectangular_pulse\nscheme = bug_fixed\nrank = 15")
         assert cfg.rank == 15
@@ -433,6 +440,27 @@ class TestCliEntrypoints:
                       f"output_dir = {out_dir}\n")
         assert main(["sweep", path, "--schemes", schemes]) == 1
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_sweep_names_an_unknown_scheme(self, tmp_path, capsys):
+        # the error once blamed the config's valid `scheme` key instead of the typo
+        out_dir = tmp_path / "sweep"
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = full\nnx = 20\nn_moments = 4\n"
+                      f"output_dir = {out_dir}\n")
+        assert main(["sweep", path, "--schemes", "full,fulll"]) == 1
+        assert capsys.readouterr().err.startswith("error: --schemes: unknown scheme 'fulll' (")
+        assert not out_dir.exists()
+
+    def test_run_refuses_an_epsilon_whose_square_overflows(self, tmp_path, capsys):
+        # at eps = 1.4e154 every scheme died with an uncaught OverflowError from eps**2
+        out_dir = tmp_path / "out"
+        path = self.write_config(
+            tmp_path, f"scenario = absorber\nscheme = full\nepsilon = 1.4e154\n"
+                      f"output_dir = {out_dir}\n")
+        assert main(["run", path]) == 1
+        assert "error: line 3: key 'epsilon': must be strictly positive and at most 1e+100" \
+            in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_sweep_refuses_a_t_end_that_takes_no_step(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from runners import build_problem
 from slabtrt import full_scheme
 from slabtrt.angular import NORM_P1, build_angular_operators
 from slabtrt.cli_io import simulate
-from slabtrt.full_scheme import FullSchemeWorkspace, step_full
+from slabtrt.full_scheme import EPSILON_MAX, FullSchemeWorkspace, step_full
 from slabtrt.limits_diagnostics import (
     cfl_report,
     energy,
@@ -153,6 +153,13 @@ class TestStepFull:
     def test_nonpositive_epsilon_is_refused(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be strictly positive"):
             make_workspace(epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1.3e154, 1e200, float("inf")])
+    def test_epsilon_whose_square_overflows_is_refused(self, epsilon):
+        # eps^2 / dt overflows from eps = 1e150 at dt = 1e-13, and eps^2 itself from 1.4e154
+        with pytest.raises(ValueError, match=r"at most 1e\+100"):
+            make_workspace(epsilon=epsilon)
+        assert make_workspace(epsilon=EPSILON_MAX).epsilon == EPSILON_MAX
 
     def test_takes_no_emission_law(self):
         # the schemes implement the linear closure B = T only
