@@ -343,6 +343,7 @@ def _cmd_sweep(config: RunConfig, schemes: str, out) -> int:
     _write_csv(out_dir / "comparison.csv", COMPARISON_HEADER, rows)
     return 0
 
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = argparse.ArgumentParser(

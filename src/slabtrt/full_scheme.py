@@ -54,7 +54,7 @@ class FullSchemeWorkspace:
 
     @cached_property
     def _flux_buffer(self) -> np.ndarray:
-        """Difference rows of one row block of the dense step, plus its ghost row.
+        """Upwind difference rows of one row block of the dense step.
 
         Blocks hold at most _BLOCK_BYTES of g, in heights of 8 rows, so each starts
         where BLAS groups the rows of the whole state; a lone last row joins the block
@@ -63,7 +63,7 @@ class FullSchemeWorkspace:
         """
         n_rows, width = self.grid.n_cells + 1, self.angular.n_moments + 1
         height = 8 * math.ceil(n_rows / math.ceil(n_rows * width * 8 / _BLOCK_BYTES) / 8)
-        return np.empty((min(n_rows, height + 1) + 1, width))
+        return np.empty((min(n_rows, height + 1), width))
 
     def check_step(self, macro: MacroState, n_rows: int, n_nodes: int, dt: float):
         """Reject a step size, or a macro state and nodal micro shape that do not fit."""
@@ -106,12 +106,13 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     A+- = T diag(mu+-) T^T the flux of g T is (D- g T diag(mu+) + D+ g T diag(mu-)) P
     with P = T^T T = I - t0 t0^T: per node an upwind difference times mu, forward
     where mu < 0 and backward where mu >= 0, projected off t0. The source enters
-    along T^T b and absorption is a pointwise scalar division. Row i of the new
-    state reads difference rows i and i + 1 only, so the step runs over row blocks
+    along T^T b and absorption scales row i by 1 / (shift + sigma_i). Row i of the
+    new state reads rows i - 1..i + 1 of g only, so the step runs over row blocks
     of g that stay in cache, their differences and rank-one terms in the workspace
-    buffer; the new micro state is the only new n x (N+1) array. Order is forced by
-    the implicit couplings: micro moments first, then the mesoscopic variable
-    (which sees the new first moment g T pin), then temperature.
+    buffer, and sums the squared norm of each new block there; the new micro state
+    is the only new n x (N+1) array. Order is forced by the implicit couplings:
+    micro moments first, then the mesoscopic variable (which sees the new first
+    moment g T pin), then temperature.
     """
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
@@ -120,30 +121,35 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     mu = (eps / ws.grid.dx) * ang.quad.nodes
     neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]
     buffer = ws._flux_buffer
-    n_rows, height = g.shape[0], buffer.shape[0] - 2  # a last block may have height + 1 rows
+    n_rows, height = g.shape[0], buffer.shape[0] - 1  # a last block may have height + 1 rows
     # rows [g projection | -source]; the projection column is filled block by block
     rank_two = np.empty((n_rows, 2))
     np.negative(emission_gradient_parts(macro, ws)[1], out=rank_two[:, 1])
-    denom = (shift + ws.sigma.at_interfaces)[:, None]
+    inv = (1.0 / (shift + ws.sigma.at_interfaces))[:, None]
     g_new, g1_new = np.empty_like(g), np.empty(n_rows)
+    norm_sq = 0.0
     for top in range(0, n_rows - 1, height):
         end = top + height if n_rows - top > height + 1 else n_rows
-        # difference rows top..end: zero ghosts first, overwritten inside the state;
-        # 0 - g, not -g, which would turn a +0 difference into -0
-        diff = buffer[:end - top + 1]
-        diff[0] = g[0]
-        np.subtract(0.0, g[-1], out=diff[-1])
+        # row i of `up` holds what new row top + i reads: the forward difference where
+        # mu < 0 and the backward one where mu >= 0, with zero ghost rows outside the
+        # state; 0 - g, not -g, which would turn a +0 difference into -0
+        up = buffer[:end - top]
         lo, hi = max(top, 1), min(end, n_rows - 1)
-        np.subtract(g[lo:hi + 1], g[lo - 1:hi], out=diff[lo - top:hi - top + 1])
-        diff *= mu  # one full-width pass; the rows diff[0, :neg] and diff[-1, neg:] go unread
-        forward, backward = diff[1:, :neg], diff[:-1, neg:]
-        np.add(forward @ ang.t0[:neg], backward @ ang.t0[neg:], out=rank_two[top:end, 0])
+        np.subtract(g[top + 1:hi + 1, :neg], g[top:hi, :neg], out=up[:hi - top, :neg])
+        if hi < end:
+            np.subtract(0.0, g[-1, :neg], out=up[-1, :neg])
+        np.subtract(g[lo:end, neg:], g[lo - 1:end - 1, neg:], out=up[lo - top:, neg:])
+        if lo > top:
+            up[0, neg:] = g[0, neg:]
+        up *= mu
+        np.add(up[:, :neg] @ ang.t0[:neg], up[:, neg:] @ ang.t0[neg:], out=rank_two[top:end, 0])
         block = np.multiply(g[top:end], shift, out=g_new[top:end])
-        block[:, :neg] -= forward
-        block[:, neg:] -= backward
-        block += np.matmul(rank_two[top:end], ang.t0_b, out=diff[:-1])
-        block /= denom[top:end]
+        block -= up
+        block += np.matmul(rank_two[top:end], ang.t0_b, out=up)
+        block *= inv[top:end]
         np.matmul(block, ang.pin, out=g1_new[top:end])
+        norm_sq += np.vdot(block, block)  # while the block is in cache
 
+    micro_new = FullMicroState._trusted(g_new, norm_sq)  # refuses a non-finite g first
     h_new, t_new = meso_macro_update(g1_new, macro, ws, dt)
-    return MacroState(t_new, h_new), FullMicroState(g_new)
+    return MacroState(t_new, h_new), micro_new

@@ -39,19 +39,25 @@ def energy(macro: MacroState, micro_norm_sq: float, ws: FullSchemeWorkspace) -> 
     """
     if micro_norm_sq < 0.0:
         raise ValueError("micro_norm_sq must be nonnegative")
-    eps, dx, t = ws.epsilon, ws.grid.dx, macro.temperature
-    core = t + eps**2 * macro.h_meso
-    # vdot, not @: a matmul ufunc that overflows on finite entries warns
-    e = float(np.vdot(core, core) * dx)
+    eps, dx, t_sq = ws.epsilon, ws.grid.dx, macro.temperature_sq
+    if macro.h_meso_sq == 0.0 and not macro.h_meso.any():
+        core_sq = t_sq  # T + eps^2 * 0 squares to the bits of T
+    else:
+        core = macro.h_meso * eps**2
+        core += macro.temperature
+        # vdot, not @: a matmul ufunc that overflows on finite entries warns
+        core_sq = float(np.vdot(core, core))
+    e = core_sq * dx
     e += (eps / NORM_P0) ** 2 * micro_norm_sq
-    e += 0.5 * float(np.vdot(t, t)) * dx
+    e += 0.5 * t_sq * dx
     return e
 
 
 def mass(macro: MacroState, ws: FullSchemeWorkspace) -> float:
     """Conserved total: scalar flux T + eps^2 h plus material heat content T / 2."""
-    return float((1.5 * macro.temperature.sum()
-                  + ws.epsilon**2 * macro.h_meso.sum()) * ws.grid.dx)
+    total = np.add.reduce  # the sum of ndarray.sum, without its Python wrapper
+    return float((1.5 * total(macro.temperature)
+                  + ws.epsilon**2 * total(macro.h_meso)) * ws.grid.dx)
 
 
 def relative_mass_error(m_n: float, m_0: float) -> float:

@@ -102,6 +102,9 @@ class MacroState:
 
     temperature: np.ndarray
     h_meso: np.ndarray
+    # vdot(T, T) and vdot(h, h), which the energy reads
+    temperature_sq: float = field(init=False, repr=False, compare=False)
+    h_meso_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.temperature, dtype=float)
@@ -110,13 +113,16 @@ class MacroState:
             raise ValueError("temperature and h_meso must be 1-d arrays of equal length")
         # a non-finite entry makes the sum of squares non-finite (vdot reports no
         # overflow); only finite entries above ~1e154 also need the entrywise check
-        if not (math.isfinite(np.vdot(t, t)) and math.isfinite(np.vdot(h, h))) and not (
+        t_sq, h_sq = float(np.vdot(t, t)), float(np.vdot(h, h))
+        if not (math.isfinite(t_sq) and math.isfinite(h_sq)) and not (
                 np.isfinite(t).all() and np.isfinite(h).all()):
             raise ValueError("macro state contains non-finite entries")
         t.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "temperature", t)
         object.__setattr__(self, "h_meso", h)
+        object.__setattr__(self, "temperature_sq", t_sq)
+        object.__setattr__(self, "h_meso_sq", h_sq)
 
     @property
     def n_cells(self) -> int:
@@ -134,7 +140,8 @@ class FullMicroState:
 
     The dense step holds them in nodal coordinates, g T with N + 1 columns
     (T = angular.T_mat). T has orthonormal rows, so both forms have the same norm.
-    Takes ownership, like MacroState: a float g is frozen, not copied.
+    Takes ownership, like MacroState: a float g is frozen, not copied. The state
+    a dense step makes comes from `_trusted`, with the norm the step summed.
     """
 
     g_matrix: np.ndarray
@@ -144,14 +151,25 @@ class FullMicroState:
         g = np.asarray(self.g_matrix, dtype=float)
         if g.ndim != 2:
             raise ValueError("g_matrix must be a (n_interfaces x n_moments) matrix")
-        # one read of g: a finite sum of squares means finite entries; einsum
-        # allocates no temporary, and numpy's empty sum costs ~7 us
-        norm_sq = np.einsum("ij,ij->", g, g) if g.size else 0.0
+        # one read of g; einsum allocates no temporary, and numpy's empty sum costs ~7 us
+        self._freeze(g, np.einsum("ij,ij->", g, g) if g.size else 0.0)
+
+    def _freeze(self, g: np.ndarray, norm_sq):
+        # a finite sum of squares means finite entries; only a non-finite one, which
+        # finite entries above ~1e154 also give, needs the entrywise check
         if not np.isfinite(norm_sq) and not np.all(np.isfinite(g)):
             raise ValueError("micro state contains non-finite entries")
         g.setflags(write=False)
         object.__setattr__(self, "g_matrix", g)
         object.__setattr__(self, "norm_sq", norm_sq)
+
+    @classmethod
+    def _trusted(cls, g: np.ndarray, norm_sq) -> "FullMicroState":
+        """The state of a float matrix g a step made, with the sum of its squared entries
+        that the step took; non-finite entries are refused as by the constructor."""
+        state = object.__new__(cls)
+        state._freeze(g, norm_sq)
+        return state
 
     def micro_norm_sq(self, dx: float) -> float:
         """Squared discrete L2 norm of the micro moments, dx * ||g||_F^2."""

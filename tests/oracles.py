@@ -10,7 +10,9 @@ blocked, vectorized, coefficient-space and block-extension versions must
 reproduce. Earlier forms of package kernels (the dense step scaling on
 half-width views, the dense step over the whole state at once, the L-step
 right-hand side from temporaries) are kept as the references their present
-forms must match bit for bit.
+forms must match bit for bit; the dense forms scale by 1 / (shift + sigma) as
+the step does, and the unblocked one also divides, as the step did before, for
+a reference the step must match within rounding.
 
 The modal references come first: the flux matrices A, A+-, |A|, the modal
 views of the nodal states and the kinetic initialization. No step of the
@@ -100,7 +102,8 @@ def all_node_l_update(state, ws, dt, blocks, x_source):
 # Earlier forms of two kernels, kept as references that the present ones must
 # reproduce bit for bit: the dense step scaling its upwind differences on the
 # two half-width views, the dense step over the whole state in one block, and
-# the L-step right-hand side from three temporaries.
+# the L-step right-hand side from three temporaries. Both dense forms multiply
+# by the reciprocal of shift + sigma, as the step does.
 
 
 def half_width_step_full(macro, micro, ws, dt):
@@ -124,13 +127,15 @@ def half_width_step_full(macro, micro, ws, dt):
     g_new[:, neg:] -= backward
     source = emission_gradient_parts(macro, ws)[1]
     g_new += np.matmul(np.column_stack([along_t0, -source]), ang.t0_b, out=diff[:-1])
-    g_new /= (shift + ws.sigma.at_interfaces)[:, None]
+    g_new *= (1.0 / (shift + ws.sigma.at_interfaces))[:, None]
     h_new, t_new = meso_macro_update(g_new @ ang.pin, macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)
 
 
-def unblocked_step_full(macro, micro, ws, dt):
-    """`step_full` with every pass over the whole state: one (n+1) x (N+1) difference buffer."""
+def unblocked_step_full(macro, micro, ws, dt, divide=False):
+    """`step_full` with every pass over the whole state: one (n+1) x (N+1) difference
+    buffer; with `divide`, absorption divides by shift + sigma instead of multiplying
+    by its reciprocal."""
     g = micro.g_matrix
     ws.check_step(macro, *g.shape, dt)
     eps, ang = ws.epsilon, ws.angular
@@ -149,7 +154,11 @@ def unblocked_step_full(macro, micro, ws, dt):
     g_new[:, neg:] -= backward
     source = emission_gradient_parts(macro, ws)[1]
     g_new += np.matmul(np.column_stack([along_t0, -source]), ang.t0_b, out=diff[:-1])
-    g_new /= (shift + ws.sigma.at_interfaces)[:, None]
+    denom = (shift + ws.sigma.at_interfaces)[:, None]
+    if divide:  # the absorption form before the reciprocal: entries differ by ~1 ulp per step
+        g_new /= denom
+    else:
+        g_new *= 1.0 / denom
     h_new, t_new = meso_macro_update(g_new @ ang.pin, macro, ws, dt)
     return MacroState(t_new, h_new), FullMicroState(g_new)
 

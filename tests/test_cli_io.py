@@ -351,6 +351,17 @@ class TestSimulate:
                               theta_rel=5e-2):
                 pass
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_dense_state_aborts_naming_the_step(self):
+        # the dense step checks its new g, with the norm it summed in cache, before
+        # it makes the macro state, so the run names the micro state
+        ws, macro0 = build_problem("rectangular_pulse", 41, 8)
+        macro = MacroState(8e305 * macro0.temperature, macro0.h_meso)
+        with pytest.raises(RuntimeError, match=r"simulation aborted at step 1: "
+                                               r"micro state contains non-finite entries"):
+            for _ in simulate("full", macro, ws, cfl_report(ws)[0], 1.5):
+                pass
+
 
 class TestCliEntrypoints:
     def write_config(self, tmp_path, text):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ class TestStepFull:
         # blocks are 160 and 152 rows high: each workspace makes its buffer once
         # and its steps keep it
         rng = np.random.default_rng(19)
-        for nx, n_mom, rows in [(10, 4, 12), (10, 6, 12), (2001, 400, 162), (300, 400, 154)]:
+        for nx, n_mom, rows in [(10, 4, 11), (10, 6, 11), (2001, 400, 161), (300, 400, 153)]:
             ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5)
             macro = MacroState(rng.uniform(0.5, 1.5, nx), rng.standard_normal(nx))
             micro = nodal_dense(rng.standard_normal((nx + 1, n_mom)), ws.angular)
@@ -138,9 +139,8 @@ class TestStepFull:
             for _ in range(2):
                 macro, micro = step_full(macro, micro, ws, 0.02)
             assert ws._flux_buffer is buffer
-            # at 2001 x 400: one 160-row block, its ghost row and a row for a lone
-            # last row to join the block before it; not the n + 1 = 2003 rows of
-            # the whole state
+            # at 2001 x 400: one 160-row block and a row for a lone last row to join
+            # the block before it; not the n = 2002 rows of the whole state
             assert buffer.shape == (rows, n_mom + 1)
 
     @pytest.mark.parametrize("member", ["grid", "sigma", "angular", "epsilon"])
@@ -313,8 +313,75 @@ class TestRowBlocks:
         monkeypatch.setattr(full_scheme, "_BLOCK_BYTES", 1)
         for ws, got, want in chained_step_pairs(unblocked_step_full, nx, n_mom, start,
                                                 210 + 7 * nx + n_mom):
-            assert ws._flux_buffer.shape == (10, n_mom + 1)
+            assert ws._flux_buffer.shape == (9, n_mom + 1)
             assert_same_states(got, want)
+
+
+class TestReciprocalAbsorption:
+    """The step, which multiplies by 1 / (shift + sigma), against the division it replaced."""
+
+    @pytest.mark.parametrize("start", ["zero_micro", "random"])
+    @pytest.mark.parametrize("n_mom", [1, 2, 7, 8, 100])
+    @pytest.mark.parametrize("nx", [7, 24])
+    def test_chained_steps_match_division_within_rounding(self, nx, n_mom, start):
+        # each entry of g moves by about an ulp per step. Over 40 seeds of these cases
+        # g, T and h stayed within 1.2e-15, 1.3e-15 and 1.4e-15 of their largest
+        # entries; h, whose update divides a difference of g by shift + 3 sigma, is
+        # also allowed 5e-14 absolute (it needed 2.4e-14 over 1e-15 relative, at
+        # eps = 1e-3 with |h| up to 40)
+        divide = functools.partial(unblocked_step_full, divide=True)
+        for _, got, want in chained_step_pairs(divide, nx, n_mom, start, 230 + 7 * nx + n_mom):
+            for a, b, floor in ((got[1].g_matrix, want[1].g_matrix, 0.0),
+                                (got[0].temperature, want[0].temperature, 0.0),
+                                (got[0].h_meso, want[0].h_meso, 5e-14)):
+                assert np.max(np.abs(a - b)) <= 2e-15 * np.max(np.abs(b)) + floor
+
+
+class TestNormInCache:
+    """The squared norm the step sums block by block while each block is in cache."""
+
+    @pytest.mark.parametrize("block_bytes", [full_scheme._BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("nx", [24, 25, 501])
+    def test_step_norm_is_the_norm_of_the_state(self, nx, block_bytes, monkeypatch):
+        # one block, and blocks of 8 rows (three, four and 63 of them)
+        monkeypatch.setattr(full_scheme, "_BLOCK_BYTES", block_bytes)
+        ws = make_workspace(nx=nx, n_moments=100, epsilon=0.5)
+        rng = np.random.default_rng(nx)
+        macro = MacroState(rng.uniform(0.5, 1.5, nx), rng.standard_normal(nx))
+        micro = nodal_dense(rng.standard_normal((nx + 1, 100)), ws.angular)
+        for _ in range(3):
+            macro, micro = step_full(macro, micro, ws, 0.02)
+            g = micro.g_matrix
+            assert abs(micro.norm_sq - np.vdot(g, g)) <= 1e-15 * np.vdot(g, g)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_new_state_is_refused(self):
+        # temperatures of -1.6e308 next to 1.6e308 overflow the gradient, so the new
+        # g is not finite: the step refuses it before it makes the macro state
+        ws = make_workspace(nx=12, n_moments=6)
+        rng = np.random.default_rng(5)
+        macro = MacroState(np.where(np.arange(12) < 6, -1.6e308, 1.6e308), np.zeros(12))
+        micro = nodal_dense(rng.standard_normal((13, 6)), ws.angular)
+        with pytest.raises(ValueError, match="micro state contains non-finite entries"):
+            step_full(macro, micro, ws, 0.02)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trusted_state_keeps_the_finiteness_rule(self, bad):
+        g = np.random.default_rng(8).standard_normal((9, 4))
+        g[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            FullMicroState._trusted(g, np.vdot(g, g))
+
+    def test_entries_whose_squares_overflow_make_a_valid_state(self):
+        # entries of about 1e160 are finite, their squares are not: the summed norm
+        # is inf, the entrywise check passes, and the state is valid
+        ws = make_workspace(nx=10, n_moments=4)
+        rng = np.random.default_rng(9)
+        macro = MacroState(rng.uniform(0.5, 1.5, 10), np.zeros(10))
+        micro = nodal_dense(1e160 * rng.standard_normal((11, 4)), ws.angular)
+        macro, micro = step_full(macro, micro, ws, 0.02)
+        assert np.isfinite(micro.g_matrix).all()
+        assert micro.norm_sq == np.inf
 
 
 class TestEnergyAndMass:

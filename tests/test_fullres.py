@@ -3,6 +3,9 @@
 Deselected by default; run with `pytest -m slow tests/test_fullres.py -v -s`.
 """
 
+import functools
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,13 +14,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import unblocked_step_full
+from oracles import nodal_dense, unblocked_step_full
 from runners import build_problem
 from slabtrt import cli_io
+from slabtrt.bug_adaptive import step_bug_adaptive
+from slabtrt.bug_fixed import step_bug_fixed
 from slabtrt.cli_io import main
 from slabtrt.full_scheme import step_full
 from slabtrt.limits_diagnostics import cfl_report
-from slabtrt.mesh_state import LowRankMicroState, _orth_defect
+from slabtrt.mesh_state import LowRankMicroState, MacroState, _orth_defect
 
 pytestmark = pytest.mark.slow
 
@@ -125,6 +130,87 @@ def test_pulse_large_full_over_row_blocks_matches_unblocked_bit_for_bit():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, cwd=os.path.dirname(__file__))
     assert out.stdout.split() == ["79", "79", "True", "True", "True"]
+
+
+THREAD_SCHEMES = {
+    "full": step_full,
+    "bug_fixed": step_bug_fixed,
+    "bug_adaptive": lambda macro, state, ws, dt: step_bug_adaptive(macro, state, ws, dt, 5e-2),
+}
+
+
+def random_start(scheme, ws, rng):
+    """A dense macro and micro state with no zero rows: the dense state of N + 1 nodes,
+    or rank 15 with V[:, 0] = b/|b| as the adaptive step requires."""
+    n = ws.grid.n_cells
+    macro = MacroState(rng.uniform(0.5, 1.5, n), rng.standard_normal(n))
+    if scheme == "full":
+        return macro, nodal_dense(rng.standard_normal((n + 1, ws.angular.n_moments)),
+                                  ws.angular)
+    modal = np.linalg.qr(np.column_stack([np.eye(ws.angular.n_moments)[:, 0],
+                                          rng.standard_normal((ws.angular.n_moments, 14))]))[0]
+    modal[:, 0] = np.eye(ws.angular.n_moments)[:, 0]  # QR may flip its sign
+    x = np.linalg.qr(rng.standard_normal((n + 1, 15)))[0]
+    return macro, LowRankMicroState(x, np.diag(np.logspace(0, -8, 15)),
+                                    ws.angular.T_mat.T @ modal)
+
+
+def thread_fingerprints():
+    """SHA-256 of the bits of the state after 5 steps of each scheme on pulse_large
+    (2001 x 400, eps = 1), from the pulse and from a random start: (scheme, start)
+    -> hex digest; the dense state's summed norm counts too."""
+    ws, pulse = build_problem("rectangular_pulse", 2001, 400, 1.0)
+    dt = cfl_report(ws)[0]
+    prints = {}
+    for scheme in THREAD_SCHEMES:
+        rank = 15 if scheme == "bug_fixed" else 1
+        for start in ("pulse", "random"):
+            if start == "pulse":
+                states = cli_io.simulate(scheme, pulse, ws, dt, 0.1, rank, 5e-2)
+                for n_steps, (_, _, macro, micro) in enumerate(states):
+                    if n_steps == 5:
+                        break
+            else:
+                macro, micro = random_start(scheme, ws, np.random.default_rng(28))
+                for _ in range(5):
+                    macro, micro = THREAD_SCHEMES[scheme](macro, micro, ws, dt)
+            if scheme == "full":
+                arrays = (micro.g_matrix, np.float64(micro.norm_sq))
+            else:
+                arrays = (micro.X_basis, micro.S_coeff, micro.V_basis)
+            digest = hashlib.sha256()
+            for arr in (macro.temperature, macro.h_meso, *arrays):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+            prints[f"{scheme}-{start}"] = digest.hexdigest()
+    return prints
+
+
+@functools.cache
+def fingerprints_at(threads):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               **{name: threads for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                             "MKL_NUM_THREADS")})
+    code = "import json, test_fullres\nprint(json.dumps(test_fullres.thread_fingerprints()))\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, cwd=os.path.dirname(__file__))
+    return json.loads(out.stdout)
+
+
+SPLIT_BY_THREADS = ("from a random start its bits at 2 OpenBLAS threads differ from those at "
+                    "1: OpenBLAS splits matrix products, and dot products of 20,000 entries "
+                    "and more, at places that depend on the thread count")
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((CORES or 1) < 2, reason="OpenBLAS runs one thread on one core")
+@pytest.mark.parametrize("case", [f"{scheme}-pulse" for scheme in THREAD_SCHEMES] + [
+    pytest.param(f"{scheme}-random", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"{scheme}: {SPLIT_BY_THREADS}"))
+    for scheme in THREAD_SCHEMES])
+def test_five_pulse_large_steps_have_the_same_bits_at_one_and_two_threads(case):
+    assert fingerprints_at("1")[case] == fingerprints_at("2")[case]
 
 
 def test_basis_repair_keeps_a_long_adaptive_run_orthonormal(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_rosseland_step, reconstruct
-from slabtrt.angular import build_angular_operators
+from slabtrt.angular import NORM_P0, build_angular_operators
 from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.limits_diagnostics import (
     cfl_report,
@@ -104,6 +104,26 @@ class TestEnergyMass:
             warnings.simplefilter("error")
             assert energy(macro, 0.0, ws) == np.inf
             assert mass(macro, ws) == pytest.approx(4.5e200)
+
+    @pytest.mark.parametrize("h_kind", ["random", "zeros", "negative_zeros", "underflowing"])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-5, 1e50])
+    def test_energy_and_mass_keep_the_bits_of_their_direct_forms(self, h_kind, epsilon):
+        # the energy reads vdot(T, T) from the state and skips T + eps^2 h when h is
+        # zero; h = 1e-170 squares to zero but moves T at eps = 1e50, so the skip
+        # also asks for zero entries
+        rng = np.random.default_rng(12)
+        grid = StaggeredGrid(0.0, 1.0, 30)
+        t = rng.uniform(0.5, 1.5, 30)
+        h = {"random": rng.standard_normal(30), "zeros": np.zeros(30),
+             "negative_zeros": np.full(30, -0.0), "underflowing": np.full(30, 1e-170)}[h_kind]
+        ws = workspace(grid, epsilon=epsilon)
+        macro = MacroState(t.copy(), h.copy())
+        core = t + epsilon**2 * h
+        e = float(np.vdot(core, core) * grid.dx)
+        e += (epsilon / NORM_P0) ** 2 * 0.3
+        e += 0.5 * float(np.vdot(t, t)) * grid.dx
+        assert energy(macro, 0.3, ws) == e
+        assert mass(macro, ws) == float((1.5 * t.sum() + epsilon**2 * h.sum()) * grid.dx)
 
     def test_dense_and_factored_micro_norms_agree(self):
         rng = np.random.default_rng(3)

@@ -146,3 +146,36 @@ def test_the_test_files_are_found():
 @pytest.mark.parametrize("name", TEST_FILES)
 def test_no_test_file_imports_a_name_it_never_uses(name):
     assert imported_names_never_used((TESTS / name).read_text(encoding="utf-8")) == []
+
+
+def defs_without_two_blank_lines(source: str) -> list[str]:
+    """Top-level functions and classes that follow other code by fewer than two blank
+    lines (PEP 8, pycodestyle E302); decorators and the comments right above belong
+    to the definition."""
+    lines = source.splitlines()
+    short = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+        while first and lines[first - 1].lstrip().startswith("#"):
+            first -= 1
+        above = lines[:first]
+        blank = len(above) - len("\n".join(above).rstrip().splitlines())
+        if blank < min(2, len(above)):
+            short.append(node.name)
+    return short
+
+
+def test_blank_line_check_finds_the_short_ones():
+    source = ('"""Doc."""\nimport os\n\n\ndef good():\n    pass\n\n'
+              "# one line short\ndef short():\n    pass\n\n\n# kept\n@staticmethod\n"
+              "def decorated():\n    pass\n\nclass Short:\n    pass\n")
+    assert defs_without_two_blank_lines(source) == ["short", "Short"]
+    assert defs_without_two_blank_lines("def first():\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_top_level_definitions_follow_two_blank_lines(path):
+    assert defs_without_two_blank_lines(path.read_text(encoding="utf-8")) == []
