@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .full_scheme import FullSchemeWorkspace, emission_gradient_parts
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
-    _orth_defect,
     complete_orthonormal_columns,
     extend_orthonormal_columns,
     padded_difference,
@@ -40,10 +40,6 @@ _DEGENERATE_TOL = 1e-14
 _PIN_TOL = 1e-12
 # Smallest augmented width: the conserved column plus one truncated direction.
 _RANK_FLOOR = 2
-# The old bases are kept as they are in the augmented ones, so their rounding
-# accumulates over steps; above this orthogonality defect (a tenth of what
-# LowRankMicroState accepts) they are orthonormalized again before a step.
-_REORTH_TOL = 1e-13
 
 
 @dataclass
@@ -52,7 +48,7 @@ class AugmentedFactors:
 
     The old bases are the leading columns, X_hat = [X | X1] and V_hat = [V | V1],
     so the old factors project onto them as [I; 0]. V_hat is nodal, like the
-    angular factor of the state. The first spatial direction added spans the
+    angular factor of the state. The spatial directions added span the
     diffusion-limit direction (when it is new) and the first angular column is
     the unit first-moment direction b/|b|. `flow_minus` = X_hat^T D- X_hat,
     `gram` = X_hat^T sigma X_hat and `x_source` = X_hat^T source, with the
@@ -126,12 +122,18 @@ def _choose_kept_rank(svals: np.ndarray, theta_rel: float) -> int:
     retains weak freshly injected directions long enough for the rank to track
     the kinetic regime, while clean spectra still collapse.
     """
-    if svals.size == 0 or svals[0] <= 0.0:
+    values = svals.tolist()
+    if not values or values[0] <= 0.0:
         return 1
-    normalized = svals / svals[0]
-    # tail[j] = sum_{i>j} for j < n - 1 does not increase: passing j follow failing j
-    tail = np.cumsum(normalized[:0:-1])[::-1]
-    return tail.size - int(np.count_nonzero(np.sqrt(tail) <= theta_rel)) + 1
+    # the tail of the normalized values, summed from the smallest up, does not
+    # decrease as the kept count falls: the first failing count ends the search
+    first, tail, kept = values[0], 0.0, len(values)
+    for count in range(kept - 1, 0, -1):
+        tail += values[count] / first
+        if not math.sqrt(tail) <= theta_rel:
+            break
+        kept = count
+    return kept
 
 
 def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray, theta_rel: float):
@@ -148,21 +150,29 @@ def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray, theta_r
     capped by both augmented widths.
     """
     width_x, width_v = x_hat.shape[1], v_hat.shape[1]
-    if not np.isfinite(s_hat).all():  # the SVD would only report non-convergence
+    c_ap = s_hat[:, :1]
+    s_ap = np.sqrt(c_ap.T @ c_ap)
+    try:
+        c_rem_hat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
+        norm_s_hat = math.sqrt(s_ap[0, 0]**2 + svals @ svals)  # ||S_hat||_F
+    except np.linalg.LinAlgError:
+        if np.isfinite(s_hat).all():
+            raise
+        norm_s_hat = math.nan
+    # The norm is not finite when an entry is not: the SVD turns an infinite entry
+    # into NaN singular values and, on some numpy versions, fails on a NaN one.
+    # Finite entries above ~1e154 overflow it too, so only then are they checked.
+    if not math.isfinite(norm_s_hat) and not np.isfinite(s_hat).all():
         raise ValueError("low-rank state contains non-finite entries")
 
-    c_rem_hat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
     r_star = max(min(_choose_kept_rank(svals, theta_rel), width_x - 1, width_v - 1), 1)
 
     w_hat = wt_mat[:r_star, :].T
     c_rem = c_rem_hat[:, :r_star]
     v_new = np.concatenate([v_hat[:, :1], v_hat[:, 1:] @ w_hat], axis=1)
 
-    c_ap = s_hat[:, :1]
-    s_ap = np.sqrt(c_ap.T @ c_ap)
     c_ap = c_ap / (s_ap[0, 0] or 1.0)  # a zero column is a dead slot below
     weights = np.concatenate([s_ap[0], svals[:r_star]])
-    norm_s_hat = np.sqrt(s_ap[0, 0]**2 + svals @ svals)  # ||S_hat||_F
     dead = weights <= _DEGENERATE_TOL * max(norm_s_hat, 1e-300)
     weights[dead] = 0.0
     slots = np.concatenate([c_ap, c_rem], axis=1)
@@ -183,12 +193,14 @@ def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchem
 
     The kept rank is bounded only by the augmented widths, at most n_cells + 1
     in space and n_moments in angle (the angular basis is orthogonal to t0).
+    The old bases are carried into the new ones as they are, so their rounding
+    accumulates; `cli_io.simulate` measures their orthogonality defect every
+    few steps and orthonormalizes them again. A caller who steps a state by
+    hand gets no such repair.
     """
     ws.check_step(macro, state.X_basis.shape[0], state.V_basis.shape[0], dt)
     if ws.angular.n_moments < 2:
         raise ValueError("bug_adaptive needs at least 2 moments (the conserved column plus one)")
-    if max(_orth_defect(state.X_basis), _orth_defect(state.V_basis)) > _REORTH_TOL:
-        state = state.reorthonormalized()
 
     aug = augment_bases(state, macro, ws, dt)
     s_hat = galerkin_s_hat(aug, state, ws, dt)

@@ -25,6 +25,7 @@ from .mesh_state import (
     FullMicroState,
     MacroState,
     StaggeredGrid,
+    _orth_defect,
     scalar_flux,
     zero_low_rank_state,
 )
@@ -52,6 +53,12 @@ COMPARISON_HEADER = "scheme_a,scheme_b,l2_rel_T,l2_rel_Phi"
 # Slack on the CFL comparison so a step equal to the bound is not flagged.
 _CFL_FLAG_SLACK = 1.0 + 1e-12
 _ROSSELAND_SAFETY = 0.9
+# The adaptive step carries the old bases into the new ones as they are, so their
+# rounding accumulates, by about 1e-13 per 800-1,500 steps. `simulate` measures
+# both orthogonality defects every _BASIS_CHECK_STEPS steps and orthonormalizes
+# the bases again above _REORTH_TOL, a tenth of what LowRankMicroState accepts.
+_BASIS_CHECK_STEPS = 50
+_REORTH_TOL = 1e-13
 
 
 class ConfigError(ValueError):
@@ -201,7 +208,11 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
     zero columns. The transport states are nodal: their moments are (g T) T^T
     and X S (T V_basis)^T with T = ws.angular.T_mat. A step that raises
     ValueError, among them every step that would yield a non-finite state,
-    aborts the run with a RuntimeError naming the step.
+    aborts the run with a RuntimeError naming the step. The orthogonality
+    defects of the `bug_adaptive` bases are measured in the initial state,
+    after every _BASIS_CHECK_STEPS-th step and in the last state; above
+    _REORTH_TOL both bases are orthonormalized again before the state is
+    yielded.
     """
     n_rows = ws.grid.n_cells + 1
     if scheme == "full":
@@ -229,11 +240,15 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}")
 
-    t = 0.0
-    step = 0
+    t, dt_step, step = 0.0, 0.0, 0
     stop = _stop_time(t_end)
-    yield t, 0.0, macro, micro
-    while t < stop:
+    while True:
+        if scheme == "bug_adaptive" and (step % _BASIS_CHECK_STEPS == 0 or t >= stop) and max(
+                _orth_defect(micro.X_basis), _orth_defect(micro.V_basis)) > _REORTH_TOL:
+            micro = micro.reorthonormalized()
+        yield t, dt_step, macro, micro
+        if t >= stop:
+            return
         dt_step = min(dt, t_end - t)
         step += 1
         try:
@@ -241,7 +256,6 @@ def simulate(scheme: str, macro: MacroState, ws: FullSchemeWorkspace, dt: float,
         except ValueError as exc:  # MacroState rejects a non-finite temperature too
             raise RuntimeError(f"simulation aborted at step {step}: {exc}") from exc
         t += dt_step
-        yield t, dt_step, macro, micro
 
 
 def _run(config: RunConfig) -> RunResult:

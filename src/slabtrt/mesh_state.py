@@ -23,14 +23,19 @@ __all__ = [
     "zero_low_rank_state",
 ]
 
-# QR diagonal entries at or below this fraction of the largest column norm mark
-# directions that carry no information: extend_orthonormal_columns drops them,
-# and pads canonical vectors only to reach the width its caller asks for.
+# A column whose residual against the basis and the columns kept before it is at
+# or below this fraction of the largest column norm carries no information:
+# extend_orthonormal_columns drops it, and pads canonical vectors only to reach
+# the width its caller asks for.
 _RANK_TOL = 1e-12
 _ORTH_TOL = 1e-12
-# A second Gram-Schmidt pass that removes at most this much of a unit column
-# changes its norm and its angles with the others by less than rounding.
-_LEAK_RENORM_TOL = 1e-8
+# The second Gram-Schmidt pass of extend_orthonormal_columns leaves the Gram
+# defect I - new^T new = leak^T leak. Up to a squared Frobenius norm of the leak
+# of 1e-16 the defect is below rounding; up to 1e-6 the series for
+# (I - leak^T leak)^(-1/2) leaves less than 3e-25, and above it Cholesky QR
+# renormalizes.
+_LEAK_RENORM_SQ = 1e-16
+_LEAK_SERIES_SQ = 1e-6
 
 
 @dataclass(frozen=True)
@@ -365,27 +370,72 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
     return cand[:, picked] @ inv_r
 
 
+def _inverse_sqrt_series(defect: np.ndarray) -> np.ndarray:
+    """(I - M)^(-1/2) for a small symmetric M, to the M^3 term of its binomial series:
+    I + M/2 + 3M^2/8 + 5M^3/16, by Horner's rule."""
+    diag = slice(None, None, defect.shape[0] + 1)
+    poly = 0.3125 * defect
+    poly.flat[diag] += 0.375
+    poly = defect @ poly
+    poly.flat[diag] += 0.5
+    poly = defect @ poly
+    poly.flat[diag] += 1.0
+    return poly
+
+
+def _kept_in_order(rr: np.ndarray, tol: float):
+    """How many columns of a QR factor R are kept, in index order, as those whose
+    residual against the ones kept before them exceeds tol, and their Q-coefficients.
+
+    The columns before the first diagonal entry at or below tol are kept; they
+    span the leading coordinates, so a later column's residual against them is
+    the norm of its rows below. When none is above tol, the kept columns are
+    Q's leading ones (coefficients None). Otherwise (rare) the first dropped
+    column is left out and the rest factored again, until only the last one,
+    or none, is dropped.
+    """
+    n = rr.shape[1]
+    lead = next((i for i, d in enumerate(np.abs(rr.diagonal()).tolist()) if not d > tol), n)
+    if lead >= n - 1:
+        return lead, None
+    below = rr[lead:, lead + 1:]
+    rest = [j for j, sq in enumerate(np.einsum("ij,ij->j", below, below).tolist(), lead + 1)
+            if sq > tol * tol]
+    if not rest:
+        return lead, None
+    live = list(range(lead)) + rest
+    while True:
+        small, upper = np.linalg.qr(rr[:, live])
+        low = [i for i, d in enumerate(np.abs(upper.diagonal()).tolist()) if not d > tol]
+        if not low or low[0] == len(live) - 1:
+            n_kept = len(live) - len(low)
+            return n_kept, small[:, :n_kept]
+        del live[low[0]]
+
+
 def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: int = 0,
                                candidates: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal columns that extend the orthonormal `basis` to span(basis, cols).
 
     Classical Gram-Schmidt applied twice, with one QR in between: `cols` is
-    projected off `basis` and factored by QR, and the orthonormal factor is
+    projected off `basis` and factored by QR, and the orthonormal factor q is
     projected once more. The second pass acts on unit columns, so the rounding
     that QR amplifies by the conditioning of the projection leaves no component
-    in span(basis). When that pass removes more than 1e-8 of a column, the
-    columns are renormalized through the Cholesky factor of their Gram matrix.
+    in span(basis). It gives new = q - basis leak with leak = basis^T q, so
+    new^T new = I - leak^T leak exactly; above rounding, the columns are
+    renormalized by the series for (I - leak^T leak)^(-1/2), by Cholesky QR
+    for a leak above 1e-3. That factor is symmetric, so it mixes the new
+    columns by O(|leak|^2): their span is kept, not their order.
 
-    A column whose QR diagonal entry is at or below 1e-12 of the largest column
-    norm of `cols` adds no direction and is dropped, not padded. When a dropped
-    column comes before a kept one, the kept columns are orthonormalized again
-    through their small R block, so none of them mixes with the noise direction
-    QR gave the dropped column. At most rows - k columns are returned
-    (k = basis columns); completions from `candidates` (default: canonical
-    vectors) are appended only while k plus the returned count is below
-    `min_total`. With an empty basis this is a Householder QR of `cols` whose
-    dropped columns are replaced by padding at the end; the projections and
-    the second pass are skipped, as they do nothing there.
+    A column adds no direction, and is dropped rather than padded, when its
+    residual against `basis` and the columns kept before it is at or below
+    1e-12 of the largest column norm of `cols` (`_kept_in_order`). At most
+    rows - k columns are returned (k = basis columns); completions from
+    `candidates` (default: canonical vectors) are appended only while k plus
+    the returned count is below `min_total`. With an empty basis this is a
+    Householder QR of `cols` whose dropped columns are replaced by padding at
+    the end; the projections and the second pass are skipped, as they do
+    nothing there.
     """
     basis = np.asarray(basis, dtype=float)
     cols = np.asarray(cols, dtype=float)
@@ -395,18 +445,18 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
     if cols.shape[1] > m:
         raise ValueError("cannot orthonormalize more columns than rows")
     q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
-    keep = np.abs(rr.diagonal()) > _RANK_TOL * np.sqrt(np.einsum("ij,ij->j", cols, cols).max())
-    n_keep = int(keep.sum())
-    if keep[:n_keep].all():
-        new = q[:, :n_keep]
-    else:
-        new = q @ np.linalg.qr(rr[:, keep])[0]
-    new = new[:, :m - k]
+    n_kept, small = _kept_in_order(
+        rr, _RANK_TOL * math.sqrt(np.einsum("ij,ij->j", cols, cols).max()))
+    new = (q if small is None else q @ small)[:, :min(n_kept, m - k)]
     if k:
         leak = basis.T @ new
         new = new - basis @ leak
-        if np.abs(leak).max(initial=0.0) > _LEAK_RENORM_TOL:
+        defect = leak.T @ leak  # I - new^T new
+        leak_sq = defect.trace()
+        if leak_sq > _LEAK_SERIES_SQ:
             new = _cholesky_qr(new)[0]
+        elif leak_sq > _LEAK_RENORM_SQ:
+            new = new @ _inverse_sqrt_series(defect)
     short = min(min_total, m) - k - new.shape[1]
     if short > 0:
         new = np.concatenate([new, complete_orthonormal_columns(

@@ -521,6 +521,20 @@ def reference_choose_kept_rank(svals, theta_rel):
     return n
 
 
+def array_choose_kept_rank(svals, theta_rel):
+    """Array form of the kept-rank rule, in numpy calls on the whole spectrum.
+
+    tail[j] sums the normalized singular values after index j, accumulated
+    from the smallest one up by cumsum; it does not increase with j, so the
+    counts that pass follow the ones that fail.
+    """
+    if svals.size == 0 or svals[0] <= 0.0:
+        return 1
+    normalized = svals / svals[0]
+    tail = np.cumsum(normalized[:0:-1])[::-1]
+    return tail.size - int(np.count_nonzero(np.sqrt(tail) <= theta_rel)) + 1
+
+
 class TruncationReference(NamedTuple):
     X_new: np.ndarray
     S_new: np.ndarray

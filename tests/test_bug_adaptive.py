@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    array_choose_kept_rank,
     modal,
     modal_b,
     nodal_dense,
@@ -17,7 +18,7 @@ from oracles import (
     upwind,
 )
 from runners import build_problem
-from slabtrt import bug_adaptive, bug_fixed, full_scheme, mesh_state
+from slabtrt import bug_adaptive, bug_fixed, cli_io, full_scheme, mesh_state
 from slabtrt.angular import build_angular_operators
 from slabtrt.bug_adaptive import (
     ap_truncate,
@@ -303,6 +304,16 @@ class TestApTruncate:
         recon_dir = reconstruct(state) @ v_hat[:, 0]
         np.testing.assert_allclose(recon_dir, k_ap, atol=1e-12 * max(1.0, np.abs(k_ap).max()))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_non_finite_coefficients_are_refused(self, bad, column):
+        # the norm from the SVD is the check: numpy's SVD turns an infinite entry
+        # into NaN singular values and, in some versions, fails on a NaN one
+        x_hat, v_hat, s_hat = self.make_factors(np.random.default_rng(41))
+        s_hat[2, column] = bad
+        with pytest.raises(ValueError, match="low-rank state contains non-finite entries"):
+            ap_truncate(x_hat, v_hat, s_hat, 5e-2)
+
     def test_truncation_does_not_increase_norm(self):
         rng = np.random.default_rng(40)
         for theta in (0.0, 0.05, 0.3, 2.0):
@@ -331,6 +342,26 @@ class TestChooseKeptRank:
             for theta in thetas:
                 got = bug_adaptive._choose_kept_rank(svals, theta)
                 assert got == reference_choose_kept_rank(svals, theta), (svals, theta)
+
+    def test_matches_the_array_form_on_many_spectra(self):
+        # the float loop divides by sigma_1, sums the tail from the smallest value
+        # up and takes square roots as the array form's cumsum and sqrt do, so no
+        # rounding tie can split them: they agree on every spectrum
+        rng = np.random.default_rng(141)
+        spectra = [np.zeros(0), np.zeros(1), np.zeros(4), np.array([0.0, 0.0, 1.0]),
+                   np.array([7.0]), np.full(5, 0.3), np.array([1.0, 1e-3, 1e-3, 0.0])]
+        while len(spectra) < 12000:
+            n = int(rng.integers(1, 16))
+            svals = np.sort(np.exp(rng.uniform(np.log(1e-10), 0.0, n)))[::-1]
+            svals[rng.random(n) < 0.2] = 0.0  # zeros; all of them in some short spectra
+            if n > 1 and rng.random() < 0.3:  # repeated values
+                svals[1:] = svals[rng.integers(n)]
+            spectra.append(np.sort(svals)[::-1] * 10.0 ** rng.uniform(-6, 6))
+        spectra.append(np.array([0.0, 1.0]))  # unsorted, with a zero sigma_1
+        for svals in spectra:
+            for theta in (1e-3, 5e-2, 0.5):
+                assert (bug_adaptive._choose_kept_rank(svals, theta)
+                        == array_choose_kept_rank(svals, theta)), (svals, theta)
 
 
 class TestApTruncateMatchesGridSpace:
@@ -526,6 +557,33 @@ class TestStepOperationCounts:
         assert x_hat.shape[1] > x_old.shape[1]
         assert np.array_equal(x_hat[:, :x_old.shape[1]], x_old)
 
+    def test_adaptive_step_linalg_calls_on_a_diffusive_problem(self, monkeypatch):
+        # the diffusive absorber leaks above rounding in almost every extension;
+        # the series renormalizes it without a Cholesky factor or an inverse, so a
+        # step makes two extension QRs and the refolding QR, the truncation SVD
+        # and the two inverses of the K/L and S absorption matrices
+        ws, macro = build_problem("absorber", 41, 16, 1e-5)
+        dt = cfl_report(ws)[0]
+        state = zero_low_rank_state(42, ws.angular.T_mat)
+        macro, state = step_bug_adaptive(macro, state, ws, dt, 5e-2)  # pads the rank floor
+        names = ("qr", "svd", "inv", "cholesky")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        series = _count_calls(monkeypatch, mesh_state, "_inverse_sqrt_series")
+        n_steps = 10
+        for _ in range(n_steps):
+            macro, state = step_bug_adaptive(macro, state, ws, dt, 5e-2)
+        assert [calls[name] for name in names] == [3 * n_steps, n_steps, 2 * n_steps, 0]
+        assert len(series) >= n_steps
+
     def test_fixed_rank_step(self, monkeypatch):
         per_step, _ = self.check_linear_steps(monkeypatch, "bug_fixed")
         # the first step forms the blocks of the state it is given; from then on
@@ -609,23 +667,45 @@ class TestStepBugAdaptive:
         with pytest.raises(ValueError, match="at least 2 moments"):
             step_bug_adaptive(macro, state, ws, 0.02, 5e-2)
 
-    def test_drifted_bases_are_orthonormalized_again(self):
-        # the old bases are carried into the augmented ones as they are; once
-        # their defect passes 1e-13 the step starts from orthonormalized copies
+    def test_drifted_bases_are_orthonormalized_again(self, monkeypatch):
+        # the step carries the old bases into the new ones as they are, and
+        # simulate repairs them: in the start state, after every k-th step and in
+        # the last state, bases whose defect passes 1e-13 are orthonormalized
+        # again with the product X S V^T kept. Here the start and every step's
+        # state drift by 1e-13 noise, so exactly those states come out repaired
         rng = np.random.default_rng(44)
         ws = make_workspace(nx=20, n_moments=8, seed=45)
         macro = MacroState(rng.uniform(0.5, 2.0, 20), 0.1 * rng.standard_normal(20))
-        clean = random_state(rng, 21, 8, 3)
-        x = clean.X_basis + 1e-13 * rng.standard_normal((21, 3))
-        v = ws.angular.T_mat @ clean.V_basis  # modal
-        v[1:] += 1e-13 * rng.standard_normal((7, 3))
-        drifted = LowRankMicroState(x, clean.S_coeff, ws.angular.T_mat.T @ v)
-        assert _orth_defect(drifted.X_basis) > 1e-13
-        theta_rel = 1e-3
-        _, new = step_bug_adaptive(macro, drifted, ws, 0.02, theta_rel)
-        assert max(_orth_defect(new.X_basis), _orth_defect(new.V_basis)) <= 1e-14
-        _, want = step_bug_adaptive(macro, drifted.reorthonormalized(), ws, 0.02, theta_rel)
-        np.testing.assert_array_equal(reconstruct(new), reconstruct(want))
+
+        def drifted(state):
+            x = state.X_basis + 1e-13 * rng.standard_normal(state.X_basis.shape)
+            v = ws.angular.T_mat @ state.V_basis  # modal; column 0 stays b/|b|
+            v[1:, 1:] += 1e-13 * rng.standard_normal((v.shape[0] - 1, v.shape[1] - 1))
+            return LowRankMicroState._trusted(x, state.S_coeff, ws.angular.T_mat.T @ v)
+
+        handed = [drifted(random_state(rng, 21, 8, 3))]
+        monkeypatch.setattr(cli_io, "zero_low_rank_state", lambda *args: handed[0])
+        step = cli_io.step_bug_adaptive
+
+        def drifting_step(*args):
+            macro, state = step(*args)
+            handed.append(drifted(state))
+            return macro, handed[-1]
+
+        monkeypatch.setattr(cli_io, "step_bug_adaptive", drifting_step)
+        k = cli_io._BASIS_CHECK_STEPS
+        n_steps, dt = 2 * k + 3, 0.02
+        states = [micro for _, _, _, micro in cli_io.simulate(
+            "bug_adaptive", macro, ws, dt, n_steps * dt, 3, 1e-3)]
+        assert len(states) == len(handed) == n_steps + 1
+        for index, (got, given) in enumerate(zip(states, handed)):
+            assert max(_orth_defect(given.X_basis), _orth_defect(given.V_basis)) > 1e-13
+            if index % k and index < n_steps:
+                assert got is given
+                continue
+            assert max(_orth_defect(got.X_basis), _orth_defect(got.V_basis)) <= 1e-15
+            np.testing.assert_allclose(reconstruct(got), reconstruct(given), rtol=0,
+                                       atol=1e-14 * np.abs(reconstruct(given)).max())
 
     def test_small_epsilon_limit_after_one_step(self):
         nx, n_mom = 40, 8

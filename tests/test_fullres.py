@@ -215,8 +215,9 @@ def test_five_pulse_large_steps_have_the_same_bits_at_one_and_two_threads(case):
 
 def test_basis_repair_keeps_a_long_adaptive_run_orthonormal(monkeypatch):
     # the diffusive absorber at 10x the benchmark's horizon: the bases drift by about
-    # 1e-13 per thousand steps, and step_bug_adaptive repairs a state whose defect
-    # passes 1e-13, so every state stays within the 1e-12 the constructor checks
+    # 1e-13 per thousand steps, and simulate repairs a state whose defect passes
+    # 1e-13, checking every _BASIS_CHECK_STEPS steps and the last state, so every
+    # state it yields stays within the 1e-12 the constructor checks
     ws, macro0 = build_problem("absorber", 201, 100, 1e-5)
     dt = cfl_report(ws)[0]
     repair = LowRankMicroState.reorthonormalized

@@ -448,6 +448,67 @@ class TestExtendOrthonormalColumns:
         both = np.column_stack([basis, new])
         np.testing.assert_allclose(both @ (both.T @ w), w, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize(("k", "min_total"), [(0, 3), (6, 0)])
+    def test_tiny_leading_column_does_not_hide_its_direction(self, k, min_total):
+        # 1e-13 d is at or below the drop threshold (1e-12 of the largest column)
+        # but not zero: it is left out, so it cannot become QR's first direction
+        # and leave d, behind it, without a diagonal entry
+        rng = np.random.default_rng(127)
+        m = 9
+        frame = orthonormal(rng, m, k + 2)
+        basis = frame[:, :k]
+        d, e = (frame[:, k:] @ rng.standard_normal((2, 2))).T
+        new = extend_orthonormal_columns(basis, np.column_stack([1e-13 * d, d, e]), min_total)
+        assert new.shape == (m, max(2, min_total - k))
+        assert_extends_orthonormally(basis, new, atol=1e-14)
+        both = np.column_stack([basis, new[:, :2]])
+        for vec in (d, e):
+            np.testing.assert_allclose(both @ (both.T @ vec), vec, rtol=0, atol=1e-14)
+
+    def test_nearly_spanned_column_does_not_hide_a_later_one(self):
+        # a + 1e-13 d is inside span(a) up to the drop threshold, so it is dropped;
+        # d, behind it, is measured against a alone and kept, and 2d after d is
+        # dropped in turn. The supports are disjoint (basis, a, d and e on rows
+        # 0..3, 4..7, 8..11 and 12..15), so the sums and the projection are exact
+        # and the residual of a + 1e-13 d is along d
+        rng = np.random.default_rng(128)
+        m = 16
+        basis = np.zeros((m, 4))
+        basis[:4] = orthonormal(rng, 4, 4)
+        a, d, e = np.zeros((3, m))
+        for vec, top in ((a, 4), (d, 8), (e, 12)):
+            vec[top:top + 4] = orthonormal(rng, 4, 1)[:, 0]
+        for cols, spans in (([a, a + 1e-13 * d, d], [a, d]),
+                            ([a, a + 1e-13 * d, 2.0 * a, d], [a, d]),
+                            ([a, a + 1e-13 * d, d, 2.0 * d, e], [a, d, e])):
+            new = extend_orthonormal_columns(basis, np.column_stack(cols))
+            assert new.shape == (m, len(spans))
+            assert_extends_orthonormally(basis, new, atol=1e-14)
+            np.testing.assert_allclose(np.abs(new.T @ np.column_stack(spans)),
+                                       np.eye(len(spans)), rtol=0, atol=1e-14)
+
+    def test_leak_is_renormalized_by_the_series(self, monkeypatch):
+        # a basis 1e-13 off orthonormal and columns 1e-6 outside its span: the
+        # QR amplifies the projection's rounding into a leak of about 1e-7, and
+        # the series for (I - leak^T leak)^(-1/2) makes the new columns
+        # orthonormal within rounding, with the span of the Cholesky QR's
+        series = []
+        inverse_sqrt = mesh_state._inverse_sqrt_series
+        monkeypatch.setattr(mesh_state, "_inverse_sqrt_series",
+                            lambda defect: series.append(defect) or inverse_sqrt(defect))
+        rng = np.random.default_rng(129)
+        m = 40
+        basis = orthonormal(rng, m, 6) + 1e-13 * rng.standard_normal((m, 6))
+        cols = basis @ rng.standard_normal((6, 3)) + 1e-6 * rng.standard_normal((m, 3))
+        new = extend_orthonormal_columns(basis, cols)
+        assert len(series) == 1 and 1e-16 < np.trace(series[0]) <= 1e-6
+        assert new.shape == (m, 3)
+        np.testing.assert_allclose(new.T @ new, np.eye(3), rtol=0, atol=1e-15)
+        assert np.abs(basis.T @ new).max() <= 1e-12
+        monkeypatch.setattr(mesh_state, "_LEAK_SERIES_SQ", 0.0)
+        by_cholesky = extend_orthonormal_columns(basis, cols)
+        np.testing.assert_allclose(new @ new.T, by_cholesky @ by_cholesky.T, rtol=0, atol=1e-14)
+
     def test_rank_floor_padding(self):
         rng = np.random.default_rng(123)
         m = 9
