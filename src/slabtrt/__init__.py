@@ -10,7 +10,6 @@ from .angular import (
     NORM_P0,
     NORM_P1,
     AngularOperators,
-    QuadratureRule,
     build_angular_operators,
     gauss_legendre,
 )

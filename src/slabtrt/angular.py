@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .mesh_state import _freeze
 
 __all__ = [
     "NORM_P0",
     "NORM_P1",
-    "QuadratureRule",
     "AngularOperators",
     "recurrence_coeff",
     "gauss_legendre",
@@ -39,26 +40,6 @@ def recurrence_coeff(k: int | np.ndarray) -> float | np.ndarray:
     return (k + 1.0) / np.sqrt((2.0 * k + 1.0) * (2.0 * k + 3.0))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [-1, 1] (copied)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 1 or weights.shape != nodes.shape:
-            raise ValueError("nodes and weights must be nonempty 1-d arrays of equal length")
-        if not np.all(weights > 0.0):
-            raise ValueError("quadrature weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
 def _olver_start(count: int) -> np.ndarray:
     """Olver's approximation of the positive Gauss-Legendre nodes, descending.
 
@@ -76,9 +57,9 @@ def _olver_start(count: int) -> np.ndarray:
     return np.cos(psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * nu * nu))
 
 
-def _gauss_legendre_with_table(count: int) -> tuple[QuadratureRule, np.ndarray]:
-    """The Gauss-Legendre rule with `count` nodes, and the orthonormal Legendre
-    rows 0..count-1 at its non-negative nodes, the nodes [count // 2:].
+def _gauss_legendre_with_table(count: int):
+    """The nodes and weights of the Gauss-Legendre rule with `count` nodes, and the
+    orthonormal Legendre rows 0..count-1 at its non-negative nodes, the nodes [count // 2:].
 
     The nodes are Newton-refined from Olver's start; the non-negative half-axis
     is computed and mirrored, so that the rule is symmetric to the last bit. The
@@ -109,14 +90,14 @@ def _gauss_legendre_with_table(count: int) -> tuple[QuadratureRule, np.ndarray]:
                          f"in {_NEWTON_MAX_ITER} Newton sweeps")
     x, table = x[::-1], table[:count, ::-1]
     w = 1.0 / (0.5 + np.einsum("ij,ij->j", table[1:], table[1:]))
-    rule = QuadratureRule(np.concatenate([-x[:-n_half - 1:-1], x]),
-                          np.concatenate([w[:-n_half - 1:-1], w]))
-    return rule, table
+    return (np.concatenate([-x[:-n_half - 1:-1], x]),
+            np.concatenate([w[:-n_half - 1:-1], w]), table)
 
 
-def gauss_legendre(count: int) -> QuadratureRule:
-    """Gauss-Legendre rule with `count` nodes, exact for polynomials of degree 2*count - 1."""
-    return _gauss_legendre_with_table(count)[0]
+def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the Gauss-Legendre rule with `count` nodes on [-1, 1], nodes
+    ascending; exact for polynomials of degree 2*count - 1."""
+    return _gauss_legendre_with_table(count)[:2]
 
 
 def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
@@ -138,40 +119,50 @@ def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
 class AngularOperators:
     """Nodal transformation of the moment system and the angular constants of the steps.
 
-    The transformation T_mat holds sqrt(w_k) P_i(mu_k) for moments i = 1..N; its
-    rows are orthonormal. The steps hold the micro moments as g T (dense) and
-    the angular factor as W = T^T V (low rank): in nodal coordinates. T^T T =
-    I - t0 t0^T, so range(T^T) is the complement of t0 and W has the inner
-    products of V; the flux projections V^T A+- V = W^T diag(mu+-) W of
-    A+- = T diag(mu+-) T^T need no T. Every array is read-only.
+    Built from the Gauss-Legendre nodes and weights and T_mat, which holds
+    sqrt(w_k) P_i(mu_k) for moments i = 1..N; its rows are orthonormal. The
+    other fields are derived from these three, which are taken, not copied:
+    like every array of the record, they become read-only. The steps hold the
+    micro moments as g T (dense) and the angular factor as W = T^T V (low
+    rank): in nodal coordinates. T^T T = I - t0 t0^T, so range(T^T) is the
+    complement of t0 and W has the inner products of V; the flux projections
+    V^T A+- V = W^T diag(mu+-) W of A+- = T diag(mu+-) T^T need no T.
     """
 
-    n_moments: int
-    quad: QuadratureRule
+    nodes: np.ndarray
+    weights: np.ndarray
     T_mat: np.ndarray
-    beta_N: float
-    t0: np.ndarray  # sqrt(w) P_0(mu), the nodal constant moment
-    pin: np.ndarray  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
-    b: np.ndarray  # T^T b = |P_1| pin, the nodal source direction
-    t0_b: np.ndarray  # the rows t0 and b: the two rank-one directions of the dense step
-    n_neg: int  # (N + 1) // 2: the nodes [:n_neg] are < 0 (mu+ = 0), [n_neg:] >= 0 (mu- = 0)
-    rows: np.ndarray  # T^T: its columns, the rows of T, are the padding candidates
+    n_moments: int = field(init=False)
+    beta_N: float = field(init=False)
+    t0: np.ndarray = field(init=False)  # sqrt(w) P_0(mu), the nodal constant moment
+    pin: np.ndarray = field(init=False)  # T^T e_1, the nodal b/|b| that W[:, 0] must equal
+    b: np.ndarray = field(init=False)  # T^T b = |P_1| pin, the nodal source direction
+    t0_b: np.ndarray = field(init=False)  # rows t0 and b: the rank-one directions of the dense step
+    n_neg: int = field(init=False)  # (N + 1) // 2: the nodes [:n_neg] are < 0, [n_neg:] >= 0
+    rows: np.ndarray = field(init=False)  # T^T: its columns, the rows of T, pad angular bases
 
     def __post_init__(self):
-        n = self.n_moments
-        if n < 1:
-            raise ValueError("n_moments must be a positive integer")
-        if self.T_mat.shape != (n, n + 1):
-            raise ValueError("T_mat must be n_moments x (n_moments + 1)")
-        for name in ("T_mat", "t0", "pin", "b", "t0_b", "rows"):
-            getattr(self, name).setflags(write=False)
+        t_mat = np.asarray(self.T_mat, dtype=float)
+        n = t_mat.shape[0] if t_mat.ndim == 2 else 0
+        if n < 1 or t_mat.shape != (n, n + 1):
+            raise ValueError("T_mat must be n_moments x (n_moments + 1), n_moments >= 1")
+        nodes, weights = np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
+        if nodes.shape != (n + 1,) or weights.shape != (n + 1,):
+            raise ValueError("nodes and weights must be 1-d arrays of n_moments + 1 entries")
+        if not np.all(weights > 0.0):
+            raise ValueError("quadrature weights must be positive")
+        t0, pin = np.sqrt(weights) / NORM_P0, t_mat[0].copy()
+        b = NORM_P1 * pin
+        _freeze(self, nodes=nodes, weights=weights, T_mat=t_mat, n_moments=n,
+                beta_N=float(np.max(weights) * (n + 1)), t0=t0, pin=pin, b=b,
+                t0_b=np.stack([t0, b]), n_neg=(n + 1) // 2, rows=t_mat.T.copy())
 
 
 def build_angular_operators(n_moments: int) -> AngularOperators:
     """Assemble the angular operators for a moment system with moments 1..n_moments."""
     if n_moments < 1:
         raise ValueError("n_moments must be a positive integer")
-    quad, half_table = _gauss_legendre_with_table(n_moments + 1)
+    nodes, weights, half_table = _gauss_legendre_with_table(n_moments + 1)
     # The rule is symmetric and each recurrence step negates exactly under
     # mu -> -mu, so the table is evaluated on the non-negative nodes only and
     # mirrored with the signs (-1)^i, bit for bit.
@@ -180,20 +171,4 @@ def build_angular_operators(n_moments: int) -> AngularOperators:
     table[:, n_neg:] = half_table
     table[:, :n_neg] = table[:, :-n_neg - 1:-1]
     table[1::2, :n_neg] *= -1.0
-    sqrt_w = np.sqrt(quad.weights)
-    t_mat = sqrt_w[None, :] * table[1:, :]
-
-    t0, pin = sqrt_w / NORM_P0, t_mat[0].copy()
-    b = NORM_P1 * pin
-    return AngularOperators(
-        n_moments=n_moments,
-        quad=quad,
-        T_mat=t_mat,
-        beta_N=float(np.max(quad.weights) * (n_moments + 1)),
-        t0=t0,
-        pin=pin,
-        b=b,
-        t0_b=np.stack([t0, b]),
-        n_neg=n_neg,
-        rows=t_mat.T.copy(),
-    )
+    return AngularOperators(nodes, weights, np.sqrt(weights)[None, :] * table[1:, :])

@@ -29,7 +29,7 @@ def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
     mu+ is zero on the nodes mu < 0 and mu- on the nodes mu >= 0, so each
     projection sums over its own half of the rows of W, where mu+- is mu.
     """
-    mu, n = ws.angular.quad.nodes, ws.angular.n_neg
+    mu, n = ws.angular.nodes, ws.angular.n_neg
     lower, upper = w[:n], w[n:]
     return (upper.T * mu[n:]) @ upper, (lower.T * mu[:n]) @ lower
 
@@ -92,9 +92,9 @@ def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, bloc
     l_nodal = state.V_basis @ state.S_coeff.T
     advect = np.empty_like(l_nodal)
     np.matmul(l_nodal[n:], flow_minus.T, out=advect[n:])
-    advect[n:] *= ang.quad.nodes[n:, None]
+    advect[n:] *= ang.nodes[n:, None]
     np.matmul(l_nodal[:n], flow_minus, out=advect[:n])
-    advect[:n] *= -ang.quad.nodes[:n, None]
+    advect[:n] *= -ang.nodes[:n, None]
     advect -= ang.t0[:, None] * (ang.t0 @ advect)
     advect *= eps
     rhs = np.multiply(l_nodal, shift, out=l_nodal)

@@ -118,7 +118,7 @@ def step_full(macro: MacroState, micro: FullMicroState, ws: FullSchemeWorkspace,
     ws.check_step(macro, *g.shape, dt)
     eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
-    mu = (eps / ws.grid.dx) * ang.quad.nodes
+    mu = (eps / ws.grid.dx) * ang.nodes
     neg = ang.n_neg  # the Gauss nodes ascend: mu < 0 on [:neg], mu >= 0 on [neg:]
     buffer = ws._flux_buffer
     n_rows, height = g.shape[0], buffer.shape[0] - 1  # a last block may have height + 1 rows

@@ -22,7 +22,7 @@ __all__ = [
 def cfl_report(ws: FullSchemeWorkspace):
     """Largest energy-stable step size, blending hyperbolic and parabolic scalings, and the
     node that attains it; N + 1 >= 2 symmetric Gauss nodes include two nonzero ones."""
-    nodes = ws.angular.quad.nodes
+    nodes = ws.angular.nodes
     nonzero = nodes[nodes != 0.0]
     dx = ws.grid.dx
     bounds = (2.0 * ws.epsilon * dx / np.abs(nonzero)

@@ -38,6 +38,14 @@ _LEAK_RENORM_SQ = 1e-16
 _LEAK_SERIES_SQ = 1e-6
 
 
+def _freeze(record, **values):
+    """Set the fields of a frozen record; its arrays are made read-only, not copied."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class StaggeredGrid:
     """Equidistant staggered grid: cell centers plus the surrounding interfaces."""
@@ -58,15 +66,14 @@ class StaggeredGrid:
             raise ValueError("n_cells must be a positive integer")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
-        dx = (self.x_max - self.x_min) / n_cells
-        interfaces = self.x_min + dx * np.arange(n_cells + 1)
-        centers = 0.5 * (interfaces[:-1] + interfaces[1:])
-        interfaces.setflags(write=False)
-        centers.setflags(write=False)
-        object.__setattr__(self, "n_cells", n_cells)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "interfaces", interfaces)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            dx = (self.x_max - self.x_min) / n_cells
+            interfaces = self.x_min + dx * np.arange(n_cells + 1)
+            centers = 0.5 * (interfaces[:-1] + interfaces[1:])
+        # a finite centre is the sum of two finite interfaces, which need a finite dx
+        if not np.isfinite(centers).all():
+            raise ValueError("x_min, x_max and the cell centres must be finite")
+        _freeze(self, n_cells=n_cells, dx=dx, centers=centers, interfaces=interfaces)
 
 
 @dataclass(frozen=True)
@@ -88,14 +95,8 @@ class AbsorptionField:
         low = np.finfo(float).smallest_normal  # below it, 1 / sigma overflows
         if not (np.all((ac >= low) & (ac < np.inf)) and np.all((ai >= low) & (ai < np.inf))):
             raise ValueError(f"absorption must be finite and strictly positive (>= {low:.4g})")
-        ac.setflags(write=False)
-        ai.setflags(write=False)
-        object.__setattr__(self, "at_centers", ac)
-        object.__setattr__(self, "at_interfaces", ai)
-        object.__setattr__(self, "sigma_min", float(min(ac.min(), ai.min())))
-        inv = 1.0 / ai
-        inv.setflags(write=False)
-        object.__setattr__(self, "inv_at_interfaces", inv)
+        _freeze(self, at_centers=ac, at_interfaces=ai, sigma_min=float(min(ac.min(), ai.min())),
+                inv_at_interfaces=1.0 / ai)
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,7 @@ class MacroState:
         if not (math.isfinite(t_sq) and math.isfinite(h_sq)) and not (
                 np.isfinite(t).all() and np.isfinite(h).all()):
             raise ValueError("macro state contains non-finite entries")
-        t.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "temperature", t)
-        object.__setattr__(self, "h_meso", h)
-        object.__setattr__(self, "temperature_sq", t_sq)
-        object.__setattr__(self, "h_meso_sq", h_sq)
+        _freeze(self, temperature=t, h_meso=h, temperature_sq=t_sq, h_meso_sq=h_sq)
 
     @property
     def n_cells(self) -> int:
@@ -157,23 +153,21 @@ class FullMicroState:
         if g.ndim != 2:
             raise ValueError("g_matrix must be a (n_interfaces x n_moments) matrix")
         # one read of g; einsum allocates no temporary, and numpy's empty sum costs ~7 us
-        self._freeze(g, np.einsum("ij,ij->", g, g) if g.size else 0.0)
+        self._own(g, np.einsum("ij,ij->", g, g) if g.size else 0.0)
 
-    def _freeze(self, g: np.ndarray, norm_sq):
+    def _own(self, g: np.ndarray, norm_sq):
         # a finite sum of squares means finite entries; only a non-finite one, which
         # finite entries above ~1e154 also give, needs the entrywise check
         if not np.isfinite(norm_sq) and not np.all(np.isfinite(g)):
             raise ValueError("micro state contains non-finite entries")
-        g.setflags(write=False)
-        object.__setattr__(self, "g_matrix", g)
-        object.__setattr__(self, "norm_sq", norm_sq)
+        _freeze(self, g_matrix=g, norm_sq=norm_sq)
 
     @classmethod
     def _trusted(cls, g: np.ndarray, norm_sq) -> "FullMicroState":
         """The state of a float matrix g a step made, with the sum of its squared entries
         that the step took; non-finite entries are refused as by the constructor."""
         state = object.__new__(cls)
-        state._freeze(g, norm_sq)
+        state._own(g, norm_sq)
         return state
 
     def micro_norm_sq(self, dx: float) -> float:
@@ -239,12 +233,7 @@ class LowRankMicroState:
             raise ValueError("X_basis columns are not orthonormal")
         if not v_defect <= _ORTH_TOL:
             raise ValueError("V_basis columns are not orthonormal")
-        self._freeze(x, s, v)
-
-    def _freeze(self, x: np.ndarray, s: np.ndarray, v: np.ndarray):
-        for name, arr in (("X_basis", x), ("S_coeff", s), ("V_basis", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, X_basis=x, S_coeff=s, V_basis=v)
 
     @classmethod
     def _trusted(cls, x: np.ndarray, s: np.ndarray, v: np.ndarray,
@@ -252,8 +241,7 @@ class LowRankMicroState:
         """The state of float arrays a step made, frozen but not checked: a step keeps
         its bases orthonormal and its entries finite. `blocks` becomes `_blocks`."""
         state = object.__new__(cls)
-        state._freeze(x, s, v)
-        object.__setattr__(state, "_blocks", blocks)
+        _freeze(state, X_basis=x, S_coeff=s, V_basis=v, _blocks=blocks)
         return state
 
     @property
@@ -446,7 +434,7 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
         raise ValueError("cannot orthonormalize more columns than rows")
     q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
     n_kept, small = _kept_in_order(
-        rr, _RANK_TOL * math.sqrt(np.einsum("ij,ij->j", cols, cols).max()))
+        rr, _RANK_TOL * math.sqrt(np.einsum("ij,ij->j", cols, cols).max(initial=0.0)))
     new = (q if small is None else q @ small)[:, :min(n_kept, m - k)]
     if k:
         leak = basis.T @ new

@@ -75,7 +75,7 @@ def kernel_galerkin(x_new, w_new, s_tilde, source, ws, dt):
 
 def upwind_nodes(angular):
     """mu+ = (mu + |mu|) / 2 and mu- = (mu - |mu|) / 2 on every Gauss node."""
-    mu = angular.quad.nodes
+    mu = angular.nodes
     return 0.5 * (mu + np.abs(mu)), 0.5 * (mu - np.abs(mu))
 
 
@@ -112,7 +112,7 @@ def half_width_step_full(macro, micro, ws, dt):
     ws.check_step(macro, *g.shape, dt)
     eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
-    mu = (eps / ws.grid.dx) * ang.quad.nodes
+    mu = (eps / ws.grid.dx) * ang.nodes
     neg = ang.n_neg
     diff = np.empty((g.shape[0] + 1, g.shape[1]))
     diff[0] = g[0]
@@ -140,7 +140,7 @@ def unblocked_step_full(macro, micro, ws, dt, divide=False):
     ws.check_step(macro, *g.shape, dt)
     eps, ang = ws.epsilon, ws.angular
     shift = eps**2 / dt
-    mu = (eps / ws.grid.dx) * ang.quad.nodes
+    mu = (eps / ws.grid.dx) * ang.nodes
     neg = ang.n_neg
     diff = np.empty((g.shape[0] + 1, g.shape[1]))
     diff[0] = g[0]
@@ -195,7 +195,7 @@ def _read_only(mat):
 def flux_matrices(angular):
     """The modal flux matrix A = T M T^T with M = diag(mu), its upwind parts with
     (M +- |M|)/2 and the stabilization matrix with |M|, as read-only arrays."""
-    t_mat, mu = angular.T_mat, angular.quad.nodes
+    t_mat, mu = angular.T_mat, angular.nodes
     a_plus = _read_only(0.5 * (t_mat * (mu + np.abs(mu))) @ t_mat.T)
     a_minus = _read_only(0.5 * (t_mat * (mu - np.abs(mu))) @ t_mat.T)
     return FluxMatrices(_read_only(a_plus + a_minus), a_plus, a_minus,
@@ -244,22 +244,24 @@ def init_from_kinetic(f_sampler, T0, grid, epsilon, quad):
     """Macro-micro initial data from a kinetic density f(x, mu) and temperature T0(x).
 
     f_sampler and T0 must accept numpy arrays and broadcast; the micro moments are
-    g_k = <(f - <f>/2) P_k> / eps at interfaces for k = 1..quad.nodes.size-1, and
-    h = (<f>/2 - B(T0)) / eps^2 at centers, with the emission B(T0) = T0.
+    g_k = <(f - <f>/2) P_k> / eps at interfaces for k = 1..nodes.size-1, and
+    h = (<f>/2 - B(T0)) / eps^2 at centers, with the emission B(T0) = T0; quad is
+    the (nodes, weights) of a quadrature rule.
     """
-    n_moments = quad.nodes.size - 1
+    nodes, weights = quad
+    n_moments = nodes.size - 1
     if n_moments < 1:
         raise ValueError("quadrature must have at least two nodes")
-    table = orthonormal_legendre_table(n_moments, quad.nodes)
+    table = orthonormal_legendre_table(n_moments, nodes)
 
-    f_if = np.asarray(f_sampler(grid.interfaces[:, None], quad.nodes[None, :]), dtype=float)
-    mean_if = 0.5 * (f_if @ quad.weights)
+    f_if = np.asarray(f_sampler(grid.interfaces[:, None], nodes[None, :]), dtype=float)
+    mean_if = 0.5 * (f_if @ weights)
     fluct = f_if - mean_if[:, None]
-    g = ((fluct * quad.weights[None, :]) @ table[1:].T) / epsilon
+    g = ((fluct * weights[None, :]) @ table[1:].T) / epsilon
 
-    f_c = np.asarray(f_sampler(grid.centers[:, None], quad.nodes[None, :]), dtype=float)
+    f_c = np.asarray(f_sampler(grid.centers[:, None], nodes[None, :]), dtype=float)
     t0 = np.asarray(T0(grid.centers), dtype=float)
-    h = (0.5 * (f_c @ quad.weights) - t0) / epsilon**2
+    h = (0.5 * (f_c @ weights) - t0) / epsilon**2
     return MacroState(t0, h), FullMicroState(g)
 
 

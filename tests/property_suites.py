@@ -82,20 +82,20 @@ def moment_transfer_suite(n_instances=200, seed=11):
     for _ in range(n_instances):
         n_mom = int(rng.integers(1, 31))
         ang = build_angular_operators(n_mom)
-        fm, quad = flux_matrices(ang), ang.quad
-        table = orthonormal_legendre_table(n_mom, quad.nodes)
-        t_hat = np.sqrt(quad.weights)[None, :] * table
+        fm = flux_matrices(ang)
+        table = orthonormal_legendre_table(n_mom, ang.nodes)
+        t_hat = np.sqrt(ang.weights)[None, :] * table
         g = rng.standard_normal(n_mom)
         v = np.concatenate([[0.0], g])
         v_hat = t_hat.T @ v
         gnorm2 = float(g @ g)
 
         lhs1 = g @ fm.A @ fm.A @ g + a0**2 * g[0] ** 2
-        rhs1 = float(v_hat @ (quad.nodes**2 * v_hat))
+        rhs1 = float(v_hat @ (ang.nodes**2 * v_hat))
         worst = max(worst, abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-12 * gnorm2))
 
         lhs2 = g @ fm.A_abs @ g
-        rhs2 = float(v_hat @ (np.abs(quad.nodes) * v_hat))
+        rhs2 = float(v_hat @ (np.abs(ang.nodes) * v_hat))
         worst = max(worst, abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-12 * gnorm2))
 
         a_hat = np.zeros(n_mom + 1)
@@ -154,7 +154,7 @@ def advection_boundedness_suite(n_instances=200, seed=17):
         dm, dp = _one_sided(g, grid)
         fm = flux_matrices(ang)
         lhs = float(np.sum((dp @ fm.A_plus + dm @ fm.A_minus) ** 2))
-        transfer = (ang.T_mat * ang.quad.nodes) @ (ang.T_mat * ang.quad.nodes).T
+        transfer = (ang.T_mat * ang.nodes) @ (ang.T_mat * ang.nodes).T
         rhs = 2.0 * ang.beta_N * float(np.sum((dp @ transfer) * dp))
         worst = max(worst, (lhs - rhs) / max(1.0, rhs))
     return worst

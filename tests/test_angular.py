@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oracles import flux_matrices, modal_b
 from slabtrt import angular
 from slabtrt.angular import (
     NORM_P1,
-    QuadratureRule,
+    AngularOperators,
     build_angular_operators,
     gauss_legendre,
     orthonormal_legendre_table,
@@ -30,43 +32,43 @@ def legendre(k, x):
 
 class TestGaussLegendre:
     def test_one_point_rule(self):
-        q = gauss_legendre(1)
-        assert q.nodes.tolist() == [0.0]
-        assert q.weights.tolist() == [2.0]
+        nodes, weights = gauss_legendre(1)
+        assert nodes.tolist() == [0.0]
+        assert weights.tolist() == [2.0]
 
     def test_two_point_rule(self):
-        q = gauss_legendre(2)
-        np.testing.assert_allclose(q.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
-        np.testing.assert_allclose(q.weights, [1.0, 1.0], atol=1e-15)
+        nodes, weights = gauss_legendre(2)
+        np.testing.assert_allclose(nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
+        np.testing.assert_allclose(weights, [1.0, 1.0], atol=1e-15)
 
     def test_three_point_rule(self):
-        q = gauss_legendre(3)
-        np.testing.assert_allclose(q.nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
-        np.testing.assert_allclose(q.weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
+        nodes, weights = gauss_legendre(3)
+        np.testing.assert_allclose(nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
+        np.testing.assert_allclose(weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
 
     @pytest.mark.parametrize("count", [2, 3, 5, 8, 16, 51, 101, 401])
     def test_weight_sum_and_symmetry(self, count):
-        q = gauss_legendre(count)
-        assert abs(q.weights.sum() - 2.0) <= 1e-13
-        assert np.all(np.diff(q.nodes) > 0)
-        np.testing.assert_allclose(q.nodes, -q.nodes[::-1], atol=1e-13)
-        np.testing.assert_allclose(q.weights, q.weights[::-1], atol=1e-13)
+        nodes, weights = gauss_legendre(count)
+        assert abs(weights.sum() - 2.0) <= 1e-13
+        assert np.all(np.diff(nodes) > 0)
+        np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-13)
+        np.testing.assert_allclose(weights, weights[::-1], atol=1e-13)
 
     @pytest.mark.parametrize("count", [*range(1, 41), 101, 401, 1001])
     def test_monomial_exactness(self, count):
-        q = gauss_legendre(count)
+        nodes, weights = gauss_legendre(count)
         for p in range(2 * count):
             exact = 0.0 if p % 2 == 1 else 2.0 / (p + 1)
-            approx = float(q.weights @ q.nodes**p)
+            approx = float(weights @ nodes**p)
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_weights_match_the_derivative_formula(self):
         # the Christoffel sums of the table against the classical 2 / ((1 - x^2) P_n'(x)^2),
         # with P_n' evaluated independently, by numpy's Legendre series
         count = 401
-        q = gauss_legendre(count)
-        dp = np.polynomial.Legendre.basis(count).deriv()(q.nodes)
-        np.testing.assert_allclose(q.weights, 2.0 / ((1.0 - q.nodes**2) * dp**2),
+        nodes, weights = gauss_legendre(count)
+        dp = np.polynomial.Legendre.basis(count).deriv()(nodes)
+        np.testing.assert_allclose(weights, 2.0 / ((1.0 - nodes**2) * dp**2),
                                    rtol=1e-11, atol=0.0)
 
     def test_newton_sweeps_are_the_table_and_the_last_gives_the_weights(self, monkeypatch):
@@ -88,9 +90,9 @@ class TestGaussLegendre:
             assert len(calls) <= (2 if count >= 23 else 3), count
 
     def test_deterministic(self):
-        a, b = gauss_legendre(33), gauss_legendre(33)
-        assert np.array_equal(a.nodes, b.nodes)
-        assert np.array_equal(a.weights, b.weights)
+        (a_nodes, a_weights), (b_nodes, b_weights) = gauss_legendre(33), gauss_legendre(33)
+        assert np.array_equal(a_nodes, b_nodes)
+        assert np.array_equal(a_weights, b_weights)
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
@@ -99,22 +101,13 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("count", [1, 3])
     def test_middle_node_is_exact_zero(self, count):
         # mirroring the half-axis must not turn the middle node into -0.0
-        q = gauss_legendre(count)
-        mid = q.nodes[count // 2]
+        mid = gauss_legendre(count)[0][count // 2]
         assert mid == 0.0 and not np.signbit(mid)
 
     def test_unconverged_newton_raises(self, monkeypatch):
         monkeypatch.setattr(angular, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(ValueError, match="did not converge in 1 Newton sweeps"):
             gauss_legendre(20)
-
-    def test_rule_shapes_checked(self):
-        # the node count is the length of the arrays; nothing else states it
-        assert QuadratureRule(np.array([-0.5, 0.5]), np.ones(2)).nodes.size == 2
-        for nodes, weights in ((np.zeros(2), np.ones(3)), (np.zeros(0), np.zeros(0)),
-                               (np.zeros((2, 1)), np.ones((2, 1)))):
-            with pytest.raises(ValueError, match="nonempty 1-d arrays"):
-                QuadratureRule(nodes, weights)
 
 
 class TestOrthonormalLegendre:
@@ -172,14 +165,14 @@ class TestAngularOperators:
     def test_stabilization_matrix_n2_against_direct_summation(self):
         # direct summation over the 3-point rule with independently evaluated
         # polynomials; off-diagonals vanish by parity
-        q = gauss_legendre(3)
+        nodes, weights = gauss_legendre(3)
         direct = np.zeros((2, 2))
         for i in range(2):
             for j in range(2):
                 direct[i, j] = sum(
                     w * abs(mu) * reference_orthonormal_legendre(i + 1, mu)
                     * reference_orthonormal_legendre(j + 1, mu)
-                    for w, mu in zip(q.weights, q.nodes))
+                    for w, mu in zip(weights, nodes))
         a_abs = flux_matrices(build_angular_operators(2)).A_abs
         np.testing.assert_allclose(a_abs, direct, atol=1e-14)
         np.testing.assert_allclose(
@@ -204,13 +197,13 @@ class TestAngularOperators:
     def test_stabilization_matrix_couples_equal_parity_only(self, n):
         ops = build_angular_operators(n)
         odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
-        nodal_abs = (ops.T_mat * np.abs(ops.quad.nodes)) @ ops.T_mat.T
+        nodal_abs = (ops.T_mat * np.abs(ops.nodes)) @ ops.T_mat.T
         assert np.max(np.abs(nodal_abs[odd]), initial=0.0) <= 1e-15
         assert np.max(np.abs(flux_matrices(ops).A_abs[odd]), initial=0.0) <= 1e-15
 
     def test_factorization_consistency(self):
         ops = build_angular_operators(7)
-        fm, mu = flux_matrices(ops), ops.quad.nodes
+        fm, mu = flux_matrices(ops), ops.nodes
         np.testing.assert_allclose(fm.A, (ops.T_mat * mu) @ ops.T_mat.T, atol=1e-13)
         np.testing.assert_allclose(fm.A_abs, (ops.T_mat * np.abs(mu)) @ ops.T_mat.T, atol=1e-13)
         np.testing.assert_allclose(
@@ -236,13 +229,13 @@ class TestAngularOperators:
     def test_nodal_constants(self, n):
         ops = build_angular_operators(n)
         t_mat = ops.T_mat
-        np.testing.assert_array_equal(ops.t0, np.sqrt(ops.quad.weights) / np.sqrt(2.0))
+        np.testing.assert_array_equal(ops.t0, np.sqrt(ops.weights) / np.sqrt(2.0))
         # T^T T = I - t0 t0^T: range(T^T) is the complement of t0
         np.testing.assert_allclose(t_mat.T @ t_mat, np.eye(n + 1) - np.outer(ops.t0, ops.t0),
                                    rtol=0, atol=1e-14)
         np.testing.assert_array_equal(ops.t0_b, np.stack([ops.t0, ops.b]))
         np.testing.assert_array_equal(ops.rows, t_mat.T)
-        for name in ("T_mat", "t0", "pin", "b", "t0_b", "rows"):
+        for name in ("nodes", "weights", "T_mat", "t0", "pin", "b", "t0_b", "rows"):
             assert not getattr(ops, name).flags.writeable, name
 
     def test_upwind_halves_are_the_nodes(self):
@@ -250,7 +243,7 @@ class TestAngularOperators:
         # by the nodes [:n_neg] for mu- = (mu - |mu|) / 2: bit for bit the same
         for n in [*range(1, 130), 200, 400, 800]:
             ops = build_angular_operators(n)
-            mu, neg = ops.quad.nodes, ops.n_neg
+            mu, neg = ops.nodes, ops.n_neg
             mu_plus, mu_minus = (0.5 * (mu + np.abs(mu)))[neg:], (0.5 * (mu - np.abs(mu)))[:neg]
             assert np.array_equal(mu_plus.view(np.uint64), mu[neg:].view(np.uint64)), n
             assert np.array_equal(mu_minus.view(np.uint64), mu[:neg].view(np.uint64)), n
@@ -260,7 +253,7 @@ class TestAngularOperators:
         # the table is evaluated on the non-negative nodes and mirrored with signs
         # (-1)^i: bit for bit, sign of zero included, the table on all nodes
         ops = build_angular_operators(n)
-        want = np.sqrt(ops.quad.weights) * orthonormal_legendre_table(n, ops.quad.nodes)[1:]
+        want = np.sqrt(ops.weights) * orthonormal_legendre_table(n, ops.nodes)[1:]
         assert np.array_equal(ops.T_mat.view(np.uint64), want.view(np.uint64))
 
     def test_rows_orthonormal_at_pulse_large_size(self):
@@ -272,8 +265,51 @@ class TestAngularOperators:
 
     def test_beta_constant(self):
         ops = build_angular_operators(4)
-        assert ops.beta_N == pytest.approx(np.max(ops.quad.weights) * 5, abs=1e-16)
+        assert ops.beta_N == pytest.approx(np.max(ops.weights) * 5, abs=1e-16)
 
     def test_invalid_moment_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_moments must be a positive integer"):
             build_angular_operators(0)
+
+    def test_inputs_checked(self):
+        # the moment count is the row count of T_mat; nothing else states it
+        ops = build_angular_operators(3)
+        nodes, weights, t_mat = ops.nodes, ops.weights, ops.T_mat
+        assert AngularOperators(list(nodes), list(weights), t_mat.tolist()).n_moments == 3
+        # float arrays are taken, not copied, and frozen: the record is built once per run
+        given = [np.array(nodes), np.array(weights), np.array(t_mat)]
+        held = AngularOperators(*given)
+        assert all(a is b for a, b in zip((held.nodes, held.weights, held.T_mat), given))
+        assert not any(arr.flags.writeable for arr in given)
+        for bad in (t_mat[:, :3], t_mat[:0, :1], t_mat[0], t_mat.T, t_mat[None]):
+            with pytest.raises(ValueError, match="T_mat must be n_moments x"):
+                AngularOperators(nodes, weights, bad)
+        for bad_nodes, bad_weights in ((nodes[:3], weights), (nodes, weights[:, None]),
+                                       (nodes, np.ones(5))):
+            with pytest.raises(ValueError, match="nodes and weights must be 1-d"):
+                AngularOperators(bad_nodes, bad_weights, t_mat)
+        for bad in (0.0, -0.5, np.nan):
+            bad_weights = weights.copy()
+            bad_weights[1] = bad
+            with pytest.raises(ValueError, match="weights must be positive"):
+                AngularOperators(nodes, bad_weights, t_mat)
+
+    def test_replace_derives_every_constant_again(self):
+        # nodes, weights and T_mat are the only inputs: replaced by those of another
+        # moment count, they give the record built for that count, field by field
+        small, large = build_angular_operators(5), build_angular_operators(8)
+        inputs = [f.name for f in dataclasses.fields(small) if f.init]
+        assert inputs == ["nodes", "weights", "T_mat"]
+        moved = dataclasses.replace(small, nodes=large.nodes, weights=large.weights,
+                                    T_mat=large.T_mat)
+        for f in dataclasses.fields(large):
+            got, want = getattr(moved, f.name), getattr(large, f.name)
+            assert type(got) is type(want) and np.array_equal(got, want), f.name
+        # a NaN T_mat reaches every constant read from it, and no other
+        poisoned = dataclasses.replace(small, T_mat=np.full((5, 6), np.nan))
+        for name in ("pin", "b", "rows"):
+            assert np.isnan(getattr(poisoned, name)).all(), name
+        assert np.isnan(poisoned.t0_b[1]).all()
+        np.testing.assert_array_equal(poisoned.t0_b[0], small.t0)
+        for name in ("nodes", "weights", "t0", "n_moments", "beta_N", "n_neg"):
+            assert np.array_equal(getattr(poisoned, name), getattr(small, name)), name

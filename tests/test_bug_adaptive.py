@@ -782,6 +782,41 @@ class TestStepBugAdaptive:
         if epsilon >= 1e-2 or start_rank == n_mom:
             assert max(ranks) == n_mom
 
+    @staticmethod
+    def fixed_rank_gap_to_dense(scenario, epsilon, nx, n_mom):
+        """Largest max|T - T_full| / max|T_full| over 200 steps at the bound of
+        `bug_fixed` at rank min(nx + 1, N) against `full`, from zero micro moments."""
+        ws, macro_d = build_problem(scenario, nx, n_mom, epsilon)
+        assert np.ptp(macro_d.temperature) > 0.0  # the grid reaches the pulse or insert
+        dt = cfl_report(ws)[0]
+        micro_d = nodal_dense(np.zeros((nx + 1, n_mom)), ws.angular)
+        macro_f = macro_d
+        state = zero_low_rank_state(nx + 1, ws.angular.T_mat, rank=min(nx + 1, n_mom))
+        worst = 0.0
+        for _ in range(200):
+            macro_d, micro_d = step_full(macro_d, micro_d, ws, dt)
+            macro_f, state = step_bug_fixed(macro_f, state, ws, dt)
+            t_full = macro_d.temperature
+            worst = max(worst, np.max(np.abs(macro_f.temperature - t_full))
+                        / np.max(np.abs(t_full)))
+        return worst
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-2, 1e-5])
+    @pytest.mark.parametrize("scenario", ["rectangular_pulse", "absorber"])
+    def test_fixed_rank_step_filling_both_sides_is_the_dense_step(self, scenario, epsilon):
+        # at rank nx + 1 = N both bases span their whole space, so the S-step's
+        # projection of the old solution onto the new spatial basis loses nothing
+        # and the fixed-rank step is the dense step
+        assert self.fixed_rank_gap_to_dense(scenario, epsilon, 7, 8) <= 1e-12
+
+    @pytest.mark.parametrize("scenario", ["rectangular_pulse", "absorber"])
+    @pytest.mark.parametrize("nx, n_mom", [(15, 8), (7, 16)], ids=["N<nx+1", "nx+1<N"])
+    def test_fixed_rank_step_with_one_side_short_is_not_the_dense_step(self, scenario, nx,
+                                                                         n_mom):
+        # with either side below full, the fixed-rank step is a low-rank step: at
+        # eps = 1 it is 3.0e-4 to 3.5e-4 off (15 x 8) and 4.3e-9 to 5.1e-9 (7 x 16)
+        assert 1e-10 < self.fixed_rank_gap_to_dense(scenario, 1.0, nx, n_mom) < 1e-3
+
     def test_moment_direction_survives_every_step(self):
         rng = np.random.default_rng(42)
         ws = make_workspace(seed=43)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -522,9 +523,9 @@ class TestNodalKernels:
         nx, rank = 9, min(n_moments, 4)
         ws = make_workspace(nx=nx, n_moments=n_moments, seed=95)
         ang = ws.angular
-        assert ang.n_neg == int(np.searchsorted(ang.quad.nodes, 0.0))
-        assert np.all(ang.quad.nodes[:ang.n_neg] < 0.0)
-        assert np.all(ang.quad.nodes[ang.n_neg:] >= 0.0)
+        assert ang.n_neg == int(np.searchsorted(ang.nodes, 0.0))
+        assert np.all(ang.nodes[:ang.n_neg] < 0.0)
+        assert np.all(ang.nodes[ang.n_neg:] >= 0.0)
         state = random_state(rng, nx + 1, n_moments, rank)
         x = state.X_basis
         blocks = bug_fixed._spatial_blocks(x, padded_difference(x, ws.grid), ws)
@@ -565,8 +566,11 @@ class TestNodalKernels:
         def run(poisoned):
             ws = clean
             if poisoned:
-                ws = dataclasses.replace(ws, angular=dataclasses.replace(
-                    angular, T_mat=np.full((n_mom, n_mom + 1), np.nan)))
+                # replace() would derive the constants from the NaN T_mat, so it is set
+                # on a copy, which keeps the constants of the clean one
+                poisoned_angular = copy.copy(angular)
+                object.__setattr__(poisoned_angular, "T_mat", np.full((n_mom, n_mom + 1), np.nan))
+                ws = dataclasses.replace(ws, angular=poisoned_angular)
             macro = macro0
             # from the zero state both schemes pad angular directions in the first step
             state = zero_low_rank_state(nx + 1, angular.T_mat,

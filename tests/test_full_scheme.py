@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 
@@ -217,8 +218,11 @@ class TestSplitAdvection:
         def run(poisoned):
             ws = make_workspace(nx=12, n_moments=7, epsilon=0.5)
             if poisoned:
-                ws = dataclasses.replace(ws, angular=dataclasses.replace(
-                    ws.angular, T_mat=np.full((7, 8), np.nan)))
+                # replace() would derive the constants from the NaN T_mat, so it is set
+                # on a copy, which keeps the constants of the clean one
+                angular = copy.copy(ws.angular)
+                object.__setattr__(angular, "T_mat", np.full((7, 8), np.nan))
+                ws = dataclasses.replace(ws, angular=angular)
             macro, micro = first_macro, first_micro
             for _ in range(3):
                 macro, micro = step_full(macro, micro, ws, 0.01)

@@ -49,7 +49,7 @@ class TestCfl:
         grid = StaggeredGrid(0.0, 1.0, 20)
         angular = build_angular_operators(6)
         dt = cfl_report(workspace(grid, 0.7, 1e-300, angular))[0]
-        nodes = angular.quad.nodes[angular.quad.nodes != 0.0]
+        nodes = angular.nodes[angular.nodes != 0.0]
         expected = np.min(0.7 * grid.dx**2 / nodes**2) / (5.0 * angular.beta_N)
         assert dt == pytest.approx(expected, rel=1e-12)
 

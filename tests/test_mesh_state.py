@@ -12,7 +12,6 @@ from oracles import (
 )
 from slabtrt import mesh_state
 from slabtrt.angular import (
-    QuadratureRule,
     build_angular_operators,
     gauss_legendre,
     orthonormal_legendre_table,
@@ -74,6 +73,18 @@ class TestGrid:
             StaggeredGrid(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             StaggeredGrid(1.0, 0.0, 4)
+
+    # these built NaN or infinite centres with only a RuntimeWarning
+    @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 0.0), (0.0, np.inf),
+                                              (-1.7e308, 1.7e308), (0.0, 1.7e308)])
+    def test_bounds_width_and_centres_must_be_finite(self, x_min, x_max):
+        with pytest.raises(ValueError, match="x_min, x_max and the cell centres must be finite"):
+            StaggeredGrid(x_min, x_max, 4)
+
+    def test_widest_finite_grid_is_built(self):
+        grid = StaggeredGrid(-8e307, 8e307, 4)
+        assert grid.dx == 4e307
+        np.testing.assert_allclose(grid.centers, [-6e307, -2e307, 2e307, 6e307], rtol=1e-15)
 
     # a fractional count was accepted once: 2.5 cells gave dx = 0.8 and 3 centers
     @pytest.mark.parametrize("n_cells", [2.5, 3.0, "4", None])
@@ -278,8 +289,7 @@ class TestStates:
     @pytest.mark.parametrize("cls, fields, shapes", [
         (LowRankMicroState, ("X_basis", "S_coeff", "V_basis"), None),
         (AbsorptionField, ("at_centers", "at_interfaces"), [(8,), (9,)]),
-        (QuadratureRule, ("nodes", "weights"), [(5,), (5,)]),
-    ], ids=["LowRankMicroState", "AbsorptionField", "QuadratureRule"])
+    ], ids=["LowRankMicroState", "AbsorptionField"])
     def test_constructor_copies_the_callers_arrays(self, cls, fields, shapes):
         # built once per run, so they hold read-only copies and the caller keeps its arrays
         rng = np.random.default_rng(12)
@@ -373,6 +383,19 @@ class TestExtendOrthonormalColumns:
         np.testing.assert_allclose(np.abs(new[:, 2:]), np.eye(m)[:, :2], atol=1e-15)
         np.testing.assert_allclose(new[:, :2] @ (new[:, :2].T @ np.column_stack([u, w])),
                                    np.column_stack([u, w]), atol=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("min_total", [0, 3])
+    def test_zero_width_cols_give_the_padding_alone(self, k, min_total):
+        # no column to extend by: the drop tolerance of an empty block is 0, and the
+        # result is the completion to min_total (nothing at min_total 0)
+        basis = self.random_basis(np.random.default_rng(7), 6, k)
+        new = extend_orthonormal_columns(basis, np.empty((6, 0)), min_total=min_total)
+        assert new.shape == (6, max(min_total - k, 0))
+        if new.shape[1]:
+            np.testing.assert_array_equal(
+                new, complete_orthonormal_columns(basis, min_total - k))
+            assert_extends_orthonormally(basis, new, atol=1e-15)
 
     @pytest.mark.parametrize("m,r", [(502, 15), (41, 8), (8, 8), (100, 1)])
     def test_empty_basis_is_householder_qr(self, m, r):
@@ -598,7 +621,7 @@ class TestCompleteOrthonormalColumns:
         # the rows of T as candidates: against t0 and the nodal images of the
         # first moments, the next rows are kept as they are
         ang = build_angular_operators(9)
-        t0 = np.sqrt(ang.quad.weights / 2.0)
+        t0 = np.sqrt(ang.weights / 2.0)
         basis = np.column_stack([t0, ang.T_mat[:3].T])
         out = complete_orthonormal_columns(basis, 4, ang.T_mat.T)
         np.testing.assert_allclose(out, ang.T_mat[3:7].T, rtol=0, atol=1e-14)
