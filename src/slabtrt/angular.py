@@ -115,7 +115,7 @@ def orthonormal_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularOperators:
     """Nodal transformation of the moment system and the angular constants of the steps.
 

@@ -19,7 +19,6 @@ from .full_scheme import FullSchemeWorkspace, emission_gradient_parts
 from .mesh_state import (
     LowRankMicroState,
     MacroState,
-    complete_orthonormal_columns,
     extend_orthonormal_columns,
     padded_difference,
 )
@@ -32,17 +31,13 @@ __all__ = [
     "step_bug_adaptive",
 ]
 
-# Kept truncation slots (the conserved column or a remainder singular value) whose
-# weight is this small relative to the whole coefficient block contribute nothing
-# and get a padded direction.
-_DEGENERATE_TOL = 1e-14
 # The first angular basis vector must be b/|b| (nodal: row 0 of T) to this accuracy.
 _PIN_TOL = 1e-12
 # Smallest augmented width: the conserved column plus one truncated direction.
 _RANK_FLOOR = 2
 
 
-@dataclass
+@dataclass(eq=False)
 class AugmentedFactors:
     """Augmented orthonormal bases of one step and the Galerkin blocks of X_hat.
 
@@ -143,18 +138,19 @@ def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray, theta_r
     first micro moment survives truncation; the remaining directions are cut at
     the normalized singular-value tail tolerance theta_rel.
 
-    X_hat is orthonormal, so K_hat = X_hat S_hat is factored through S_hat:
-    the thin SVD of the remainder, the normalization of the conserved column
-    and the refolding QR act on coefficient blocks with |X_hat| rows, and only
-    the final spatial basis is lifted, X_new = X_hat C_new. The kept rank is
-    capped by both augmented widths.
+    X_hat is orthonormal, so K_hat = X_hat S_hat is factored through S_hat: the
+    thin SVD of the remainder and the refolding QR act on coefficient blocks
+    with |X_hat| rows. One Householder QR of [S_hat[:, :1] | U_r Sigma_r] = Q R
+    refolds, X_new = X_hat Q and S_new = R, so X_new S_new e_1 = X_hat S_hat e_1
+    and X_new S_new V_new^T is the truncated product. Zero columns need no care:
+    Q is orthonormal and R zero in them. The kept rank is capped by both
+    augmented widths.
     """
     width_x, width_v = x_hat.shape[1], v_hat.shape[1]
-    c_ap = s_hat[:, :1]
-    s_ap = np.sqrt(c_ap.T @ c_ap)
+    c_ap = s_hat[:, 0]
     try:
-        c_rem_hat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
-        norm_s_hat = math.sqrt(s_ap[0, 0]**2 + svals @ svals)  # ||S_hat||_F
+        c_rem, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
+        norm_s_hat = math.sqrt(c_ap @ c_ap + svals @ svals)  # ||S_hat||_F
     except np.linalg.LinAlgError:
         if np.isfinite(s_hat).all():
             raise
@@ -166,25 +162,10 @@ def ap_truncate(x_hat: np.ndarray, v_hat: np.ndarray, s_hat: np.ndarray, theta_r
         raise ValueError("low-rank state contains non-finite entries")
 
     r_star = max(min(_choose_kept_rank(svals, theta_rel), width_x - 1, width_v - 1), 1)
-
-    w_hat = wt_mat[:r_star, :].T
-    c_rem = c_rem_hat[:, :r_star]
-    v_new = np.concatenate([v_hat[:, :1], v_hat[:, 1:] @ w_hat], axis=1)
-
-    c_ap = c_ap / (s_ap[0, 0] or 1.0)  # a zero column is a dead slot below
-    weights = np.concatenate([s_ap[0], svals[:r_star]])
-    dead = weights <= _DEGENERATE_TOL * max(norm_s_hat, 1e-300)
-    weights[dead] = 0.0
-    slots = np.concatenate([c_ap, c_rem], axis=1)
-    if dead.any():
-        # Slots without weight (the conserved one for uniform temperature, or a
-        # zero remainder) get directions orthogonal to the weighted ones, so the
-        # refolding QR below never has to split two parallel columns.
-        live, _ = np.linalg.qr(slots[:, ~dead])
-        slots[:, dead] = complete_orthonormal_columns(live, int(dead.sum()))
-
-    c_new, r2 = np.linalg.qr(slots)
-    return LowRankMicroState._trusted(x_hat @ c_new, r2 * weights, v_new)
+    v_new = np.concatenate([v_hat[:, :1], v_hat[:, 1:] @ wt_mat[:r_star, :].T], axis=1)
+    c_new, s_new = np.linalg.qr(
+        np.concatenate([s_hat[:, :1], c_rem[:, :r_star] * svals[:r_star]], axis=1))
+    return LowRankMicroState._trusted(x_hat @ c_new, s_new, v_new)
 
 
 def step_bug_adaptive(macro: MacroState, state: LowRankMicroState, ws: FullSchemeWorkspace,

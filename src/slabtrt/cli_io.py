@@ -179,7 +179,7 @@ def _write_csv(path: Path, header: str, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Final profiles plus per-step history of one simulation."""
 

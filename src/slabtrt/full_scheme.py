@@ -32,7 +32,7 @@ EPSILON_MAX = 1e100
 _BLOCK_BYTES = 512 * 1024  # g rows per step_full block: with output and differences 1.5 MB of L2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullSchemeWorkspace:
     """The problem every scheme advances: grid, scaling epsilon, absorption and
     angular operators.

@@ -32,7 +32,7 @@ _ORTH_TOL = 1e-12
 # The second Gram-Schmidt pass of extend_orthonormal_columns leaves the Gram
 # defect I - new^T new = leak^T leak. Up to a squared Frobenius norm of the leak
 # of 1e-16 the defect is below rounding; up to 1e-6 the series for
-# (I - leak^T leak)^(-1/2) leaves less than 3e-25, and above it Cholesky QR
+# (I - leak^T leak)^(-1/2) leaves less than 3.2e-19, and above it Cholesky QR
 # renormalizes.
 _LEAK_RENORM_SQ = 1e-16
 _LEAK_SERIES_SQ = 1e-6
@@ -46,7 +46,7 @@ def _freeze(record, **values):
         object.__setattr__(record, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaggeredGrid:
     """Equidistant staggered grid: cell centers plus the surrounding interfaces."""
 
@@ -76,14 +76,14 @@ class StaggeredGrid:
         _freeze(self, n_cells=n_cells, dx=dx, centers=centers, interfaces=interfaces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbsorptionField:
     """Absorption cross-section sampled at cell centers and interfaces (copied)."""
 
     at_centers: np.ndarray
     at_interfaces: np.ndarray
     sigma_min: float = field(init=False)
-    inv_at_interfaces: np.ndarray = field(init=False, repr=False, compare=False)  # 1 / sigma
+    inv_at_interfaces: np.ndarray = field(init=False, repr=False)  # 1 / sigma
 
     def __post_init__(self):
         ac = np.array(self.at_centers, dtype=float)
@@ -99,7 +99,7 @@ class AbsorptionField:
                 inv_at_interfaces=1.0 / ai)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MacroState:
     """Temperature and mesoscopic correction at cell centers.
 
@@ -109,8 +109,8 @@ class MacroState:
     temperature: np.ndarray
     h_meso: np.ndarray
     # vdot(T, T) and vdot(h, h), which the energy reads
-    temperature_sq: float = field(init=False, repr=False, compare=False)
-    h_meso_sq: float = field(init=False, repr=False, compare=False)
+    temperature_sq: float = field(init=False, repr=False)
+    h_meso_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.temperature, dtype=float)
@@ -135,7 +135,7 @@ def scalar_flux(macro: MacroState, epsilon: float) -> np.ndarray:
     return macro.temperature + epsilon**2 * macro.h_meso
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullMicroState:
     """Dense micro moments g: row i holds moments 1..N at interface i.
 
@@ -146,7 +146,7 @@ class FullMicroState:
     """
 
     g_matrix: np.ndarray
-    norm_sq: float = field(init=False, repr=False, compare=False)
+    norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g_matrix, dtype=float)
@@ -198,7 +198,7 @@ def _cholesky_qr(mat: np.ndarray):
     return mat @ np.linalg.inv(upper), upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRankMicroState:
     """Factored micro moments g = X S V^T with orthonormal X and V.
 
@@ -214,7 +214,7 @@ class LowRankMicroState:
     V_basis: np.ndarray
     # (workspace, bug_fixed._formed_blocks of the bases) from the fixed-rank step
     # that made the state, else None
-    _blocks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _blocks: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         x = np.array(self.X_basis, dtype=float)
@@ -359,12 +359,10 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
 
 
 def _inverse_sqrt_series(defect: np.ndarray) -> np.ndarray:
-    """(I - M)^(-1/2) for a small symmetric M, to the M^3 term of its binomial series:
-    I + M/2 + 3M^2/8 + 5M^3/16, by Horner's rule."""
+    """(I - M)^(-1/2) for a small symmetric M, to the M^2 term of its binomial series:
+    I + M/2 + 3M^2/8, by Horner's rule."""
     diag = slice(None, None, defect.shape[0] + 1)
-    poly = 0.3125 * defect
-    poly.flat[diag] += 0.375
-    poly = defect @ poly
+    poly = 0.375 * defect
     poly.flat[diag] += 0.5
     poly = defect @ poly
     poly.flat[diag] += 1.0

@@ -14,7 +14,6 @@ from oracles import (
     reference_ap_truncate,
     reference_augment_bases,
     reference_choose_kept_rank,
-    reference_complete_orthonormal_columns,
     upwind,
 )
 from runners import build_problem
@@ -420,50 +419,72 @@ class TestApTruncateMatchesGridSpace:
         for r in (1, 2, 4):
             x_hat, v_hat, s_hat = self.make_factors(rng, r, 5, 3, zero_conserved=True)
             state, x_ref, s_ref = self.compare(x_hat, v_hat, s_hat, 0.05)
-            # both pad the conserved slot with a zero-weight orthonormal direction
+            # the conserved slot has no weight but an orthonormal direction
             np.testing.assert_allclose(state.S_coeff[:, 0], 0.0, atol=0.0)
             np.testing.assert_allclose(s_ref[:, 0], 0.0, atol=0.0)
             rank = state.rank
             np.testing.assert_allclose(state.X_basis.T @ state.X_basis, np.eye(rank),
                                        atol=1e-13)
             np.testing.assert_allclose(x_ref.T @ x_ref, np.eye(rank), atol=1e-13)
-            # the padded direction now stays inside the augmented basis
+            # that direction stays inside the augmented basis
             x0 = state.X_basis[:, 0]
             np.testing.assert_allclose(x_hat @ (x_hat.T @ x0), x0, atol=1e-13)
 
-    def test_zero_remainder(self):
-        # only the conserved column carries weight: the kept remainder slot is
-        # padded orthogonally to it, so the refold is well conditioned
+    def test_refold_contract(self):
+        # one QR of [S_hat[:, :1] | U_r Sigma_r] refolds, for any weights: random
+        # coefficients, a zero conserved column, a zero remainder, both, and
+        # weights at or below 1e-14 ||S_hat||_F, which are kept, not zeroed
         rng = np.random.default_rng(62)
-        for r in (1, 3):
-            x_hat, v_hat, s_hat = self.make_factors(rng, r, 6, 2)
-            s_hat[:, 1:] = 0.0
-            state, _, _ = self.compare(x_hat, v_hat, s_hat, 0.05)
-            assert state.rank == 2
-            # the slots [c_ap | pad] are orthonormal, so the refolding QR's R is
-            # diagonal up to sign and its Q is the slots themselves
-            c_ap = s_hat[:, :1] / np.linalg.norm(s_hat[:, 0])
-            pad, _ = reference_complete_orthonormal_columns(c_ap, 1)
-            refold = x_hat.T @ state.X_basis
-            np.testing.assert_allclose(np.abs(refold.T @ np.column_stack([c_ap, pad])), np.eye(2),
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state.S_coeff[:, 1], 0.0, atol=0.0)
-            np.testing.assert_allclose(state.X_basis.T @ state.X_basis, np.eye(2), atol=1e-13)
+        for case in range(400):
+            kind = case % 6
+            r = int(rng.integers(1, 5))
+            x_hat, v_hat, s_hat = self.make_factors(rng, r, int(rng.integers(0, 20)),
+                                                    int(rng.integers(0, 6)))
+            tiny = 10.0 ** rng.uniform(-20.0, -14.0) * np.linalg.norm(s_hat)
+            if kind == 1:
+                s_hat[:, 0] = 0.0
+            elif kind == 2:
+                s_hat[:, 1:] = 0.0
+            elif kind == 3:
+                s_hat[:] = 0.0
+            elif kind == 4:
+                column = s_hat[:, 0] if case % 12 == 4 else s_hat[:, 1:]
+                column *= tiny / np.linalg.norm(column)
+            elif kind == 5:  # a remainder spectrum with weights far below the others
+                n_aug = s_hat.shape[0]
+                spectrum = np.where(rng.random(n_aug - 1) < 0.5, tiny, 1.0)
+                left, _ = np.linalg.qr(rng.standard_normal((n_aug, n_aug - 1)))
+                right, _ = np.linalg.qr(rng.standard_normal((n_aug - 1, n_aug - 1)))
+                s_hat[:, 1:] = (left * spectrum) @ right.T
+            theta_rel = float(rng.choice([0.0, 0.05, 0.3]))
+            state = ap_truncate(x_hat, v_hat, s_hat, theta_rel)
+            x, s, v, kept = state.X_basis, state.S_coeff, state.V_basis, state.rank - 1
+            assert kept == reference_ap_truncate(x_hat, v_hat, s_hat, theta_rel).r_star
+            np.testing.assert_allclose(x.T @ x, np.eye(kept + 1), rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(v[:, 0], v_hat[:, 0])
+            k_ap = x_hat @ s_hat[:, 0]
+            assert np.linalg.norm(x @ s[:, 0] - k_ap) <= 1e-14 * np.linalg.norm(k_ap)
+            u_mat, svals, wt_mat = np.linalg.svd(s_hat[:, 1:], full_matrices=False)
+            slots = np.column_stack([s_hat[:, 0], u_mat[:, :kept] * svals[:kept]])
+            truncated = x_hat @ slots @ np.column_stack(
+                [v_hat[:, 0], v_hat[:, 1:] @ wt_mat[:kept].T]).T
+            assert np.linalg.norm(x @ s @ v.T - truncated) <= 1e-13 * np.linalg.norm(truncated)
+            # every slot is refolded to its own accuracy, however small its weight
+            refolded = x_hat.T @ x @ s
+            for j in range(kept + 1):
+                assert (np.linalg.norm(refolded[:, j] - slots[:, j])
+                        <= 1e-13 * np.linalg.norm(slots[:, j])), (case, j)
+            if kind in (2, 3):
+                np.testing.assert_array_equal(s[:, 1:], 0.0)
 
 
 def full_rank_cases():
     """(scenario, epsilon, nx, n_moments, start rank) of the full-rank oracle test.
 
-    The cell centres of these grids reach the pulse and the insert. Two kinds
-    of run are known not to track the dense step, and are strict expected
-    failures: the absorber at eps = 1 and eps = 1e-2 from rank 1, and every
-    start at rank N = 4 on 101 x 4.
+    The cell centres of these grids reach the pulse and the insert. Every start
+    at rank N = 4 on 101 x 4 is known not to track the dense step, and is a
+    strict expected failure.
     """
-    early = pytest.mark.xfail(strict=True, reason=(
-        "before the rank reaches N the dense solution leaves the span of the augmented "
-        "bases, and T keeps that error: on 41x8 g is 2.9e-4 off after the third step at "
-        "eps = 1 and 7.8e-5 at eps = 1e-2; on 101x4 at eps = 1e-2 the ranks agree after "
-        "the second step but g is 1e-5 off"))
     stuck = pytest.mark.xfail(strict=True, reason=(
         "from the zero state of rank N = 4 the rank falls to 2 in the first step and "
         "never grows again"))
@@ -472,11 +493,7 @@ def full_rank_cases():
         for epsilon in (1.0, 1e-2, 1e-5):
             for nx, n_mom in ((41, 8), (30, 6), (101, 4)):
                 for start_rank in (1, n_mom):
-                    marks = ()
-                    if start_rank == 1 and scenario == "absorber" and epsilon >= 1e-2:
-                        marks = early
-                    elif start_rank == n_mom == 4:
-                        marks = stuck
+                    marks = stuck if start_rank == n_mom == 4 else ()
                     cases.append(pytest.param(scenario, epsilon, nx, n_mom, start_rank,
                                               marks=marks))
     return cases
@@ -561,7 +578,10 @@ class TestStepOperationCounts:
         # the diffusive absorber leaks above rounding in almost every extension;
         # the series renormalizes it without a Cholesky factor or an inverse, so a
         # step makes two extension QRs and the refolding QR, the truncation SVD
-        # and the two inverses of the K/L and S absorption matrices
+        # and the two inverses of the K/L and S absorption matrices. The first
+        # step left a zero-weight slot whose direction the refolding QR chose, and
+        # the next spatial extension drops a column ahead of a kept one once:
+        # `_kept_in_order` factors the kept columns again, one more QR
         ws, macro = build_problem("absorber", 41, 16, 1e-5)
         dt = cfl_report(ws)[0]
         state = zero_low_rank_state(42, ws.angular.T_mat)
@@ -581,7 +601,7 @@ class TestStepOperationCounts:
         n_steps = 10
         for _ in range(n_steps):
             macro, state = step_bug_adaptive(macro, state, ws, dt, 5e-2)
-        assert [calls[name] for name in names] == [3 * n_steps, n_steps, 2 * n_steps, 0]
+        assert [calls[name] for name in names] == [3 * n_steps + 1, n_steps, 2 * n_steps, 0]
         assert len(series) >= n_steps
 
     def test_fixed_rank_step(self, monkeypatch):
@@ -594,9 +614,9 @@ class TestStepOperationCounts:
 
     def test_pulse_pads_once_and_qrs_only_new_directions(self, monkeypatch):
         # 30 steps of the 101 x 8 pulse from the rank-1 zero state: only the first
-        # step pads (the rank floor of the angular basis, then the zero remainder
-        # slot in truncation); the augmentation QRs take at most r + 1 columns and
-        # truncation QRs act on coefficient blocks of at most 2r + 1 rows
+        # step pads (the rank floor of the angular basis; truncation pads nothing);
+        # the augmentation QRs take at most r + 1 columns and truncation QRs act
+        # on coefficient blocks of at most 2r + 1 rows
         nx, n_mom = 101, 8
         ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
         angular = ws.angular
@@ -626,8 +646,7 @@ class TestStepOperationCounts:
                 step["augmenting"] = False
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        for module in (mesh_state, bug_adaptive):
-            monkeypatch.setattr(module, "complete_orthonormal_columns", counted_complete)
+        monkeypatch.setattr(mesh_state, "complete_orthonormal_columns", counted_complete)
         monkeypatch.setattr(bug_adaptive, "augment_bases", marked_augment)
 
         macro = macro0
@@ -778,7 +797,13 @@ class TestStepBugAdaptive:
             t_full = macro_d.temperature
             worst = max(worst, np.max(np.abs(macro_a.temperature - t_full))
                         / np.max(np.abs(t_full)))
-        assert worst <= 1e-12
+        bound = 1e-12
+        if start_rank == 1 and scenario == "absorber" and epsilon >= 1e-2:
+            # the low-rank error of the first steps: before the rank reaches N the
+            # dense solution leaves the span of the augmented bases, and T keeps that
+            # error (worst 5.7e-6 to 9.2e-6 at eps = 1, 7.4e-11 to 8.1e-9 at 1e-2)
+            bound = 2e-5 if epsilon == 1.0 else 2e-8
+        assert worst <= bound
         if epsilon >= 1e-2 or start_rank == n_mom:
             assert max(ranks) == n_mom
 

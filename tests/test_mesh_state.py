@@ -16,6 +16,9 @@ from slabtrt.angular import (
     gauss_legendre,
     orthonormal_legendre_table,
 )
+from slabtrt.bug_adaptive import AugmentedFactors
+from slabtrt.cli_io import RunResult
+from slabtrt.full_scheme import FullSchemeWorkspace
 from slabtrt.mesh_state import (
     AbsorptionField,
     FullMicroState,
@@ -311,6 +314,23 @@ class TestStates:
         macro, micro = MacroState(t, h), FullMicroState(g)
         assert macro.temperature is t and macro.h_meso is h and micro.g_matrix is g
         assert not (t.flags.writeable or h.flags.writeable or g.flags.writeable)
+
+    def test_records_compare_and_hash_by_identity(self):
+        # a record that holds arrays equals only itself: comparing equal arrays field
+        # by field would raise, as would hashing them, so neither is done
+        def records():
+            grid, sigma, ang = (StaggeredGrid(-1.0, 1.0, 4),
+                                AbsorptionField(np.ones(4), np.ones(5)), build_angular_operators(3))
+            macro = MacroState(np.ones(4), np.zeros(4))
+            return [grid, sigma, ang, macro, FullMicroState(np.zeros((5, 3))),
+                    zero_low_rank_state(5, ang.T_mat, 2),
+                    FullSchemeWorkspace(grid, 1.0, sigma, ang),
+                    AugmentedFactors(np.eye(5, 3), np.eye(4, 3), np.eye(3), np.eye(3), np.ones(3)),
+                    RunResult(grid, macro, np.ones(4), [], 1.0, 1.0)]
+
+        for record, twin in zip(records(), records()):
+            assert record == record and not record == twin and record != twin
+            assert hash(record) == hash(record) and len({record, twin}) == 2
 
     def test_reorthonormalized_keeps_product_and_first_columns(self):
         rng = np.random.default_rng(9)
