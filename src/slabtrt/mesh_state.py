@@ -306,58 +306,6 @@ def diff_interface(values, grid: StaggeredGrid):
 # orthonormal factor helpers
 
 
-def _pick_in_order(gram: np.ndarray, n_new: int):
-    """The first n_new candidates, in index order, whose residual against the kept ones is > 0.1.
-
-    Works on the Gram matrix G = C^T C of the candidate block C alone. With R
-    the triangular factor of the kept columns C_P = Q R, candidate i has the
-    parts t = Q^T c_i = R^-T G[P, i] along the kept unit columns and residual
-    norm sqrt(G_ii - t^T t); a kept candidate appends [t; residual] to R.
-    Returns the kept indices and R^-1, so that Q = C_P R^-1.
-    """
-    inv_r = np.zeros((n_new, n_new))
-    picked: list[int] = []
-    for i in range(gram.shape[0]):
-        j = len(picked)
-        if j == n_new:
-            break
-        parts = inv_r[:j, :j].T @ gram[picked, i]
-        residual_sq = gram[i, i] - parts @ parts
-        if residual_sq > 0.01:
-            residual = np.sqrt(residual_sq)
-            inv_r[:j, j] = inv_r[:j, :j] @ parts / -residual
-            inv_r[j, j] = 1.0 / residual
-            picked.append(i)
-    return picked, inv_r
-
-
-def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
-                                 candidates: np.ndarray | None = None) -> np.ndarray:
-    """Candidate vectors orthonormalized against `basis`, taken in order.
-
-    The candidates are the orthonormal columns of `candidates`, by default the
-    canonical unit vectors e_i. A candidate is kept when its residual against
-    `basis` and the columns kept before it has norm above 0.1. For orthonormal
-    `basis` (k columns) a rejected candidate lies 99% inside the final span of
-    dimension k + n_new and a kept one lies fully inside it, so at most k / 0.99
-    candidates are rejected and one block of n_new + k / 0.99 + 1 candidates
-    suffices. The block C is projected off `basis` by classical Gram-Schmidt
-    applied twice; no m x m matrix is formed. The picks are made on the small
-    matrix C^T C (`_pick_in_order`), and the kept columns are formed at the end
-    by one tall product, C_P R^-1.
-    """
-    basis = np.asarray(basis, dtype=float)
-    m, k = basis.shape
-    size = min(m, n_new + int(k / 0.99) + 1)
-    cand = np.eye(m, size) if candidates is None else candidates[:, :size]
-    for _ in range(2):
-        cand = cand - basis @ (basis.T @ cand)
-    picked, inv_r = _pick_in_order(_gram(cand), n_new)
-    if len(picked) < n_new:
-        raise ValueError("cannot complete basis: not enough independent directions")
-    return cand[:, picked] @ inv_r
-
-
 def _inverse_sqrt_series(defect: np.ndarray) -> np.ndarray:
     """(I - M)^(-1/2) for a small symmetric M, to the M^2 term of its binomial series:
     I + M/2 + 3M^2/8, by Horner's rule."""
@@ -371,37 +319,40 @@ def _inverse_sqrt_series(defect: np.ndarray) -> np.ndarray:
 
 def _kept_in_order(rr: np.ndarray, tol: float):
     """How many columns of a QR factor R are kept, in index order, as those whose
-    residual against the ones kept before them exceeds tol, and their Q-coefficients.
+    residual against the ones kept before them exceeds tol, their Q-coefficients,
+    and the triangular factor whose leading diagonal entries are the kept residuals.
 
     The columns before the first diagonal entry at or below tol are kept; they
     span the leading coordinates, so a later column's residual against them is
     the norm of its rows below. When none is above tol, the kept columns are
-    Q's leading ones (coefficients None). Otherwise (rare) the first dropped
-    column is left out and the rest factored again, until only the last one,
-    or none, is dropped.
+    Q's leading ones (coefficients None, factor R). Otherwise (rare) the first
+    dropped column is left out and the rest factored again, until only the last
+    one, or none, is dropped.
     """
     n = rr.shape[1]
     lead = next((i for i, d in enumerate(np.abs(rr.diagonal()).tolist()) if not d > tol), n)
     if lead >= n - 1:
-        return lead, None
+        return lead, None, rr
     below = rr[lead:, lead + 1:]
     rest = [j for j, sq in enumerate(np.einsum("ij,ij->j", below, below).tolist(), lead + 1)
             if sq > tol * tol]
     if not rest:
-        return lead, None
+        return lead, None, rr
     live = list(range(lead)) + rest
     while True:
         small, upper = np.linalg.qr(rr[:, live])
         low = [i for i, d in enumerate(np.abs(upper.diagonal()).tolist()) if not d > tol]
         if not low or low[0] == len(live) - 1:
             n_kept = len(live) - len(low)
-            return n_kept, small[:, :n_kept]
+            return n_kept, small[:, :n_kept], upper
         del live[low[0]]
 
 
-def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: int = 0,
-                               candidates: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal columns that extend the orthonormal `basis` to span(basis, cols).
+def _orthonormal_extension(basis: np.ndarray, cols: np.ndarray, tol: float, most: int):
+    """The first `most` (or fewer) columns of `cols` kept by `_kept_in_order` at
+    tolerance tol, orthonormalized against the orthonormal `basis`, and the diagonal
+    of their triangular factor, whose signs orient them along the columns they were
+    kept for.
 
     Classical Gram-Schmidt applied twice, with one QR in between: `cols` is
     projected off `basis` and factored by QR, and the orthonormal factor q is
@@ -411,29 +362,14 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
     new^T new = I - leak^T leak exactly; above rounding, the columns are
     renormalized by the series for (I - leak^T leak)^(-1/2), by Cholesky QR
     for a leak above 1e-3. That factor is symmetric, so it mixes the new
-    columns by O(|leak|^2): their span is kept, not their order.
-
-    A column adds no direction, and is dropped rather than padded, when its
-    residual against `basis` and the columns kept before it is at or below
-    1e-12 of the largest column norm of `cols` (`_kept_in_order`). At most
-    rows - k columns are returned (k = basis columns); completions from
-    `candidates` (default: canonical vectors) are appended only while k plus
-    the returned count is below `min_total`. With an empty basis this is a
-    Householder QR of `cols` whose dropped columns are replaced by padding at
-    the end; the projections and the second pass are skipped, as they do
-    nothing there.
+    columns by O(|leak|^2): their span is kept, not their order. With an empty
+    basis the projections and the second pass are skipped, as they do nothing.
     """
-    basis = np.asarray(basis, dtype=float)
-    cols = np.asarray(cols, dtype=float)
-    m, k = basis.shape
-    if k == m:
-        return np.empty((m, 0))
-    if cols.shape[1] > m:
-        raise ValueError("cannot orthonormalize more columns than rows")
+    k = basis.shape[1]
     q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
-    n_kept, small = _kept_in_order(
-        rr, _RANK_TOL * math.sqrt(np.einsum("ij,ij->j", cols, cols).max(initial=0.0)))
-    new = (q if small is None else q @ small)[:, :min(n_kept, m - k)]
+    n_kept, small, upper = _kept_in_order(rr, tol)
+    n_kept = min(n_kept, most)
+    new = q[:, :n_kept] if small is None else q @ small[:, :n_kept]
     if k:
         leak = basis.T @ new
         new = new - basis @ leak
@@ -443,6 +379,59 @@ def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: i
             new = _cholesky_qr(new)[0]
         elif leak_sq > _LEAK_RENORM_SQ:
             new = new @ _inverse_sqrt_series(defect)
+    return new, upper.diagonal()[:n_kept]
+
+
+def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
+                                 candidates: np.ndarray | None = None) -> np.ndarray:
+    """Candidate vectors orthonormalized against `basis`, taken in order.
+
+    The candidates are the orthonormal columns of `candidates`, by default the
+    canonical unit vectors e_i. A candidate is kept when its residual against
+    `basis` and the columns kept before it has norm above 0.1: the rule of
+    `extend_orthonormal_columns` at tolerance 0.1. For orthonormal `basis`
+    (k columns) a rejected candidate lies 99% inside the final span of
+    dimension k + n_new and a kept one lies fully inside it, so at most
+    k / 0.99 candidates are rejected and one block of n_new + k / 0.99 + 1
+    candidates suffices. Each kept column points along its candidate, so a
+    candidate orthogonal to `basis` comes back as itself.
+    """
+    basis = np.asarray(basis, dtype=float)
+    m, k = basis.shape
+    size = min(m, n_new + int(k / 0.99) + 1)
+    cand = np.eye(m, size) if candidates is None else candidates[:, :size]
+    new, diag = _orthonormal_extension(basis, cand, 0.1, n_new)
+    if new.shape[1] < n_new:
+        raise ValueError("cannot complete basis: not enough independent directions")
+    return new * np.sign(diag)
+
+
+def extend_orthonormal_columns(basis: np.ndarray, cols: np.ndarray, min_total: int = 0,
+                               candidates: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal columns that extend the orthonormal `basis` to span(basis, cols).
+
+    A column adds no direction, and is dropped rather than padded, when its
+    residual against `basis` and the columns kept before it is at or below
+    1e-12 of the largest column norm of `cols` (`_kept_in_order`). The kept
+    columns are orthonormalized by projection, Householder QR and a second
+    projection (`_orthonormal_extension`). At most rows - k columns are
+    returned (k = basis columns); completions from `candidates` (default:
+    canonical vectors) are appended only while k plus the returned count is
+    below `min_total`, by the same rule at tolerance 0.1
+    (`complete_orthonormal_columns`). With an empty basis this is a
+    Householder QR of `cols` whose dropped columns are replaced by padding at
+    the end.
+    """
+    basis = np.asarray(basis, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    m, k = basis.shape
+    if k == m:
+        return np.empty((m, 0))
+    if cols.shape[1] > m:
+        raise ValueError("cannot orthonormalize more columns than rows")
+    new = _orthonormal_extension(
+        basis, cols, _RANK_TOL * math.sqrt(np.einsum("ij,ij->j", cols, cols).max(initial=0.0)),
+        m - k)[0]
     short = min(min_total, m) - k - new.shape[1]
     if short > 0:
         new = np.concatenate([new, complete_orthonormal_columns(

@@ -614,27 +614,38 @@ class TestStepOperationCounts:
 
     def test_pulse_pads_once_and_qrs_only_new_directions(self, monkeypatch):
         # 30 steps of the 101 x 8 pulse from the rank-1 zero state: only the first
-        # step pads (the rank floor of the angular basis; truncation pads nothing);
-        # the augmentation QRs take at most r + 1 columns and truncation QRs act
-        # on coefficient blocks of at most 2r + 1 rows
+        # step pads (the rank floor of the angular basis; truncation pads nothing),
+        # and its completion factors one candidate block of n_new + k / 0.99 + 1
+        # columns against the k basis columns. The first candidate, row 0 of T,
+        # is b/|b| and lies in the basis: it is dropped, so `_kept_in_order`
+        # factors the R columns of the kept ones behind it again, one more QR on
+        # the block's rows of R. Every other augmentation QR takes
+        # at most r + 1 columns and truncation QRs act on coefficient blocks of at
+        # most 2r + 1 rows
         nx, n_mom = 101, 8
         ws, macro0 = build_problem("rectangular_pulse", nx, n_mom)
         angular = ws.angular
         dt = cfl_report(ws)[0]
         theta_rel = 5e-2
-        step = {"index": 0, "rank": 1, "augmenting": False}
+        step = {"index": 0, "rank": 1, "augmenting": False, "completing": False}
         qr_log, completions = [], []
         qr = np.linalg.qr
 
         def counted_qr(a, *args, **kwargs):
-            qr_log.append((step["index"], step["rank"], step["augmenting"], np.shape(a)))
+            qr_log.append((step["index"], step["rank"], step["augmenting"], step["completing"],
+                           np.shape(a)))
             return qr(a, *args, **kwargs)
 
         complete = mesh_state.complete_orthonormal_columns
 
         def counted_complete(basis, n_new, *args):
-            completions.append((step["index"], basis.shape[0]))
-            return complete(basis, n_new, *args)
+            rows, k = basis.shape
+            completions.append((step["index"], rows, min(rows, n_new + int(k / 0.99) + 1)))
+            step["completing"] = True
+            try:
+                return complete(basis, n_new, *args)
+            finally:
+                step["completing"] = False
 
         augment = bug_adaptive.augment_bases
 
@@ -654,17 +665,23 @@ class TestStepOperationCounts:
         for index in range(1, 31):
             step.update(index=index, rank=state.rank)
             macro, state = step_bug_adaptive(macro, state, ws, dt, theta_rel)
-        assert max(r for _, r, _, _ in qr_log) >= 5
-        tall = [(i, shape) for i, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom + 1)]
-        assert len([c for c in completions if c[1] in (nx + 1, n_mom + 1)]) <= 1
-        assert all(i == 1 for i, _ in completions)
-        for _, rank, augmenting, (rows, cols) in qr_log:
+        assert max(r for _, r, _, _, _ in qr_log) >= 5
+        tall = [(i, shape) for i, _, _, _, shape in qr_log if shape[0] in (nx + 1, n_mom + 1)]
+        assert [c[0] for c in completions] == [1]
+        (_, rows, width), = completions
+        assert rows == n_mom + 1
+        assert [shape for _, _, _, completing, shape in qr_log if completing] == [
+            (rows, width), (width, width - 1)]
+        for _, rank, augmenting, completing, (rows, cols) in qr_log:
+            if completing:
+                continue
             if augmenting:
                 assert cols <= rank + 1
             else:
                 assert rows <= 2 * rank + 1
-        assert len([1 for _, _, augmenting, _ in qr_log if augmenting]) >= 2 * 30
-        assert len(tall) >= 2 * 30
+        assert len([1 for _, _, augmenting, completing, _ in qr_log
+                    if augmenting and not completing]) >= 2 * 30
+        assert len(tall) >= 2 * 30 + 1
 
 
 class TestStepBugAdaptive:
