@@ -382,7 +382,7 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        config = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
         if args.command == "run":
             return run_simulation(config, out=out)
         if args.command == "cfl":

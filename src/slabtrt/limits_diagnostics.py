@@ -6,7 +6,7 @@ import numpy as np
 
 from .angular import NORM_P0
 from .full_scheme import FullSchemeWorkspace
-from .mesh_state import MacroState, StaggeredGrid, diff_center, diff_interface
+from .mesh_state import MacroState, StaggeredGrid
 
 __all__ = [
     "cfl_report",
@@ -81,13 +81,15 @@ def rosseland_step(temperature: np.ndarray, ws: FullSchemeWorkspace, dt: float) 
     if t.shape != (grid.n_cells,):
         raise ValueError("temperature must have n_cells entries")
 
-    # (1/sigma) * delta, not delta / sigma, which can change the last bit of the output
-    flux = ws.sigma.inv_at_interfaces * diff_interface(t, grid)
-    divergence = diff_center(flux, grid)
-
-    divergence *= dt * (2.0 / 3.0) / 3.0
-    divergence += t
-    return divergence
+    # zero-ghost differences; 1/dx^2 rides in the scalar, and 0.0 - T[-1] keeps a +0 end flux +0
+    flux = np.empty(grid.n_cells + 1)
+    np.subtract(t[1:], t[:-1], out=flux[1:-1])
+    flux[0], flux[-1] = t[0], 0.0 - t[-1]
+    flux *= ws.sigma.inv_at_interfaces
+    out = flux[1:] - flux[:-1]
+    out *= dt * (2.0 / 3.0) / 3.0 / grid.dx**2
+    out += t
+    return out
 
 
 def rosseland_stable_dt(ws: FullSchemeWorkspace) -> float:

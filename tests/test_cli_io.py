@@ -491,6 +491,26 @@ class TestCliEntrypoints:
         _, rows = read_rows(tmp_path / "history.csv")
         assert [(row[0], row[5]) for row in rows] == [("2e-14", "2e-14")]
 
+    def test_config_saved_with_a_byte_order_mark_reads_as_without_it(self, tmp_path, capsys):
+        # some editors save UTF-8 with a BOM, which would otherwise start the first key
+        def write(name, prefix):
+            text = DESK.format(scheme="full", epsilon="1.0", out=tmp_path / name).lstrip()
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(prefix + text, encoding="utf-8")
+            return str(path)
+
+        plain, marked = write("plain", ""), write("marked", "\ufeff")
+        assert Path(marked).read_bytes().startswith(b"\xef\xbb\xbf")
+        printed = []
+        for path in (plain, marked):
+            assert main(["cfl", path]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert main(["run", plain]) == 0 and main(["run", marked]) == 0
+        for name in ("history.csv", "profiles.csv"):
+            plain_csv, marked_csv = (tmp_path / side / name for side in ("plain", "marked"))
+            assert marked_csv.read_bytes() == plain_csv.read_bytes()
+
     def test_usage_error_nonzero_exit(self):
         assert main(["frobnicate"]) != 0
 

@@ -19,8 +19,6 @@ from slabtrt.mesh_state import (
     AbsorptionField,
     MacroState,
     StaggeredGrid,
-    diff_center,
-    diff_interface,
 )
 
 
@@ -200,21 +198,28 @@ class TestRosseland:
         assert dt == pytest.approx(grid.dx**2 / (2.0 * (2.0 / 3.0) / 0.45), rel=1e-14)
 
     def test_kept_reciprocal_matches_the_one_of_each_step_bit_for_bit(self):
-        # 1 / sigma is computed once per field, not once per step; the step and
-        # its bound read back the same bits as the form that divided every time
+        # 1 / sigma is computed once per field, not once per step, and 1/dx^2 is
+        # folded into the step's scalar: the step and its bound read back the bits
+        # of a transcription that pads T with zero ghosts and takes the reciprocal
+        # every time. Eight dt per grid pin the order of the scalar's divisions.
+        # The last two grids end in T[-1] = +0.0, where the end flux is a zero
+        # (adding T[-1] hides its sign from the output)
         rng = np.random.default_rng(20)
-        for nx in (1, 2, 9, 64):
+        for nx, zero_end in ((1, False), (2, False), (9, False), (64, False), (1, True), (2, True)):
             grid = StaggeredGrid(-1.0, 2.0, nx)
             sig_i = rng.uniform(1e-3, 1e3, nx + 1)
             sigma = AbsorptionField(rng.uniform(0.5, 2.0, nx), sig_i)
             assert not sigma.inv_at_interfaces.flags.writeable
             T = rng.uniform(-1.0, 2.0, nx)
-            dt = float(rng.uniform(1e-5, 1e-3))
+            if zero_end:
+                T[-1] = +0.0
             ws = workspace(grid, sigma)
-            got = rosseland_step(T, ws, dt)
-            want = T + dt * (2.0 / 3.0) / 3.0 * diff_center(
-                1.0 / sig_i * diff_interface(T, grid), grid)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            padded = np.concatenate([[0.0], T, [0.0]])
+            flux = (padded[1:] - padded[:-1]) * (1.0 / sig_i)
+            for dt in map(float, rng.uniform(1e-5, 1e-3, 8)):
+                got = rosseland_step(T, ws, dt)
+                want = (flux[1:] - flux[:-1]) * (dt * (2.0 / 3.0) / 3.0 / grid.dx**2) + T
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             bound = rosseland_stable_dt(ws)
             assert type(bound) is float
             assert bound == grid.dx**2 / (2.0 * ((2.0 / 3.0) * np.max(1.0 / sig_i)))
