@@ -64,8 +64,9 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
 
     X1 is an orthonormal basis of the part of [w_ap, K] outside span X, and V1
     of the part of L outside span [t0 | V], in nodal coordinates. The K and
-    L updates enter as they are, and each new block gets one projection and one
-    QR of at most r + 1 columns (`extend_orthonormal_columns`). Directions
+    L updates enter as they are ([w_ap, K] is stacked as rows, so it stays in
+    column order), and each new block gets one projection and one QR of at most
+    r + 1 columns (`extend_orthonormal_columns`). Directions
     already spanned are dropped, so the widths may differ; padding (canonical
     in space, rows of T in angle) only lifts a width to the rank floor of 2.
     V[:, 0] must be b/|b|, so b is already in span V and V_hat[:, 0] stays the
@@ -80,7 +81,7 @@ def augment_bases(state: LowRankMicroState, macro: MacroState, ws: FullSchemeWor
     w_ap = thermal / ws.sigma.at_interfaces
     diffs = padded_difference(x, ws.grid)
     k_new = _k_update(state, source, ws, dt, diffs, _flux_projections(state.V_basis, ws))
-    x_new = extend_orthonormal_columns(x, np.concatenate([w_ap[:, None], k_new], axis=1),
+    x_new = extend_orthonormal_columns(x, np.concatenate([w_ap[None], k_new.T]).T,
                                        _RANK_FLOOR)
     x_hat = np.concatenate([x, x_new], axis=1)
     flow_minus, gram = _spatial_blocks(

@@ -20,7 +20,9 @@ __all__ = ["step_bug_fixed"]
 # step multiplies by T. The constants live in `ws.angular`. The K-step takes the
 # stencil of X, diffs = padded_difference(X) (rows [:-1] are D- X, rows [1:] D+ X),
 # and the L- and S-step the blocks X^T D- X and X^T sigma X of their spatial basis;
-# X^T D+ X = -(X^T D- X)^T by summation by parts.
+# X^T D+ X = -(X^T D- X)^T by summation by parts. Layout: a tall block that goes to
+# a QR is in column (Fortran) order, the order LAPACK reads, so `np.linalg.qr` copies
+# it contiguously; the K-step builds K^T, whose passes run along the grid.
 
 
 def _flux_projections(w: np.ndarray, ws: FullSchemeWorkspace):
@@ -61,18 +63,19 @@ def _k_update(state: LowRankMicroState, source: np.ndarray, ws: FullSchemeWorksp
     This is the modal dense update in the basis V, with flux = (V^T A+ V, V^T A- V)
     in place of A+- and V^T b = W^T T^T b in place of b; absorption is a
     pointwise division. The stencil of K is that of X times S: D+-K = (D+-X) S.
-    The shift and eps scale the r x r factors, and the tall terms are
-    accumulated in place into one array.
+    The shift and eps scale the r x r factors, and the tall terms are accumulated
+    in place into K^T (r x n), so the source and the division run along the grid
+    and K, its transpose, is in column order.
     """
     eps, w, s = ws.epsilon, state.V_basis, state.S_coeff
     shift = eps**2 / dt
     flux_plus, flux_minus = flux
-    rhs = state.X_basis @ (shift * s)
-    rhs -= diffs[:-1] @ (eps * (s @ flux_plus))
-    rhs -= diffs[1:] @ (eps * (s @ flux_minus))
-    rhs -= np.multiply.outer(source, w.T @ ws.angular.b)
-    rhs /= (shift + ws.sigma.at_interfaces)[:, None]
-    return rhs
+    rhs = (shift * s).T @ state.X_basis.T
+    rhs -= (eps * (s @ flux_plus)).T @ diffs[:-1].T
+    rhs -= (eps * (s @ flux_minus)).T @ diffs[1:].T
+    rhs -= np.multiply.outer(w.T @ ws.angular.b, source)
+    rhs /= shift + ws.sigma.at_interfaces
+    return rhs.T
 
 
 def _l_update(state: LowRankMicroState, ws: FullSchemeWorkspace, dt: float, blocks,

@@ -362,11 +362,12 @@ def _orthonormal_extension(basis: np.ndarray, cols: np.ndarray, tol: float, most
     new^T new = I - leak^T leak exactly; above rounding, the columns are
     renormalized by the series for (I - leak^T leak)^(-1/2), by Cholesky QR
     for a leak above 1e-3. That factor is symmetric, so it mixes the new
-    columns by O(|leak|^2): their span is kept, not their order. With an empty
-    basis the projections and the second pass are skipped, as they do nothing.
+    columns by O(|leak|^2): their span is kept, not their order. The projected
+    block is formed in column order, the order LAPACK reads. With an empty basis
+    the projections and the second pass are skipped, as they do nothing.
     """
     k = basis.shape[1]
-    q, rr = np.linalg.qr(cols - basis @ (basis.T @ cols) if k else cols)
+    q, rr = np.linalg.qr(np.subtract(cols, basis @ (basis.T @ cols), order="F") if k else cols)
     n_kept, small, upper = _kept_in_order(rr, tol)
     n_kept = min(n_kept, most)
     new = q[:, :n_kept] if small is None else q @ small[:, :n_kept]
@@ -399,7 +400,7 @@ def complete_orthonormal_columns(basis: np.ndarray, n_new: int,
     basis = np.asarray(basis, dtype=float)
     m, k = basis.shape
     size = min(m, n_new + int(k / 0.99) + 1)
-    cand = np.eye(m, size) if candidates is None else candidates[:, :size]
+    cand = np.eye(m, size, order="F") if candidates is None else candidates[:, :size]
     new, diag = _orthonormal_extension(basis, cand, 0.1, n_new)
     if new.shape[1] < n_new:
         raise ValueError("cannot complete basis: not enough independent directions")

@@ -5,11 +5,13 @@ import pytest
 
 from oracles import (
     array_choose_kept_rank,
+    kernel_k,
     modal,
     modal_b,
     nodal_dense,
     nodal_state,
     oracle_galerkin_dense,
+    oracle_step_full,
     reconstruct,
     reference_ap_truncate,
     reference_augment_bases,
@@ -682,6 +684,69 @@ class TestStepOperationCounts:
         assert len([1 for _, _, augmenting, completing, _ in qr_log
                     if augmenting and not completing]) >= 2 * 30
         assert len(tall) >= 2 * 30 + 1
+
+
+class TestGridOrder:
+    """The tall blocks of a low-rank step reach LAPACK in column (Fortran) order,
+    which `np.linalg.qr` copies contiguously, and the K-step builds K^T, whose
+    passes run along the grid, so K comes back in column order. The values are
+    those of the dense update."""
+
+    nx, n_mom = 40, 30  # 41 and 31 rows; truncation's coefficient blocks have fewer
+
+    def tall_qr_layouts(self, monkeypatch):
+        """(shape, F-contiguous) of every QR input with nx + 1 or N + 1 rows."""
+        layouts = []
+        qr = np.linalg.qr
+
+        def recorded_qr(a, *args, **kwargs):
+            if np.shape(a)[0] in (self.nx + 1, self.n_mom + 1):
+                layouts.append((np.shape(a), a.flags.f_contiguous))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+        return layouts
+
+    @pytest.mark.parametrize("scheme", ["bug_fixed", "bug_adaptive"])
+    def test_tall_qr_inputs_are_in_column_order(self, monkeypatch, scheme):
+        # three steps from a random rank-3 state (the adaptive rank grows to 12,
+        # so truncation's blocks keep fewer than 31 rows), then two from the
+        # rank-3 zero state at T = 0, whose K is zero: the fixed-rank step then
+        # pads its whole spatial basis from an empty one
+        nx, n_mom = self.nx, self.n_mom
+        rng = np.random.default_rng(72)
+        ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.5, seed=73)
+        starts = [(MacroState(1.0 + np.exp(-4.0 * ws.grid.centers**2),
+                              0.1 * rng.standard_normal(nx)),
+                   random_state(rng, nx + 1, n_mom, 3), 3),
+                  (MacroState(np.zeros(nx), np.zeros(nx)),
+                   zero_low_rank_state(nx + 1, ws.angular.T_mat, rank=3), 2)]
+        layouts = self.tall_qr_layouts(monkeypatch)
+        for macro, state, n_steps in starts:
+            for _ in range(n_steps):
+                if scheme == "bug_adaptive":
+                    macro, state = step_bug_adaptive(macro, state, ws, 0.02, 5e-2)
+                else:
+                    macro, state = step_bug_fixed(macro, state, ws, 0.02)
+        assert {rows for (rows, _), _ in layouts} == {nx + 1, n_mom + 1}
+        assert len(layouts) >= 2 * 5
+        assert [shape for shape, f_order in layouts if not f_order] == []
+
+    def test_k_update_is_in_column_order_and_is_the_dense_update(self):
+        # K = X S advanced in the frozen basis V is the dense update of g = X S V^T
+        # (the loop oracle of the dense step) times V
+        rng = np.random.default_rng(74)
+        nx, n_mom, dt = 12, 7, 0.02
+        ws = make_workspace(nx=nx, n_moments=n_mom, epsilon=0.6, seed=75)
+        macro = MacroState(rng.standard_normal(nx), rng.standard_normal(nx))
+        state = random_state(rng, nx + 1, n_mom, 4)
+        k_new = kernel_k(state, emission_gradient_parts(macro, ws)[1], ws, dt)
+        assert k_new.flags.f_contiguous
+        moments = modal(state, ws.angular.T_mat)
+        _, _, g_new = oracle_step_full(macro.temperature, macro.h_meso, reconstruct(moments),
+                                       ws.epsilon, ws.grid.dx, dt, ws.sigma.at_centers,
+                                       ws.sigma.at_interfaces, *upwind(ws.angular))
+        np.testing.assert_allclose(k_new, g_new @ moments.V_basis, rtol=0, atol=1e-13)
 
 
 class TestStepBugAdaptive:
